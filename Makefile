@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint-programs vet-analyzers taint-report staticcheck govulncheck check bench chaos soak replchaos
+.PHONY: build test vet race lint-programs vet-analyzers taint-report staticcheck govulncheck benchmark-test check bench chaos soak replchaos
 
 build:
 	$(GO) build ./...
@@ -59,7 +59,16 @@ govulncheck:
 		echo "govulncheck not installed; skipping (CI runs it pinned)"; \
 	fi
 
-check: vet lint-programs vet-analyzers race staticcheck govulncheck
+# benchmark-test runs the request-level benchmark's own tests (benchmark/ is
+# a nested module, invisible to `go test ./...` here): unit tests plus a ~5 s
+# smoke run that builds vadasad and drives every workload once. It is part of
+# check because the benchmark calls repository APIs — mdb.GroupIndex row
+# operations, the stream and replica packages — and a change that breaks
+# those calls must fail here, not in the acceptance driver.
+benchmark-test:
+	$(GO) test -C benchmark ./...
+
+check: vet lint-programs vet-analyzers race staticcheck govulncheck benchmark-test
 
 # chaos runs the process-level fault suite under the race detector: worker
 # SIGKILL mid-lease, dropped/duplicated/truncated RPCs, torn journal tails
@@ -95,11 +104,11 @@ replchaos:
 		./internal/replica/ ./cmd/vadasad/ > replchaos.out 2>&1 || { cat replchaos.out; exit 1; }
 	cat replchaos.out
 
-# bench runs the tier-1 benchmark suite and records it as BENCH_10.json (see
+# bench runs the tier-1 benchmark suite and records it as BENCH_12.json (see
 # DESIGN.md "Benchmark record format"): standard columns plus the custom
 # figure metrics (riskeval-ms/op, nulls/op, loss%/op), machine-readable for
 # regression tracking. The raw stream lands in bench.out for inspection.
-BENCH_JSON ?= BENCH_10.json
+BENCH_JSON ?= BENCH_12.json
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./... > bench.out || { cat bench.out; exit 1; }
 	cat bench.out

@@ -6,6 +6,7 @@
 package vadasa
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -164,6 +165,61 @@ func BenchmarkGrouping(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mdb.ComputeGroups(d, qi, mdb.MaybeMatch)
+	}
+}
+
+// BenchmarkGroupIndexDeleteRows measures one batch deletion of k rows from
+// an index over a standing window — the oldest k, as a sliding window
+// withdraws them, and k scattered ones, which take the position search.
+// Between iterations the rows are re-appended and committed off the clock.
+// The ns/row metric is per window row: DeleteRows is one sweep over the
+// index whatever k is, so the figure stays level as the window grows.
+func BenchmarkGroupIndexDeleteRows(b *testing.B) {
+	const k = 1000
+	for _, window := range []int{5000, 20000} {
+		for _, pick := range []string{"oldest", "scattered"} {
+			b.Run(fmt.Sprintf("window=%d/k=%d/%s", window, k, pick), func(b *testing.B) {
+				ctx := context.Background()
+				d := synth.Generate(synth.Config{Tuples: window, QIs: 4, Dist: synth.DistU, Seed: 4})
+				positions := make([]int, k)
+				for i := range positions {
+					positions[i] = i
+					if pick == "scattered" {
+						positions[i] = i * (window / k)
+					}
+				}
+				x, err := mdb.BuildGroupIndex(ctx, d, d.QuasiIdentifiers(), mdb.MaybeMatch)
+				if err != nil {
+					b.Fatal(err)
+				}
+				deleted := make([]*mdb.Row, k)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					for j, pos := range positions {
+						deleted[j] = d.Rows[pos]
+					}
+					d.Rows = mdb.RemovePositions(d.Rows, positions)
+					b.StartTimer()
+					if err := x.DeleteRows(positions); err != nil {
+						b.Fatal(err)
+					}
+					b.StopTimer()
+					for _, r := range deleted {
+						d.Append(r)
+						if err := x.AppendRow(x.Len()); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if _, err := x.Commit(ctx); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(window), "ns/row")
+			})
+		}
 	}
 }
 

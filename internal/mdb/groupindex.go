@@ -3,6 +3,7 @@ package mdb
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"vadasa/internal/pool"
@@ -61,6 +62,10 @@ type GroupIndex struct {
 	inv []map[string][]int
 
 	infos []GroupInfo
+	// spare is the infos vector the last Commit retired, kept as the next
+	// Commit's output buffer: recomputeDerived overwrites every position,
+	// and Infos is documented valid only until the next Commit.
+	spare []GroupInfo
 
 	// pending state between SuppressCell calls and the next Commit.
 	touched map[int]bool // groups that lost members
@@ -309,54 +314,109 @@ func (x *GroupIndex) AppendRow(pos int) error {
 	return nil
 }
 
-// DeleteRow records that the row at position pos has been removed from the
-// dataset and every later row shifted down by one — the caller compacts the
-// dataset (and any parallel per-row state, such as a previous risk vector)
-// before calling. The row leaves its group or the null-row set immediately;
-// every tracked position above pos is remapped. Aggregates and infos are
-// refreshed at Commit, which reports exactly the surviving rows whose
-// GroupInfo changed.
+// DeleteRow is DeleteRows for a single position.
 func (x *GroupIndex) DeleteRow(pos int) error {
+	return x.DeleteRows([]int{pos})
+}
+
+// DeleteRows records that the rows at the given positions — strictly
+// ascending, as they stood before the deletion — have been removed from the
+// dataset and every surviving row shifted down past them. The caller compacts
+// the dataset (and any parallel per-row state, such as a previous risk
+// vector) before calling. The rows leave their groups or the null-row set and
+// every stored position is remapped in one sweep over the index, whatever the
+// number of deletions: a surviving position p becomes p minus the number of
+// deleted positions below it. Aggregates and infos are refreshed at Commit,
+// which reports exactly the surviving rows whose GroupInfo changed.
+func (x *GroupIndex) DeleteRows(positions []int) error {
 	if x.invalid {
-		return fmt.Errorf("mdb: DeleteRow on invalidated group index")
+		return fmt.Errorf("mdb: DeleteRows on invalidated group index")
 	}
-	n := len(x.rowGroup)
-	if pos < 0 || pos >= n {
-		return fmt.Errorf("mdb: DeleteRow position %d out of range [0,%d)", pos, n)
-	}
-	if len(x.d.Rows) != n-1 {
-		return fmt.Errorf("mdb: DeleteRow(%d): dataset holds %d rows, want %d (compact before deleting)",
-			pos, len(x.d.Rows), n-1)
-	}
-	x.pending++
-	if g := x.rowGroup[pos]; g >= 0 {
-		x.removeMember(g, pos)
-	} else {
-		i := sort.SearchInts(x.nullRows, pos)
-		if i < len(x.nullRows) && x.nullRows[i] == pos {
-			x.nullRows = append(x.nullRows[:i], x.nullRows[i+1:]...)
+	n, k := len(x.rowGroup), len(positions)
+	for i, pos := range positions {
+		if pos < 0 || pos >= n {
+			return fmt.Errorf("mdb: DeleteRows position %d out of range [0,%d)", pos, n)
+		}
+		if i > 0 && pos <= positions[i-1] {
+			return fmt.Errorf("mdb: DeleteRows positions must be strictly ascending, got %d after %d", pos, positions[i-1])
 		}
 	}
-	x.rowGroup = append(x.rowGroup[:pos], x.rowGroup[pos+1:]...)
-	x.infos = append(x.infos[:pos], x.infos[pos+1:]...)
-	// Remap every stored position above pos. Shifting preserves relative
-	// order, so member lists and null rows stay ascending and recomputed
-	// float sums keep the fresh-scan accumulation order. Groups that only
-	// shifted keep the same members in the same order, so their sums are
-	// untouched; only the group that lost the row is marked for refresh.
+	if len(x.d.Rows) != n-k {
+		return fmt.Errorf("mdb: DeleteRows of %d rows: dataset holds %d rows, want %d (compact before deleting)",
+			k, len(x.d.Rows), n-k)
+	}
+	if k == 0 {
+		return nil
+	}
+	x.pending += k
+	for _, pos := range positions {
+		if g := x.rowGroup[pos]; g >= 0 {
+			x.touched[g] = true
+		}
+	}
+	// Dropping members and shifting the survivors preserves relative order,
+	// so member lists and null rows stay ascending and recomputed float sums
+	// keep the fresh-scan accumulation order. Groups that only shifted keep
+	// the same members in the same order, so their sums are untouched; only
+	// the groups that lost a row were marked for refresh above.
 	for _, grp := range x.groups {
-		for i, p := range grp.rows {
-			if p > pos {
-				grp.rows[i] = p - 1
-			}
-		}
+		grp.rows = compactPositions(grp.rows, positions)
 	}
-	for i, p := range x.nullRows {
-		if p > pos {
-			x.nullRows[i] = p - 1
-		}
-	}
+	x.nullRows = compactPositions(x.nullRows, positions)
+	x.rowGroup = RemovePositions(x.rowGroup, positions)
+	x.infos = RemovePositions(x.infos, positions)
 	return nil
+}
+
+// RemovePositions deletes the elements of s at the given strictly ascending
+// positions, in place: each surviving run moves down once, so the cost is
+// linear in len(s) whatever the number of deletions. Per-row state kept
+// beside a dataset (its Rows, a risk vector) is compacted with it before
+// DeleteRows.
+func RemovePositions[T any](s []T, positions []int) []T {
+	if len(positions) == 0 {
+		return s
+	}
+	w := positions[0]
+	for i, p := range positions {
+		end := len(s)
+		if i+1 < len(positions) {
+			end = positions[i+1]
+		}
+		w += copy(s[w:], s[p+1:end])
+	}
+	clear(s[w:]) // drop the stale tail's references
+	return s[:w]
+}
+
+// compactPositions drops the deleted positions (ascending) from the ascending
+// list stored and remaps the survivors, in place: p becomes p minus the
+// number of deleted positions below it. Positions outside the deleted range —
+// all of them when a window loses its oldest rows, or a single row — take two
+// comparisons; only those inside it take a binary search.
+func compactPositions(stored, deleted []int) []int {
+	k := len(deleted)
+	first, last := deleted[0], deleted[k-1]
+	if n := len(stored); n == 0 || stored[n-1] < first {
+		return stored // nothing at or above the first deletion
+	}
+	w := 0
+	for _, p := range stored {
+		switch {
+		case p < first:
+		case p > last:
+			p -= k
+		default:
+			i, found := slices.BinarySearch(deleted, p)
+			if found {
+				continue
+			}
+			p -= i
+		}
+		stored[w] = p
+		w++
+	}
+	return stored[:w]
 }
 
 func (x *GroupIndex) removeMember(g, pos int) {
@@ -397,7 +457,11 @@ func (x *GroupIndex) Commit(ctx context.Context) ([]int, error) {
 	x.touched = make(map[int]bool)
 	x.pending = 0
 
-	next := make([]GroupInfo, len(x.d.Rows))
+	next := x.spare
+	if cap(next) < len(x.d.Rows) {
+		next = make([]GroupInfo, len(x.d.Rows))
+	}
+	next = next[:len(x.d.Rows)]
 	if err := x.recomputeDerived(ctx, next); err != nil {
 		return nil, err
 	}
@@ -420,8 +484,15 @@ func (x *GroupIndex) Commit(ctx context.Context) ([]int, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mdb: committing group index: %w", err)
 	}
-	x.infos = next
-	var dirty []int
+	x.infos, x.spare = next, x.infos
+	total := 0
+	for _, d := range dirtyPer {
+		total += len(d)
+	}
+	if total == 0 {
+		return nil, nil
+	}
+	dirty := make([]int, 0, total)
 	for _, d := range dirtyPer {
 		dirty = append(dirty, d...)
 	}

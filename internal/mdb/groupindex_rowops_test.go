@@ -2,7 +2,10 @@ package mdb
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -48,7 +51,14 @@ func TestGroupIndexRowOpsMatchesRebuild(t *testing.T) {
 			prev := append([]GroupInfo(nil), x.Infos()...)
 			ops := 1 + rng.Intn(10)
 			for i := 0; i < ops; i++ {
-				switch op := rng.Intn(4); {
+				switch op := rng.Intn(5); {
+				case op == 4 && len(d.Rows) > 12: // delete several rows at once
+					ps := randomPositions(rng, len(d.Rows), 1+rng.Intn(6))
+					d.Rows = RemovePositions(d.Rows, ps)
+					if err := x.DeleteRows(ps); err != nil {
+						t.Fatal(err)
+					}
+					prev = RemovePositions(prev, ps)
 				case op == 0 && len(d.Rows) > 5: // delete
 					pos := rng.Intn(len(d.Rows))
 					deleteDatasetRow(d, pos)
@@ -135,8 +145,8 @@ func TestGroupIndexDeleteLastNullRow(t *testing.T) {
 }
 
 // Misuse is rejected, not absorbed: out-of-order appends, appends without
-// the dataset row, deletes before compaction, and anything after
-// Invalidate.
+// the dataset row, deletes before compaction, unsorted, repeated or
+// out-of-range delete positions, and anything after Invalidate.
 func TestGroupIndexRowOpsErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	d := randomDataset(rng, 20, 2, 3)
@@ -157,12 +167,158 @@ func TestGroupIndexRowOpsErrors(t *testing.T) {
 	if err := x.DeleteRow(len(d.Rows)); err == nil {
 		t.Fatal("DeleteRow accepted an out-of-range position")
 	}
+	n := len(d.Rows)
+	for _, c := range []struct {
+		name      string
+		ps        []int
+		compacted bool // the dataset was shortened by len(ps), as a caller would
+	}{
+		{"an uncompacted dataset", []int{1, 2}, false},
+		{"unsorted positions", []int{5, 2}, true},
+		{"duplicate positions", []int{2, 2}, true},
+		{"a negative position", []int{-1, 2}, true},
+		{"an out-of-range position", []int{2, n}, true},
+	} {
+		full := d.Rows
+		if c.compacted {
+			d.Rows = d.Rows[:n-len(c.ps)]
+		}
+		if err := x.DeleteRows(c.ps); err == nil {
+			t.Fatalf("DeleteRows accepted %s", c.name)
+		}
+		d.Rows = full
+	}
+	// Every rejection happened before any mutation: the index still mirrors
+	// the dataset and absorbs a valid batch.
+	if x.Len() != n {
+		t.Fatalf("rejected DeleteRows changed the tracked length to %d, want %d", x.Len(), n)
+	}
+	if err := x.DeleteRows(nil); err != nil {
+		t.Fatalf("empty DeleteRows: %v", err)
+	}
+	d.Rows = RemovePositions(d.Rows, []int{0, 3})
+	if err := x.DeleteRows([]int{0, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.Commit(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	sameInfos(t, "after rejections", x.Infos(), ComputeGroups(d, qi, MaybeMatch))
+
 	x.Invalidate()
 	if err := x.AppendRow(len(d.Rows)); err == nil {
 		t.Fatal("AppendRow accepted on invalidated index")
 	}
 	if err := x.DeleteRow(0); err == nil {
 		t.Fatal("DeleteRow accepted on invalidated index")
+	}
+	if err := x.DeleteRows([]int{0}); err == nil {
+		t.Fatal("DeleteRows accepted on invalidated index")
+	}
+}
+
+// randomPositions draws k distinct positions below n, ascending.
+func randomPositions(rng *rand.Rand, n, k int) []int {
+	ps := rng.Perm(n)[:min(k, n)]
+	sort.Ints(ps)
+	return ps
+}
+
+// checkDeleteRows deletes the positions ps from d three ways — one
+// DeleteRows, single DeleteRows from the highest position down, and a fresh
+// build over the compacted dataset — and requires bitwise equal infos and,
+// for the two maintained indexes, the same dirty set: exactly the surviving
+// rows whose info differs from the compacted previous vector.
+func checkDeleteRows(t *testing.T, label string, d *Dataset, sem Semantics, ps []int) {
+	t.Helper()
+	ctx := context.Background()
+	qi := d.QuasiIdentifiers()
+	batchD, singleD := d.Clone(), d.Clone()
+	batch, err := BuildGroupIndex(ctx, batchD, qi, sem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := BuildGroupIndex(ctx, singleD, qi, sem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := RemovePositions(append([]GroupInfo(nil), batch.Infos()...), ps)
+
+	batchD.Rows = RemovePositions(batchD.Rows, ps)
+	if err := batch.DeleteRows(ps); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	batchDirty, err := batch.Commit(ctx)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	for i := len(ps) - 1; i >= 0; i-- {
+		deleteDatasetRow(singleD, ps[i])
+		if err := single.DeleteRow(ps[i]); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
+	singleDirty, err := single.Commit(ctx)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	fresh, err := BuildGroupIndex(ctx, batchD, qi, sem)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sameInfos(t, label+"/single", batch.Infos(), single.Infos())
+	sameInfos(t, label+"/fresh", batch.Infos(), fresh.Infos())
+	sameInfos(t, label+"/ref", batch.Infos(), ComputeGroups(batchD, qi, sem))
+	var want []int
+	for pos, info := range batch.Infos() {
+		if info != prev[pos] {
+			want = append(want, pos)
+		}
+	}
+	if !slices.Equal(batchDirty, want) {
+		t.Fatalf("%s: DeleteRows dirty set %v, want %v", label, batchDirty, want)
+	}
+	if !slices.Equal(singleDirty, want) {
+		t.Fatalf("%s: single-delete dirty set %v, want %v", label, singleDirty, want)
+	}
+}
+
+// One DeleteRows ≡ descending single DeleteRows ≡ a fresh build, under both
+// semantics, on random position sets and on the structural corner cases:
+// null-bearing rows only (which removes the last null row), one whole group,
+// a single row, and every row.
+func TestGroupIndexDeleteRowsEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(107))
+	for trial := 0; trial < 10; trial++ {
+		qis := 2 + rng.Intn(2)
+		d := randomDataset(rng, 30+rng.Intn(90), qis, 2+rng.Intn(3))
+		qi := d.QuasiIdentifiers()
+		var nulls []int
+		for pos := range d.Rows {
+			if rng.Intn(8) == 0 {
+				d.Rows[pos].Values[qi[rng.Intn(len(qi))]] = d.Nulls.Fresh()
+				nulls = append(nulls, pos)
+			}
+		}
+		key := projKey(d.Rows[len(d.Rows)/2].Values, qi)
+		var group, all []int
+		for pos, r := range d.Rows {
+			all = append(all, pos)
+			if projKey(r.Values, qi) == key {
+				group = append(group, pos)
+			}
+		}
+		for _, sem := range []Semantics{MaybeMatch, StandardNulls} {
+			label := fmt.Sprintf("trial %d %s", trial, sem)
+			for i := 0; i < 4; i++ {
+				checkDeleteRows(t, label+" random", d, sem, randomPositions(rng, len(d.Rows), 1+rng.Intn(len(d.Rows)/2)))
+			}
+			checkDeleteRows(t, label+" nulls", d, sem, nulls)
+			checkDeleteRows(t, label+" group", d, sem, group)
+			checkDeleteRows(t, label+" one", d, sem, []int{rng.Intn(len(d.Rows))})
+			checkDeleteRows(t, label+" all", d, sem, all)
+		}
 	}
 }
 
@@ -173,6 +329,7 @@ func FuzzGroupIndexRowOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0xff, 0x80, 7}, int64(1))
 	f.Add([]byte{1, 1, 1, 0, 0, 0, 2, 2}, int64(7))
 	f.Add([]byte{}, int64(3))
+	f.Add([]byte{4, 14, 1, 2, 9, 3, 24, 4, 3}, int64(5))
 	f.Fuzz(func(t *testing.T, tape []byte, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		for _, sem := range []Semantics{MaybeMatch, StandardNulls} {

@@ -298,13 +298,19 @@ func chaosRun(t *testing.T, seed int64, rounds int) {
 			t.Fatalf("window holds %d rows, %d were acknowledged", st.Rows, len(model.rows))
 		}
 		s.mu.Lock()
+		defer s.mu.Unlock()
+		// ID → position is a binary search: it is only right while IDs
+		// ascend strictly with position.
+		for pos, r := range s.d.Rows {
+			if pos > 0 && r.ID <= s.d.Rows[pos-1].ID {
+				t.Fatalf("row IDs not ascending: %d at position %d follows %d", r.ID, pos, s.d.Rows[pos-1].ID)
+			}
+		}
 		for id := range model.rows {
-			if _, ok := s.rowPos[id]; !ok {
-				s.mu.Unlock()
+			if _, ok := s.position(id); !ok {
 				t.Fatalf("acknowledged row %d lost", id)
 			}
 		}
-		s.mu.Unlock()
 	}
 
 	for round := 0; round < rounds; round++ {

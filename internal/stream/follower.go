@@ -57,7 +57,6 @@ func OpenFollower(ctx context.Context, id, path string, opts Options) (*Follower
 		opts:    opts,
 		fs:      opts.FS,
 		gov:     opts.Governor,
-		rowPos:  make(map[int]int),
 		batches: make(map[string]bool),
 	}
 	if s.fs == nil {

@@ -120,7 +120,7 @@ func (s *Stream) replay(rec journal.Record) error {
 			return fmt.Errorf("stream: batch %q journaled twice (records up to %d)", p.BatchID, rec.Seq)
 		}
 		bytes := batchBytes(p.Rows)
-		//governcharge:ok — window memory is released in bulk by Close
+		//governcharge:ok — refunded row by row by applyWithdraw, the rest in bulk by Close
 		if err := s.gov.Reserve(govern.Memory, bytes); err != nil {
 			return fmt.Errorf("stream: replaying batch %q: %w", p.BatchID, err)
 		}
@@ -251,7 +251,7 @@ func (s *Stream) applyCreate(p createPayload) error {
 // ones, exactly as on the live path.
 func (s *Stream) applyAnon(p anonPayload) error {
 	for _, rec := range p.Decisions {
-		pos, ok := s.rowPos[rec.RowID]
+		pos, ok := s.position(rec.RowID)
 		if !ok {
 			return fmt.Errorf("stream: journaled suppression of unknown row %d", rec.RowID)
 		}
@@ -281,6 +281,16 @@ func batchBytes(rows [][]string) int64 {
 		for _, c := range r {
 			bytes += int64(len(c))
 		}
+	}
+	return bytes
+}
+
+// rowBytes is batchBytes for one window row as it stands — the governor
+// refund of its withdrawal.
+func rowBytes(r *mdb.Row) int64 {
+	bytes := int64(64)
+	for _, v := range r.Values {
+		bytes += int64(len(v.String()))
 	}
 	return bytes
 }

@@ -22,6 +22,7 @@
 package stream
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -29,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -238,9 +240,11 @@ type Stream struct {
 	gov  *govern.Governor
 	w    *journal.Writer
 
+	// Row IDs are minted from nextID at the tail and nothing reorders
+	// d.Rows, so IDs ascend strictly with position: position resolves an ID
+	// by binary search, and deletions never disturb the order.
 	d       *mdb.Dataset
 	nextID  int
-	rowPos  map[int]int // row ID → current position
 	batches map[string]bool
 	nbatch  int
 	ndrop   int
@@ -289,7 +293,6 @@ func Open(ctx context.Context, id, path string, opts Options) (*Stream, error) {
 		opts:    opts,
 		fs:      opts.FS,
 		gov:     opts.Governor,
-		rowPos:  make(map[int]int),
 		batches: make(map[string]bool),
 	}
 	if s.fs == nil {
@@ -391,7 +394,7 @@ func (s *Stream) Append(ctx context.Context, batchID string, rows [][]string) (*
 		return nil, err
 	}
 	bytes := batchBytes(rows)
-	//governcharge:ok — window memory is released in bulk by Close
+	//governcharge:ok — refunded row by row by applyWithdraw, the rest in bulk by Close
 	if err := s.gov.Reserve(govern.Memory, bytes); err != nil {
 		return nil, fmt.Errorf("stream: admitting batch: %w", err)
 	}
@@ -452,7 +455,6 @@ func (s *Stream) applyBatch(batchID string, rows [][]string) []int {
 		}
 		s.nextID++
 		row.ID = s.nextID
-		s.rowPos[row.ID] = len(s.d.Rows)
 		s.d.Append(row)
 		ids = append(ids, row.ID)
 	}
@@ -480,7 +482,7 @@ func (s *Stream) Withdraw(ctx context.Context, rowIDs []int) error {
 	}
 	seen := make(map[int]bool, len(rowIDs))
 	for _, id := range rowIDs {
-		if _, ok := s.rowPos[id]; !ok {
+		if _, ok := s.position(id); !ok {
 			return fmt.Errorf("stream: row %d is not in the window", id)
 		}
 		if seen[id] {
@@ -501,32 +503,51 @@ func (s *Stream) Withdraw(ctx context.Context, rowIDs []int) error {
 	return nil
 }
 
-// applyWithdraw removes the rows — shared by the live path and recovery.
+// position resolves a row ID to its current window position.
+func (s *Stream) position(id int) (int, bool) {
+	return slices.BinarySearchFunc(s.d.Rows, id, func(r *mdb.Row, id int) int { return cmp.Compare(r.ID, id) })
+}
+
+// applyWithdraw removes the rows — shared by the live path and recovery. The
+// ids may come in any order; the whole withdrawal is one sweep over the
+// window, the risk vector and the index, and refunds the governor what the
+// rows' batches were charged for them.
 func (s *Stream) applyWithdraw(rowIDs []int) error {
-	for _, id := range rowIDs {
-		pos, ok := s.rowPos[id]
+	positions := make([]int, len(rowIDs))
+	for i, id := range rowIDs {
+		pos, ok := s.position(id)
 		if !ok {
 			return fmt.Errorf("stream: journaled withdrawal of unknown row %d", id)
 		}
-		s.d.Rows = append(s.d.Rows[:pos], s.d.Rows[pos+1:]...)
-		delete(s.rowPos, id)
-		for rid, p := range s.rowPos {
-			if p > pos {
-				s.rowPos[rid] = p - 1
-			}
-		}
-		if s.idx != nil && s.idx.Valid() {
-			if err := s.idx.DeleteRow(pos); err != nil {
-				return fmt.Errorf("stream: index delete: %w", err)
-			}
-			if s.risks != nil {
-				s.risks = append(s.risks[:pos], s.risks[pos+1:]...)
-			}
-		} else if s.risks != nil {
-			s.risks, s.current = nil, false
-		}
-		s.ndrop++
+		positions[i] = pos
 	}
+	slices.Sort(positions)
+	var refund int64
+	for i, pos := range positions {
+		if i > 0 && pos == positions[i-1] {
+			// A repeated id: applied one by one, its second mention would
+			// find the row already gone.
+			return fmt.Errorf("stream: journaled withdrawal of unknown row %d", s.d.Rows[pos].ID)
+		}
+		refund += rowBytes(s.d.Rows[pos])
+	}
+	s.d.Rows = mdb.RemovePositions(s.d.Rows, positions)
+	if s.idx != nil && s.idx.Valid() {
+		if err := s.idx.DeleteRows(positions); err != nil {
+			return fmt.Errorf("stream: index delete: %w", err)
+		}
+		if s.risks != nil {
+			s.risks = mdb.RemovePositions(s.risks, positions)
+		}
+	} else if s.risks != nil {
+		s.risks, s.current = nil, false
+	}
+	s.ndrop += len(positions)
+	// Suppressions change cell lengths, so a row can stand larger than it
+	// was charged: never refund more than the window holds.
+	refund = min(refund, s.memCharged)
+	s.gov.Release(govern.Memory, refund)
+	s.memCharged -= refund
 	return nil
 }
 
