@@ -40,7 +40,7 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.failRequest(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.bodyLimit()))
+	body, err := readBody(w, r, s.bodyLimit())
 	if err != nil {
 		s.failRequest(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
 		return

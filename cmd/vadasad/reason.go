@@ -10,7 +10,6 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 
@@ -22,7 +21,7 @@ import (
 
 // readProgramBody reads and admission-charges a request body.
 func (s *server) readProgramBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.bodyLimit()))
+	body, err := readBody(w, r, s.bodyLimit())
 	if err != nil {
 		return nil, fmt.Errorf("reading body: %w", err)
 	}

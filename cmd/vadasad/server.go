@@ -91,6 +91,19 @@ func (s *server) bodyLimit() int64 {
 	return 64 << 20
 }
 
+// readBody reads a request body of at most limit bytes. A declared
+// Content-Length sizes the buffer once; io.ReadAll would grow it step by
+// step, copying a megabyte-sized CSV several times over.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, limit)
+	if r.ContentLength <= 0 || r.ContentLength > limit {
+		return io.ReadAll(body)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, r.ContentLength+bytes.MinRead))
+	_, err := buf.ReadFrom(body)
+	return buf.Bytes(), err
+}
+
 func (s *server) cellCap() int64 {
 	switch {
 	case s.maxCells > 0:
@@ -256,7 +269,7 @@ func (s *server) loadDataset(w http.ResponseWriter, r *http.Request) (*vadasa.Fr
 	if err := s.applyBudget(f, r.URL.Query()); err != nil {
 		return nil, nil, nil, err
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.bodyLimit()))
+	body, err := readBody(w, r, s.bodyLimit())
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("reading body: %w", err)
 	}
@@ -314,18 +327,18 @@ func buildDataset(f *vadasa.Framework, body []byte, q url.Values, maxCells int64
 	if len(body) == 0 {
 		return nil, nil, fmt.Errorf("empty body; POST a CSV with a header row")
 	}
-	header, rest, ok := strings.Cut(string(body), "\n")
+	head, rest, ok := bytes.Cut(body, []byte("\n"))
 	if !ok {
 		return nil, nil, fmt.Errorf("body has no data rows")
 	}
-	header = strings.TrimPrefix(header, "\ufeff")
+	header := strings.TrimPrefix(string(head), "\ufeff")
 	names := strings.Split(strings.TrimRight(header, "\r"), ",")
 	for i := range names {
 		names[i] = strings.TrimSpace(names[i])
 	}
 	if maxCells > 0 {
-		rows := int64(strings.Count(rest, "\n"))
-		if !strings.HasSuffix(rest, "\n") {
+		rows := int64(bytes.Count(rest, []byte("\n")))
+		if !bytes.HasSuffix(rest, []byte("\n")) {
 			rows++ // final row without a trailing newline
 		}
 		if cells := rows * int64(len(names)); cells > maxCells {
@@ -369,10 +382,11 @@ func buildDataset(f *vadasa.Framework, body []byte, q url.Values, maxCells int64
 			}
 		}
 	}
-	// Re-assemble the CSV with the cleaned header line so the schema check
-	// in ReadCSV sees the same names categorization did.
-	cleaned := strings.Join(names, ",") + "\n" + rest
-	d, err := vadasa.ReadCSV(strings.NewReader(cleaned), "request", attrs)
+	// ReadCSV gets the cleaned header line, so its schema check sees the same
+	// names categorization did, followed by the data rows straight from the
+	// request body.
+	cleaned := io.MultiReader(strings.NewReader(strings.Join(names, ",")+"\n"), bytes.NewReader(rest))
+	d, err := vadasa.ReadCSV(cleaned, "request", attrs)
 	if err != nil {
 		return nil, nil, err
 	}

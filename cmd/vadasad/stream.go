@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"path/filepath"
@@ -289,7 +288,7 @@ func (s *server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, fmt.Errorf("the batch query parameter (idempotency key) is required"))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.bodyLimit()))
+	body, err := readBody(w, r, s.bodyLimit())
 	if err != nil {
 		s.failRequest(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
 		return

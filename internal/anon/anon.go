@@ -36,21 +36,67 @@ func (d Decision) String() string {
 }
 
 // Context carries the state an anonymization step works in: the dataset
-// being anonymized, its quasi-identifier indexes, and a lazily built
-// selectivity index. The cycle creates a fresh Context per iteration, so the
-// selectivity snapshot is at most one iteration stale — greedy tie-breaking
-// quality, at a fraction of the cost of per-step scans.
+// being anonymized, its quasi-identifier indexes, a lazily built selectivity
+// index and the per-iteration FreqWithout cache. The selectivity index is a
+// snapshot taken at the first step of an iteration that reads it and frozen
+// for the rest of that iteration, so it is at most one iteration stale —
+// greedy tie-breaking quality, at a fraction of the cost of per-step scans.
+// A cycle keeps one Context chain alive: it reports every step's decisions
+// through Applied and moves to the following iteration with Next, which
+// carries the index over instead of recounting the dataset.
 type Context struct {
 	Dataset *mdb.Dataset
 	QI      []int
 
-	marg        *marginalIndex
+	marg *marginalIndex
+	// margRead is set once a step of this iteration has read the selectivity
+	// snapshot; decisions applied after that wait in late until Next.
+	margRead    bool
+	late        []Decision
 	freqWithout map[int][]int
 }
 
 // NewContext returns a step context for the dataset.
 func NewContext(d *mdb.Dataset, qi []int) *Context {
 	return &Context{Dataset: d, QI: qi}
+}
+
+// Applied tells the context that a step has just applied the decisions to
+// the dataset. Until the iteration's first selectivity read they are folded
+// into the carried index at once — the snapshot is the dataset as it stands
+// at that first read — and after it they are held back for Next.
+func (c *Context) Applied(ds []Decision) {
+	switch {
+	case c.marg == nil: // the first read counts the dataset as it then stands
+	case c.margRead:
+		c.late = append(c.late, ds...)
+	default:
+		c.fold(ds)
+	}
+}
+
+// Next returns the context of the following iteration: the selectivity index
+// is carried over with this iteration's held-back decisions folded in, the
+// FreqWithout cache is dropped.
+func (c *Context) Next() *Context {
+	if c.marg != nil {
+		c.fold(c.late)
+	}
+	return &Context{Dataset: c.Dataset, QI: c.QI, marg: c.marg}
+}
+
+// fold applies decisions to the carried selectivity index. A local
+// suppression moves one row from its value's count to the null count;
+// anything else (global recoding rewrites arbitrarily many cells) drops the
+// index, and the next read recounts the dataset.
+func (c *Context) fold(ds []Decision) {
+	for _, dec := range ds {
+		attr := c.Dataset.AttrIndex(dec.Attr)
+		if dec.Method != "local-suppression" || attr < 0 || !c.marg.suppress(attr, dec.Old) {
+			c.marg = nil
+			return
+		}
+	}
 }
 
 // FreqWithout returns, for every row, the maybe-match frequency the row
@@ -85,6 +131,7 @@ func (c *Context) Marginal(attr int, v mdb.Value) int {
 	if c.marg == nil {
 		c.marg = buildMarginalIndex(c.Dataset, c.QI)
 	}
+	c.margRead = true
 	return c.marg.marginal(attr, v)
 }
 
@@ -141,30 +188,39 @@ func (c AttrChoice) String() string {
 	}
 }
 
-// marginalIndex caches, per attribute, how many rows carry each constant
-// value plus how many carry labelled nulls, so the selectivity of a value
-// under maybe-match is a lookup instead of a scan.
+// marginalIndex caches, per quasi-identifier, how many rows carry each
+// constant value plus how many carry labelled nulls, so the selectivity of a
+// value under maybe-match is a lookup instead of a scan. Values are interned
+// to dense codes per attribute and the counts are code-indexed.
 type marginalIndex struct {
-	counts []map[string]int // by attribute index
+	codes  []map[string]int // by attribute index: constant → position in counts
+	counts [][]int
 	nulls  []int
 }
 
 func buildMarginalIndex(d *mdb.Dataset, qi []int) *marginalIndex {
 	m := &marginalIndex{
-		counts: make([]map[string]int, len(d.Attrs)),
+		codes:  make([]map[string]int, len(d.Attrs)),
+		counts: make([][]int, len(d.Attrs)),
 		nulls:  make([]int, len(d.Attrs)),
 	}
 	for _, a := range qi {
-		m.counts[a] = make(map[string]int)
+		m.codes[a] = make(map[string]int)
 	}
 	for _, r := range d.Rows {
 		for _, a := range qi {
 			v := r.Values[a]
 			if v.IsNull() {
 				m.nulls[a]++
-			} else {
-				m.counts[a][v.Constant()]++
+				continue
 			}
+			c, ok := m.codes[a][v.Constant()]
+			if !ok {
+				c = len(m.counts[a])
+				m.codes[a][v.Constant()] = c
+				m.counts[a] = append(m.counts[a], 0)
+			}
+			m.counts[a][c]++
 		}
 	}
 	return m
@@ -174,7 +230,26 @@ func (m *marginalIndex) marginal(attr int, v mdb.Value) int {
 	if v.IsNull() {
 		return m.nulls[attr] // callers only rank constants; defensive
 	}
-	return m.counts[attr][v.Constant()] + m.nulls[attr]
+	if c, ok := m.codes[attr][v.Constant()]; ok {
+		return m.counts[attr][c] + m.nulls[attr]
+	}
+	return m.nulls[attr]
+}
+
+// suppress records that one cell of the attribute went from the constant
+// old to a labelled null. It reports false when the index holds no such
+// cell to move — it no longer mirrors the dataset.
+func (m *marginalIndex) suppress(attr int, old mdb.Value) bool {
+	if old.IsNull() {
+		return false
+	}
+	c, ok := m.codes[attr][old.Constant()]
+	if !ok || m.counts[attr][c] == 0 {
+		return false
+	}
+	m.counts[attr][c]--
+	m.nulls[attr]++
+	return true
 }
 
 // chooseAttr orders the candidate attribute indexes of a row according to

@@ -244,6 +244,7 @@ func ResumeContext(ctx context.Context, d *mdb.Dataset, cfg Config, checkpoints 
 	}
 
 	var risks []float64
+	actx := NewContext(work, qi)
 	for iter := startIter; ; iter++ {
 		if iter >= maxIter {
 			return nil, fmt.Errorf("anon: cycle did not converge within %d iterations", maxIter)
@@ -309,7 +310,6 @@ func ResumeContext(ctx context.Context, d *mdb.Dataset, cfg Config, checkpoints 
 		}
 
 		t0 = time.Now()
-		actx := NewContext(work, qi)
 		var iterDecisions []Decision
 		var iterExhausted []int
 		for _, row := range risky {
@@ -330,8 +330,10 @@ func ResumeContext(ctx context.Context, d *mdb.Dataset, cfg Config, checkpoints 
 				decisions[i].Iteration = iter + 1
 				decisions[i].Risk = risks[row]
 			}
+			actx.Applied(decisions)
 			iterDecisions = append(iterDecisions, decisions...)
 		}
+		actx = actx.Next()
 		if err := charge(decisionBytes(iterDecisions)+int64(len(iterExhausted)+len(newRisky))*8,
 			fmt.Sprintf("iteration %d checkpoint buffers", iter)); err != nil {
 			return nil, err

@@ -19,8 +19,8 @@ import (
 // The state is only constructed for assessors implementing
 // risk.IncrementalAssessor; for everything else — SUDA, the cluster
 // assessor — the cycle keeps the reference full-assessment path. Both paths
-// are bit-identical by construction (the index mirrors mdb.ComputeGroups'
-// summation orders and the estimators are pure per group), which
+// are bit-identical by construction (mdb.ComputeGroups is one pass of the
+// index's own kernel and the estimators are pure per group), which
 // Config.DebugVerify re-proves at runtime on every iteration.
 type incrementalState struct {
 	ia     risk.IncrementalAssessor

@@ -15,6 +15,7 @@ import (
 func ReadCSV(r io.Reader, name string, attrs []Attribute) (*Dataset, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(attrs)
+	cr.ReuseRecord = true // fields are copied into Values before the next Read
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("mdb: reading CSV header: %w", err)

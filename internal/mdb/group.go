@@ -1,9 +1,6 @@
 package mdb
 
-import (
-	"strconv"
-	"strings"
-)
+import "context"
 
 // GroupInfo describes the aggregation group a row belongs to when rows are
 // grouped by a set of quasi-identifiers: the group cardinality (the sample
@@ -12,38 +9,6 @@ import (
 type GroupInfo struct {
 	Freq      int
 	WeightSum float64
-}
-
-// projKey builds an unambiguous exact-match key for the projection of values
-// onto idx. Labelled nulls are encoded with their symbol so that under
-// StandardNulls they behave as ordinary (globally unique) constants.
-func projKey(values []Value, idx []int) string {
-	var b strings.Builder
-	for _, i := range idx {
-		v := values[i]
-		if v.IsNull() {
-			b.WriteString("\x01")
-			b.WriteString(strconv.FormatUint(v.NullID(), 10))
-		} else {
-			s := v.Constant()
-			b.WriteString(strconv.Itoa(len(s)))
-			b.WriteString("\x00")
-			b.WriteString(s)
-		}
-	}
-	return b.String()
-}
-
-// exactGroup is a maximal set of rows whose projections are pairwise equal
-// under plain constant equality.
-type exactGroup struct {
-	proj  []Value // representative projection, indexed like idx
-	count int
-	wsum  float64
-	// extra accumulates the contribution of compatible null-bearing rows
-	// under maybe-match semantics.
-	extraCount int
-	extraWsum  float64
 }
 
 // ComputeGroups returns, for every row of d (by slice position), the
@@ -57,151 +22,19 @@ type exactGroup struct {
 // (Section 4.3). Under StandardNulls each labelled null is only equal to
 // itself, so grouping degenerates to exact matching with null symbols as
 // unique constants.
+//
+// It is one pass of the GroupIndex kernel over a throwaway index, run on the
+// calling goroutine only: callers such as the MSU search already fan
+// ComputeGroups calls out across cores themselves.
 func ComputeGroups(d *Dataset, idx []int, sem Semantics) []GroupInfo {
+	x := &GroupIndex{d: d, idx: idx, sem: sem, workers: 1}
+	x.restructure()
+	x.aggregate()
 	out := make([]GroupInfo, len(d.Rows))
-	if len(d.Rows) == 0 {
-		return out
-	}
-
-	groups := make([]*exactGroup, 0, 64)
-	byKey := make(map[string]int, len(d.Rows))
-	// rowGroup[i] is the exact group of row i, or -1 for a null-bearing
-	// row under maybe-match.
-	rowGroup := make([]int, len(d.Rows))
-	var nullRows []int
-
-	hasNull := func(r *Row) bool {
-		for _, i := range idx {
-			if r.Values[i].IsNull() {
-				return true
-			}
-		}
-		return false
-	}
-
-	for pos, r := range d.Rows {
-		if sem == MaybeMatch && hasNull(r) {
-			rowGroup[pos] = -1
-			nullRows = append(nullRows, pos)
-			continue
-		}
-		k := projKey(r.Values, idx)
-		g, ok := byKey[k]
-		if !ok {
-			g = len(groups)
-			byKey[k] = g
-			proj := make([]Value, len(idx))
-			for j, i := range idx {
-				proj[j] = r.Values[i]
-			}
-			groups = append(groups, &exactGroup{proj: proj})
-		}
-		groups[g].count++
-		groups[g].wsum += r.Weight
-		rowGroup[pos] = g
-	}
-
-	if len(nullRows) > 0 {
-		// Inverted index: for each position j in idx, constant value →
-		// exact groups holding it. Used to find the candidate groups a
-		// null-bearing row may match without scanning all groups.
-		inv := make([]map[string][]int, len(idx))
-		for j := range idx {
-			inv[j] = make(map[string][]int)
-		}
-		for g, grp := range groups {
-			for j, v := range grp.proj {
-				key := v.Constant() // complete rows have no nulls
-				inv[j][key] = append(inv[j][key], g)
-			}
-		}
-
-		compatibleGroups := func(r *Row) []int {
-			// Pick the non-null position with the shortest posting
-			// list, then verify candidates in full.
-			best := -1
-			for j, i := range idx {
-				v := r.Values[i]
-				if v.IsNull() {
-					continue
-				}
-				l := len(inv[j][v.Constant()])
-				if best == -1 || l < len(inv[best][r.Values[idx[best]].Constant()]) {
-					best = j
-				}
-			}
-			if best == -1 {
-				// All quasi-identifiers are null: compatible with
-				// every group.
-				all := make([]int, len(groups))
-				for g := range groups {
-					all[g] = g
-				}
-				return all
-			}
-			cands := inv[best][r.Values[idx[best]].Constant()]
-			var out []int
-			for _, g := range cands {
-				ok := true
-				for j, i := range idx {
-					if r.Values[i].IsNull() {
-						continue
-					}
-					if groups[g].proj[j].Constant() != r.Values[i].Constant() {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					out = append(out, g)
-				}
-			}
-			return out
-		}
-
-		nullCompat := make([][]int, len(nullRows)) // groups per null row
-		for ni, pos := range nullRows {
-			gs := compatibleGroups(d.Rows[pos])
-			nullCompat[ni] = gs
-			for _, g := range gs {
-				groups[g].extraCount++
-				groups[g].extraWsum += d.Rows[pos].Weight
-			}
-		}
-
-		// Pairwise compatibility among null-bearing rows (a null matches
-		// a null). Null-bearing rows are few — only anonymized tuples —
-		// so the quadratic pass is cheap in practice.
-		for ni, pos := range nullRows {
-			freq := 1
-			wsum := d.Rows[pos].Weight
-			for _, g := range nullCompat[ni] {
-				freq += groups[g].count
-				wsum += groups[g].wsum
-			}
-			for nj, pos2 := range nullRows {
-				if ni == nj {
-					continue
-				}
-				if CompatibleTuple(d.Rows[pos].Values, d.Rows[pos2].Values, idx, MaybeMatch) {
-					freq++
-					wsum += d.Rows[pos2].Weight
-				}
-			}
-			out[pos] = GroupInfo{Freq: freq, WeightSum: wsum}
-		}
-	}
-
-	for pos := range d.Rows {
-		g := rowGroup[pos]
-		if g < 0 {
-			continue // already filled above
-		}
-		grp := groups[g]
-		out[pos] = GroupInfo{
-			Freq:      grp.count + grp.extraCount,
-			WeightSum: grp.wsum + grp.extraWsum,
-		}
+	if err := x.derive(context.Background(), out); err != nil {
+		// Unreachable: the background context is never cancelled and the
+		// kernel's chunk functions cannot fail.
+		panic("mdb: ComputeGroups: " + err.Error())
 	}
 	return out
 }

@@ -1,48 +1,34 @@
 package mdb
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"vadasa/internal/pool"
 )
 
-// idxGroup is one maximal exact-key group maintained by a GroupIndex: the
-// rows whose projections onto the index attributes are pairwise equal under
-// plain constant equality, with the aggregates every risk measure reads.
-// Member positions are kept ascending, so recomputed sums accumulate in the
-// same order a fresh ComputeGroups scan would use — GroupInfo weight sums
-// stay bit-identical to the full-recompute reference, which the cycle's
-// journal replay depends on.
-type idxGroup struct {
-	proj  []Value
-	rows  []int // member row positions, ascending
-	count int
-	wsum  float64
-	// extra* accumulate the contribution of compatible null-bearing rows
-	// under maybe-match semantics, rebuilt on every Commit.
-	extraCount int
-	extraWsum  float64
-}
-
-// GroupIndex is the incremental counterpart of ComputeGroups: it is built
-// once per anonymization cycle and maintained under the only mutation the
-// cycle's hot path performs — a local suppression replacing one cell with a
-// fresh labelled null. After a batch of suppressions, Commit folds the
-// pending transitions in and reports exactly the rows whose GroupInfo
-// changed, so an incremental assessor re-scores only those.
+// GroupIndex is the grouping kernel of the package: the projection of a
+// dataset onto the index attributes, held as dense integer codes, with the
+// exact groups and per-row GroupInfo derived from it. ComputeGroups runs it
+// once over a throwaway index; the anonymization cycle and the stream keep
+// one alive and maintain it under the mutations their hot paths perform — a
+// local suppression replacing one cell with a fresh labelled null, rows
+// appended at the tail, rows withdrawn. After a batch of mutations, Commit
+// folds them in and reports exactly the rows whose GroupInfo changed, so an
+// incremental assessor re-scores only those.
 //
 // The maintained infos are bit-identical to ComputeGroups on the mutated
-// dataset (same summation orders, same candidate orders), under both
-// maybe-match and standard-null semantics. Dirtiness propagates through
-// key compatibility, not just row membership: under maybe-match a new null
-// enlarges the maybe-match sets of every compatible group, so Commit
-// rebuilds the null phase (compatible-group sets, pairwise null matches,
-// group extras) from scratch and diffs per-row infos — over-approximating
-// dirty sets is impossible by construction, because dirty is defined as
-// "info changed bitwise".
+// dataset under both maybe-match and standard-null semantics, because both
+// are the same code: every Commit re-derives group aggregates and the
+// maybe-match null phase from the code matrix, accumulating every float sum
+// in ascending row order. Dirtiness propagates through key compatibility,
+// not just row membership — under maybe-match a new null enlarges the
+// maybe-match sets of every compatible group — so Commit diffs per-row
+// infos: over-approximating dirty sets is impossible by construction,
+// because dirty is defined as "info changed bitwise".
 //
 // A GroupIndex is not safe for concurrent mutation; Build and Commit
 // parallelize internally through the governor-charged pool.
@@ -50,102 +36,68 @@ type GroupIndex struct {
 	d   *Dataset
 	idx []int
 	sem Semantics
+	// workers caps the pool width of derive: 0 means GOMAXPROCS; 1 keeps
+	// ComputeGroups on the calling goroutine.
+	workers int
 
-	byKey    map[string]int
-	groups   []*idxGroup
-	rowGroup []int // group id, or -1 for a null-bearing row under maybe-match
-	nullRows []int // null-bearing row positions, ascending
-	// inv is the build-time inverted index: for position j in idx, constant
-	// value -> groups holding it. Groups never change their projection and
-	// are never added under maybe-match, so the postings stay valid; empty
-	// groups are skipped at lookup time.
-	inv []map[string][]int
+	// Code matrix: cells holds one uint32 per (row, index attribute),
+	// row-major. Per attribute a dictionary maps constants to codes ≥ 1;
+	// under maybe-match a labelled null is code 0, under standard nulls
+	// every null symbol gets a code of its own. refs counts the live cells
+	// per code (refs[j][0] is unused) and deadCodes the codes no cell holds,
+	// which is what triggers a compaction.
+	consts    []map[string]uint32
+	nullCodes []map[uint64]uint32
+	refs      [][]int32
+	deadCodes int
+	cells     []uint32
+
+	// Exact groups: keys interns the code tuples of the rows that form
+	// groups (all rows under standard nulls, null-free rows under
+	// maybe-match); the group id is the tuple id. rowGroup is -1 for a
+	// null-bearing row under maybe-match.
+	keys     tupleSet
+	rowGroup []int32
+	// inv is the inverted index behind maybe-match candidate lookup: for
+	// position j and code c, the groups whose key holds c at j. Built on the
+	// first null phase and extended as groups are founded; emptied groups
+	// are skipped at lookup time.
+	inv [][][]int32
+
+	// Per-group aggregates and the null-row list, re-derived from rowGroup
+	// by every aggregate pass: member count, weight sum over members in
+	// ascending row order, first member position, and the maybe-match
+	// extras contributed by compatible null-bearing rows.
+	count      []int32
+	wsum       []float64
+	first      []int32
+	extraCount []int32
+	extraWsum  []float64
+	liveGroups int
+	nullRows   []int32
 
 	infos []GroupInfo
 	// spare is the infos vector the last Commit retired, kept as the next
-	// Commit's output buffer: recomputeDerived overwrites every position,
-	// and Infos is documented valid only until the next Commit.
+	// Commit's output buffer: derive overwrites every position, and Infos
+	// is documented valid only until the next Commit.
 	spare []GroupInfo
 
-	// pending state between SuppressCell calls and the next Commit.
-	touched map[int]bool // groups that lost members
-	pending int          // suppressions observed since the last Commit
+	pending int // mutations observed since the last Commit
 	invalid bool
 }
 
 // BuildGroupIndex constructs the index over the attribute indexes idx under
-// the given semantics. Projection-key hashing — the dominant cost of a full
-// ComputeGroups — runs on the worker pool; the grouping fold is sequential
-// so group identities match a fresh scan.
+// the given semantics.
 func BuildGroupIndex(ctx context.Context, d *Dataset, idx []int, sem Semantics) (*GroupIndex, error) {
 	if len(idx) == 0 {
 		return nil, fmt.Errorf("mdb: group index needs at least one attribute")
 	}
-	x := &GroupIndex{
-		d:        d,
-		idx:      append([]int(nil), idx...),
-		sem:      sem,
-		byKey:    make(map[string]int, len(d.Rows)),
-		rowGroup: make([]int, len(d.Rows)),
-		touched:  make(map[int]bool),
-	}
-
-	keys := make([]string, len(d.Rows))
-	isNull := make([]bool, len(d.Rows))
-	err := pool.Run(ctx, len(d.Rows), func(lo, hi int) error {
-		for pos := lo; pos < hi; pos++ {
-			r := d.Rows[pos]
-			if sem == MaybeMatch && x.hasNull(r) {
-				isNull[pos] = true
-				continue
-			}
-			keys[pos] = projKey(r.Values, idx)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("mdb: building group index: %w", err)
-	}
-
-	for pos := range d.Rows {
-		if isNull[pos] {
-			x.rowGroup[pos] = -1
-			x.nullRows = append(x.nullRows, pos)
-			continue
-		}
-		g, ok := x.byKey[keys[pos]]
-		if !ok {
-			g = len(x.groups)
-			x.byKey[keys[pos]] = g
-			proj := make([]Value, len(idx))
-			for j, i := range idx {
-				proj[j] = d.Rows[pos].Values[i]
-			}
-			x.groups = append(x.groups, &idxGroup{proj: proj})
-		}
-		x.groups[g].rows = append(x.groups[g].rows, pos)
-		x.rowGroup[pos] = g
-	}
-	for _, g := range x.groups {
-		refreshGroupSums(g, d)
-	}
-
-	if sem == MaybeMatch {
-		x.inv = make([]map[string][]int, len(idx))
-		for j := range idx {
-			x.inv[j] = make(map[string][]int)
-		}
-		for g, grp := range x.groups {
-			for j, v := range grp.proj {
-				key := v.Constant() // complete rows have no nulls
-				x.inv[j][key] = append(x.inv[j][key], g)
-			}
-		}
-	}
-
+	x := &GroupIndex{d: d, idx: append([]int(nil), idx...), sem: sem}
+	x.restructure()
+	x.aggregate()
 	x.infos = make([]GroupInfo, len(d.Rows))
-	if err := x.recomputeDerived(ctx, x.infos); err != nil {
-		return nil, err
+	if err := x.derive(ctx, x.infos); err != nil {
+		return nil, fmt.Errorf("mdb: building group index: %w", err)
 	}
 	return x, nil
 }
@@ -180,17 +132,156 @@ func (x *GroupIndex) Infos() []GroupInfo { return x.infos }
 func (x *GroupIndex) Len() int { return len(x.rowGroup) }
 
 // EstimatedBytes estimates the index's heap footprint for resource
-// governors: per-row bookkeeping (rowGroup, infos, key map entry) plus
-// per-group structures and the inverted index postings.
+// governors: per-row state (code matrix, rowGroup, infos and the retired
+// infos buffer), the dictionaries, and per-group keys, aggregates and
+// inverted-index postings.
 func (x *GroupIndex) EstimatedBytes() int64 {
-	n := int64(len(x.d.Rows)) * (8 + 24 + 48) // rowGroup + GroupInfo + map entry
-	for _, g := range x.groups {
-		n += 96 + int64(len(g.rows))*8 + int64(len(g.proj))*32
+	w := int64(len(x.idx))
+	n := int64(len(x.rowGroup)) * (4*w + 4 + 2*24)
+	for _, r := range x.refs {
+		n += int64(len(r)) * (48 + 4 + 24) // dictionary entry + ref count + posting header
 	}
-	for _, m := range x.inv {
-		n += int64(len(m)) * 64
-	}
+	n += int64(x.keys.n) * (4*w + 8 + 28 + 4*w) // key + slots + aggregates + postings
 	return n
+}
+
+func (x *GroupIndex) row(pos int) []uint32 {
+	w := len(x.idx)
+	return x.cells[pos*w : (pos+1)*w]
+}
+
+// code interns the value at index position j and takes a reference on its
+// code.
+func (x *GroupIndex) code(j int, v Value) uint32 {
+	var c uint32
+	var ok bool
+	if v.null != 0 {
+		if x.sem == MaybeMatch {
+			return 0
+		}
+		if c, ok = x.nullCodes[j][v.null]; !ok {
+			c = uint32(len(x.refs[j]))
+			x.nullCodes[j][v.null] = c
+		}
+	} else if c, ok = x.consts[j][v.s]; !ok {
+		c = uint32(len(x.refs[j]))
+		x.consts[j][v.s] = c
+	}
+	if !ok {
+		x.refs[j] = append(x.refs[j], 0)
+	} else if x.refs[j][c] == 0 {
+		x.deadCodes--
+	}
+	x.refs[j][c]++
+	return c
+}
+
+// unref drops one reference on code c of index position j.
+func (x *GroupIndex) unref(j int, c uint32) {
+	if c == 0 {
+		return
+	}
+	x.refs[j][c]--
+	if x.refs[j][c] == 0 {
+		x.deadCodes++
+	}
+}
+
+// place returns the exact group of row pos as its codes stand, founding the
+// group if the key is new; -1 for a null-bearing row under maybe-match.
+func (x *GroupIndex) place(pos int) int32 {
+	t := x.row(pos)
+	if x.sem == MaybeMatch && slices.Contains(t, 0) {
+		return -1
+	}
+	g, fresh := x.keys.intern(t)
+	if fresh && x.inv != nil {
+		x.post(g)
+	}
+	return int32(g)
+}
+
+// post enters group g into the inverted-index postings of its key codes.
+func (x *GroupIndex) post(g int) {
+	for j, c := range x.keys.key(g) {
+		for int(c) >= len(x.inv[j]) {
+			x.inv[j] = append(x.inv[j], nil)
+		}
+		x.inv[j][c] = append(x.inv[j][c], int32(g))
+	}
+}
+
+// restructure rebuilds everything structural — dictionaries, code matrix,
+// exact groups — from the dataset as it stands. Build is one restructure;
+// Commit runs another when dead groups or dead codes outnumber live ones,
+// which is what keeps a long-lived stream window's index proportional to
+// the window. Codes and group ids are internal: infos do not depend on them.
+func (x *GroupIndex) restructure() {
+	w, n := len(x.idx), len(x.d.Rows)
+	x.consts = make([]map[string]uint32, w)
+	x.nullCodes = make([]map[uint64]uint32, w)
+	x.refs = make([][]int32, w)
+	for j := range x.idx {
+		x.consts[j] = make(map[string]uint32)
+		if x.sem == StandardNulls {
+			x.nullCodes[j] = make(map[uint64]uint32)
+		}
+		x.refs[j] = []int32{0}
+	}
+	x.deadCodes = 0
+	x.cells = slices.Grow(x.cells[:0], n*w)
+	for _, r := range x.d.Rows {
+		for j, i := range x.idx {
+			x.cells = append(x.cells, x.code(j, r.Values[i]))
+		}
+	}
+	x.keys.reset(w)
+	x.inv = nil
+	x.rowGroup = slices.Grow(x.rowGroup[:0], n)
+	for pos := 0; pos < n; pos++ {
+		x.rowGroup = append(x.rowGroup, x.place(pos))
+	}
+}
+
+// aggregate re-derives the per-group count, weight sum and first member and
+// the null-row list from rowGroup, in one ascending pass — the row-order
+// scan that fixes every group sum's floating-point accumulation order.
+func (x *GroupIndex) aggregate() {
+	g := x.keys.n
+	x.count = zeroed(x.count, g)
+	x.wsum = zeroed(x.wsum, g)
+	x.first = zeroed(x.first, g)
+	x.nullRows = x.nullRows[:0]
+	x.liveGroups = 0
+	for pos, g := range x.rowGroup {
+		if g < 0 {
+			x.nullRows = append(x.nullRows, int32(pos))
+			continue
+		}
+		if x.count[g] == 0 {
+			x.first[g] = int32(pos)
+			x.liveGroups++
+		}
+		x.count[g]++
+		x.wsum[g] += x.d.Rows[pos].Weight
+	}
+}
+
+// compactFloor keeps tiny indexes from restructuring over a handful of dead
+// entries.
+const compactFloor = 64
+
+// wasteful reports whether dead groups or dead dictionary codes outnumber
+// the live ones.
+func (x *GroupIndex) wasteful() bool {
+	if dead := x.keys.n - x.liveGroups; dead > x.liveGroups && dead >= compactFloor {
+		return true
+	}
+	codes := 0
+	for _, r := range x.refs {
+		codes += len(r) - 1
+	}
+	return x.deadCodes > codes-x.deadCodes && x.deadCodes >= compactFloor
 }
 
 // SuppressCell records that the cell (row position pos, attribute index
@@ -202,56 +293,30 @@ func (x *GroupIndex) SuppressCell(pos, attr int) error {
 	if x.invalid {
 		return fmt.Errorf("mdb: SuppressCell on invalidated group index")
 	}
-	if pos < 0 || pos >= len(x.d.Rows) {
+	if pos < 0 || pos >= len(x.rowGroup) || pos >= len(x.d.Rows) {
 		return fmt.Errorf("mdb: SuppressCell row %d out of range", pos)
 	}
-	indexed := false
-	for _, i := range x.idx {
-		if i == attr {
-			indexed = true
-			break
-		}
-	}
-	if !indexed {
+	if !slices.Contains(x.idx, attr) {
 		return nil // suppression outside the indexed attributes: groups unchanged
 	}
-	if !x.d.Rows[pos].Values[attr].IsNull() {
+	v := x.d.Rows[pos].Values[attr]
+	if !v.IsNull() {
 		return fmt.Errorf("mdb: SuppressCell(%d, %d): cell still holds a constant", pos, attr)
 	}
 	x.pending++
-
-	if x.sem == StandardNulls {
-		// The labelled null is a globally unique constant: the row leaves
-		// its group and lands in the group of its new key (in practice a
-		// fresh singleton, since null ids are never shared across cells).
-		old := x.rowGroup[pos]
-		x.removeMember(old, pos)
-		k := projKey(x.d.Rows[pos].Values, x.idx)
-		g, ok := x.byKey[k]
-		if !ok {
-			g = len(x.groups)
-			x.byKey[k] = g
-			proj := make([]Value, len(x.idx))
-			for j, i := range x.idx {
-				proj[j] = x.d.Rows[pos].Values[i]
-			}
-			x.groups = append(x.groups, &idxGroup{proj: proj})
+	// Under maybe-match the cell becomes code 0 and the row joins the
+	// null-row set; under standard nulls the labelled null is a globally
+	// unique constant, so the row lands in the group of its new key (in
+	// practice a fresh singleton, since null ids are never shared across
+	// cells).
+	cells := x.row(pos)
+	for j, i := range x.idx {
+		if i == attr {
+			x.unref(j, cells[j])
+			cells[j] = x.code(j, v)
 		}
-		grp := x.groups[g]
-		grp.rows = insertSorted(grp.rows, pos)
-		x.rowGroup[pos] = g
-		x.touched[g] = true
-		return nil
 	}
-
-	// Maybe-match: a first null moves the row from its exact group into the
-	// null-row maybe-match structure; further nulls only widen its
-	// compatibility, which Commit recomputes wholesale.
-	if g := x.rowGroup[pos]; g >= 0 {
-		x.removeMember(g, pos)
-		x.rowGroup[pos] = -1
-		x.nullRows = insertSorted(x.nullRows, pos)
-	}
+	x.rowGroup[pos] = x.place(pos)
 	return nil
 }
 
@@ -275,42 +340,11 @@ func (x *GroupIndex) AppendRow(pos int) error {
 	}
 	x.pending++
 	r := x.d.Rows[pos]
-	x.rowGroup = append(x.rowGroup, 0)
+	for j, i := range x.idx {
+		x.cells = append(x.cells, x.code(j, r.Values[i]))
+	}
+	x.rowGroup = append(x.rowGroup, x.place(pos))
 	x.infos = append(x.infos, GroupInfo{})
-
-	if x.sem == MaybeMatch && x.hasNull(r) {
-		x.rowGroup[pos] = -1
-		// pos exceeds every tracked position, so appending keeps the
-		// null-row list ascending.
-		x.nullRows = append(x.nullRows, pos)
-		return nil
-	}
-	k := projKey(r.Values, x.idx)
-	g, ok := x.byKey[k]
-	if !ok {
-		g = len(x.groups)
-		x.byKey[k] = g
-		proj := make([]Value, len(x.idx))
-		for j, i := range x.idx {
-			proj[j] = r.Values[i]
-		}
-		x.groups = append(x.groups, &idxGroup{proj: proj})
-		if x.inv != nil {
-			// Unlike suppression-minted groups (all-null keys under
-			// standard semantics only), appended groups participate in
-			// maybe-match candidate lookups, so the postings must learn
-			// them. compatibleGroups re-sorts candidates by first member
-			// position, so posting order does not affect the result.
-			for j, v := range proj {
-				key := v.Constant()
-				x.inv[j][key] = append(x.inv[j][key], g)
-			}
-		}
-	}
-	grp := x.groups[g]
-	grp.rows = append(grp.rows, pos) // pos is the largest position: stays ascending
-	x.rowGroup[pos] = g
-	x.touched[g] = true
 	return nil
 }
 
@@ -323,11 +357,11 @@ func (x *GroupIndex) DeleteRow(pos int) error {
 // ascending, as they stood before the deletion — have been removed from the
 // dataset and every surviving row shifted down past them. The caller compacts
 // the dataset (and any parallel per-row state, such as a previous risk
-// vector) before calling. The rows leave their groups or the null-row set and
-// every stored position is remapped in one sweep over the index, whatever the
-// number of deletions: a surviving position p becomes p minus the number of
-// deleted positions below it. Aggregates and infos are refreshed at Commit,
-// which reports exactly the surviving rows whose GroupInfo changed.
+// vector) before calling. The rows' codes are released and the code matrix,
+// rowGroup and infos compacted with the rows, one copy per surviving run
+// whatever the number of deletions; surviving rows keep their relative order,
+// so the sums Commit re-derives keep the fresh-scan accumulation order.
+// Commit reports exactly the surviving rows whose GroupInfo changed.
 func (x *GroupIndex) DeleteRows(positions []int) error {
 	if x.invalid {
 		return fmt.Errorf("mdb: DeleteRows on invalidated group index")
@@ -350,19 +384,11 @@ func (x *GroupIndex) DeleteRows(positions []int) error {
 	}
 	x.pending += k
 	for _, pos := range positions {
-		if g := x.rowGroup[pos]; g >= 0 {
-			x.touched[g] = true
+		for j, c := range x.row(pos) {
+			x.unref(j, c)
 		}
 	}
-	// Dropping members and shifting the survivors preserves relative order,
-	// so member lists and null rows stay ascending and recomputed float sums
-	// keep the fresh-scan accumulation order. Groups that only shifted keep
-	// the same members in the same order, so their sums are untouched; only
-	// the groups that lost a row were marked for refresh above.
-	for _, grp := range x.groups {
-		grp.rows = compactPositions(grp.rows, positions)
-	}
-	x.nullRows = compactPositions(x.nullRows, positions)
+	x.cells = removeRows(x.cells, len(x.idx), positions)
 	x.rowGroup = RemovePositions(x.rowGroup, positions)
 	x.infos = RemovePositions(x.infos, positions)
 	return nil
@@ -374,284 +400,350 @@ func (x *GroupIndex) DeleteRows(positions []int) error {
 // beside a dataset (its Rows, a risk vector) is compacted with it before
 // DeleteRows.
 func RemovePositions[T any](s []T, positions []int) []T {
+	return removeRows(s, 1, positions)
+}
+
+// removeRows is RemovePositions over rows of stride elements each.
+func removeRows[T any](s []T, stride int, positions []int) []T {
 	if len(positions) == 0 {
 		return s
 	}
-	w := positions[0]
+	w := positions[0] * stride
 	for i, p := range positions {
 		end := len(s)
 		if i+1 < len(positions) {
-			end = positions[i+1]
+			end = positions[i+1] * stride
 		}
-		w += copy(s[w:], s[p+1:end])
+		w += copy(s[w:], s[(p+1)*stride:end])
 	}
 	clear(s[w:]) // drop the stale tail's references
 	return s[:w]
 }
 
-// compactPositions drops the deleted positions (ascending) from the ascending
-// list stored and remaps the survivors, in place: p becomes p minus the
-// number of deleted positions below it. Positions outside the deleted range —
-// all of them when a window loses its oldest rows, or a single row — take two
-// comparisons; only those inside it take a binary search.
-func compactPositions(stored, deleted []int) []int {
-	k := len(deleted)
-	first, last := deleted[0], deleted[k-1]
-	if n := len(stored); n == 0 || stored[n-1] < first {
-		return stored // nothing at or above the first deletion
-	}
-	w := 0
-	for _, p := range stored {
-		switch {
-		case p < first:
-		case p > last:
-			p -= k
-		default:
-			i, found := slices.BinarySearch(deleted, p)
-			if found {
-				continue
-			}
-			p -= i
-		}
-		stored[w] = p
-		w++
-	}
-	return stored[:w]
-}
-
-func (x *GroupIndex) removeMember(g, pos int) {
-	grp := x.groups[g]
-	i := sort.SearchInts(grp.rows, pos)
-	if i < len(grp.rows) && grp.rows[i] == pos {
-		grp.rows = append(grp.rows[:i], grp.rows[i+1:]...)
-	}
-	x.touched[g] = true
-}
-
-func insertSorted(s []int, v int) []int {
-	i := sort.SearchInts(s, v)
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-// Commit folds every suppression recorded since the last Commit into the
+// Commit folds every mutation recorded since the last Commit into the
 // maintained aggregates and returns, sorted ascending, exactly the row
 // positions whose GroupInfo changed — the dirty set an incremental assessor
-// re-scores. With no pending suppressions it returns nil without touching
-// anything.
+// re-scores. With nothing pending it returns nil without touching anything.
 func (x *GroupIndex) Commit(ctx context.Context) ([]int, error) {
 	if x.invalid {
 		return nil, fmt.Errorf("mdb: Commit on invalidated group index")
 	}
-	if x.pending == 0 && len(x.touched) == 0 {
+	if x.pending == 0 {
 		return nil, nil
 	}
 	if len(x.rowGroup) != len(x.d.Rows) {
 		return nil, fmt.Errorf("mdb: Commit: index tracks %d rows, dataset holds %d", len(x.rowGroup), len(x.d.Rows))
 	}
-	for g := range x.touched {
-		refreshGroupSums(x.groups[g], x.d)
-	}
-	x.touched = make(map[int]bool)
 	x.pending = 0
+	x.aggregate()
+	if x.wasteful() {
+		x.restructure()
+		x.aggregate()
+	}
 
 	next := x.spare
 	if cap(next) < len(x.d.Rows) {
 		next = make([]GroupInfo, len(x.d.Rows))
 	}
 	next = next[:len(x.d.Rows)]
-	if err := x.recomputeDerived(ctx, next); err != nil {
-		return nil, err
+	if err := x.derive(ctx, next); err != nil {
+		return nil, fmt.Errorf("mdb: committing group index: %w", err)
 	}
 
-	// Diff against the previous infos in parallel; per-chunk dirty lists
-	// concatenate in chunk order, so the result is ascending regardless of
-	// the worker count.
-	chunks := pool.ChunkBounds(len(next))
-	dirtyPer := make([][]int, len(chunks))
-	err := pool.Run(ctx, len(chunks), func(lo, hi int) error {
-		for c := lo; c < hi; c++ {
-			for pos := chunks[c][0]; pos < chunks[c][1]; pos++ {
-				if next[pos] != x.infos[pos] {
-					dirtyPer[c] = append(dirtyPer[c], pos)
-				}
+	// Diff against the previous infos: count, then fill one exactly-sized
+	// ascending list (two cheap passes instead of a list grown by doubling).
+	changed := 0
+	for pos := range next {
+		if next[pos] != x.infos[pos] {
+			changed++
+		}
+	}
+	var dirty []int
+	if changed > 0 {
+		dirty = make([]int, 0, changed)
+		for pos := range next {
+			if next[pos] != x.infos[pos] {
+				dirty = append(dirty, pos)
 			}
+		}
+	}
+	x.infos, x.spare = next, x.infos
+	return dirty, nil
+}
+
+// derive fills out with every row's GroupInfo from the aggregates of the
+// last aggregate pass: the maybe-match null phase first (group extras and
+// the null-bearing rows' own infos), then the rows of exact groups.
+func (x *GroupIndex) derive(ctx context.Context, out []GroupInfo) error {
+	x.extraCount = zeroed(x.extraCount, x.keys.n)
+	x.extraWsum = zeroed(x.extraWsum, x.keys.n)
+	if len(x.nullRows) > 0 {
+		if err := x.nullPhase(ctx, out); err != nil {
+			return fmt.Errorf("null phase: %w", err)
+		}
+	}
+	return pool.RunWorkers(ctx, x.workers, len(out), func(lo, hi int) error {
+		for pos := lo; pos < hi; pos++ {
+			g := x.rowGroup[pos]
+			if g < 0 {
+				continue // null-bearing row, filled by the null phase
+			}
+			out[pos] = GroupInfo{
+				Freq:      int(x.count[g] + x.extraCount[g]),
+				WeightSum: x.wsum[g] + x.extraWsum[g],
+			}
+		}
+		return nil
+	})
+}
+
+// nullPhase is the maybe-match treatment of the null-bearing rows. A null
+// row r is compatible with an exact group, or with another null row s, iff
+// their codes agree on every position where both hold a constant. Its info
+// is its own weight, then the compatible groups in fresh-scan group order
+// (first member ascending), then the compatible null rows in ascending row
+// order; each compatible group in turn gains r as an extra member, null rows
+// taken in ascending order. Those orders are the floating-point accumulation
+// orders of a row-order scan, and keeping them is what makes every
+// WeightSum reproducible to the bit.
+//
+// Compatible null rows are found without testing pairs. The null rows are
+// partitioned by null mask (which positions are null). For a target mask a,
+// every null row s is bucketed by (mask of s, codes of s on the positions a
+// holds constants at): a row r with mask a then matches exactly the rows of
+// one bucket per mask b — the one keyed by r's codes on the positions both a
+// and b hold — and the ascending merge of those buckets is its compatible
+// null rows in row order. The work is one bucketing of the null rows per
+// mask present plus the matches themselves, not null rows squared.
+func (x *GroupIndex) nullPhase(ctx context.Context, out []GroupInfo) error {
+	w, nulls := len(x.idx), x.nullRows
+	if x.inv == nil {
+		x.inv = make([][][]int32, w)
+		for g := 0; g < x.keys.n; g++ {
+			x.post(g)
+		}
+	}
+
+	// A mask is the tuple holding all-ones where the row has a constant and
+	// zero where it is null, so "codes on the positions a holds" is a
+	// bitwise AND. byMask lists the null rows (as indexes into nulls, hence
+	// ascending) of each mask.
+	var masks tupleSet
+	masks.reset(w)
+	maskOf := make([]int32, len(nulls))
+	weights := make([]float64, len(nulls))
+	keep := make([]uint32, w)
+	for ni, pos := range nulls {
+		for j, c := range x.row(int(pos)) {
+			keep[j] = 0
+			if c != 0 {
+				keep[j] = ^uint32(0)
+			}
+		}
+		m, _ := masks.intern(keep)
+		maskOf[ni] = int32(m)
+		weights[ni] = x.d.Rows[pos].Weight
+	}
+	maskOffs, byMask := bucketLists(maskOf, masks.n, nil, nil)
+
+	// An all-null row is compatible with every live group; that list is
+	// built once and shared.
+	allNull := int32(masks.find(make([]uint32, w)))
+	var allLive []int32
+	if allNull >= 0 {
+		for g, c := range x.count {
+			if c > 0 {
+				allLive = append(allLive, int32(g))
+			}
+		}
+		x.sortByFirst(allLive)
+	}
+
+	compat := make([][]int32, len(nulls))
+	err := pool.RunWorkers(ctx, x.workers, len(nulls), func(lo, hi int) error {
+		var buf []int32
+		for ni := lo; ni < hi; ni++ {
+			if maskOf[ni] == allNull {
+				compat[ni] = allLive
+				continue
+			}
+			buf = x.compatibleGroups(x.row(int(nulls[ni])), buf[:0])
+			compat[ni] = slices.Clone(buf)
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("mdb: committing group index: %w", err)
+		return err
 	}
-	x.infos, x.spare = next, x.infos
-	total := 0
-	for _, d := range dirtyPer {
-		total += len(d)
+	// Extras accumulate per group over null rows in ascending row order.
+	for ni, gs := range compat {
+		for _, g := range gs {
+			x.extraCount[g]++
+			x.extraWsum[g] += weights[ni]
+		}
 	}
-	if total == 0 {
-		return nil, nil
-	}
-	dirty := make([]int, 0, total)
-	for _, d := range dirtyPer {
-		dirty = append(dirty, d...)
-	}
-	return dirty, nil
-}
 
-// refreshGroupSums recomputes a group's count and weight sum from its
-// member list. Members are ascending, so the floating-point accumulation
-// order matches the row-order scan of ComputeGroups exactly.
-func refreshGroupSums(g *idxGroup, d *Dataset) {
-	g.count = len(g.rows)
-	g.wsum = 0
-	for _, pos := range g.rows {
-		g.wsum += d.Rows[pos].Weight
-	}
-}
-
-func (x *GroupIndex) hasNull(r *Row) bool {
-	for _, i := range x.idx {
-		if r.Values[i].IsNull() {
-			return true
-		}
-	}
-	return false
-}
-
-// recomputeDerived rebuilds everything downstream of the group structure —
-// the maybe-match null phase and the per-row infos — into out. It mirrors
-// the null-handling of ComputeGroups operation for operation (candidate
-// order, extras accumulation order, pairwise scan order), which is what
-// makes the maintained infos bit-identical to a fresh full recompute.
-func (x *GroupIndex) recomputeDerived(ctx context.Context, out []GroupInfo) error {
-	d := x.d
-	if x.sem == MaybeMatch {
-		// Always reset extras: DeleteRow can remove the last null row, and
-		// stale extras from an earlier commit must not leak into the
-		// null-free recompute below.
-		for _, g := range x.groups {
-			g.extraCount, g.extraWsum = 0, 0
-		}
-	}
-	if x.sem == MaybeMatch && len(x.nullRows) > 0 {
-		// Compatible-group sets are independent per null row: compute them
-		// on the pool, ordered like a fresh scan would order its groups —
-		// by first member position, the fresh-run group id order.
-		compat := make([][]int, len(x.nullRows))
-		err := pool.Run(ctx, len(x.nullRows), func(lo, hi int) error {
-			for ni := lo; ni < hi; ni++ {
-				compat[ni] = x.compatibleGroups(d.Rows[x.nullRows[ni]])
-			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("mdb: group index null phase: %w", err)
-		}
-		// Extras accumulate per group over null rows in ascending row
-		// order — the same outer-loop order as ComputeGroups.
-		for ni, pos := range x.nullRows {
-			w := d.Rows[pos].Weight
-			for _, g := range compat[ni] {
-				x.groups[g].extraCount++
-				x.groups[g].extraWsum += w
-			}
-		}
-		// Per-null-row info: own contribution, then compatible groups in
-		// candidate order, then the pairwise null scan in row order —
-		// independent per row, so it parallelizes without reordering any
-		// floating-point sum.
-		err = pool.Run(ctx, len(x.nullRows), func(lo, hi int) error {
-			for ni := lo; ni < hi; ni++ {
-				pos := x.nullRows[ni]
-				freq := 1
-				wsum := d.Rows[pos].Weight
-				for _, g := range compat[ni] {
-					freq += x.groups[g].count
-					wsum += x.groups[g].wsum
+	// Targets are independent per mask; each worker buckets into its own
+	// scratch and writes only the infos of its masks' rows.
+	return pool.RunWorkers(ctx, x.workers, masks.n, func(lo, hi int) error {
+		var (
+			buckets  tupleSet
+			bucketOf = make([]int32, len(nulls))
+			offs     []int32
+			members  []int32
+			merge    = listMerger{bits: make([]uint64, (len(nulls)+63)/64)}
+			key      = make([]uint32, w+1)
+		)
+		for a := lo; a < hi; a++ {
+			keepA := masks.key(a)
+			buckets.reset(w + 1)
+			for ni, pos := range nulls {
+				key[0] = uint32(maskOf[ni])
+				for j, c := range x.row(int(pos)) {
+					key[1+j] = c & keepA[j]
 				}
-				for nj, pos2 := range x.nullRows {
-					if ni == nj {
-						continue
+				b, _ := buckets.intern(key)
+				bucketOf[ni] = int32(b)
+			}
+			offs, members = bucketLists(bucketOf, buckets.n, offs, members)
+
+			// A row of mask a is bucketed here by its whole pattern, so its
+			// own bucket lists its duplicates: they match the same null
+			// rows, and the merge is done once per pattern.
+			for _, first := range byMask[maskOffs[a]:maskOffs[a+1]] {
+				own := bucketOf[first]
+				same := members[offs[own]:offs[own+1]]
+				if same[0] != first {
+					continue // pattern handled at its first row
+				}
+				cells := x.row(int(nulls[first]))
+				merge.lists = merge.lists[:0]
+				for b := 0; b < masks.n; b++ {
+					key[0] = uint32(b)
+					keepB := masks.key(b)
+					for j, c := range cells {
+						key[1+j] = c & keepB[j]
 					}
-					if CompatibleTuple(d.Rows[pos].Values, d.Rows[pos2].Values, x.idx, MaybeMatch) {
-						freq++
-						wsum += d.Rows[pos2].Weight
+					if id := buckets.find(key); id >= 0 {
+						merge.lists = append(merge.lists, members[offs[id]:offs[id+1]])
 					}
 				}
-				out[pos] = GroupInfo{Freq: freq, WeightSum: wsum}
-			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("mdb: group index null phase: %w", err)
-		}
-	}
-
-	return pool.Run(ctx, len(d.Rows), func(lo, hi int) error {
-		for pos := lo; pos < hi; pos++ {
-			g := x.rowGroup[pos]
-			if g < 0 {
-				continue // null-bearing row, filled above
-			}
-			grp := x.groups[g]
-			out[pos] = GroupInfo{
-				Freq:      grp.count + grp.extraCount,
-				WeightSum: grp.wsum + grp.extraWsum,
+				matches := merge.merged()
+				for _, ni := range same {
+					freq := 1
+					wsum := weights[ni]
+					for _, g := range compat[ni] {
+						freq += int(x.count[g])
+						wsum += x.wsum[g]
+					}
+					for _, nj := range matches {
+						if nj != ni {
+							freq++
+							wsum += weights[nj]
+						}
+					}
+					out[nulls[ni]] = GroupInfo{Freq: freq, WeightSum: wsum}
+				}
 			}
 		}
 		return nil
 	})
 }
 
-// compatibleGroups returns the groups a null-bearing row may match under
-// maybe-match, ordered by first member position (= the group order of a
-// fresh ComputeGroups over the current dataset) with emptied groups
-// dropped. Candidates come from the shortest inverted-index posting among
-// the row's non-null positions and are verified in full.
-func (x *GroupIndex) compatibleGroups(r *Row) []int {
-	best := -1
-	for j, i := range x.idx {
-		v := r.Values[i]
-		if v.IsNull() {
+// listMerger merges disjoint ascending lists of indexes below 64·len(bits)
+// into one ascending list: members are marked in a bitmap and read back in
+// order, so a merge costs its output plus one pass over the bitmap words,
+// whatever the number of lists.
+type listMerger struct {
+	bits  []uint64
+	lists [][]int32
+	out   []int32
+}
+
+// merged returns the merge of m.lists, valid until the next call.
+func (m *listMerger) merged() []int32 {
+	if len(m.lists) == 1 {
+		return m.lists[0]
+	}
+	for _, list := range m.lists {
+		for _, i := range list {
+			m.bits[i>>6] |= 1 << (i & 63)
+		}
+	}
+	m.out = m.out[:0]
+	for wi, word := range m.bits {
+		for ; word != 0; word &= word - 1 {
+			m.out = append(m.out, int32(wi<<6|bits.TrailingZeros64(word)))
+		}
+		m.bits[wi] = 0
+	}
+	return m.out
+}
+
+// bucketLists groups the indexes 0..len(bucketOf)-1 by bucket: the members
+// of bucket b are members[offs[b]:offs[b+1]], ascending. offs and members
+// are reused when large enough.
+func bucketLists(bucketOf []int32, buckets int, offs, members []int32) ([]int32, []int32) {
+	offs = zeroed(offs, buckets+1)
+	for _, b := range bucketOf {
+		offs[b+1]++
+	}
+	for b := 0; b < buckets; b++ {
+		offs[b+1] += offs[b]
+	}
+	members = zeroed(members, len(bucketOf))
+	for i, b := range bucketOf {
+		members[offs[b]] = int32(i)
+		offs[b]++
+	}
+	// The fill advanced every offs[b] to the end of bucket b; shift back.
+	copy(offs[1:], offs[:buckets])
+	offs[0] = 0
+	return offs, members
+}
+
+// sortByFirst orders groups by first member position — the group order of a
+// fresh scan over the current dataset.
+func (x *GroupIndex) sortByFirst(gs []int32) {
+	slices.SortFunc(gs, func(a, b int32) int { return cmp.Compare(x.first[a], x.first[b]) })
+}
+
+// compatibleGroups appends to buf the live groups a null-bearing row with
+// the given codes — at least one of them a constant — may match under
+// maybe-match, in fresh-scan group order. Candidates come from the shortest
+// inverted-index posting among the row's constant positions and are
+// verified in full.
+func (x *GroupIndex) compatibleGroups(cells []uint32, buf []int32) []int32 {
+	var cands []int32
+	picked := false
+	for j, c := range cells {
+		if c == 0 {
 			continue
 		}
-		l := len(x.inv[j][v.Constant()])
-		if best == -1 || l < len(x.inv[best][r.Values[x.idx[best]].Constant()]) {
-			best = j
+		var post []int32
+		if int(c) < len(x.inv[j]) {
+			post = x.inv[j][c]
+		}
+		if !picked || len(post) < len(cands) {
+			picked, cands = true, post
 		}
 	}
-	var out []int
-	if best == -1 {
-		// All quasi-identifiers are null: compatible with every live group.
-		for g, grp := range x.groups {
-			if len(grp.rows) > 0 {
-				out = append(out, g)
+	for _, g := range cands {
+		if x.count[g] == 0 {
+			continue
+		}
+		key := x.keys.key(int(g))
+		ok := true
+		for j, c := range cells {
+			if c != 0 && key[j] != c {
+				ok = false
+				break
 			}
 		}
-	} else {
-		for _, g := range x.inv[best][r.Values[x.idx[best]].Constant()] {
-			grp := x.groups[g]
-			if len(grp.rows) == 0 {
-				continue
-			}
-			ok := true
-			for j, i := range x.idx {
-				if r.Values[i].IsNull() {
-					continue
-				}
-				if grp.proj[j].Constant() != r.Values[i].Constant() {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				out = append(out, g)
-			}
+		if ok {
+			buf = append(buf, g)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		return x.groups[out[a]].rows[0] < x.groups[out[b]].rows[0]
-	})
-	return out
+	x.sortByFirst(buf)
+	return buf
 }

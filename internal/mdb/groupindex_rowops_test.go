@@ -1,6 +1,7 @@
 package mdb
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -322,14 +323,35 @@ func TestGroupIndexDeleteRowsEquivalence(t *testing.T) {
 	}
 }
 
+// checkReclaimed requires the index's exact groups and dictionary codes to
+// stay proportional to the rows it currently tracks, however many it has
+// seen: Commit compacts once the dead outnumber the live.
+func checkReclaimed(t *testing.T, x *GroupIndex) {
+	t.Helper()
+	rows, codes := x.Len(), 0
+	for _, r := range x.refs {
+		codes += len(r) - 1
+	}
+	if x.keys.n > 2*rows+compactFloor {
+		t.Fatalf("index holds %d groups over a %d-row window", x.keys.n, rows)
+	}
+	if codes > 2*rows*len(x.idx)+compactFloor {
+		t.Fatalf("index holds %d codes over a %d-row window", codes, rows)
+	}
+}
+
 // FuzzGroupIndexRowOps drives the index with an adversarial op tape: it
-// must never panic, and every Commit must agree bitwise with ComputeGroups
-// over the mutated dataset.
+// must never panic, every Commit must agree bitwise with ComputeGroups over
+// the mutated dataset, and the groups and codes it holds must stay bounded
+// by the live window.
 func FuzzGroupIndexRowOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0xff, 0x80, 7}, int64(1))
 	f.Add([]byte{1, 1, 1, 0, 0, 0, 2, 2}, int64(7))
 	f.Add([]byte{}, int64(3))
 	f.Add([]byte{4, 14, 1, 2, 9, 3, 24, 4, 3}, int64(5))
+	// A sliding window: two rows of never-seen values in, one suppression,
+	// the two oldest rows out, commit — 300 times over.
+	f.Add(bytes.Repeat([]byte{5, 5, 10, 0, 0, 3}, 300), int64(11))
 	f.Fuzz(func(t *testing.T, tape []byte, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		for _, sem := range []Semantics{MaybeMatch, StandardNulls} {
@@ -353,6 +375,11 @@ func FuzzGroupIndexRowOps(f *testing.F) {
 					}
 				case 1:
 					appendRandomRow(rng, d, 2, 2, &nextID)
+					if b/4%2 == 1 { // values no earlier row carried
+						for _, a := range qi {
+							d.Rows[len(d.Rows)-1].Values[a] = Const(fmt.Sprint("v", nextID))
+						}
+					}
 					if err := x.AppendRow(len(d.Rows) - 1); err != nil {
 						t.Fatal(err)
 					}
@@ -371,6 +398,7 @@ func FuzzGroupIndexRowOps(f *testing.F) {
 						t.Fatal(err)
 					}
 					sameInfos(t, sem.String(), x.Infos(), ComputeGroups(d, qi, sem))
+					checkReclaimed(t, x)
 				}
 			}
 			if _, err := x.Commit(context.Background()); err != nil {

@@ -77,6 +77,7 @@ func (s *Stream) Release(ctx context.Context) (*ReleaseInfo, error) {
 func (s *Stream) gate(ctx context.Context) error {
 	qi := s.d.QuasiIdentifiers()
 	suppress := anon.LocalSuppression{Choice: s.opts.Choice}
+	actx := anon.NewContext(s.d, qi)
 	for iter := 1; ; iter++ {
 		if iter > s.opts.maxIterations() {
 			return fmt.Errorf("stream: release gate exceeded %d iterations", s.opts.maxIterations())
@@ -98,7 +99,6 @@ func (s *Stream) gate(ctx context.Context) error {
 		}
 		s.orderRisky(risky)
 
-		actx := anon.NewContext(s.d, qi)
 		saved := s.d.Nulls
 		type step struct {
 			pos, attr int
@@ -117,6 +117,7 @@ func (s *Stream) gate(ctx context.Context) error {
 				attr := s.d.AttrIndex(ds[i].Attr)
 				steps = append(steps, step{pos: pos, attr: attr, old: ds[i].Old})
 			}
+			actx.Applied(ds)
 			decs = append(decs, ds...)
 		}
 		if len(decs) == 0 {
@@ -151,6 +152,7 @@ func (s *Stream) gate(ctx context.Context) error {
 		} else {
 			s.current = false
 		}
+		actx = actx.Next()
 	}
 }
 

@@ -106,9 +106,10 @@ func Compare(before, after *mdb.Dataset) (*Report, error) {
 		rep.SuppressionRate = float64(totalSuppressed) / float64(totalCells)
 	}
 
-	rep.MeanGroupSizeBefore = meanGroup(before, qi)
-	rep.MeanGroupSizeAfter = meanGroup(after, qi)
-	rep.MinGroupSizeAfter = minGroup(after, qi)
+	// One grouping per dataset: the mean and the minimum of the anonymized
+	// data come from the same frequency vector.
+	rep.MeanGroupSizeBefore, _ = groupSizes(before, qi)
+	rep.MeanGroupSizeAfter, rep.MinGroupSizeAfter = groupSizes(after, qi)
 	return rep, nil
 }
 
@@ -137,25 +138,20 @@ func totalVariation(p map[string]float64, pn int, q map[string]float64, qn int) 
 	return tv / 2
 }
 
-func meanGroup(d *mdb.Dataset, qi []int) float64 {
+// groupSizes returns the mean and the minimum maybe-match group size over
+// the rows of d (0, 0 for an empty dataset).
+func groupSizes(d *mdb.Dataset, qi []int) (mean float64, minF int) {
 	if len(d.Rows) == 0 {
-		return 0
+		return 0, 0
 	}
 	total := 0
-	for _, f := range mdb.Frequencies(d, qi, mdb.MaybeMatch) {
-		total += f
-	}
-	return float64(total) / float64(len(d.Rows))
-}
-
-func minGroup(d *mdb.Dataset, qi []int) int {
-	minF := 0
 	for i, f := range mdb.Frequencies(d, qi, mdb.MaybeMatch) {
+		total += f
 		if i == 0 || f < minF {
 			minF = f
 		}
 	}
-	return minF
+	return float64(total) / float64(len(d.Rows)), minF
 }
 
 // Render writes the report as an aligned text table.
