@@ -4,7 +4,7 @@ package main
 // degraded-mode contract of /readyz and the request path (in-process
 // fallback stays bit-identical; -require-workers turns degradation into a
 // distinct 503), and the composed chaos run — a job crashed mid-cycle whose
-// journal takes a torn tail through the fault filesystem, recovered by a
+// journal takes a torn tail, recovered by a
 // server whose shard workers suffer a SIGKILL mid-task and a duplicated
 // delivery, still releasing output bit-identical to the untouched control.
 
@@ -160,8 +160,8 @@ func TestReadyzRequireWorkers503(t *testing.T) {
 
 // The composed chaos run. Phase 1 parks a job inside iteration 1 over the
 // fault filesystem and crashes the manager; a torn half-record is then
-// appended to the journal through faultfs, the shape an OS crash mid-append
-// leaves behind. Phase 2 recovers on a server whose risk scoring is sharded
+// planted on the journal tail, the shape an OS crash mid-append leaves
+// behind. Phase 2 recovers on a server whose risk scoring is sharded
 // across two worker processes — one SIGKILLed while it holds a lease, the
 // other duplicating a delivery — and the released output must be
 // bit-identical to the uninterrupted, worker-less control.
@@ -195,19 +195,18 @@ func TestChaosTornJournalKilledWorkerBitIdentical(t *testing.T) {
 	}
 	s1.jobs.Close()
 
-	// The crash tears a half-written record onto the journal tail, injected
-	// through the fault filesystem so the bytes on disk are exactly what a
-	// power cut mid-append produces.
+	// The crash tears a half-written record onto the journal tail: the
+	// bytes a power cut mid-append leaves (an Append that merely fails
+	// cleans up after itself, so the tail is planted directly).
 	jpath := filepath.Join(dir, id+".journal")
-	w, _, err := journal.OpenAppendWith(jpath, journal.Config{FS: faulty})
+	f, err := os.OpenFile(jpath, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty.TearWrite(1)
-	if err := w.Append(journal.TypeIter, map[string]int{"iteration": 999}); err == nil {
-		t.Fatal("torn append unexpectedly succeeded")
+	if _, err := f.WriteString(`deadbeef {"seq":3,"type":"iter","pay`); err != nil {
+		t.Fatal(err)
 	}
-	w.Close()
+	f.Close()
 	scan, err := journal.ReadFileIn(faulty, jpath)
 	if err != nil {
 		t.Fatal(err)

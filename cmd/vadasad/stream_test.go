@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -217,6 +219,35 @@ func TestStreamRecoveryHTTP(t *testing.T) {
 	}
 	if rec = do(t, h2, "POST", appendURL("s1", "b2"), streamCSV(4, 2)); rec.Code != http.StatusOK {
 		t.Fatalf("append after recovery = %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// A daemon killed between creating <id>.wal and committing its create record
+// acknowledged nothing; after the restart the startup scan skips the
+// record-less file, and the first append to that id must create the stream
+// as if the file had never existed — not fail forever.
+func TestStreamIDSurvivesCrashInFirstAppendHTTP(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	if err := os.WriteFile(filepath.Join(dir, "s1.wal"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := streamTestServer(t, dir, 0)
+	if n, err := srv.streams.recover(ctx); err != nil || n != 0 {
+		t.Fatalf("recover = %d, %v; want no streams and no error", n, err)
+	}
+	defer srv.streams.Close(ctx)
+	h := srv.routes()
+	if rec := do(t, h, "POST", appendURL("s1", "b1"), streamCSV(0, 4)); rec.Code != http.StatusCreated {
+		t.Fatalf("append to the crashed id = %d: %s", rec.Code, rec.Body)
+	}
+	var st struct {
+		Rows int `json:"rows"`
+	}
+	decodeBody(t, do(t, h, "GET", "/stream/s1/status", "").Body.Bytes(), &st)
+	if st.Rows != 4 {
+		t.Fatalf("status after the append: %+v", st)
 	}
 }
 

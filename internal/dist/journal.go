@@ -30,24 +30,20 @@ type LeasePayload struct {
 	Action string `json:"action"`
 }
 
-// RecoverFence scans a journal for lease records and returns the highest
-// epoch ever granted — the floor a restarted supervisor must start above
-// (Options.FirstEpoch = RecoverFence(scan) + 1). Records that fail to
-// decode are skipped: the journal layer already validated framing and
-// checksums, and an unknown payload schema must not block recovery.
-func RecoverFence(scan journal.Scan) uint64 {
-	var max uint64
-	for _, rec := range scan.Records {
-		if rec.Type != journal.TypeLease {
-			continue
-		}
+// RecoverFence returns a journal apply callback — for journal.Open, or a
+// loop over a journal.Iterator — that raises *floor to the highest lease
+// epoch it is shown: the floor a restarted supervisor must start above
+// (Options.FirstEpoch = floor + 1). Records that fail to decode are skipped:
+// the journal layer already validated framing and checksums, and an unknown
+// payload schema must not block recovery. Only tests call it today:
+// cmd/vadasad gives its supervisor no lease journal, so there is nothing to
+// restart over.
+func RecoverFence(floor *uint64) func(journal.Record) error {
+	return func(rec journal.Record) error {
 		var p LeasePayload
-		if err := rec.Decode(&p); err != nil {
-			continue
+		if rec.Type == journal.TypeLease && rec.Decode(&p) == nil {
+			*floor = max(*floor, p.Epoch)
 		}
-		if p.Epoch > max {
-			max = p.Epoch
-		}
+		return nil
 	}
-	return max
 }

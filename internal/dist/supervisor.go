@@ -62,7 +62,7 @@ type Options struct {
 	// observability and a crash-consistent epoch floor (RecoverFence).
 	Journal *journal.Writer
 	// FirstEpoch seeds the epoch counter (default 0, first grant = 1). A
-	// supervisor restarting over a journal passes RecoverFence(scan)+1.
+	// supervisor restarting over a journal passes the RecoverFence floor + 1.
 	FirstEpoch uint64
 	// Logf receives supervision diagnostics; nil discards them.
 	Logf func(format string, args ...any)

@@ -238,11 +238,11 @@ func TestHedging(t *testing.T) {
 }
 
 // Lease grants, revocations and accepts land in the journal, and
-// RecoverFence restores the epoch floor from a scan.
+// RecoverFence restores the epoch floor while the journal is reopened.
 func TestLeaseJournalAndRecoverFence(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "dist.journal")
-	w, err := journal.Create(path)
+	w, err := journal.CreateWith(path, journal.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,16 +286,24 @@ func TestLeaseJournalAndRecoverFence(t *testing.T) {
 	if grants < wantTasks || accepts != wantTasks {
 		t.Fatalf("grants=%d accepts=%d, want >=%d and ==%d", grants, accepts, wantTasks, wantTasks)
 	}
-	if floor := RecoverFence(*scan); floor <= 41 || floor != sup.epoch.Load() {
+	// A supervisor restarting over the journal reopens it and recovers the
+	// floor in the same pass.
+	var floor uint64
+	w2, err := journal.Open(context.Background(), path, journal.Config{}, RecoverFence(&floor))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if floor <= 41 || floor != sup.epoch.Load() {
 		t.Fatalf("RecoverFence = %d, want the final epoch %d", floor, sup.epoch.Load())
 	}
-	// A restarted supervisor seeded above the floor can never re-issue an
-	// epoch the dead incarnation granted.
-	sup2 := NewSupervisor(nil, Options{FirstEpoch: RecoverFence(*scan) + 1})
+	// Seeded above the floor it can never re-issue an epoch the dead
+	// incarnation granted.
+	sup2 := NewSupervisor(nil, Options{Journal: w2, FirstEpoch: floor + 1})
 	defer sup2.Close()
 	task := &taskState{seq: 0, valid: map[uint64]bool{}}
-	if e := sup2.grant(task, &worker{t: scoringTransport("w", 0)}); e <= RecoverFence(*scan) {
-		t.Fatalf("restarted epoch %d not above floor %d", e, RecoverFence(*scan))
+	if e := sup2.grant(task, &worker{t: scoringTransport("w", 0)}); e <= floor {
+		t.Fatalf("restarted epoch %d not above floor %d", e, floor)
 	}
 }
 

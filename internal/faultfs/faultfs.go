@@ -1,9 +1,9 @@
 // Package faultfs abstracts the filesystem operations the durability
 // layer (internal/journal, internal/jobs) performs, so tests can
 // inject deterministic faults — ENOSPC after N bytes, EIO on the Kth
-// fsync, torn writes — and pin the degraded-mode behaviour of the
-// pipeline instead of hoping for it. Production code passes OS, a thin
-// passthrough to package os.
+// fsync, torn writes, failing truncates — and pin the degraded-mode
+// behaviour of the pipeline instead of hoping for it. Production code
+// passes OS, a thin passthrough to package os.
 package faultfs
 
 import (

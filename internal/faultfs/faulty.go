@@ -24,6 +24,7 @@ type Faulty struct {
 	failSyncAt int   // inject EIO on this (1-based) fsync; 0 = never
 	writes     int   // writes observed so far
 	tearAt     int   // tear this (1-based) write: half the bytes land, then EIO
+	truncFails int   // truncates that will still fail with EIO
 }
 
 // NewFaulty wraps base with an initially fault-free plan.
@@ -69,6 +70,14 @@ func (f *Faulty) TearWrite(k int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.writes, f.tearAt = 0, k
+}
+
+// FailTruncate arms EIO faults on the next k truncates: the file keeps
+// its length, the shape of a journal that cannot shed a torn tail.
+func (f *Faulty) FailTruncate(k int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.truncFails = k
 }
 
 func (f *Faulty) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
@@ -142,6 +151,19 @@ func (ff *faultyFile) Write(p []byte) (int, error) {
 		return n, planned
 	}
 	return n, nil
+}
+
+func (ff *faultyFile) Truncate(size int64) error {
+	ff.fs.mu.Lock()
+	fail := ff.fs.truncFails > 0
+	if fail {
+		ff.fs.truncFails--
+	}
+	ff.fs.mu.Unlock()
+	if fail {
+		return fmt.Errorf("faultfs: truncate: %w", syscall.EIO)
+	}
+	return ff.File.Truncate(size)
 }
 
 func (ff *faultyFile) Sync() error {

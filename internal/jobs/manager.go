@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"path/filepath"
@@ -302,20 +303,42 @@ func (m *Manager) Recover() ([]string, error) {
 	return resumed, nil
 }
 
-// recoverOne loads one journal; it returns the job id when the job was
-// re-queued, "" when it was terminal or unusable.
+// errNotJob aborts the open of a *.journal file that is not a job journal —
+// another consumer's file sharing the directory — before anything in it is
+// touched. (A file that is no journal at all fails the same way with
+// journal.ErrCorrupt.)
+var errNotJob = errors.New("jobs: not a job journal")
+
+// recoverOne loads one journal in a single pass; it returns the job id when
+// the job was re-queued, "" when it was terminal or unusable.
 func (m *Manager) recoverOne(id, path string) (string, error) {
-	scan, err := journal.ReadFileIn(m.opts.FS, path)
+	var recs []journal.Record
+	w, err := journal.Open(m.baseCtx, path, m.journalConfig(id, path), func(rec journal.Record) error {
+		if rec.Seq == 1 && rec.Type != journal.TypeStart {
+			return errNotJob
+		}
+		recs = append(recs, rec)
+		return nil
+	})
+	if errors.Is(err, errNotJob) || errors.Is(err, journal.ErrCorrupt) {
+		return "", nil
+	}
 	if err != nil {
 		return "", err
 	}
-	if len(scan.Records) == 0 || scan.Records[0].Type != journal.TypeStart {
+	resumable := false
+	defer func() {
+		if !resumable {
+			w.Close()
+		}
+	}()
+	if len(recs) == 0 {
 		// Nothing durable ever committed (the crash landed inside the very
 		// first append): there is no spec to resume, and nothing is lost.
 		return "", nil
 	}
 	var start startPayload
-	if err := scan.Records[0].Decode(&start); err != nil {
+	if err := recs[0].Decode(&start); err != nil {
 		return "", fmt.Errorf("decoding start record: %w", err)
 	}
 	if start.JobID != "" && start.JobID != id {
@@ -323,7 +346,7 @@ func (m *Manager) recoverOne(id, path string) (string, error) {
 	}
 	j := &Job{ID: id, Spec: start.Spec, Created: start.Created, Recovered: true}
 
-	if last := scan.Last(); last.Type == journal.TypeDone {
+	if last := recs[len(recs)-1]; last.Type == journal.TypeDone {
 		var done donePayload
 		if err := last.Decode(&done); err != nil {
 			return "", fmt.Errorf("decoding done record: %w", err)
@@ -338,25 +361,18 @@ func (m *Manager) recoverOne(id, path string) (string, error) {
 		return "", nil
 	}
 
-	// Unterminated: the job was live when the process died. Reopen (which
-	// truncates any torn tail) and rebuild the committed progress.
-	w, scan, err := journal.OpenAppendWith(path, m.journalConfig(id, path))
-	if err != nil {
-		return "", err
-	}
-	for _, rec := range scan.Records[1:] {
+	// Unterminated: the job was live when the process died. The open already
+	// truncated any torn tail; rebuild the committed progress.
+	for _, rec := range recs[1:] {
 		if rec.Type != journal.TypeIter {
-			w.Close()
 			return "", fmt.Errorf("unterminated journal holds a %q record", rec.Type)
 		}
 		var p iterPayload
 		if err := rec.Decode(&p); err != nil {
-			w.Close()
 			return "", fmt.Errorf("decoding iteration record: %w", err)
 		}
 		cp, err := decodeCheckpoint(p)
 		if err != nil {
-			w.Close()
 			return "", err
 		}
 		j.resume = append(j.resume, cp)
@@ -365,11 +381,11 @@ func (m *Manager) recoverOne(id, path string) (string, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		w.Close()
 		return "", fmt.Errorf("manager is closed")
 	}
 	m.jobs[id] = j
 	m.writers[id] = w
+	resumable = true
 
 	// The journal is the truth about the input it was recorded against; a
 	// dataset file that changed since would make every journaled decision
@@ -528,15 +544,11 @@ func (m *Manager) attempt(ctx context.Context, j *Job) (out *Outcome, err error)
 		if w == nil {
 			return fmt.Errorf("jobs: journal for %s is closed", j.ID)
 		}
+		// A failed append leaves no bytes behind — ENOSPC mid-write
+		// included, shrinking needs no free space — so both an in-process
+		// resume and a post-crash recovery see a clean journal; the error
+		// decides the job's fate.
 		if err := w.Append(journal.TypeIter, encodeCheckpoint(cp)); err != nil {
-			// A failed append may have torn a partial record into the
-			// file (ENOSPC mid-write). Truncate back to the committed
-			// prefix now — shrinking needs no free space — so both an
-			// in-process resume and a post-crash recovery see a clean
-			// journal. The original error still decides the job's fate.
-			if rerr := w.Repair(); rerr != nil {
-				return fmt.Errorf("%w (and repair failed: %v)", err, rerr)
-			}
 			return err
 		}
 		j.resume = append(j.resume, cp)

@@ -531,3 +531,58 @@ func TestCancelDuringBackoffSettlesImmediately(t *testing.T) {
 		t.Fatalf("runner ran %d times, want 1", calls)
 	}
 }
+
+// The jobs row of the journal conformance suite: wherever a crash cuts the
+// last checkpoint record, Recover resumes the job from exactly the
+// checkpoints of the clean prefix — one scan, torn tail gone — and the job
+// completes on top of them.
+func TestRecoverAtEveryCutOfLastRecord(t *testing.T) {
+	opts := fastOpts(t)
+	input := testInput(t)
+	r := &scriptRunner{iterations: 5, failAfter: 2, block: make(chan struct{})}
+	m, err := NewManager(r, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := m.Submit(Spec{Dataset: input})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, j.ID, StateRunning)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if jj, _ := m.Get(j.ID); len(jj.resume) >= 2 {
+			break
+		}
+	}
+	m.Close() // start + two checkpoints on disk, no terminal record
+
+	path := filepath.Join(opts.Dir, j.ID+".journal")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := strings.LastIndex(string(data[:len(data)-1]), "\n") + 1
+	for cut := prefix; cut < len(data); cut++ {
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r2 := &scriptRunner{iterations: 3}
+		m2, err := NewManager(r2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := m2.Recover()
+		if err != nil || len(resumed) != 1 || resumed[0] != j.ID {
+			t.Fatalf("cut at %d: resumed = %v, %v", cut, resumed, err)
+		}
+		waitState(t, m2, j.ID, StateDone)
+		m2.Close()
+		if len(r2.resumeLens) != 1 || r2.resumeLens[0] != 1 {
+			t.Fatalf("cut at %d: resume lengths = %v, want [1]: the clean prefix holds one checkpoint", cut, r2.resumeLens)
+		}
+		scan, err := journal.ReadFile(path)
+		if err != nil || scan.Torn || len(scan.Records) != 5 || scan.Last().Type != journal.TypeDone {
+			t.Fatalf("cut at %d: completed journal: %d records, torn=%v, %v", cut, len(scan.Records), scan.Torn, err)
+		}
+	}
+}

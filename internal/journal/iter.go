@@ -5,16 +5,26 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 
 	"vadasa/internal/faultfs"
 )
 
-// Iterator streams a journal's committed records one at a time without
-// materializing the whole file, applying the same longest-valid-prefix rule
-// as ReadFile: iteration stops cleanly at the first torn, corrupt or
-// out-of-sequence line. A stream recovery replaying a multi-gigabyte WAL
-// holds one record in memory at a time instead of the full decoded slice.
+// Cursor is a position in a journal file: the byte offset of the record
+// carrying sequence Next. The zero Cursor is the start of the file. Committed
+// journal bytes are immutable, so a cursor taken from an iterator stays valid
+// for as long as the record before it stays committed.
+type Cursor struct {
+	Off  int64
+	Next int
+}
+
+// Iterator is the journal's one scanner: it streams committed records one at
+// a time without materializing the whole file, applying the longest-valid-
+// prefix rule — iteration stops cleanly at the first torn, corrupt or
+// out-of-sequence line. ReadFile collects it, Open replays through it, and
+// the replication shipper reads frames from a Cursor with it. A stream
+// recovery replaying a multi-gigabyte WAL holds one record in memory at a
+// time instead of the full decoded slice.
 //
 // The usual loop:
 //
@@ -30,28 +40,44 @@ type Iterator struct {
 	f    io.ReadCloser
 	br   *bufio.Reader
 	rec  Record
+	line []byte
 	err  error
 	want int   // next expected sequence number
 	off  int64 // byte offset just past the last valid record
 	torn bool
-	done bool
+	// badLine: iteration stopped at a complete (newline-terminated) line
+	// that failed validation, as opposed to a partial final line.
+	badLine bool
+	done    bool
 }
 
 // Records opens the journal at path on the real filesystem and returns an
 // iterator over its committed records.
 func Records(ctx context.Context, path string) (*Iterator, error) {
-	return RecordsIn(ctx, nil, path)
+	return RecordsIn(ctx, nil, path, Cursor{})
 }
 
 // RecordsIn is Records through an explicit filesystem (nil means the real
-// one).
-func RecordsIn(ctx context.Context, fsys faultfs.FS, path string) (*Iterator, error) {
+// one), starting at from: the first record read must be the one with
+// sequence from.Next at offset from.Off. A cursor that points anywhere else
+// yields no records and reports Torn.
+func RecordsIn(ctx context.Context, fsys faultfs.FS, path string, from Cursor) (*Iterator, error) {
 	cfg := Config{FS: fsys}.withDefaults()
 	f, err := cfg.FS.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("journal: opening for iteration: %w", err)
 	}
-	return &Iterator{ctx: ctx, f: f, br: bufio.NewReaderSize(f, 64<<10), want: 1}, nil
+	if from.Off > 0 {
+		if _, err := f.Seek(from.Off, io.SeekStart); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("journal: seeking to record %d: %w", from.Next, err)
+		}
+	}
+	return newIterator(ctx, f, from), nil
+}
+
+func newIterator(ctx context.Context, f io.ReadCloser, from Cursor) *Iterator {
+	return &Iterator{ctx: ctx, f: f, br: bufio.NewReaderSize(f, 64<<10), want: max(from.Next, 1), off: from.Off}
 }
 
 // Next advances to the next committed record. It returns false at the end
@@ -83,11 +109,11 @@ func (it *Iterator) Next() bool {
 	}
 	rec, ok := ParseLine(line[:len(line)-1], it.want)
 	if !ok {
-		it.torn = true
+		it.torn, it.badLine = true, true
 		it.done = true
 		return false
 	}
-	it.rec = rec
+	it.rec, it.line = rec, line[:len(line)-1]
 	it.off += int64(len(line))
 	it.want++
 	return true
@@ -95,6 +121,11 @@ func (it *Iterator) Next() bool {
 
 // Record returns the record Next advanced to. Valid only after a true Next.
 func (it *Iterator) Record() Record { return it.rec }
+
+// Line returns the framed bytes of the current record — CRC prefix and JSON,
+// newline stripped: what an OnAppend observer saw and what AppendFrames
+// accepts. Each record gets its own slice; the caller may keep it.
+func (it *Iterator) Line() []byte { return it.line }
 
 // Err returns the first I/O or context error, nil on a clean end of the
 // valid prefix (corruption is not an error; see Torn).
@@ -110,51 +141,9 @@ func (it *Iterator) Valid() int64 { return it.off }
 // LastSeq is the sequence number of the last accepted record (0 if none).
 func (it *Iterator) LastSeq() int { return it.want - 1 }
 
+// Cursor is the position just past the last accepted record: where an
+// iterator opened later resumes.
+func (it *Iterator) Cursor() Cursor { return Cursor{Off: it.off, Next: it.want} }
+
 // Close releases the underlying file. Safe to call at any point.
 func (it *Iterator) Close() error { return it.f.Close() }
-
-// OpenAppendStream is OpenAppend for journals too large to hold decoded in
-// memory: it streams every committed record through fn while locating the
-// valid prefix, repairs a torn tail, and returns a writer positioned after
-// the last committed record. A non-nil error from fn aborts the open (the
-// file is left untouched). The returned count is the number of records
-// replayed.
-func OpenAppendStream(ctx context.Context, path string, cfg Config, fn func(Record) error) (*Writer, int, error) {
-	cfg = cfg.withDefaults()
-	it, err := RecordsIn(ctx, cfg.FS, path)
-	if err != nil {
-		return nil, 0, err
-	}
-	for it.Next() {
-		if err := fn(it.Record()); err != nil {
-			it.Close()
-			return nil, 0, err
-		}
-	}
-	if err := it.Err(); err != nil {
-		it.Close()
-		return nil, 0, err
-	}
-	valid, seq, torn, count := it.Valid(), it.LastSeq(), it.Torn(), it.LastSeq()
-	it.Close()
-
-	f, err := cfg.FS.OpenFile(path, os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, 0, fmt.Errorf("journal: open: %w", err)
-	}
-	if torn {
-		if err := f.Truncate(valid); err != nil {
-			f.Close()
-			return nil, 0, fmt.Errorf("journal: truncating torn tail: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, 0, fmt.Errorf("journal: syncing repair: %w", err)
-		}
-	}
-	if _, err := f.Seek(valid, 0); err != nil {
-		f.Close()
-		return nil, 0, fmt.Errorf("journal: seeking to tail: %w", err)
-	}
-	return &Writer{f: f, fs: cfg.FS, path: path, seq: seq, off: valid, headroom: cfg.DiskHeadroom, onAppend: cfg.OnAppend}, count, nil
-}

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -11,7 +12,7 @@ import (
 func writeTestJournal(t *testing.T, dir string, n int) string {
 	t.Helper()
 	path := filepath.Join(dir, "it.wal")
-	w, err := Create(path)
+	w, err := CreateWith(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,10 +25,12 @@ func writeTestJournal(t *testing.T, dir string, n int) string {
 	return path
 }
 
-// The iterator must stream exactly the records ReadFile decodes, in order,
-// and agree with it on the valid offset and torn flag — including over a
-// journal with a torn tail.
-func TestIteratorMatchesReadFile(t *testing.T) {
+// An iterator opened at the cursor after record k must yield exactly the
+// suffix a full scan yields after k — records, raw lines, final offset and
+// torn flag — including over a journal with a torn tail. This is what lets
+// the replication shipper read O(new bytes) per shipment.
+func TestIteratorFromCursorMatchesFullScanSuffix(t *testing.T) {
+	ctx := context.Background()
 	path := writeTestJournal(t, t.TempDir(), 25)
 	// Append garbage past the valid prefix: a torn line with no newline.
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -38,40 +41,61 @@ func TestIteratorMatchesReadFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	scan, err := ReadFile(path)
+	full, err := Records(ctx, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := Records(context.Background(), path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	var got []Record
-	for it.Next() {
-		got = append(got, it.Record())
-	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(scan.Records) {
-		t.Fatalf("iterator yielded %d records, scan %d", len(got), len(scan.Records))
-	}
-	for i := range got {
-		if got[i].Seq != scan.Records[i].Seq || got[i].Type != scan.Records[i].Type ||
-			string(got[i].Payload) != string(scan.Records[i].Payload) {
-			t.Fatalf("record %d differs: %+v vs %+v", i, got[i], scan.Records[i])
+	defer full.Close()
+	cursors := []Cursor{full.Cursor()}
+	var recs []Record
+	for full.Next() {
+		start := cursors[len(cursors)-1].Off
+		if want := data[start : full.Valid()-1]; !bytes.Equal(full.Line(), want) {
+			t.Fatalf("record %d: Line() = %q, file holds %q", full.LastSeq(), full.Line(), want)
 		}
+		recs = append(recs, full.Record())
+		cursors = append(cursors, full.Cursor())
 	}
-	if it.Valid() != scan.Valid {
-		t.Fatalf("iterator valid offset %d, scan %d", it.Valid(), scan.Valid)
+	if err := full.Err(); err != nil {
+		t.Fatal(err)
 	}
-	if !it.Torn() || !scan.Torn {
-		t.Fatalf("torn flags: iterator %v, scan %v, want both true", it.Torn(), scan.Torn)
+	if len(recs) != 25 || full.LastSeq() != 25 || !full.Torn() {
+		t.Fatalf("full scan: %d records, LastSeq %d, torn %v", len(recs), full.LastSeq(), full.Torn())
 	}
-	if it.LastSeq() != 25 {
-		t.Fatalf("LastSeq = %d, want 25", it.LastSeq())
+
+	for k, cur := range cursors {
+		it, err := RecordsIn(ctx, nil, path, cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := k; it.Next(); i++ {
+			if got := it.Record(); got.Seq != recs[i].Seq || string(got.Payload) != string(recs[i].Payload) {
+				t.Fatalf("from cursor %d: record %+v, full scan had %+v", k, got, recs[i])
+			}
+		}
+		if it.Err() != nil || it.LastSeq() != 25 || it.Valid() != full.Valid() || !it.Torn() {
+			t.Fatalf("from cursor %d: err %v, LastSeq %d, Valid %d (want %d), torn %v",
+				k, it.Err(), it.LastSeq(), it.Valid(), full.Valid(), it.Torn())
+		}
+		it.Close()
+	}
+
+	// A cursor that does not sit on the record it names yields nothing and
+	// says so, rather than resynchronizing on some later line.
+	for _, stale := range []Cursor{{Off: cursors[3].Off + 1, Next: 4}, {Off: cursors[3].Off, Next: 5}} {
+		it, err := RecordsIn(ctx, nil, path, stale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if it.Next() || !it.Torn() || it.Err() != nil {
+			t.Fatalf("stale cursor %+v: Next succeeded or torn=%v err=%v", stale, it.Torn(), it.Err())
+		}
+		it.Close()
 	}
 }
 
@@ -141,56 +165,23 @@ func TestIteratorContextCancel(t *testing.T) {
 	}
 }
 
-// OpenAppendStream must replay the same records OpenAppend decodes, repair
-// a torn tail the same way, and leave the writer appending at the same
-// sequence number.
-func TestOpenAppendStreamMatchesOpenAppend(t *testing.T) {
-	dir := t.TempDir()
-	path := writeTestJournal(t, dir, 12)
+// An apply error aborts Open without touching the file.
+func TestOpenApplyErrorLeavesFileUntouched(t *testing.T) {
+	path := writeTestJournal(t, t.TempDir(), 5)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString("0bad"); err != nil {
+	if _, err := f.WriteString("0bad"); err != nil { // a torn tail Open would otherwise drop
 		t.Fatal(err)
 	}
 	f.Close()
-
-	var streamed []int
-	w, count, err := OpenAppendStream(context.Background(), path, Config{}, func(r Record) error {
-		streamed = append(streamed, r.Seq)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 12 || len(streamed) != 12 || streamed[11] != 12 {
-		t.Fatalf("streamed %d records (count=%d), want 12", len(streamed), count)
-	}
-	if err := w.Append(TypeIter, map[string]int{"i": 13}); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-
-	scan, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scan.Torn || len(scan.Records) != 13 || scan.Last().Seq != 13 {
-		t.Fatalf("after streamed reopen+append: torn=%v records=%d last=%d",
-			scan.Torn, len(scan.Records), scan.Last().Seq)
-	}
-}
-
-// An fn error aborts the streamed open without touching the file.
-func TestOpenAppendStreamFnError(t *testing.T) {
-	path := writeTestJournal(t, t.TempDir(), 5)
 	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	boom := fmt.Errorf("boom")
-	_, _, err = OpenAppendStream(context.Background(), path, Config{}, func(r Record) error {
+	_, err = Open(context.Background(), path, Config{}, func(r Record) error {
 		if r.Seq == 3 {
 			return boom
 		}
@@ -204,6 +195,6 @@ func TestOpenAppendStreamFnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(before) != string(after) {
-		t.Fatal("aborted streamed open modified the journal")
+		t.Fatal("aborted Open modified the journal")
 	}
 }

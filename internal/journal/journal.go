@@ -1,25 +1,45 @@
-// Package journal implements the write-ahead journal that makes
-// anonymization jobs durable: an append-only JSONL file where every record
-// carries a CRC-32C checksum and a strictly increasing sequence number, and
-// every append is fsync'd before it is acknowledged.
+// Package journal is the durability layer: the write-ahead journal behind
+// durable jobs, stream windows, the replication epoch and the standby
+// mirrors. A journal is an append-only JSONL file where every record carries
+// a CRC-32C checksum and a strictly increasing sequence number, and every
+// append is fsync'd before it is acknowledged.
 //
 // The format is one record per line:
 //
 //	crc32c-hex8 SPACE json NEWLINE
 //
-// where the checksum covers exactly the JSON bytes. A record counts as
-// committed only once its terminating newline is on disk; the reader accepts
-// the longest valid prefix of the file and treats everything after the first
-// torn, corrupt or out-of-sequence line as lost (the standard WAL repair
-// rule). Payload schemas belong to the caller — the journal frames, checks
-// and persists opaque JSON payloads.
+// where the checksum covers exactly the JSON bytes. Payload schemas belong to
+// the caller — the journal frames, checks and persists opaque JSON payloads.
+// This package is the only code that turns file bytes into records
+// (Iterator), repairs a tail (Open, and Writer after a failed append) or
+// writes a frame (Append, AppendFrames). Three rules say what survives a
+// crash:
+//
+//  1. Longest valid prefix. A record is committed once its terminating
+//     newline is on disk; a reader accepts records up to the first torn,
+//     corrupt or out-of-sequence line and treats everything after it as lost
+//     (the standard WAL repair rule). Open truncates that tail away.
+//  2. A failed append leaves no bytes. When the write, the fsync or the
+//     OnAppend observer fails, the Writer truncates the file back to its
+//     commit point before returning the error; if even that fails it refuses
+//     every further append (*RepairError) until a retried truncation
+//     succeeds, so an acknowledged record can never sit behind garbage.
+//  3. Zero committed records and no complete line is a fresh journal — a
+//     missing file, an empty one, or half of a first record from a crash
+//     inside the very first append. Nothing was ever acknowledged from it,
+//     so Open hands back a writer at sequence 0 and the caller starts over.
+//     A file whose first complete line is not a valid record is corruption,
+//     not freshness: Open refuses it and leaves its bytes alone.
 package journal
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -76,8 +96,7 @@ func (r Record) Decode(v any) error {
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Config parameterizes how a journal touches the filesystem. The zero
-// Config selects the real filesystem with no headroom check, matching
-// the historical behaviour of Create/OpenAppend.
+// Config selects the real filesystem with no headroom check.
 type Config struct {
 	// FS is the filesystem the journal writes through; nil means the
 	// real one. Tests inject faultfs.Faulty here to pin crash and
@@ -89,14 +108,14 @@ type Config struct {
 	// errors.Is(err, syscall.ENOSPC) — before any bytes are written, so
 	// the journal never adds a torn record to an already-full volume.
 	DiskHeadroom int64
-	// OnAppend, when non-nil, observes every committed append: it is
-	// called with the record's sequence number and the exact framed line
-	// bytes (no trailing newline) after the local fsync succeeds but
-	// before the writer advances its commit point. Returning an error
-	// fails the Append — the caller's usual Repair path then truncates
-	// the locally-durable-but-unacknowledged record, which is how the
-	// replication layer implements synchronous commit: a record either
-	// reaches a follower or never happened.
+	// OnAppend, when non-nil, observes every Append: it is called with the
+	// record's sequence number and the exact framed line bytes (no trailing
+	// newline) after the local fsync succeeds but before the writer
+	// advances its commit point. Returning an error fails the Append, and
+	// the writer truncates the locally-durable-but-unacknowledged record
+	// away like any other failed append — which is how the replication
+	// layer implements synchronous commit: a record either reaches a
+	// follower or never happened.
 	OnAppend func(seq int, line []byte) error
 }
 
@@ -113,22 +132,41 @@ type Writer struct {
 	fs   faultfs.FS
 	path string
 	seq  int
-	// off is the byte offset just past the last committed record — the
-	// truncation point Repair restores after a failed append.
+	// off is the commit point: the byte offset just past the last committed
+	// record, where a failed append truncates back to.
 	off int64
+	// dirty: bytes may lie past off (a failed append whose truncation has
+	// not succeeded yet). No append proceeds while it is set.
+	dirty bool
 	// headroom is the pre-append free-space floor (0 = unchecked).
 	headroom int64
 	// onAppend is Config.OnAppend (nil = no observer).
 	onAppend func(seq int, line []byte) error
 }
 
-// Create creates a fresh journal at path (failing if it already exists) and
-// fsyncs the parent directory so the file itself survives a crash.
-func Create(path string) (*Writer, error) {
-	return CreateWith(path, Config{})
+// RepairError is what a Writer returns while bytes of a failed append (or of
+// the crash before Open) are still in the file: truncating back to the
+// commit point failed, and appending behind them would bury the new record
+// where no reader looks. Every append retries the truncation first, so the
+// condition clears itself once the filesystem recovers.
+type RepairError struct {
+	// Err is the truncation, seek or fsync failure.
+	Err error
 }
 
-// CreateWith is Create under an explicit filesystem configuration.
+func (e *RepairError) Error() string {
+	return fmt.Sprintf("journal: no append until the uncommitted tail is truncated away: %v", e.Err)
+}
+
+func (e *RepairError) Unwrap() error { return e.Err }
+
+// ErrCorrupt is Open's refusal of a file whose first complete line is not a
+// valid record: no committed prefix to recover, yet not a fresh journal
+// either (package doc, rule 3).
+var ErrCorrupt = errors.New("journal: the first line is complete but not a valid record; refusing to treat a corrupt journal as a fresh one")
+
+// CreateWith creates a fresh journal at path (failing if it already exists)
+// and fsyncs the parent directory so the file itself survives a crash.
 func CreateWith(path string, cfg Config) (*Writer, error) {
 	cfg = cfg.withDefaults()
 	f, err := cfg.FS.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
@@ -142,48 +180,122 @@ func CreateWith(path string, cfg Config) (*Writer, error) {
 	return &Writer{f: f, fs: cfg.FS, path: path, headroom: cfg.DiskHeadroom, onAppend: cfg.OnAppend}, nil
 }
 
-// OpenAppend opens an existing journal for appending: it scans the file,
-// truncates it to the longest valid prefix (repairing a torn tail from a
-// crash mid-append), and positions the writer after the last committed
-// record. The scan is returned so the caller can rebuild its state.
-func OpenAppend(path string) (*Writer, *Scan, error) {
-	return OpenAppendWith(path, Config{})
+// Open is the one recover-and-reopen: it streams every committed record of
+// the journal at path through apply (nil to skip), truncates a torn tail,
+// and returns a writer positioned after the last committed record. A fresh
+// journal (package doc, rule 3 — created here if the file is missing) comes
+// back at Seq() == 0 without apply having run. An error from apply, or a
+// first line that is complete but invalid, aborts the open with the file's
+// bytes untouched.
+func Open(ctx context.Context, path string, cfg Config, apply func(Record) error) (*Writer, error) {
+	cfg = cfg.withDefaults()
+	f, err := cfg.FS.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("journal: open: %w", err)
+	}
+	it := newIterator(ctx, f, Cursor{})
+	for it.Next() {
+		if apply == nil {
+			continue
+		}
+		if err := apply(it.Record()); err != nil {
+			f.Close()
+			return nil, err
+		}
+	}
+	w := &Writer{f: f, fs: cfg.FS, path: path, seq: it.LastSeq(), off: it.Valid(),
+		headroom: cfg.DiskHeadroom, onAppend: cfg.OnAppend}
+	err = it.Err()
+	if err == nil && w.seq == 0 {
+		if it.badLine {
+			err = fmt.Errorf("%w: %s", ErrCorrupt, path)
+		} else {
+			// The file may be seconds old, or older than a crash that beat
+			// its creator to the directory fsync: make the entry durable
+			// before the first record is.
+			err = syncDir(cfg.FS, filepath.Dir(path))
+		}
+	}
+	if err == nil {
+		if it.Torn() {
+			err = w.rollback()
+		} else {
+			_, err = f.Seek(w.off, io.SeekStart)
+		}
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return w, nil
 }
 
-// OpenAppendWith is OpenAppend under an explicit filesystem configuration.
-func OpenAppendWith(path string, cfg Config) (*Writer, *Scan, error) {
-	cfg = cfg.withDefaults()
-	scan, err := ReadFileIn(cfg.FS, path)
+// OpenAppend is Open on the real filesystem, collecting the replayed records
+// for callers small enough to hold them.
+func OpenAppend(path string) (*Writer, []Record, error) {
+	var recs []Record
+	w, err := Open(context.TODO(), path, Config{}, func(r Record) error {
+		recs = append(recs, r)
+		return nil
+	})
+	return w, recs, err
+}
+
+// rollback truncates whatever a failed append (or the crash before Open)
+// left past the commit point and puts the descriptor back there. It is the
+// only place a journal shrinks.
+func (w *Writer) rollback() error {
+	err := w.f.Truncate(w.off)
+	if err == nil {
+		_, err = w.f.Seek(w.off, io.SeekStart)
+	}
+	if err == nil {
+		err = w.f.Sync()
+	}
+	w.dirty = err != nil
 	if err != nil {
-		return nil, nil, err
+		return &RepairError{err}
 	}
-	f, err := cfg.FS.OpenFile(path, os.O_WRONLY, 0o644)
+	return nil
+}
+
+// commit makes buf — whole framed lines ending at sequence last, named what
+// in errors — durable with one write and one fsync, lets the OnAppend
+// observer veto it when observed is set, and advances the commit point. On
+// any failure the file is rolled back to the commit point, so the caller
+// sees either a committed append or no trace of one (package doc, rule 2).
+func (w *Writer) commit(buf []byte, last int, what string, observed bool) error {
+	if w.dirty {
+		if err := w.rollback(); err != nil {
+			return err
+		}
+	}
+	_, err := w.f.Write(buf)
 	if err != nil {
-		return nil, nil, fmt.Errorf("journal: open: %w", err)
-	}
-	if scan.Torn {
-		if err := f.Truncate(scan.Valid); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("journal: truncating torn tail: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("journal: syncing repair: %w", err)
+		err = fmt.Errorf("journal: appending %s: %w", what, err)
+	} else if err = w.f.Sync(); err != nil {
+		err = fmt.Errorf("journal: syncing %s: %w", what, err)
+	} else if observed && w.onAppend != nil {
+		// The observer runs between local durability and commit-point
+		// advance, on the CRC-prefixed line with the newline stripped.
+		if err = w.onAppend(last, buf[:len(buf)-1]); err != nil {
+			err = fmt.Errorf("journal: %s append observer: %w", what, err)
 		}
 	}
-	if _, err := f.Seek(scan.Valid, 0); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("journal: seeking to tail: %w", err)
+	if err != nil {
+		if rerr := w.rollback(); rerr != nil {
+			return fmt.Errorf("%w (and %v)", err, rerr)
+		}
+		return err
 	}
-	seq := 0
-	if n := len(scan.Records); n > 0 {
-		seq = scan.Records[n-1].Seq
-	}
-	return &Writer{f: f, fs: cfg.FS, path: path, seq: seq, off: scan.Valid, headroom: cfg.DiskHeadroom, onAppend: cfg.OnAppend}, scan, nil
+	w.seq = last
+	w.off += int64(len(buf))
+	return nil
 }
 
 // Append marshals the payload, frames it with a sequence number and CRC, and
-// writes + fsyncs the record. It returns only after the record is durable.
+// writes + fsyncs the record. It returns only after the record is durable;
+// when it returns an error the file holds no byte of the record.
 // The journal is a confidentiality sink: everything appended is replicated
 // to standbys and replayed on recovery, so raw microdata may only enter
 // under an explicit, reasoned //conftaint:ok waiver at the append site.
@@ -193,10 +305,9 @@ func (w *Writer) Append(typ Type, payload any) error {
 	if w.headroom > 0 {
 		free, err := w.fs.Free(filepath.Dir(w.path))
 		if err == nil && free >= 0 && free < w.headroom {
-			// Refuse before writing a single byte: an append into a
-			// nearly-full volume would at best leave a torn record to
-			// repair. Wrapping ENOSPC lets the job layer classify this
-			// exactly like a write that hit the real wall.
+			// Refuse before writing a single byte. Wrapping ENOSPC lets the
+			// job layer classify this exactly like a write that hit the
+			// real wall.
 			return fmt.Errorf("journal: %d bytes free below %d headroom before %s append: %w",
 				free, w.headroom, typ, syscall.ENOSPC)
 		}
@@ -214,49 +325,44 @@ func (w *Writer) Append(typ Type, payload any) error {
 	fmt.Fprintf(&buf, "%08x ", crc32.Checksum(line, castagnoli))
 	buf.Write(line)
 	buf.WriteByte('\n')
-	if _, err := w.f.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("journal: appending %s record: %w", typ, err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("journal: syncing %s record: %w", typ, err)
-	}
-	if w.onAppend != nil {
-		// The observer runs between local durability and commit-point
-		// advance: on error the record is on disk but w.off still points
-		// before it, so the caller's Repair truncates it away exactly like
-		// a torn write.
-		framed := buf.Bytes()[:buf.Len()-1] // CRC-prefixed line, newline stripped
-		if err := w.onAppend(rec.Seq, framed); err != nil {
-			return fmt.Errorf("journal: %s append observer: %w", typ, err)
+	return w.commit(buf.Bytes(), rec.Seq, string(typ), true)
+}
+
+// AppendFrames appends records framed elsewhere — lines exactly as an
+// OnAppend observer saw them, which is what a replication standby receives —
+// as sequences Seq()+1, Seq()+2, …: one write and one fsync for the lot.
+// Every line must pass ParseLine at its position; the first one that does
+// not (corrupt, replayed, or past a gap) ends the batch, the lines before it
+// still commit, and the error names it. It returns the records that
+// committed; like Append, a failed write leaves none of them in the file.
+// The OnAppend observer is not consulted: these records were observed where
+// they were first appended.
+//
+//conftaint:sink
+func (w *Writer) AppendFrames(lines [][]byte) ([]Record, error) {
+	var recs []Record
+	var buf []byte
+	var bad error
+	for i, line := range lines {
+		rec, ok := ParseLine(line, w.seq+1+len(recs))
+		if !ok {
+			bad = fmt.Errorf("journal: frame %d of %d is not a valid record %d", i+1, len(lines), w.seq+1+len(recs))
+			break
 		}
+		recs = append(recs, rec)
+		buf = append(append(buf, line...), '\n')
 	}
-	w.seq = rec.Seq
-	w.off += int64(buf.Len())
-	return nil
+	if len(recs) == 0 {
+		return nil, bad
+	}
+	if err := w.commit(buf, w.seq+len(recs), "frames", false); err != nil {
+		return nil, err
+	}
+	return recs, bad
 }
 
 // Seq returns the sequence number of the last committed record (0 if none).
 func (w *Writer) Seq() int { return w.seq }
-
-// Repair truncates the file back to the end of the last committed
-// record, discarding whatever a failed append left behind (a torn line
-// from an ENOSPC mid-write), and repositions the writer there. A
-// writer that keeps appending after a failed Append without repairing
-// would bury its next record behind garbage the reader stops at; a
-// paused job repairs before it parks so the journal stays clean for
-// both in-process resume and post-crash recovery.
-func (w *Writer) Repair() error {
-	if err := w.f.Truncate(w.off); err != nil {
-		return fmt.Errorf("journal: repairing torn tail: %w", err)
-	}
-	if _, err := w.f.Seek(w.off, 0); err != nil {
-		return fmt.Errorf("journal: seeking after repair: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("journal: syncing repair: %w", err)
-	}
-	return nil
-}
 
 // Close closes the underlying file.
 func (w *Writer) Close() error { return w.f.Close() }
@@ -288,40 +394,27 @@ func ReadFile(path string) (*Scan, error) {
 	return ReadFileIn(faultfs.OS, path)
 }
 
-// ReadFileIn is ReadFile through an explicit filesystem.
+// ReadFileIn is ReadFile through an explicit filesystem: the iterator,
+// collected.
 func ReadFileIn(fsys faultfs.FS, path string) (*Scan, error) {
-	data, err := fsys.ReadFile(path)
+	it, err := RecordsIn(context.TODO(), fsys, path, Cursor{})
 	if err != nil {
-		return nil, fmt.Errorf("journal: reading: %w", err)
+		return nil, err
 	}
+	defer it.Close()
 	scan := &Scan{}
-	offset := int64(0)
-	wantSeq := 1
-	for offset < int64(len(data)) {
-		nl := bytes.IndexByte(data[offset:], '\n')
-		if nl < 0 {
-			break // incomplete final line: the append never committed
-		}
-		line := data[offset : offset+int64(nl)]
-		rec, ok := ParseLine(line, wantSeq)
-		if !ok {
-			break
-		}
-		scan.Records = append(scan.Records, rec)
-		offset += int64(nl) + 1
-		wantSeq++
+	for it.Next() {
+		scan.Records = append(scan.Records, it.Record())
 	}
-	scan.Valid = offset
-	scan.Torn = offset < int64(len(data))
-	return scan, nil
+	scan.Valid, scan.Torn = it.Valid(), it.Torn()
+	return scan, it.Err()
 }
 
 // ParseLine validates one framed record — 8 hex digits, a space, JSON whose
 // CRC-32C matches and whose sequence number is the expected one — and
-// returns the decoded record. It is the single framing rule the scanner,
-// the iterator and the replication receiver all share: a standby accepts a
-// shipped frame only if ParseLine accepts it, so a corrupt or replayed
-// frame can never enter a mirrored journal.
+// returns the decoded record. It is the single framing rule: the Iterator
+// accepts a line from disk, and AppendFrames a line from the wire, only if
+// ParseLine does, so a corrupt or replayed frame can never enter a journal.
 func ParseLine(line []byte, wantSeq int) (Record, bool) {
 	if len(line) < 10 || line[8] != ' ' {
 		return Record{}, false

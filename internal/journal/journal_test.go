@@ -2,7 +2,9 @@ package journal
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -17,7 +19,7 @@ type payload struct {
 func writeSample(t testing.TB, n int) (string, []byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "job.journal")
-	w, err := Create(path)
+	w, err := CreateWith(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,6 +43,36 @@ func writeSample(t testing.TB, n int) (string, []byte) {
 		t.Fatal(err)
 	}
 	return path, data
+}
+
+// openCollect runs Open over path and returns the writer with the records
+// apply was shown.
+func openCollect(t testing.TB, path string, cfg Config) (*Writer, []Record, error) {
+	t.Helper()
+	var recs []Record
+	w, err := Open(context.Background(), path, cfg, func(r Record) error {
+		recs = append(recs, r)
+		return nil
+	})
+	return w, recs, err
+}
+
+// checkOpened asserts what Open owes its caller over a file that held data:
+// apply saw exactly the scanner's prefix, the writer stands right behind it,
+// and the file has shed everything past it.
+func checkOpened(t *testing.T, path string, data []byte, scan *Scan, w *Writer, recs []Record) {
+	t.Helper()
+	defer w.Close()
+	if len(recs) != len(scan.Records) || w.Seq() != len(scan.Records) {
+		t.Fatalf("Open replayed %d records to seq %d, scanner found %d", len(recs), w.Seq(), len(scan.Records))
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, data[:scan.Valid]) {
+		t.Fatalf("Open left %d bytes, want the %d-byte valid prefix", len(after), scan.Valid)
+	}
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -74,14 +106,15 @@ func TestRoundTrip(t *testing.T) {
 
 func TestCreateRefusesExisting(t *testing.T) {
 	path, _ := writeSample(t, 1)
-	if _, err := Create(path); err == nil {
-		t.Fatal("Create over an existing journal succeeded")
+	if _, err := CreateWith(path, Config{}); err == nil {
+		t.Fatal("CreateWith over an existing journal succeeded")
 	}
 }
 
 // TestTruncationEveryOffset simulates a crash mid-append at every possible
-// byte boundary: the reader must recover exactly the records whose newline
-// made it to disk, never erroring and never inventing a phantom record.
+// byte boundary: the scanner must recover exactly the records whose newline
+// made it to disk, never erroring and never inventing a phantom record, and
+// Open must hand back a writer standing on exactly that prefix.
 func TestTruncationEveryOffset(t *testing.T) {
 	path, data := writeSample(t, 6)
 	full, err := ReadFile(path)
@@ -125,6 +158,13 @@ func TestTruncationEveryOffset(t *testing.T) {
 		if scan.Torn != (int64(cut) > scan.Valid) {
 			t.Fatalf("cut at %d: Torn=%v inconsistent with Valid=%d", cut, scan.Torn, scan.Valid)
 		}
+		// Open over the same cut: same prefix, tail gone — and a cut inside
+		// the first record is a fresh journal, not an error.
+		w, recs, err := openCollect(t, p, Config{})
+		if err != nil {
+			t.Fatalf("cut at %d: Open: %v", cut, err)
+		}
+		checkOpened(t, p, data[:cut], scan, w, recs)
 	}
 }
 
@@ -136,8 +176,9 @@ func prefixEnd(lineEnds []int64, n int) int64 {
 }
 
 // TestBitFlipEveryByte flips one bit in every byte of the journal in turn.
-// Whatever the corruption, the reader must return a prefix of the original
-// records — no error, no phantom or reordered decisions.
+// Whatever the corruption, the scanner must return a prefix of the original
+// records — no error, no phantom or reordered decisions — and Open must
+// either stand on that prefix or refuse a corrupt head.
 func TestBitFlipEveryByte(t *testing.T) {
 	path, data := writeSample(t, 4)
 	full, err := ReadFile(path)
@@ -166,6 +207,23 @@ func TestBitFlipEveryByte(t *testing.T) {
 					t.Fatalf("flip at %d: record %d is a phantom: %+v", off, i, rec)
 				}
 			}
+			// Open agrees with the scanner — except when the flip hit the
+			// first record: complete lines but no valid head is corruption,
+			// refused with the evidence left in place.
+			w, recs, err := openCollect(t, p, Config{})
+			if len(scan.Records) == 0 {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("flip at %d: Open over a corrupt head: err = %v, want ErrCorrupt", off, err)
+				}
+				if after, _ := os.ReadFile(p); !bytes.Equal(after, mut) {
+					t.Fatalf("flip at %d: refused Open modified the file", off)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("flip at %d: Open: %v", off, err)
+			}
+			checkOpened(t, p, mut, scan, w, recs)
 		}
 	}
 }
@@ -178,15 +236,12 @@ func TestOpenAppendRepairsTornTail(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, scan, err := OpenAppend(path)
+	w, recs, err := OpenAppend(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !scan.Torn {
-		t.Fatal("torn tail not detected")
-	}
-	if len(scan.Records) != 2 {
-		t.Fatalf("recovered %d records, want 2", len(scan.Records))
+	if len(recs) != 2 || w.Seq() != 2 {
+		t.Fatalf("recovered %d records to seq %d, want 2", len(recs), w.Seq())
 	}
 	if err := w.Append(TypeDone, payload{N: 99}); err != nil {
 		t.Fatal(err)
@@ -210,6 +265,46 @@ func TestOpenAppendRepairsTornTail(t *testing.T) {
 	}
 }
 
+// TestOpenFreshJournal: a missing file, an empty one and half a first record
+// are all the same fresh journal — sequence 0, apply never called, the first
+// append is record 1 — while a complete line that is no record is refused.
+func TestOpenFreshJournal(t *testing.T) {
+	_, data := writeSample(t, 1)
+	for name, content := range map[string][]byte{"missing": nil, "empty": {}, "half a first record": data[:len(data)/2]} {
+		path := filepath.Join(t.TempDir(), "fresh.journal")
+		if content != nil {
+			if err := os.WriteFile(path, content, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w, recs, err := openCollect(t, path, Config{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(recs) != 0 || w.Seq() != 0 {
+			t.Fatalf("%s: replayed %d records to seq %d, want a fresh journal", name, len(recs), w.Seq())
+		}
+		if err := w.Append(TypeStart, payload{N: 1}); err != nil {
+			t.Fatalf("%s: first append: %v", name, err)
+		}
+		w.Close()
+		if scan, err := ReadFile(path); err != nil || len(scan.Records) != 1 || scan.Torn {
+			t.Fatalf("%s: after the first append: %+v, %v", name, scan, err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "corrupt.journal")
+	garbage := []byte("not a journal\n")
+	if err := os.WriteFile(path, garbage, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := openCollect(t, path, Config{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("complete garbage line: err = %v, want ErrCorrupt", err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, garbage) {
+		t.Fatal("refused Open modified the file")
+	}
+}
+
 // TestSequenceGapStopsScan: a record with a skipped sequence number (e.g. a
 // line from another journal spliced in with a valid CRC) must end the prefix.
 func TestSequenceGapStopsScan(t *testing.T) {
@@ -230,6 +325,11 @@ func TestSequenceGapStopsScan(t *testing.T) {
 	if !scan.Torn {
 		t.Fatal("gap not reported as torn")
 	}
+	w, recs, err := openCollect(t, path, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOpened(t, path, spliced, scan, w, recs)
 }
 
 // FuzzReadPrefix feeds arbitrary bytes to the reader: it must never panic,

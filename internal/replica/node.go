@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -59,41 +60,25 @@ const NodeJournalName = "replica.journal"
 // was observed in the meantime — in which case it comes back *fenced* and
 // refuses writes until promoted with a fresh fence token.
 func OpenNode(id string, path string, role Role, fs faultfs.FS) (*Node, error) {
-	if fs == nil {
-		fs = faultfs.OS
-	}
 	if role != RolePrimary && role != RoleStandby {
 		return nil, fmt.Errorf("replica: unknown role %q", role)
 	}
 	n := &Node{id: id, path: path, role: role}
-	cfg := journal.Config{FS: fs}
-	if f, err := fs.Open(path); err == nil {
-		f.Close()
-		w, scan, oerr := journal.OpenAppendWith(path, cfg)
-		if oerr != nil {
-			return nil, fmt.Errorf("replica: opening epoch journal: %w", oerr)
+	w, err := journal.Open(context.TODO(), path, journal.Config{FS: fs}, func(rec journal.Record) error {
+		var p epochPayload
+		if err := rec.Decode(&p); err != nil {
+			return err
 		}
-		n.w = w
-		for _, rec := range scan.Records {
-			var p epochPayload
-			if err := rec.Decode(&p); err != nil {
-				w.Close()
-				return nil, err
-			}
-			if p.Epoch > n.seen {
-				n.seen = p.Epoch
-			}
-			if p.Action == "grant" && p.Epoch > n.grant {
-				n.grant = p.Epoch
-			}
+		n.seen = max(n.seen, p.Epoch)
+		if p.Action == "grant" {
+			n.grant = max(n.grant, p.Epoch)
 		}
-	} else {
-		w, cerr := journal.CreateWith(path, cfg)
-		if cerr != nil {
-			return nil, fmt.Errorf("replica: creating epoch journal: %w", cerr)
-		}
-		n.w = w
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("replica: opening epoch journal: %w", err)
 	}
+	n.w = w
 	if role == RolePrimary && n.seen == 0 {
 		// First boot as primary: grant epoch 1. A restarting primary keeps
 		// its journaled grant; one that was demoted while down (an observe
@@ -110,9 +95,6 @@ func OpenNode(id string, path string, role Role, fs faultfs.FS) (*Node, error) {
 
 func (n *Node) appendLocked(p epochPayload) error {
 	if err := n.w.Append(TypeEpoch, p); err != nil {
-		if rerr := n.w.Repair(); rerr != nil {
-			return fmt.Errorf("replica: epoch journal append (repair also failed: %v): %w", rerr, err)
-		}
 		return fmt.Errorf("replica: epoch journal append: %w", err)
 	}
 	return nil

@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -22,7 +21,7 @@ type DigestFunc func(ctx context.Context) (*LogDigest, error)
 
 // SyncError is the typed failure of a synchronous commit: no follower
 // acknowledged the record within the timeout. The journal append that
-// carried the record fails, and the caller's Repair truncates it — the
+// carried the record fails, and the journal truncates it away — the
 // record never happened as far as clients are concerned. (If a follower
 // applied the frame but its ack was lost, the mirror runs one record
 // ahead; the divergence detector reports it rather than letting it fester.)
@@ -112,23 +111,17 @@ type plog struct {
 	dig    *LogDigest // latest digest the digest loop computed
 }
 
-// cursor remembers where a peer's next frame read starts: the byte offset
-// of the record carrying sequence next. Committed journal bytes are
-// immutable (Repair only ever truncates uncommitted tails), so a cursor
-// only goes stale when a shipment fails mid-flight — then it rewinds to
-// the start and re-skips, the rare-path price for O(new bytes) shipping
-// on the common path.
-type cursor struct {
-	next int
-	off  int64
-}
-
-// peer is one standby from the primary's point of view.
+// peer is one standby from the primary's point of view. cursors remembers
+// where each log's next frame read starts, so shipping costs O(new bytes):
+// committed journal bytes are immutable (only uncommitted tails are ever
+// truncated), so a cursor goes stale only when a shipment fails mid-flight or
+// a sync-mode record it read is rolled back — then it rewinds to the start
+// and re-skips, the rare-path price.
 type peer struct {
 	t          Transport
 	wake       chan struct{}
 	acked      map[string]int
-	cursors    map[string]*cursor
+	cursors    map[string]journal.Cursor
 	sentDigest map[string]int // last digest seq shipped per log
 	lastErr    string
 	fails      int
@@ -182,7 +175,7 @@ func NewPrimary(opts PrimaryOptions) (*Primary, error) {
 			t:          t,
 			wake:       make(chan struct{}, 1),
 			acked:      make(map[string]int),
-			cursors:    make(map[string]*cursor),
+			cursors:    make(map[string]journal.Cursor),
 			sentDigest: make(map[string]int),
 		})
 	}
@@ -465,18 +458,13 @@ func (p *Primary) buildRequest(pr *peer) (*ShipRequest, error) {
 		path  string
 		from  int // first sequence to ship
 		tail  int
-		cur   cursor
+		cur   journal.Cursor
 		dig   *LogDigest
 		sentD int
 	}
 	var wants []want
 	for name, pl := range p.logs {
-		w := want{log: name, path: pl.path, from: pr.acked[name] + 1, tail: pl.tail, sentD: pr.sentDigest[name]}
-		if c := pr.cursors[name]; c != nil {
-			w.cur = *c
-		} else {
-			w.cur = cursor{next: 1}
-		}
+		w := want{log: name, path: pl.path, from: pr.acked[name] + 1, tail: pl.tail, cur: pr.cursors[name], sentD: pr.sentDigest[name]}
 		if pl.dig != nil && pl.dig.Seq > w.sentD {
 			w.dig = pl.dig
 		}
@@ -503,11 +491,11 @@ func (p *Primary) buildRequest(pr *peer) (*ShipRequest, error) {
 			continue
 		}
 		cur := w.cur
-		if cur.next > w.from {
+		if cur.Next > w.from {
 			// A failed shipment left the cursor past the ack point: rewind
 			// and re-skip from the start (committed bytes are immutable, so
 			// this is safe, just slower).
-			cur = cursor{next: 1}
+			cur = journal.Cursor{}
 		}
 		frames, nc, err := readFrames(p.fs, w.path, w.log, cur, w.from, w.tail, budget)
 		if err != nil {
@@ -519,7 +507,7 @@ func (p *Primary) buildRequest(pr *peer) (*ShipRequest, error) {
 		budget -= len(frames)
 		req.Frames = append(req.Frames, frames...)
 		p.mu.Lock()
-		pr.cursors[w.log] = &nc
+		pr.cursors[w.log] = nc
 		p.mu.Unlock()
 	}
 	if len(req.Frames) == 0 && len(req.Digests) == 0 {
@@ -528,39 +516,28 @@ func (p *Primary) buildRequest(pr *peer) (*ShipRequest, error) {
 	return req, firstErr
 }
 
-// readFrames scans the journal file from cur (the offset of record
-// cur.next), collecting frames with from <= seq <= maxSeq, at most max of
-// them. It returns the frames and the advanced cursor.
-func readFrames(fs faultfs.FS, path, log string, cur cursor, from, maxSeq, max int) ([]Frame, cursor, error) {
-	data, err := fs.ReadFile(path)
+// readFrames iterates the journal file from cur, collecting frames with
+// from <= seq <= maxSeq, at most max of them. It returns the frames and the
+// advanced cursor.
+func readFrames(fs faultfs.FS, path, log string, cur journal.Cursor, from, maxSeq, max int) ([]Frame, journal.Cursor, error) {
+	it, err := journal.RecordsIn(context.Background(), fs, path, cur)
 	if err != nil {
 		return nil, cur, err
 	}
-	if cur.off > int64(len(data)) || cur.next < 1 {
-		cur = cursor{next: 1}
-	}
+	defer it.Close()
 	var frames []Frame
-	off := cur.off
-	want := cur.next
-	for off < int64(len(data)) && len(frames) < max && want <= maxSeq {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // torn tail: not committed, never shipped
+	for len(frames) < max && it.LastSeq() < maxSeq {
+		if !it.Next() {
+			// The tail promised records the file does not hold from here: a
+			// torn tail pending repair, or a cursor gone stale after a
+			// rollback. Rewind so the next build rescans.
+			return frames, journal.Cursor{}, it.Err()
 		}
-		line := data[off : off+int64(nl)]
-		rec, ok := journal.ParseLine(line, want)
-		if !ok {
-			// Either a torn tail pending repair, or the cursor is stale
-			// after a truncation race; rewind so the next build rescans.
-			return frames, cursor{next: 1}, nil
+		if seq := it.LastSeq(); seq >= from {
+			frames = append(frames, Frame{Log: log, Seq: seq, Line: it.Line()})
 		}
-		if rec.Seq >= from {
-			frames = append(frames, Frame{Log: log, Seq: rec.Seq, Line: append([]byte(nil), line...)})
-		}
-		off += int64(nl) + 1
-		want++
 	}
-	return frames, cursor{next: want, off: off}, nil
+	return frames, it.Cursor(), nil
 }
 
 // admit merges a successful response: per-log acks advance, divergence

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -406,7 +407,7 @@ func TestSyncCommitFailsAndRepairsWithoutFollower(t *testing.T) {
 // intentDigest reads the pending release intent recorded in a WAL.
 func intentDigest(t *testing.T, path string) (string, int) {
 	t.Helper()
-	it, err := journal.RecordsIn(context.Background(), faultfs.OS, path)
+	it, err := journal.RecordsIn(context.Background(), faultfs.OS, path, journal.Cursor{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -699,5 +700,110 @@ func TestStandbyRejectsGapsAndCorruptFrames(t *testing.T) {
 	}
 	if _, ok := resp.Acked["stream/../evil"]; ok {
 		t.Fatal("standby acked a path-escaping log name")
+	}
+}
+
+// cutsOfLastRecord returns the journal at path cut at every byte offset of
+// its last record: cuts[0] is the clean prefix (the record entirely
+// missing), the rest end inside the record.
+func cutsOfLastRecord(t *testing.T, path string) [][]byte {
+	t.Helper()
+	data, err := faultfs.OS.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := bytes.LastIndexByte(data[:len(data)-1], '\n') + 1
+	var cuts [][]byte
+	for cut := prefix; cut < len(data); cut++ {
+		cuts = append(cuts, data[:cut])
+	}
+	return cuts
+}
+
+// The epoch-node row of the journal conformance suite: a crash that cuts the
+// last epoch record anywhere leaves the node exactly where the record before
+// it put it — here, a primary demoted by an observed epoch 3 whose
+// re-promotion to 4 never committed comes back fenced at 1/3, every time.
+func TestNodeEpochJournalAtEveryCutOfLastRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), NodeJournalName)
+	n, err := OpenNode("n1", path, RolePrimary, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Observe(3, "test"); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Promote(4); err != nil {
+		t.Fatal(err)
+	}
+	n.Close()
+	for i, cut := range cutsOfLastRecord(t, path) {
+		if err := os.WriteFile(path, cut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		n, err := OpenNode("n1", path, RolePrimary, nil)
+		if err != nil {
+			t.Fatalf("cut %d: %v", i, err)
+		}
+		if n.Granted() != 1 || n.Epoch() != 3 || !IsFenced(n.FenceCheck()) {
+			t.Fatalf("cut %d: node at %d/%d fence %v, want fenced at 1/3", i, n.Granted(), n.Epoch(), n.FenceCheck())
+		}
+		if err := n.Promote(4); err != nil {
+			t.Fatalf("cut %d: promoting over the repaired journal: %v", i, err)
+		}
+		n.Close()
+	}
+}
+
+// The standby-mirror row: a standby that crashed while a shipped frame was
+// landing restarts with the mirror at the last whole record — ack, follower
+// and file all on the clean prefix — and takes the frame again.
+func TestStandbyRecoverAtEveryCutOfLastRecord(t *testing.T) {
+	ctx := context.Background()
+	c := newCluster(t, false, nil)
+	s := c.openStream(ctx, "trades")
+	defer s.Close(ctx)
+	if _, err := s.Append(ctx, "b1", testRows(0, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Append(ctx, "b2", testRows(4, 4)); err != nil {
+		t.Fatal(err)
+	}
+	c.waitCaughtUp()
+	c.standby.Close()
+	c.primary.Close()
+
+	mirror := filepath.Join(c.mirrorDir, "trades.wal")
+	cuts := cutsOfLastRecord(t, mirror)
+	whole, err := faultfs.OS.ReadFile(mirror)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := Frame{Log: "stream/trades", Seq: 3, Line: whole[len(cuts[0]) : len(whole)-1]}
+	for i, cut := range cuts {
+		if err := os.WriteFile(mirror, cut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sb, err := NewStandby(c.standby.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sb.Recover(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if fol := sb.Follower("stream/trades"); fol == nil || fol.Seq() != 2 || fol.Status(ctx).Rows != 4 {
+			t.Fatalf("cut %d: recovered follower %+v, want seq 2 over 4 rows", i, fol)
+		}
+		resp, err := sb.HandleShip(ctx, &ShipRequest{Primary: "p1", Epoch: 1, Frames: []Frame{last}})
+		if err != nil || resp.Acked["stream/trades"] != 3 {
+			t.Fatalf("cut %d: re-shipping the torn frame: %+v, %v", i, resp, err)
+		}
+		if rows := sb.Follower("stream/trades").Status(ctx).Rows; rows != 8 {
+			t.Fatalf("cut %d: follower holds %d rows after the re-ship, want 8", i, rows)
+		}
+		sb.Close()
+		if after, _ := faultfs.OS.ReadFile(mirror); !bytes.Equal(after, whole) {
+			t.Fatalf("cut %d: mirror differs from the primary's bytes after the re-ship", i)
+		}
 	}
 }

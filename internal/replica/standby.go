@@ -3,7 +3,6 @@ package replica
 import (
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -56,8 +55,7 @@ type flog struct {
 	id       string // bare name
 	root     string
 	path     string
-	f        faultfs.File
-	seq      int // last durable, contiguous sequence
+	w        *journal.Writer // w.Seq() is the last durable, contiguous sequence
 	follower *stream.Follower
 	// materialized is the release sequence whose file was last regenerated
 	// next to the mirror (release files do not ship; see materializeLocked).
@@ -151,8 +149,8 @@ func (sb *Standby) Recover(ctx context.Context) error {
 	return nil
 }
 
-// openLogLocked opens (or creates) the mirrored file for one log,
-// scanning it for the durable sequence floor and repairing torn tails,
+// openLogLocked opens (or creates) the mirrored journal for one log —
+// journal.Open finds the durable sequence floor and drops a torn tail —
 // then attaches a follower when the namespace calls for one.
 func (sb *Standby) openLogLocked(ctx context.Context, rootName, id string) (*flog, error) {
 	root, ok := sb.opts.Roots[rootName]
@@ -163,49 +161,11 @@ func (sb *Standby) openLogLocked(ctx context.Context, rootName, id string) (*flo
 		return nil, fmt.Errorf("replica: invalid log name %q", id)
 	}
 	fl := &flog{name: rootName + "/" + id, id: id, root: rootName, path: filepath.Join(root.Dir, id+root.Ext)}
-	if _, err := sb.fs.ReadFile(fl.path); err == nil {
-		it, err := journal.RecordsIn(ctx, sb.fs, fl.path)
-		if err != nil {
-			return nil, err
-		}
-		for it.Next() {
-		}
-		if err := it.Err(); err != nil {
-			it.Close()
-			return nil, err
-		}
-		valid, seq, torn := it.Valid(), it.LastSeq(), it.Torn()
-		it.Close()
-		f, err := sb.fs.OpenFile(fl.path, os.O_WRONLY, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		if torn {
-			if err := f.Truncate(valid); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("replica: truncating torn mirror tail: %w", err)
-			}
-			if err := f.Sync(); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("replica: syncing mirror repair: %w", err)
-			}
-		}
-		if _, err := f.Seek(valid, 0); err != nil {
-			f.Close()
-			return nil, err
-		}
-		fl.f, fl.seq = f, seq
-	} else {
-		f, err := sb.fs.OpenFile(fl.path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("replica: creating mirror: %w", err)
-		}
-		if dir, derr := sb.fs.Open(root.Dir); derr == nil {
-			dir.Sync()
-			dir.Close()
-		}
-		fl.f = f
+	w, err := journal.Open(ctx, fl.path, journal.Config{FS: sb.fs}, nil)
+	if err != nil {
+		return nil, fmt.Errorf("replica: opening mirror: %w", err)
 	}
+	fl.w = w
 	sb.attachFollowerLocked(ctx, fl)
 	return fl, nil
 }
@@ -215,7 +175,7 @@ func (sb *Standby) openLogLocked(ctx context.Context, rootName, id string) (*flo
 // the next shipment — but it is loud, because without a follower there is
 // no divergence detection and no read-only serving for that log.
 func (sb *Standby) attachFollowerLocked(ctx context.Context, fl *flog) {
-	if fl.follower != nil || fl.root != sb.opts.FollowRoot || sb.opts.OpenFollower == nil || fl.seq == 0 {
+	if fl.follower != nil || fl.root != sb.opts.FollowRoot || sb.opts.OpenFollower == nil || fl.w.Seq() == 0 {
 		return
 	}
 	fol, err := sb.opts.OpenFollower(ctx, fl.id, fl.path)
@@ -297,7 +257,7 @@ func (sb *Standby) HandleShip(ctx context.Context, req *ShipRequest) (*ShipRespo
 	// Ack every known log, not just the touched ones: a primary that
 	// restarted learns its peers' positions from the first response.
 	for name, fl := range sb.logs {
-		resp.Acked[name] = fl.seq
+		resp.Acked[name] = fl.w.Seq()
 		if fl.diverged {
 			resp.Diverged = append(resp.Diverged, name)
 		}
@@ -322,49 +282,28 @@ func (sb *Standby) logLocked(ctx context.Context, name string) (*flog, error) {
 	return fl, nil
 }
 
-// applyFramesLocked validates, appends and fsyncs one log's frames, then
-// replays the accepted records into the follower. Duplicates (seq at or
-// below the durable floor) are skipped; a gap or a corrupt frame stops
-// the log's batch — nothing past it is acked, and the primary re-ships
-// from the ack point.
+// applyFramesLocked makes one log's frames durable — the journal validates
+// each line, writes the lot and fsyncs once — then replays the accepted
+// records into the follower. Duplicates (seq at or below the durable floor)
+// are skipped; a gap or a corrupt frame stops the log's batch — nothing past
+// it is acked, and the primary re-ships from the ack point.
 func (sb *Standby) applyFramesLocked(ctx context.Context, fl *flog, frames []Frame) {
-	var accepted []journal.Record
-	var buf []byte
-	next := fl.seq + 1
+	var lines [][]byte
 	for _, fr := range frames {
-		if fr.Seq <= fl.seq {
-			continue // duplicate delivery: already durable
+		if fr.Seq > fl.w.Seq() { // else duplicate delivery: already durable
+			lines = append(lines, fr.Line)
 		}
-		if fr.Seq != next {
-			fl.lastErr = fmt.Sprintf("gap: frame %d after %d", fr.Seq, next-1)
-			break
-		}
-		rec, ok := journal.ParseLine(fr.Line, fr.Seq)
-		if !ok {
-			fl.lastErr = fmt.Sprintf("corrupt frame at seq %d", fr.Seq)
-			sb.logf("replica: %s: rejecting corrupt frame at seq %d", fl.name, fr.Seq)
-			break
-		}
-		buf = append(buf, fr.Line...)
-		buf = append(buf, '\n')
-		accepted = append(accepted, rec)
-		next++
+	}
+	accepted, err := fl.w.AppendFrames(lines)
+	if err != nil {
+		fl.lastErr = err.Error()
+		sb.logf("replica: %s: %v", fl.name, err)
+	} else if len(accepted) > 0 {
+		fl.lastErr = ""
 	}
 	if len(accepted) == 0 {
 		return
 	}
-	if _, err := fl.f.Write(buf); err != nil {
-		fl.lastErr = err.Error()
-		sb.repairLocked(ctx, fl)
-		return
-	}
-	if err := fl.f.Sync(); err != nil {
-		fl.lastErr = err.Error()
-		sb.repairLocked(ctx, fl)
-		return
-	}
-	fl.seq = accepted[len(accepted)-1].Seq
-	fl.lastErr = ""
 	sb.frames += int64(len(accepted))
 
 	if fl.follower == nil {
@@ -387,32 +326,13 @@ func (sb *Standby) applyFramesLocked(ctx context.Context, fl *flog, frames []Fra
 	}
 }
 
-// repairLocked truncates a mirrored file back to its durable floor after
-// a failed append, reopening the handle — the mirror-side analogue of
-// journal.Writer.Repair.
-func (sb *Standby) repairLocked(ctx context.Context, fl *flog) {
-	fl.f.Close()
-	name, id, root := fl.name, fl.id, fl.root
-	reopened, err := sb.openLogLocked(ctx, root, id)
-	if err != nil {
-		sb.logf("replica: repairing mirror %s: %v", name, err)
-		delete(sb.logs, name)
-		return
-	}
-	if fl.follower != nil && reopened.follower == nil {
-		reopened.follower = fl.follower
-	}
-	reopened.diverged = fl.diverged
-	sb.logs[name] = reopened
-}
-
 // checkDigestLocked compares a primary digest against the local replay
 // state. Only an exact sequence match is comparable; a mismatch at the
 // same sequence is divergence and is sticky until an operator rebuilds
 // the mirror.
 func (sb *Standby) checkDigestLocked(ctx context.Context, d LogDigest) {
 	fl, ok := sb.logs[d.Log]
-	if !ok || fl.follower == nil || fl.seq != d.Seq {
+	if !ok || fl.follower == nil || fl.w.Seq() != d.Seq {
 		return
 	}
 	got, err := fl.follower.Digest(ctx)
@@ -507,10 +427,7 @@ func (sb *Standby) closeLogsLocked() {
 			fl.follower.Close()
 			fl.follower = nil
 		}
-		if fl.f != nil {
-			fl.f.Close()
-			fl.f = nil
-		}
+		fl.w.Close()
 	}
 }
 
@@ -546,7 +463,7 @@ func (sb *Standby) Status() StandbyStatus {
 	for _, name := range names {
 		fl := sb.logs[name]
 		st.Logs = append(st.Logs, LogStatus{
-			Name: name, Seq: fl.seq, Follower: fl.follower != nil,
+			Name: name, Seq: fl.w.Seq(), Follower: fl.follower != nil,
 			Diverged: fl.diverged, LastError: fl.lastErr,
 		})
 		if fl.diverged {

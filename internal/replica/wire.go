@@ -34,8 +34,8 @@ import (
 
 // Frame is one replicated journal record: the exact framed line bytes the
 // primary's journal committed (CRC-32C prefix, no trailing newline). The
-// standby re-validates the frame with journal.ParseLine before appending
-// it, so corruption in transit can never enter a mirrored WAL.
+// standby's journal.Writer.AppendFrames re-validates the frame before
+// appending it, so corruption in transit can never enter a mirrored WAL.
 type Frame struct {
 	// Log names the journal the frame belongs to, as "<root>/<name>" —
 	// e.g. "stream/trades" or "jobs/j-01HX...". The standby maps roots to

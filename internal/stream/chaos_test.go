@@ -380,3 +380,119 @@ func chaosRun(t *testing.T, seed int64, rounds int) {
 		t.Fatalf("journal shows %d published releases, client acked %d", len(pubs), model.released)
 	}
 }
+
+// cutsOfLastRecord returns the journal cut at every byte offset of its last
+// record: cuts[0] is the clean prefix (the record entirely missing), the
+// rest end inside the record, up to one byte short of its newline.
+func cutsOfLastRecord(t *testing.T, path string) [][]byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := bytes.LastIndexByte(data[:len(data)-1], '\n') + 1
+	var cuts [][]byte
+	for cut := prefix; cut < len(data); cut++ {
+		cuts = append(cuts, data[:cut])
+	}
+	return cuts
+}
+
+// The stream and follower rows of the journal conformance suite: wherever a
+// crash cuts the last record, a reopened stream and a follower over the same
+// bytes stand exactly where the clean prefix puts them — and the stream
+// goes on to accept the batch again.
+func TestChaosReopenAtEveryCutOfLastRecord(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "tst.wal")
+	s := openTest(t, dir, testOptions())
+	if _, err := s.Append(ctx, "b1", testRows(0, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Append(ctx, "b2", testRows(4, 4)); err != nil {
+		t.Fatal(err)
+	}
+	kill(s)
+
+	var want *Digest
+	for i, cut := range cutsOfLastRecord(t, path) {
+		if err := os.WriteFile(path, cut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fol, err := OpenFollower(ctx, "tst", path, testOptions())
+		if err != nil {
+			t.Fatalf("cut %d: follower: %v", i, err)
+		}
+		fd, err := fol.Digest(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fol.Close()
+		s := openTest(t, dir, testOptions())
+		sd, err := s.Digest(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = sd
+			if want.Rows != 4 || want.Seq != 2 {
+				t.Fatalf("clean prefix digest %+v, want 4 rows at seq 2", want)
+			}
+		}
+		if !sd.Equal(want) || !fd.Equal(want) {
+			t.Fatalf("cut %d: stream %+v / follower %+v, clean prefix %+v", i, sd, fd, want)
+		}
+		if res, err := s.Append(ctx, "b2", testRows(4, 4)); err != nil || res.Duplicate {
+			t.Fatalf("cut %d: re-appending the lost batch: %+v, %v", i, res, err)
+		}
+		kill(s)
+	}
+}
+
+// A crash between creating <id>.wal and committing its create record — the
+// file empty, or holding half the record — acknowledged nothing, so the id
+// must stay usable: the next Open starts the stream over. A first line that
+// is complete but not a record is something else entirely, and Open refuses
+// to start a fresh window over it.
+func TestChaosCrashInFirstAppendDoesNotBrickID(t *testing.T) {
+	ctx := context.Background()
+	donor := t.TempDir()
+	kill(openTest(t, donor, testOptions()))
+	create, err := os.ReadFile(filepath.Join(donor, "tst.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, content := range map[string][]byte{"empty file": {}, "half a create record": create[:len(create)/2]} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "tst.wal")
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(ctx, "tst", path, testOptions())
+		if err != nil {
+			t.Fatalf("%s: the id is bricked: %v", name, err)
+		}
+		if _, err := s.Append(ctx, "b1", testRows(0, 4)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		kill(s)
+		s = openTest(t, dir, testOptions())
+		if st := s.Status(ctx); st.Rows != 4 || st.Batches != 1 {
+			t.Fatalf("%s: recovered window %+v", name, st)
+		}
+		s.Close(ctx)
+	}
+
+	path := filepath.Join(t.TempDir(), "tst.wal")
+	garbage := []byte("00000000 {\"seq\":1}\n")
+	if err := os.WriteFile(path, garbage, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(ctx, "tst", path, testOptions()); !errors.Is(err, journal.ErrCorrupt) {
+		t.Fatalf("corrupt first line: err = %v, want journal.ErrCorrupt", err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, garbage) {
+		t.Fatal("refused Open modified the journal")
+	}
+}

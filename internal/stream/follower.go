@@ -63,7 +63,7 @@ func OpenFollower(ctx context.Context, id, path string, opts Options) (*Follower
 		s.fs = faultfs.OS
 	}
 	f := &Follower{s: s}
-	it, err := journal.RecordsIn(ctx, s.fs, path)
+	it, err := journal.RecordsIn(ctx, s.fs, path, journal.Cursor{})
 	if err != nil {
 		return nil, fmt.Errorf("stream %s: opening follower: %w", id, err)
 	}

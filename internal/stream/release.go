@@ -130,16 +130,14 @@ func (s *Stream) gate(ctx context.Context) error {
 		}
 		if err := s.w.Append(recAnon, p); err != nil {
 			// Unwind the whole iteration: restore the suppressed values in
-			// reverse, put the null allocator back so the next attempt mints
-			// the same ids, repair the journal tail. The index never saw the
-			// mutation, so state is exactly pre-iteration.
+			// reverse and put the null allocator back so the next attempt
+			// mints the same ids (the journal left no trace of the record).
+			// The index never saw the mutation, so state is exactly
+			// pre-iteration.
 			for i := len(steps) - 1; i >= 0; i-- {
 				s.d.Rows[steps[i].pos].Values[steps[i].attr] = steps[i].old
 			}
 			s.d.Nulls = saved
-			if rerr := s.w.Repair(); rerr != nil {
-				s.logf("stream %s: repairing journal after failed anon append: %v", s.id, rerr)
-			}
 			return err
 		}
 		s.pendSupp += len(decs)
@@ -187,24 +185,12 @@ func (s *Stream) orderRisky(risky []int) {
 // appendIntent journals the release declaration. It must precede the
 // matching appendPublish — the streamfence vet pass enforces the pairing.
 func (s *Stream) appendIntent(p intentPayload) error {
-	if err := s.w.Append(recIntent, p); err != nil {
-		if rerr := s.w.Repair(); rerr != nil {
-			s.logf("stream %s: repairing journal after failed intent append: %v", s.id, rerr)
-		}
-		return err
-	}
-	return nil
+	return s.w.Append(recIntent, p)
 }
 
 // appendPublish journals the publication commit point.
 func (s *Stream) appendPublish(p publishPayload) error {
-	if err := s.w.Append(recPublish, p); err != nil {
-		if rerr := s.w.Repair(); rerr != nil {
-			s.logf("stream %s: repairing journal after failed publish append: %v", s.id, rerr)
-		}
-		return err
-	}
-	return nil
+	return s.w.Append(recPublish, p)
 }
 
 // completePending fulfils the journaled intent: regenerate the promised
@@ -307,9 +293,6 @@ func (s *Stream) Ack(ctx context.Context, seq int) error {
 		return fmt.Errorf("stream: no published release %d to ack", seq)
 	}
 	if err := s.w.Append(recAck, ackPayload{Release: seq}); err != nil {
-		if rerr := s.w.Repair(); rerr != nil {
-			s.logf("stream %s: repairing journal after failed ack append: %v", s.id, rerr)
-		}
 		return err
 	}
 	s.published = nil

@@ -24,7 +24,7 @@ type Info struct {
 // recovering server to rebuild the stream's Options (the risk measure lives
 // in Meta) before calling Open, without replaying the whole WAL.
 func Peek(ctx context.Context, fsys faultfs.FS, path string) (*Info, error) {
-	it, err := journal.RecordsIn(ctx, fsys, path)
+	it, err := journal.RecordsIn(ctx, fsys, path, journal.Cursor{})
 	if err != nil {
 		return nil, err
 	}
@@ -54,20 +54,11 @@ func Peek(ctx context.Context, fsys faultfs.FS, path string) (*Info, error) {
 	return &Info{ID: p.Stream, Attrs: attrs, Threshold: p.Threshold, Semantics: sem, Meta: p.Meta}, nil
 }
 
-// reopen replays the journal record by record — through the same apply
-// functions the live paths use, which is what makes the recovered window
-// bit-identical to the crashed one — then completes any release caught
-// between its intent and publish records.
-func (s *Stream) reopen(ctx context.Context, cfg journal.Config) (*Stream, error) {
-	w, n, err := journal.OpenAppendStream(ctx, s.path, cfg, s.replay)
-	if err != nil {
-		return nil, fmt.Errorf("stream %s: recovering: %w", s.id, err)
-	}
-	if n == 0 || s.d == nil {
-		w.Close()
-		return nil, fmt.Errorf("stream %s: journal holds no create record", s.id)
-	}
-	s.w = w
+// recovered finishes a reopen. journal.Open has replayed the WAL record by
+// record through the same apply functions the live paths use — which is what
+// makes the recovered window bit-identical to the crashed one; what is left
+// is to complete any release caught between its intent and publish records.
+func (s *Stream) recovered(ctx context.Context) (*Stream, error) {
 	s.initAssessor()
 	if s.pending != nil {
 		// Crash between intent and publish: the intent promised specific

@@ -122,7 +122,7 @@ type Options struct {
 	// framed line, newline stripped) after the local fsync but before the
 	// commit point advances. The replication layer installs its shipper
 	// here; in synchronous mode the hook's error fails the append and the
-	// stream's normal Repair path truncates the unreplicated record.
+	// journal truncates the unreplicated record away.
 	OnAppend func(seq int, line []byte) error
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
@@ -274,11 +274,11 @@ type Stream struct {
 	idxCharged int64
 }
 
-// Open opens the stream journaled at path, creating it if the journal does
-// not exist yet, or replaying it to the pre-crash state if it does. id
-// names the stream (it must match the journaled name on reopen); a release
-// interrupted between its intent and publish records is completed before
-// Open returns.
+// Open opens the stream journaled at path, creating it if the journal is
+// fresh (missing, or cut short inside its very first append — see package
+// journal), or replaying it to the pre-crash state otherwise. id names the
+// stream (it must match the journaled name on reopen); a release interrupted
+// between its intent and publish records is completed before Open returns.
 func Open(ctx context.Context, id, path string, opts Options) (*Stream, error) {
 	if opts.Assessor == nil {
 		return nil, fmt.Errorf("stream: Options.Assessor is required")
@@ -299,31 +299,36 @@ func Open(ctx context.Context, id, path string, opts Options) (*Stream, error) {
 		s.fs = faultfs.OS
 	}
 	cfg := journal.Config{FS: s.fs, DiskHeadroom: opts.DiskHeadroom, OnAppend: opts.OnAppend}
-
-	if probe, err := s.fs.Open(path); err == nil {
-		probe.Close()
-		return s.reopen(ctx, cfg)
-	}
-	// Fresh stream: the create record is the schema's durability point.
-	if len(opts.Attrs) == 0 {
-		return nil, fmt.Errorf("stream: Options.Attrs is required to create a stream")
-	}
-	s.d = mdb.NewDataset(id, opts.Attrs)
-	if len(s.d.QuasiIdentifiers()) == 0 {
-		return nil, fmt.Errorf("stream: schema has no quasi-identifiers to anonymize")
-	}
-	w, err := journal.CreateWith(path, cfg)
+	w, err := journal.Open(ctx, path, cfg, s.replay)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("stream %s: opening journal: %w", id, err)
 	}
 	s.w = w
-	if err := w.Append(recCreate, makeCreatePayload(id, opts)); err != nil {
+	if w.Seq() > 0 {
+		return s.recovered(ctx)
+	}
+	// Fresh journal — a new id, or one whose first append a crash cut short
+	// before anything was acknowledged: the create record is the schema's
+	// durability point.
+	if err := s.create(); err != nil {
 		w.Close()
 		s.fs.Remove(path)
 		return nil, err
 	}
 	s.initAssessor()
 	return s, nil
+}
+
+// create journals the stream definition as the first record.
+func (s *Stream) create() error {
+	if len(s.opts.Attrs) == 0 {
+		return fmt.Errorf("stream: Options.Attrs is required to create a stream")
+	}
+	s.d = mdb.NewDataset(s.id, s.opts.Attrs)
+	if len(s.d.QuasiIdentifiers()) == 0 {
+		return fmt.Errorf("stream: schema has no quasi-identifiers to anonymize")
+	}
+	return s.w.Append(recCreate, makeCreatePayload(s.id, s.opts))
 }
 
 // initAssessor resolves whether the measure supports the incremental path.
@@ -401,9 +406,6 @@ func (s *Stream) Append(ctx context.Context, batchID string, rows [][]string) (*
 	// Write-ahead ack: the journal append is the commit point.
 	if err := s.w.Append(recBatch, batchPayload{BatchID: batchID, Rows: rows}); err != nil {
 		s.gov.Release(govern.Memory, bytes)
-		if rerr := s.w.Repair(); rerr != nil {
-			s.logf("stream %s: repairing journal after failed batch append: %v", s.id, rerr)
-		}
 		return nil, err
 	}
 	s.memCharged += bytes
@@ -491,9 +493,6 @@ func (s *Stream) Withdraw(ctx context.Context, rowIDs []int) error {
 		seen[id] = true
 	}
 	if err := s.w.Append(recWithdraw, withdrawPayload{RowIDs: rowIDs}); err != nil {
-		if rerr := s.w.Repair(); rerr != nil {
-			s.logf("stream %s: repairing journal after failed withdraw append: %v", s.id, rerr)
-		}
 		return err
 	}
 	if err := s.applyWithdraw(rowIDs); err != nil {
@@ -732,9 +731,6 @@ func (s *Stream) Close(ctx context.Context) error {
 		Batches: s.nbatch, Rows: len(s.d.Rows), Releases: s.releases, Acked: s.acked,
 	}); err != nil {
 		s.logf("stream %s: drain checkpoint: %v", s.id, err)
-		if rerr := s.w.Repair(); rerr != nil {
-			s.logf("stream %s: repairing journal during drain: %v", s.id, rerr)
-		}
 	}
 	err := s.w.Close()
 	s.gov.Release(govern.Memory, s.memCharged+s.idxCharged)

@@ -116,7 +116,7 @@ func TestWithdrawBatchEquivalence(t *testing.T) {
 				}
 			}
 
-			it, err := journal.RecordsIn(ctx, faultfs.OS, walPath)
+			it, err := journal.RecordsIn(ctx, faultfs.OS, walPath, journal.Cursor{})
 			if err != nil {
 				t.Fatal(err)
 			}

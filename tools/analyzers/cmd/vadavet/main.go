@@ -9,14 +9,11 @@ package main
 import (
 	"vadasa/tools/analyzers/conftaint"
 	"vadasa/tools/analyzers/ctxpass"
-	"vadasa/tools/analyzers/distfence"
+	"vadasa/tools/analyzers/fence"
 	"vadasa/tools/analyzers/governcharge"
-	"vadasa/tools/analyzers/hotgroup"
-	"vadasa/tools/analyzers/replfence"
-	"vadasa/tools/analyzers/streamfence"
 	"vadasa/tools/analyzers/unitchecker"
 )
 
 func main() {
-	unitchecker.Main(conftaint.Analyzer, ctxpass.Analyzer, distfence.Analyzer, governcharge.Analyzer, hotgroup.Analyzer, replfence.Analyzer, streamfence.Analyzer)
+	unitchecker.Main(conftaint.Analyzer, ctxpass.Analyzer, fence.Distfence, governcharge.Analyzer, fence.Hotgroup, fence.Replfence, fence.Streamfence)
 }
