@@ -48,7 +48,7 @@ func spawnWorker(t *testing.T, args ...string) *dist.Proc {
 }
 
 // quickSup builds a supervisor with test-speed timings over the given
-// transports.
+// transports; the server it is configured into closes it.
 func quickSup(t *testing.T, transports []dist.Transport, mutate func(*dist.Options)) *dist.Supervisor {
 	t.Helper()
 	opts := dist.Options{
@@ -66,7 +66,6 @@ func quickSup(t *testing.T, transports []dist.Transport, mutate func(*dist.Optio
 	}
 	sup := dist.NewSupervisor(transports, opts)
 	sup.Start()
-	t.Cleanup(sup.Close)
 	return sup
 }
 
@@ -97,7 +96,7 @@ func TestReadyzDegradedInProcessFallback(t *testing.T) {
 	// One configured worker that was never started: every probe and call
 	// fails, which is exactly the all-workers-down acceptance shape.
 	sup := quickSup(t, []dist.Transport{dist.NewHTTPTransport("127.0.0.1:1", nil)}, nil)
-	_, h := faultServer(t, nil, func(s *server) { s.dist = sup })
+	_, h := faultServer(t, nil, func(c *config) { c.supervisor = sup })
 
 	deadline := time.Now().Add(5 * time.Second)
 	for !sup.Degraded() {
@@ -116,7 +115,7 @@ func TestReadyzDegradedInProcessFallback(t *testing.T) {
 	}
 
 	csv := generatedCSV(t)
-	control := syncAnonymize(t, testServer(), csv)
+	control := syncAnonymize(t, testServer(t), csv)
 	got := syncAnonymize(t, h, csv)
 	if got.CSV != control.CSV || got.Iterations != control.Iterations {
 		t.Fatalf("degraded in-process result differs from control (iterations %d vs %d)",
@@ -133,7 +132,7 @@ func TestReadyzDegradedInProcessFallback(t *testing.T) {
 // resource-saturation 503, which carries a different message.
 func TestReadyzRequireWorkers503(t *testing.T) {
 	sup := quickSup(t, nil, func(o *dist.Options) { o.RequireWorkers = true })
-	_, h := faultServer(t, nil, func(s *server) { s.dist = sup })
+	_, h := faultServer(t, nil, func(c *config) { c.supervisor = sup })
 
 	rec := do(t, h, "GET", "/readyz", "")
 	if rec.Code != http.StatusServiceUnavailable {
@@ -171,7 +170,7 @@ func TestChaosTornJournalKilledWorkerBitIdentical(t *testing.T) {
 	}
 	dir := t.TempDir()
 	csv := generatedCSV(t)
-	control := syncAnonymize(t, testServer(), csv)
+	control := syncAnonymize(t, testServer(t), csv)
 	if control.Iterations < 2 {
 		t.Fatalf("control took %d iterations; dataset too easy for a chaos test", control.Iterations)
 	}
@@ -182,7 +181,7 @@ func TestChaosTornJournalKilledWorkerBitIdentical(t *testing.T) {
 	gate := newGateMeasure(2)
 	s1, h1 := jobsServer(t, dir, map[string]func() vadasa.RiskMeasure{
 		"gate": func() vadasa.RiskMeasure { return gate },
-	}, jobs.Options{Workers: 1, FS: faulty})
+	}, func(c *config) { c.jobWorkers, c.fs = 1, faulty })
 	rec := do(t, h1, "POST", "/jobs/anonymize?measure=gate&threshold=0.5", csv)
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", rec.Code, rec.Body)
@@ -193,7 +192,7 @@ func TestChaosTornJournalKilledWorkerBitIdentical(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("cycle never reached the gated assessment")
 	}
-	s1.jobs.Close()
+	s1.jobs().Close()
 
 	// The crash tears a half-written record onto the journal tail: the
 	// bytes a power cut mid-append leaves (an Append that merely fails
@@ -223,17 +222,9 @@ func TestChaosTornJournalKilledWorkerBitIdentical(t *testing.T) {
 	ft.DupCall(2)
 	sup := quickSup(t, []dist.Transport{victim.Transport(), ft}, nil)
 
-	s2, h2 := jobsServer(t, dir, map[string]func() vadasa.RiskMeasure{
+	_, h2 := jobsServer(t, dir, map[string]func() vadasa.RiskMeasure{
 		"gate": func() vadasa.RiskMeasure { return vadasa.KAnonymity{K: 3} },
-	}, jobs.Options{Workers: 1, FS: faulty})
-	s2.dist = sup
-	resumed, err := s2.jobs.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resumed) != 1 || resumed[0] != id {
-		t.Fatalf("resumed = %v, want [%s]", resumed, id)
-	}
+	}, func(c *config) { c.jobWorkers, c.fs, c.supervisor = 1, faulty, sup })
 	time.Sleep(250 * time.Millisecond)
 	victim.Kill() // SIGKILL mid-task: the 500ms hold keeps its lease in flight
 

@@ -29,7 +29,7 @@ func TestJobPausedByDiskPressureResumesBitIdentical(t *testing.T) {
 		Iterations    int    `json:"iterations"`
 		NullsInjected int    `json:"nullsInjected"`
 	}{}
-	rec := do(t, testServer(), "POST", "/anonymize?measure=k-anonymity&k=3&threshold=0.5", csv)
+	rec := do(t, testServer(t), "POST", "/anonymize?measure=k-anonymity&k=3&threshold=0.5", csv)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("control run = %d: %s", rec.Code, rec.Body)
 	}
@@ -48,11 +48,11 @@ func TestJobPausedByDiskPressureResumesBitIdentical(t *testing.T) {
 	gate := newGateMeasure(2)
 	_, h := jobsServer(t, dir, map[string]func() vadasa.RiskMeasure{
 		"gate": func() vadasa.RiskMeasure { return gate },
-	}, jobs.Options{
-		Workers:      1,
-		FS:           faulty,
-		DiskHeadroom: 1 << 20,
-		PauseProbe:   2 * time.Millisecond,
+	}, func(c *config) {
+		c.jobWorkers = 1
+		c.fs = faulty
+		c.diskHeadroom = 1 << 20
+		c.jobPauseProbe = 2 * time.Millisecond
 	})
 	rec = do(t, h, "POST", "/jobs/anonymize?measure=gate&threshold=0.5", csv)
 	if rec.Code != http.StatusAccepted {

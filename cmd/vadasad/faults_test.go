@@ -75,17 +75,15 @@ func (panickyMeasure) Assess(*vadasa.Dataset, vadasa.Semantics) ([]float64, erro
 	panic("injected fault: measure exploded")
 }
 
-func faultServer(t *testing.T, measures map[string]func() vadasa.RiskMeasure, mutate func(*server)) (*server, http.Handler) {
+func faultServer(t *testing.T, measures map[string]func() vadasa.RiskMeasure, mutate func(*config)) (*server, http.Handler) {
 	t.Helper()
-	s := &server{
-		newFramework:  func() (*vadasa.Framework, error) { return vadasa.New(), nil },
-		logf:          t.Logf,
-		extraMeasures: measures,
-	}
+	cfg := testConfig(t)
+	cfg.extraMeasures = measures
 	if mutate != nil {
-		mutate(s)
+		mutate(&cfg)
 	}
-	return s, s.routes()
+	s := startServer(t, cfg)
+	return s, s.handler
 }
 
 // TestDeadlineExceededMidAssess blows the per-request deadline while the risk
@@ -95,7 +93,7 @@ func TestDeadlineExceededMidAssess(t *testing.T) {
 	m := newBlockingMeasure()
 	_, h := faultServer(t,
 		map[string]func() vadasa.RiskMeasure{"blocking": func() vadasa.RiskMeasure { return m }},
-		func(s *server) { s.requestTimeout = 100 * time.Millisecond })
+		func(c *config) { c.requestTimeout = 100 * time.Millisecond })
 
 	start := time.Now()
 	rec := do(t, h, "POST", "/assess?measure=blocking", figure1CSV(t))
@@ -126,7 +124,7 @@ func TestDeadlineExceededMidAnonymize(t *testing.T) {
 	m := newBlockingMeasure()
 	_, h := faultServer(t,
 		map[string]func() vadasa.RiskMeasure{"blocking": func() vadasa.RiskMeasure { return m }},
-		func(s *server) { s.requestTimeout = 100 * time.Millisecond })
+		func(c *config) { c.requestTimeout = 100 * time.Millisecond })
 
 	rec := do(t, h, "POST", "/anonymize?measure=blocking", figure1CSV(t))
 	if rec.Code != http.StatusGatewayTimeout {
@@ -149,7 +147,7 @@ func TestClientDisconnectCancelsWork(t *testing.T) {
 	m := newBlockingMeasure()
 	_, h := faultServer(t,
 		map[string]func() vadasa.RiskMeasure{"blocking": func() vadasa.RiskMeasure { return m }},
-		func(s *server) { s.requestTimeout = time.Minute })
+		func(c *config) { c.requestTimeout = time.Minute })
 
 	before := runtime.NumGoroutine()
 
@@ -198,7 +196,7 @@ func TestClientDisconnectCancelsWork(t *testing.T) {
 
 // TestOversizedBody413 checks the body cap trips with a clear JSON error.
 func TestOversizedBody413(t *testing.T) {
-	_, h := faultServer(t, nil, func(s *server) { s.maxBody = 64 })
+	_, h := faultServer(t, nil, func(c *config) { c.maxBody = 64 })
 	rec := do(t, h, "POST", "/assess", figure1CSV(t)) // well over 64 bytes
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d, want 413: %s", rec.Code, rec.Body)
@@ -214,9 +212,9 @@ func TestLoadShedding(t *testing.T) {
 	m := newBlockingMeasure()
 	_, h := faultServer(t,
 		map[string]func() vadasa.RiskMeasure{"blocking": func() vadasa.RiskMeasure { return m }},
-		func(s *server) {
-			s.requestTimeout = time.Minute
-			s.inflight = make(chan struct{}, 1)
+		func(c *config) {
+			c.requestTimeout = time.Minute
+			c.maxInflight = 1
 		})
 
 	csv := figure1CSV(t)
@@ -292,7 +290,7 @@ func TestPanicRecovery(t *testing.T) {
 // must trip the engine's work cap on /explain, and out-of-range values are
 // rejected up front.
 func TestBudgetParam(t *testing.T) {
-	_, h := faultServer(t, nil, func(s *server) { s.budgetCeiling = 1000 })
+	_, h := faultServer(t, nil, func(c *config) { c.maxBudget = 1000 })
 	csv := figure1CSV(t)
 
 	rec := do(t, h, "POST", "/explain?measure=re-identification&tuple=4&budget=10", csv)
@@ -331,7 +329,7 @@ func TestHeaderCleanup(t *testing.T) {
 	}
 	dirty := "\ufeff" + strings.Join(names, ",") + "\n" + rest
 
-	rec := do(t, testServer(), "POST", "/categorize", dirty)
+	rec := do(t, testServer(t), "POST", "/categorize", dirty)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body)
 	}
@@ -347,9 +345,9 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	m := newBlockingMeasure()
 	s, _ := faultServer(t,
 		map[string]func() vadasa.RiskMeasure{"blocking": func() vadasa.RiskMeasure { return m }},
-		func(s *server) { s.requestTimeout = time.Minute })
+		func(c *config) { c.requestTimeout, c.readTimeout = time.Minute, 5*time.Second })
 
-	httpSrv := newHTTPServer("127.0.0.1:0", s, 5*time.Second, time.Minute)
+	httpSrv := s.httpServer()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -37,9 +37,7 @@ func TestReadyzDuringRecovery(t *testing.T) {
 // server ready again. The probe itself must keep answering while saturated —
 // it is exempt from the request resource scope.
 func TestReadyzSaturatedGovernor(t *testing.T) {
-	s, h := faultServer(t, nil, func(s *server) {
-		s.govern = govern.New("server", govern.Limits{MaxBytes: 1000})
-	})
+	s, h := faultServer(t, nil, func(c *config) { c.memBudget = 1000 })
 	hog := s.govern.Child("hog", govern.Limits{})
 	if err := hog.Reserve(govern.Memory, 1000); err != nil {
 		t.Fatal(err)
@@ -59,10 +57,11 @@ func TestReadyzSaturatedGovernor(t *testing.T) {
 // New job submissions are refused with 503 while the server budget is
 // saturated, and accepted again once it frees.
 func TestJobSubmitRefusedWhileSaturated(t *testing.T) {
-	s, h := jobsServer(t, t.TempDir(), nil, jobs.Options{Workers: 1})
-	s.govern = govern.New("server", govern.Limits{MaxBytes: 1000})
+	// The budget is the one the job itself will run under once it is admitted.
+	const budget = 1 << 20
+	s, h := jobsServer(t, t.TempDir(), nil, func(c *config) { c.jobWorkers, c.memBudget = 1, budget })
 	hog := s.govern.Child("hog", govern.Limits{})
-	if err := hog.Reserve(govern.Memory, 1000); err != nil {
+	if err := hog.Reserve(govern.Memory, budget); err != nil {
 		t.Fatal(err)
 	}
 
@@ -83,19 +82,18 @@ func TestJobSubmitRefusedWhileSaturated(t *testing.T) {
 // before any categorization or parsing work, on both the synchronous and
 // the job submission paths.
 func TestMaxCellsGuard(t *testing.T) {
-	s, h := faultServer(t, nil, func(s *server) { s.maxCells = 4 })
+	_, h := faultServer(t, nil, func(c *config) { c.maxCells = 4 })
 	rec := do(t, h, "POST", "/assess", figure1CSV(t))
 	if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "cell") {
 		t.Fatalf("oversized table = %d %s, want 413 naming the cell limit", rec.Code, rec.Body)
 	}
 	// Within the limit, the same body is served normally.
-	s.maxCells = 1 << 20
+	_, h = faultServer(t, nil, func(c *config) { c.maxCells = 1 << 20 })
 	if rec := do(t, h, "POST", "/assess", figure1CSV(t)); rec.Code != http.StatusOK {
 		t.Fatalf("within limit = %d %s, want 200", rec.Code, rec.Body)
 	}
 
-	js, jh := jobsServer(t, t.TempDir(), nil, jobs.Options{Workers: 1})
-	js.maxCells = 4
+	_, jh := jobsServer(t, t.TempDir(), nil, func(c *config) { c.jobWorkers, c.maxCells = 1, 4 })
 	if rec := do(t, jh, "POST", "/jobs/anonymize", figure1CSV(t)); rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized job submit = %d %s, want 413", rec.Code, rec.Body)
 	}
@@ -105,11 +103,8 @@ func TestMaxCellsGuard(t *testing.T) {
 // charge happens before any engine work — and the budget is refunded when
 // the request scope closes, so a later small request succeeds.
 func TestRequestMemoryBudget(t *testing.T) {
-	var root *govern.Governor
-	_, h := faultServer(t, nil, func(s *server) {
-		root = govern.New("server", govern.Limits{MaxBytes: 16})
-		s.govern = root
-	})
+	s, h := faultServer(t, nil, func(c *config) { c.memBudget = 16 })
+	root := s.govern
 	rec := do(t, h, "POST", "/assess", figure1CSV(t)) // body is > 16 bytes
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("over-budget request = %d %s, want 503", rec.Code, rec.Body)

@@ -1,164 +1,124 @@
 package main
 
 import (
+	"bytes"
 	"context"
-	"errors"
+	"crypto/rand"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"vadasa"
 	"vadasa/internal/anon"
+	"vadasa/internal/faultfs"
 	"vadasa/internal/jobs"
 )
-
-// jobRoutes registers the asynchronous job API on the mux. Only called when
-// the manager is configured (-job-dir).
-func (s *server) jobRoutes(mux *http.ServeMux) {
-	mux.HandleFunc("POST /jobs/anonymize", s.handleJobSubmit)
-	mux.HandleFunc("GET /jobs", s.handleJobList)
-	mux.HandleFunc("GET /jobs/{id}", s.handleJobStatus)
-	mux.HandleFunc("GET /jobs/{id}/result", s.handleJobResult)
-	mux.HandleFunc("POST /jobs/{id}/cancel", s.handleJobCancel)
-}
 
 // handleJobSubmit accepts the same CSV body and query parameters as the
 // synchronous /anonymize, but spools the input to the job directory and
 // returns 202 with the job id immediately. The cycle runs on the manager's
 // worker pool, journaling every iteration; progress survives crashes.
-func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) error {
 	// Admission control: while any server budget is saturated or the job
 	// volume is below its disk-headroom floor, a new job could only run
 	// straight into a pause — refuse it up front so the client retries
 	// against a server that can actually make progress. Existing paused
 	// jobs keep their claim on the capacity that frees up.
 	if err := s.govern.Err(); err != nil {
-		s.failRequest(w, http.StatusServiceUnavailable, err)
-		return
+		return err
 	}
-	body, err := readBody(w, r, s.bodyLimit())
+	body, err := s.readBody(w, r)
 	if err != nil {
-		s.failRequest(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
-		return
-	}
-	if len(body) == 0 {
-		s.httpError(w, http.StatusBadRequest, fmt.Errorf("empty body; POST a CSV with a header row"))
-		return
+		return badRequest(err)
 	}
 	// Validate cheaply before persisting anything: a bad measure name or an
 	// unparsable CSV must fail the request, not a job three seconds later.
 	if _, err := s.measureFromValues(r.URL.Query()); err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
+		return badRequest(err)
 	}
 	f, err := s.newFramework()
 	if err != nil {
-		s.httpError(w, http.StatusInternalServerError, err)
-		return
+		return err
 	}
-	if _, _, err := buildDataset(f, body, r.URL.Query(), s.cellCap()); err != nil {
-		s.failRequest(w, http.StatusBadRequest, err)
-		return
+	if _, _, err := buildDataset(f, body, r.URL.Query(), s.cfg.maxCells); err != nil {
+		return badRequest(err)
 	}
 
 	input, err := s.spoolInput(body)
 	if err != nil {
-		s.httpError(w, http.StatusInternalServerError, err)
-		return
+		return err
 	}
-	j, err := s.jobs.Submit(jobs.Spec{Dataset: input, Params: r.URL.Query()})
+	j, err := s.jobs().Submit(jobs.Spec{Dataset: input, Params: r.URL.Query()})
 	if err != nil {
-		os.Remove(input)
-		w.Header().Set("Retry-After", "5")
-		s.httpError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("job queue is full or the manager is shutting down; retry shortly: %w", err))
-		return
+		s.cfg.fs.Remove(input)
+		return err
 	}
 	w.Header().Set("Location", "/jobs/"+j.ID)
-	s.writeJSON(w, http.StatusAccepted, j)
+	return s.writeJSON(w, http.StatusAccepted, j)
 }
 
 // spoolInput persists the uploaded CSV under the job directory so the job —
 // and any post-crash resumption — reads the exact bytes the client sent.
 func (s *server) spoolInput(body []byte) (string, error) {
-	f, err := os.CreateTemp(s.jobDir, "input-*.csv")
-	if err != nil {
+	var name [8]byte
+	if _, err := rand.Read(name[:]); err != nil {
 		return "", fmt.Errorf("spooling input: %w", err)
 	}
-	if _, err := f.Write(body); err != nil {
-		f.Close()
-		os.Remove(f.Name())
+	path := filepath.Join(s.cfg.jobDir, "input-"+hex.EncodeToString(name[:])+".csv")
+	if err := faultfs.WriteFileDurable(s.cfg.fs, path, body); err != nil {
 		return "", fmt.Errorf("spooling input: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return "", fmt.Errorf("spooling input: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return "", fmt.Errorf("spooling input: %w", err)
-	}
-	return f.Name(), nil
+	return path, nil
 }
 
-func (s *server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]any{"jobs": s.jobs.List()})
+func (s *server) handleJobList(w http.ResponseWriter, r *http.Request) error {
+	return s.writeJSON(w, http.StatusOK, map[string]any{"jobs": s.jobs().List()})
 }
 
-func (s *server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	j, err := s.jobs.Get(r.PathValue("id"))
+func (s *server) handleJobStatus(w http.ResponseWriter, r *http.Request) error {
+	j, err := s.jobs().Get(r.PathValue("id"))
 	if err != nil {
-		s.httpError(w, http.StatusNotFound, err)
-		return
+		return err
 	}
-	s.writeJSON(w, http.StatusOK, j)
+	return s.writeJSON(w, http.StatusOK, j)
 }
 
 // handleJobResult streams the anonymized CSV of a finished job. 409 while
 // the job is still in flight, 410 when it failed or was cancelled.
-func (s *server) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	j, err := s.jobs.Get(r.PathValue("id"))
+func (s *server) handleJobResult(w http.ResponseWriter, r *http.Request) error {
+	j, err := s.jobs().Get(r.PathValue("id"))
 	if err != nil {
-		s.httpError(w, http.StatusNotFound, err)
-		return
+		return err
 	}
 	switch {
 	case !j.State.Terminal():
-		s.httpError(w, http.StatusConflict, fmt.Errorf("job %s is %s; poll /jobs/%s", j.ID, j.State, j.ID))
-		return
+		return conflict(fmt.Errorf("job %s is %s; poll /jobs/%s", j.ID, j.State, j.ID))
 	case j.State != jobs.StateDone || j.Outcome == nil:
-		s.httpError(w, http.StatusGone, fmt.Errorf("job %s ended %s: %s", j.ID, j.State, j.Error))
-		return
+		return gone(fmt.Errorf("job %s ended %s: %s", j.ID, j.State, j.Error))
 	}
 	out, err := os.Open(j.Outcome.OutputPath)
 	if err != nil {
-		s.httpError(w, http.StatusInternalServerError, fmt.Errorf("job output missing: %w", err))
-		return
+		return fmt.Errorf("job output missing: %w", err)
 	}
 	defer out.Close()
 	w.Header().Set("Content-Type", "text/csv; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	if _, err := io.Copy(w, out); err != nil {
-		s.logPrintf("vadasad: streaming job %s result: %v", j.ID, err)
+		return fmt.Errorf("streaming job %s result: %w", j.ID, err)
 	}
+	return nil
 }
 
-func (s *server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleJobCancel(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
-	switch err := s.jobs.Cancel(id); {
-	case err == nil:
-		s.writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "status": "cancelling"})
-	case errors.Is(err, jobs.ErrNotFound):
-		s.httpError(w, http.StatusNotFound, err)
-	case errors.Is(err, jobs.ErrTerminal):
-		s.httpError(w, http.StatusConflict, err)
-	default:
-		s.httpError(w, http.StatusInternalServerError, err)
+	if err := s.jobs().Cancel(id); err != nil {
+		return err
 	}
+	return s.writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "status": "cancelling"})
 }
 
 // jobRunner adapts the server's framework plumbing to jobs.Runner: it
@@ -181,11 +141,11 @@ func (jr *jobRunner) Run(ctx context.Context, id string, spec jobs.Spec, resume 
 	if err := s.applyBudget(f, q); err != nil {
 		return nil, err
 	}
-	body, err := os.ReadFile(spec.Dataset)
+	body, err := s.cfg.fs.ReadFile(spec.Dataset)
 	if err != nil {
 		return nil, fmt.Errorf("reading spooled input: %w", err)
 	}
-	d, _, err := buildDataset(f, body, q, s.cellCap())
+	d, _, err := buildDataset(f, body, q, s.cfg.maxCells)
 	if err != nil {
 		return nil, err
 	}
@@ -207,17 +167,15 @@ func (jr *jobRunner) Run(ctx context.Context, id string, spec jobs.Spec, resume 
 		return nil, err
 	}
 
-	outPath := filepath.Join(s.jobDir, id+".out.csv")
-	tmp := outPath + ".tmp"
-	var sb strings.Builder
-	if err := vadasa.WriteCSV(&sb, res.Dataset); err != nil {
+	// The output must be durable before the manager journals the done
+	// record that points at it.
+	outPath := filepath.Join(s.cfg.jobDir, id+".out.csv")
+	var out bytes.Buffer
+	if err := vadasa.WriteCSV(&out, res.Dataset); err != nil {
 		return nil, err
 	}
-	if err := os.WriteFile(tmp, []byte(sb.String()), 0o644); err != nil {
-		return nil, err
-	}
-	if err := os.Rename(tmp, outPath); err != nil {
-		return nil, err
+	if err := faultfs.WriteFileDurable(s.cfg.fs, outPath, out.Bytes()); err != nil {
+		return nil, fmt.Errorf("writing job output: %w", err)
 	}
 	return &jobs.Outcome{
 		OutputPath:    outPath,

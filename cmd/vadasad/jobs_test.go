@@ -23,28 +23,26 @@ import (
 	"vadasa/internal/risk"
 )
 
-// jobsServer builds a server with the asynchronous job API enabled over dir.
-func jobsServer(t *testing.T, dir string, measures map[string]func() vadasa.RiskMeasure, opts jobs.Options) (*server, http.Handler) {
+// jobsServer builds a server with the asynchronous job API enabled over dir
+// and test-speed retry delays. Like a daemon starting over dir, it recovers
+// the jobs journaled there in the background.
+func jobsServer(t *testing.T, dir string, measures map[string]func() vadasa.RiskMeasure, mutate func(*config)) (*server, http.Handler) {
 	t.Helper()
-	s := &server{
-		newFramework:  func() (*vadasa.Framework, error) { return vadasa.New(), nil },
-		logf:          t.Logf,
-		extraMeasures: measures,
-		jobDir:        dir,
+	cfg := testConfig(t)
+	cfg.extraMeasures = measures
+	cfg.jobDir = dir
+	cfg.jobRetryBase, cfg.jobRetryCap = time.Millisecond, 4*time.Millisecond
+	if mutate != nil {
+		mutate(&cfg)
 	}
-	opts.Dir = dir
-	if opts.RetryBase == 0 {
-		opts.RetryBase = time.Millisecond
-		opts.RetryCap = 4 * time.Millisecond
-	}
-	mgr, err := jobs.NewManager(&jobRunner{srv: s}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.jobs = mgr
-	t.Cleanup(mgr.Close)
-	return s, s.routes()
+	s := startServer(t, cfg)
+	// A Submit racing start-up recovery is a known hazard of the manager
+	// (ROADMAP item 3d); the tests submit only once recovery is through.
+	<-s.writePath.Load().jobsRecovered
+	return s, s.handler
 }
+
+func oneWorker(c *config) { c.jobWorkers = 1 }
 
 // generatedCSV is an unbalanced dataset whose k-anonymization takes several
 // iterations — enough journal records for a mid-run crash to be interesting.
@@ -195,7 +193,7 @@ func TestJobCrashRecoveryIdenticalToUninterruptedRun(t *testing.T) {
 		InfoLoss      float64  `json:"infoLoss"`
 		Decisions     []string `json:"decisions"`
 	}{}
-	rec := do(t, testServer(), "POST", "/anonymize?measure=k-anonymity&k=3&threshold=0.5", csv)
+	rec := do(t, testServer(t), "POST", "/anonymize?measure=k-anonymity&k=3&threshold=0.5", csv)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("control run = %d: %s", rec.Code, rec.Body)
 	}
@@ -211,7 +209,7 @@ func TestJobCrashRecoveryIdenticalToUninterruptedRun(t *testing.T) {
 	gate := newGateMeasure(2)
 	s1, h1 := jobsServer(t, dir, map[string]func() vadasa.RiskMeasure{
 		"gate": func() vadasa.RiskMeasure { return gate },
-	}, jobs.Options{Workers: 1})
+	}, oneWorker)
 	rec = do(t, h1, "POST", "/jobs/anonymize?measure=gate&threshold=0.5", csv)
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", rec.Code, rec.Body)
@@ -222,7 +220,7 @@ func TestJobCrashRecoveryIdenticalToUninterruptedRun(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("cycle never reached the gated assessment")
 	}
-	s1.jobs.Close() // simulated crash: no terminal record may be written
+	s1.jobs().Close() // simulated crash: no terminal record may be written
 
 	jpath := filepath.Join(dir, id+".journal")
 	scan, err := journal.ReadFile(jpath)
@@ -244,16 +242,9 @@ func TestJobCrashRecoveryIdenticalToUninterruptedRun(t *testing.T) {
 
 	// Phase 2: fresh server over the same directory; the gate no longer
 	// blocks. Recovery must resume from the journal, not restart.
-	s2, h2 := jobsServer(t, dir, map[string]func() vadasa.RiskMeasure{
+	_, h2 := jobsServer(t, dir, map[string]func() vadasa.RiskMeasure{
 		"gate": func() vadasa.RiskMeasure { return newGateMeasure(0) },
-	}, jobs.Options{Workers: 1})
-	resumed, err := s2.jobs.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resumed) != 1 || resumed[0] != id {
-		t.Fatalf("resumed = %v, want [%s]", resumed, id)
-	}
+	}, oneWorker)
 	j := waitJob(t, h2, id, jobs.StateDone)
 	if !j.Recovered {
 		t.Fatal("job not marked recovered")
@@ -306,7 +297,7 @@ func TestJobTransientFailureRetriesAndCompletes(t *testing.T) {
 	flaky := &flakyMeasure{failures: 2}
 	_, h := jobsServer(t, t.TempDir(), map[string]func() vadasa.RiskMeasure{
 		"flaky": func() vadasa.RiskMeasure { return flaky },
-	}, jobs.Options{MaxAttempts: 5})
+	}, func(c *config) { c.jobRetries = 5 })
 	rec := do(t, h, "POST", "/jobs/anonymize?measure=flaky&threshold=0.5", figure1CSV(t))
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", rec.Code, rec.Body)
@@ -326,7 +317,7 @@ func TestJobPermanentFailureNoRetry(t *testing.T) {
 	broken := &brokenMeasure{}
 	_, h := jobsServer(t, t.TempDir(), map[string]func() vadasa.RiskMeasure{
 		"broken": func() vadasa.RiskMeasure { return broken },
-	}, jobs.Options{MaxAttempts: 5})
+	}, func(c *config) { c.jobRetries = 5 })
 	rec := do(t, h, "POST", "/jobs/anonymize?measure=broken", figure1CSV(t))
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("submit = %d: %s", rec.Code, rec.Body)
@@ -357,7 +348,7 @@ func TestJobEndpointsValidation(t *testing.T) {
 	gate := newGateMeasure(1)
 	_, h := jobsServer(t, t.TempDir(), map[string]func() vadasa.RiskMeasure{
 		"gate": func() vadasa.RiskMeasure { return gate },
-	}, jobs.Options{Workers: 1})
+	}, oneWorker)
 
 	if rec := do(t, h, "POST", "/jobs/anonymize?measure=nope", figure1CSV(t)); rec.Code != http.StatusBadRequest {
 		t.Fatalf("unknown measure = %d: %s", rec.Code, rec.Body)
@@ -412,7 +403,7 @@ func TestAssessTooManyAttributes422(t *testing.T) {
 	}
 	csv := strings.Join(header, ",") + "\n" + strings.Join(row, ",") + "\n"
 	target := "/assess?measure=suda&qi=" + strings.Join(header, ",")
-	rec := do(t, testServer(), "POST", target, csv)
+	rec := do(t, testServer(t), "POST", target, csv)
 	if rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("status = %d, want 422: %s", rec.Code, rec.Body)
 	}

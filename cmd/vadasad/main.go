@@ -66,21 +66,21 @@
 //	GET  /streams              list open streams
 //
 // Operational hardening. Every request runs under a wall-clock deadline
-// (-request-timeout; 504 with a JSON error when it expires, 499-style when
-// the client disconnects first) threaded as a context.Context down to the
-// risk measures, the anonymization cycle and the reasoning engine, so a
-// timed-out request stops consuming CPU promptly. At most -max-inflight
-// requests are served concurrently; the excess is shed with 429 and a
-// Retry-After header instead of queueing unboundedly. Request bodies are
-// capped at 64 MiB (413 beyond that), and decoded CSVs at -max-cells
-// rows×columns (also 413; 0 disables). The reasoning engine's join-work
+// (-request-timeout) threaded as a context.Context down to the risk measures,
+// the anonymization cycle and the reasoning engine, so a timed-out or
+// abandoned request stops consuming CPU promptly. At most -max-inflight
+// requests are served concurrently; the excess is shed instead of queueing
+// unboundedly. Request bodies are capped at 64 MiB and decoded CSVs at
+// -max-cells rows×columns (0 disables). The reasoning engine's join-work
 // budget can be lowered per request with ?budget=N, capped by -max-budget.
-// A panicking handler is logged with its stack and answered with 500; the
-// daemon keeps serving. -read-timeout bounds how long a client may take to
-// send its request (slowloris protection); write and idle timeouts are
-// derived from the request timeout. On SIGINT/SIGTERM the listener closes,
-// in-flight requests drain for up to -shutdown-grace, then the process
-// exits.
+// A panicking handler is logged with its stack and the daemon keeps serving.
+// -read-timeout bounds how long a client may take to send its request
+// (slowloris protection); write and idle timeouts are derived from the
+// request timeout. On SIGINT/SIGTERM the listener closes, in-flight requests
+// drain for up to -shutdown-grace, then the process exits. Every failure is
+// answered as {"error": ...} with the status and Retry-After of one table,
+// and what a node serves in each replication role is another: fail.go and
+// routes.go, printed in DESIGN.md §18.
 //
 // Resource governance. -mem-budget caps the estimated bytes the server will
 // hold across all requests, jobs and engine evaluations at once (0 =
@@ -139,367 +139,32 @@ import (
 	"os/exec"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
-
-	"vadasa"
-	"vadasa/internal/dist"
-	"vadasa/internal/govern"
-	"vadasa/internal/jobs"
-	"vadasa/internal/replica"
 )
 
 func main() {
-	addr := flag.String("addr", ":8321", "listen address")
-	kbPath := flag.String("kb", "", "knowledge-base JSON to load at startup")
-	requestTimeout := flag.Duration("request-timeout", defaultRequestTimeout,
-		"per-request wall-clock deadline (0 disables)")
-	readTimeout := flag.Duration("read-timeout", 10*time.Second,
-		"maximum time to read a request, header and body included")
-	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second,
-		"how long in-flight requests may drain after SIGINT/SIGTERM")
-	maxInflight := flag.Int("max-inflight", 64,
-		"maximum concurrently served requests; the excess gets 429 (0 disables shedding)")
-	maxBudget := flag.Int64("max-budget", defaultBudgetCeiling,
-		"ceiling for the per-request ?budget= reasoning work budget")
-	maxCells := flag.Int64("max-cells", defaultMaxCells,
-		"maximum rows×columns of a decoded CSV; larger datasets get 413 (0 disables)")
-	memBudget := flag.Int64("mem-budget", 0,
-		"server-wide estimated-memory budget in bytes; saturation 503s new work and pauses jobs (0 = unlimited)")
-	diskHeadroom := flag.Int64("disk-headroom", 0,
-		"free-byte floor for the job volume; below it journal appends pause their jobs (0 disables)")
-	jobDir := flag.String("job-dir", "",
-		"directory for durable anonymization jobs (journals, inputs, outputs); empty disables the /jobs API")
-	jobWorkers := flag.Int("job-workers", 2, "concurrent anonymization jobs")
-	jobRetries := flag.Int("job-retries", 3, "attempts per job including the first; only transient failures retry")
-	jobRetryBase := flag.Duration("job-retry-base", 100*time.Millisecond, "first retry delay; doubles per attempt")
-	jobRetryCap := flag.Duration("job-retry-cap", 5*time.Second, "upper bound on the retry delay")
-	pprofAddr := flag.String("pprof-addr", "",
-		"listen address for /debug/pprof (e.g. localhost:6060); empty disables profiling entirely")
-	shardWorkers := flag.String("shard-workers", "",
-		"comma-separated host:port list of running vadasaw shard workers to fan risk scoring out to")
-	spawnWorkers := flag.Int("spawn-workers", 0,
-		"number of vadasaw worker processes to spawn and supervise locally")
-	workerBin := flag.String("worker-bin", "",
-		"path to the vadasaw binary for -spawn-workers (default: next to this executable, then $PATH)")
-	leaseTTL := flag.Duration("lease-ttl", 10*time.Second,
-		"per-dispatch lease: a worker silent past this is presumed dead and the shard is retried elsewhere")
-	hedgeAfter := flag.Duration("hedge-after", 0,
-		"re-dispatch a shard to a second worker after this long without a reply; first admitted reply wins (0 disables)")
-	workerHeartbeat := flag.Duration("worker-heartbeat", 2*time.Second,
-		"interval between worker liveness probes")
-	requireWorkers := flag.Bool("require-workers", false,
-		"refuse the in-process fallback: with no healthy workers, requests fail 503 instead of degrading")
-	streamDir := flag.String("stream-dir", "",
-		"directory for crash-consistent streaming anonymization (one WAL + release files per stream); empty disables the /stream API")
-	streamMaxRows := flag.Int("stream-max-rows", 0,
-		"per-stream in-memory window bound; appends beyond it get 429 (0 = 100000)")
-	replRole := flag.String("repl-role", "",
-		"replication role: primary (ships journals to -repl-peers) or standby (mirrors a primary, read-only until promoted); empty disables replication")
-	replPeers := flag.String("repl-peers", "",
-		"comma-separated base URLs (http://host:port) of standby peers to ship journals to; required with -repl-role=primary")
-	replSync := flag.Bool("repl-sync", false,
-		"synchronous commit: every journal append waits until a standby has acknowledged the record durably (fails the write after a timeout)")
-	replLagMax := flag.Int("repl-lag-max", 0,
-		"un-acked shipped-record count above which /readyz reports the primary unhealthy; async mode's safety valve (0 disables)")
+	cfg := bindFlags(flag.CommandLine)
 	flag.Parse()
-
-	newFramework := func() (*vadasa.Framework, error) {
-		f := vadasa.New()
-		if *kbPath != "" {
-			file, err := os.Open(*kbPath)
-			if err != nil {
-				return nil, err
-			}
-			defer file.Close()
-			if err := f.LoadKB(file); err != nil {
-				return nil, err
-			}
-		}
-		return f, nil
-	}
-	// Fail fast on a broken KB.
-	if _, err := newFramework(); err != nil {
+	srv, err := newServer(*cfg)
+	if err != nil {
 		log.Fatalf("vadasad: %v", err)
 	}
 
-	srv := &server{
-		newFramework:   newFramework,
-		requestTimeout: *requestTimeout,
-		budgetCeiling:  *maxBudget,
-		maxCells:       *maxCells,
-	}
-	if *requestTimeout == 0 {
-		srv.requestTimeout = -1 // explicit opt-out, don't fall back to default
-	}
-	if *maxCells == 0 {
-		srv.maxCells = -1 // explicit opt-out, don't fall back to default
-	}
-	if *maxInflight > 0 {
-		srv.inflight = make(chan struct{}, *maxInflight)
-	}
-	if *memBudget > 0 || *diskHeadroom > 0 {
-		srv.govern = govern.New("server", govern.Limits{
-			MaxBytes:     *memBudget,
-			DiskDir:      *jobDir, // "" disables the disk check
-			DiskHeadroom: *diskHeadroom,
-		})
-	}
-	// Replication must be wired before the jobs manager and the stream
-	// registry exist: their journals are shipped through hooks installed at
-	// creation time, and a standby must not bring the write path up at all.
-	if *replRole != "" {
-		replDir := *streamDir
-		if replDir == "" && *jobDir != "" {
-			// Keep the epoch journal out of the jobs manager's *.journal
-			// glob by giving it its own directory.
-			replDir = filepath.Join(*jobDir, "repl")
-		}
-		if replDir == "" {
-			log.Fatalf("vadasad: -repl-role requires -stream-dir or -job-dir; there is nothing to replicate")
-		}
-		if err := os.MkdirAll(replDir, 0o755); err != nil {
-			log.Fatalf("vadasad: -repl-role: %v", err)
-		}
-		nodeID, _ := os.Hostname()
-		if nodeID == "" {
-			nodeID = "vadasad"
-		}
-		nodePath := filepath.Join(replDir, replica.NodeJournalName)
-		switch *replRole {
-		case "primary":
-			node, err := replica.OpenNode(nodeID, nodePath, replica.RolePrimary, nil)
-			if err != nil {
-				log.Fatalf("vadasad: replication: %v", err)
-			}
-			defer node.Close()
-			var peers []replica.Transport
-			for _, a := range strings.Split(*replPeers, ",") {
-				if a = strings.TrimSpace(a); a != "" {
-					peers = append(peers, replica.NewHTTPTransport(a, nil))
-				}
-			}
-			if len(peers) == 0 {
-				log.Fatalf("vadasad: -repl-role=primary requires -repl-peers")
-			}
-			p, err := replica.NewPrimary(replica.PrimaryOptions{
-				Node:   node,
-				Peers:  peers,
-				Sync:   *replSync,
-				LagMax: *replLagMax,
-				Logf:   log.Printf,
-			})
-			if err != nil {
-				log.Fatalf("vadasad: replication: %v", err)
-			}
-			srv.repl = &replState{node: node, primary: p, streamDir: *streamDir, jobDir: *jobDir}
-			p.Start()
-			// Registered before the registries are built so the LIFO defers
-			// close the registries (final checkpoints, shipped while the
-			// shipper still runs) first and the shipper last.
-			defer p.Close()
-			log.Printf("vadasad: replication primary %q (epoch %d) shipping to %d peer(s), sync=%v",
-				nodeID, node.Epoch(), len(peers), *replSync)
-		case "standby":
-			node, err := replica.OpenNode(nodeID, nodePath, replica.RoleStandby, nil)
-			if err != nil {
-				log.Fatalf("vadasad: replication: %v", err)
-			}
-			defer node.Close()
-			roots := map[string]replica.Root{}
-			if *streamDir != "" {
-				roots["stream"] = replica.Root{Dir: *streamDir, Ext: ".wal"}
-			}
-			if *jobDir != "" {
-				roots["jobs"] = replica.Root{Dir: *jobDir, Ext: ".journal"}
-			}
-			sb, err := replica.NewStandby(replica.StandbyOptions{
-				Node:         node,
-				Roots:        roots,
-				OpenFollower: srv.followerFactory(*streamMaxRows, *diskHeadroom),
-				FollowRoot:   "stream",
-				Logf:         log.Printf,
-			})
-			if err != nil {
-				log.Fatalf("vadasad: replication: %v", err)
-			}
-			if err := sb.Recover(context.Background()); err != nil {
-				log.Fatalf("vadasad: replication: recovering mirrors: %v", err)
-			}
-			defer sb.Close()
-			rs := &replState{node: node, standby: sb, streamDir: *streamDir, jobDir: *jobDir}
-			// Promotion closures: bring the write path up over the mirrored
-			// directories through the exact code a fresh start would run.
-			if *streamDir != "" {
-				rs.openStreams = func(ctx context.Context) (int, error) {
-					srv.streams = newStreamRegistry(srv, *streamDir, *streamMaxRows, *diskHeadroom)
-					return srv.streams.recover(ctx)
-				}
-			}
-			if *jobDir != "" {
-				srv.jobDir = *jobDir
-				rs.openJobs = func() error {
-					mgr, err := jobs.NewManager(&jobRunner{srv: srv}, jobs.Options{
-						Dir:          *jobDir,
-						Workers:      *jobWorkers,
-						MaxAttempts:  *jobRetries,
-						RetryBase:    *jobRetryBase,
-						RetryCap:     *jobRetryCap,
-						DiskHeadroom: *diskHeadroom,
-						Governor:     srv.govern,
-					})
-					if err != nil {
-						return err
-					}
-					srv.jobs = mgr
-					resumed, err := mgr.Recover()
-					if err != nil {
-						log.Printf("vadasad: job recovery: %v", err)
-					}
-					if len(resumed) > 0 {
-						log.Printf("vadasad: resumed %d interrupted job(s): %v", len(resumed), resumed)
-					}
-					return nil
-				}
-			}
-			srv.repl = rs
-			// Registries created by a promotion need the same drain the
-			// primary-path defers give; runs before sb.Close/node.Close.
-			defer func() {
-				rs.mu.Lock()
-				streams, jobsMgr := srv.streams, srv.jobs
-				rs.mu.Unlock()
-				if streams != nil {
-					streams.Close(context.Background())
-				}
-				if jobsMgr != nil {
-					jobsMgr.Close()
-				}
-			}()
-			log.Printf("vadasad: replication standby %q mirroring into %s (epoch seen %d)",
-				nodeID, replDir, node.Epoch())
-		default:
-			log.Fatalf("vadasad: unknown -repl-role %q (want primary or standby)", *replRole)
-		}
-	}
-
-	if *shardWorkers != "" || *spawnWorkers > 0 || *requireWorkers {
-		var transports []dist.Transport
-		for _, a := range strings.Split(*shardWorkers, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				transports = append(transports, dist.NewHTTPTransport(a, nil))
-			}
-		}
-		var workerProcs []*dist.Proc
-		if *spawnWorkers > 0 {
-			bin := *workerBin
-			if bin == "" {
-				bin = findWorkerBin()
-			}
-			if bin == "" {
-				log.Fatalf("vadasad: -spawn-workers: no vadasaw binary next to the executable or on $PATH; set -worker-bin")
-			}
-			for i := 0; i < *spawnWorkers; i++ {
-				p, err := dist.Spawn(bin, []string{"-quiet"}, nil, 10*time.Second)
-				if err != nil {
-					log.Fatalf("vadasad: spawning shard worker %d: %v", i, err)
-				}
-				workerProcs = append(workerProcs, p)
-				transports = append(transports, p.Transport())
-				log.Printf("vadasad: shard worker %d listening on %s", i, p.Addr())
-			}
-			defer func() {
-				for _, p := range workerProcs {
-					p.Kill()
-				}
-			}()
-		}
-		sup := dist.NewSupervisor(transports, dist.Options{
-			Run:               "vadasad",
-			LeaseTTL:          *leaseTTL,
-			HedgeAfter:        *hedgeAfter,
-			HeartbeatInterval: *workerHeartbeat,
-			RequireWorkers:    *requireWorkers,
-			Governor:          srv.govern,
-			Logf:              log.Printf,
-		})
-		sup.Start()
-		defer sup.Close()
-		srv.dist = sup
-		log.Printf("vadasad: sharded risk scoring over %d worker(s), require-workers=%v",
-			len(transports), *requireWorkers)
-	}
-	if *jobDir != "" && !srv.repl.servingStandby() {
-		srv.jobDir = *jobDir
-		mgr, err := jobs.NewManager(&jobRunner{srv: srv}, jobs.Options{
-			Dir:          *jobDir,
-			Workers:      *jobWorkers,
-			MaxAttempts:  *jobRetries,
-			RetryBase:    *jobRetryBase,
-			RetryCap:     *jobRetryCap,
-			DiskHeadroom: *diskHeadroom,
-			Governor:     srv.govern,
-			JournalHook:  srv.replJobHook(),
-		})
-		if err != nil {
-			log.Fatalf("vadasad: %v", err)
-		}
-		srv.jobs = mgr
-		defer mgr.Close()
-		// Recovery replays journals and re-runs interrupted cycles; with
-		// many or large jobs that takes real time, and holding the
-		// listener closed meanwhile turns one restart into an outage.
-		// Serve immediately, answer /readyz with 503 until the replay is
-		// queued, and let load balancers decide what to do with that.
-		srv.recovering.Store(true)
-		go func() {
-			defer srv.recovering.Store(false)
-			resumed, err := mgr.Recover()
-			if err != nil {
-				log.Printf("vadasad: job recovery: %v", err)
-			}
-			if len(resumed) > 0 {
-				log.Printf("vadasad: resumed %d interrupted job(s): %v", len(resumed), resumed)
-			}
-		}()
-	}
-
-	if *streamDir != "" && !srv.repl.servingStandby() {
-		if err := os.MkdirAll(*streamDir, 0o755); err != nil {
-			log.Fatalf("vadasad: -stream-dir: %v", err)
-		}
-		srv.streams = newStreamRegistry(srv, *streamDir, *streamMaxRows, *diskHeadroom)
-		// Stream recovery is synchronous: the WALs are bounded by the window
-		// size, and serving an append before its stream's intent→publish
-		// protocol has been completed would be exactly the inconsistency the
-		// journal exists to prevent.
-		n, err := srv.streams.recover(context.Background())
-		if err != nil {
-			log.Fatalf("vadasad: recovering streams: %v", err)
-		}
-		if n > 0 {
-			log.Printf("vadasad: recovered %d stream(s) from %s", n, *streamDir)
-		}
-		// Deferred drain: each stream writes its checkpoint record on the
-		// clean SIGTERM path, after in-flight requests have finished.
-		defer srv.streams.Close(context.Background())
-	}
-
-	httpSrv := newHTTPServer(*addr, srv, *readTimeout, *requestTimeout)
+	httpSrv := srv.httpServer()
 	errc := make(chan error, 1)
-	if *pprofAddr != "" {
+	if cfg.pprofAddr != "" {
 		// Profiling lives on its own listener, never on the service port:
 		// the service mux stays closed (no DefaultServeMux), so exposure is
 		// an explicit operator decision and can be bound to localhost or a
 		// management network independently of -addr.
-		pprofSrv := newPprofServer(*pprofAddr)
+		pprofSrv := newPprofServer(cfg.pprofAddr)
 		go func() { errc <- fmt.Errorf("pprof listener: %w", pprofSrv.ListenAndServe()) }()
-		log.Printf("vadasad profiling on http://%s/debug/pprof/", *pprofAddr)
+		srv.logf("vadasad profiling on http://%s/debug/pprof/", cfg.pprofAddr)
 	}
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("vadasad listening on %s (request timeout %s, max in-flight %d)",
-		*addr, *requestTimeout, *maxInflight)
+	srv.logf("vadasad listening on %s (request timeout %s, max in-flight %d)",
+		cfg.addr, cfg.requestTimeout, cfg.maxInflight)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -507,14 +172,17 @@ func main() {
 	case err := <-errc:
 		log.Fatalf("vadasad: %v", err)
 	case sig := <-sigc:
-		log.Printf("vadasad: received %s, draining in-flight requests (grace %s)", sig, *shutdownGrace)
-		ctx, cancel := context.WithTimeout(context.Background(), *shutdownGrace)
+		srv.logf("vadasad: received %s, draining in-flight requests (grace %s)", sig, cfg.shutdownGrace)
+		ctx, cancel := context.WithTimeout(context.Background(), cfg.shutdownGrace)
 		defer cancel()
 		if err := httpSrv.Shutdown(ctx); err != nil {
-			log.Printf("vadasad: shutdown did not drain cleanly: %v", err)
+			srv.logf("vadasad: shutdown did not drain cleanly: %v", err)
 			os.Exit(1)
 		}
-		log.Printf("vadasad: drained, bye")
+		// Each stream writes its checkpoint record here, on the clean
+		// SIGTERM path, after in-flight requests have finished.
+		srv.Close()
+		srv.logf("vadasad: drained, bye")
 	}
 }
 
@@ -553,21 +221,21 @@ func newPprofServer(addr string) *http.Server {
 	}
 }
 
-// newHTTPServer builds the hardened http.Server around the handler stack:
+// httpServer builds the hardened http.Server around the handler stack:
 // explicit read/write/idle timeouts so one slow peer cannot hold a
 // connection (and its goroutine) forever. The write timeout leaves the
 // request deadline room to produce a proper 504 body before the socket is
-// closed.
-func newHTTPServer(addr string, s *server, readTimeout, requestTimeout time.Duration) *http.Server {
-	writeTimeout := requestTimeout + 10*time.Second
-	if requestTimeout <= 0 {
-		writeTimeout = 0 // no request deadline -> no write deadline either
+// closed; no request deadline means no write deadline either.
+func (s *server) httpServer() *http.Server {
+	var writeTimeout time.Duration
+	if s.cfg.requestTimeout > 0 {
+		writeTimeout = s.cfg.requestTimeout + 10*time.Second
 	}
 	return &http.Server{
-		Addr:              addr,
-		Handler:           s.handler(),
+		Addr:              s.cfg.addr,
+		Handler:           s.handler,
 		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       readTimeout,
+		ReadTimeout:       s.cfg.readTimeout,
 		WriteTimeout:      writeTimeout,
 		IdleTimeout:       2 * time.Minute,
 	}

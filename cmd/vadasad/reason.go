@@ -9,6 +9,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -19,27 +20,14 @@ import (
 	"vadasa/internal/govern"
 )
 
-// readProgramBody reads and admission-charges a request body.
-func (s *server) readProgramBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := readBody(w, r, s.bodyLimit())
-	if err != nil {
-		return nil, fmt.Errorf("reading body: %w", err)
-	}
-	if err := govern.From(r.Context()).Reserve(govern.Memory, int64(len(body))); err != nil {
-		return nil, err
-	}
-	return body, nil
-}
-
 // handleLint lints the posted program source. The response is always 200
 // with the full diagnostics — a lint request succeeds even when the program
 // is broken; ?inputs=, ?outputs= and ?allow= supplement the source's own
 // vadalint directives.
-func (s *server) handleLint(w http.ResponseWriter, r *http.Request) {
-	body, err := s.readProgramBody(w, r)
+func (s *server) handleLint(w http.ResponseWriter, r *http.Request) error {
+	body, err := s.readCharged(w, r)
 	if err != nil {
-		s.failRequest(w, http.StatusBadRequest, err)
-		return
+		return badRequest(err)
 	}
 	q := r.URL.Query()
 	diags := lint.Source("program", string(body), &lint.Options{
@@ -50,7 +38,7 @@ func (s *server) handleLint(w http.ResponseWriter, r *http.Request) {
 	if diags == nil {
 		diags = []lint.Diagnostic{}
 	}
-	s.writeJSON(w, http.StatusOK, struct {
+	return s.writeJSON(w, http.StatusOK, struct {
 		Diagnostics []lint.Diagnostic `json:"diagnostics"`
 		Errors      int               `json:"errors"`
 	}{diags, countErrors(diags)})
@@ -79,20 +67,21 @@ type reasonRequest struct {
 	Allow   []string           `json:"allow,omitempty"`
 }
 
-func (s *server) handleReason(w http.ResponseWriter, r *http.Request) {
-	body, err := s.readProgramBody(w, r)
+func (s *server) handleReason(w http.ResponseWriter, r *http.Request) error {
+	body, err := s.readCharged(w, r)
 	if err != nil {
-		s.failRequest(w, http.StatusBadRequest, err)
-		return
+		return badRequest(err)
 	}
 	var req reasonRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		s.httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
+		return badRequest(fmt.Errorf("decoding request: %w", err))
 	}
 	if req.Program == "" {
-		s.httpError(w, http.StatusBadRequest, fmt.Errorf("the program field is required"))
-		return
+		return badRequest(fmt.Errorf("the program field is required"))
+	}
+	budget, err := s.parseBudget(r.URL.Query())
+	if err != nil {
+		return badRequest(err)
 	}
 
 	// Pre-flight: fact predicates are extensional by definition, queried
@@ -107,18 +96,17 @@ func (s *server) handleReason(w http.ResponseWriter, r *http.Request) {
 		Allow:   req.Allow,
 	})
 	if lint.HasErrors(diags) {
-		s.writeJSON(w, http.StatusUnprocessableEntity, struct {
-			Error       string            `json:"error"`
-			Diagnostics []lint.Diagnostic `json:"diagnostics"`
-		}{"program rejected by static analysis", diags})
-		return
+		return &statusError{
+			status: http.StatusUnprocessableEntity,
+			err:    errors.New("program rejected by static analysis"),
+			fields: map[string]any{"diagnostics": diags},
+		}
 	}
 
 	prog, err := vadasa.ParseProgram(req.Program)
 	if err != nil {
 		// Unreachable in practice: a parse failure is a VL000 error above.
-		s.httpError(w, http.StatusUnprocessableEntity, err)
-		return
+		return unprocessable(err)
 	}
 	edb := vadasa.NewFactDB()
 	for pred, rows := range req.Facts {
@@ -131,31 +119,18 @@ func (s *server) handleReason(w http.ResponseWriter, r *http.Request) {
 				case float64:
 					args[i] = vadasa.NumVal(v)
 				default:
-					s.httpError(w, http.StatusBadRequest,
-						fmt.Errorf("fact %s: argument %d must be a string or number, got %T", pred, i+1, cell))
-					return
+					return badRequest(fmt.Errorf("fact %s: argument %d must be a string or number, got %T", pred, i+1, cell))
 				}
 			}
 			edb.Add(pred, args...)
 		}
 	}
 
-	opts := &vadasa.ReasoningOptions{Governor: govern.From(r.Context())}
-	budget, err := int64Value(r.URL.Query(), "budget", 0)
-	if err != nil || budget < 0 || budget > s.budgetCap() {
-		if err == nil {
-			err = fmt.Errorf("budget must be between 0 and %d", s.budgetCap())
-		}
-		s.httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if budget > 0 {
-		opts.MaxWork = budget
-	}
-	res, err := vadasa.ReasonContext(r.Context(), prog, edb, opts)
+	// A zero MaxWork leaves the engine's own default in place.
+	res, err := vadasa.ReasonContext(r.Context(), prog, edb,
+		&vadasa.ReasoningOptions{Governor: govern.From(r.Context()), MaxWork: budget})
 	if err != nil {
-		s.failRequest(w, http.StatusUnprocessableEntity, err)
-		return
+		return unprocessable(err)
 	}
 
 	preds := req.Query
@@ -181,7 +156,7 @@ func (s *server) handleReason(w http.ResponseWriter, r *http.Request) {
 	for _, v := range res.Violations {
 		violations = append(violations, v.String())
 	}
-	s.writeJSON(w, http.StatusOK, struct {
+	return s.writeJSON(w, http.StatusOK, struct {
 		Facts       map[string][][]any    `json:"facts"`
 		Violations  []string              `json:"violations,omitempty"`
 		Diagnostics []lint.Diagnostic     `json:"diagnostics,omitempty"`

@@ -10,7 +10,7 @@ import (
 
 func TestLintEndpointCleanProgram(t *testing.T) {
 	src := "% vadalint:input q\n% vadalint:output p\np(X) :- q(X).\n"
-	rec := do(t, testServer(), "POST", "/lint", src)
+	rec := do(t, testServer(t), "POST", "/lint", src)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body)
 	}
@@ -30,7 +30,7 @@ func TestLintEndpointBrokenProgram(t *testing.T) {
 	// Arity clash: own/3 fact versus own/2 in the rule body. Linting a
 	// broken program still succeeds — 200 with the findings.
 	src := "own(\"a\",\"b\",0.6).\nrel(X,Y) :- own(X,Y).\n"
-	rec := do(t, testServer(), "POST", "/lint?outputs=rel", src)
+	rec := do(t, testServer(t), "POST", "/lint?outputs=rel", src)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body)
 	}
@@ -58,7 +58,7 @@ func TestReasonEndpoint(t *testing.T) {
 		},
 		"query": []string{"ctr"},
 	})
-	rec := do(t, testServer(), "POST", "/reason", string(body))
+	rec := do(t, testServer(t), "POST", "/reason", string(body))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body)
 	}
@@ -100,7 +100,7 @@ func TestReasonEndpointRejectsBadProgram(t *testing.T) {
 		"facts":   map[string][][]any{"move": {{"a", "b"}}},
 		"query":   []string{"win"},
 	})
-	rec := do(t, testServer(), "POST", "/reason", string(body))
+	rec := do(t, testServer(t), "POST", "/reason", string(body))
 	if rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body)
 	}
@@ -126,7 +126,7 @@ func TestReasonEndpointRejectsBadProgram(t *testing.T) {
 }
 
 func TestReasonEndpointBadRequests(t *testing.T) {
-	h := testServer()
+	h := testServer(t)
 	if rec := do(t, h, "POST", "/reason", "{"); rec.Code != http.StatusBadRequest {
 		t.Errorf("truncated JSON: status = %d", rec.Code)
 	}

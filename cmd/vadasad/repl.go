@@ -6,9 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"vadasa/internal/faultfs"
 	"vadasa/internal/replica"
@@ -16,109 +16,92 @@ import (
 )
 
 // replState carries the server's replication wiring (-repl-role). Exactly
-// one of primary/standby is non-nil. On a standby, the openStreams and
-// openJobs closures captured at startup bring the write path up at
-// promotion time — over the very directories the mirror has been writing,
-// through the very recovery code a restart would run.
+// one of primary/standby is non-nil.
 type replState struct {
 	node    *replica.Node
 	primary *replica.Primary
 	standby *replica.Standby
-
-	streamDir string
-	jobDir    string
-
-	// openStreams/openJobs build the write-path registries after a
-	// promotion (nil when the corresponding -*-dir is unset).
-	openStreams func(ctx context.Context) (int, error)
-	openJobs    func() error
-	// rebuild swaps the HTTP handler for one routed with the write path
-	// enabled. Set by server.handler.
-	rebuild func()
-
-	promoted atomic.Bool
-	mu       sync.Mutex // serializes promotion
 }
 
-// servingStandby reports whether the node is currently mirroring — i.e. a
-// standby that has not been promoted. Such a node serves reads and
-// rejects writes with a standby marker.
-func (rs *replState) servingStandby() bool {
-	return rs != nil && rs.standby != nil && !rs.promoted.Load()
-}
-
-// swapHandler lets the promotion path atomically replace the whole route
-// table: the standby's read-only mux gives way to the full API without
-// restarting the listener.
-type swapHandler struct{ v atomic.Value }
-
-func (h *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	h.v.Load().(http.Handler).ServeHTTP(w, r)
-}
-
-// handler returns the server's HTTP handler. Without replication it is the
-// static route table; with it, a swappable one so promotion can widen the
-// routes in place.
-func (s *server) handler() http.Handler {
-	if s.repl == nil {
-		return s.routes()
+// close stops the shipper or the mirror, then the epoch journal.
+func (rs *replState) close() {
+	if rs.primary != nil {
+		rs.primary.Close()
 	}
-	sh := &swapHandler{}
-	sh.v.Store(s.routes())
-	s.repl.rebuild = func() { sh.v.Store(s.routes()) }
-	return sh
+	if rs.standby != nil {
+		rs.standby.Close()
+	}
+	rs.node.Close()
 }
 
-// replRoutes registers the replication endpoints. /replstatus is always
-// on; the ship and promote endpoints exist wherever a standby does (a
-// promoted standby keeps them so a stale primary's shipments are answered
-// with the fencing 409 rather than a 404); the read-only stream mirrors
-// are standby-only and give way to the real stream API at promotion.
-func (s *server) replRoutes(mux *http.ServeMux) {
-	mux.HandleFunc("GET /replstatus", s.handleReplStatus)
-	if s.repl.standby != nil {
-		mux.HandleFunc("POST /repl/ship", s.handleReplShip)
-		mux.HandleFunc("POST /repl/promote", s.handleReplPromote)
+// openReplication wires -repl-role: the epoch journal, then either the
+// shipper to -repl-peers or the mirror over -stream-dir and -job-dir (whose
+// journals it recovers before the listener opens).
+func (s *server) openReplication() error {
+	cfg := &s.cfg
+	replDir := cfg.streamDir
+	if replDir == "" && cfg.jobDir != "" {
+		// Keep the epoch journal out of the jobs manager's *.journal
+		// glob by giving it its own directory.
+		replDir = filepath.Join(cfg.jobDir, "repl")
 	}
-	if s.repl.servingStandby() {
-		mux.HandleFunc("GET /streams", s.handleStandbyStreams)
-		mux.HandleFunc("GET /stream/{id}/release", s.handleStandbyRelease)
-		mux.HandleFunc("GET /stream/{id}/status", s.handleStandbyStatus)
+	if replDir == "" {
+		return fmt.Errorf("-repl-role requires -stream-dir or -job-dir; there is nothing to replicate")
 	}
-}
-
-// withRepl rejects writes on an unpromoted standby: 503 with Retry-After
-// and an explicit standby marker, so clients and load balancers can tell
-// "wrong node" from "overloaded node". Reads (and the replication
-// endpoints themselves) pass through.
-func (s *server) withRepl(next http.Handler) http.Handler {
-	if s.repl == nil {
-		return next
+	if err := os.MkdirAll(replDir, 0o755); err != nil {
+		return fmt.Errorf("-repl-role: %w", err)
 	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.repl.servingStandby() && !standbyAllowed(r) {
-			w.Header().Set("Retry-After", "5")
-			s.writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-				"error":   "this node is a replication standby; send writes to the primary",
-				"standby": true,
-			})
-			return
+	role, ok := map[string]replica.Role{"primary": replica.RolePrimary, "standby": replica.RoleStandby}[cfg.replRole]
+	peers := splitList(cfg.replPeers)
+	if !ok {
+		return fmt.Errorf("unknown -repl-role %q (want primary or standby)", cfg.replRole)
+	} else if role == replica.RolePrimary && len(peers) == 0 {
+		return fmt.Errorf("-repl-role=primary requires -repl-peers")
+	}
+	nodeID, _ := os.Hostname()
+	if nodeID == "" {
+		nodeID = "vadasad"
+	}
+	node, err := replica.OpenNode(nodeID, filepath.Join(replDir, replica.NodeJournalName), role, nil)
+	if err != nil {
+		return fmt.Errorf("replication: %w", err)
+	}
+	s.repl = &replState{node: node}
+	if role == replica.RolePrimary {
+		opts := replica.PrimaryOptions{Node: node, Sync: cfg.replSync, LagMax: cfg.replLagMax, Logf: s.logf}
+		for _, a := range peers {
+			opts.Peers = append(opts.Peers, replica.NewHTTPTransport(a, nil))
 		}
-		next.ServeHTTP(w, r)
+		if s.repl.primary, err = replica.NewPrimary(opts); err != nil {
+			return fmt.Errorf("replication: %w", err)
+		}
+		s.repl.primary.Start()
+		s.logf("vadasad: replication primary %q (epoch %d) shipping to %d peer(s), sync=%v",
+			nodeID, node.Epoch(), len(peers), cfg.replSync)
+		return nil
+	}
+	roots := map[string]replica.Root{}
+	if cfg.streamDir != "" {
+		roots["stream"] = replica.Root{Dir: cfg.streamDir, Ext: ".wal"}
+	}
+	if cfg.jobDir != "" {
+		roots["jobs"] = replica.Root{Dir: cfg.jobDir, Ext: ".journal"}
+	}
+	s.repl.standby, err = replica.NewStandby(replica.StandbyOptions{
+		Node:         node,
+		Roots:        roots,
+		OpenFollower: s.openFollower,
+		FollowRoot:   "stream",
+		Logf:         s.logf,
 	})
-}
-
-// standbyAllowed reports whether an unpromoted standby serves the request
-// itself: reads, probes, and the replication protocol.
-func standbyAllowed(r *http.Request) bool {
-	if r.Method == http.MethodGet || r.Method == http.MethodHead {
-		return true
+	if err != nil {
+		return fmt.Errorf("replication: %w", err)
 	}
-	switch r.URL.Path {
-	case "/repl/ship", "/repl/promote":
-		return true
+	if err := s.repl.standby.Recover(context.Background()); err != nil {
+		return fmt.Errorf("replication: recovering mirrors: %w", err)
 	}
-	return false
+	s.logf("vadasad: replication standby %q mirroring into %s (epoch seen %d)", nodeID, replDir, node.Epoch())
+	return nil
 }
 
 // applyReplStream wires a primary-side stream into the replication layer
@@ -170,103 +153,84 @@ func (s *server) replJobHook() func(id, path string) func(seq int, line []byte) 
 	}
 }
 
-// followerFactory builds the standby's replay views: the stream Options
-// are rebuilt from the mirrored WAL's own create record — the same
-// reconstruction startup recovery uses — so the follower's risk state is
-// computed by the same code that will own the stream after a promotion.
-func (s *server) followerFactory(maxRows int, diskHeadroom int64) replica.FollowerFactory {
-	return func(ctx context.Context, id, path string) (*stream.Follower, error) {
-		info, err := stream.Peek(ctx, faultfs.OS, path)
-		if err != nil {
-			return nil, err
-		}
-		reg := &streamRegistry{srv: s, maxRows: maxRows, diskHeadroom: diskHeadroom}
-		opts, err := reg.optionsFromInfo(info)
-		if err != nil {
-			return nil, err
-		}
-		return stream.OpenFollower(ctx, info.ID, path, opts)
+// openFollower builds one of the standby's replay views: the stream Options
+// are rebuilt from the mirrored WAL's own create record, the same
+// reconstruction startup recovery uses.
+func (s *server) openFollower(ctx context.Context, id, path string) (*stream.Follower, error) {
+	info, err := stream.Peek(ctx, faultfs.OS, path)
+	if err != nil {
+		return nil, err
 	}
+	opts, err := s.streamOptions(info)
+	if err != nil {
+		return nil, err
+	}
+	return stream.OpenFollower(ctx, info.ID, path, opts)
 }
 
 // handleReplShip is the receiver half of the shipping protocol: the
 // primary POSTs batched journal frames (and state digests), the standby
 // appends + fsyncs them and answers its per-log ack positions. A fencing
-// rejection is 409 carrying the prevailing epoch — the signal that demotes
-// the sender.
-func (s *server) handleReplShip(w http.ResponseWriter, r *http.Request) {
+// rejection carries the prevailing epoch — the signal that demotes the
+// sender.
+func (s *server) handleReplShip(w http.ResponseWriter, r *http.Request) error {
+	body, err := s.readBody(w, r)
+	if err != nil {
+		return badRequest(err)
+	}
 	var req replica.ShipRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.bodyLimit())).Decode(&req); err != nil {
-		s.failRequest(w, http.StatusBadRequest, fmt.Errorf("decoding shipment: %w", err))
-		return
+	if err := json.Unmarshal(body, &req); err != nil {
+		return badRequest(fmt.Errorf("decoding shipment: %w", err))
 	}
 	resp, err := s.repl.standby.HandleShip(r.Context(), &req)
 	if err != nil {
+		err = &replCallError{err}
 		var fe *replica.FencedError
 		if errors.As(err, &fe) {
-			s.writeJSON(w, http.StatusConflict, map[string]any{"error": err.Error(), "epoch": fe.Seen})
-			return
+			return &statusError{status: http.StatusConflict, err: err, fields: map[string]any{"epoch": fe.Seen}}
 		}
-		w.Header().Set("Retry-After", "5")
-		s.httpError(w, http.StatusServiceUnavailable, err)
-		return
+		return err
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	return s.writeJSON(w, http.StatusOK, resp)
 }
 
 // handleReplPromote fences this standby into the primary role. The fence
 // token (?fence=) must outrank every epoch the node has seen; omitted, it
 // defaults to seen+1. On success the mirrored directories are recovered
-// through the normal startup path — pending release intents complete
-// exactly once — and the full API replaces the read-only one.
-func (s *server) handleReplPromote(w http.ResponseWriter, r *http.Request) {
+// through the start-up path — pending release intents complete exactly
+// once — and the node answers as a primary from then on.
+func (s *server) handleReplPromote(w http.ResponseWriter, r *http.Request) error {
+	s.promoteMu.Lock()
+	defer s.promoteMu.Unlock()
 	rs := s.repl
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.promoted.Load() {
-		s.httpError(w, http.StatusConflict,
-			fmt.Errorf("already promoted (epoch %d)", rs.node.Granted()))
-		return
+	if !s.unpromoted() {
+		return conflict(fmt.Errorf("already promoted (epoch %d)", rs.node.Granted()))
 	}
 	fence := rs.node.Epoch() + 1
 	if v := r.URL.Query().Get("fence"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			s.httpError(w, http.StatusBadRequest, fmt.Errorf("bad fence parameter %q", v))
-			return
+			return badRequest(fmt.Errorf("bad fence parameter %q", v))
 		}
 		fence = n
 	}
 	if err := rs.standby.Promote(r.Context(), fence); err != nil {
 		if replica.IsFenced(err) {
-			s.httpError(w, http.StatusConflict, err)
-			return
+			return &replCallError{err}
 		}
-		s.httpError(w, http.StatusInternalServerError, err)
-		return
+		return err
 	}
-	s.logPrintf("vadasad: promoted to primary under epoch %d", fence)
-
+	s.logf("vadasad: promoted to primary under epoch %d", fence)
+	// The grant is journaled; the node IS the primary now. Failing recovery
+	// is an operator problem, not a reason to un-promote.
+	if err := s.openWritePath(); err != nil {
+		s.logf("vadasad: promote: %v", err)
+	}
 	streams := 0
-	if rs.openStreams != nil {
-		n, err := rs.openStreams(r.Context())
-		if err != nil {
-			// The grant is journaled; the node IS the primary now. Failing
-			// recovery is an operator problem, not a reason to un-promote.
-			s.logPrintf("vadasad: promote: recovering streams: %v", err)
-		}
-		streams = n
+	if reg := s.streams(); reg != nil {
+		streams = len(reg.ids())
 	}
-	if rs.openJobs != nil {
-		if err := rs.openJobs(); err != nil {
-			s.logPrintf("vadasad: promote: starting jobs manager: %v", err)
-		}
-	}
-	rs.promoted.Store(true)
-	if rs.rebuild != nil {
-		rs.rebuild()
-	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
+	return s.writeJSON(w, http.StatusOK, map[string]any{
 		"promoted": true, "epoch": fence, "streams": streams,
 	})
 }
@@ -274,7 +238,7 @@ func (s *server) handleReplPromote(w http.ResponseWriter, r *http.Request) {
 // handleReplStatus exposes the replication state: role, epochs, and the
 // side-specific detail (shipping lag and peer acks on a primary; mirrored
 // log positions and divergence on a standby).
-func (s *server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleReplStatus(w http.ResponseWriter, r *http.Request) error {
 	rs := s.repl
 	out := map[string]any{
 		"role":    rs.node.Role(),
@@ -287,71 +251,5 @@ func (s *server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 	if rs.standby != nil {
 		out["standby"] = rs.standby.Status()
 	}
-	s.writeJSON(w, http.StatusOK, out)
-}
-
-// handleStandbyStreams lists the mirrored streams that currently have a
-// replay view.
-func (s *server) handleStandbyStreams(w http.ResponseWriter, r *http.Request) {
-	ids := []string{}
-	for _, fol := range s.repl.standby.Followers() {
-		ids = append(ids, fol.ID())
-	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"streams": ids, "standby": true})
-}
-
-// handleStandbyRelease serves the currently published (unacked) release of
-// a mirrored stream, digest-verified against the primary's journaled
-// intent — the read-only availability a warm standby buys. It never
-// publishes: with no release in flight it answers 409 and points at the
-// primary.
-func (s *server) handleStandbyRelease(w http.ResponseWriter, r *http.Request) {
-	fol, ok := s.lookupFollower(w, r)
-	if !ok {
-		return
-	}
-	info := fol.Published()
-	if info == nil {
-		s.httpError(w, http.StatusConflict,
-			fmt.Errorf("no release is currently published; releases are gated on the primary"))
-		return
-	}
-	b, err := fol.ReleaseBytes()
-	if err != nil {
-		s.httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, struct {
-		Stream  string              `json:"stream"`
-		Standby bool                `json:"standby"`
-		Release *stream.ReleaseInfo `json:"release"`
-		CSV     string              `json:"csv"`
-	}{fol.ID(), true, info, string(b)})
-}
-
-// handleStandbyStatus reports a mirrored stream's replayed counters.
-func (s *server) handleStandbyStatus(w http.ResponseWriter, r *http.Request) {
-	fol, ok := s.lookupFollower(w, r)
-	if !ok {
-		return
-	}
-	s.writeJSON(w, http.StatusOK, struct {
-		Stream  string `json:"stream"`
-		Standby bool   `json:"standby"`
-		stream.Status
-	}{fol.ID(), true, fol.Status(r.Context())})
-}
-
-func (s *server) lookupFollower(w http.ResponseWriter, r *http.Request) (*stream.Follower, bool) {
-	id, err := streamID(r)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return nil, false
-	}
-	fol := s.repl.standby.Follower("stream/" + id)
-	if fol == nil {
-		s.httpError(w, http.StatusNotFound, fmt.Errorf("no mirrored stream %q on this standby", id))
-		return nil, false
-	}
-	return fol, true
+	return s.writeJSON(w, http.StatusOK, out)
 }

@@ -1,102 +1,40 @@
 package main
 
 import (
-	"context"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 
-	"vadasa"
-	"vadasa/internal/dist"
-	"vadasa/internal/govern"
 	"vadasa/internal/replica"
-	"vadasa/internal/stream"
 )
 
-// replPair wires a primary server and a standby server exactly the way
-// main() does with -repl-role, shipping over a real HTTP listener so the
+// replPair is a primary daemon and a standby daemon built the way main
+// builds them under -repl-role, shipping over a real HTTP listener so the
 // transport, the /repl/ship handler and the body limits are all exercised.
 type replPair struct {
-	primary *server
-	standby *server
-	ph, sh  http.Handler
-	p       *replica.Primary
-	sb      *replica.Standby
-	pNode   *replica.Node
-	sNode   *replica.Node
-	pDir    string
-	sDir    string
+	ph, sh http.Handler
+	sb     *replica.Standby
+	pNode  *replica.Node
 }
 
 func newReplPair(t *testing.T, sync bool) *replPair {
 	t.Helper()
-	ctx := context.Background()
-	nf := func() (*vadasa.Framework, error) { return vadasa.New(), nil }
-
 	// Standby side first: the primary needs its listener address.
-	sDir := t.TempDir()
-	sNode, err := replica.OpenNode("s1", filepath.Join(sDir, replica.NodeJournalName), replica.RoleStandby, nil)
-	if err != nil {
-		t.Fatalf("standby node: %v", err)
-	}
-	t.Cleanup(func() { sNode.Close() })
-	srv2 := &server{newFramework: nf, logf: t.Logf}
-	sb, err := replica.NewStandby(replica.StandbyOptions{
-		Node:         sNode,
-		Roots:        map[string]replica.Root{"stream": {Dir: sDir, Ext: ".wal"}},
-		OpenFollower: srv2.followerFactory(0, 0),
-		FollowRoot:   "stream",
-		Logf:         t.Logf,
-	})
-	if err != nil {
-		t.Fatalf("standby: %v", err)
-	}
-	if err := sb.Recover(ctx); err != nil {
-		t.Fatalf("standby recover: %v", err)
-	}
-	t.Cleanup(sb.Close)
-	srv2.repl = &replState{node: sNode, standby: sb, streamDir: sDir}
-	srv2.repl.openStreams = func(ctx context.Context) (int, error) {
-		srv2.streams = newStreamRegistry(srv2, sDir, 0, 0)
-		return srv2.streams.recover(ctx)
-	}
-	sh := srv2.handler()
-	ts := httptest.NewServer(sh)
+	scfg := testConfig(t)
+	scfg.replRole, scfg.streamDir = "standby", t.TempDir()
+	standby := startServer(t, scfg)
+	ts := httptest.NewServer(standby.handler)
 	t.Cleanup(ts.Close)
 
-	pDir := t.TempDir()
-	pNode, err := replica.OpenNode("p1", filepath.Join(pDir, replica.NodeJournalName), replica.RolePrimary, nil)
-	if err != nil {
-		t.Fatalf("primary node: %v", err)
-	}
-	t.Cleanup(func() { pNode.Close() })
-	srv1 := &server{newFramework: nf, logf: t.Logf}
-	p, err := replica.NewPrimary(replica.PrimaryOptions{
-		Node:           pNode,
-		Peers:          []replica.Transport{replica.NewHTTPTransport(ts.URL, nil)},
-		Sync:           sync,
-		SyncTimeout:    10 * time.Second,
-		RetryBase:      5 * time.Millisecond,
-		DigestInterval: 50 * time.Millisecond,
-		Logf:           t.Logf,
-	})
-	if err != nil {
-		t.Fatalf("primary: %v", err)
-	}
-	srv1.repl = &replState{node: pNode, primary: p, streamDir: pDir}
-	srv1.streams = newStreamRegistry(srv1, pDir, 0, 0)
-	p.Start()
-	t.Cleanup(p.Close)
+	pcfg := testConfig(t)
+	pcfg.replRole, pcfg.replPeers, pcfg.replSync, pcfg.streamDir = "primary", ts.URL, sync, t.TempDir()
+	primary := startServer(t, pcfg)
 
 	return &replPair{
-		primary: srv1, standby: srv2,
-		ph: srv1.handler(), sh: sh,
-		p: p, sb: sb, pNode: pNode, sNode: sNode,
-		pDir: pDir, sDir: sDir,
+		ph: primary.handler, sh: standby.handler,
+		sb: standby.repl.standby, pNode: primary.repl.node,
 	}
 }
 
@@ -110,13 +48,6 @@ func waitRepl(t *testing.T, what string, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
-}
-
-type releaseBody struct {
-	Stream  string              `json:"stream"`
-	Standby bool                `json:"standby"`
-	Release *stream.ReleaseInfo `json:"release"`
-	CSV     string              `json:"csv"`
 }
 
 // An async pair: the standby mirrors appends and releases, serves the
@@ -313,134 +244,4 @@ func TestReplPromoteFailoverHTTP(t *testing.T) {
 	if rstat.Epoch != 2 || rstat.Granted != 1 {
 		t.Fatalf("demoted replstatus %+v", rstat)
 	}
-}
-
-// Every load-shedding and unavailability answer must carry a Retry-After
-// header and the uniform {"error": ...} JSON body, so one generic client
-// backoff loop handles saturation, disk pressure, replication fencing and
-// standby redirection alike. Table-driven over the causes failRequest and
-// failStream map to 503/429.
-func TestReplRetryAfterAudit(t *testing.T) {
-	cases := []struct {
-		name       string
-		fail       func(s *server, w http.ResponseWriter)
-		status     int
-		retryAfter string
-		contains   string
-	}{
-		{
-			name: "saturated budget",
-			fail: func(s *server, w http.ResponseWriter) {
-				s.failRequest(w, http.StatusInternalServerError, &govern.ErrBudgetExceeded{})
-			},
-			status:     http.StatusServiceUnavailable,
-			retryAfter: "15",
-			contains:   "resource budget exhausted",
-		},
-		{
-			name: "workers degraded",
-			fail: func(s *server, w http.ResponseWriter) {
-				s.failRequest(w, http.StatusInternalServerError, dist.ErrDegraded)
-			},
-			status:     http.StatusServiceUnavailable,
-			retryAfter: "5",
-			contains:   "workers",
-		},
-		{
-			name: "journal volume full",
-			fail: func(s *server, w http.ResponseWriter) {
-				s.failRequest(w, http.StatusInternalServerError, syscall.ENOSPC)
-			},
-			status:     http.StatusServiceUnavailable,
-			retryAfter: "15",
-			contains:   "out of space",
-		},
-		{
-			name: "demoted primary",
-			fail: func(s *server, w http.ResponseWriter) {
-				s.failRequest(w, http.StatusInternalServerError, &replica.FencedError{Epoch: 1, Seen: 2})
-			},
-			status:     http.StatusServiceUnavailable,
-			retryAfter: "5",
-			contains:   "no longer the primary",
-		},
-		{
-			name: "sync replication timeout",
-			fail: func(s *server, w http.ResponseWriter) {
-				s.failRequest(w, http.StatusInternalServerError, &replica.SyncError{Log: "stream/s1", Seq: 3})
-			},
-			status:     http.StatusServiceUnavailable,
-			retryAfter: "5",
-			contains:   "rolled back",
-		},
-		{
-			name: "stream draining",
-			fail: func(s *server, w http.ResponseWriter) {
-				s.failStream(w, http.StatusInternalServerError, stream.ErrClosed)
-			},
-			status:     http.StatusServiceUnavailable,
-			retryAfter: "5",
-			contains:   "draining",
-		},
-		{
-			name: "window full",
-			fail: func(s *server, w http.ResponseWriter) {
-				s.failStream(w, http.StatusInternalServerError, &stream.WindowFullError{Rows: 10, Adding: 2, Max: 10})
-			},
-			status:     http.StatusTooManyRequests,
-			retryAfter: "1",
-			contains:   "window is full",
-		},
-		{
-			name: "gate closed",
-			fail: func(s *server, w http.ResponseWriter) {
-				s.failStream(w, http.StatusInternalServerError, &stream.GateClosedError{Residual: 3})
-			},
-			status:     http.StatusConflict,
-			retryAfter: "", // a state conflict, not load: retrying the same call cannot help
-			contains:   "gate closed",
-		},
-	}
-	srv := &server{newFramework: func() (*vadasa.Framework, error) { return vadasa.New(), nil }, logf: t.Logf}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			rec := httptest.NewRecorder()
-			tc.fail(srv, rec)
-			if rec.Code != tc.status {
-				t.Fatalf("status = %d, want %d (%s)", rec.Code, tc.status, rec.Body)
-			}
-			if got := rec.Header().Get("Retry-After"); got != tc.retryAfter {
-				t.Fatalf("Retry-After = %q, want %q", got, tc.retryAfter)
-			}
-			var body struct {
-				Error string `json:"error"`
-			}
-			decodeBody(t, rec.Body.Bytes(), &body)
-			if body.Error == "" || !strings.Contains(body.Error, tc.contains) {
-				t.Fatalf("body %q does not contain %q", body.Error, tc.contains)
-			}
-		})
-	}
-
-	// The in-flight limiter's shed path, end to end: cap 1, slot taken.
-	srv.inflight = make(chan struct{}, 1)
-	srv.inflight <- struct{}{}
-	rec := do(t, srv.routes(), "GET", "/measures", "")
-	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") != "1" {
-		t.Fatalf("shed status = %d, Retry-After %q: %s", rec.Code, rec.Header().Get("Retry-After"), rec.Body)
-	}
-
-	// Probes stay exempt while saturated.
-	if rec := do(t, srv.routes(), "GET", "/healthz", ""); rec.Code != http.StatusOK {
-		t.Fatalf("healthz while saturated = %d", rec.Code)
-	}
-	<-srv.inflight
-
-	// Startup recovery answers /readyz 503 with Retry-After.
-	srv.recovering.Store(true)
-	rec = do(t, srv.routes(), "GET", "/readyz", "")
-	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") != "5" {
-		t.Fatalf("recovering readyz = %d, Retry-After %q", rec.Code, rec.Header().Get("Retry-After"))
-	}
-	srv.recovering.Store(false)
 }

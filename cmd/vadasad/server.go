@@ -2,19 +2,24 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
 	"net/url"
+	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"vadasa"
 	"vadasa/internal/dist"
+	"vadasa/internal/faultfs"
 	"vadasa/internal/govern"
 	"vadasa/internal/jobs"
 	"vadasa/internal/risk"
@@ -22,189 +27,291 @@ import (
 
 // server carries the handler state. A fresh framework per request keeps
 // requests isolated (categorization registers datasets in the dictionary).
-// The zero value of every tuning field selects a production-safe default.
 type server struct {
-	newFramework func() (*vadasa.Framework, error)
-
-	// requestTimeout is the per-request wall-clock budget attached to the
-	// request context by the deadline middleware (0 = defaultRequestTimeout,
-	// negative = no deadline).
-	requestTimeout time.Duration
-	// maxBody caps the request body size in bytes (0 = 64 MiB).
-	maxBody int64
-	// budgetCeiling caps the ?budget= engine work budget a client may ask
-	// for (0 = defaultBudgetCeiling).
-	budgetCeiling int64
-	// inflight, when non-nil, is the concurrency-limiting semaphore; its
-	// capacity is the -max-inflight flag.
-	inflight chan struct{}
-	// logf overrides log.Printf in tests; nil logs normally.
+	cfg config
+	// logf is the one log sink of the daemon: the server's own lines and
+	// those of every component it builds (replication, the shard
+	// supervisor, jobs, streams) go through it.
 	logf func(format string, args ...any)
-	// extraMeasures lets tests register fault-injection measures (slow,
-	// panicking) without widening the production query surface. Never set
-	// outside tests.
-	extraMeasures map[string]func() vadasa.RiskMeasure
-	// jobs, when non-nil, enables the asynchronous job API (-job-dir);
-	// jobDir is where inputs, outputs and journals live.
-	jobs   *jobs.Manager
-	jobDir string
+	// handler is the route table behind the middleware stack.
+	handler http.Handler
+
+	// inflight, when non-nil, is the concurrency-limiting semaphore; its
+	// capacity is -max-inflight.
+	inflight chan struct{}
 	// govern, when non-nil, is the server-wide resource governor: every
 	// request and job runs under a child scope of it, and /readyz turns
 	// not-ready while any of its budgets are saturated.
 	govern *govern.Governor
-	// maxCells caps rows×columns of a decoded CSV (0 = defaultMaxCells,
-	// negative = disabled). Oversized datasets are refused with 413
-	// before any parsing or categorization work is spent on them.
-	maxCells int64
-	// recovering is set while startup job recovery replays journals in
-	// the background; /readyz answers 503 until it clears.
-	recovering atomic.Bool
 	// dist, when non-nil, is the shard-worker supervisor: incremental
 	// risk re-scoring fans out to vadasaw processes, and /readyz reports
 	// degraded (200) when none are healthy but in-process fallback still
 	// serves — or 503 with Retry-After under -require-workers.
-	dist *dist.Supervisor
-	// streams, when non-nil, enables the crash-consistent streaming
-	// anonymization API (-stream-dir): journaled ingestion windows with
-	// gated, exactly-once releases.
-	streams *streamRegistry
+	dist    *dist.Supervisor
+	workers []*dist.Proc
 	// repl, when non-nil, is the warm-standby replication wiring
 	// (-repl-role): a primary ships every journal append to its peers
 	// and refuses writes once fenced; a standby mirrors, serves
 	// read-only releases, and can be promoted in place.
 	repl *replState
+
+	// writePath holds the jobs manager and the stream registry once they
+	// are up: from start-up on, except on a standby, where a promotion
+	// publishes it. Nil is what makes a standby "unpromoted".
+	writePath atomic.Pointer[writePath]
+	// recovering is set while job recovery replays journals in the
+	// background; /readyz answers 503 until it clears.
+	recovering atomic.Bool
+	// promoteMu serializes promotions.
+	promoteMu sync.Mutex
 }
 
-// defaultBudgetCeiling matches the engine's own MaxWork default: clients may
-// lower the join budget per request, never raise it past the server cap.
-const defaultBudgetCeiling = 1_000_000_000
-
-// defaultMaxCells bounds rows×columns of a decoded CSV when the operator
-// sets nothing: ten million cells is far beyond any interactive dataset but
-// well below what would stall the categorizer and the risk measures.
-const defaultMaxCells = 10_000_000
-
-func (s *server) bodyLimit() int64 {
-	if s.maxBody > 0 {
-		return s.maxBody
-	}
-	return 64 << 20
+// writePath is the part of the server that mutates durable state: the jobs
+// manager (-job-dir) and the stream registry (-stream-dir), either of which
+// may be absent.
+type writePath struct {
+	jobs    *jobs.Manager
+	streams *streamRegistry
+	// jobsRecovered is closed when background job recovery has finished.
+	jobsRecovered chan struct{}
 }
 
-// readBody reads a request body of at most limit bytes. A declared
-// Content-Length sizes the buffer once; io.ReadAll would grow it step by
-// step, copying a megabyte-sized CSV several times over.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	body := http.MaxBytesReader(w, r.Body, limit)
-	if r.ContentLength <= 0 || r.ContentLength > limit {
-		return io.ReadAll(body)
+func (s *server) jobs() *jobs.Manager      { return s.writePath.Load().jobs }
+func (s *server) streams() *streamRegistry { return s.writePath.Load().streams }
+
+// newFramework builds the per-request framework, loading -kb when set.
+func (s *server) newFramework() (*vadasa.Framework, error) {
+	f := vadasa.New()
+	if s.cfg.kbPath != "" {
+		file, err := os.Open(s.cfg.kbPath)
+		if err != nil {
+			return nil, err
+		}
+		defer file.Close()
+		if err := f.LoadKB(file); err != nil {
+			return nil, err
+		}
 	}
-	buf := bytes.NewBuffer(make([]byte, 0, r.ContentLength+bytes.MinRead))
-	_, err := buf.ReadFrom(body)
-	return buf.Bytes(), err
+	return f, nil
 }
 
-func (s *server) cellCap() int64 {
-	switch {
-	case s.maxCells > 0:
-		return s.maxCells
-	case s.maxCells < 0:
-		return 0 // disabled
+// newServer builds the daemon from its configuration: everything between
+// flag parsing and the listener. In order — the knowledge base is checked,
+// the governor and the load shedder are set up, replication is wired (it must
+// exist before the write path: journals are shipped through hooks installed
+// at creation time, and a standby must not bring the write path up at all),
+// the shard supervisor starts, and, except on a standby, the write path is
+// opened and recovered. Close undoes all of it.
+func newServer(cfg config) (_ *server, err error) {
+	s := &server{cfg: cfg, logf: cfg.logf}
+	if s.logf == nil {
+		s.logf = log.Printf
 	}
-	return defaultMaxCells
+	if s.cfg.fs == nil {
+		s.cfg.fs = faultfs.OS
+	}
+	defer func() {
+		if err != nil {
+			s.Close()
+		}
+	}()
+	// Fail fast on a broken KB.
+	if _, err := s.newFramework(); err != nil {
+		return nil, err
+	}
+	if cfg.maxInflight > 0 {
+		s.inflight = make(chan struct{}, cfg.maxInflight)
+	}
+	if cfg.memBudget > 0 || cfg.diskHeadroom > 0 {
+		s.govern = govern.New("server", govern.Limits{
+			MaxBytes:     cfg.memBudget,
+			DiskDir:      cfg.jobDir, // "" disables the disk check
+			DiskHeadroom: cfg.diskHeadroom,
+		})
+	}
+	if cfg.replRole != "" {
+		if err := s.openReplication(); err != nil {
+			return nil, err
+		}
+	}
+	if s.dist = cfg.supervisor; s.dist == nil && (cfg.shardWorkers != "" || cfg.spawnWorkers > 0 || cfg.requireWorkers) {
+		if err := s.startSupervisor(); err != nil {
+			return nil, err
+		}
+	}
+	s.handler = s.newHandler()
+	if cfg.replRole != "standby" {
+		if err := s.openWritePath(); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
 }
 
-func (s *server) budgetCap() int64 {
-	if s.budgetCeiling > 0 {
-		return s.budgetCeiling
+// startSupervisor connects to -shard-workers, spawns -spawn-workers and
+// starts the supervisor over both.
+func (s *server) startSupervisor() error {
+	cfg := &s.cfg
+	var transports []dist.Transport
+	for _, a := range splitList(cfg.shardWorkers) {
+		transports = append(transports, dist.NewHTTPTransport(a, nil))
 	}
-	return defaultBudgetCeiling
+	if cfg.spawnWorkers > 0 {
+		bin := cfg.workerBin
+		if bin == "" {
+			bin = findWorkerBin()
+		}
+		if bin == "" {
+			return fmt.Errorf("-spawn-workers: no vadasaw binary next to the executable or on $PATH; set -worker-bin")
+		}
+		for i := 0; i < cfg.spawnWorkers; i++ {
+			p, err := dist.Spawn(bin, []string{"-quiet"}, nil, 10*time.Second)
+			if err != nil {
+				return fmt.Errorf("spawning shard worker %d: %w", i, err)
+			}
+			s.workers = append(s.workers, p)
+			transports = append(transports, p.Transport())
+			s.logf("vadasad: shard worker %d listening on %s", i, p.Addr())
+		}
+	}
+	s.dist = dist.NewSupervisor(transports, dist.Options{
+		Run:               "vadasad",
+		LeaseTTL:          cfg.leaseTTL,
+		HedgeAfter:        cfg.hedgeAfter,
+		HeartbeatInterval: cfg.workerHeartbeat,
+		RequireWorkers:    cfg.requireWorkers,
+		Governor:          s.govern,
+		Logf:              s.logf,
+	})
+	s.dist.Start()
+	s.logf("vadasad: sharded risk scoring over %d worker(s), require-workers=%v",
+		len(transports), cfg.requireWorkers)
+	return nil
 }
 
-func (s *server) logPrintf(format string, args ...any) {
-	if s.logf != nil {
-		s.logf(format, args...)
-		return
+// openWritePath brings the write path up over -stream-dir and -job-dir and
+// publishes it: at start-up, and again — over the directories the mirror has
+// been writing — when a standby is promoted, so failover runs the recovery a
+// restart runs, under no request's context. Streams are recovered before it
+// returns: their WALs are bounded by the window size, and serving an append
+// before its stream's intent→publish protocol has been completed would be
+// exactly the inconsistency the journal exists to prevent. Job recovery
+// replays journals and re-runs interrupted cycles, which with many or large
+// jobs takes real time; it runs in the background behind /readyz's
+// "recovering" answer. A component that fails to come up is reported and left
+// out; the rest is still published (a failed recovery cannot undo a promotion).
+func (s *server) openWritePath() error {
+	cfg := &s.cfg
+	wp := &writePath{}
+	var errs []error
+	if cfg.streamDir != "" {
+		err := os.MkdirAll(cfg.streamDir, 0o755)
+		if err != nil {
+			err = fmt.Errorf("-stream-dir: %w", err)
+		} else {
+			wp.streams = newStreamRegistry(s)
+			err = wp.streams.recover(context.Background())
+		}
+		errs = append(errs, err)
 	}
-	log.Printf(format, args...)
+	if cfg.jobDir != "" {
+		mgr, err := jobs.NewManager(&jobRunner{srv: s}, jobs.Options{
+			Dir:          cfg.jobDir,
+			Workers:      cfg.jobWorkers,
+			MaxAttempts:  cfg.jobRetries,
+			RetryBase:    cfg.jobRetryBase,
+			RetryCap:     cfg.jobRetryCap,
+			FS:           cfg.fs,
+			DiskHeadroom: cfg.diskHeadroom,
+			Governor:     s.govern,
+			PauseProbe:   cfg.jobPauseProbe,
+			JournalHook:  s.replJobHook(),
+		})
+		errs = append(errs, err)
+		if err == nil {
+			wp.jobs, wp.jobsRecovered = mgr, make(chan struct{})
+			s.recovering.Store(true)
+			go func() {
+				defer close(wp.jobsRecovered)
+				defer s.recovering.Store(false)
+				resumed, err := mgr.Recover()
+				if err != nil {
+					s.logf("vadasad: job recovery: %v", err)
+				}
+				if len(resumed) > 0 {
+					s.logf("vadasad: resumed %d interrupted job(s): %v", len(resumed), resumed)
+				}
+			}()
+		}
+	}
+	s.writePath.Store(wp)
+	return errors.Join(errs...)
 }
 
-// routes assembles the mux and the hardening middleware around it: panic
-// recovery outermost (it must catch everything), then load shedding, then
-// the per-request deadline, then the per-request resource scope (innermost,
-// so its lifetime matches the handler exactly).
-func (s *server) routes() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("GET /measures", s.handleMeasures)
-	mux.HandleFunc("POST /categorize", s.handleCategorize)
-	mux.HandleFunc("POST /assess", s.handleAssess)
-	mux.HandleFunc("POST /anonymize", s.handleAnonymize)
-	mux.HandleFunc("POST /explain", s.handleExplain)
-	mux.HandleFunc("POST /lint", s.handleLint)
-	mux.HandleFunc("POST /reason", s.handleReason)
-	if s.jobs != nil {
-		s.jobRoutes(mux)
+// Close releases everything newServer and a promotion built, write path
+// first: each stream writes its drain checkpoint (shipped while the shipper
+// still runs), the jobs manager stops, then the supervisor and its spawned
+// workers, then the replication side. The listener must have drained before.
+func (s *server) Close() {
+	if wp := s.writePath.Load(); wp != nil {
+		if wp.streams != nil {
+			wp.streams.Close(context.Background())
+		}
+		if wp.jobs != nil {
+			wp.jobs.Close()
+			<-wp.jobsRecovered
+		}
 	}
-	if s.streams != nil {
-		s.streamRoutes(mux)
+	if s.dist != nil {
+		s.dist.Close()
+	}
+	for _, p := range s.workers {
+		p.Kill()
 	}
 	if s.repl != nil {
-		s.replRoutes(mux)
+		s.repl.close()
 	}
-	return s.withRecovery(s.withLimit(s.withDeadline(s.withGovern(s.withRepl(mux)))))
 }
 
-func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
+	return s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleReadyz is the readiness probe: distinct from liveness, it reports
-// whether the daemon should receive NEW traffic right now. It answers 503
-// while startup recovery is still replaying job journals (serving before
-// that would race resumed jobs against fresh submissions for the same
-// budgets) and while any governor budget is saturated (new work would only
-// be refused with 503s anyway — better to tell the load balancer up front).
-func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+// verdict is one answer of the readiness probe.
+type verdict struct {
+	code           int
+	status, reason string
+	retryAfter     string
+	extra          map[string]any
+}
+
+// readiness asks the probe's checks in order; the first that objects decides.
+// Job recovery comes first (serving before it is through would race resumed
+// jobs against fresh submissions for the same budgets), then a saturated
+// governor (new work would only be refused with 503s anyway — better to tell
+// the load balancer up front), then the replication role, then the workers.
+func (s *server) readiness() verdict {
 	if s.recovering.Load() {
-		w.Header().Set("Retry-After", "5")
-		s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-			"status": "recovering", "reason": "replaying job journals",
-		})
-		return
+		return verdict{503, "recovering", "replaying job journals", "5", nil}
 	}
 	if err := s.govern.Err(); err != nil {
-		w.Header().Set("Retry-After", "15")
-		s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-			"status": "saturated", "reason": err.Error(),
-		})
-		return
+		return verdict{503, "saturated", err.Error(), "15", nil}
 	}
-	if s.repl.servingStandby() {
-		// A healthy standby is "ready" for what it serves (mirrored
-		// reads) — but a diverged one is lying about the primary's state
-		// and must be pulled from rotation until an operator rebuilds it.
+	if s.unpromoted() {
+		// A healthy standby is "ready" for what it serves (mirrored reads)
+		// — but a diverged one is lying about the primary's state and must
+		// be pulled from rotation until an operator rebuilds it.
 		if d := s.repl.standby.Diverged(); len(d) > 0 {
-			w.Header().Set("Retry-After", "60")
-			s.writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-				"status": "diverged", "reason": "mirrored state contradicts the primary's digests",
-				"diverged": d, "standby": true,
-			})
-			return
+			return verdict{503, "diverged", "mirrored state contradicts the primary's digests", "60",
+				map[string]any{"diverged": d, "standby": true}}
 		}
-		s.writeJSON(w, http.StatusOK, map[string]any{"status": "standby", "standby": true})
-		return
+		return verdict{200, "standby", "", "", map[string]any{"standby": true}}
 	}
 	if s.repl != nil && s.repl.primary != nil {
 		// Fenced (demoted) or lagging past -repl-lag-max: this node should
 		// not receive new writes.
 		if err := s.repl.primary.ReadyErr(); err != nil {
-			w.Header().Set("Retry-After", "5")
-			s.writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-				"status": "replication", "reason": err.Error(),
-			})
-			return
+			return verdict{503, "replication", err.Error(), "5", nil}
 		}
 	}
 	if s.dist != nil && s.dist.Degraded() {
@@ -213,21 +320,30 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		// balancers keep routing, with the status visible to operators.
 		// Under -require-workers the fallback is disabled, so degraded
 		// really means "new work will be refused": 503 with Retry-After.
-		body := map[string]any{
-			"status": "degraded",
-			"reason": "no healthy shard workers; serving in-process",
-			"dist":   s.dist.Snapshot(),
-		}
+		extra := map[string]any{"dist": s.dist.Snapshot()}
 		if s.dist.RequiresWorkers() {
-			body["reason"] = "no healthy shard workers and -require-workers is set"
-			w.Header().Set("Retry-After", "5")
-			s.writeJSON(w, http.StatusServiceUnavailable, body)
-			return
+			return verdict{503, "degraded", "no healthy shard workers and -require-workers is set", "5", extra}
 		}
-		s.writeJSON(w, http.StatusOK, body)
-		return
+		return verdict{200, "degraded", "no healthy shard workers; serving in-process", "", extra}
 	}
-	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	return verdict{200, "ready", "", "", nil}
+}
+
+// handleReadyz is the readiness probe: distinct from liveness, it reports
+// whether the daemon should receive NEW traffic right now.
+func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) error {
+	v := s.readiness()
+	body := map[string]any{"status": v.status}
+	if v.reason != "" {
+		body["reason"] = v.reason
+	}
+	for k, val := range v.extra {
+		body[k] = val
+	}
+	if v.retryAfter != "" {
+		w.Header().Set("Retry-After", v.retryAfter)
+	}
+	return s.writeJSON(w, v.code, body)
 }
 
 // distMeasure routes a measure's incremental re-scoring through the shard
@@ -250,13 +366,47 @@ func (s *server) distMeasure(m vadasa.RiskMeasure) vadasa.RiskMeasure {
 	return da
 }
 
-func (s *server) handleMeasures(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleMeasures(w http.ResponseWriter, r *http.Request) error {
 	f, err := s.newFramework()
 	if err != nil {
-		s.httpError(w, http.StatusInternalServerError, err)
-		return
+		return err
 	}
-	s.writeJSON(w, http.StatusOK, map[string][]string{"measures": f.MeasureNames()})
+	return s.writeJSON(w, http.StatusOK, map[string][]string{"measures": f.MeasureNames()})
+}
+
+// readBody reads the request body, at most -max-body bytes of it. A declared
+// Content-Length sizes the buffer once; io.ReadAll would grow it step by
+// step, copying a megabyte-sized CSV several times over.
+func (s *server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	limit := s.cfg.maxBody
+	body := http.MaxBytesReader(w, r.Body, limit)
+	var buf bytes.Buffer
+	if r.ContentLength > 0 && r.ContentLength <= limit {
+		buf.Grow(int(r.ContentLength) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(body); err != nil {
+		// Only the opaque stdlib body-cap error needs the limit spelled out.
+		if isA[*http.MaxBytesError](err) {
+			return nil, fmt.Errorf("request body exceeds the %d-byte limit: reading body: %w", limit, err)
+		}
+		return nil, fmt.Errorf("reading body: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// readCharged reads the request body and charges its bytes to the request's
+// resource scope: the raw body is the floor of what the request will hold in
+// memory, and charging it up front makes admission fail fast instead of deep
+// in the engine. The scope releases it when the response is done.
+func (s *server) readCharged(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body, err := s.readBody(w, r)
+	if err != nil {
+		return nil, err
+	}
+	if err := govern.From(r.Context()).Reserve(govern.Memory, int64(len(body))); err != nil {
+		return nil, err
+	}
+	return body, nil
 }
 
 // loadDataset reads the request body as CSV and categorizes attributes,
@@ -269,17 +419,11 @@ func (s *server) loadDataset(w http.ResponseWriter, r *http.Request) (*vadasa.Fr
 	if err := s.applyBudget(f, r.URL.Query()); err != nil {
 		return nil, nil, nil, err
 	}
-	body, err := readBody(w, r, s.bodyLimit())
+	body, err := s.readCharged(w, r)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("reading body: %w", err)
-	}
-	// The raw body is the floor of what this request will hold in memory;
-	// charging it up front makes admission fail fast instead of deep in
-	// the engine. The request scope releases it when the response is done.
-	if err := govern.From(r.Context()).Reserve(govern.Memory, int64(len(body))); err != nil {
 		return nil, nil, nil, err
 	}
-	d, report, err := buildDataset(f, body, r.URL.Query(), s.cellCap())
+	d, report, err := buildDataset(f, body, r.URL.Query(), s.cfg.maxCells)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -298,17 +442,27 @@ func (e *cellLimitError) Error() string {
 		e.rows, e.cols, e.rows*e.cols, e.limit)
 }
 
-// applyBudget validates and applies the ?budget= engine work cap.
-func (s *server) applyBudget(f *vadasa.Framework, q url.Values) error {
+// parseBudget validates the ?budget= engine work cap against -max-budget;
+// zero means the client asked for none.
+func (s *server) parseBudget(q url.Values) (int64, error) {
 	budget, err := int64Value(q, "budget", 0)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if budget < 0 {
-		return fmt.Errorf("budget must be positive, got %d", budget)
+		return 0, fmt.Errorf("budget must be positive, got %d", budget)
 	}
-	if budget > s.budgetCap() {
-		return fmt.Errorf("budget %d exceeds the server ceiling of %d", budget, s.budgetCap())
+	if budget > s.cfg.maxBudget {
+		return 0, fmt.Errorf("budget %d exceeds the server ceiling of %d", budget, s.cfg.maxBudget)
+	}
+	return budget, nil
+}
+
+// applyBudget applies the ?budget= engine work cap to the framework.
+func (s *server) applyBudget(f *vadasa.Framework, q url.Values) error {
+	budget, err := s.parseBudget(q)
+	if err != nil {
+		return err
 	}
 	if budget > 0 {
 		f.SetReasonerBudget(budget)
@@ -413,11 +567,10 @@ func splitValues(q url.Values, key string) []string {
 	return parts
 }
 
-func (s *server) handleCategorize(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleCategorize(w http.ResponseWriter, r *http.Request) error {
 	_, d, report, err := s.loadDataset(w, r)
 	if err != nil {
-		s.failRequest(w, http.StatusBadRequest, err)
-		return
+		return badRequest(err)
 	}
 	type attrOut struct {
 		Name        string `json:"name"`
@@ -440,7 +593,7 @@ func (s *server) handleCategorize(w http.ResponseWriter, r *http.Request) {
 		out.Conflicts = append(out.Conflicts, c.String())
 	}
 	out.Unknown = report.Unknown
-	s.writeJSON(w, http.StatusOK, out)
+	return s.writeJSON(w, http.StatusOK, out)
 }
 
 // measureFromValues builds the risk measure from query-style parameters —
@@ -451,7 +604,7 @@ func (s *server) measureFromValues(q url.Values) (vadasa.RiskMeasure, error) {
 	if name == "" {
 		name = "k-anonymity"
 	}
-	if factory, ok := s.extraMeasures[name]; ok {
+	if factory, ok := s.cfg.extraMeasures[name]; ok {
 		return factory(), nil
 	}
 	k, err := intValue(q, "k", 2)
@@ -528,26 +681,22 @@ func floatValue(q url.Values, key string, def float64) (float64, error) {
 	return f, nil
 }
 
-func (s *server) handleAssess(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleAssess(w http.ResponseWriter, r *http.Request) error {
 	f, d, _, err := s.loadDataset(w, r)
 	if err != nil {
-		s.failRequest(w, http.StatusBadRequest, err)
-		return
+		return badRequest(err)
 	}
 	m, err := s.measureFromValues(r.URL.Query())
 	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
+		return badRequest(err)
 	}
 	threshold, err := floatValue(r.URL.Query(), "threshold", 0.5)
 	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
+		return badRequest(err)
 	}
 	risks, err := f.AssessRiskContext(r.Context(), d, m)
 	if err != nil {
-		s.failRequest(w, http.StatusUnprocessableEntity, err)
-		return
+		return unprocessable(err)
 	}
 	summary := vadasa.SummarizeRisks(risks, threshold)
 	var risky []int
@@ -556,7 +705,7 @@ func (s *server) handleAssess(w http.ResponseWriter, r *http.Request) {
 			risky = append(risky, d.Rows[i].ID)
 		}
 	}
-	s.writeJSON(w, http.StatusOK, struct {
+	return s.writeJSON(w, http.StatusOK, struct {
 		Measure string             `json:"measure"`
 		Tuples  int                `json:"tuples"`
 		Summary vadasa.RiskSummary `json:"summary"`
@@ -564,21 +713,18 @@ func (s *server) handleAssess(w http.ResponseWriter, r *http.Request) {
 	}{m.Name(), len(d.Rows), summary, risky})
 }
 
-func (s *server) handleAnonymize(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleAnonymize(w http.ResponseWriter, r *http.Request) error {
 	f, d, _, err := s.loadDataset(w, r)
 	if err != nil {
-		s.failRequest(w, http.StatusBadRequest, err)
-		return
+		return badRequest(err)
 	}
 	m, err := s.measureFromValues(r.URL.Query())
 	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
+		return badRequest(err)
 	}
 	threshold, err := floatValue(r.URL.Query(), "threshold", 0.5)
 	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
+		return badRequest(err)
 	}
 	res, err := f.AnonymizeContext(r.Context(), d, vadasa.CycleOptions{
 		Measure:     s.distMeasure(m),
@@ -586,13 +732,11 @@ func (s *server) handleAnonymize(w http.ResponseWriter, r *http.Request) {
 		UseRecoding: r.URL.Query().Get("recode") == "true",
 	})
 	if err != nil {
-		s.failRequest(w, http.StatusUnprocessableEntity, err)
-		return
+		return unprocessable(err)
 	}
 	var csvBuf bytes.Buffer
 	if err := vadasa.WriteCSV(&csvBuf, res.Dataset); err != nil {
-		s.httpError(w, http.StatusInternalServerError, err)
-		return
+		return err
 	}
 	var decisions []string
 	for _, dec := range res.Decisions {
@@ -600,10 +744,9 @@ func (s *server) handleAnonymize(w http.ResponseWriter, r *http.Request) {
 	}
 	rep, err := vadasa.CompareUtility(d, res.Dataset)
 	if err != nil {
-		s.httpError(w, http.StatusInternalServerError, err)
-		return
+		return err
 	}
-	s.writeJSON(w, http.StatusOK, struct {
+	return s.writeJSON(w, http.StatusOK, struct {
 		CSV             string   `json:"csv"`
 		Iterations      int      `json:"iterations"`
 		NullsInjected   int      `json:"nullsInjected"`
@@ -618,50 +761,47 @@ func (s *server) handleAnonymize(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) error {
 	f, d, _, err := s.loadDataset(w, r)
 	if err != nil {
-		s.failRequest(w, http.StatusBadRequest, err)
-		return
+		return badRequest(err)
 	}
 	m, err := s.measureFromValues(r.URL.Query())
 	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
+		return badRequest(err)
 	}
 	tuple, err := intValue(r.URL.Query(), "tuple", 0)
 	if err != nil || tuple == 0 {
-		s.httpError(w, http.StatusBadRequest, fmt.Errorf("the tuple query parameter is required"))
-		return
+		return badRequest(fmt.Errorf("the tuple query parameter is required"))
 	}
 	ex, err := f.ExplainRiskContext(r.Context(), d, m, tuple)
 	if err != nil {
-		s.failRequest(w, http.StatusUnprocessableEntity, err)
-		return
+		return unprocessable(err)
 	}
-	s.writeJSON(w, http.StatusOK, map[string]string{"explanation": ex})
+	return s.writeJSON(w, http.StatusOK, map[string]string{"explanation": ex})
 }
 
-// writeJSON encodes v as the response. Encoding failures after the status
-// line has gone out cannot be reported to the client anymore, but they must
-// not vanish either — they are logged for the operator.
-func (s *server) writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON encodes v as the response. An encoding failure comes after the
+// status line has gone out and cannot be reported to the client anymore; it is
+// returned so that it reaches fail, which logs it for the operator.
+func (s *server) writeJSON(w http.ResponseWriter, status int, v any) error {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	if err := enc.Encode(v); err != nil {
-		s.logPrintf("vadasad: encoding %d response: %v", status, err)
+		return fmt.Errorf("encoding %d response: %w", status, err)
 	}
+	return nil
 }
 
-// httpError reports err as a JSON error body. If the handler already started
-// streaming a response (tracked by the recovery middleware's writer), a
-// second WriteHeader would corrupt the stream — log and give up instead.
-func (s *server) httpError(w http.ResponseWriter, status int, err error) {
-	if tw, ok := w.(*trackingWriter); ok && tw.wroteHeader {
-		s.logPrintf("vadasad: error after response started (status %d already sent): %v", tw.status, err)
-		return
+// splitList splits a comma-separated flag value, dropping empty items.
+func splitList(v string) []string {
+	var out []string
+	for _, a := range strings.Split(v, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			out = append(out, a)
+		}
 	}
-	s.writeJSON(w, status, map[string]string{"error": err.Error()})
+	return out
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,11 +12,27 @@ import (
 	"vadasa"
 )
 
-func testServer() http.Handler {
-	s := &server{newFramework: func() (*vadasa.Framework, error) {
-		return vadasa.New(), nil
-	}}
-	return s.routes()
+// testConfig is the configuration a daemon started without flags runs under,
+// logging to the test.
+func testConfig(t testing.TB) config {
+	c := *bindFlags(flag.NewFlagSet("vadasad", flag.ContinueOnError))
+	c.logf = t.Logf
+	return c
+}
+
+// startServer builds a server the way main does and closes it with the test.
+func startServer(t testing.TB, cfg config) *server {
+	t.Helper()
+	s, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s
+}
+
+func testServer(t testing.TB) http.Handler {
+	return startServer(t, testConfig(t)).handler
 }
 
 func figure1CSV(t *testing.T) string {
@@ -36,14 +53,14 @@ func do(t *testing.T, h http.Handler, method, target, body string) *httptest.Res
 }
 
 func TestHealthz(t *testing.T) {
-	rec := do(t, testServer(), "GET", "/healthz", "")
+	rec := do(t, testServer(t), "GET", "/healthz", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
 }
 
 func TestMeasures(t *testing.T) {
-	rec := do(t, testServer(), "GET", "/measures", "")
+	rec := do(t, testServer(t), "GET", "/measures", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body)
 	}
@@ -59,7 +76,7 @@ func TestMeasures(t *testing.T) {
 }
 
 func TestCategorizeEndpoint(t *testing.T) {
-	rec := do(t, testServer(), "POST", "/categorize", figure1CSV(t))
+	rec := do(t, testServer(t), "POST", "/categorize", figure1CSV(t))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body)
 	}
@@ -84,7 +101,7 @@ func TestCategorizeEndpoint(t *testing.T) {
 }
 
 func TestAssessEndpoint(t *testing.T) {
-	rec := do(t, testServer(), "POST", "/assess?measure=k-anonymity&k=2", figure1CSV(t))
+	rec := do(t, testServer(t), "POST", "/assess?measure=k-anonymity&k=2", figure1CSV(t))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body)
 	}
@@ -110,7 +127,7 @@ func TestAssessEndpoint(t *testing.T) {
 
 func TestAssessManualOverrides(t *testing.T) {
 	// Forcing everything but Area to non-identifying: group by Area only.
-	rec := do(t, testServer(),
+	rec := do(t, testServer(t),
 		"POST", "/assess?measure=k-anonymity&k=2&qi=Area&id=Id,Sector,Employees,ResidentialRevenue,ExportRevenue,ExportToDE,Growth6mos&weight=Weight",
 		figure1CSV(t))
 	if rec.Code != http.StatusOK {
@@ -132,7 +149,7 @@ func TestAnonymizeEndpoint(t *testing.T) {
 	// Pin the fixture's categorization: ExportToDE and Growth6mos are
 	// non-identifying in Figure 1's schema, while name inference would
 	// make them quasi-identifiers (the Figure 4 dictionary view).
-	rec := do(t, testServer(),
+	rec := do(t, testServer(t),
 		"POST", "/anonymize?measure=k-anonymity&k=2&threshold=0.5&plain=ExportToDE,Growth6mos&qi=ExportRevenue", figure1CSV(t))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body)
@@ -170,7 +187,7 @@ func TestAnonymizeEndpoint(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	h := testServer()
+	h := testServer(t)
 	cases := []struct {
 		method, target, body string
 		wantStatus           int
@@ -193,7 +210,7 @@ func TestBadRequests(t *testing.T) {
 }
 
 func TestLDiversityEndpoint(t *testing.T) {
-	rec := do(t, testServer(),
+	rec := do(t, testServer(t),
 		"POST", "/assess?measure=l-diversity&k=2&sensitive=Growth6mos", figure1CSV(t))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body)
@@ -201,7 +218,7 @@ func TestLDiversityEndpoint(t *testing.T) {
 }
 
 func TestExplainEndpoint(t *testing.T) {
-	rec := do(t, testServer(),
+	rec := do(t, testServer(t),
 		"POST", "/explain?measure=k-anonymity&k=2&tuple=4", figure1CSV(t))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", rec.Code, rec.Body)
@@ -216,7 +233,7 @@ func TestExplainEndpoint(t *testing.T) {
 		t.Fatalf("explanation = %q", out.Explanation)
 	}
 	// Missing tuple parameter.
-	rec = do(t, testServer(), "POST", "/explain?measure=k-anonymity", figure1CSV(t))
+	rec = do(t, testServer(t), "POST", "/explain?measure=k-anonymity", figure1CSV(t))
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("missing tuple: status = %d", rec.Code)
 	}

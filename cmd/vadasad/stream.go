@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -13,6 +12,7 @@ import (
 	"strings"
 	"sync"
 
+	"vadasa"
 	"vadasa/internal/faultfs"
 	"vadasa/internal/mdb"
 	"vadasa/internal/stream"
@@ -24,24 +24,15 @@ import (
 // stream (each writes its checkpoint record), which is what the SIGTERM path
 // relies on.
 type streamRegistry struct {
-	srv          *server
-	dir          string
-	maxRows      int
-	diskHeadroom int64
+	srv *server
 
 	mu      sync.Mutex
 	streams map[string]*stream.Stream
 	closed  bool
 }
 
-func newStreamRegistry(srv *server, dir string, maxRows int, diskHeadroom int64) *streamRegistry {
-	return &streamRegistry{
-		srv:          srv,
-		dir:          dir,
-		maxRows:      maxRows,
-		diskHeadroom: diskHeadroom,
-		streams:      make(map[string]*stream.Stream),
-	}
+func newStreamRegistry(srv *server) *streamRegistry {
+	return &streamRegistry{srv: srv, streams: make(map[string]*stream.Stream)}
 }
 
 // streamMeta is what the server journals in the create record's Meta field:
@@ -57,10 +48,11 @@ type streamMeta struct {
 // journal must not take down the streams that replay cleanly — and its id
 // stays free of the registry so appends to it fail loudly rather than
 // silently starting a fresh window over the broken journal.
-func (r *streamRegistry) recover(ctx context.Context) (int, error) {
-	paths, err := filepath.Glob(filepath.Join(r.dir, "*.wal"))
+func (r *streamRegistry) recover(ctx context.Context) error {
+	dir := r.srv.cfg.streamDir
+	paths, err := filepath.Glob(filepath.Join(dir, "*.wal"))
 	if err != nil {
-		return 0, err
+		return fmt.Errorf("recovering streams: %w", err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -68,31 +60,49 @@ func (r *streamRegistry) recover(ctx context.Context) (int, error) {
 		id := strings.TrimSuffix(filepath.Base(path), ".wal")
 		info, err := stream.Peek(ctx, faultfs.OS, path)
 		if err != nil {
-			r.srv.logPrintf("vadasad: stream %s: unreadable journal header, skipping: %v", id, err)
+			r.srv.logf("vadasad: stream %s: unreadable journal header, skipping: %v", id, err)
 			continue
 		}
-		opts, err := r.optionsFromInfo(info)
+		opts, err := r.srv.streamOptions(info)
 		if err != nil {
-			r.srv.logPrintf("vadasad: stream %s: rebuilding options: %v", id, err)
+			r.srv.logf("vadasad: stream %s: rebuilding options: %v", id, err)
 			continue
 		}
 		r.srv.applyReplStream(info.ID, path, &opts)
 		s, err := stream.Open(ctx, info.ID, path, opts)
 		if err != nil {
-			r.srv.logPrintf("vadasad: stream %s: recovery failed, skipping: %v", id, err)
+			r.srv.logf("vadasad: stream %s: recovery failed, skipping: %v", id, err)
 			continue
 		}
 		r.srv.registerReplStream(s, path)
 		r.streams[info.ID] = s
 	}
-	return len(r.streams), nil
+	if len(r.streams) > 0 {
+		r.srv.logf("vadasad: recovered %d stream(s) from %s", len(r.streams), dir)
+	}
+	return nil
 }
 
-// optionsFromInfo rebuilds a recovered stream's Options from the journal
-// header: schema, threshold and semantics come straight from the create
-// record; the assessor is rebuilt from the measure parameters the server
-// stored in Meta at creation.
-func (r *streamRegistry) optionsFromInfo(info *stream.Info) (stream.Options, error) {
+// newStreamOptions is what every stream and every standby replay view of this
+// server opens with: the given measure plus the server-wide window bound,
+// governor, headroom and log sink.
+func (s *server) newStreamOptions(m vadasa.RiskMeasure) stream.Options {
+	return stream.Options{
+		Assessor:     m,
+		MaxRows:      s.cfg.streamMaxRows,
+		Governor:     s.govern,
+		DiskHeadroom: s.cfg.diskHeadroom,
+		Logf:         s.logf,
+	}
+}
+
+// streamOptions rebuilds a journaled stream's Options from its header:
+// schema, threshold and semantics come straight from the create record; the
+// assessor is rebuilt from the measure parameters the server stored in Meta
+// at creation. Startup recovery and the standby's replay views both open
+// through it, so a follower's risk state is computed by the same code that
+// will own the stream after a promotion.
+func (s *server) streamOptions(info *stream.Info) (stream.Options, error) {
 	var meta streamMeta
 	if err := json.Unmarshal(info.Meta, &meta); err != nil {
 		return stream.Options{}, fmt.Errorf("decoding journaled measure parameters: %w", err)
@@ -101,21 +111,24 @@ func (r *streamRegistry) optionsFromInfo(info *stream.Info) (stream.Options, err
 	if err != nil {
 		return stream.Options{}, fmt.Errorf("parsing journaled measure parameters: %w", err)
 	}
-	m, err := r.srv.measureFromValues(params)
+	m, err := s.measureFromValues(params)
 	if err != nil {
 		return stream.Options{}, err
 	}
-	return stream.Options{
-		Assessor:     m,
-		Threshold:    info.Threshold,
-		Semantics:    info.Semantics,
-		Attrs:        info.Attrs,
-		Meta:         info.Meta,
-		MaxRows:      r.maxRows,
-		Governor:     r.srv.govern,
-		DiskHeadroom: r.diskHeadroom,
-		Logf:         r.srv.logPrintf,
-	}, nil
+	opts := s.newStreamOptions(m)
+	opts.Threshold, opts.Semantics, opts.Attrs, opts.Meta = info.Threshold, info.Semantics, info.Attrs, info.Meta
+	return opts, nil
+}
+
+// ids lists the open streams.
+func (r *streamRegistry) ids() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ids := make([]string, 0, len(r.streams))
+	for id := range r.streams {
+		ids = append(ids, id)
+	}
+	return ids
 }
 
 // get returns the open stream id, or nil.
@@ -134,7 +147,7 @@ func (r *streamRegistry) create(ctx context.Context, id string, body []byte, q u
 	if err != nil {
 		return nil, err
 	}
-	d, _, err := buildDataset(f, body, q, r.srv.cellCap())
+	d, _, err := buildDataset(f, body, q, r.srv.cfg.maxCells)
 	if err != nil {
 		return nil, err
 	}
@@ -172,18 +185,9 @@ func (r *streamRegistry) create(ctx context.Context, id string, body []byte, q u
 	if s, ok := r.streams[id]; ok {
 		return s, nil
 	}
-	path := filepath.Join(r.dir, id+".wal")
-	opts := stream.Options{
-		Assessor:     m,
-		Threshold:    threshold,
-		Semantics:    sem,
-		Attrs:        d.Attrs,
-		Meta:         metaJSON,
-		MaxRows:      r.maxRows,
-		Governor:     r.srv.govern,
-		DiskHeadroom: r.diskHeadroom,
-		Logf:         r.srv.logPrintf,
-	}
+	path := filepath.Join(r.srv.cfg.streamDir, id+".wal")
+	opts := r.srv.newStreamOptions(m)
+	opts.Threshold, opts.Semantics, opts.Attrs, opts.Meta = threshold, sem, d.Attrs, metaJSON
 	r.srv.applyReplStream(id, path, &opts)
 	s, err := stream.Open(ctx, id, path, opts)
 	if err != nil {
@@ -202,21 +206,10 @@ func (r *streamRegistry) Close(ctx context.Context) {
 	r.closed = true
 	for id, s := range r.streams {
 		if err := s.Close(ctx); err != nil {
-			r.srv.logPrintf("vadasad: draining stream %s: %v", id, err)
+			r.srv.logf("vadasad: draining stream %s: %v", id, err)
 		}
 		r.srv.unregisterReplStream(id)
 	}
-}
-
-// streamRoutes registers the streaming ingestion API. Only called when the
-// registry is configured (-stream-dir).
-func (s *server) streamRoutes(mux *http.ServeMux) {
-	mux.HandleFunc("GET /streams", s.handleStreamList)
-	mux.HandleFunc("POST /stream/{id}/append", s.handleStreamAppend)
-	mux.HandleFunc("GET /stream/{id}/release", s.handleStreamRelease)
-	mux.HandleFunc("GET /stream/{id}/status", s.handleStreamStatus)
-	mux.HandleFunc("POST /stream/{id}/ack", s.handleStreamAck)
-	mux.HandleFunc("POST /stream/{id}/withdraw", s.handleStreamWithdraw)
 }
 
 // streamID validates the path id: it names a file under -stream-dir, so the
@@ -277,195 +270,213 @@ func parseBatchCSV(body []byte) (names []string, rows [][]string, err error) {
 // is journaled and fsync'd before the 200 goes out — an acknowledged batch
 // survives any crash. ?batch= is the mandatory idempotency key: retrying an
 // acknowledged batch returns duplicate=true without re-applying it.
-func (s *server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleStreamAppend(w http.ResponseWriter, r *http.Request) error {
 	id, err := streamID(r)
 	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
+		return badRequest(err)
 	}
 	batch := r.URL.Query().Get("batch")
 	if batch == "" {
-		s.httpError(w, http.StatusBadRequest, fmt.Errorf("the batch query parameter (idempotency key) is required"))
-		return
+		return badRequest(fmt.Errorf("the batch query parameter (idempotency key) is required"))
 	}
-	body, err := readBody(w, r, s.bodyLimit())
+	body, err := s.readBody(w, r)
 	if err != nil {
-		s.failRequest(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
-		return
+		return badRequest(err)
 	}
 	names, rows, err := parseBatchCSV(body)
 	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return
+		return badRequest(err)
 	}
 
-	st := s.streams.get(id)
-	created := false
-	if st == nil {
-		if st, err = s.streams.create(r.Context(), id, body, r.URL.Query()); err != nil {
-			s.failStream(w, http.StatusBadRequest, err)
-			return
+	st := s.streams().get(id)
+	created := st == nil
+	if created {
+		if st, err = s.streams().create(r.Context(), id, body, r.URL.Query()); err != nil {
+			return badRequest(err)
 		}
-		created = true
 	}
 	attrs := st.Attrs()
 	if len(names) != len(attrs) {
-		s.httpError(w, http.StatusBadRequest,
-			fmt.Errorf("batch has %d columns, stream %s has %d", len(names), id, len(attrs)))
-		return
+		return badRequest(fmt.Errorf("batch has %d columns, stream %s has %d", len(names), id, len(attrs)))
 	}
 	for i, a := range attrs {
 		if names[i] != a.Name {
-			s.httpError(w, http.StatusBadRequest,
-				fmt.Errorf("batch column %d is %q, stream %s expects %q", i, names[i], id, a.Name))
-			return
+			return badRequest(fmt.Errorf("batch column %d is %q, stream %s expects %q", i, names[i], id, a.Name))
 		}
 	}
 
 	res, err := st.Append(r.Context(), batch, rows)
 	if err != nil {
-		s.failStream(w, http.StatusBadRequest, err)
-		return
+		return badRequest(err)
 	}
-	status := http.StatusOK
-	if created {
-		status = http.StatusCreated
-		w.Header().Set("Location", "/stream/"+id+"/status")
-	}
-	s.writeJSON(w, status, struct {
+	out := struct {
 		Stream string `json:"stream"`
 		*stream.AppendResult
-	}{id, res})
+	}{id, res}
+	if created {
+		w.Header().Set("Location", "/stream/"+id+"/status")
+		return s.writeJSON(w, http.StatusCreated, out)
+	}
+	return s.writeJSON(w, http.StatusOK, out)
+}
+
+// releaseBody is the answer of GET /stream/{id}/release, on either role.
+type releaseBody struct {
+	Stream  string              `json:"stream"`
+	Standby bool                `json:"standby,omitempty"`
+	Release *stream.ReleaseInfo `json:"release"`
+	CSV     string              `json:"csv"`
 }
 
 // handleStreamRelease drives the release gate: anonymize the window until
 // every tuple clears the threshold, publish the snapshot under the
 // intent→publish protocol, and serve the bytes. An already-published, unacked
 // release is re-served unchanged — the client acks when it has the bytes.
-func (s *server) handleStreamRelease(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.lookupStream(w, r)
-	if !ok {
-		return
+func (s *server) handleStreamRelease(w http.ResponseWriter, r *http.Request) error {
+	st, err := s.lookupStream(r)
+	if err != nil {
+		return err
 	}
 	info, err := st.Release(r.Context())
 	if err != nil {
-		s.failStream(w, http.StatusUnprocessableEntity, err)
-		return
+		return unprocessable(err)
 	}
 	b, err := st.ReleaseBytes(info)
 	if err != nil {
-		s.httpError(w, http.StatusInternalServerError, err)
-		return
+		return err
 	}
-	s.writeJSON(w, http.StatusOK, struct {
-		Stream  string              `json:"stream"`
-		Release *stream.ReleaseInfo `json:"release"`
-		CSV     string              `json:"csv"`
-	}{st.ID(), info, string(b)})
+	return s.writeJSON(w, http.StatusOK, releaseBody{Stream: st.ID(), Release: info, CSV: string(b)})
 }
 
-// handleStreamStatus reports the stream's point-in-time counters.
-func (s *server) handleStreamStatus(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.lookupStream(w, r)
-	if !ok {
-		return
+// handleStandbyRelease serves the currently published (unacked) release of
+// a mirrored stream, digest-verified against the primary's journaled
+// intent — the read-only availability a warm standby buys. It never
+// publishes: with no release in flight it answers 409 and points at the
+// primary.
+func (s *server) handleStandbyRelease(w http.ResponseWriter, r *http.Request) error {
+	fol, err := s.lookupFollower(r)
+	if err != nil {
+		return err
 	}
-	s.writeJSON(w, http.StatusOK, struct {
-		Stream string `json:"stream"`
-		stream.Status
-	}{st.ID(), st.Status(r.Context())})
+	info := fol.Published()
+	if info == nil {
+		return conflict(fmt.Errorf("no release is currently published; releases are gated on the primary"))
+	}
+	b, err := fol.ReleaseBytes()
+	if err != nil {
+		return err
+	}
+	return s.writeJSON(w, http.StatusOK, releaseBody{Stream: fol.ID(), Standby: true, Release: info, CSV: string(b)})
 }
 
 // handleStreamAck retires a published release (?seq=); after the journaled
 // ack the window may mutate toward the next one. Re-acking is idempotent.
-func (s *server) handleStreamAck(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.lookupStream(w, r)
-	if !ok {
-		return
+func (s *server) handleStreamAck(w http.ResponseWriter, r *http.Request) error {
+	st, err := s.lookupStream(r)
+	if err != nil {
+		return err
 	}
 	seq, err := intValue(r.URL.Query(), "seq", 0)
 	if err != nil || seq <= 0 {
-		s.httpError(w, http.StatusBadRequest, fmt.Errorf("the seq query parameter (release sequence) is required"))
-		return
+		return badRequest(fmt.Errorf("the seq query parameter (release sequence) is required"))
 	}
 	if err := st.Ack(r.Context(), seq); err != nil {
-		s.failStream(w, http.StatusConflict, err)
-		return
+		return conflict(err)
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"stream": st.ID(), "acked": seq})
+	return s.writeJSON(w, http.StatusOK, map[string]any{"stream": st.ID(), "acked": seq})
 }
 
 // handleStreamWithdraw removes rows (by the window-stable ids Append
 // returned) from the window — the consent-revocation path. Journaled before
 // it is acknowledged, like every other mutation.
-func (s *server) handleStreamWithdraw(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.lookupStream(w, r)
-	if !ok {
-		return
+func (s *server) handleStreamWithdraw(w http.ResponseWriter, r *http.Request) error {
+	st, err := s.lookupStream(r)
+	if err != nil {
+		return err
+	}
+	body, err := s.readBody(w, r)
+	if err != nil {
+		return badRequest(err)
 	}
 	var req struct {
 		RowIDs []int `json:"rowIds"`
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.bodyLimit())).Decode(&req); err != nil {
-		s.httpError(w, http.StatusBadRequest, fmt.Errorf("decoding body (want {\"rowIds\": [...]}): %w", err))
-		return
+	if err := json.Unmarshal(body, &req); err != nil {
+		return badRequest(fmt.Errorf("decoding body (want {\"rowIds\": [...]}): %w", err))
 	}
 	if err := st.Withdraw(r.Context(), req.RowIDs); err != nil {
-		s.failStream(w, http.StatusBadRequest, err)
-		return
+		return badRequest(err)
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
+	return s.writeJSON(w, http.StatusOK, map[string]any{
 		"stream": st.ID(), "withdrawn": len(req.RowIDs),
 	})
 }
 
-func (s *server) handleStreamList(w http.ResponseWriter, r *http.Request) {
-	s.streams.mu.Lock()
-	ids := make([]string, 0, len(s.streams.streams))
-	for id := range s.streams.streams {
-		ids = append(ids, id)
-	}
-	s.streams.mu.Unlock()
-	s.writeJSON(w, http.StatusOK, map[string]any{"streams": ids})
+// streamView is what listing and status need of a stream. The live stream
+// and, on a standby, the replay view over its mirrored WAL both provide it.
+type streamView interface {
+	ID() string
+	Status(ctx context.Context) stream.Status
 }
 
-func (s *server) lookupStream(w http.ResponseWriter, r *http.Request) (*stream.Stream, bool) {
+// handleStreamList lists the open streams — on a standby, the mirrored ones
+// that currently have a replay view.
+func (s *server) handleStreamList(w http.ResponseWriter, r *http.Request) error {
+	standby := s.unpromoted()
+	ids := []string{}
+	if standby {
+		for _, fol := range s.repl.standby.Followers() {
+			ids = append(ids, fol.ID())
+		}
+	} else {
+		ids = s.streams().ids()
+	}
+	return s.writeJSON(w, http.StatusOK, struct {
+		Standby bool     `json:"standby,omitempty"`
+		Streams []string `json:"streams"`
+	}{standby, ids})
+}
+
+// handleStreamStatus reports the stream's point-in-time counters.
+func (s *server) handleStreamStatus(w http.ResponseWriter, r *http.Request) error {
+	standby := s.unpromoted()
+	var v streamView
+	var err error
+	if standby {
+		v, err = s.lookupFollower(r)
+	} else {
+		v, err = s.lookupStream(r)
+	}
+	if err != nil {
+		return err
+	}
+	return s.writeJSON(w, http.StatusOK, struct {
+		Stream  string `json:"stream"`
+		Standby bool   `json:"standby,omitempty"`
+		stream.Status
+	}{v.ID(), standby, v.Status(r.Context())})
+}
+
+func (s *server) lookupStream(r *http.Request) (*stream.Stream, error) {
 	id, err := streamID(r)
 	if err != nil {
-		s.httpError(w, http.StatusBadRequest, err)
-		return nil, false
+		return nil, badRequest(err)
 	}
-	st := s.streams.get(id)
+	st := s.streams().get(id)
 	if st == nil {
-		s.httpError(w, http.StatusNotFound, fmt.Errorf("no stream %q; POST /stream/%s/append creates one", id, id))
-		return nil, false
+		return nil, notFound(fmt.Errorf("no stream %q; POST /stream/%s/append creates one", id, id))
 	}
-	return st, true
+	return st, nil
 }
 
-// failStream maps the stream package's typed failures onto HTTP semantics:
-// a full window is back-pressure (429 + Retry-After — release and ack to
-// drain it), a pending or gate-closed release is a state conflict (409), a
-// drained stream is 503, and everything else flows through the server-wide
-// mapping (budget exhaustion and ENOSPC → 503, deadline → 504, ...).
-func (s *server) failStream(w http.ResponseWriter, fallback int, err error) {
-	var full *stream.WindowFullError
-	var pend *stream.PendingReleaseError
-	var gate *stream.GateClosedError
-	switch {
-	case errors.As(err, &full):
-		w.Header().Set("Retry-After", "1")
-		s.httpError(w, http.StatusTooManyRequests,
-			fmt.Errorf("stream window is full; GET the release and ack it to drain: %w", err))
-	case errors.As(err, &pend):
-		s.httpError(w, http.StatusConflict,
-			fmt.Errorf("a release is pending publication; retry GET /release first: %w", err))
-	case errors.As(err, &gate):
-		s.httpError(w, http.StatusConflict, err)
-	case errors.Is(err, stream.ErrClosed):
-		w.Header().Set("Retry-After", "5")
-		s.httpError(w, http.StatusServiceUnavailable, fmt.Errorf("stream is draining for shutdown: %w", err))
-	default:
-		s.failRequest(w, fallback, err)
+func (s *server) lookupFollower(r *http.Request) (*stream.Follower, error) {
+	id, err := streamID(r)
+	if err != nil {
+		return nil, badRequest(err)
 	}
+	fol := s.repl.standby.Follower("stream/" + id)
+	if fol == nil {
+		return nil, notFound(fmt.Errorf("no mirrored stream %q on this standby", id))
+	}
+	return fol, nil
 }

@@ -1,29 +1,33 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"testing"
 
-	"vadasa"
 	"vadasa/internal/stream"
 )
 
 // streamTestServer builds a server with the streaming API enabled over dir.
 func streamTestServer(t *testing.T, dir string, maxRows int) *server {
 	t.Helper()
-	s := &server{
-		newFramework: func() (*vadasa.Framework, error) { return vadasa.New(), nil },
-		logf:         t.Logf,
+	cfg := testConfig(t)
+	cfg.streamDir, cfg.streamMaxRows = dir, maxRows
+	return startServer(t, cfg)
+}
+
+// listStreams returns what GET /streams reports.
+func listStreams(t *testing.T, h http.Handler) []string {
+	t.Helper()
+	var list struct {
+		Streams []string `json:"streams"`
 	}
-	s.streams = newStreamRegistry(s, dir, maxRows, 0)
-	return s
+	decodeBody(t, do(t, h, "GET", "/streams", "").Body.Bytes(), &list)
+	return list.Streams
 }
 
 // streamCSV renders n rows starting at row number start. Consecutive pairs
@@ -55,8 +59,7 @@ func decodeBody(t *testing.T, body []byte, v any) {
 
 func TestStreamLifecycleHTTP(t *testing.T) {
 	srv := streamTestServer(t, t.TempDir(), 0)
-	defer srv.streams.Close(context.Background())
-	h := srv.routes()
+	h := srv.handler
 
 	// First append creates the stream: 201 with the assigned row ids.
 	rec := do(t, h, "POST", appendURL("s1", "b1"), streamCSV(0, 4))
@@ -149,12 +152,8 @@ func TestStreamLifecycleHTTP(t *testing.T) {
 		t.Fatalf("status after withdraw+append %+v", st)
 	}
 
-	var list struct {
-		Streams []string `json:"streams"`
-	}
-	decodeBody(t, do(t, h, "GET", "/streams", "").Body.Bytes(), &list)
-	if len(list.Streams) != 1 || list.Streams[0] != "s1" {
-		t.Fatalf("streams list %v", list.Streams)
+	if ids := listStreams(t, h); len(ids) != 1 || ids[0] != "s1" {
+		t.Fatalf("streams list %v", ids)
 	}
 }
 
@@ -164,10 +163,9 @@ func TestStreamLifecycleHTTP(t *testing.T) {
 // ingesting — with the measure rebuilt from the journaled parameters alone.
 func TestStreamRecoveryHTTP(t *testing.T) {
 	dir := t.TempDir()
-	ctx := context.Background()
 
 	srv1 := streamTestServer(t, dir, 0)
-	h1 := srv1.routes()
+	h1 := srv1.handler
 	if rec := do(t, h1, "POST", appendURL("s1", "b1"), streamCSV(0, 4)); rec.Code != http.StatusCreated {
 		t.Fatalf("append status = %d: %s", rec.Code, rec.Body)
 	}
@@ -180,15 +178,12 @@ func TestStreamRecoveryHTTP(t *testing.T) {
 		CSV     string              `json:"csv"`
 	}
 	decodeBody(t, rec.Body.Bytes(), &before)
-	srv1.streams.Close(ctx) // SIGTERM drain: checkpoint + close every WAL
+	srv1.Close() // SIGTERM drain: checkpoint + close every WAL
 
-	srv2 := streamTestServer(t, dir, 0)
-	n, err := srv2.streams.recover(ctx)
-	if err != nil || n != 1 {
-		t.Fatalf("recover = %d, %v", n, err)
+	h2 := streamTestServer(t, dir, 0).handler
+	if ids := listStreams(t, h2); len(ids) != 1 {
+		t.Fatalf("recovered streams = %v, want one", ids)
 	}
-	defer srv2.streams.Close(ctx)
-	h2 := srv2.routes()
 
 	var st struct {
 		Rows     int `json:"rows"`
@@ -228,17 +223,14 @@ func TestStreamRecoveryHTTP(t *testing.T) {
 // as if the file had never existed — not fail forever.
 func TestStreamIDSurvivesCrashInFirstAppendHTTP(t *testing.T) {
 	dir := t.TempDir()
-	ctx := context.Background()
 	if err := os.WriteFile(filepath.Join(dir, "s1.wal"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	srv := streamTestServer(t, dir, 0)
-	if n, err := srv.streams.recover(ctx); err != nil || n != 0 {
-		t.Fatalf("recover = %d, %v; want no streams and no error", n, err)
+	h := streamTestServer(t, dir, 0).handler
+	if ids := listStreams(t, h); len(ids) != 0 {
+		t.Fatalf("recovered streams = %v, want none", ids)
 	}
-	defer srv.streams.Close(ctx)
-	h := srv.routes()
 	if rec := do(t, h, "POST", appendURL("s1", "b1"), streamCSV(0, 4)); rec.Code != http.StatusCreated {
 		t.Fatalf("append to the crashed id = %d: %s", rec.Code, rec.Body)
 	}
@@ -254,8 +246,7 @@ func TestStreamIDSurvivesCrashInFirstAppendHTTP(t *testing.T) {
 // The bounded window sheds excess ingestion with 429 + Retry-After.
 func TestStreamWindowFullHTTP(t *testing.T) {
 	srv := streamTestServer(t, t.TempDir(), 4)
-	defer srv.streams.Close(context.Background())
-	h := srv.routes()
+	h := srv.handler
 
 	if rec := do(t, h, "POST", appendURL("s1", "b1"), streamCSV(0, 4)); rec.Code != http.StatusCreated {
 		t.Fatalf("append status = %d: %s", rec.Code, rec.Body)
@@ -277,8 +268,7 @@ func TestStreamWindowFullHTTP(t *testing.T) {
 // stays closed, nothing is published.
 func TestStreamGateClosedHTTP(t *testing.T) {
 	srv := streamTestServer(t, t.TempDir(), 0)
-	defer srv.streams.Close(context.Background())
-	h := srv.routes()
+	h := srv.handler
 
 	// Two fully unique rows under standard-null semantics: suppression can
 	// never make them match, so k=2 is unreachable.
@@ -305,8 +295,7 @@ func TestStreamGateClosedHTTP(t *testing.T) {
 
 func TestStreamValidationHTTP(t *testing.T) {
 	srv := streamTestServer(t, t.TempDir(), 0)
-	defer srv.streams.Close(context.Background())
-	h := srv.routes()
+	h := srv.handler
 
 	cases := []struct {
 		name, method, target, body string
@@ -356,15 +345,5 @@ func TestStreamValidationHTTP(t *testing.T) {
 	decodeBody(t, do(t, h, "GET", "/stream/s1/status", "").Body.Bytes(), &st)
 	if st.Rows != 2 || st.Batches != 1 {
 		t.Fatalf("rejected appends mutated the window: %+v", st)
-	}
-}
-
-// ENOSPC from the journal volume is operator trouble, not client error: the
-// middleware maps it to 503 with a Retry-After so ingestion backs off until
-// disk frees.
-func TestStatusForENOSPC(t *testing.T) {
-	err := fmt.Errorf("stream: admitting batch: %w", syscall.ENOSPC)
-	if got := statusForError(err, http.StatusBadRequest); got != http.StatusServiceUnavailable {
-		t.Fatalf("statusForError(ENOSPC) = %d, want 503", got)
 	}
 }

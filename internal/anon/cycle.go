@@ -79,16 +79,6 @@ type Config struct {
 	// through. An error from the hook aborts the cycle: if progress cannot
 	// be made durable, continuing would let a crash silently lose it.
 	Checkpoint CheckpointFunc
-	// FullAssess forces the reference full-assessment path even when the
-	// assessor supports incremental re-scoring. The incremental path is
-	// bit-identical by construction, so this is an escape hatch for
-	// debugging and for measuring the speedup, not a correctness knob.
-	FullAssess bool
-	// DebugVerify runs the full reference assessment alongside every
-	// incremental one and fails the cycle on any bitwise divergence. It
-	// costs what FullAssess costs on top of the incremental path; meant
-	// for tests and one-off validation runs.
-	DebugVerify bool
 }
 
 // Checkpoint is the durable summary of one committed cycle iteration: enough
@@ -236,11 +226,9 @@ func ResumeContext(ctx context.Context, d *mdb.Dataset, cfg Config, checkpoints 
 		return nil, fmt.Errorf("anon: cycle did not converge within %d iterations", maxIter)
 	}
 
-	var incr *incrementalState
-	if !cfg.FullAssess {
-		if incr = newIncrementalState(work, cfg, rowPos, gov); incr != nil {
-			defer incr.release()
-		}
+	incr := newIncrementalState(work, cfg, rowPos, gov)
+	if incr != nil {
+		defer incr.release()
 	}
 
 	var risks []float64
@@ -263,16 +251,6 @@ func ResumeContext(ctx context.Context, d *mdb.Dataset, cfg Config, checkpoints 
 		res.RiskEvalTime += evalTime
 		if err != nil {
 			return nil, fmt.Errorf("anon: risk assessment: %w", err)
-		}
-		if incr != nil && cfg.DebugVerify {
-			full, ferr := risk.AssessContext(ctx, cfg.Assessor, work, cfg.Semantics)
-			if ferr != nil {
-				return nil, fmt.Errorf("anon: debug-verify reference assessment: %w", ferr)
-			}
-			if row := firstDiff(risks, full); row >= 0 {
-				return nil, fmt.Errorf("anon: debug-verify: iteration %d: incremental risk diverges from full assessment at row %d: %v vs %v",
-					iter, row, risks[row], full[row])
-			}
 		}
 
 		var risky, newRisky []int

@@ -20,8 +20,8 @@ import (
 // risk.IncrementalAssessor; for everything else — SUDA, the cluster
 // assessor — the cycle keeps the reference full-assessment path. Both paths
 // are bit-identical by construction (mdb.ComputeGroups is one pass of the
-// index's own kernel and the estimators are pure per group), which
-// Config.DebugVerify re-proves at runtime on every iteration.
+// index's own kernel and the estimators are pure per group), which the
+// verifying assessor in incremental_test.go re-proves on every iteration.
 type incrementalState struct {
 	ia     risk.IncrementalAssessor
 	attrs  []int
@@ -118,18 +118,4 @@ func (s *incrementalState) observe(work *mdb.Dataset, decisions []Decision) erro
 		}
 	}
 	return nil
-}
-
-// firstDiff returns the first position where the two vectors differ bitwise,
-// or -1. Used by the debug-verify cross-check.
-func firstDiff(a, b []float64) int {
-	if len(a) != len(b) {
-		return 0
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return -1
 }

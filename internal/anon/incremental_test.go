@@ -1,6 +1,8 @@
 package anon
 
 import (
+	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -53,6 +55,42 @@ func incrementalConfigs() map[string]Config {
 	}
 }
 
+// fullAssess is cfg with the assessor's incremental methods hidden, so the
+// cycle takes the reference full-assessment path every iteration.
+func fullAssess(cfg Config) Config {
+	cfg.Assessor = struct{ risk.ContextAssessor }{cfg.Assessor.(risk.ContextAssessor)}
+	return cfg
+}
+
+// verifyingAssessor cross-checks every incremental re-scoring against a full
+// assessment of the index's dataset and fails on the first bitwise
+// difference.
+type verifyingAssessor struct {
+	risk.IncrementalAssessor
+	sem mdb.Semantics
+}
+
+func (v verifyingAssessor) Rescore(ctx context.Context, idx *mdb.GroupIndex, dirty []int, prev []float64) ([]float64, error) {
+	out, err := v.IncrementalAssessor.Rescore(ctx, idx, dirty, prev)
+	if err != nil {
+		return nil, err
+	}
+	full, err := v.AssessContext(ctx, idx.Dataset(), v.sem)
+	if err != nil {
+		return nil, fmt.Errorf("reference assessment: %w", err)
+	}
+	if len(out) != len(full) {
+		return nil, fmt.Errorf("incremental scored %d rows, full assessment %d", len(out), len(full))
+	}
+	for row := range out {
+		if out[row] != full[row] {
+			return nil, fmt.Errorf("incremental risk diverges from full assessment at row %d: %v vs %v",
+				row, out[row], full[row])
+		}
+	}
+	return out, nil
+}
+
 // The incremental cycle must be indistinguishable from the reference
 // full-assessment path: identical dataset, decision log (risk values
 // bitwise included), counters and residuals. This is the determinism
@@ -66,9 +104,7 @@ func TestCycleIncrementalMatchesReference(t *testing.T) {
 			} else {
 				d = synth.Generate(synth.Config{Tuples: 500, QIs: 4, Dist: synth.DistU, Seed: 37})
 			}
-			reference := cfg
-			reference.FullAssess = true
-			control, err := Run(d, reference)
+			control, err := Run(d, fullAssess(cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,12 +126,13 @@ func TestCycleIncrementalMatchesReference(t *testing.T) {
 	}
 }
 
-// DebugVerify re-runs the reference assessment every iteration and fails on
-// any divergence; a clean pass is the runtime form of the property above.
+// The verifying assessor re-runs the reference assessment every iteration and
+// fails on any divergence; a clean pass is the runtime form of the property
+// above.
 func TestCycleDebugVerify(t *testing.T) {
 	for name, cfg := range incrementalConfigs() {
 		t.Run(name, func(t *testing.T) {
-			cfg.DebugVerify = true
+			cfg.Assessor = verifyingAssessor{cfg.Assessor.(risk.IncrementalAssessor), cfg.Semantics}
 			d := synth.Generate(synth.Config{Tuples: 300, QIs: 4, Dist: synth.DistU, Seed: 41})
 			if name == "recode-then-suppress" {
 				d = synth.Figure5()
@@ -115,9 +152,7 @@ func TestCycleIncrementalParallelDeterminism(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	cfg := incrementalConfigs()["individual-montecarlo"]
 	d := synth.Generate(synth.Config{Tuples: 800, QIs: 4, Dist: synth.DistW, Seed: 43})
-	reference := cfg
-	reference.FullAssess = true
-	control, err := Run(d, reference)
+	control, err := Run(d, fullAssess(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

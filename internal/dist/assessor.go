@@ -15,9 +15,9 @@ import (
 //
 // Only Rescore is distributed. Full assessments (Assess/AssessContext)
 // delegate to the wrapped local measure — they run once per job against
-// many Rescore calls, and keeping them local means the cycle's
-// DebugVerify mode (incremental vs. full cross-check) doubles as an
-// automatic distributed-vs-local bitwise verification.
+// many Rescore calls, and keeping them local means a test that cross-checks
+// every Rescore against AssessContext (internal/anon's verifying assessor)
+// doubles as a distributed-vs-local bitwise verification.
 type Assessor struct {
 	inner risk.IncrementalAssessor
 	spec  MeasureSpec

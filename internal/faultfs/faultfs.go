@@ -36,6 +36,8 @@ type FS interface {
 	ReadFile(name string) ([]byte, error)
 	// Remove deletes a file, like os.Remove.
 	Remove(name string) error
+	// Rename moves a file, replacing the target, like os.Rename.
+	Rename(oldpath, newpath string) error
 	// MkdirAll creates a directory tree, like os.MkdirAll.
 	MkdirAll(path string, perm fs.FileMode) error
 	// Glob matches files, like filepath.Glob.
@@ -70,6 +72,7 @@ func (osFS) Open(name string) (File, error) {
 
 func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
 func (osFS) Remove(name string) error                     { return os.Remove(name) }
+func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (osFS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(path, perm) }
 func (osFS) Glob(pattern string) ([]string, error)        { return filepath.Glob(pattern) }
 
@@ -79,4 +82,42 @@ func (osFS) Free(dir string) (int64, error) {
 		return -1, nil // unmeasurable platform: skip headroom checks
 	}
 	return n, nil
+}
+
+// WriteFileDurable makes path hold exactly b, durably: the bytes are written
+// and fsynced under a temporary name, renamed into place, and the directory
+// is fsynced, so a record journaled afterwards can never refer to bytes the
+// disk lost. A failure at any step leaves path as it was before the call —
+// absent, when it did not exist.
+func WriteFileDurable(fsys FS, path string, b []byte) error {
+	tmp := path + ".tmp"
+	err := writeSynced(fsys, tmp, b)
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		fsys.Remove(tmp)
+		return err
+	}
+	if dir, err := fsys.Open(filepath.Dir(path)); err == nil {
+		dir.Sync()
+		dir.Close()
+	}
+	return nil
+}
+
+func writeSynced(fsys FS, name string, b []byte) error {
+	f, err := fsys.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(b); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

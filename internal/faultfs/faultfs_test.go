@@ -127,3 +127,34 @@ func TestSetFree(t *testing.T) {
 		t.Fatalf("delegated free = %d, %v", n, err)
 	}
 }
+
+// WriteFileDurable either leaves the full bytes at path or leaves path
+// untouched: a failed fsync must not leave a file a later journal record
+// could point at.
+func TestWriteFileDurable(t *testing.T) {
+	dir := t.TempDir()
+	faulty := NewFaulty(OS)
+	path := filepath.Join(dir, "out.csv")
+
+	faulty.FailSync(1)
+	if err := WriteFileDurable(faulty, path, []byte("a,b\n")); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("failing fsync: err = %v, want EIO", err)
+	}
+	if left, _ := OS.Glob(filepath.Join(dir, "*")); len(left) != 0 {
+		t.Fatalf("failed write left %v behind", left)
+	}
+
+	if err := WriteFileDurable(faulty, path, []byte("a,b\n")); err != nil {
+		t.Fatal(err)
+	}
+	faulty.LimitWrites(2)
+	if err := WriteFileDurable(faulty, path, []byte("c,d,e\n")); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("full volume: err = %v, want ENOSPC", err)
+	}
+	if b, err := OS.ReadFile(path); err != nil || string(b) != "a,b\n" {
+		t.Fatalf("failed overwrite changed the file: %q, %v", b, err)
+	}
+	if left, _ := OS.Glob(filepath.Join(dir, "*")); len(left) != 1 {
+		t.Fatalf("failed overwrite left %v behind", left)
+	}
+}

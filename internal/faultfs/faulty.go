@@ -92,6 +92,7 @@ func (f *Faulty) Open(name string) (File, error) { return f.base.Open(name) }
 
 func (f *Faulty) ReadFile(name string) ([]byte, error)         { return f.base.ReadFile(name) }
 func (f *Faulty) Remove(name string) error                     { return f.base.Remove(name) }
+func (f *Faulty) Rename(oldpath, newpath string) error         { return f.base.Rename(oldpath, newpath) }
 func (f *Faulty) MkdirAll(path string, perm fs.FileMode) error { return f.base.MkdirAll(path, perm) }
 func (f *Faulty) Glob(pattern string) ([]string, error)        { return f.base.Glob(pattern) }
 

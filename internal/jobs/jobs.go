@@ -137,6 +137,13 @@ var ErrNotFound = errors.New("jobs: no such job")
 // ErrTerminal reports an operation on a job that already finished.
 var ErrTerminal = errors.New("jobs: job already finished")
 
+// ErrQueueFull reports a Submit refused because the bounded queue has no
+// room; the job's journal has been removed again.
+var ErrQueueFull = errors.New("jobs: queue full")
+
+// ErrClosed reports a Submit to a manager that is shutting down.
+var ErrClosed = errors.New("jobs: manager is closed")
+
 // newID returns a 16-hex-char random job identifier.
 func newID() (string, error) {
 	var b [8]byte

@@ -193,7 +193,7 @@ func (m *Manager) Submit(spec Spec) (Job, error) {
 	if m.closed {
 		m.mu.Unlock()
 		w.Close()
-		return Job{}, fmt.Errorf("jobs: manager is closed")
+		return Job{}, ErrClosed
 	}
 	m.jobs[id] = j
 	m.writers[id] = w
@@ -208,7 +208,7 @@ func (m *Manager) Submit(spec Spec) (Job, error) {
 		m.mu.Unlock()
 		w.Close()
 		m.opts.FS.Remove(m.journalPath(id))
-		return Job{}, fmt.Errorf("jobs: queue full (%d pending)", m.opts.QueueDepth)
+		return Job{}, fmt.Errorf("%w (%d pending)", ErrQueueFull, m.opts.QueueDepth)
 	}
 	return m.snapshot(j), nil
 }

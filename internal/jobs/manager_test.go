@@ -586,3 +586,47 @@ func TestRecoverAtEveryCutOfLastRecord(t *testing.T) {
 		}
 	}
 }
+
+// Submit's two refusals that are about the manager, not the job, are typed so
+// the server can tell them from a start record that could not be journaled:
+// a full queue (whose journal is removed again) and a closed manager.
+func TestSubmitQueueFullAndClosedAreTyped(t *testing.T) {
+	opts := fastOpts(t)
+	opts.Workers, opts.QueueDepth = 1, 1
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	m, err := NewManager(RunnerFunc(func(ctx context.Context, id string, spec Spec, resume []anon.Checkpoint, cp anon.CheckpointFunc) (*Outcome, error) {
+		started <- struct{}{}
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return &Outcome{}, ctx.Err()
+	}), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	defer close(release)
+
+	in := testInput(t)
+	if _, err := m.Submit(Spec{Dataset: in}); err != nil {
+		t.Fatal(err)
+	}
+	<-started // the worker holds the first job; the queue is empty again
+	if _, err := m.Submit(Spec{Dataset: in}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = m.Submit(Spec{Dataset: in})
+	if !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("third submit: %v, want ErrQueueFull", err)
+	}
+	if journals, _ := filepath.Glob(filepath.Join(opts.Dir, "*.journal")); len(journals) != 2 {
+		t.Fatalf("refused submit left its journal behind: %v", journals)
+	}
+
+	m.Close()
+	if _, err := m.Submit(Spec{Dataset: in}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("submit after Close: %v, want ErrClosed", err)
+	}
+}

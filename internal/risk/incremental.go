@@ -31,8 +31,8 @@ type IncrementalAssessor interface {
 	// returns a fresh slice equal to prev except at the dirty row
 	// positions, which are re-scored from the index's current infos; prev
 	// is never mutated. Rescore with a nil prev must agree bitwise with
-	// AssessContext on the same dataset — the cycle's debug-verify mode
-	// enforces exactly that.
+	// AssessContext on the same dataset — internal/anon's verifying test
+	// assessor enforces exactly that on every cycle iteration.
 	Rescore(ctx context.Context, idx *mdb.GroupIndex, dirty []int, prev []float64) ([]float64, error)
 }
 

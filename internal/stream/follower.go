@@ -221,7 +221,7 @@ func (f *Follower) MaterializePublished(dir string) error {
 	if err != nil {
 		return fmt.Errorf("stream %s: materializing release %d: %w", f.s.id, pub.Seq, err)
 	}
-	if err := f.s.writeFileDurable(path, b); err != nil {
+	if err := faultfs.WriteFileDurable(f.s.fs, path, b); err != nil {
 		return fmt.Errorf("stream %s: materializing release %d: %w", f.s.id, pub.Seq, err)
 	}
 	return nil

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 
 	"vadasa/internal/anon"
+	"vadasa/internal/faultfs"
 	"vadasa/internal/mdb"
 )
 
@@ -223,7 +223,7 @@ func (s *Stream) completePending(ctx context.Context) error {
 	}
 	name := s.releaseFileName(p.Release)
 	path := filepath.Join(s.dir, name)
-	if err := s.writeFileDurable(path, s.relBytes); err != nil {
+	if err := faultfs.WriteFileDurable(s.fs, path, s.relBytes); err != nil {
 		return fmt.Errorf("stream: writing release %d: %w", p.Release, err)
 	}
 	// The file is durable; the publish record commits the publication.
@@ -243,31 +243,6 @@ func (s *Stream) completePending(ctx context.Context) error {
 	}
 	s.pending, s.relBytes, s.pendSupp = nil, nil, 0
 	s.releases++
-	return nil
-}
-
-// writeFileDurable writes b to path and fsyncs the file and its directory,
-// so the later publish record can never refer to bytes the disk lost.
-func (s *Stream) writeFileDurable(path string, b []byte) error {
-	f, err := s.fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if dir, err := s.fs.Open(filepath.Dir(path)); err == nil {
-		dir.Sync()
-		dir.Close()
-	}
 	return nil
 }
 
