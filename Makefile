@@ -73,17 +73,19 @@ check: vet lint-programs vet-analyzers race staticcheck govulncheck benchmark-te
 # loc reports the net Go line delta of the working tree against BASE (a
 # commit; default the parent), split the way ROADMAP aim 2 asks for it: code
 # of this module and benchmark/, its tests and fixtures, and everything under
-# tools/ — plus the cmd/vadasad share of the first bucket, the package this
-# round's shrink work is about. Renames count as a delete plus an add, so
-# they net to zero.
+# tools/ — plus the share of the first bucket that falls in each directory
+# named in PKGS, the packages a round's shrink work is about. Renames count
+# as a delete plus an add, so they net to zero.
 BASE ?= HEAD~1
+PKGS ?= cmd/vadasad
 loc:
-	@git diff --numstat --no-renames $(BASE) -- '*.go' | awk ' \
+	@git diff --numstat --no-renames $(BASE) -- '*.go' | awk -v pkgs='$(PKGS)' ' \
+		BEGIN { np = split(pkgs, pkg, " ") } \
 		{ b = $$3 ~ /^tools\// ? "tools/" : $$3 ~ /(_test\.go|\/testdata\/.*)$$/ ? "test" : "non-test"; \
 		  add[b] += $$1; del[b] += $$2 } \
-		b == "non-test" && $$3 ~ /^cmd\/vadasad\// { add["cmd/vadasad"] += $$1; del["cmd/vadasad"] += $$2 } \
-		END { n = split("non-test cmd/vadasad test tools/", order, " "); \
-		  for (i = 1; i <= n; i++) { b = order[i]; printf "%-11s +%-5d -%-5d net %+d\n", b, add[b], del[b], add[b] - del[b] } }'
+		b == "non-test" { for (i = 1; i <= np; i++) if (index($$3, pkg[i] "/") == 1) { add[pkg[i]] += $$1; del[pkg[i]] += $$2 } } \
+		END { n = split("non-test " pkgs " test tools/", order, " "); \
+		  for (i = 1; i <= n; i++) { b = order[i]; printf "%-15s +%-5d -%-5d net %+d\n", b, add[b], del[b], add[b] - del[b] } }'
 
 # chaos runs the process-level fault suite under the race detector: worker
 # SIGKILL mid-lease, dropped/duplicated/truncated RPCs, torn journal tails

@@ -26,6 +26,7 @@ import (
 	"strings"
 
 	"vadasa"
+	"vadasa/internal/risk"
 )
 
 func main() {
@@ -322,58 +323,25 @@ func cmdCategorize(args []string) error {
 	return nil
 }
 
-type measureOpts struct {
-	measure   *string
-	k         *int
-	msu       *int
-	estimator *string
-	sensitive *string
-	tval      *float64
-}
+// measureOpts answers risk.ParseSpec's parameter lookups for one command.
+type measureOpts func(key string) string
 
+// measureFlags declares the measure flags on fs — one string flag per
+// parameter of the risk layer's measure table, under the parameter's key,
+// default and help text — and returns the lookup that reads them back.
 func measureFlags(fs *flag.FlagSet) measureOpts {
-	return measureOpts{
-		measure:   fs.String("measure", "k-anonymity", "risk measure: re-identification, k-anonymity, individual-risk, suda, l-diversity, t-closeness"),
-		k:         fs.Int("k", 2, "k-anonymity threshold / l-diversity L"),
-		msu:       fs.Int("msu", 3, "SUDA minimal-sample-unique size threshold"),
-		estimator: fs.String("estimator", "posterior", "individual-risk estimator: ratio, posterior, monte-carlo"),
-		sensitive: fs.String("sensitive", "", "sensitive attribute for l-diversity / t-closeness"),
-		tval:      fs.Float64("t", 0.3, "t-closeness distribution-distance bound"),
+	for _, p := range risk.Params {
+		fs.String(p.Key, p.Default, p.Usage)
 	}
+	return func(key string) string { return fs.Lookup(key).Value.String() }
 }
 
 func (mo measureOpts) build() (vadasa.RiskMeasure, error) {
-	switch *mo.measure {
-	case "re-identification":
-		return vadasa.ReIdentification{}, nil
-	case "k-anonymity":
-		return vadasa.KAnonymity{K: *mo.k}, nil
-	case "individual-risk":
-		switch *mo.estimator {
-		case "ratio":
-			return vadasa.IndividualRisk{Estimator: vadasa.RatioEstimator}, nil
-		case "posterior":
-			return vadasa.IndividualRisk{Estimator: vadasa.PosteriorEstimator}, nil
-		case "monte-carlo":
-			return vadasa.IndividualRisk{Estimator: vadasa.MonteCarloEstimator}, nil
-		default:
-			return nil, fmt.Errorf("unknown estimator %q", *mo.estimator)
-		}
-	case "suda":
-		return vadasa.SUDA{Threshold: *mo.msu}, nil
-	case "l-diversity":
-		if *mo.sensitive == "" {
-			return nil, fmt.Errorf("l-diversity needs -sensitive")
-		}
-		return vadasa.LDiversity{L: *mo.k, Sensitive: *mo.sensitive}, nil
-	case "t-closeness":
-		if *mo.sensitive == "" {
-			return nil, fmt.Errorf("t-closeness needs -sensitive")
-		}
-		return vadasa.TCloseness{T: *mo.tval, Sensitive: *mo.sensitive}, nil
-	default:
-		return nil, fmt.Errorf("unknown risk measure %q", *mo.measure)
+	sp, err := risk.ParseSpec(mo)
+	if err != nil {
+		return nil, err
 	}
+	return sp.Measure()
 }
 
 func cmdAssess(args []string) error {
@@ -426,7 +394,8 @@ func cmdAssess(args []string) error {
 		fmt.Printf("  tuple %d: risk %s\n", s.id, strconv.FormatFloat(s.risk, 'g', 4, 64))
 	}
 	if *impact {
-		impacts, err := vadasa.AttributeImpacts(d, *mo.k, *threshold)
+		k, _ := strconv.Atoi(mo("k")) // build parsed it
+		impacts, err := vadasa.AttributeImpacts(d, k, *threshold)
 		if err != nil {
 			return err
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 
 	"vadasa"
 )
@@ -74,18 +75,6 @@ func runPipeline(cfg PipelineConfig, logw io.Writer) error {
 	if cfg.Input == "" || cfg.Output == "" {
 		return fmt.Errorf("pipeline: input and output are required")
 	}
-	if cfg.Measure == "" {
-		cfg.Measure = "k-anonymity"
-	}
-	if cfg.K == 0 {
-		cfg.K = 2
-	}
-	if cfg.MSU == 0 {
-		cfg.MSU = 3
-	}
-	if cfg.TBound == 0 {
-		cfg.TBound = 0.3
-	}
 	if cfg.Threshold == 0 {
 		cfg.Threshold = 0.5
 	}
@@ -122,11 +111,7 @@ func runPipeline(cfg PipelineConfig, logw io.Writer) error {
 	fmt.Fprintf(logw, "pipeline: loaded %d tuples, %d quasi-identifiers, %d unknown attributes\n",
 		len(d.Rows), len(d.QuasiIdentifiers()), len(report.Unknown))
 
-	mo := measureOpts{
-		measure: &cfg.Measure, k: &cfg.K, msu: &cfg.MSU,
-		estimator: strPtr("posterior"), sensitive: &cfg.Sensitive, tval: &cfg.TBound,
-	}
-	m, err := mo.build()
+	m, err := measureOpts(cfg.measureParam).build()
 	if err != nil {
 		return err
 	}
@@ -222,4 +207,18 @@ func joinList(xs []string) string {
 	return out
 }
 
-func strPtr(s string) *string { return &s }
+// measureParam reads the config's measure parameters the way a flag lookup
+// would; a field left out of the file (zero) selects the parameter's default.
+func (cfg PipelineConfig) measureParam(key string) string {
+	v := map[string]string{
+		"measure":   cfg.Measure,
+		"sensitive": cfg.Sensitive,
+		"k":         strconv.Itoa(cfg.K),
+		"msu":       strconv.Itoa(cfg.MSU),
+		"t":         strconv.FormatFloat(cfg.TBound, 'g', -1, 64),
+	}[key]
+	if v == "0" {
+		return ""
+	}
+	return v
+}

@@ -597,52 +597,18 @@ func (s *server) handleCategorize(w http.ResponseWriter, r *http.Request) error 
 }
 
 // measureFromValues builds the risk measure from query-style parameters —
-// live request query or journal-replayed job params. Test-only
-// fault-injection measures registered in extraMeasures take precedence.
+// live request query or journal-replayed job params — through the risk
+// layer's measure table. Test-only fault-injection measures registered in
+// extraMeasures take precedence.
 func (s *server) measureFromValues(q url.Values) (vadasa.RiskMeasure, error) {
-	name := q.Get("measure")
-	if name == "" {
-		name = "k-anonymity"
-	}
-	if factory, ok := s.cfg.extraMeasures[name]; ok {
+	if factory, ok := s.cfg.extraMeasures[q.Get("measure")]; ok {
 		return factory(), nil
 	}
-	k, err := intValue(q, "k", 2)
+	sp, err := risk.ParseSpec(q.Get)
 	if err != nil {
 		return nil, err
 	}
-	msu, err := intValue(q, "msu", 3)
-	if err != nil {
-		return nil, err
-	}
-	switch name {
-	case "re-identification":
-		return vadasa.ReIdentification{}, nil
-	case "k-anonymity":
-		return vadasa.KAnonymity{K: k}, nil
-	case "individual-risk":
-		return vadasa.IndividualRisk{Estimator: vadasa.PosteriorEstimator}, nil
-	case "suda":
-		return vadasa.SUDA{Threshold: msu}, nil
-	case "l-diversity":
-		sens := q.Get("sensitive")
-		if sens == "" {
-			return nil, fmt.Errorf("l-diversity needs the sensitive query parameter")
-		}
-		return vadasa.LDiversity{L: k, Sensitive: sens}, nil
-	case "t-closeness":
-		sens := q.Get("sensitive")
-		if sens == "" {
-			return nil, fmt.Errorf("t-closeness needs the sensitive query parameter")
-		}
-		tv, err := floatValue(q, "t", 0.3)
-		if err != nil {
-			return nil, err
-		}
-		return vadasa.TCloseness{T: tv, Sensitive: sens}, nil
-	default:
-		return nil, fmt.Errorf("unknown measure %q", name)
-	}
+	return sp.Measure()
 }
 
 func intValue(q url.Values, key string, def int) (int, error) {

@@ -15,6 +15,7 @@ import (
 	"vadasa"
 	"vadasa/internal/faultfs"
 	"vadasa/internal/mdb"
+	"vadasa/internal/risk"
 	"vadasa/internal/stream"
 )
 
@@ -167,9 +168,9 @@ func (r *streamRegistry) create(ctx context.Context, id string, body []byte, q u
 	// live in dedicated create-record fields, and per-request keys (batch)
 	// must not leak into the stream's durable identity.
 	meta := url.Values{}
-	for _, k := range []string{"measure", "k", "msu", "sensitive", "t"} {
-		if v := q.Get(k); v != "" {
-			meta.Set(k, v)
+	for _, p := range risk.Params {
+		if v := q.Get(p.Key); v != "" {
+			meta.Set(p.Key, v)
 		}
 	}
 	metaJSON, err := json.Marshal(streamMeta{Params: meta.Encode()})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"net/url"
 	"sort"
 	"strings"
 
@@ -54,12 +55,15 @@ func New() *Framework {
 		ownership: cluster.NewGraph(),
 		measures:  make(map[string]func() RiskMeasure),
 	}
-	f.RegisterMeasure("re-identification", func() RiskMeasure { return ReIdentification{} })
-	f.RegisterMeasure("k-anonymity", func() RiskMeasure { return KAnonymity{K: 2} })
-	f.RegisterMeasure("individual-risk", func() RiskMeasure {
-		return IndividualRisk{Estimator: PosteriorEstimator}
-	})
-	f.RegisterMeasure("suda", func() RiskMeasure { return SUDA{Threshold: 3} })
+	// Every row of the risk layer's measure table that its default
+	// parameters fully describe (l-diversity and t-closeness need a sensitive
+	// attribute named) is registered under its kind.
+	for _, kind := range risk.Kinds() {
+		sp, _ := risk.ParseSpec(url.Values{"measure": {kind}}.Get) // the defaults always parse
+		if m, err := sp.Measure(); err == nil {
+			f.RegisterMeasure(kind, func() RiskMeasure { return m })
+		}
+	}
 	return f
 }
 

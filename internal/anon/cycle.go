@@ -226,10 +226,11 @@ func ResumeContext(ctx context.Context, d *mdb.Dataset, cfg Config, checkpoints 
 		return nil, fmt.Errorf("anon: cycle did not converge within %d iterations", maxIter)
 	}
 
-	incr := newIncrementalState(work, cfg, rowPos, gov)
-	if incr != nil {
-		defer incr.release()
-	}
+	// The view keeps the risk vector current across iterations: measures
+	// with an incremental path are re-scored from a maintained group index,
+	// the rest (SUDA, cluster) reassessed in full — bit-identical either way.
+	view := risk.NewLive(cfg.Assessor, work, cfg.Semantics, gov)
+	defer view.Close()
 
 	var risks []float64
 	actx := NewContext(work, qi)
@@ -242,11 +243,7 @@ func ResumeContext(ctx context.Context, d *mdb.Dataset, cfg Config, checkpoints 
 		}
 		t0 := time.Now()
 		var err error
-		if incr != nil {
-			risks, err = incr.assess(ctx, work)
-		} else {
-			risks, err = risk.AssessContext(ctx, cfg.Assessor, work, cfg.Semantics)
-		}
+		risks, err = view.Risks(ctx)
 		evalTime := time.Since(t0)
 		res.RiskEvalTime += evalTime
 		if err != nil {
@@ -272,7 +269,7 @@ func ResumeContext(ctx context.Context, d *mdb.Dataset, cfg Config, checkpoints 
 			res.Iterations = iter
 			break
 		}
-		orderRisky(work, risks, risky, cfg.Order)
+		cfg.Order.Sort(work, risks, risky)
 		frac := cfg.BatchFraction
 		if frac <= 0 {
 			frac = 0.25
@@ -317,10 +314,8 @@ func ResumeContext(ctx context.Context, d *mdb.Dataset, cfg Config, checkpoints 
 			return nil, err
 		}
 		res.Decisions = append(res.Decisions, iterDecisions...)
-		if incr != nil {
-			if err := incr.observe(work, iterDecisions); err != nil {
-				return nil, err
-			}
+		if err := observe(view, work, rowPos, iterDecisions); err != nil {
+			return nil, err
 		}
 		anonTime := time.Since(t0)
 		res.AnonTime += anonTime
@@ -425,8 +420,12 @@ func replayCheckpoint(work *mdb.Dataset, cp Checkpoint, res *Result, exhausted, 
 	return nil
 }
 
-func orderRisky(d *mdb.Dataset, risks []float64, risky []int, order TupleOrder) {
-	switch order {
+// Sort routes the risky tuples (row positions into d, scored by risks) into
+// the order they are anonymized in: sampling weight ascending, risk
+// descending, or dataset order, each with the tuple ID as the deterministic
+// tiebreak. The cycle and the stream's release gate route through it.
+func (o TupleOrder) Sort(d *mdb.Dataset, risks []float64, risky []int) {
+	switch o {
 	case OrderLessSignificantFirst:
 		sort.SliceStable(risky, func(i, j int) bool {
 			a, b := d.Rows[risky[i]], d.Rows[risky[j]]

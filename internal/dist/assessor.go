@@ -13,15 +13,16 @@ import (
 // per-iteration re-scoring on the worker fleet: Config.Assessor gets an
 // *Assessor and nothing else in the cycle changes.
 //
-// Only Rescore is distributed. Full assessments (Assess/AssessContext)
-// delegate to the wrapped local measure — they run once per job against
-// many Rescore calls, and keeping them local means a test that cross-checks
-// every Rescore against AssessContext (internal/anon's verifying assessor)
-// doubles as a distributed-vs-local bitwise verification.
+// Only Rescore is distributed. Everything else is the embedded local
+// measure's own: its name, so logs, errors and journal records are
+// indistinguishable from a local run, and its full assessments — they run
+// once per job against many Rescore calls, and keeping them local means a
+// test that cross-checks every Rescore against AssessContext (internal/anon's
+// verifying assessor) doubles as a distributed-vs-local bitwise verification.
 type Assessor struct {
-	inner risk.IncrementalAssessor
-	spec  MeasureSpec
-	sup   *Supervisor
+	risk.IncrementalAssessor
+	spec MeasureSpec
+	sup  *Supervisor
 }
 
 // NewAssessor wraps inner for supervised execution. It fails for measures
@@ -33,32 +34,13 @@ func NewAssessor(inner risk.IncrementalAssessor, sup *Supervisor) (*Assessor, er
 	if !ok {
 		return nil, fmt.Errorf("dist: measure %s is not distributable", inner.Name())
 	}
-	return &Assessor{inner: inner, spec: spec, sup: sup}, nil
-}
-
-// Name implements risk.Assessor with the wrapped measure's name, so logs,
-// errors and journal records are indistinguishable from a local run.
-func (a *Assessor) Name() string { return a.inner.Name() }
-
-// Assess implements risk.Assessor, delegating locally.
-func (a *Assessor) Assess(d *mdb.Dataset, sem mdb.Semantics) ([]float64, error) {
-	return a.inner.Assess(d, sem)
-}
-
-// AssessContext implements risk.ContextAssessor, delegating locally.
-func (a *Assessor) AssessContext(ctx context.Context, d *mdb.Dataset, sem mdb.Semantics) ([]float64, error) {
-	return a.inner.AssessContext(ctx, d, sem)
-}
-
-// IndexAttrs implements risk.IncrementalAssessor, delegating locally.
-func (a *Assessor) IndexAttrs(d *mdb.Dataset) ([]int, error) {
-	return a.inner.IndexAttrs(d)
+	return &Assessor{IncrementalAssessor: inner, spec: spec, sup: sup}, nil
 }
 
 // Rescore implements risk.IncrementalAssessor by sharding the dirty rows'
 // group aggregates across the supervisor's workers. The contract is the
 // local one, bit for bit: out equals prev except at dirty positions, which
-// carry exactly the values inner.Rescore would have computed — worker and
+// carry exactly the values the local Rescore would have computed — worker and
 // fallback both evaluate the shared risk.GroupScorer code.
 func (a *Assessor) Rescore(ctx context.Context, idx *mdb.GroupIndex, dirty []int, prev []float64) ([]float64, error) {
 	infos := idx.Infos()

@@ -32,8 +32,8 @@
 package dist
 
 import (
+	"context"
 	"errors"
-	"fmt"
 
 	"vadasa/internal/mdb"
 	"vadasa/internal/risk"
@@ -92,94 +92,37 @@ type Reply struct {
 	Err    string    `json:"err,omitempty"`
 }
 
-// Measure kinds a worker can evaluate. Only measures whose score is a pure
-// function of a row's GroupInfo ship over the wire — the same set that
-// implements risk.IncrementalAssessor.
-const (
-	KindKAnonymity       = "k-anonymity"
-	KindReIdentification = "re-identification"
-	KindIndividualRisk   = "individual-risk"
-)
-
-// MeasureSpec is the serializable identity of a shippable risk measure:
-// exactly the fields that influence ScoreGroup, nothing else (attribute
-// selections live in the group index the supervisor already resolved).
-// SpecFor extracts it from a live measure; Score re-instantiates the
-// measure on the other side.
-type MeasureSpec struct {
-	Kind      string `json:"kind"`
-	K         int    `json:"k,omitempty"`
-	Estimator int    `json:"estimator,omitempty"`
-	Samples   int    `json:"samples,omitempty"`
-	Seed      int64  `json:"seed,omitempty"`
-}
+// MeasureSpec is the serializable identity of a shippable risk measure — a
+// risk.Spec, on the wire exactly as risk marshals it. Only the fields that
+// influence ScoreGroup travel (attribute selections live in the group index
+// the supervisor already resolved). SpecFor extracts it from a live measure;
+// Score re-instantiates the measure on the other side.
+type MeasureSpec risk.Spec
 
 // SpecFor derives the wire spec of a measure, reporting false for measures
-// that cannot ship (SUDA, cluster-wrapped, custom assessors). The mapping
-// is total over the risk measures that implement risk.IncrementalAssessor.
+// that cannot ship: only measures whose score is a pure function of a row's
+// GroupInfo (risk.GroupScorer) do, not SUDA, cluster-wrapped or custom
+// assessors.
 func SpecFor(m risk.Assessor) (MeasureSpec, bool) {
-	switch a := m.(type) {
-	case risk.KAnonymity:
-		return MeasureSpec{Kind: KindKAnonymity, K: a.K}, true
-	case risk.ReIdentification:
-		return MeasureSpec{Kind: KindReIdentification}, true
-	case risk.IndividualRisk:
-		return MeasureSpec{
-			Kind:      KindIndividualRisk,
-			Estimator: int(a.Estimator),
-			Samples:   a.Samples,
-			Seed:      a.Seed,
-		}, true
+	if _, ok := m.(risk.GroupScorer); !ok {
+		return MeasureSpec{}, false
 	}
-	return MeasureSpec{}, false
+	sp, ok := risk.SpecOf(m)
+	return MeasureSpec(sp), ok
 }
 
-// scorer re-instantiates the measure the spec describes.
-func (sp MeasureSpec) scorer() (risk.GroupScorer, error) {
-	switch sp.Kind {
-	case KindKAnonymity:
-		return risk.KAnonymity{K: sp.K}, nil
-	case KindReIdentification:
-		return risk.ReIdentification{}, nil
-	case KindIndividualRisk:
-		return risk.IndividualRisk{
-			Estimator: risk.Estimator(sp.Estimator),
-			Samples:   sp.Samples,
-			Seed:      sp.Seed,
-		}, nil
-	}
-	return nil, fmt.Errorf("dist: unknown measure kind %q", sp.Kind)
-}
-
-// Score evaluates the spec's measure over the rows, in row order, stopping
-// at the first error — the same iteration discipline the local Rescore
-// path uses, so error identity (which row's error surfaces) matches the
-// single-process reference. Values are memoized per (Freq, WeightSum) pair;
-// ScoreGroup is pure in that pair, so the memo saves work without touching
-// bits. Both the worker process and the supervisor's degraded in-process
-// fallback call exactly this function: one code path, one set of bits.
+// Score evaluates the spec's measure over the rows, one value per row in
+// row order. It is the risk layer's one scoring loop (risk.Spec.ScoreGroups)
+// fed from wire rows, so values and error identity — the lowest failing
+// row's error surfaces — match the local Rescore path. Both the worker
+// process and the supervisor's degraded in-process fallback call exactly
+// this function: one code path, one set of bits.
 func (sp MeasureSpec) Score(rows []TaskRow) ([]float64, error) {
-	scorer, err := sp.scorer()
-	if err != nil {
-		return nil, err
-	}
-	type gkey struct {
-		f int
-		w float64
-	}
-	cache := make(map[gkey]float64)
-	out := make([]float64, len(rows))
+	infos := make([]mdb.GroupInfo, len(rows))
+	ids := make([]int, len(rows))
 	for i, row := range rows {
-		k := gkey{row.Freq, row.WeightSum}
-		v, ok := cache[k]
-		if !ok {
-			v, err = scorer.ScoreGroup(mdb.GroupInfo{Freq: row.Freq, WeightSum: row.WeightSum}, row.ID)
-			if err != nil {
-				return nil, err
-			}
-			cache[k] = v
-		}
-		out[i] = v
+		infos[i] = mdb.GroupInfo{Freq: row.Freq, WeightSum: row.WeightSum}
+		ids[i] = row.ID
 	}
-	return out, nil
+	return risk.Spec(sp).ScoreGroups(context.TODO(), infos, ids)
 }

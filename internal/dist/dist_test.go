@@ -33,9 +33,9 @@ func testRows(rng *rand.Rand, n int) []TaskRow {
 
 func testSpecs() []MeasureSpec {
 	return []MeasureSpec{
-		{Kind: KindKAnonymity, K: 3},
-		{Kind: KindReIdentification},
-		{Kind: KindIndividualRisk, Estimator: int(risk.MonteCarlo), Samples: 40, Seed: 7},
+		{Kind: "k-anonymity", K: 3},
+		{Kind: "re-identification"},
+		{Kind: "individual-risk", Estimator: risk.MonteCarlo, Samples: 40, Seed: 7},
 	}
 }
 
@@ -126,7 +126,7 @@ func TestScoreErrorIdentity(t *testing.T) {
 		{Pos: 1, ID: 11, Freq: 1, WeightSum: -2},
 		{Pos: 2, ID: 12, Freq: 1, WeightSum: 0},
 	}
-	_, err := MeasureSpec{Kind: KindReIdentification}.Score(rows)
+	_, err := MeasureSpec{Kind: "re-identification"}.Score(rows)
 	want := "risk: row 11 has non-positive group weight -2"
 	if err == nil || err.Error() != want {
 		t.Fatalf("err = %v, want %q", err, want)

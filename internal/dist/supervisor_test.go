@@ -157,7 +157,7 @@ func TestExecuteScoringErrorNoRetry(t *testing.T) {
 	w := scoringTransport("w", 0)
 	sup := NewSupervisor([]Transport{w}, quickOpts())
 	defer sup.Close()
-	_, err := sup.Execute(context.Background(), MeasureSpec{Kind: KindReIdentification}, rows)
+	_, err := sup.Execute(context.Background(), MeasureSpec{Kind: "re-identification"}, rows)
 	want := "risk: row 7 has non-positive group weight -1"
 	if err == nil || err.Error() != want {
 		t.Fatalf("err = %v, want %q", err, want)

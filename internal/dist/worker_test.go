@@ -45,7 +45,7 @@ func TestWorkerHandler(t *testing.T) {
 	}
 
 	// A scoring error rides inside a successful reply.
-	bad := Task{Seq: 1, Measure: MeasureSpec{Kind: KindReIdentification},
+	bad := Task{Seq: 1, Measure: MeasureSpec{Kind: "re-identification"},
 		Rows: []TaskRow{{Pos: 0, ID: 3, Freq: 1, WeightSum: 0}}}
 	r, err := tr.Call(ctx, bad)
 	if err != nil {

@@ -79,6 +79,10 @@ type Manager struct {
 	writers map[string]*journal.Writer
 	cancels map[string]context.CancelFunc
 	closed  bool
+	// claimed holds the ids Submit has picked but not yet registered: their
+	// journals exist, or are about to, and belong to no job Get or List can
+	// see. Recover leaves them alone.
+	claimed map[string]bool
 }
 
 // NewManager starts a manager with its worker pool. The journal directory is
@@ -124,6 +128,7 @@ func NewManager(runner Runner, opts Options) (*Manager, error) {
 		jobs:    make(map[string]*Job),
 		writers: make(map[string]*journal.Writer),
 		cancels: make(map[string]context.CancelFunc),
+		claimed: make(map[string]bool),
 	}
 	for i := 0; i < opts.Workers; i++ {
 		m.wg.Add(1)
@@ -178,6 +183,18 @@ func (m *Manager) Submit(spec Spec) (Job, error) {
 	if err != nil {
 		return Job{}, err
 	}
+	// The id is claimed before its journal exists and until Submit returns:
+	// a Recover running meanwhile (start-up recovery is backgrounded behind
+	// an already serving daemon) would otherwise find a journal of no known
+	// job, open a second writer on it and queue the job a second time.
+	m.mu.Lock()
+	m.claimed[id] = true
+	m.mu.Unlock()
+	defer func() {
+		m.mu.Lock()
+		delete(m.claimed, id)
+		m.mu.Unlock()
+	}()
 	w, err := journal.CreateWith(m.journalPath(id), m.journalConfig(id, m.journalPath(id)))
 	if err != nil {
 		return Job{}, fmt.Errorf("jobs: creating journal: %w", err)
@@ -290,6 +307,7 @@ func (m *Manager) Recover() ([]string, error) {
 		id := strings.TrimSuffix(filepath.Base(path), ".journal")
 		m.mu.Lock()
 		_, known := m.jobs[id]
+		known = known || m.claimed[id]
 		m.mu.Unlock()
 		if known {
 			continue

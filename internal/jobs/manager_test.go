@@ -630,3 +630,57 @@ func TestSubmitQueueFullAndClosedAreTyped(t *testing.T) {
 		t.Fatalf("submit after Close: %v, want ErrClosed", err)
 	}
 }
+
+// TestSubmitDuringRecoveryIsNotAdopted: the daemon serves /jobs/anonymize
+// while start-up recovery is still globbing the job directory, so a Recover
+// can see a journal whose Submit is between its start record and registering
+// the job. The id is reserved before the journal exists, so Recover leaves
+// it alone: the job runs once and one writer owns the journal. The race is
+// made deterministic by recovering from inside the start record's commit.
+func TestSubmitDuringRecoveryIsNotAdopted(t *testing.T) {
+	r := &scriptRunner{iterations: 3}
+	opts := fastOpts(t)
+	var m *Manager
+	var resumed []string
+	var recoverErr error
+	opts.JournalHook = func(id, path string) func(seq int, line []byte) error {
+		return func(seq int, line []byte) error {
+			if seq == 1 {
+				resumed, recoverErr = m.Recover()
+			}
+			return nil
+		}
+	}
+	m, err := NewManager(r, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	j, err := m.Submit(Spec{Dataset: testInput(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recoverErr != nil || len(resumed) != 0 {
+		t.Fatalf("Recover inside Submit resumed %v (err %v), want nothing", resumed, recoverErr)
+	}
+	waitState(t, m, j.ID, StateDone)
+	// A second, adopted copy of the job would still be queued or running.
+	time.Sleep(50 * time.Millisecond)
+	r.mu.Lock()
+	calls := r.calls
+	r.mu.Unlock()
+	if calls != 1 {
+		t.Fatalf("runner invoked %d times, want exactly once", calls)
+	}
+	m.Close()
+	// The scan stops at the first sequence gap or repeat: two writers
+	// interleaving their own sequence numbers would cut it short.
+	scan, err := journal.ReadFile(filepath.Join(opts.Dir, j.ID+".journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 1 + r.iterations + 1; scan.Torn || len(scan.Records) != want {
+		t.Fatalf("journal holds %d gap-free records (torn %v), want %d: start, iterations, done",
+			len(scan.Records), scan.Torn, want)
+	}
+}

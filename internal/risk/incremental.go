@@ -9,22 +9,20 @@ import (
 )
 
 // IncrementalAssessor is an Assessor that can re-score a dataset from a
-// maintained mdb.GroupIndex instead of regrouping from scratch. The
-// anonymization cycle builds the index once, feeds each iteration's
-// suppression deltas into it, and hands the resulting dirty set to Rescore,
-// so the per-iteration cost scales with how many tuples a batch actually
-// disturbed rather than with the dataset.
+// maintained mdb.GroupIndex instead of regrouping from scratch: Live builds
+// the index once, feeds each delta into it, and hands the resulting dirty
+// set to Rescore, so the cost of staying current scales with how many
+// tuples a batch actually disturbed rather than with the dataset.
 //
 // Implemented by KAnonymity, IndividualRisk and ReIdentification — the
 // measures whose score is a pure function of a tuple's GroupInfo. SUDA's
 // risk depends on subset-projection uniqueness (no single grouping captures
 // it) and cluster.Assessor folds in graph propagation; neither implements
-// the interface, and the cycle transparently falls back to full assessment
-// for them.
+// the interface, and Live scores them one-shot.
 type IncrementalAssessor interface {
 	ContextAssessor
 	// IndexAttrs resolves the attribute indexes the assessor groups rows
-	// by — the index the cycle must build and maintain for Rescore.
+	// by — the index Live must build and maintain for Rescore.
 	IndexAttrs(d *mdb.Dataset) ([]int, error)
 	// Rescore evaluates risk from the index. With prev == nil every row is
 	// scored (a full assessment off the maintained groups). Otherwise it
@@ -36,13 +34,11 @@ type IncrementalAssessor interface {
 	Rescore(ctx context.Context, idx *mdb.GroupIndex, dirty []int, prev []float64) ([]float64, error)
 }
 
-// GroupScorer is the per-tuple core of an IncrementalAssessor: the score of
-// one row as a pure function of its maintained GroupInfo (rowID is carried
-// only for error identity). Rescore is implemented on top of ScoreGroup, so
-// any executor that evaluates ScoreGroup elsewhere — another goroutine,
-// another process, another machine — lands on the same bits the local path
-// computes. The distributed shard layer (internal/dist) ships GroupInfos to
-// worker processes and calls exactly this method on the other side.
+// GroupScorer is the per-tuple core of a group measure: the score of one row
+// as a pure function of its GroupInfo (rowID is carried only for error
+// identity). Every way of assessing such a measure — in full, incrementally,
+// on another process (internal/dist ships GroupInfos to workers) — is the
+// one loop below around ScoreGroup, so they all land on the same bits.
 type GroupScorer interface {
 	// ScoreGroup returns the row's risk from its group aggregates. It must
 	// be deterministic and free of shared state: two calls with the same
@@ -50,181 +46,110 @@ type GroupScorer interface {
 	ScoreGroup(g mdb.GroupInfo, rowID int) (float64, error)
 }
 
-// rescoreRows runs score over either every row (prev == nil) or just the
-// dirty rows, fanning the work out on the governor-charged pool. score must
-// be a pure function of the row position; out slots are disjoint per chunk,
-// so the result is independent of the worker count.
-func rescoreRows(ctx context.Context, n int, dirty []int, prev []float64, score func(row int, out []float64) error) ([]float64, error) {
-	out := make([]float64, n)
-	if prev == nil {
-		err := pool.Run(ctx, n, func(lo, hi int) error {
-			for row := lo; row < hi; row++ {
-				if err := score(row, out); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
+// groupMeasure is everything that defines a group measure: a name, one
+// parameter check, the attributes it groups by and the score of a group.
+// Assess, AssessContext and Rescore of the three implementations are calls
+// into assessGroups and rescoreGroups.
+type groupMeasure interface {
+	IncrementalAssessor
+	GroupScorer
+	// check validates the measure's parameters.
+	check() error
+}
+
+// gkey identifies a posterior estimate: groups sharing a (sample frequency,
+// weight sum) pair share their risk.
+type gkey struct {
+	f int
+	w float64
+}
+
+// scoreGroups is the one scoring loop: it writes into out the score of the
+// rows at positions (nil means every row of infos), fanned out on the
+// governor-charged pool over at most workers goroutines (0: as many as it
+// has). out slots are disjoint per chunk, so the result is independent of
+// the worker count; chunks are contiguous and each stops at its first
+// failure, so the error returned is the lowest failing row's. rowID resolves
+// a position to the row ID a scoring error names.
+func scoreGroups(ctx context.Context, workers int, m groupMeasure, infos []mdb.GroupInfo, rowID func(pos int) int, positions []int, out []float64) error {
+	if err := m.check(); err != nil {
+		return err
+	}
+	n := len(infos)
+	if positions != nil {
+		n = len(positions)
+	}
+	// Only the posterior estimate costs more than a map lookup: it alone is
+	// memoized, per chunk, by the (f, ΣW) pair it is a pure function of.
+	_, memoize := m.(IndividualRisk)
+	return pool.RunWorkers(ctx, workers, n, func(lo, hi int) error {
+		var memo map[gkey]float64
+		if memoize {
+			memo = make(map[gkey]float64)
 		}
-		return out, nil
-	}
-	if len(prev) != n {
-		return nil, fmt.Errorf("risk: rescore: previous vector has %d rows, index has %d", len(prev), n)
-	}
-	copy(out, prev)
-	err := pool.Run(ctx, len(dirty), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			if err := score(dirty[i], out); err != nil {
+			if err := pollCtx(ctx, i, m); err != nil {
 				return err
 			}
+			pos := i
+			if positions != nil {
+				pos = positions[i]
+			}
+			g := infos[pos]
+			k := gkey{g.Freq, g.WeightSum}
+			if memo != nil {
+				if r, ok := memo[k]; ok {
+					out[pos] = r
+					continue
+				}
+			}
+			r, err := m.ScoreGroup(g, rowID(pos))
+			if err != nil {
+				return err
+			}
+			if memo != nil {
+				memo[k] = r
+			}
+			out[pos] = r
 		}
 		return nil
 	})
+}
+
+// assessGroups is a group measure's AssessContext: one pass of the grouping
+// kernel over d, then every row scored — both on the calling goroutine: a
+// server runs one full assessment per request, and concurrent requests are
+// its parallelism.
+func assessGroups(ctx context.Context, m groupMeasure, d *mdb.Dataset, sem mdb.Semantics) ([]float64, error) {
+	attrs, err := m.IndexAttrs(d)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return rescoreRows(ctx, 1, m, mdb.ComputeGroups(d, attrs, sem), d.Rows, nil, nil)
 }
 
-// IndexAttrs implements IncrementalAssessor.
-func (a KAnonymity) IndexAttrs(d *mdb.Dataset) ([]int, error) {
-	if a.K < 2 {
-		return nil, fmt.Errorf("risk: k-anonymity needs K >= 2, got %d", a.K)
-	}
-	return attrsOrQIs(d, a.Attrs)
+// rescoreGroups is a group measure's Rescore, off the maintained index and
+// across the pool.
+func rescoreGroups(ctx context.Context, m groupMeasure, idx *mdb.GroupIndex, dirty []int, prev []float64) ([]float64, error) {
+	return rescoreRows(ctx, 0, m, idx.Infos(), idx.Dataset().Rows, dirty, prev)
 }
 
-// ScoreGroup implements GroupScorer: a tuple is dangerous exactly when its
-// maintained group frequency is below K.
-func (a KAnonymity) ScoreGroup(g mdb.GroupInfo, rowID int) (float64, error) {
-	if g.Freq < a.K {
-		return 1, nil
-	}
-	return 0, nil
-}
-
-// Rescore implements IncrementalAssessor via ScoreGroup.
-func (a KAnonymity) Rescore(ctx context.Context, idx *mdb.GroupIndex, dirty []int, prev []float64) ([]float64, error) {
-	if a.K < 2 {
-		return nil, fmt.Errorf("risk: k-anonymity needs K >= 2, got %d", a.K)
-	}
-	infos := idx.Infos()
-	return rescoreRows(ctx, len(infos), dirty, prev, func(row int, out []float64) error {
-		r, err := a.ScoreGroup(infos[row], idx.Dataset().Rows[row].ID)
-		if err != nil {
-			return err
-		}
-		out[row] = r
-		return nil
-	})
-}
-
-// IndexAttrs implements IncrementalAssessor.
-func (a ReIdentification) IndexAttrs(d *mdb.Dataset) ([]int, error) {
-	return attrsOrQIs(d, a.Attrs)
-}
-
-// ScoreGroup implements GroupScorer: risk is 1/ΣW over the maintained group
-// weight sum.
-func (a ReIdentification) ScoreGroup(g mdb.GroupInfo, rowID int) (float64, error) {
-	if g.WeightSum <= 0 {
-		return 0, fmt.Errorf("risk: row %d has non-positive group weight %g", rowID, g.WeightSum)
-	}
-	return clamp01(1 / g.WeightSum), nil
-}
-
-// Rescore implements IncrementalAssessor via ScoreGroup.
-func (a ReIdentification) Rescore(ctx context.Context, idx *mdb.GroupIndex, dirty []int, prev []float64) ([]float64, error) {
-	infos := idx.Infos()
-	rows := idx.Dataset().Rows
-	return rescoreRows(ctx, len(infos), dirty, prev, func(row int, out []float64) error {
-		r, err := a.ScoreGroup(infos[row], rows[row].ID)
-		if err != nil {
-			return err
-		}
-		out[row] = r
-		return nil
-	})
-}
-
-// IndexAttrs implements IncrementalAssessor.
-func (a IndividualRisk) IndexAttrs(d *mdb.Dataset) ([]int, error) {
-	return attrsOrQIs(d, a.Attrs)
-}
-
-// ScoreGroup implements GroupScorer. The posterior estimate is a pure
-// function of the (f, ΣW) pair — the Monte-Carlo estimator derives its
-// generator seed from the pair itself — so the result is independent of
-// where and in what order the call runs. Callers scoring many rows should
-// memoize per (f, ΣW) pair, as Rescore does; ScoreGroup itself never caches.
-func (a IndividualRisk) ScoreGroup(g mdb.GroupInfo, rowID int) (float64, error) {
-	if g.WeightSum <= 0 {
-		return 0, fmt.Errorf("risk: row %d has non-positive group weight %g", rowID, g.WeightSum)
-	}
-	samples := a.Samples
-	if samples <= 0 {
-		samples = 200
-	}
-	return a.estimate(g.Freq, g.WeightSum, samples), nil
-}
-
-// Rescore implements IncrementalAssessor. The posterior estimate is a pure
-// function of a group's (f, ΣW) pair — the Monte-Carlo estimator derives
-// its generator seed from the pair itself — so re-scoring an arbitrary
-// subset of rows, in any order and on any number of workers, lands on the
-// same values a full assessment computes. The per-chunk memo only saves
-// recomputation.
-func (a IndividualRisk) Rescore(ctx context.Context, idx *mdb.GroupIndex, dirty []int, prev []float64) ([]float64, error) {
-	infos := idx.Infos()
-	rows := idx.Dataset().Rows
-	return rescoreChunked(ctx, len(infos), dirty, prev, func(rowsIdx []int, out []float64) error {
-		cache := make(map[gkey]float64)
-		for _, row := range rowsIdx {
-			g := infos[row]
-			k := gkey{g.Freq, g.WeightSum}
-			r, ok := cache[k]
-			if !ok {
-				var err error
-				r, err = a.ScoreGroup(g, rows[row].ID)
-				if err != nil {
-					return err
-				}
-				cache[k] = r
-			}
-			out[row] = r
-		}
-		return nil
-	})
-}
-
-// rescoreChunked is rescoreRows for scorers that amortize state (a memo
-// cache) across a chunk: score receives the row positions of one chunk and
-// writes their slots in out.
-func rescoreChunked(ctx context.Context, n int, dirty []int, prev []float64, score func(rows []int, out []float64) error) ([]float64, error) {
-	out := make([]float64, n)
+// rescoreRows scores every row (prev == nil) or, on a copy of prev, the dirty
+// ones, on at most workers goroutines; infos and rows are parallel.
+func rescoreRows(ctx context.Context, workers int, m groupMeasure, infos []mdb.GroupInfo, rows []*mdb.Row, dirty []int, prev []float64) ([]float64, error) {
+	out := make([]float64, len(infos))
 	if prev == nil {
-		err := pool.Run(ctx, n, func(lo, hi int) error {
-			rows := make([]int, hi-lo)
-			for i := range rows {
-				rows[i] = lo + i
-			}
-			return score(rows, out)
-		})
-		if err != nil {
-			return nil, err
+		dirty = nil // every row
+	} else {
+		if len(prev) != len(infos) {
+			return nil, fmt.Errorf("risk: rescore: previous vector has %d rows, index has %d", len(prev), len(infos))
 		}
-		return out, nil
+		copy(out, prev)
+		if len(dirty) == 0 {
+			return out, nil
+		}
 	}
-	if len(prev) != n {
-		return nil, fmt.Errorf("risk: rescore: previous vector has %d rows, index has %d", len(prev), n)
-	}
-	copy(out, prev)
-	err := pool.Run(ctx, len(dirty), func(lo, hi int) error {
-		return score(dirty[lo:hi], out)
-	})
-	if err != nil {
+	if err := scoreGroups(ctx, workers, m, infos, func(pos int) int { return rows[pos].ID }, dirty, out); err != nil {
 		return nil, err
 	}
 	return out, nil

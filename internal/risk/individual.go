@@ -62,51 +62,43 @@ func (a IndividualRisk) Name() string {
 	return fmt.Sprintf("individual-risk(%s)", a.Estimator)
 }
 
-// Assess implements Assessor.
-func (a IndividualRisk) Assess(d *mdb.Dataset, sem mdb.Semantics) ([]float64, error) {
-	return a.AssessContext(context.Background(), d, sem)
+func (IndividualRisk) check() error { return nil }
+
+// IndexAttrs implements IncrementalAssessor.
+func (a IndividualRisk) IndexAttrs(d *mdb.Dataset) ([]int, error) {
+	return attrsOrQIs(d, a.Attrs)
 }
 
-// gkey identifies a posterior estimate: groups sharing a (sample frequency,
-// weight sum) pair share their risk, so estimates are memoized per pair.
-type gkey struct {
-	f int
-	w float64
-}
-
-// AssessContext implements ContextAssessor. The posterior estimation is
-// cached per (f, ΣW) pair, so the context is polled on the outer group loop
-// — each uncached estimate is itself bounded (series cutoffs, fixed sample
-// counts) and cannot stall cancellation for long.
-func (a IndividualRisk) AssessContext(ctx context.Context, d *mdb.Dataset, sem mdb.Semantics) ([]float64, error) {
-	idx, err := attrsOrQIs(d, a.Attrs)
-	if err != nil {
-		return nil, err
+// ScoreGroup implements GroupScorer. The posterior estimate is a pure
+// function of the (f, ΣW) pair — the Monte-Carlo estimator derives its
+// generator seed from the pair itself — so the result is independent of
+// where and in what order the call runs; the scoring loop memoizes it per
+// pair, ScoreGroup itself never caches. Each estimate is bounded (series
+// cutoffs, fixed sample counts) and cannot stall cancellation for long.
+func (a IndividualRisk) ScoreGroup(g mdb.GroupInfo, rowID int) (float64, error) {
+	if g.WeightSum <= 0 {
+		return 0, fmt.Errorf("risk: row %d has non-positive group weight %g", rowID, g.WeightSum)
 	}
-	groups := mdb.ComputeGroups(d, idx, sem)
 	samples := a.Samples
 	if samples <= 0 {
 		samples = 200
 	}
+	return a.estimate(g.Freq, g.WeightSum, samples), nil
+}
 
-	cache := make(map[gkey]float64)
-	out := make([]float64, len(groups))
-	for i, g := range groups {
-		if err := pollCtx(ctx, i, a.Name()); err != nil {
-			return nil, err
-		}
-		if g.WeightSum <= 0 {
-			return nil, fmt.Errorf("risk: row %d has non-positive group weight %g", d.Rows[i].ID, g.WeightSum)
-		}
-		k := gkey{g.Freq, g.WeightSum}
-		r, ok := cache[k]
-		if !ok {
-			r = a.estimate(g.Freq, g.WeightSum, samples)
-			cache[k] = r
-		}
-		out[i] = r
-	}
-	return out, nil
+// Assess implements Assessor.
+func (a IndividualRisk) Assess(d *mdb.Dataset, sem mdb.Semantics) ([]float64, error) {
+	return assessGroups(context.Background(), a, d, sem)
+}
+
+// AssessContext implements ContextAssessor.
+func (a IndividualRisk) AssessContext(ctx context.Context, d *mdb.Dataset, sem mdb.Semantics) ([]float64, error) {
+	return assessGroups(ctx, a, d, sem)
+}
+
+// Rescore implements IncrementalAssessor.
+func (a IndividualRisk) Rescore(ctx context.Context, idx *mdb.GroupIndex, dirty []int, prev []float64) ([]float64, error) {
+	return rescoreGroups(ctx, a, idx, dirty, prev)
 }
 
 // estimate is a pure function of the (f, ΣW) pair: the Monte-Carlo

@@ -20,28 +20,41 @@ type KAnonymity struct {
 // Name implements Assessor.
 func (a KAnonymity) Name() string { return fmt.Sprintf("k-anonymity(k=%d)", a.K) }
 
+func (a KAnonymity) check() error {
+	if a.K < 2 {
+		return fmt.Errorf("risk: k-anonymity needs K >= 2, got %d", a.K)
+	}
+	return nil
+}
+
+// IndexAttrs implements IncrementalAssessor.
+func (a KAnonymity) IndexAttrs(d *mdb.Dataset) ([]int, error) {
+	if err := a.check(); err != nil {
+		return nil, err
+	}
+	return attrsOrQIs(d, a.Attrs)
+}
+
+// ScoreGroup implements GroupScorer: a tuple is dangerous exactly when its
+// group frequency is below K.
+func (a KAnonymity) ScoreGroup(g mdb.GroupInfo, rowID int) (float64, error) {
+	if g.Freq < a.K {
+		return 1, nil
+	}
+	return 0, nil
+}
+
 // Assess implements Assessor.
 func (a KAnonymity) Assess(d *mdb.Dataset, sem mdb.Semantics) ([]float64, error) {
-	return a.AssessContext(context.Background(), d, sem)
+	return assessGroups(context.Background(), a, d, sem)
 }
 
 // AssessContext implements ContextAssessor.
 func (a KAnonymity) AssessContext(ctx context.Context, d *mdb.Dataset, sem mdb.Semantics) ([]float64, error) {
-	if a.K < 2 {
-		return nil, fmt.Errorf("risk: k-anonymity needs K >= 2, got %d", a.K)
-	}
-	idx, err := attrsOrQIs(d, a.Attrs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(d.Rows))
-	for i, f := range mdb.Frequencies(d, idx, sem) {
-		if err := pollCtx(ctx, i, a.Name()); err != nil {
-			return nil, err
-		}
-		if f < a.K {
-			out[i] = 1
-		}
-	}
-	return out, nil
+	return assessGroups(ctx, a, d, sem)
+}
+
+// Rescore implements IncrementalAssessor.
+func (a KAnonymity) Rescore(ctx context.Context, idx *mdb.GroupIndex, dirty []int, prev []float64) ([]float64, error) {
+	return rescoreGroups(ctx, a, idx, dirty, prev)
 }

@@ -134,7 +134,7 @@ func (a LDiversity) AssessContext(ctx context.Context, d *mdb.Dataset, sem mdb.S
 	}
 	groups := make(map[string]*groupStat)
 	for row, r := range d.Rows {
-		if err := pollCtx(ctx, row, a.Name()); err != nil {
+		if err := pollCtx(ctx, row, a); err != nil {
 			return nil, err
 		}
 		key := ""

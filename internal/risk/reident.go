@@ -20,27 +20,32 @@ type ReIdentification struct {
 // Name implements Assessor.
 func (ReIdentification) Name() string { return "re-identification" }
 
+func (ReIdentification) check() error { return nil }
+
+// IndexAttrs implements IncrementalAssessor.
+func (a ReIdentification) IndexAttrs(d *mdb.Dataset) ([]int, error) {
+	return attrsOrQIs(d, a.Attrs)
+}
+
+// ScoreGroup implements GroupScorer: risk is 1/ΣW over the group weight sum.
+func (a ReIdentification) ScoreGroup(g mdb.GroupInfo, rowID int) (float64, error) {
+	if g.WeightSum <= 0 {
+		return 0, fmt.Errorf("risk: row %d has non-positive group weight %g", rowID, g.WeightSum)
+	}
+	return clamp01(1 / g.WeightSum), nil
+}
+
 // Assess implements Assessor.
 func (a ReIdentification) Assess(d *mdb.Dataset, sem mdb.Semantics) ([]float64, error) {
-	return a.AssessContext(context.Background(), d, sem)
+	return assessGroups(context.Background(), a, d, sem)
 }
 
 // AssessContext implements ContextAssessor.
 func (a ReIdentification) AssessContext(ctx context.Context, d *mdb.Dataset, sem mdb.Semantics) ([]float64, error) {
-	idx, err := attrsOrQIs(d, a.Attrs)
-	if err != nil {
-		return nil, err
-	}
-	groups := mdb.ComputeGroups(d, idx, sem)
-	out := make([]float64, len(groups))
-	for i, g := range groups {
-		if err := pollCtx(ctx, i, a.Name()); err != nil {
-			return nil, err
-		}
-		if g.WeightSum <= 0 {
-			return nil, fmt.Errorf("risk: row %d has non-positive group weight %g", d.Rows[i].ID, g.WeightSum)
-		}
-		out[i] = clamp01(1 / g.WeightSum)
-	}
-	return out, nil
+	return assessGroups(ctx, a, d, sem)
+}
+
+// Rescore implements IncrementalAssessor.
+func (a ReIdentification) Rescore(ctx context.Context, idx *mdb.GroupIndex, dirty []int, prev []float64) ([]float64, error) {
+	return rescoreGroups(ctx, a, idx, dirty, prev)
 }

@@ -64,13 +64,14 @@ func AssessContext(ctx context.Context, a Assessor, d *mdb.Dataset, sem mdb.Sema
 const ctxRowPoll = 1024
 
 // pollCtx reports a done context every ctxRowPoll-th iteration i (and always
-// on the first), wrapping the cause for errors.Is.
-func pollCtx(ctx context.Context, i int, name string) error {
+// on the first), wrapping the cause for errors.Is. It takes the assessor, not
+// its name: a name is formatted only once there is an error to put it in.
+func pollCtx(ctx context.Context, i int, a Assessor) error {
 	if i%ctxRowPoll != 0 {
 		return nil
 	}
 	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("risk: %s cancelled at row %d: %w", name, i, err)
+		return fmt.Errorf("risk: %s cancelled at row %d: %w", a.Name(), i, err)
 	}
 	return nil
 }

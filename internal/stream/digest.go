@@ -52,15 +52,16 @@ func (s *Stream) Digest(ctx context.Context) (*Digest, error) {
 // incremental and full paths are bit-identical by the risk layer's tested
 // property, so primary and standby agree even when they score differently.
 func (s *Stream) digestLocked(ctx context.Context, seq int) (*Digest, error) {
-	if err := s.ensureRisks(ctx); err != nil {
+	risks, err := s.currentRisks(ctx)
+	if err != nil {
 		return nil, fmt.Errorf("stream %s: digest risk state: %w", s.id, err)
 	}
 	var buf bytes.Buffer
 	if err := mdb.WriteCSV(&buf, s.d); err != nil {
 		return nil, fmt.Errorf("stream %s: digest window: %w", s.id, err)
 	}
-	rb := make([]byte, 8*len(s.risks))
-	for i, r := range s.risks {
+	rb := make([]byte, 8*len(risks))
+	for i, r := range risks {
 		binary.BigEndian.PutUint64(rb[i*8:], math.Float64bits(r))
 	}
 	return &Digest{

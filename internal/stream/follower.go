@@ -11,6 +11,7 @@ import (
 	"vadasa/internal/govern"
 	"vadasa/internal/journal"
 	"vadasa/internal/mdb"
+	"vadasa/internal/risk"
 )
 
 // Follower is a read-only replica of a stream: it replays the mirrored
@@ -44,23 +45,9 @@ type Follower struct {
 // the same Assessor/Threshold the primary used — on a server, rebuilt from
 // the create record's Meta exactly as startup recovery does.
 func OpenFollower(ctx context.Context, id, path string, opts Options) (*Follower, error) {
-	if opts.Assessor == nil {
-		return nil, fmt.Errorf("stream: Options.Assessor is required")
-	}
-	if opts.Threshold <= 0 {
-		return nil, fmt.Errorf("stream: Options.Threshold must be positive, got %g", opts.Threshold)
-	}
-	s := &Stream{
-		id:      id,
-		path:    path,
-		dir:     filepath.Dir(path),
-		opts:    opts,
-		fs:      opts.FS,
-		gov:     opts.Governor,
-		batches: make(map[string]bool),
-	}
-	if s.fs == nil {
-		s.fs = faultfs.OS
+	s, err := newStream(id, path, opts)
+	if err != nil {
+		return nil, err
 	}
 	f := &Follower{s: s}
 	it, err := journal.RecordsIn(ctx, s.fs, path, journal.Cursor{})
@@ -83,9 +70,10 @@ func OpenFollower(ctx context.Context, id, path string, opts Options) (*Follower
 	if s.d == nil {
 		return nil, fmt.Errorf("stream %s: mirrored journal holds no create record", id)
 	}
-	// Deliberately no initAssessor: the follower scores through the full
-	// reference path only (risk.AssessContext), so it never maintains a
-	// group index across replayed suppressions and withdrawals.
+	// The follower scores one-shot, whatever the measure: it holds no group
+	// index between shipped records.
+	s.live = risk.NewLive(opts.Assessor, s.d, s.opts.Semantics, s.gov)
+	s.live.SetIndexing(false)
 	return f, nil
 }
 
@@ -107,9 +95,9 @@ func (f *Follower) Apply(ctx context.Context, rec journal.Record) error {
 	}
 	f.snapshotRelease(rec.Type)
 	f.seq = rec.Seq
-	// The risk vector is stale until someone asks: Digest and Status
-	// recompute on demand through the full path.
-	s.current = false
+	// The risk vector is stale until someone asks: Digest recomputes on
+	// demand.
+	s.live.Invalidate()
 	return nil
 }
 
@@ -243,6 +231,6 @@ func (f *Follower) Close() error {
 
 func (f *Follower) releaseCharges() {
 	s := f.s
-	s.gov.Release(govern.Memory, s.memCharged+s.idxCharged)
-	s.memCharged, s.idxCharged = 0, 0
+	s.gov.Release(govern.Memory, s.memCharged)
+	s.memCharged = 0
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"sort"
 
 	"vadasa/internal/anon"
 	"vadasa/internal/faultfs"
@@ -79,17 +78,18 @@ func (s *Stream) gate(ctx context.Context) error {
 	suppress := anon.LocalSuppression{Choice: s.opts.Choice}
 	actx := anon.NewContext(s.d, qi)
 	for iter := 1; ; iter++ {
-		if iter > s.opts.maxIterations() {
-			return fmt.Errorf("stream: release gate exceeded %d iterations", s.opts.maxIterations())
+		if iter > maxIterations {
+			return fmt.Errorf("stream: release gate exceeded %d iterations", maxIterations)
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := s.ensureRisks(ctx); err != nil {
+		risks, err := s.currentRisks(ctx)
+		if err != nil {
 			return err
 		}
 		var risky []int
-		for pos, r := range s.risks {
+		for pos, r := range risks {
 			if r > s.opts.Threshold {
 				risky = append(risky, pos)
 			}
@@ -97,7 +97,7 @@ func (s *Stream) gate(ctx context.Context) error {
 		if len(risky) == 0 {
 			return nil
 		}
-		s.orderRisky(risky)
+		s.opts.Order.Sort(s.d, risks, risky)
 
 		saved := s.d.Nulls
 		type step struct {
@@ -112,7 +112,7 @@ func (s *Stream) gate(ctx context.Context) error {
 				continue
 			}
 			for i := range ds {
-				ds[i].Risk = s.risks[pos]
+				ds[i].Risk = risks[pos]
 				ds[i].Iteration = iter
 				attr := s.d.AttrIndex(ds[i].Attr)
 				steps = append(steps, step{pos: pos, attr: attr, old: ds[i].Old})
@@ -132,7 +132,7 @@ func (s *Stream) gate(ctx context.Context) error {
 			// Unwind the whole iteration: restore the suppressed values in
 			// reverse and put the null allocator back so the next attempt
 			// mints the same ids (the journal left no trace of the record).
-			// The index never saw the mutation, so state is exactly
+			// The risk view never saw the mutation, so state is exactly
 			// pre-iteration.
 			for i := len(steps) - 1; i >= 0; i-- {
 				s.d.Rows[steps[i].pos].Values[steps[i].attr] = steps[i].old
@@ -141,44 +141,12 @@ func (s *Stream) gate(ctx context.Context) error {
 			return err
 		}
 		s.pendSupp += len(decs)
-		if s.idx != nil && s.idx.Valid() {
-			for _, st := range steps {
-				if err := s.idx.SuppressCell(st.pos, st.attr); err != nil {
-					return fmt.Errorf("stream: index maintenance: %w", err)
-				}
+		for _, st := range steps {
+			if err := s.live.Suppressed(st.pos, st.attr); err != nil {
+				return fmt.Errorf("stream: index maintenance: %w", err)
 			}
-		} else {
-			s.current = false
 		}
 		actx = actx.Next()
-	}
-}
-
-// orderRisky routes the risky tuples: the cycle's less-significant-first
-// default (sampling weight ascending, tuple ID as the deterministic
-// tiebreak), risk-descending, or window order.
-func (s *Stream) orderRisky(risky []int) {
-	d, risks := s.d, s.risks
-	switch s.opts.Order {
-	case anon.OrderByRiskDesc:
-		sort.SliceStable(risky, func(i, j int) bool {
-			if risks[risky[i]] != risks[risky[j]] {
-				return risks[risky[i]] > risks[risky[j]]
-			}
-			return d.Rows[risky[i]].ID < d.Rows[risky[j]].ID
-		})
-	case anon.OrderByID:
-		sort.SliceStable(risky, func(i, j int) bool {
-			return d.Rows[risky[i]].ID < d.Rows[risky[j]].ID
-		})
-	default: // OrderLessSignificantFirst
-		sort.SliceStable(risky, func(i, j int) bool {
-			a, b := d.Rows[risky[i]], d.Rows[risky[j]]
-			if a.Weight != b.Weight {
-				return a.Weight < b.Weight
-			}
-			return a.ID < b.ID
-		})
 	}
 }
 

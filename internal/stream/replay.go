@@ -54,12 +54,12 @@ func Peek(ctx context.Context, fsys faultfs.FS, path string) (*Info, error) {
 	return &Info{ID: p.Stream, Attrs: attrs, Threshold: p.Threshold, Semantics: sem, Meta: p.Meta}, nil
 }
 
-// recovered finishes a reopen. journal.Open has replayed the WAL record by
+// recovered finishes an open. journal.Open has replayed the WAL record by
 // record through the same apply functions the live paths use — which is what
 // makes the recovered window bit-identical to the crashed one; what is left
-// is to complete any release caught between its intent and publish records.
+// is to complete any release caught between its intent and publish records
+// (a fresh stream has neither).
 func (s *Stream) recovered(ctx context.Context) (*Stream, error) {
-	s.initAssessor()
 	if s.pending != nil {
 		// Crash between intent and publish: the intent promised specific
 		// bytes (its digest); the replayed window regenerates exactly them,
@@ -123,7 +123,8 @@ func (s *Stream) replay(rec journal.Record) error {
 		if err := json.Unmarshal(rec.Payload, &p); err != nil {
 			return fmt.Errorf("stream: decoding withdraw record %d: %w", rec.Seq, err)
 		}
-		return s.applyWithdraw(p.RowIDs)
+		_, err := s.applyWithdraw(p.RowIDs)
+		return err
 	case recAnon:
 		var p anonPayload
 		if err := json.Unmarshal(rec.Payload, &p); err != nil {

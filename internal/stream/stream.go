@@ -4,11 +4,11 @@
 //
 // Every state transition is journaled before it is acknowledged (write-ahead
 // ack): an accepted batch, a withdrawal, every suppression the release gate
-// applies, and the release protocol itself. Risk is maintained online
-// through mdb.GroupIndex row operations when the measure implements
-// risk.IncrementalAssessor, bit-identical to a full recompute over the
-// current row set; otherwise (SUDA, cluster) the stream degrades to
-// periodic full reassessment.
+// applies, and the release protocol itself. Risk is kept current by a
+// risk.Live view of the window: online, from a maintained group index, when
+// the measure implements risk.IncrementalAssessor — bit-identical to a full
+// recompute over the current row set; otherwise (SUDA, cluster) by periodic
+// full reassessment.
 //
 // A release is gated: it is produced only when every tuple in the window
 // clears the threshold T, and published under an intent → publish → ack
@@ -73,7 +73,7 @@ const (
 type Options struct {
 	// Assessor scores tuples; when it implements risk.IncrementalAssessor
 	// the stream maintains risk online, otherwise it reassesses in full
-	// every FullEvery batches. Required.
+	// every eighth window mutation. Required.
 	Assessor risk.Assessor
 	// Threshold is T: the release gate opens only when every tuple's risk
 	// is <= T. Required (> 0).
@@ -90,11 +90,6 @@ type Options struct {
 	// MaxRows bounds the in-memory window (0 = 100000). An append that
 	// would exceed it fails with a WindowFullError.
 	MaxRows int
-	// FullEvery is the degraded-mode reassessment cadence in batches
-	// (0 = 8).
-	FullEvery int
-	// MaxIterations caps the release gate's suppression loop (0 = 10000).
-	MaxIterations int
 	// Order routes risky tuples in the release gate (the cycle's default:
 	// less significant first).
 	Order anon.TupleOrder
@@ -135,19 +130,13 @@ func (o Options) maxRows() int {
 	return 100_000
 }
 
-func (o Options) fullEvery() int {
-	if o.FullEvery > 0 {
-		return o.FullEvery
-	}
-	return 8
-}
-
-func (o Options) maxIterations() int {
-	if o.MaxIterations > 0 {
-		return o.MaxIterations
-	}
-	return 10_000
-}
+const (
+	// fullEvery is the reassessment cadence, in window mutations, of a
+	// stream that scores one-shot.
+	fullEvery = 8
+	// maxIterations caps the release gate's suppression loop.
+	maxIterations = 10_000
+)
 
 // ReleaseInfo describes one published release.
 type ReleaseInfo struct {
@@ -249,16 +238,12 @@ type Stream struct {
 	nbatch  int
 	ndrop   int
 
-	// Online risk state. inc == nil means the assessor has no incremental
-	// path; degraded means it has one but a budget refusal forced the full
-	// path (retried at the next release).
-	inc       risk.IncrementalAssessor
-	incAttrs  []int
-	idx       *mdb.GroupIndex
-	risks     []float64
-	current   bool
-	degraded  bool
-	sinceFull int
+	// live keeps the window's risk vector current; it watches the window
+	// from the end of replay on. degraded means the measure has an
+	// incremental path but the governor refused its index, so live has
+	// indexing switched off until a release finds the budget again.
+	live     *risk.Live
+	degraded bool
 
 	// Release protocol state.
 	relSeq    int
@@ -271,15 +256,11 @@ type Stream struct {
 	closed    bool
 
 	memCharged int64
-	idxCharged int64
 }
 
-// Open opens the stream journaled at path, creating it if the journal is
-// fresh (missing, or cut short inside its very first append — see package
-// journal), or replaying it to the pre-crash state otherwise. id names the
-// stream (it must match the journaled name on reopen); a release interrupted
-// between its intent and publish records is completed before Open returns.
-func Open(ctx context.Context, id, path string, opts Options) (*Stream, error) {
+// newStream checks opts and lays out a stream with nothing replayed into it
+// yet — the start of Open and of OpenFollower.
+func newStream(id, path string, opts Options) (*Stream, error) {
 	if opts.Assessor == nil {
 		return nil, fmt.Errorf("stream: Options.Assessor is required")
 	}
@@ -298,25 +279,37 @@ func Open(ctx context.Context, id, path string, opts Options) (*Stream, error) {
 	if s.fs == nil {
 		s.fs = faultfs.OS
 	}
+	return s, nil
+}
+
+// Open opens the stream journaled at path, creating it if the journal is
+// fresh (missing, or cut short inside its very first append — see package
+// journal), or replaying it to the pre-crash state otherwise. id names the
+// stream (it must match the journaled name on reopen); a release interrupted
+// between its intent and publish records is completed before Open returns.
+func Open(ctx context.Context, id, path string, opts Options) (*Stream, error) {
+	s, err := newStream(id, path, opts)
+	if err != nil {
+		return nil, err
+	}
 	cfg := journal.Config{FS: s.fs, DiskHeadroom: opts.DiskHeadroom, OnAppend: opts.OnAppend}
 	w, err := journal.Open(ctx, path, cfg, s.replay)
 	if err != nil {
 		return nil, fmt.Errorf("stream %s: opening journal: %w", id, err)
 	}
 	s.w = w
-	if w.Seq() > 0 {
-		return s.recovered(ctx)
+	if w.Seq() == 0 {
+		// Fresh journal — a new id, or one whose first append a crash cut
+		// short before anything was acknowledged: the create record is the
+		// schema's durability point.
+		if err := s.create(); err != nil {
+			w.Close()
+			s.fs.Remove(path)
+			return nil, err
+		}
 	}
-	// Fresh journal — a new id, or one whose first append a crash cut short
-	// before anything was acknowledged: the create record is the schema's
-	// durability point.
-	if err := s.create(); err != nil {
-		w.Close()
-		s.fs.Remove(path)
-		return nil, err
-	}
-	s.initAssessor()
-	return s, nil
+	s.live = risk.NewLive(opts.Assessor, s.d, s.opts.Semantics, s.gov)
+	return s.recovered(ctx)
 }
 
 // create journals the stream definition as the first record.
@@ -329,15 +322,6 @@ func (s *Stream) create() error {
 		return fmt.Errorf("stream: schema has no quasi-identifiers to anonymize")
 	}
 	return s.w.Append(recCreate, makeCreatePayload(s.id, s.opts))
-}
-
-// initAssessor resolves whether the measure supports the incremental path.
-func (s *Stream) initAssessor() {
-	if ia, ok := s.opts.Assessor.(risk.IncrementalAssessor); ok {
-		if attrs, err := ia.IndexAttrs(s.d); err == nil {
-			s.inc, s.incAttrs = ia, attrs
-		}
-	}
 }
 
 func (s *Stream) logf(format string, args ...any) {
@@ -410,7 +394,7 @@ func (s *Stream) Append(ctx context.Context, batchID string, rows [][]string) (*
 	}
 	s.memCharged += bytes
 	ids := s.applyBatch(batchID, rows)
-	s.maintainRisk(ctx)
+	s.maintainRisk(ctx, s.live.Appended())
 	return &AppendResult{RowIDs: ids, Rows: len(s.d.Rows)}, nil
 }
 
@@ -495,10 +479,11 @@ func (s *Stream) Withdraw(ctx context.Context, rowIDs []int) error {
 	if err := s.w.Append(recWithdraw, withdrawPayload{RowIDs: rowIDs}); err != nil {
 		return err
 	}
-	if err := s.applyWithdraw(rowIDs); err != nil {
+	positions, err := s.applyWithdraw(rowIDs)
+	if err != nil {
 		return err
 	}
-	s.maintainRisk(ctx)
+	s.maintainRisk(ctx, s.live.Deleted(positions))
 	return nil
 }
 
@@ -507,16 +492,16 @@ func (s *Stream) position(id int) (int, bool) {
 	return slices.BinarySearchFunc(s.d.Rows, id, func(r *mdb.Row, id int) int { return cmp.Compare(r.ID, id) })
 }
 
-// applyWithdraw removes the rows — shared by the live path and recovery. The
-// ids may come in any order; the whole withdrawal is one sweep over the
-// window, the risk vector and the index, and refunds the governor what the
-// rows' batches were charged for them.
-func (s *Stream) applyWithdraw(rowIDs []int) error {
+// applyWithdraw removes the rows — shared by the live path and recovery —
+// and returns the positions they stood at, ascending. The ids may come in
+// any order; the whole withdrawal is one sweep over the window and refunds
+// the governor what the rows' batches were charged for them.
+func (s *Stream) applyWithdraw(rowIDs []int) ([]int, error) {
 	positions := make([]int, len(rowIDs))
 	for i, id := range rowIDs {
 		pos, ok := s.position(id)
 		if !ok {
-			return fmt.Errorf("stream: journaled withdrawal of unknown row %d", id)
+			return nil, fmt.Errorf("stream: journaled withdrawal of unknown row %d", id)
 		}
 		positions[i] = pos
 	}
@@ -526,147 +511,65 @@ func (s *Stream) applyWithdraw(rowIDs []int) error {
 		if i > 0 && pos == positions[i-1] {
 			// A repeated id: applied one by one, its second mention would
 			// find the row already gone.
-			return fmt.Errorf("stream: journaled withdrawal of unknown row %d", s.d.Rows[pos].ID)
+			return nil, fmt.Errorf("stream: journaled withdrawal of unknown row %d", s.d.Rows[pos].ID)
 		}
 		refund += rowBytes(s.d.Rows[pos])
 	}
 	s.d.Rows = mdb.RemovePositions(s.d.Rows, positions)
-	if s.idx != nil && s.idx.Valid() {
-		if err := s.idx.DeleteRows(positions); err != nil {
-			return fmt.Errorf("stream: index delete: %w", err)
-		}
-		if s.risks != nil {
-			s.risks = mdb.RemovePositions(s.risks, positions)
-		}
-	} else if s.risks != nil {
-		s.risks, s.current = nil, false
-	}
 	s.ndrop += len(positions)
 	// Suppressions change cell lengths, so a row can stand larger than it
 	// was charged: never refund more than the window holds.
 	refund = min(refund, s.memCharged)
 	s.gov.Release(govern.Memory, refund)
 	s.memCharged -= refund
-	return nil
+	return positions, nil
 }
 
-// maintainRisk keeps the risk vector online after a window mutation. On the
-// incremental path it feeds the index the new rows, commits and rescores
-// only the dirty positions; on the full path it reassesses every FullEvery
-// batches. Failures degrade (risk goes stale until the next release forces
-// it current) instead of failing ingestion.
-func (s *Stream) maintainRisk(ctx context.Context) {
-	if s.closed {
-		return
+// maintainRisk keeps the risk vector online after a window mutation, fed
+// being what the view said to its delta. An incremental view re-scores the
+// rows the mutation disturbed; a one-shot view is reassessed every fullEvery
+// mutations. Failures never fail ingestion — risk goes stale until the next
+// release forces it current — and the governor refusing the index degrades
+// the stream to one-shot scoring.
+func (s *Stream) maintainRisk(ctx context.Context, fed error) {
+	if fed != nil {
+		s.logf("stream %s: index maintenance: %v; rebuilding", s.id, fed)
+		s.live.Invalidate()
 	}
-	if s.inc != nil && !s.degraded {
-		if err := s.ensureIndex(ctx); err != nil {
-			s.logf("stream %s: incremental path refused: %v; degrading to periodic full reassessment", s.id, err)
-			s.degraded = true
-			s.current = false
-		} else {
-			if err := s.rescore(ctx); err != nil {
+	if s.live.Incremental() {
+		_, err := s.live.Risks(ctx)
+		var refused *govern.ErrBudgetExceeded
+		if !errors.As(err, &refused) {
+			if err != nil {
 				s.logf("stream %s: online rescore: %v", s.id, err)
-				s.current = false
 			}
 			return
 		}
+		s.logf("stream %s: incremental path refused: %v; degrading to periodic full reassessment", s.id, err)
+		s.degraded = true
+		s.live.SetIndexing(false)
 	}
-	// Full path: reassess periodically, not on every batch.
-	s.current = false
-	s.sinceFull++
-	if s.sinceFull >= s.opts.fullEvery() {
-		if err := s.fullAssess(ctx); err != nil {
+	if s.live.Behind() >= fullEvery {
+		if _, err := s.live.Risks(ctx); err != nil {
 			s.logf("stream %s: periodic full reassessment: %v", s.id, err)
 		}
 	}
 }
 
-// ensureIndex builds (or rebuilds) the group index over the current window,
-// charging the governor for its footprint. Index rows not yet tracked —
-// appended since the last call — are fed in before returning.
-func (s *Stream) ensureIndex(ctx context.Context) error {
-	if s.idx == nil || !s.idx.Valid() {
-		idx, err := mdb.BuildGroupIndex(ctx, s.d, s.incAttrs, s.opts.Semantics)
-		if err != nil {
-			return err
-		}
-		bytes := idx.EstimatedBytes() + int64(len(s.d.Rows))*8
-		//governcharge:ok — swapped below and released in bulk by Close
-		if err := s.gov.Reserve(govern.Memory, bytes); err != nil {
-			return err
-		}
-		s.gov.Release(govern.Memory, s.idxCharged)
-		s.idx, s.idxCharged = idx, bytes
-		s.risks, s.current = nil, false
-		return nil
-	}
-	for s.idx.Len() < len(s.d.Rows) {
-		if err := s.idx.AppendRow(s.idx.Len()); err != nil {
-			return err
-		}
-		if s.risks != nil {
-			// Placeholder slot; the appended row is always in the dirty
-			// set, so the zero is rescored before anyone reads it.
-			s.risks = append(s.risks, 0)
-		}
-	}
-	return nil
-}
-
-// rescore commits the index's pending mutations and re-scores exactly the
-// dirty rows (all rows when no previous vector survives).
-func (s *Stream) rescore(ctx context.Context) error {
-	dirty, err := s.idx.Commit(ctx)
-	if err != nil {
-		return err
-	}
-	prev := s.risks
-	if prev != nil && len(prev) != len(s.d.Rows) {
-		prev = nil
-	}
-	out, err := s.inc.Rescore(ctx, s.idx, dirty, prev)
-	if err != nil {
-		return err
-	}
-	s.risks, s.current = out, true
-	return nil
-}
-
-// fullAssess recomputes the whole risk vector with the measure's reference
-// path — the degraded mode's source of truth. Bit-identity with the
-// incremental path is the risk layer's tested property, so switching modes
-// never changes a release.
-func (s *Stream) fullAssess(ctx context.Context) error {
-	risks, err := risk.AssessContext(ctx, s.opts.Assessor, s.d, s.opts.Semantics)
-	if err != nil {
-		return err
-	}
-	s.risks, s.current, s.sinceFull = risks, true, 0
-	return nil
-}
-
-// ensureRisks makes the risk vector reflect the present window, whichever
-// path is active. The release gate and the status probe call it; the
-// degraded path retries the incremental build here, so a cleared budget
-// restores online maintenance.
-func (s *Stream) ensureRisks(ctx context.Context) error {
-	if s.inc != nil && s.degraded {
-		if err := s.ensureIndex(ctx); err == nil {
+// currentRisks returns the risk vector of the present window. The release
+// gate and the digest call it; a degraded stream retries the incremental
+// view here, so a cleared budget restores online maintenance.
+func (s *Stream) currentRisks(ctx context.Context) ([]float64, error) {
+	if s.degraded {
+		s.live.SetIndexing(true)
+		if _, err := s.live.Risks(ctx); err != nil {
+			s.live.SetIndexing(false)
+		} else {
 			s.degraded = false
 			s.logf("stream %s: incremental path restored", s.id)
 		}
 	}
-	if s.inc != nil && !s.degraded {
-		if err := s.ensureIndex(ctx); err != nil {
-			return err
-		}
-		return s.rescore(ctx)
-	}
-	if s.current && len(s.risks) == len(s.d.Rows) {
-		return nil
-	}
-	return s.fullAssess(ctx)
+	return s.live.Risks(ctx)
 }
 
 // Status reports the stream's current state without touching the journal.
@@ -683,15 +586,15 @@ func (s *Stream) Status(ctx context.Context) Status {
 		Closed:    s.closed,
 		Published: s.published,
 	}
-	if s.inc == nil || s.degraded {
+	if !s.live.Incremental() {
 		st.Mode = "full"
 	}
 	if s.pending != nil {
 		st.PendingIntent = s.pending.Release
 	}
-	if s.current && len(s.risks) == len(s.d.Rows) {
+	if risks := s.live.Current(); risks != nil {
 		st.RiskCurrent = true
-		for _, r := range s.risks {
+		for _, r := range risks {
 			if r > s.opts.Threshold {
 				st.OverThreshold++
 			}
@@ -733,8 +636,9 @@ func (s *Stream) Close(ctx context.Context) error {
 		s.logf("stream %s: drain checkpoint: %v", s.id, err)
 	}
 	err := s.w.Close()
-	s.gov.Release(govern.Memory, s.memCharged+s.idxCharged)
-	s.memCharged, s.idxCharged = 0, 0
+	s.live.Close()
+	s.gov.Release(govern.Memory, s.memCharged)
+	s.memCharged = 0
 	return err
 }
 

@@ -205,11 +205,11 @@ func TestWithdraw(t *testing.T) {
 	// The online risk vector after the deletes must equal a scratch
 	// assessment of the remaining window.
 	s.mu.Lock()
-	if err := s.ensureRisks(ctx); err != nil {
+	got, err := s.currentRisks(ctx)
+	if err != nil {
 		s.mu.Unlock()
 		t.Fatal(err)
 	}
-	got := append([]float64(nil), s.risks...)
 	want, err := risk.AssessContext(ctx, s.opts.Assessor, s.d, s.opts.Semantics)
 	s.mu.Unlock()
 	if err != nil {
@@ -271,17 +271,19 @@ func driveOps(t *testing.T, dir string, opts Options, hop bool) [][]byte {
 		ids = append(ids, res.RowIDs...)
 	}
 
-	appendBatch("b1", 0, 6)
-	reopen()
-	appendBatch("b2", 6, 4)
-	reopen()
+	// Eight batches before the first release: a stream scoring one-shot
+	// reassesses on every fullEvery-th mutation, so the periodic path runs.
+	for b := 0; b < fullEvery; b++ {
+		appendBatch(fmt.Sprintf("b%d", b+1), 2*b, 2)
+		reopen()
+	}
 	if err := s.Withdraw(ctx, []int{ids[3], ids[8]}); err != nil {
 		t.Fatal(err)
 	}
 	reopen()
 	release()
 	reopen()
-	appendBatch("b3", 10, 4)
+	appendBatch("b9", 16, 4)
 	reopen()
 	release()
 	if err := s.Close(ctx); err != nil {
@@ -321,7 +323,6 @@ func TestDegradedModeBitIdentical(t *testing.T) {
 	inc := driveOps(t, t.TempDir(), testOptions(), false)
 	opts := testOptions()
 	opts.Assessor = fullOnly{inner: risk.KAnonymity{K: 2}}
-	opts.FullEvery = 2
 	full := driveOps(t, t.TempDir(), opts, false)
 	if len(inc) != len(full) {
 		t.Fatalf("incremental produced %d releases, degraded %d", len(inc), len(full))
@@ -441,12 +442,20 @@ func TestBudgetRefusalDegrades(t *testing.T) {
 	if st := s.Status(ctx); st.Mode != "full" {
 		t.Fatalf("mode = %q, want full (degraded)", st.Mode)
 	}
+	// A digest leaves the one-shot vector current; the release must still
+	// try for the index, be refused again and go out degraded.
+	if _, err := s.Digest(ctx); err != nil {
+		t.Fatal(err)
+	}
 	info, err := s.Release(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Seq != 1 {
 		t.Fatalf("release %+v", info)
+	}
+	if st := s.Status(ctx); st.Mode != "full" || !st.RiskCurrent {
+		t.Fatalf("after the degraded release: %+v, want full and current", st)
 	}
 	// The degraded release must equal the un-governed control's bytes.
 	ctl := openTest(t, t.TempDir(), testOptions())
@@ -575,5 +584,55 @@ func TestClosedStreamRejectsEverything(t *testing.T) {
 	}
 	if err := s.Ack(ctx, 1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("ack on closed stream: %v", err)
+	}
+}
+
+// A degraded stream goes back to online maintenance at the first release
+// that finds the index budget again, and keeps publishing the same bytes.
+func TestDegradedStreamRestoresOnRelease(t *testing.T) {
+	ctx := context.Background()
+	const hog = 1 << 20
+	opts := testOptions()
+	// Room for the window and the index — unless someone hogs it.
+	opts.Governor = govern.New("crowded", govern.Limits{MaxBytes: hog + batchBytes(testRows(0, 8)) + 64})
+	if err := opts.Governor.Reserve(govern.Memory, hog); err != nil {
+		t.Fatal(err)
+	}
+	s := openTest(t, t.TempDir(), opts)
+	defer s.Close(ctx)
+	if _, err := s.Append(ctx, "b1", testRows(0, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Status(ctx); st.Mode != "full" {
+		t.Fatalf("mode = %q with no room for the index, want full", st.Mode)
+	}
+	opts.Governor.Release(govern.Memory, hog)
+	info, err := s.Release(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Status(ctx); st.Mode != "incremental" || !st.RiskCurrent {
+		t.Fatalf("after a release with the budget back: %+v, want incremental and current", st)
+	}
+	if err := s.Ack(ctx, info.Seq); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Append(ctx, "b2", testRows(8, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Status(ctx); st.Mode != "incremental" || !st.RiskCurrent {
+		t.Fatalf("after the next append: %+v, want online maintenance", st)
+	}
+	ctl := openTest(t, t.TempDir(), testOptions())
+	defer ctl.Close(ctx)
+	if _, err := ctl.Append(ctx, "b1", testRows(0, 8)); err != nil {
+		t.Fatal(err)
+	}
+	ctlInfo, err := ctl.Release(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctlInfo.Digest != info.Digest {
+		t.Fatal("the restored stream's release differs from the never-degraded control")
 	}
 }

@@ -24,8 +24,11 @@ func withdrawFixture(t *testing.T, dir string, opts Options) (*Stream, []int) {
 	s := openTest(t, dir, opts)
 	var ids []int
 	// 23 rows leave the last one without its pair: the gate must suppress.
-	for b, start := range []int{0, 8, 16} {
-		res, err := s.Append(ctx, string(rune('a'+b)), testRows(start, min(8, 23-start)))
+	// They arrive in eight batches, so a stream scoring one-shot runs its
+	// periodic reassessment (every fullEvery-th mutation) on the way.
+	for b := 0; b < fullEvery; b++ {
+		start := 3 * b
+		res, err := s.Append(ctx, string(rune('a'+b)), testRows(start, min(3, 23-start)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +44,7 @@ func withdrawFixture(t *testing.T, dir string, opts Options) (*Stream, []int) {
 	if err := s.Ack(ctx, info.Seq); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Append(ctx, "d", testRows(23, 9))
+	res, err := s.Append(ctx, "z", testRows(23, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +85,6 @@ func TestWithdrawBatchEquivalence(t *testing.T) {
 		{"degraded", func() Options {
 			o := testOptions()
 			o.Assessor = fullOnly{inner: risk.KAnonymity{K: 2}}
-			o.FullEvery = 2
 			return o
 		}},
 	} {

@@ -46,20 +46,23 @@ var (
 		message:  "reply Values consumed outside the admit fence in %[2]s: route the reply through admit, or annotate //distfence:ok with why this function is upstream of the fence",
 	}.analyzer()
 
-	// Hotgroup guards the anonymization cycle's incremental assessment: code
-	// in package anon must not regroup the dataset from scratch. The cycle
-	// maintains an mdb.GroupIndex across iterations precisely so that
-	// per-iteration risk work scales with the suppression delta, and a stray
-	// full regroup on the hot path silently reverts the dominant cost of
-	// Figure 7e. Waive a call that is genuinely off the hot path — a
-	// memoized one-time computation, a release-time verification sweep.
+	// Hotgroup guards the ownership of grouping on the hot paths: the
+	// anonymization cycle (package anon) and the stream window (package
+	// stream) get their risk from a risk.Live view, which maintains one
+	// mdb.GroupIndex across iterations and batches precisely so that
+	// per-step risk work scales with the delta. A stray full regroup there
+	// silently reverts the dominant cost of Figure 7e, and a private
+	// BuildGroupIndex regrows the bookkeeping (reservation, dirty sets,
+	// rebuild on invalidation) the view exists to own. Waive a call that is
+	// genuinely off the hot path — a memoized one-time computation, a
+	// release-time verification sweep.
 	Hotgroup = rule{
 		name:     "hotgroup",
-		doc:      "package anon must use the maintained GroupIndex, not full regrouping",
-		packages: []string{"anon"},
-		triggers: []string{"ComputeGroups", "Frequencies"},
+		doc:      "packages anon and stream must get grouping from risk.Live, not regroup or index on their own",
+		packages: []string{"anon", "stream"},
+		triggers: []string{"ComputeGroups", "Frequencies", "BuildGroupIndex"},
 		from:     "mdb",
-		message:  "full regroup mdb.%[1]s in package anon: the cycle maintains an mdb.GroupIndex for this — use it, or annotate //hotgroup:ok with why this call is off the hot path",
+		message:  "mdb.%[1]s in %[2]s: internal/risk owns grouping for the cycle and the stream window (risk.Live) — use it, or annotate //hotgroup:ok with why this call is off the hot path",
 	}.analyzer()
 
 	// Replfence guards replication fencing: in the packages that take part

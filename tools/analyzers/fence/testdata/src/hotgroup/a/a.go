@@ -12,14 +12,19 @@ type mdbAPI struct{}
 
 func (mdbAPI) ComputeGroups(d *dataset, idx []int, sem int) []int { return nil }
 func (mdbAPI) Frequencies(d *dataset, idx []int, sem int) []int   { return nil }
+func (mdbAPI) BuildGroupIndex(d *dataset, idx []int) *dataset     { return nil }
 
 func hotPath(d *dataset, qi []int) []int {
-	return mdb.ComputeGroups(d, qi, 0) // want `full regroup mdb\.ComputeGroups in package anon`
+	return mdb.ComputeGroups(d, qi, 0) // want `mdb\.ComputeGroups in hotPath: internal/risk owns grouping`
 }
 
 func alsoHot(d *dataset, qi []int) []int {
-	fs := mdb.Frequencies(d, qi, 0) // want `full regroup mdb\.Frequencies in package anon`
+	fs := mdb.Frequencies(d, qi, 0) // want `mdb\.Frequencies in alsoHot: internal/risk owns grouping`
 	return fs
+}
+
+func privateIndex(d *dataset, qi []int) *dataset {
+	return mdb.BuildGroupIndex(d, qi) // want `mdb\.BuildGroupIndex in privateIndex: internal/risk owns grouping`
 }
 
 func coldPath(d *dataset, qi []int) []int {
