@@ -121,11 +121,11 @@ replchaos:
 		./internal/replica/ ./cmd/vadasad/ > replchaos.out 2>&1 || { cat replchaos.out; exit 1; }
 	cat replchaos.out
 
-# bench runs the tier-1 benchmark suite and records it as BENCH_14.json (see
+# bench runs the tier-1 benchmark suite and records it as BENCH_18.json (see
 # DESIGN.md "Benchmark record format"): standard columns plus the custom
 # figure metrics (riskeval-ms/op, nulls/op, loss%/op), machine-readable for
 # regression tracking. The raw stream lands in bench.out for inspection.
-BENCH_JSON ?= BENCH_14.json
+BENCH_JSON ?= BENCH_18.json
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./... > bench.out || { cat bench.out; exit 1; }
 	cat bench.out

@@ -2,7 +2,9 @@
 // BENCH_<PR>.json machine-readable record documented in DESIGN.md: one entry
 // per benchmark with the standard ns/op, B/op and allocs/op columns plus
 // every custom metric (riskeval-ms/op, nulls/op, loss%/op,
-// decl-vs-native-ratio, ...) the suite reports.
+// decl-vs-native-ratio, ...) the suite reports, the GOMAXPROCS each row ran
+// under, and a header naming the machine and toolchain — allocation counts
+// of the parallel engine paths depend on the former, ns/op on the latter.
 //
 // Usage:
 //
@@ -21,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,6 +33,11 @@ import (
 type Entry struct {
 	// Name is the benchmark path without the trailing -GOMAXPROCS suffix.
 	Name string `json:"name"`
+	// Pkg is the package the row was measured in (the stream's last
+	// `pkg:` line before it).
+	Pkg string `json:"pkg,omitempty"`
+	// GOMAXPROCS is that suffix; the bench runner omits it at 1.
+	GOMAXPROCS int `json:"gomaxprocs"`
 	// Iterations is the b.N the row was measured at.
 	Iterations int64 `json:"iterations"`
 	// NsPerOp is the standard time column.
@@ -46,10 +54,17 @@ type Entry struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Report is the top-level BENCH_5.json document.
+// Report is the top-level BENCH_<PR>.json document. The header fields are
+// the `goos:`, `goarch:`, `cpu:` and `pkg:` lines the bench runner prints
+// (every package of the stream, in order) and the toolchain that ran it.
 type Report struct {
-	Schema     string  `json:"schema"`
-	Benchmarks []Entry `json:"benchmarks"`
+	Schema     string   `json:"schema"`
+	GoVersion  string   `json:"go_version"`
+	GOOS       string   `json:"goos,omitempty"`
+	GOARCH     string   `json:"goarch,omitempty"`
+	CPU        string   `json:"cpu,omitempty"`
+	Pkg        []string `json:"pkg,omitempty"`
+	Benchmarks []Entry  `json:"benchmarks"`
 }
 
 func main() {
@@ -92,13 +107,28 @@ func fatal(err error) {
 }
 
 // parse folds a `go test -bench` stream into a Report. A benchmark result
-// line is `Benchmark<Name>-<P>  <N>  <value> <unit> [<value> <unit>]...`;
+// line is `Benchmark<Name>[-<P>]  <N>  <value> <unit> [<value> <unit>]...`;
+// the `key: value` lines ahead of each package's rows feed the header;
 // everything else is skipped.
 func parse(r io.Reader) (*Report, error) {
-	report := &Report{Schema: "vadasa-bench/v1"}
+	report := &Report{Schema: "vadasa-bench/v2", GoVersion: runtime.Version()}
+	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
+		if key, value, ok := strings.Cut(sc.Text(), ": "); ok {
+			switch key {
+			case "goos":
+				report.GOOS = value
+			case "goarch":
+				report.GOARCH = value
+			case "cpu":
+				report.CPU = value
+			case "pkg":
+				pkg = value
+				report.Pkg = append(report.Pkg, value)
+			}
+		}
 		fields := strings.Fields(sc.Text())
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
@@ -107,7 +137,8 @@ func parse(r io.Reader) (*Report, error) {
 		if err != nil {
 			continue // a "Benchmark..." line that is not a result row
 		}
-		e := Entry{Name: trimProcs(strings.TrimPrefix(fields[0], "Benchmark")), Iterations: iters}
+		name, procs := splitProcs(strings.TrimPrefix(fields[0], "Benchmark"))
+		e := Entry{Name: name, Pkg: pkg, GOMAXPROCS: procs, Iterations: iters}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -142,15 +173,14 @@ func parse(r io.Reader) (*Report, error) {
 	return report, nil
 }
 
-// trimProcs drops the trailing -<GOMAXPROCS> the bench runner appends, so
-// entries compare across machines with different core counts.
-func trimProcs(name string) string {
-	i := strings.LastIndexByte(name, '-')
-	if i < 0 {
-		return name
+// splitProcs splits the trailing -<GOMAXPROCS> the bench runner appends off
+// a benchmark path, so entries compare by name while the record keeps what
+// they ran under. The runner appends nothing at GOMAXPROCS=1.
+func splitProcs(name string) (string, int) {
+	if i := strings.LastIndexByte(name, '-'); i >= 0 {
+		if procs, err := strconv.Atoi(name[i+1:]); err == nil && procs > 0 {
+			return name[:i], procs
+		}
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
-	}
-	return name[:i]
+	return name, 1
 }

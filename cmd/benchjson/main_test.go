@@ -1,6 +1,7 @@
 package main
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -14,6 +15,13 @@ BenchmarkFig7aNullsByK/W/k=2-4   	       2	 123456 ns/op	 321.0 nulls/op	 4.100 
 BenchmarkGrouping-4 	     100	  99999 ns/op
 PASS
 ok  	vadasa	0.078s
+goos: linux
+goarch: amd64
+pkg: vadasa/cmd/vadasad
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkReasonRequest/n=50000 	       5	 186477497 ns/op	         0.3509 allocs/row	57523747 B/op	   17546 allocs/op
+PASS
+ok  	vadasa/cmd/vadasad	2.0s
 `
 
 func TestParse(t *testing.T) {
@@ -21,8 +29,13 @@ func TestParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Benchmarks) != 3 {
-		t.Fatalf("parsed %d entries, want 3", len(rep.Benchmarks))
+	if len(rep.Benchmarks) != 4 {
+		t.Fatalf("parsed %d entries, want 4", len(rep.Benchmarks))
+	}
+	if rep.Schema != "vadasa-bench/v2" || rep.GOOS != "linux" || rep.GOARCH != "amd64" ||
+		rep.CPU != "Intel(R) Xeon(R) Processor @ 2.10GHz" || rep.GoVersion != runtime.Version() ||
+		strings.Join(rep.Pkg, ",") != "vadasa,vadasa/cmd/vadasad" {
+		t.Fatalf("bad header: %+v", rep)
 	}
 	byName := map[string]Entry{}
 	for _, e := range rep.Benchmarks {
@@ -49,6 +62,14 @@ func TestParse(t *testing.T) {
 	if plain.Iterations != 100 || plain.NsPerOp != 99999 || plain.Metrics != nil {
 		t.Fatalf("bad plain entry: %+v", plain)
 	}
+	// A row with the -N suffix records it; a row without ran at GOMAXPROCS=1.
+	if plain.GOMAXPROCS != 4 || plain.Pkg != "vadasa" {
+		t.Fatalf("suffix or package not recorded: %+v", plain)
+	}
+	req := byName["ReasonRequest/n=50000"]
+	if req.GOMAXPROCS != 1 || req.Pkg != "vadasa/cmd/vadasad" || req.Metrics["allocs/row"] != 0.3509 {
+		t.Fatalf("bad suffix-less entry: %+v", req)
+	}
 }
 
 func TestParseRejectsGarbageValue(t *testing.T) {
@@ -57,15 +78,18 @@ func TestParseRejectsGarbageValue(t *testing.T) {
 	}
 }
 
-func TestTrimProcs(t *testing.T) {
-	for in, want := range map[string]string{
-		"Grouping-4":              "Grouping",
-		"Fig7eBySize/n=5000/x-16": "Fig7eBySize/n=5000/x",
-		"NoSuffix":                "NoSuffix",
-		"monte-carlo":             "monte-carlo", // non-numeric tail stays
+func TestSplitProcs(t *testing.T) {
+	for in, want := range map[string]struct {
+		name  string
+		procs int
+	}{
+		"Grouping-4":              {"Grouping", 4},
+		"Fig7eBySize/n=5000/x-16": {"Fig7eBySize/n=5000/x", 16},
+		"NoSuffix":                {"NoSuffix", 1},
+		"monte-carlo":             {"monte-carlo", 1}, // non-numeric tail stays
 	} {
-		if got := trimProcs(in); got != want {
-			t.Fatalf("trimProcs(%q) = %q, want %q", in, got, want)
+		if name, procs := splitProcs(in); name != want.name || procs != want.procs {
+			t.Fatalf("splitProcs(%q) = %q, %d, want %q, %d", in, name, procs, want.name, want.procs)
 		}
 	}
 }

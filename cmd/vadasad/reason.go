@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"vadasa"
-	"vadasa/internal/datalog"
 	"vadasa/internal/datalog/lint"
 	"vadasa/internal/govern"
 )
@@ -57,14 +56,39 @@ func countErrors(diags []lint.Diagnostic) int {
 // reasonRequest is the POST /reason body: a program, its extensional facts
 // (rows of JSON strings and numbers per predicate), and the predicates to
 // return. Inputs/Outputs/Allow supplement the program's own directives for
-// the pre-flight.
+// the pre-flight. The envelope goes through encoding/json — syntax errors,
+// duplicate, unknown and case-folded keys are its business — but each
+// predicate's rows stay raw bytes, which loadRows walks straight into the
+// engine's row loader once the program has passed the pre-flight.
 type reasonRequest struct {
-	Program string             `json:"program"`
-	Facts   map[string][][]any `json:"facts,omitempty"`
-	Query   []string           `json:"query,omitempty"`
-	Inputs  []string           `json:"inputs,omitempty"`
-	Outputs []string           `json:"outputs,omitempty"`
-	Allow   []string           `json:"allow,omitempty"`
+	Program string                     `json:"program"`
+	Facts   map[string]json.RawMessage `json:"facts,omitempty"` //conftaint:source raw fact rows: request microdata
+	Query   []string                   `json:"query,omitempty"`
+	Inputs  []string                   `json:"inputs,omitempty"`
+	Outputs []string                   `json:"outputs,omitempty"`
+	Allow   []string                   `json:"allow,omitempty"`
+}
+
+// factPredicates lists the predicates the request carries facts for, in the
+// (sorted) order they are declared to the pre-flight and loaded in.
+func (req *reasonRequest) factPredicates() []string {
+	preds := make([]string, 0, len(req.Facts))
+	for pred := range req.Facts {
+		preds = append(preds, pred)
+	}
+	sort.Strings(preds)
+	return preds
+}
+
+// loadFacts builds the extensional database from the request's raw rows.
+func (req *reasonRequest) loadFacts(preds []string) (*vadasa.FactDB, error) {
+	edb := vadasa.NewFactDB()
+	for _, pred := range preds {
+		if err := loadRows(edb.Loader(pred), pred, req.Facts[pred]); err != nil {
+			return nil, err
+		}
+	}
+	return edb, nil
 }
 
 func (s *server) handleReason(w http.ResponseWriter, r *http.Request) error {
@@ -86,12 +110,9 @@ func (s *server) handleReason(w http.ResponseWriter, r *http.Request) error {
 
 	// Pre-flight: fact predicates are extensional by definition, queried
 	// predicates are outputs. Any error-severity finding refuses evaluation.
-	inputs := append([]string(nil), req.Inputs...)
-	for pred := range req.Facts {
-		inputs = append(inputs, pred)
-	}
+	factPreds := req.factPredicates()
 	diags := lint.Source("program", req.Program, &lint.Options{
-		Inputs:  inputs,
+		Inputs:  append(append([]string(nil), req.Inputs...), factPreds...),
 		Outputs: append(append([]string(nil), req.Outputs...), req.Query...),
 		Allow:   req.Allow,
 	})
@@ -108,22 +129,9 @@ func (s *server) handleReason(w http.ResponseWriter, r *http.Request) error {
 		// Unreachable in practice: a parse failure is a VL000 error above.
 		return unprocessable(err)
 	}
-	edb := vadasa.NewFactDB()
-	for pred, rows := range req.Facts {
-		for _, row := range rows {
-			args := make([]vadasa.Val, len(row))
-			for i, cell := range row {
-				switch v := cell.(type) {
-				case string:
-					args[i] = vadasa.StrVal(v)
-				case float64:
-					args[i] = vadasa.NumVal(v)
-				default:
-					return badRequest(fmt.Errorf("fact %s: argument %d must be a string or number, got %T", pred, i+1, cell))
-				}
-			}
-			edb.Add(pred, args...)
-		}
+	edb, err := req.loadFacts(factPreds)
+	if err != nil {
+		return badRequest(err)
 	}
 
 	// A zero MaxWork leaves the engine's own default in place.
@@ -135,43 +143,16 @@ func (s *server) handleReason(w http.ResponseWriter, r *http.Request) error {
 
 	preds := req.Query
 	if len(preds) == 0 {
-		// Default to everything derived or given; stable order for clients.
+		// Default to everything derived or given.
 		preds = res.DB().Predicates()
-		sort.Strings(preds)
-	}
-	facts := make(map[string][][]any, len(preds))
-	for _, pred := range preds {
-		rows := res.Facts(pred)
-		out := make([][]any, len(rows))
-		for i, row := range rows {
-			vals := make([]any, len(row))
-			for j, v := range row {
-				vals[j] = valJSON(v)
-			}
-			out[i] = vals
-		}
-		facts[pred] = out
 	}
 	var violations []string
 	for _, v := range res.Violations {
 		violations = append(violations, v.String())
 	}
-	return s.writeJSON(w, http.StatusOK, struct {
-		Facts       map[string][][]any    `json:"facts"`
+	return s.writeReasonResponse(w, res, preds, struct {
 		Violations  []string              `json:"violations,omitempty"`
 		Diagnostics []lint.Diagnostic     `json:"diagnostics,omitempty"`
 		Stats       vadasa.ReasoningStats `json:"stats"`
-	}{facts, violations, diags, res.Stats})
-}
-
-// valJSON renders a runtime value for the JSON response: strings and
-// numbers natively, labelled nulls and sets in their source-style spelling.
-func valJSON(v vadasa.Val) any {
-	switch v.Kind() {
-	case datalog.KStr:
-		return v.StrVal()
-	case datalog.KNum:
-		return v.NumVal()
-	}
-	return v.String()
+	}{violations, diags, res.Stats})
 }

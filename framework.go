@@ -269,13 +269,18 @@ func (f *Framework) ExplainRiskContext(ctx context.Context, d *Dataset, measure 
 	if err != nil {
 		return "", fmt.Errorf("vadasa: explaining risk: %w", err)
 	}
-	for _, fact := range res.Facts("riskout") {
-		if int(fact[0].NumVal()) != rowID {
-			continue
+	// The tuple's riskout fact that sorts first, as Facts would list it.
+	rows := res.DB().Rows("riskout")
+	best := -1
+	for i := 0; i < rows.Len(); i++ {
+		if f := rows.Row(i); int(f.At(0).NumVal()) == rowID && (best < 0 || f.Compare(rows.Row(best)) < 0) {
+			best = i
 		}
-		return res.Explain("riskout", fact...)
 	}
-	return "", fmt.Errorf("vadasa: no risk derived for tuple %d", rowID)
+	if best < 0 {
+		return "", fmt.Errorf("vadasa: no risk derived for tuple %d", rowID)
+	}
+	return res.Explain("riskout", rows.Row(best).Tuple()...)
 }
 
 func (f *Framework) explainSUDA(ctx context.Context, d *Dataset, m SUDA, rowID int) (string, error) {

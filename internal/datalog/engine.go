@@ -32,7 +32,6 @@ type evaluator struct {
 	prog    *Program
 	opt     Options
 	db      *Database
-	prov    map[uint64]derivation
 	strata  map[string]int
 	nStrata int
 	nullCtr uint64
@@ -71,22 +70,24 @@ type aggGroup struct {
 }
 
 // stratumCtx is the per-stratum evaluation state: a private interner view
-// and a private provenance map, so strata running in parallel never touch a
-// shared map. Fact ids are globally unique (a fact is inserted once, by the
-// one stratum that owns its predicate), so merging the maps afterwards is
-// collision-free in any order.
+// and a private head-row buffer, so strata running in parallel share no
+// scratch. Provenance needs nothing here: it is written into the head
+// relation's own columns, and a relation is written by one stratum only.
 type stratumCtx struct {
-	ev   *evaluator
-	iv   iview
-	prov map[uint64]derivation
+	ev     *evaluator
+	iv     iview
+	rowBuf []uint32
 }
 
-// pendEmit is one buffered head emission from a parallel delta partition:
-// the body fact ids and the head rows, applied in partition order during the
-// deterministic merge.
-type pendEmit struct {
+// emitBuf buffers the head emissions of one parallel delta partition as two
+// flat arenas, applied in partition order during the deterministic merge.
+// Only parallelOK rules are buffered, and for those every emission has the
+// same shape — one body fact id per positive atom, one row per head of
+// fixed arity — so the merge walks both arenas in step and the buffer needs
+// no per-emission header, let alone a per-emission allocation.
+type emitBuf struct {
 	used []uint64
-	rows [][]uint32
+	rows []uint32
 }
 
 // parallelCandidateMin is the smallest candidate count worth partitioning;
@@ -108,7 +109,7 @@ type walkCtx struct {
 	iv         *iview
 	err        error
 	stop       bool
-	buffer     *[]pendEmit
+	buffer     *emitBuf
 	derived    int
 	rowBuf     []uint32
 	gkeyBuf    []byte
@@ -402,26 +403,32 @@ func (w *walkCtx) emit() {
 // existential resolution or aggregation happens here.
 func (w *walkCtx) bufferEmit() {
 	c := w.c
-	pe := pendEmit{used: append([]uint64(nil), w.used...), rows: make([][]uint32, len(c.heads))}
+	b := w.buffer
+	nRows := len(b.rows)
 	for hi := range c.heads {
-		h := &c.heads[hi]
-		row := make([]uint32, len(h.args))
-		for i := range h.args {
-			a := &h.args[i]
-			if a.slot < 0 {
-				row[i] = a.vid
-				continue
-			}
-			v := w.env[a.slot]
-			if v == unboundVid {
-				w.err = fmt.Errorf("line %d: %w", c.r.Line, fmt.Errorf("datalog: unbound variable %s", a.name))
-				return
-			}
-			row[i] = v
+		var err error
+		if b.rows, err = c.heads[hi].appendRow(b.rows, c, w.env); err != nil {
+			b.rows = b.rows[:nRows] // a half-built emission is never merged
+			w.err = err
+			return
 		}
-		pe.rows[hi] = row
 	}
-	*w.buffer = append(*w.buffer, pe)
+	b.used = append(b.used, w.used...)
+}
+
+// appendRow appends the head's row under env to dst.
+func (h *cHead) appendRow(dst []uint32, c *cRule, env []uint32) ([]uint32, error) {
+	for i := range h.args {
+		a := &h.args[i]
+		v := a.vid
+		if a.slot >= 0 {
+			if v = env[a.slot]; v == unboundVid {
+				return dst, fmt.Errorf("line %d: %w", c.r.Line, fmt.Errorf("datalog: unbound variable %s", a.name))
+			}
+		}
+		dst = append(dst, v)
+	}
+	return dst, nil
 }
 
 // emitHeads inserts every head under the current environment, minting
@@ -440,7 +447,7 @@ func (sc *stratumCtx) emitHeads(c *cRule, env []uint32, used []uint64) (int, err
 			}
 			b.WriteString(name)
 			b.WriteByte('=')
-			b.WriteString(sc.iv.key(v))
+			b.WriteString(ev.db.in.key(v))
 			b.WriteByte(';')
 		}
 		base := b.String()
@@ -455,31 +462,15 @@ func (sc *stratumCtx) emitHeads(c *cRule, env []uint32, used []uint64) (int, err
 			env[c.existSlots[i]] = ev.db.in.intern(ev.resolve(null))
 		}
 	}
-	var usedCopy []uint64
-	copied := false
 	added := 0
 	for hi := range c.heads {
 		h := &c.heads[hi]
-		row := make([]uint32, len(h.args))
-		for i := range h.args {
-			a := &h.args[i]
-			if a.slot < 0 {
-				row[i] = a.vid
-				continue
-			}
-			v := env[a.slot]
-			if v == unboundVid {
-				return added, fmt.Errorf("line %d: %w", c.r.Line, fmt.Errorf("datalog: unbound variable %s", a.name))
-			}
-			row[i] = v
+		var err error
+		if sc.rowBuf, err = h.appendRow(sc.rowBuf[:0], c, env); err != nil {
+			return added, err
 		}
-		pos, isNew := h.rel.addRow(ev.db, row)
-		if isNew {
-			if !copied {
-				usedCopy = append([]uint64(nil), used...)
-				copied = true
-			}
-			sc.prov[fid(h.pid, pos)] = derivation{rule: c.ri, body: usedCopy}
+		if pos, isNew := h.rel.addRow(ev.db, sc.rowBuf); isNew {
+			h.rel.setProv(pos, c.ri, used)
 			added++
 		}
 	}
@@ -506,7 +497,7 @@ func (w *walkCtx) recordAgg() error {
 		var b strings.Builder
 		for i, s := range c.groupSlots {
 			g.groupVids[i] = w.env[s]
-			b.WriteString(w.iv.key(w.env[s]))
+			b.WriteString(ev.db.in.key(w.env[s]))
 			b.WriteByte('|')
 		}
 		g.sortKey = b.String()
@@ -577,11 +568,7 @@ func (sc *stratumCtx) flushAgg(c *cRule) (int, error) {
 	added := 0
 	for _, g := range dirty {
 		g.dirty = false
-		contrib := make(map[string]Val, len(g.contrib))
-		for vid, v := range g.contrib {
-			contrib[sc.iv.key(vid)] = v
-		}
-		agg, err := foldAgg(l.Agg.Fn, contrib)
+		agg, err := foldAgg(l.Agg.Fn, g.contrib, ev.db.in.key)
 		if err != nil {
 			return added, fmt.Errorf("line %d: %w", c.r.Line, err)
 		}
@@ -690,7 +677,7 @@ func (sc *stratumCtx) evalRuleAuto(c *cRule, restrictLi int, lo, hi uint32) (int
 
 // chunkOut is one partition's buffered output.
 type chunkOut struct {
-	emits []pendEmit
+	emits emitBuf
 	err   error
 	done  bool
 }
@@ -739,6 +726,12 @@ func (sc *stratumCtx) evalRuleParallel(c *cRule, restrictLi int, lo, hi, clo, ch
 		return nil
 	})
 
+	nUsed := 0 // body fact ids per emission: one per positive atom (see emitBuf)
+	for i := range c.steps {
+		if c.steps[i].kind == LAtom {
+			nUsed++
+		}
+	}
 	derived := 0
 	for ci := range outs {
 		co := &outs[ci]
@@ -749,12 +742,14 @@ func (sc *stratumCtx) evalRuleParallel(c *cRule, restrictLi int, lo, hi, clo, ch
 			}
 			return derived, fmt.Errorf("datalog: internal: partition %d not evaluated", ci)
 		}
-		for _, pe := range co.emits {
-			for hi2, row := range pe.rows {
+		rows := co.emits.rows
+		for used := co.emits.used; len(used) > 0; used = used[nUsed:] {
+			for hi2 := range c.heads {
 				h := &c.heads[hi2]
-				pos, isNew := h.rel.addRow(ev.db, row)
+				pos, isNew := h.rel.addRow(ev.db, rows[:len(h.args)])
+				rows = rows[len(h.args):]
 				if isNew {
-					sc.prov[fid(h.pid, pos)] = derivation{rule: c.ri, body: pe.used}
+					h.rel.setProv(pos, c.ri, used[:nUsed])
 					derived++
 				}
 			}
@@ -906,7 +901,7 @@ func (ev *evaluator) runStrata() error {
 
 	if ev.workers <= 1 || ev.opt.Trace != nil {
 		for _, s := range active {
-			sc := &stratumCtx{ev: ev, iv: iview{in: ev.db.in}, prov: ev.prov}
+			sc := &stratumCtx{ev: ev, iv: iview{in: ev.db.in}}
 			if err := sc.fixpoint(s, byStratum[s]); err != nil {
 				return err
 			}
@@ -990,7 +985,7 @@ func (ev *evaluator) runStrata() error {
 
 		ctxs := make(map[int]*stratumCtx, len(group))
 		for _, s := range group {
-			ctxs[s] = &stratumCtx{ev: ev, iv: iview{in: ev.db.in}, prov: make(map[uint64]derivation)}
+			ctxs[s] = &stratumCtx{ev: ev, iv: iview{in: ev.db.in}}
 		}
 		lvlErr := error(nil)
 		lvlErrStratum := int(^uint(0) >> 1)
@@ -1020,14 +1015,6 @@ func (ev *evaluator) runStrata() error {
 			if err := ctxs[s].fixpoint(s, byStratum[s]); err != nil {
 				record(s, err)
 				break
-			}
-		}
-		// Fact ids are globally unique across strata, so the merge order is
-		// immaterial; ascending keeps it visibly deterministic.
-		sort.Ints(group)
-		for _, s := range group {
-			for k, d := range ctxs[s].prov {
-				ev.prov[k] = d
 			}
 		}
 		if lvlErr != nil {
@@ -1207,9 +1194,9 @@ func (ev *evaluator) resolve(v Val) Val {
 
 // applySubst rewrites the database under the current null substitution.
 // The rewrite walks predicates in sorted order and rows in insertion order,
-// remapping fact ids as rows merge; provenance keys are rebuilt with a
-// deterministic (ascending-id, first-wins) tie-break where two old facts
-// collapse into one.
+// remapping row positions as rows merge, and then carries the provenance
+// columns over: a merged row keeps the derivation of the lowest-positioned
+// derived row that collapsed into it, its body fact ids remapped.
 func (ev *evaluator) applySubst() {
 	old := ev.db
 	nd := &Database{in: old.in, rels: make(map[string]*relation, len(old.rels))}
@@ -1223,48 +1210,42 @@ func (ev *evaluator) applySubst() {
 		vidMemo[v] = nv
 		return nv
 	}
-	remap := make(map[uint64]uint64)
-	for _, pred := range old.predsInsertionSafe() {
+	preds := old.predsInsertionSafe()
+	remap := make(map[uint32][]uint32, len(preds)) // pid -> old row position -> new
+	var nrow []uint32
+	for _, pred := range preds {
 		r := old.rels[pred]
-		pid := ev.pid(pred)
 		nr := nd.rel(pred)
-		for pos := 0; pos < r.nrows(); pos++ {
-			row := r.row(pos)
-			nrow := make([]uint32, len(row))
-			for i, v := range row {
-				nrow[i] = resolveVid(v)
+		to := make([]uint32, r.nrows())
+		for pos := range to {
+			nrow = nrow[:0]
+			for _, v := range r.row(pos) {
+				nrow = append(nrow, resolveVid(v))
 			}
-			npos, _ := nr.addRow(nd, nrow)
-			remap[fid(pid, uint32(pos))] = fid(pid, npos)
+			to[pos], _ = nr.addRow(nd, nrow)
+		}
+		remap[ev.pid(pred)] = to
+	}
+	var body []uint64
+	for _, pred := range preds {
+		r, nr := old.rels[pred], nd.rels[pred]
+		to := remap[ev.pid(pred)]
+		for pos := range r.prov {
+			rule, b := r.provOf(uint32(pos))
+			if rule < 0 {
+				continue
+			}
+			if held, _ := nr.provOf(to[pos]); held >= 0 {
+				continue
+			}
+			body = body[:0]
+			for _, f := range b {
+				body = append(body, fid(uint32(f>>32), remap[uint32(f>>32)][uint32(f)]))
+			}
+			nr.setProv(to[pos], rule, body)
 		}
 	}
 	ev.db = nd
-
-	keys := make([]uint64, 0, len(ev.prov))
-	for k := range ev.prov {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	np := make(map[uint64]derivation, len(ev.prov))
-	for _, k := range keys {
-		d := ev.prov[k]
-		nk := k
-		if r, ok := remap[k]; ok {
-			nk = r
-		}
-		nb := make([]uint64, len(d.body))
-		for i, f := range d.body {
-			if r, ok := remap[f]; ok {
-				nb[i] = r
-			} else {
-				nb[i] = f
-			}
-		}
-		if _, exists := np[nk]; !exists {
-			np[nk] = derivation{rule: d.rule, body: nb}
-		}
-	}
-	ev.prov = np
 }
 
 // Run evaluates the program over the extensional database and returns the
@@ -1290,7 +1271,6 @@ func RunContext(ctx context.Context, p *Program, edb *Database, opt *Options) (*
 		prog:    p,
 		opt:     opt.withDefaults(),
 		db:      edb.clone(),
-		prov:    make(map[uint64]derivation),
 		strata:  strata,
 		nStrata: n,
 		nullCtr: edb.maxNullID(),
@@ -1381,7 +1361,6 @@ func RunContext(ctx context.Context, p *Program, edb *Database, opt *Options) (*
 	}
 	return &Result{
 		db:         ev.db,
-		prov:       ev.prov,
 		rules:      p.Rules,
 		Violations: violations,
 		pids:       ev.predIDs,

@@ -20,6 +20,7 @@ type Database struct {
 	rels   map[string]*relation
 	bytes  atomic.Int64 // structural bytes (rows + dedup set + indexes)
 	nfacts atomic.Int64
+	adder  Loader // Add's loader, kept so a single insert allocates nothing
 }
 
 // relation holds one predicate's facts as flat rows in insertion order.
@@ -33,6 +34,41 @@ type relation struct {
 	// carry rows but drop indexes, so the two are tracked apart.
 	structBytes int64
 	indexes     []*joinIndex
+	// prov records, by row position, how each fact was first derived: the
+	// producing rule and the body facts it matched, as a window of
+	// provBody. Rows at or past len(prov) — every row of a relation no
+	// rule writes — are extensional, like rows whose rule is -1. Only the
+	// one stratum that owns the relation's predicate appends here, so
+	// parallel strata need no shared provenance structure and no merge.
+	prov     []provEntry
+	provBody []uint64
+}
+
+// provEntry is one fact's derivation. Body facts are fact ids — predicate
+// id in the high word, row position in the low (see fid).
+type provEntry struct {
+	rule   int32 // index into the program's rules; -1 for extensional facts
+	off, n uint32
+}
+
+// setProv records the derivation of the row at pos, padding the column with
+// extensional entries for any earlier rows that have none.
+func (r *relation) setProv(pos uint32, rule int, body []uint64) {
+	for uint32(len(r.prov)) <= pos {
+		r.prov = append(r.prov, provEntry{rule: -1})
+	}
+	r.prov[pos] = provEntry{rule: int32(rule), off: uint32(len(r.provBody)), n: uint32(len(body))}
+	r.provBody = append(r.provBody, body...)
+}
+
+// provOf returns the derivation of the row at pos; the rule is -1 for an
+// extensional fact.
+func (r *relation) provOf(pos uint32) (rule int, body []uint64) {
+	if pos >= uint32(len(r.prov)) || r.prov[pos].rule < 0 {
+		return -1, nil
+	}
+	e := r.prov[pos]
+	return int(e.rule), r.provBody[e.off : e.off+e.n]
 }
 
 func newRelation() *relation { return &relation{offs: []uint32{0}} }
@@ -119,20 +155,20 @@ const indexEntryOverhead = 16
 // synchronously, so facts derived mid-pass are visible to index scans the
 // same way they are to full scans.
 func (r *relation) addRow(db *Database, row []uint32) (uint32, bool) {
-	if pos, ok := r.findRow(row); ok {
-		return pos, false
-	}
 	if (r.set.used+1)*4 >= len(r.set.slots)*3 {
 		r.growSet()
+	}
+	// One probe finds the row or the empty slot it belongs in.
+	mask := uint64(len(r.set.slots) - 1)
+	h := hashRow(row) & mask
+	for ; r.set.slots[h] != 0; h = (h + 1) & mask {
+		if pos := r.set.slots[h] - 1; rowsEqual(r.row(int(pos)), row) {
+			return pos, false
+		}
 	}
 	pos := uint32(r.nrows())
 	r.data = append(r.data, row...)
 	r.offs = append(r.offs, uint32(len(r.data)))
-	mask := uint64(len(r.set.slots) - 1)
-	h := hashRow(row) & mask
-	for r.set.slots[h] != 0 {
-		h = (h + 1) & mask
-	}
 	r.set.slots[h] = pos + 1
 	r.set.used++
 	sb := int64(4*len(row) + rowOverhead)
@@ -211,12 +247,12 @@ func (db *Database) Add(pred string, args ...Val) {
 }
 
 func (db *Database) addTuple(pred string, t Tuple) bool {
-	row := make([]uint32, len(t))
-	for i, v := range t {
-		row[i] = db.in.intern(v)
+	l := &db.adder
+	l.db, l.rel = db, db.rel(pred)
+	for i := range t {
+		l.stage(&t[i])
 	}
-	_, added := db.rel(pred).addRow(db, row)
-	return added
+	return l.EndRow()
 }
 
 func (db *Database) rel(pred string) *relation {
@@ -238,33 +274,7 @@ func (db *Database) EstimatedBytes() int64 { return db.bytes.Load() + db.in.byte
 
 // Facts returns the facts of a predicate, sorted.
 func (db *Database) Facts(pred string) []Tuple {
-	r := db.rels[pred]
-	if r == nil {
-		return nil
-	}
-	iv := iview{in: db.in}
-	out := make([]Tuple, r.nrows())
-	for i := range out {
-		out[i] = decodeRow(&iv, r.row(i))
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if c := Compare(a[k], b[k]); c != 0 {
-				return c < 0
-			}
-		}
-		return len(a) < len(b)
-	})
-	return out
-}
-
-func decodeRow(iv *iview, row []uint32) Tuple {
-	t := make(Tuple, len(row))
-	for i, v := range row {
-		t[i] = iv.val(v)
-	}
-	return t
+	return db.SortedRows(pred).tuples()
 }
 
 // Has reports whether the fact is present.
@@ -308,16 +318,7 @@ func (db *Database) predsInsertionSafe() []string { return db.Predicates() }
 // insertionFacts decodes a predicate's facts in insertion order — the order
 // observable through provenance firsts and labelled-null minting.
 func (db *Database) insertionFacts(pred string) []Tuple {
-	r := db.rels[pred]
-	if r == nil {
-		return nil
-	}
-	iv := iview{in: db.in}
-	out := make([]Tuple, r.nrows())
-	for i := range out {
-		out[i] = decodeRow(&iv, r.row(i))
-	}
-	return out
+	return db.Rows(pred).tuples()
 }
 
 // clone copies the rows (sharing the interner) and drops the join indexes:
@@ -360,11 +361,11 @@ func (db *Database) maxNullID() uint64 {
 			}
 		}
 	}
-	seen := make(map[uint32]bool)
+	iv.refresh()
 	for _, r := range db.rels {
 		for _, v := range r.data {
-			if !seen[v] {
-				seen[v] = true
+			// Numbers and strings, nearly every cell, cost one byte load.
+			if k := iv.kinds[v]; k == KNull || k == KList {
 				scan(iv.val(v))
 			}
 		}
@@ -478,7 +479,6 @@ type EvalStats struct {
 // included) plus any EGD violations encountered.
 type Result struct {
 	db         *Database
-	prov       map[uint64]derivation
 	rules      []Rule
 	pids       map[string]uint32 // predicate name -> dense id (provenance keys)
 	preds      []string          // dense id -> predicate name
@@ -495,15 +495,6 @@ func (r *Result) Has(pred string, args ...Val) bool { return r.db.Has(pred, args
 
 // DB exposes the derived database.
 func (r *Result) DB() *Database { return r.db }
-
-// derivation records how a fact was first derived: the producing rule and
-// the interned ids of the body facts it matched. Fact ids — pred id in the
-// high word, row position in the low — replace the pred+Key() strings the
-// seed engine concatenated for every provenance and violation lookup.
-type derivation struct {
-	rule int // index into rules; -1 for extensional facts
-	body []uint64
-}
 
 // literalOrder picks an evaluation order for a rule body: at each step the
 // first literal whose requirements are met — positive atoms any time,
@@ -739,31 +730,39 @@ func compare(op string, l, r Val) (bool, error) {
 	return false, fmt.Errorf("unknown comparison %q", op)
 }
 
-func foldAgg(fn AggFn, contrib map[string]Val) (Val, error) {
-	keys := make([]string, 0, len(contrib))
-	for k := range contrib {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	switch fn {
-	case AggCount:
+// foldAgg folds one group's contributions. Sums, products and unions fold
+// in ascending order of the contributors' Key() strings — the order that
+// fixes every float sum bit for bit; a count needs no order, so no keys.
+func foldAgg(fn AggFn, contrib map[uint32]Val, key func(uint32) string) (Val, error) {
+	if fn == AggCount {
 		return Num(float64(len(contrib))), nil
+	}
+	type keyed struct {
+		key string
+		v   Val
+	}
+	ord := make([]keyed, 0, len(contrib))
+	for vid, v := range contrib {
+		ord = append(ord, keyed{key(vid), v})
+	}
+	sort.Slice(ord, func(i, j int) bool { return ord[i].key < ord[j].key })
+	switch fn {
 	case AggSum:
 		s := 0.0
-		for _, k := range keys {
-			s += contrib[k].NumVal()
+		for _, c := range ord {
+			s += c.v.NumVal()
 		}
 		return Num(s), nil
 	case AggProd:
 		p := 1.0
-		for _, k := range keys {
-			p *= contrib[k].NumVal()
+		for _, c := range ord {
+			p *= c.v.NumVal()
 		}
 		return Num(p), nil
 	case AggUnion:
 		var all []Val
-		for _, k := range keys {
-			all = append(all, contrib[k].Elems()...)
+		for _, c := range ord {
+			all = append(all, c.v.Elems()...)
 		}
 		return List(all...), nil
 	}

@@ -64,6 +64,17 @@ func (db *seedDatabase) addTuple(pred string, t Tuple) bool {
 
 const seedMapEntryOverhead = 48
 
+// valBytes is the per-value estimate the engine used when this evaluator was
+// frozen; it moved here when the interner stopped holding Val structs.
+func valBytes(v Val) int64 {
+	n := int64(48) // Val struct: kind, float, id, string header, slice header
+	n += int64(len(v.s))
+	for _, e := range v.l {
+		n += valBytes(e)
+	}
+	return n
+}
+
 func seedTupleBytes(t Tuple) int64 {
 	n := int64(24)
 	for _, v := range t {

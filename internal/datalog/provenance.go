@@ -64,13 +64,11 @@ func (r *Result) Explain(pred string, args ...Val) (string, error) {
 
 func (r *Result) explain(b *strings.Builder, f uint64, depth int, seen map[uint64]bool) {
 	pred := r.preds[uint32(f>>32)]
-	iv := iview{in: r.db.in}
-	t := decodeRow(&iv, r.db.rels[pred].row(int(uint32(f))))
 	b.WriteString(strings.Repeat("  ", depth))
-	b.WriteString(pred + t.String())
-	d, derived := r.prov[f]
+	b.WriteString(pred + r.db.Rows(pred).Row(int(uint32(f))).Tuple().String())
+	rule, body := r.db.rels[pred].provOf(uint32(f))
 	switch {
-	case !derived:
+	case rule < 0:
 		b.WriteString("   [extensional]\n")
 		return
 	case seen[f]:
@@ -78,8 +76,8 @@ func (r *Result) explain(b *strings.Builder, f uint64, depth int, seen map[uint6
 		return
 	}
 	seen[f] = true
-	b.WriteString(fmt.Sprintf("   [rule %d: %s]\n", d.rule, r.rules[d.rule].String()))
-	for _, bf := range d.body {
+	b.WriteString(fmt.Sprintf("   [rule %d: %s]\n", rule, r.rules[rule].String()))
+	for _, bf := range body {
 		r.explain(b, bf, depth+1, seen)
 	}
 }
@@ -95,11 +93,8 @@ func (r *Result) ProvenanceRule(pred string, args ...Val) (int, bool) {
 	if !ok {
 		return -1, true
 	}
-	d, derived := r.prov[f]
-	if !derived {
-		return -1, true
-	}
-	return d.rule, true
+	rule, _ := r.db.rels[pred].provOf(uint32(f))
+	return rule, true
 }
 
 // Binding is one solution of a query pattern: the values bound to the

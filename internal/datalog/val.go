@@ -120,6 +120,11 @@ func (v Val) String() string {
 // Key returns a canonical encoding usable as a map key; distinct values have
 // distinct keys.
 func (v Val) Key() string {
+	if v.k == KNum { // the common case, built in one allocation
+		var buf [32]byte
+		b := strconv.AppendFloat(append(buf[:0], 'n'), v.n, 'g', -1, 64)
+		return string(append(b, ';'))
+	}
 	var b strings.Builder
 	v.appendKey(&b)
 	return b.String()
@@ -149,12 +154,15 @@ func (v Val) appendKey(b *strings.Builder) {
 	}
 }
 
+// kindRank orders values of different kinds: numbers < strings < nulls <
+// lists. Compare and the sorted-row traversal (rows.go) both read it.
+var kindRank = [...]int{KNum: 0, KStr: 1, KNull: 2, KList: 3}
+
 // Compare imposes a total order on values: numbers < strings < nulls <
 // lists; within a kind the natural order applies (lexicographic for lists).
 func Compare(a, b Val) int {
 	if a.k != b.k {
-		order := map[Kind]int{KNum: 0, KStr: 1, KNull: 2, KList: 3}
-		return order[a.k] - order[b.k]
+		return kindRank[a.k] - kindRank[b.k]
 	}
 	switch a.k {
 	case KNum:
@@ -225,11 +233,21 @@ func (t Tuple) String() string {
 //
 // The columnar fact store (eval.go) does not hold Val structs: every constant
 // is interned once into a dense uint32 id (vid), and facts become flat rows
-// of vids. Interning gives the join layer O(1) equality (vid comparison),
-// hash keys without string building, and a single place where the canonical
-// Key() encoding — still needed for the seed-compatible orderings of
-// aggregation folds and Skolem keys — is computed exactly once per distinct
-// value instead of once per match attempt.
+// of vids. Interning gives the join layer O(1) equality (vid comparison) and
+// hash keys without string building.
+//
+// The interner itself is columnar too. A vid indexes two pointer-free
+// columns, kinds and payload: a number's payload is its canonical float
+// bits and a labelled null's is its id, so the values that dominate a fact
+// load (row ids, weights) are never scanned by the collector and cost one
+// open-addressed table probe to find or insert. Strings and lists — few and
+// pointer-bearing — live in side tables the payload indexes. A Val is
+// materialized from the columns only when something asks for one.
+//
+// The canonical Key() encoding is computed on first use and cached: only
+// the aggregation folds (group flush order, contributor fold order) and the
+// Skolem keys of existential heads read it, and they read it through key(),
+// so the orders those strings fix are exactly the seed engine's.
 //
 // Identity follows Compare/Equal: +0 and -0 intern to one vid, every NaN
 // payload interns to one vid, labelled nulls intern by id, and lists intern
@@ -261,41 +279,50 @@ func numBits(n float64) uint64 {
 }
 
 type interner struct {
-	mu    sync.Mutex
-	vals  []Val
-	keys  []string // seed-format Key() per vid, computed at intern time
-	strs  map[string]uint32
-	nums  map[uint64]uint32
-	nulls map[uint64]uint32
-	lists map[string]uint32
+	mu sync.Mutex
+	// Columns indexed by vid, append-only. payload holds the canonical
+	// float bits of a KNum, the id of a KNull, and an index into strs or
+	// lists for the other two kinds.
+	kinds   []Kind
+	payload []uint64
+	strs    []string
+	lists   []Val
+	// keys caches Key() per vid, filled by key(); "" means not computed
+	// yet (no Key() is empty). It is grown to len(kinds) on demand.
+	keys []string
+
+	scalars []uint32 // open-addressed (kind, payload) → vid+1 for numbers and nulls
+	nScalar int
+	strIDs  map[string]uint32
+	listIDs map[string]uint32 // keyed by the elements' vids, 4 bytes each
+
 	bytes atomic.Int64 // estimated heap footprint of the interned values
 }
 
 func newInterner() *interner {
-	return &interner{
-		strs:  make(map[string]uint32),
-		nums:  make(map[uint64]uint32),
-		nulls: make(map[uint64]uint32),
-		lists: make(map[string]uint32),
-	}
+	return &interner{strIDs: make(map[string]uint32), listIDs: make(map[string]uint32)}
 }
 
-// valBytes estimates the heap footprint of one value: the Val struct and any
-// string or nested list payload. Deliberately an estimate — the point is to
-// bound runaway chases in bytes, not to mirror the allocator.
-func valBytes(v Val) int64 {
-	n := int64(48) // Val struct: kind, float, id, string header, slice header
-	n += int64(len(v.s))
-	for _, e := range v.l {
-		n += valBytes(e)
+// Per-value charges of the running byte estimate. Each is the worst case of
+// what the value pins: its column entries at the doubling slices' full
+// slack, its lookup-table slot at the table's lowest load, and its payload.
+// Deliberately an estimate — the point is to bound runaway chases in bytes,
+// not to mirror the allocator — but one that never under-counts.
+const (
+	scalarBytes  = 40  // kinds+payload entries (2×9) and a scalars slot at 3/8 load
+	strBytes     = 112 // column entries, the strs header, a strIDs slot; plus len(s)
+	listBytes    = 208 // column entries, the lists Val, a listIDs slot and key header
+	elemBytes    = 68  // per list element: its Val and 4 key bytes; plus nested payload
+	keySlotBytes = 16  // one keys entry, charged for every slot the slice grows by
+)
+
+func elemsBytes(l []Val) int64 {
+	n := int64(0)
+	for _, e := range l {
+		n += elemBytes + int64(len(e.s)) + elemsBytes(e.l)
 	}
 	return n
 }
-
-// internEntryOverhead is the rough per-vid cost beyond the value payload:
-// the vals/keys slice entries, the kind map entry, and the cached key string
-// header.
-const internEntryOverhead = 96
 
 // intern returns the dense id of v, inserting it if new.
 func (in *interner) intern(v Val) uint32 {
@@ -308,58 +335,139 @@ func (in *interner) intern(v Val) uint32 {
 func (in *interner) internLocked(v Val) uint32 {
 	switch v.k {
 	case KStr:
-		if id, ok := in.strs[v.s]; ok {
-			return id
-		}
-		id := in.appendLocked(v)
-		in.strs[v.s] = id
-		return id
+		return in.strLocked(v.s)
 	case KNum:
-		b := numBits(v.n)
-		if id, ok := in.nums[b]; ok {
-			return id
-		}
-		id := in.appendLocked(Num(math.Float64frombits(b)))
-		in.nums[b] = id
-		return id
+		return in.scalarLocked(KNum, numBits(v.n))
 	case KNull:
-		if id, ok := in.nulls[v.id]; ok {
-			return id
-		}
-		id := in.appendLocked(v)
-		in.nulls[v.id] = id
-		return id
+		return in.scalarLocked(KNull, v.id)
 	case KList:
-		k := in.listKeyLocked(v)
-		if id, ok := in.lists[k]; ok {
+		k, _ := in.listKeyLocked(v, true)
+		if id, ok := in.listIDs[k]; ok {
 			return id
 		}
-		id := in.appendLocked(v)
-		in.lists[k] = id
+		id := in.appendLocked(KList, uint64(len(in.lists)), listBytes+elemsBytes(v.l))
+		in.lists = append(in.lists, v)
+		in.listIDs[k] = id
 		return id
 	default:
 		panic("datalog: bad kind")
 	}
 }
 
-// listKeyLocked interns the elements of a list and returns the byte string
-// of their vids — the list's identity under Compare, since List() already
-// sorted and deduplicated the elements.
-func (in *interner) listKeyLocked(v Val) string {
-	b := make([]byte, 0, 4*len(v.l))
-	for _, e := range v.l {
-		ev := in.internLocked(e)
-		b = append(b, byte(ev), byte(ev>>8), byte(ev>>16), byte(ev>>24))
+func (in *interner) strLocked(s string) uint32 {
+	if id, ok := in.strIDs[s]; ok {
+		return id
 	}
-	return string(b)
+	id := in.appendLocked(KStr, uint64(len(in.strs)), strBytes+int64(len(s)))
+	in.strs = append(in.strs, s)
+	in.strIDs[s] = id
+	return id
 }
 
-func (in *interner) appendLocked(v Val) uint32 {
-	id := uint32(len(in.vals))
-	key := v.Key()
-	in.vals = append(in.vals, v)
-	in.keys = append(in.keys, key)
-	in.bytes.Add(valBytes(v) + int64(len(key)) + internEntryOverhead)
+// strBytesLocked is strLocked for a string still sitting in a caller's byte
+// buffer: the lookup does not allocate, and only a new string is copied out.
+func (in *interner) strBytesLocked(b []byte) uint32 {
+	if id, ok := in.strIDs[string(b)]; ok {
+		return id
+	}
+	return in.strLocked(string(b))
+}
+
+func scalarHash(k Kind, bits uint64) uint64 {
+	h := bits ^ uint64(k)<<62
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
+// probeScalarLocked looks a number (by canonical bits) or a labelled null
+// (by id) up in the open-addressed scalar table, which must not be empty.
+// The table stores vids only; the compared key is the columns' own (kind,
+// payload) pair. A miss returns the empty slot the value belongs in.
+func (in *interner) probeScalarLocked(k Kind, bits uint64) (slot uint64, id uint32, found bool) {
+	mask := uint64(len(in.scalars) - 1)
+	for i := scalarHash(k, bits) & mask; ; i = (i + 1) & mask {
+		if in.scalars[i] == 0 {
+			return i, 0, false
+		}
+		if id := in.scalars[i] - 1; in.payload[id] == bits && in.kinds[id] == k {
+			return i, id, true
+		}
+	}
+}
+
+// scalarLocked finds or inserts a number or a labelled null.
+func (in *interner) scalarLocked(k Kind, bits uint64) uint32 {
+	if (in.nScalar+1)*4 >= len(in.scalars)*3 {
+		in.growScalars()
+	}
+	slot, id, found := in.probeScalarLocked(k, bits)
+	if !found {
+		id = in.appendLocked(k, bits, scalarBytes)
+		in.scalars[slot] = id + 1
+		in.nScalar++
+	}
+	return id
+}
+
+func (in *interner) growScalars() {
+	n := len(in.scalars) * 2
+	if n == 0 {
+		n = 64
+	}
+	slots := make([]uint32, n)
+	mask := uint64(n - 1)
+	for _, s := range in.scalars {
+		if s == 0 {
+			continue
+		}
+		i := scalarHash(in.kinds[s-1], in.payload[s-1]) & mask
+		for slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		slots[i] = s
+	}
+	in.scalars = slots
+}
+
+// findScalarLocked is scalarLocked without inserting.
+func (in *interner) findScalarLocked(k Kind, bits uint64) (uint32, bool) {
+	if len(in.scalars) == 0 {
+		return 0, false
+	}
+	_, id, found := in.probeScalarLocked(k, bits)
+	return id, found
+}
+
+// listKeyLocked returns the byte string of a list's element vids — the
+// list's identity under Compare, since List() already sorted and
+// deduplicated the elements. Elements are interned when insert is set;
+// otherwise a never-interned element (the list cannot be interned either)
+// reports false.
+func (in *interner) listKeyLocked(v Val, insert bool) (string, bool) {
+	b := make([]byte, 0, 4*len(v.l))
+	for _, e := range v.l {
+		var ev uint32
+		if insert {
+			ev = in.internLocked(e)
+		} else if id, ok := in.lookupLocked(e); ok {
+			ev = id
+		} else {
+			return "", false
+		}
+		b = append(b, byte(ev), byte(ev>>8), byte(ev>>16), byte(ev>>24))
+	}
+	return string(b), true
+}
+
+func (in *interner) appendLocked(k Kind, payload uint64, cost int64) uint32 {
+	id := uint32(len(in.kinds))
+	in.kinds = append(in.kinds, k)
+	in.payload = append(in.payload, payload)
+	in.bytes.Add(cost)
 	return id
 }
 
@@ -368,88 +476,84 @@ func (in *interner) appendLocked(v Val) uint32 {
 func (in *interner) lookup(v Val) (uint32, bool) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	switch v.k {
-	case KStr:
-		id, ok := in.strs[v.s]
-		return id, ok
-	case KNum:
-		id, ok := in.nums[numBits(v.n)]
-		return id, ok
-	case KNull:
-		id, ok := in.nulls[v.id]
-		return id, ok
-	case KList:
-		for _, e := range v.l {
-			if _, ok := in.lookupElemLocked(e); !ok {
-				return 0, false
-			}
-		}
-		id, ok := in.lists[in.peekListKeyLocked(v)]
-		return id, ok
-	default:
-		panic("datalog: bad kind")
-	}
+	return in.lookupLocked(v)
 }
 
-func (in *interner) lookupElemLocked(v Val) (uint32, bool) {
+func (in *interner) lookupLocked(v Val) (uint32, bool) {
 	switch v.k {
 	case KStr:
-		id, ok := in.strs[v.s]
+		id, ok := in.strIDs[v.s]
 		return id, ok
 	case KNum:
-		id, ok := in.nums[numBits(v.n)]
-		return id, ok
+		return in.findScalarLocked(KNum, numBits(v.n))
 	case KNull:
-		id, ok := in.nulls[v.id]
-		return id, ok
+		return in.findScalarLocked(KNull, v.id)
 	case KList:
-		id, ok := in.lists[in.peekListKeyLocked(v)]
-		return id, ok
-	default:
-		panic("datalog: bad kind")
-	}
-}
-
-// peekListKeyLocked is listKeyLocked without inserting missing elements; a
-// missing element yields a key that cannot be present in lists.
-func (in *interner) peekListKeyLocked(v Val) string {
-	b := make([]byte, 0, 4*len(v.l))
-	for _, e := range v.l {
-		ev, ok := in.lookupElemLocked(e)
+		k, ok := in.listKeyLocked(v, false)
 		if !ok {
-			return "\x00missing"
+			return 0, false
 		}
-		b = append(b, byte(ev), byte(ev>>8), byte(ev>>16), byte(ev>>24))
+		id, ok := in.listIDs[k]
+		return id, ok
+	default:
+		panic("datalog: bad kind")
 	}
-	return string(b)
 }
 
-// iview is a goroutine-local read snapshot of an interner. val and key are
-// lock-free for any vid the goroutine legitimately holds; the snapshot is
-// refreshed under the interner lock when it is too short.
+// key returns the seed-format Key() of a vid, computing and caching it on
+// first use. Its readers are the aggregation folds and the Skolem keys —
+// per group, per contributor, per existential emission, never per match
+// attempt — so it simply runs under the interner lock.
+func (in *interner) key(id uint32) string {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if int(id) >= len(in.keys) {
+		old := cap(in.keys)
+		in.keys = append(in.keys, make([]string, len(in.kinds)-len(in.keys))...)
+		in.bytes.Add(int64(cap(in.keys)-old) * keySlotBytes)
+	}
+	if in.keys[id] == "" {
+		in.keys[id] = materialize(in.kinds[id], in.payload[id], in.strs, in.lists).Key()
+		in.bytes.Add(int64(len(in.keys[id])))
+	}
+	return in.keys[id]
+}
+
+func materialize(k Kind, payload uint64, strs []string, lists []Val) Val {
+	switch k {
+	case KNum:
+		return Num(math.Float64frombits(payload))
+	case KNull:
+		return NullVal(payload)
+	case KStr:
+		return Str(strs[payload])
+	default:
+		return lists[payload]
+	}
+}
+
+// iview is a goroutine-local read snapshot of an interner. val is lock-free
+// for any vid the goroutine legitimately holds; the snapshot is refreshed
+// under the interner lock when it is too short. The columns are append-only
+// and a vid is appended in the same lock hold as the side-table entry it
+// indexes, so any vid below len(kinds) finds its payload inside the snapshot.
 type iview struct {
-	in   *interner
-	vals []Val
-	keys []string
+	in      *interner
+	kinds   []Kind
+	payload []uint64
+	strs    []string
+	lists   []Val
 }
 
 func (v *iview) refresh() {
 	v.in.mu.Lock()
-	v.vals = v.in.vals
-	v.keys = v.in.keys
+	v.kinds, v.payload, v.strs, v.lists = v.in.kinds, v.in.payload, v.in.strs, v.in.lists
 	v.in.mu.Unlock()
 }
 
 func (v *iview) val(id uint32) Val {
-	if int(id) >= len(v.vals) {
+	if int(id) >= len(v.kinds) {
 		v.refresh()
 	}
-	return v.vals[id]
-}
-
-func (v *iview) key(id uint32) string {
-	if int(id) >= len(v.keys) {
-		v.refresh()
-	}
-	return v.keys[id]
+	return materialize(v.kinds[id], v.payload[id], v.strs, v.lists)
 }

@@ -188,32 +188,31 @@ func Combinations() *datalog.Program {
 // path.
 func TupleFacts(db *datalog.Database, d *mdb.Dataset) {
 	qi := d.QuasiIdentifiers()
+	l := db.Loader("tuple")
 	for _, r := range d.Rows {
-		args := make([]datalog.Val, 0, len(qi)+2)
-		args = append(args, datalog.Num(float64(r.ID)))
+		l.Num(float64(r.ID))
 		for _, i := range qi {
-			args = append(args, valToEngine(r.Values[i]))
+			if v := r.Values[i]; v.IsNull() {
+				l.Null(v.NullID())
+			} else {
+				l.Str(v.Constant())
+			}
 		}
-		args = append(args, datalog.Num(r.Weight))
-		db.Add("tuple", args...)
+		l.Num(r.Weight)
+		l.EndRow()
 	}
-}
-
-func valToEngine(v mdb.Value) datalog.Val {
-	if v.IsNull() {
-		return datalog.NullVal(v.NullID())
-	}
-	return datalog.Str(v.Constant())
 }
 
 // DecodeRisk reads riskout(I, R) facts into a per-row-ID risk map. When the
 // engine derived several monotone refinements for the same tuple, the
 // maximum — the final value of the monotonic aggregation — wins.
 func DecodeRisk(res *datalog.Result) map[int]float64 {
-	out := make(map[int]float64)
-	for _, f := range res.Facts("riskout") {
-		id := int(f[0].NumVal())
-		r := f[1].NumVal()
+	rows := res.DB().Rows("riskout")
+	out := make(map[int]float64, rows.Len())
+	for i := 0; i < rows.Len(); i++ {
+		f := rows.Row(i)
+		id := int(f.At(0).NumVal())
+		r := f.At(1).NumVal()
 		if cur, ok := out[id]; !ok || r > cur {
 			out[id] = r
 		}

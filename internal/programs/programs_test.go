@@ -402,3 +402,79 @@ func TestWeightEstimationAgreesWithNative(t *testing.T) {
 		}
 	}
 }
+
+// TupleFacts loads through the engine's row loader; the relation it builds
+// must be the one the per-cell encoding built — Add over boxed values, one
+// labelled null per suppressed cell, identifiers dropped — fact for fact in
+// insertion order.
+func TestTupleFactsMatchesPerCellEncoding(t *testing.T) {
+	d := synth.InflationGrowth().Clone()
+	qi := d.QuasiIdentifiers()
+	for i, r := range d.Rows {
+		if i%3 == 0 {
+			r.Values[qi[i%len(qi)]] = d.Nulls.Fresh()
+		}
+	}
+	d.Rows[1].Values[qi[0]] = d.Rows[0].Values[qi[0]] // a null shared by two rows
+	d.Rows = append(d.Rows, d.Rows[2])                // a duplicate tuple
+
+	want := datalog.NewDatabase()
+	for _, r := range d.Rows {
+		args := []datalog.Val{datalog.Num(float64(r.ID))}
+		for _, i := range qi {
+			if v := r.Values[i]; v.IsNull() {
+				args = append(args, datalog.NullVal(v.NullID()))
+			} else {
+				args = append(args, datalog.Str(v.Constant()))
+			}
+		}
+		want.Add("tuple", append(args, datalog.Num(r.Weight))...)
+	}
+	got := datalog.NewDatabase()
+	TupleFacts(got, d)
+
+	if got.Len() != want.Len() || got.Len() != len(d.Rows)-1 {
+		t.Fatalf("loaded %d facts, reference %d, rows %d", got.Len(), want.Len(), len(d.Rows))
+	}
+	g, w := got.Rows("tuple"), want.Rows("tuple")
+	for i := 0; i < w.Len(); i++ {
+		if g.Row(i).Tuple().Key() != w.Row(i).Tuple().Key() {
+			t.Fatalf("fact %d: %s, reference %s", i, g.Row(i).Tuple(), w.Row(i).Tuple())
+		}
+		if n := g.Row(i).Len(); n != len(qi)+2 {
+			t.Fatalf("fact %d has %d arguments, want %d (identifiers dropped)", i, n, len(qi)+2)
+		}
+	}
+}
+
+// DecodeRisk walks the stored rows; it must return the map the sorted,
+// materialized walk returned, in particular the maximum when a program
+// derives several riskout refinements per tuple.
+func TestDecodeRiskMatchesFactsWalk(t *testing.T) {
+	d := synth.InflationGrowth()
+	prog, err := datalog.Parse(`
+		riskout(I,R) :- tuple(I,_A,_B,_C,_D,_E,W), R = 1 / W.
+		riskout(I,R) :- tuple(I,_A,_B,_C,_D,_E,W), R = 2 / W.
+		riskout(I,0) :- tuple(I,_A,_B,_C,_D,_E,_W).
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := runProgram(t, prog, func(db *datalog.Database) { TupleFacts(db, d) })
+	want := make(map[int]float64)
+	for _, f := range res.Facts("riskout") {
+		id, r := int(f[0].NumVal()), f[1].NumVal()
+		if cur, ok := want[id]; !ok || r > cur {
+			want[id] = r
+		}
+	}
+	got := DecodeRisk(res)
+	if len(got) != len(d.Rows) || len(res.Facts("riskout")) != 3*len(d.Rows) {
+		t.Fatalf("%d risks from %d facts over %d rows", len(got), len(res.Facts("riskout")), len(d.Rows))
+	}
+	for id, r := range want {
+		if got[id] != r {
+			t.Errorf("tuple %d: risk %v, reference %v", id, got[id], r)
+		}
+	}
+}
