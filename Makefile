@@ -125,8 +125,13 @@ replchaos:
 # DESIGN.md "Benchmark record format"): standard columns plus the custom
 # figure metrics (riskeval-ms/op, nulls/op, loss%/op), machine-readable for
 # regression tracking. The raw stream lands in bench.out for inspection.
+# GOMAXPROCS is pinned — allocation counts of the parallel engine paths
+# depend on it, so a record must not inherit the shell's core count — and
+# the stream opens with the commit it measured, which benchjson reads into
+# the header.
 BENCH_JSON ?= BENCH_18.json
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ ./... > bench.out || { cat bench.out; exit 1; }
+	echo "commit: $$(git rev-parse --short HEAD)" > bench.out
+	GOMAXPROCS=2 $(GO) test -bench=. -benchmem -run=^$$ ./... >> bench.out || { cat bench.out; exit 1; }
 	cat bench.out
 	$(GO) run ./cmd/benchjson -o $(BENCH_JSON) bench.out

@@ -56,10 +56,12 @@ type Entry struct {
 
 // Report is the top-level BENCH_<PR>.json document. The header fields are
 // the `goos:`, `goarch:`, `cpu:` and `pkg:` lines the bench runner prints
-// (every package of the stream, in order) and the toolchain that ran it.
+// (every package of the stream, in order), the `commit:` line `make bench`
+// writes ahead of them, and the toolchain that ran it.
 type Report struct {
 	Schema     string   `json:"schema"`
 	GoVersion  string   `json:"go_version"`
+	Commit     string   `json:"commit,omitempty"`
 	GOOS       string   `json:"goos,omitempty"`
 	GOARCH     string   `json:"goarch,omitempty"`
 	CPU        string   `json:"cpu,omitempty"`
@@ -118,6 +120,8 @@ func parse(r io.Reader) (*Report, error) {
 	for sc.Scan() {
 		if key, value, ok := strings.Cut(sc.Text(), ": "); ok {
 			switch key {
+			case "commit":
+				report.Commit = value
 			case "goos":
 				report.GOOS = value
 			case "goarch":

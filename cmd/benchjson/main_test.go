@@ -34,8 +34,16 @@ func TestParse(t *testing.T) {
 	}
 	if rep.Schema != "vadasa-bench/v2" || rep.GOOS != "linux" || rep.GOARCH != "amd64" ||
 		rep.CPU != "Intel(R) Xeon(R) Processor @ 2.10GHz" || rep.GoVersion != runtime.Version() ||
-		strings.Join(rep.Pkg, ",") != "vadasa,vadasa/cmd/vadasad" {
+		strings.Join(rep.Pkg, ",") != "vadasa,vadasa/cmd/vadasad" || rep.Commit != "" {
 		t.Fatalf("bad header: %+v", rep)
+	}
+	// `make bench` names the commit ahead of the stream.
+	withCommit, err := parse(strings.NewReader("commit: d2f0a3b\n" + sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if withCommit.Commit != "d2f0a3b" || len(withCommit.Benchmarks) != 4 || withCommit.GOOS != "linux" {
+		t.Fatalf("commit line not read into the header: %+v", withCommit)
 	}
 	byName := map[string]Entry{}
 	for _, e := range rep.Benchmarks {

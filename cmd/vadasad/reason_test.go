@@ -3,7 +3,9 @@ package main
 import (
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
+	"time"
 
 	"vadasa/internal/datalog/lint"
 )
@@ -139,5 +141,48 @@ func TestReasonEndpointBadRequests(t *testing.T) {
 	})
 	if rec := do(t, h, "POST", "/reason", string(body)); rec.Code != http.StatusBadRequest {
 		t.Errorf("boolean fact argument: status = %d", rec.Code)
+	}
+}
+
+// TestReasonEGDIsBudgeted: an EGD body is joined by the walk every other
+// rule body runs on, so ?budget= and -request-timeout bind it and
+// stats.match_attempts counts it. The old EGD walk answered all three
+// requests below 200 with "match_attempts":0, the first after seconds of a
+// quadratic scan no deadline could stop.
+func TestReasonEGDIsBudgeted(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.requestTimeout = time.Second
+	h := startServer(t, cfg).handler
+	rows := make([][]any, 12000)
+	for i := range rows {
+		rows[i] = []any{i, i}
+	}
+	request := func(program string) string {
+		body, _ := json.Marshal(map[string]any{"program": program, "facts": map[string]any{"p": rows}, "query": []string{}})
+		return string(body)
+	}
+
+	indexed := request("X = Y :- p(A,X), p(A,Y).")
+	rec := do(t, h, "POST", "/reason?budget=1000", indexed)
+	if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), "exceeded the work budget of 1000 match attempts") {
+		t.Fatalf("budget=1000: status = %d, want 422 with the budget text: %s", rec.Code, rec.Body)
+	}
+	rec = do(t, h, "POST", "/reason", indexed)
+	var out struct {
+		Stats struct {
+			Attempts int64 `json:"match_attempts"`
+		} `json:"stats"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("no budget: status = %d, %v: %s", rec.Code, err, rec.Body)
+	}
+	if out.Stats.Attempts < int64(len(rows)) {
+		t.Fatalf("match_attempts = %d, want the EGD join counted", out.Stats.Attempts)
+	}
+	// The same join spelled so that no index applies is 144 M candidates.
+	start := time.Now()
+	rec = do(t, h, "POST", "/reason", request("X = Y :- p(A,X), p(B,Y), A == B."))
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("cross product: status = %d after %s, want 504: %s", rec.Code, time.Since(start), rec.Body)
 	}
 }

@@ -5,12 +5,13 @@ import (
 	"sort"
 )
 
-// This file is the plan layer of the evaluator: each rule is compiled once
-// per run into a cRule — variables become dense env slots, constants become
-// interned ids, and every body atom gets a join-index selection computed
-// from which of its columns are statically bound at its position in the
-// literal order. The walk engine (engine.go) then runs entirely on uint32
-// ids: no key strings, no map environments, no per-candidate allocation.
+// This file is the plan layer of the evaluator: each rule with a body — TGD
+// or EGD — is compiled once per run into a cRule: variables become dense env
+// slots, constants become interned ids, and every body atom gets a
+// join-index selection computed from which of its columns are statically
+// bound at its position in the literal order. The walk engine (engine.go)
+// then runs entirely on uint32 ids: no key strings, no map environments, no
+// per-candidate allocation.
 
 // cArg is one compiled atom argument: an interned constant or an env slot.
 type cArg struct {
@@ -21,8 +22,8 @@ type cArg struct {
 }
 
 // cStep is one body literal in evaluation order. Atom steps carry the
-// statically selected join index; rel/idx are resolved at the start of each
-// strata pass (applySubst replaces the database between passes).
+// statically selected join index; rel/idx are resolved by resolvePlan before
+// the rule runs (applySubst replaces the database between chase passes).
 type cStep struct {
 	kind LitKind
 	li   int // index into r.Body
@@ -44,7 +45,7 @@ type cStep struct {
 	assignSlot int
 	preBound   bool // slot statically bound before this step: compare, don't bind
 
-	// resolved per strata pass:
+	// resolved by resolvePlan:
 	rel *relation
 	idx *joinIndex
 }
@@ -58,8 +59,8 @@ type cHead struct {
 	rel       *relation
 }
 
-// cRule is one compiled rule. EGD rules and fact rules are not compiled
-// (they run on slower, simpler paths).
+// cRule is one compiled rule. Fact rules have no body to compile; their
+// heads are inserted once, before the first pass.
 type cRule struct {
 	ri     int
 	r      *Rule
@@ -69,7 +70,8 @@ type cRule struct {
 
 	steps  []cStep // in evaluation order, aggregate literal excluded
 	aggLit int     // body index of the aggregate literal, -1 if none
-	heads  []cHead
+	heads  []cHead // empty for an EGD
+	egd    [2]cArg // the two sides of an EGD's equality
 
 	// skolem/emission metadata
 	skolemPrefix  string // "r<ri>|"
@@ -233,16 +235,22 @@ func (ev *evaluator) compileRule(ri int) *cRule {
 		c.steps = append(c.steps, st)
 	}
 
+	// emitArg compiles a term read when a body match is complete.
+	emitArg := func(t Term) cArg {
+		if t.Kind == TConst {
+			return cArg{slot: -1, vid: ev.db.in.intern(t.Val)}
+		}
+		return cArg{slot: slot(t.Name), name: t.Name}
+	}
+	if r.IsEGD {
+		c.egd = [2]cArg{emitArg(r.EGDL), emitArg(r.EGDR)}
+	}
 	for _, h := range r.Heads {
 		ch := cHead{pred: h.Pred, pid: ev.pid(h.Pred), args: make([]cArg, len(h.Args))}
 		allConst := true
 		for i, t := range h.Args {
-			if t.Kind == TConst {
-				ch.args[i] = cArg{slot: -1, vid: ev.db.in.intern(t.Val)}
-			} else {
-				ch.args[i] = cArg{slot: c.slotOf[t.Name], name: t.Name}
-				allConst = false
-			}
+			ch.args[i] = emitArg(t)
+			allConst = allConst && t.Kind == TConst
 		}
 		if allConst {
 			ch.groundRow = make([]uint32, len(ch.args))
@@ -355,11 +363,14 @@ func probeHash(st *cStep, env []uint32) uint64 {
 	return h
 }
 
-// resolvePlan points every compiled step and head at the current database's
-// relations and builds the join indexes the plan selected. Called at the
-// start of every strata pass — sequentially, before any parallel phase, so
-// index construction never races with index probing.
-func (ev *evaluator) resolvePlan() {
+// resolvePlan points the compiled steps and heads of the TGDs, or of the
+// EGDs, at the current database's relations and builds the join indexes
+// their plans selected. TGDs resolve at the start of every strata pass —
+// sequentially, before any parallel phase, so index construction never races
+// with index probing. EGDs resolve when their pass starts, over the
+// saturated database: an index only they probe is built by one back-fill
+// instead of being maintained through every insert of the fixpoint.
+func (ev *evaluator) resolvePlan(egds bool) {
 	// Freeze the relation map: every predicate the program can touch gets
 	// its relation up front, so parallel strata never mutate ev.db.rels.
 	for _, r := range ev.prog.Rules {
@@ -373,7 +384,7 @@ func (ev *evaluator) resolvePlan() {
 		}
 	}
 	for _, c := range ev.crules {
-		if c == nil {
+		if c == nil || c.r.IsEGD != egds {
 			continue
 		}
 		for i := range c.steps {

@@ -77,6 +77,11 @@ type stratumCtx struct {
 	ev     *evaluator
 	iv     iview
 	rowBuf []uint32
+
+	// What an EGD pass found (see equate): whether any labelled null was
+	// unified, and the equalities demanded between distinct constants.
+	unified bool
+	viols   []Violation
 }
 
 // emitBuf buffers the head emissions of one parallel delta partition as two
@@ -156,22 +161,23 @@ func matchRow(st *cStep, row []uint32, env []uint32) bool {
 	return true
 }
 
-// evalExprS evaluates an expression over the slot environment, decoding ids
-// through the walk's interner view. Error strings match the map-environment
-// evaluator exactly.
-func (w *walkCtx) evalExprS(e Expr) (Val, error) {
+// evalExprS evaluates an expression of rule c over a slot environment,
+// decoding ids through the caller's interner view. It is the engine's only
+// expression evaluator: comparisons, assignments, aggregate arguments and
+// the right-hand side of an aggregate condition all come here.
+func evalExprS(e Expr, c *cRule, env []uint32, iv *iview) (Val, error) {
 	switch x := e.(type) {
 	case ExprTerm:
 		if x.T.Kind == TConst {
 			return x.T.Val, nil
 		}
-		s, ok := w.c.slotOf[x.T.Name]
-		if !ok || w.env[s] == unboundVid {
+		s, ok := c.slotOf[x.T.Name]
+		if !ok || env[s] == unboundVid {
 			return Val{}, fmt.Errorf("datalog: unbound variable %s", x.T.Name)
 		}
-		return w.iv.val(w.env[s]), nil
+		return iv.val(env[s]), nil
 	case ExprNeg:
-		v, err := w.evalExprS(x.E)
+		v, err := evalExprS(x.E, c, env, iv)
 		if err != nil {
 			return Val{}, err
 		}
@@ -186,7 +192,7 @@ func (w *walkCtx) evalExprS(e Expr) (Val, error) {
 		}
 		args := make([]Val, len(x.Args))
 		for i, a := range x.Args {
-			v, err := w.evalExprS(a)
+			v, err := evalExprS(a, c, env, iv)
 			if err != nil {
 				return Val{}, err
 			}
@@ -194,11 +200,11 @@ func (w *walkCtx) evalExprS(e Expr) (Val, error) {
 		}
 		return spec.apply(args)
 	case ExprBin:
-		l, err := w.evalExprS(x.L)
+		l, err := evalExprS(x.L, c, env, iv)
 		if err != nil {
 			return Val{}, err
 		}
-		r, err := w.evalExprS(x.R)
+		r, err := evalExprS(x.R, c, env, iv)
 		if err != nil {
 			return Val{}, err
 		}
@@ -222,6 +228,13 @@ func (w *walkCtx) evalExprS(e Expr) (Val, error) {
 	return Val{}, fmt.Errorf("datalog: bad expression %v", e)
 }
 
+// windowStart returns where the delta window starting at row position lo
+// begins in an index bucket: bucket positions ascend with insertion, so the
+// window is a contiguous run of the bucket.
+func windowStart(bucket []uint32, lo uint32) int {
+	return sort.Search(len(bucket), func(i int) bool { return bucket[i] >= lo })
+}
+
 func (w *walkCtx) walk(step int) {
 	if step == len(w.c.steps) {
 		w.emit()
@@ -230,78 +243,47 @@ func (w *walkCtx) walk(step int) {
 	st := &w.c.steps[step]
 	switch st.kind {
 	case LAtom:
-		restricted := st.li == w.restrictLi
+		// Candidates are row positions in ascending (= insertion) order: the
+		// whole relation or, where the plan selected a join index, the
+		// probed bucket. The restricted literal sees only its delta window
+		// [lo, hi); every other literal runs to the live end, so facts the
+		// rule itself derives mid-pass stay visible.
+		lo, hi := uint32(0), ^uint32(0)
+		if st.li == w.restrictLi {
+			lo, hi = w.lo, w.hi
+		}
+		var bucket []uint32 // the probed bucket; nil when the relation itself is scanned
+		var h uint64
+		i, n := int(lo), 0 // the next candidate and the end of those seen so far
 		if st.idx != nil {
-			h := probeHash(st, w.env)
-			if restricted {
-				bucket := st.idx.m[h]
-				// Bucket positions ascend with insertion, so the delta
-				// window is a contiguous sub-slice.
-				i := sort.Search(len(bucket), func(i int) bool { return bucket[i] >= w.lo })
-				for ; i < len(bucket); i++ {
-					pos := bucket[i]
-					if pos >= w.hi {
-						break
-					}
-					if err := w.spend(); err != nil {
-						w.err = err
-						return
-					}
-					if !matchRow(st, st.rel.row(int(pos)), w.env) {
-						continue
-					}
-					w.used = append(w.used, fid(st.pid, pos))
-					w.walk(step + 1)
-					w.used = w.used[:len(w.used)-1]
-					if w.err != nil || w.stop {
-						return
-					}
+			h = probeHash(st, w.env)
+			bucket = st.idx.m[h]
+			i, n = 0, len(bucket)
+			if lo > 0 {
+				i = windowStart(bucket, lo)
+			}
+		}
+		for ; ; i++ {
+			if i >= n {
+				// A self-insert appends to the relation and to the live
+				// bucket, possibly moving it: look again before giving up.
+				if st.idx != nil {
+					bucket = st.idx.m[h]
+					n = len(bucket)
+				} else {
+					n = st.rel.nrows()
 				}
+				if i >= n {
+					return
+				}
+			}
+			pos := uint32(i)
+			if bucket != nil {
+				pos = bucket[i]
+			}
+			if pos >= hi {
 				return
 			}
-			// Unrestricted: re-fetch the bucket each iteration so facts the
-			// rule itself derives mid-pass stay visible, exactly like the
-			// old engine's live byFirst scan.
-			for i := 0; ; i++ {
-				bucket := st.idx.m[h]
-				if i >= len(bucket) {
-					return
-				}
-				pos := bucket[i]
-				if err := w.spend(); err != nil {
-					w.err = err
-					return
-				}
-				if !matchRow(st, st.rel.row(int(pos)), w.env) {
-					continue
-				}
-				w.used = append(w.used, fid(st.pid, pos))
-				w.walk(step + 1)
-				w.used = w.used[:len(w.used)-1]
-				if w.err != nil || w.stop {
-					return
-				}
-			}
-		}
-		if restricted {
-			for pos := w.lo; pos < w.hi; pos++ {
-				if err := w.spend(); err != nil {
-					w.err = err
-					return
-				}
-				if !matchRow(st, st.rel.row(int(pos)), w.env) {
-					continue
-				}
-				w.used = append(w.used, fid(st.pid, pos))
-				w.walk(step + 1)
-				w.used = w.used[:len(w.used)-1]
-				if w.err != nil || w.stop {
-					return
-				}
-			}
-			return
-		}
-		for pos := uint32(0); int(pos) < st.rel.nrows(); pos++ {
 			if err := w.spend(); err != nil {
 				w.err = err
 				return
@@ -322,28 +304,22 @@ func (w *walkCtx) walk(step int) {
 		}
 		row := w.rowBuf[:len(st.args)]
 		for i := range st.args {
-			a := &st.args[i]
-			if a.slot < 0 {
-				row[i] = a.vid
-				continue
-			}
-			v := w.env[a.slot]
-			if v == unboundVid {
-				w.err = fmt.Errorf("datalog: unbound variable %s", a.name)
+			var ok bool
+			if row[i], ok = st.args[i].vidIn(w.env); !ok {
+				w.err = st.args[i].unbound()
 				return
 			}
-			row[i] = v
 		}
 		if _, ok := st.rel.findRow(row); !ok {
 			w.walk(step + 1)
 		}
 	case LCmp:
-		lv, err := w.evalExprS(st.lit.L)
+		lv, err := evalExprS(st.lit.L, w.c, w.env, w.iv)
 		if err != nil {
 			w.err = err
 			return
 		}
-		rv, err := w.evalExprS(st.lit.R)
+		rv, err := evalExprS(st.lit.R, w.c, w.env, w.iv)
 		if err != nil {
 			w.err = err
 			return
@@ -357,7 +333,7 @@ func (w *walkCtx) walk(step int) {
 			w.walk(step + 1)
 		}
 	case LAssign:
-		v, err := w.evalExprS(st.lit.AssignE)
+		v, err := evalExprS(st.lit.AssignE, w.c, w.env, w.iv)
 		if err != nil {
 			w.err = err
 			return
@@ -373,12 +349,17 @@ func (w *walkCtx) walk(step int) {
 	}
 }
 
+// emit is where a complete body match ends, in one of three terminals: an
+// EGD equates its two sides, an aggregate rule records a contribution, and
+// every other rule inserts its heads.
 func (w *walkCtx) emit() {
 	c := w.c
+	if c.r.IsEGD {
+		w.err = w.equate()
+		return
+	}
 	if c.aggLit >= 0 {
-		if err := w.recordAgg(); err != nil {
-			w.err = err
-		}
+		w.err = w.recordAgg()
 		return
 	}
 	if w.buffer != nil {
@@ -416,15 +397,58 @@ func (w *walkCtx) bufferEmit() {
 	b.used = append(b.used, w.used...)
 }
 
+// equate is the EGD terminal: the two sides of the equality under the
+// current match, read through the substitution built so far, are unified
+// when one of them is a labelled null and recorded as a violation when they
+// are distinct constants. The database itself is untouched until the pass is
+// over (applySubst), so an EGD body only ever reads saturated relations.
+func (w *walkCtx) equate() error {
+	c := w.c
+	if c.aggLit >= 0 {
+		return fmt.Errorf("datalog: aggregates are not allowed in EGD bodies")
+	}
+	lv, ok := c.egd[0].vidIn(w.env)
+	if !ok {
+		return c.egd[0].unbound()
+	}
+	rv, ok := c.egd[1].vidIn(w.env)
+	if !ok {
+		return c.egd[1].unbound()
+	}
+	ev := w.ev
+	l, r := ev.resolve(w.iv.val(lv)), ev.resolve(w.iv.val(rv))
+	switch {
+	case Equal(l, r):
+	case l.k == KNull:
+		ev.subst[l.id] = r
+		w.sc.unified = true
+	case r.k == KNull:
+		ev.subst[r.id] = l
+		w.sc.unified = true
+	default:
+		w.sc.viols = append(w.sc.viols, Violation{Rule: c.r.String(), A: l, B: r})
+	}
+	return nil
+}
+
+// vidIn returns the id the argument stands for under env — its constant, or
+// what its slot is bound to — and false for a slot still unbound.
+func (a *cArg) vidIn(env []uint32) (uint32, bool) {
+	if a.slot < 0 {
+		return a.vid, true
+	}
+	v := env[a.slot]
+	return v, v != unboundVid
+}
+
+func (a *cArg) unbound() error { return fmt.Errorf("datalog: unbound variable %s", a.name) }
+
 // appendRow appends the head's row under env to dst.
 func (h *cHead) appendRow(dst []uint32, c *cRule, env []uint32) ([]uint32, error) {
 	for i := range h.args {
-		a := &h.args[i]
-		v := a.vid
-		if a.slot >= 0 {
-			if v = env[a.slot]; v == unboundVid {
-				return dst, fmt.Errorf("line %d: %w", c.r.Line, fmt.Errorf("datalog: unbound variable %s", a.name))
-			}
+		v, ok := h.args[i].vidIn(env)
+		if !ok {
+			return dst, fmt.Errorf("line %d: %w", c.r.Line, h.args[i].unbound())
 		}
 		dst = append(dst, v)
 	}
@@ -505,7 +529,7 @@ func (w *walkCtx) recordAgg() error {
 		st[string(w.gkeyBuf)] = g
 	}
 
-	cv, err := w.evalExprS(l.Agg.Contrib)
+	cv, err := evalExprS(l.Agg.Contrib, w.c, w.env, w.iv)
 	if err != nil {
 		return err
 	}
@@ -514,13 +538,13 @@ func (w *walkCtx) recordAgg() error {
 	case AggCount:
 		contribution = Num(1)
 	case AggUnion:
-		v, err := w.evalExprS(l.Agg.Arg)
+		v, err := evalExprS(l.Agg.Arg, w.c, w.env, w.iv)
 		if err != nil {
 			return err
 		}
 		contribution = v
 	default:
-		v, err := w.evalExprS(l.Agg.Arg)
+		v, err := evalExprS(l.Agg.Arg, w.c, w.env, w.iv)
 		if err != nil {
 			return err
 		}
@@ -572,10 +596,7 @@ func (sc *stratumCtx) flushAgg(c *cRule) (int, error) {
 		if err != nil {
 			return added, fmt.Errorf("line %d: %w", c.r.Line, err)
 		}
-		env := make([]uint32, c.nSlots)
-		for i := range env {
-			env[i] = unboundVid
-		}
+		env := newEnv(c)
 		for i, s := range c.groupSlots {
 			env[s] = g.groupVids[i]
 		}
@@ -583,11 +604,7 @@ func (sc *stratumCtx) flushAgg(c *cRule) (int, error) {
 		case LAggAssign:
 			env[c.aggVarSlot] = ev.db.in.intern(agg)
 		case LAggCond:
-			menv := make(map[string]Val, len(c.groupVars))
-			for i, n := range c.groupVars {
-				menv[n] = sc.iv.val(g.groupVids[i])
-			}
-			rhs, err := evalExpr(l.R, menv)
+			rhs, err := evalExprS(l.R, c, env, &sc.iv)
 			if err != nil {
 				return added, err
 			}
@@ -609,16 +626,28 @@ func (sc *stratumCtx) flushAgg(c *cRule) (int, error) {
 	return added, nil
 }
 
-func (sc *stratumCtx) evalRule(c *cRule, restrictLi int, lo, hi uint32) (int, error) {
-	w := walkCtx{
+// newEnv returns the rule's slot environment with every slot unbound.
+func newEnv(c *cRule) []uint32 {
+	env := make([]uint32, c.nSlots)
+	for i := range env {
+		env[i] = unboundVid
+	}
+	return env
+}
+
+// newWalk starts a walk of rule c whose literal restrictLi (-1: none) sees
+// only rows [lo, hi). A walk that runs beside others brings its own
+// interner view and buffers its emissions.
+func (sc *stratumCtx) newWalk(c *cRule, restrictLi int, lo, hi uint32, iv *iview, buffer *emitBuf) *walkCtx {
+	return &walkCtx{
 		ev: sc.ev, sc: sc, c: c,
 		restrictLi: restrictLi, lo: lo, hi: hi,
-		env: make([]uint32, c.nSlots),
-		iv:  &sc.iv,
+		env: newEnv(c), iv: iv, buffer: buffer,
 	}
-	for i := range w.env {
-		w.env[i] = unboundVid
-	}
+}
+
+func (sc *stratumCtx) evalRule(c *cRule, restrictLi int, lo, hi uint32) (int, error) {
+	w := sc.newWalk(c, restrictLi, lo, hi, &sc.iv, nil)
 	w.walk(0)
 	if w.err != nil {
 		return w.derived, w.err
@@ -695,17 +724,7 @@ func (sc *stratumCtx) evalRuleParallel(c *cRule, restrictLi int, lo, hi, clo, ch
 	outs := make([]chunkOut, len(bounds))
 	pool.ForEach(ev.ctx, ev.workers, len(bounds), func(ci int) error {
 		co := &outs[ci]
-		liv := iview{in: ev.db.in}
-		w := walkCtx{
-			ev: ev, sc: sc, c: c,
-			restrictLi: restrictLi, lo: lo, hi: hi,
-			env:    make([]uint32, c.nSlots),
-			iv:     &liv,
-			buffer: &co.emits,
-		}
-		for i := range w.env {
-			w.env[i] = unboundVid
-		}
+		w := sc.newWalk(c, restrictLi, lo, hi, &iview{in: ev.db.in}, &co.emits)
 		b := bounds[ci]
 		for pos := clo + uint32(b[0]); pos < clo+uint32(b[1]); pos++ {
 			if err := w.spend(); err != nil {
@@ -775,45 +794,59 @@ func (sc *stratumCtx) fixpoint(stratum int, rules []*cRule) error {
 			headRels[c.heads[i].pred] = c.heads[i].rel
 		}
 	}
-	preds := make([]string, 0, len(headRels))
-	for p := range headRels {
-		preds = append(preds, p)
-	}
-	sort.Strings(preds)
-	snap := func() map[string]uint32 {
-		m := make(map[string]uint32, len(preds))
-		for _, p := range preds {
-			m[p] = uint32(headRels[p].nrows())
+	// pass runs one round and returns the row range it appended to each head
+	// relation, the next round's delta. The seed pass (delta nil) evaluates
+	// every rule over the whole database; a delta round re-evaluates a rule
+	// once per body atom of this stratum that has new rows, restricted to
+	// them.
+	before := make(map[string]uint32, len(headRels))
+	pass := func(round int, delta map[string][2]uint32) (map[string][2]uint32, error) {
+		for p, r := range headRels {
+			before[p] = uint32(r.nrows())
 		}
-		return m
+		derived := 0
+		for _, c := range rules {
+			if delta == nil {
+				n, err := sc.evalRuleAuto(c, -1, 0, 0)
+				derived += n
+				if err != nil {
+					return nil, err
+				}
+				continue
+			}
+			for li := range c.r.Body {
+				l := &c.r.Body[li]
+				if l.Kind != LAtom || ev.strata[l.Atom.Pred] != stratum {
+					continue
+				}
+				rng, ok := delta[l.Atom.Pred]
+				if !ok {
+					continue
+				}
+				n, err := sc.evalRuleAuto(c, li, rng[0], rng[1])
+				derived += n
+				if err != nil {
+					return nil, err
+				}
+			}
+		}
+		next := make(map[string][2]uint32)
+		for p, r := range headRels {
+			if n := uint32(r.nrows()); n > before[p] {
+				next[p] = [2]uint32{before[p], n}
+			}
+		}
+		ev.rounds.Add(1)
+		if tr := ev.opt.Trace; tr != nil && delta == nil {
+			fmt.Fprintf(tr, "stratum %d seed: %d rules, %d facts derived, db %d\n", stratum, len(rules), derived, ev.db.Len())
+		} else if tr != nil {
+			fmt.Fprintf(tr, "stratum %d round %d: %d facts derived, db %d\n", stratum, round+1, derived, ev.db.Len())
+		}
+		return next, ev.chargeMemory()
 	}
 
-	before := snap()
-	derived := 0
-	for _, c := range rules {
-		n, err := sc.evalRuleAuto(c, -1, 0, 0)
-		derived += n
-		if err != nil {
-			return err
-		}
-	}
-	after := snap()
-	delta := make(map[string][2]uint32)
-	for _, p := range preds {
-		if after[p] > before[p] {
-			delta[p] = [2]uint32{before[p], after[p]}
-		}
-	}
-	ev.rounds.Add(1)
-	if ev.opt.Trace != nil {
-		fmt.Fprintf(ev.opt.Trace, "stratum %d seed: %d rules, %d facts derived, db %d\n",
-			stratum, len(rules), derived, ev.db.Len())
-	}
-	if err := ev.chargeMemory(); err != nil {
-		return err
-	}
-
-	for round := 0; len(delta) > 0; round++ {
+	delta, err := pass(0, nil)
+	for round := 0; err == nil && len(delta) > 0; round++ {
 		if round > ev.opt.MaxRounds {
 			return fmt.Errorf("datalog: stratum %d exceeded %d rounds", stratum, ev.opt.MaxRounds)
 		}
@@ -823,46 +856,9 @@ func (sc *stratumCtx) fixpoint(stratum int, rules []*cRule) error {
 		if ev.db.Len() > ev.opt.MaxFacts {
 			return fmt.Errorf("datalog: database exceeded %d facts (runaway chase?)", ev.opt.MaxFacts)
 		}
-		if err := ev.chargeMemory(); err != nil {
-			return err
-		}
-		before = snap()
-		roundDerived := 0
-		for _, c := range rules {
-			for li := range c.r.Body {
-				l := &c.r.Body[li]
-				if l.Kind != LAtom {
-					continue
-				}
-				if ev.strata[l.Atom.Pred] != stratum {
-					continue
-				}
-				rng, ok := delta[l.Atom.Pred]
-				if !ok {
-					continue
-				}
-				n, err := sc.evalRuleAuto(c, li, rng[0], rng[1])
-				roundDerived += n
-				if err != nil {
-					return err
-				}
-			}
-		}
-		after = snap()
-		next := make(map[string][2]uint32)
-		for _, p := range preds {
-			if after[p] > before[p] {
-				next[p] = [2]uint32{before[p], after[p]}
-			}
-		}
-		ev.rounds.Add(1)
-		if ev.opt.Trace != nil {
-			fmt.Fprintf(ev.opt.Trace, "stratum %d round %d: %d facts derived, db %d\n",
-				stratum, round+1, roundDerived, ev.db.Len())
-		}
-		delta = next
+		delta, err = pass(round, delta)
 	}
-	return nil
+	return err
 }
 
 // runStrata evaluates every stratum. Sequential mode (one worker, or
@@ -885,7 +881,7 @@ func (ev *evaluator) runStrata() error {
 		ruleStratum[i] = ev.strata[r.Heads[0].Pred]
 		ev.aggState[i] = make(map[string]*aggGroup)
 	}
-	ev.resolvePlan()
+	ev.resolvePlan(false)
 	byStratum := make([][]*cRule, ev.nStrata)
 	for i, s := range ruleStratum {
 		if s >= 0 {
@@ -1046,127 +1042,29 @@ func (ev *evaluator) chargeMemory() error {
 }
 
 // runEGDs applies every EGD over the saturated database, unifying labelled
-// nulls and collecting violations between distinct constants. EGDs run on
-// the decoded-tuple path: they fire rarely, on small saturated relations,
-// and the map-environment walk is the exact old-engine semantics.
+// nulls and collecting violations between distinct constants. An EGD body is
+// a compiled plan like any other, walked by the same join with the equality
+// as its terminal (equate); the rules run one after another because each
+// unification is read by the next match.
 func (ev *evaluator) runEGDs() (unified bool, viols []Violation, err error) {
-	factCache := make(map[string][]Tuple)
-	factsFor := func(pred string) []Tuple {
-		if fs, ok := factCache[pred]; ok {
-			return fs
-		}
-		fs := ev.db.insertionFacts(pred)
-		factCache[pred] = fs
-		return fs
-	}
-	for ri := range ev.prog.Rules {
-		r := &ev.prog.Rules[ri]
-		if !r.IsEGD {
+	ev.resolvePlan(true)
+	sc := &stratumCtx{ev: ev, iv: iview{in: ev.db.in}}
+	for _, c := range ev.crules {
+		if c == nil || !c.r.IsEGD {
 			continue
 		}
 		if err := ev.ctxErr(); err != nil {
 			return false, nil, err
 		}
-		env := make(map[string]Val)
-		var evalErr error
-		order := ev.orders[ri]
-		var walk func(step int)
-		walk = func(step int) {
-			if evalErr != nil {
-				return
-			}
-			if step == len(order) {
-				l, errL := termVal(r.EGDL, env)
-				if errL != nil {
-					evalErr = errL
-					return
-				}
-				rv, errR := termVal(r.EGDR, env)
-				if errR != nil {
-					evalErr = errR
-					return
-				}
-				l, rv = ev.resolve(l), ev.resolve(rv)
-				if Equal(l, rv) {
-					return
-				}
-				switch {
-				case l.k == KNull:
-					ev.subst[l.id] = rv
-					unified = true
-				case rv.k == KNull:
-					ev.subst[rv.id] = l
-					unified = true
-				default:
-					viols = append(viols, Violation{Rule: r.String(), A: l, B: rv})
-				}
-				return
-			}
-			lit := &r.Body[order[step]]
-			switch lit.Kind {
-			case LAtom:
-				for _, f := range factsFor(lit.Atom.Pred) {
-					undo, ok := match(lit.Atom, f, env)
-					if !ok {
-						continue
-					}
-					walk(step + 1)
-					undoBind(env, undo)
-					if evalErr != nil {
-						return
-					}
-				}
-			case LNegAtom:
-				t := make(Tuple, len(lit.Atom.Args))
-				for i, a := range lit.Atom.Args {
-					v, err := termVal(a, env)
-					if err != nil {
-						evalErr = err
-						return
-					}
-					t[i] = v
-				}
-				if !ev.db.Has(lit.Atom.Pred, t...) {
-					walk(step + 1)
-				}
-			case LCmp:
-				lv, errL := evalExpr(lit.L, env)
-				if errL != nil {
-					evalErr = errL
-					return
-				}
-				rv, errR := evalExpr(lit.R, env)
-				if errR != nil {
-					evalErr = errR
-					return
-				}
-				ok, errC := compare(lit.Op, lv, rv)
-				if errC != nil {
-					evalErr = errC
-					return
-				}
-				if ok {
-					walk(step + 1)
-				}
-			case LAssign:
-				v, errA := evalExpr(lit.AssignE, env)
-				if errA != nil {
-					evalErr = errA
-					return
-				}
-				env[lit.Var] = v
-				walk(step + 1)
-				delete(env, lit.Var)
-			default:
-				evalErr = fmt.Errorf("datalog: aggregates are not allowed in EGD bodies")
-			}
-		}
-		walk(0)
-		if evalErr != nil {
-			return false, nil, evalErr
+		if _, err := sc.evalRule(c, -1, 0, 0); err != nil {
+			return false, nil, err
 		}
 	}
-	return unified, viols, nil
+	// The pass added no facts, but it may have built join indexes.
+	if err := ev.chargeMemory(); err != nil {
+		return false, nil, err
+	}
+	return sc.unified, sc.viols, nil
 }
 
 // resolve chases the null-substitution map, guarding against cycles, and
@@ -1210,7 +1108,7 @@ func (ev *evaluator) applySubst() {
 		vidMemo[v] = nv
 		return nv
 	}
-	preds := old.predsInsertionSafe()
+	preds := old.Predicates()
 	remap := make(map[uint32][]uint32, len(preds)) // pid -> old row position -> new
 	var nrow []uint32
 	for _, pred := range preds {
@@ -1298,11 +1196,9 @@ func RunContext(ctx context.Context, p *Program, edb *Database, opt *Options) (*
 	}
 	ev.crules = make([]*cRule, len(p.Rules))
 	for i := range p.Rules {
-		r := &p.Rules[i]
-		if r.IsEGD || len(r.Body) == 0 {
-			continue
+		if len(p.Rules[i].Body) > 0 {
+			ev.crules[i] = ev.compileRule(i)
 		}
-		ev.crules[i] = ev.compileRule(i)
 	}
 
 	baseLen := ev.db.Len()

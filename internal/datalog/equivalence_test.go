@@ -39,6 +39,20 @@ func graphEDB(seed int64, nodes, edges int) *Database {
 	return edb
 }
 
+// capEDB holds conflicting capacities: cap(c, v) with several values per c,
+// so "A = B :- cap(X,A), cap(X,B)" reports many violations, in both
+// orientations, and exempt(c) for some c.
+func capEDB() *Database {
+	rng := rand.New(rand.NewSource(5))
+	edb := NewDatabase()
+	for i := 0; i < 40; i++ {
+		edb.Add("cap", Str(fmt.Sprintf("c%d", rng.Intn(6))), Num(float64(rng.Intn(8))))
+	}
+	edb.Add("exempt", Str("c1"))
+	edb.Add("exempt", Str("c4"))
+	return edb
+}
+
 func TestEquivalenceCorpusPrograms(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "programs", "*.vada"))
 	if err != nil || len(files) == 0 {
@@ -171,6 +185,66 @@ func TestEquivalenceHandwritten(t *testing.T) {
 				edb.Add("cand", Str("zz"))
 				return edb
 			}},
+		// EGD bodies. Since the engine walks them on the compiled plan and the
+		// oracle on its own map environments, these compare two evaluators;
+		// every literal kind an EGD body can hold appears at least once.
+		// Violations are compared in order, so each case also pins the
+		// candidate enumeration order of the indexed join.
+		{"egd-negated-atom", `
+			A = B :- cap(X,A), cap(X,B), not exempt(X).`,
+			capEDB},
+		{"egd-ordered-comparison", `
+			A = B :- cap(X,A), cap(X,B), A < B, A + 10 >= B.`,
+			capEDB},
+		{"egd-constants-repeated-var", `
+			V1 = V2 :- self(M,M), attr(M,area,V1), attr(M,area,V2), kind(area,geo).`,
+			func() *Database {
+				edb := NewDatabase()
+				for i, v := range []string{"north", "south", "north", "east"} {
+					m := Str(fmt.Sprintf("m%d", i%2))
+					edb.Add("attr", m, Str("area"), Str(v))
+					edb.Add("attr", m, Str("sector"), Str(v))
+					edb.Add("self", m, m)
+					edb.Add("self", m, Str("other"))
+				}
+				edb.Add("kind", Str("area"), Str("geo"))
+				edb.Add("kind", Str("sector"), Str("geo"))
+				return edb
+			}},
+		{"egd-mixed-arities", `
+			A = B :- cap(X,A), cap(X,B).`,
+			func() *Database {
+				edb := capEDB()
+				edb.Add("cap", Str("c0"))
+				edb.Add("cap", Str("c0"), Num(1), Str("extra"))
+				edb.Add("cap", Str("c1"), Num(2), Num(3))
+				return edb
+			}},
+		{"egd-nulls-two-passes", `
+			dept(E,D) :- emp(E).
+			dept(E,D) :- known(E,D).
+			boss(D,B) :- dept(_E,D).
+			D1 = D2 :- dept(E,D1), dept(E,D2).
+			B1 = B2 :- boss(D,B1), boss(D,B2).
+			B = N :- boss(D,B), named(D,N).`,
+			func() *Database {
+				edb := NewDatabase()
+				for i := 0; i < 6; i++ {
+					e := Str(fmt.Sprintf("e%d", i))
+					edb.Add("emp", e)
+					if i%2 == 0 {
+						edb.Add("known", e, Str(fmt.Sprintf("d%d", i%4)))
+					}
+				}
+				edb.Add("named", Str("d0"), Str("ann"))
+				edb.Add("named", Str("d2"), Str("bob"))
+				edb.Add("named", Str("d2"), Str("cho"))
+				return edb
+			}},
+		{"egd-violation-order", `
+			A = B :- cap(X,A), cap(X,B).
+			A = B :- cap(_X,A), cap(_Y,B), A > 3, B > 3.`,
+			capEDB},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

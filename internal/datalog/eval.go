@@ -279,19 +279,7 @@ func (db *Database) Facts(pred string) []Tuple {
 
 // Has reports whether the fact is present.
 func (db *Database) Has(pred string, args ...Val) bool {
-	r := db.rels[pred]
-	if r == nil {
-		return false
-	}
-	row := make([]uint32, len(args))
-	for i, v := range args {
-		id, ok := db.in.lookup(v)
-		if !ok {
-			return false // a never-interned value cannot be in any fact
-		}
-		row[i] = id
-	}
-	_, ok := r.findRow(row)
+	_, ok := db.findFact(pred, args)
 	return ok
 }
 
@@ -308,17 +296,6 @@ func (db *Database) Predicates() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// predsInsertionSafe returns the sorted predicate names with facts; used by
-// deterministic whole-database walks (applySubst, the seed-compatibility
-// conversion in tests).
-func (db *Database) predsInsertionSafe() []string { return db.Predicates() }
-
-// insertionFacts decodes a predicate's facts in insertion order — the order
-// observable through provenance firsts and labelled-null minting.
-func (db *Database) insertionFacts(pred string) []Tuple {
-	return db.Rows(pred).tuples()
 }
 
 // clone copies the rows (sharing the interner) and drops the join indexes:
@@ -390,11 +367,12 @@ type Options struct {
 	MaxFacts  int // abort when the database exceeds this many facts (default 1e6)
 	MaxRounds int // abort a stratum fixpoint after this many rounds (default 1e5)
 	// MaxWork caps the total number of fact-match attempts across the
-	// whole run (default 1e9): the guard against join explosions that
-	// burn CPU inside a single evaluation pass, where the per-round fact
-	// and round caps never trigger. Join indexes prune non-matching
-	// candidates before they are attempted, so the same program consumes
-	// less of this budget than it did on the pre-index engine.
+	// whole run, EGD bodies included (default 1e9): the guard against join
+	// explosions that burn CPU inside a single evaluation pass, where the
+	// per-round fact and round caps never trigger. Join indexes prune
+	// non-matching candidates before they are attempted, so the same
+	// program consumes less of this budget than it did on the pre-index
+	// engine.
 	MaxWork int64
 	// Workers caps the goroutines used for parallel evaluation of
 	// independent strata and of large delta partitions within a stratum:
@@ -408,8 +386,8 @@ type Options struct {
 	// sequentially so the line order matches the stratum order.
 	Trace io.Writer
 	// Governor, when set, is charged the growth of the database's
-	// estimated byte size at every fixpoint-round boundary and refunded
-	// when the run ends. A failed reservation aborts the run with the
+	// estimated byte size after every fixpoint round and EGD pass and
+	// refunded when the run ends. A failed reservation aborts the run with the
 	// governor's error, so a labelled-null-heavy chase trips a byte
 	// budget long before the fact-count cap would. Declared locally so
 	// this package needs no dependency on the governor implementation;
@@ -447,7 +425,7 @@ func (o *Options) withDefaults() Options {
 // observability block behind the paper's interactive-latency claim. All
 // figures are exact except MatchAttempts under parallel evaluation, where
 // partitions that lose the insertion race may retry, and PeakBytes, which
-// is sampled at fixpoint-round boundaries.
+// is sampled after every fixpoint round and EGD pass.
 type EvalStats struct {
 	// Rounds counts fixpoint rounds across all strata and EGD passes,
 	// the seed passes included.
@@ -589,120 +567,6 @@ func btoi(b bool) int {
 // to be invisible next to the matching work while still bounding the latency
 // between cancellation and the evaluator unwinding.
 const ctxPollMask = 8192 - 1
-
-// match unifies an atom pattern against a fact under env, returning the list
-// of variables newly bound (to undo) and whether it matched. The compiled
-// engine matches on interned ids; this Tuple-level form remains for the EGD
-// walk and provenance queries, where rows are already decoded.
-func match(a *Atom, f Tuple, env map[string]Val) ([]string, bool) {
-	if len(a.Args) != len(f) {
-		return nil, false
-	}
-	var undo []string
-	for i, t := range a.Args {
-		switch t.Kind {
-		case TConst:
-			if !Equal(t.Val, f[i]) {
-				undoBind(env, undo)
-				return nil, false
-			}
-		case TVar:
-			if v, ok := env[t.Name]; ok {
-				if !Equal(v, f[i]) {
-					undoBind(env, undo)
-					return nil, false
-				}
-			} else {
-				env[t.Name] = f[i]
-				undo = append(undo, t.Name)
-			}
-		}
-	}
-	return undo, true
-}
-
-func undoBind(env map[string]Val, undo []string) {
-	for _, v := range undo {
-		delete(env, v)
-	}
-}
-
-// boundTermVal resolves a term if it is a constant or an already-bound
-// variable.
-func boundTermVal(t Term, env map[string]Val) (Val, bool) {
-	if t.Kind == TConst {
-		return t.Val, true
-	}
-	v, ok := env[t.Name]
-	return v, ok
-}
-
-func termVal(t Term, env map[string]Val) (Val, error) {
-	if t.Kind == TConst {
-		return t.Val, nil
-	}
-	v, ok := env[t.Name]
-	if !ok {
-		return Val{}, fmt.Errorf("datalog: unbound variable %s", t.Name)
-	}
-	return v, nil
-}
-
-func evalExpr(e Expr, env map[string]Val) (Val, error) {
-	switch x := e.(type) {
-	case ExprTerm:
-		return termVal(x.T, env)
-	case ExprNeg:
-		v, err := evalExpr(x.E, env)
-		if err != nil {
-			return Val{}, err
-		}
-		if v.k != KNum {
-			return Val{}, fmt.Errorf("datalog: unary '-' on non-number %s", v)
-		}
-		return Num(-v.n), nil
-	case ExprCall:
-		spec, ok := builtins[x.Name]
-		if !ok {
-			return Val{}, fmt.Errorf("datalog: unknown function %q", x.Name)
-		}
-		args := make([]Val, len(x.Args))
-		for i, a := range x.Args {
-			v, err := evalExpr(a, env)
-			if err != nil {
-				return Val{}, err
-			}
-			args[i] = v
-		}
-		return spec.apply(args)
-	case ExprBin:
-		l, err := evalExpr(x.L, env)
-		if err != nil {
-			return Val{}, err
-		}
-		r, err := evalExpr(x.R, env)
-		if err != nil {
-			return Val{}, err
-		}
-		if l.k != KNum || r.k != KNum {
-			return Val{}, fmt.Errorf("datalog: arithmetic %q on non-numbers %s, %s", x.Op, l, r)
-		}
-		switch x.Op {
-		case "+":
-			return Num(l.n + r.n), nil
-		case "-":
-			return Num(l.n - r.n), nil
-		case "*":
-			return Num(l.n * r.n), nil
-		case "/":
-			if r.n == 0 {
-				return Val{}, fmt.Errorf("datalog: division by zero")
-			}
-			return Num(l.n / r.n), nil
-		}
-	}
-	return Val{}, fmt.Errorf("datalog: bad expression %v", e)
-}
 
 func compare(op string, l, r Val) (bool, error) {
 	switch op {

@@ -1078,3 +1078,120 @@ func (ev *seedEvaluator) applySubst() {
 	}
 	ev.prov = newProv
 }
+
+// The map-environment leaf functions below were the engine's own until the
+// EGD walk, aggregate conditions and Query moved onto the compiled plan; the
+// oracle keeps verbatim copies so that it shares no evaluation code with the
+// engine it checks.
+
+// match unifies an atom pattern against a fact under env, returning the list
+// of variables newly bound (to undo) and whether it matched.
+func match(a *Atom, f Tuple, env map[string]Val) ([]string, bool) {
+	if len(a.Args) != len(f) {
+		return nil, false
+	}
+	var undo []string
+	for i, t := range a.Args {
+		switch t.Kind {
+		case TConst:
+			if !Equal(t.Val, f[i]) {
+				undoBind(env, undo)
+				return nil, false
+			}
+		case TVar:
+			if v, ok := env[t.Name]; ok {
+				if !Equal(v, f[i]) {
+					undoBind(env, undo)
+					return nil, false
+				}
+			} else {
+				env[t.Name] = f[i]
+				undo = append(undo, t.Name)
+			}
+		}
+	}
+	return undo, true
+}
+
+func undoBind(env map[string]Val, undo []string) {
+	for _, v := range undo {
+		delete(env, v)
+	}
+}
+
+// boundTermVal resolves a term if it is a constant or an already-bound
+// variable.
+func boundTermVal(t Term, env map[string]Val) (Val, bool) {
+	if t.Kind == TConst {
+		return t.Val, true
+	}
+	v, ok := env[t.Name]
+	return v, ok
+}
+
+func termVal(t Term, env map[string]Val) (Val, error) {
+	if t.Kind == TConst {
+		return t.Val, nil
+	}
+	v, ok := env[t.Name]
+	if !ok {
+		return Val{}, fmt.Errorf("datalog: unbound variable %s", t.Name)
+	}
+	return v, nil
+}
+
+func evalExpr(e Expr, env map[string]Val) (Val, error) {
+	switch x := e.(type) {
+	case ExprTerm:
+		return termVal(x.T, env)
+	case ExprNeg:
+		v, err := evalExpr(x.E, env)
+		if err != nil {
+			return Val{}, err
+		}
+		if v.k != KNum {
+			return Val{}, fmt.Errorf("datalog: unary '-' on non-number %s", v)
+		}
+		return Num(-v.n), nil
+	case ExprCall:
+		spec, ok := builtins[x.Name]
+		if !ok {
+			return Val{}, fmt.Errorf("datalog: unknown function %q", x.Name)
+		}
+		args := make([]Val, len(x.Args))
+		for i, a := range x.Args {
+			v, err := evalExpr(a, env)
+			if err != nil {
+				return Val{}, err
+			}
+			args[i] = v
+		}
+		return spec.apply(args)
+	case ExprBin:
+		l, err := evalExpr(x.L, env)
+		if err != nil {
+			return Val{}, err
+		}
+		r, err := evalExpr(x.R, env)
+		if err != nil {
+			return Val{}, err
+		}
+		if l.k != KNum || r.k != KNum {
+			return Val{}, fmt.Errorf("datalog: arithmetic %q on non-numbers %s, %s", x.Op, l, r)
+		}
+		switch x.Op {
+		case "+":
+			return Num(l.n + r.n), nil
+		case "-":
+			return Num(l.n - r.n), nil
+		case "*":
+			return Num(l.n * r.n), nil
+		case "/":
+			if r.n == 0 {
+				return Val{}, fmt.Errorf("datalog: division by zero")
+			}
+			return Num(l.n / r.n), nil
+		}
+	}
+	return Val{}, fmt.Errorf("datalog: bad expression %v", e)
+}

@@ -12,6 +12,15 @@ import (
 	"testing"
 )
 
+// The frozen oracle reads an engine database through these two methods; they
+// left the engine with its last callers and live on here so the oracle file
+// stays as it was frozen.
+func (db *Database) predsInsertionSafe() []string { return db.Predicates() }
+
+// insertionFacts decodes a predicate's facts in insertion order — the order
+// observable through provenance firsts and labelled-null minting.
+func (db *Database) insertionFacts(pred string) []Tuple { return db.Rows(pred).tuples() }
+
 // EquivWorkers are the worker counts every equivalence check runs under:
 // forced-sequential and forced-parallel evaluation must be bit-identical.
 var EquivWorkers = []int{1, 4}
@@ -66,7 +75,7 @@ func EquivCheck(t testing.TB, name string, p *Program, edb *Database, opt *Optio
 // them.
 func bulkCopy(db *Database) *Database {
 	out := NewDatabase()
-	for _, pred := range db.predsInsertionSafe() {
+	for _, pred := range db.Predicates() {
 		l := out.Loader(pred)
 		rows := db.Rows(pred)
 		for i := 0; i < rows.Len(); i++ {

@@ -250,15 +250,6 @@ func Preflight(p *datalog.Program) error {
 	return nil
 }
 
-// PreflightSource is Preflight over program text, with directive support.
-func PreflightSource(file, src string) error {
-	diags := Source(file, src, nil)
-	if HasErrors(diags) {
-		return &Error{Diagnostics: diags}
-	}
-	return nil
-}
-
 // parseDiagnostic converts a parser error into the VL000 diagnostic. The
 // parser prefixes errors with "datalog: line N:", which is recovered for
 // the position.

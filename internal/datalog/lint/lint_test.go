@@ -2,9 +2,11 @@ package lint_test
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
+	"vadasa"
 	"vadasa/internal/datalog"
 	"vadasa/internal/datalog/lint"
 )
@@ -42,9 +44,10 @@ func TestValidateCatchesArityClash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = datalog.Validate(p)
-	if err == nil || !strings.Contains(err.Error(), "predicate own used with 2 arguments") {
-		t.Errorf("datalog.Validate must reject the arity clash, got: %v", err)
+	err = vadasa.ValidateProgram(p)
+	var lerr *lint.Error
+	if !errors.As(err, &lerr) || !strings.Contains(err.Error(), "predicate own used with 2 arguments") {
+		t.Errorf("vadasa.ValidateProgram must reject the arity clash with a *lint.Error, got: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -120,28 +121,38 @@ func (b Binding) Get(name string) (Val, bool) {
 //
 //	res.Query("rel", V("X"), C(Str("bank1")))   // who controls bank1?
 func (r *Result) Query(pred string, pattern ...Term) []Binding {
+	// The pattern is a one-atom body: compile it and match rows on ids.
 	var varOrder []string
-	seen := map[string]bool{}
-	for _, t := range pattern {
-		if t.Kind == TVar && !seen[t.Name] {
-			seen[t.Name] = true
-			varOrder = append(varOrder, t.Name)
-		}
-	}
-	var out []Binding
-	atom := &Atom{Pred: pred, Args: pattern}
-	env := make(map[string]Val)
-	for _, f := range r.db.Facts(pred) {
-		undo, ok := match(atom, f, env)
-		if !ok {
+	st := cStep{args: make([]cArg, len(pattern))}
+	for i, t := range pattern {
+		if t.Kind == TConst {
+			id, ok := r.db.in.lookup(t.Val)
+			if !ok {
+				return nil // a never-interned constant is in no fact
+			}
+			st.args[i] = cArg{slot: -1, vid: id}
 			continue
 		}
-		b := Binding{Vars: varOrder, Vals: make([]Val, len(varOrder))}
-		for i, name := range varOrder {
-			b.Vals[i] = env[name]
+		s := slices.Index(varOrder, t.Name)
+		if s < 0 {
+			s = len(varOrder)
+			varOrder = append(varOrder, t.Name)
+			st.args[i].bind = true
+		}
+		st.args[i].slot = s
+	}
+	var out []Binding
+	env := make([]uint32, len(varOrder))
+	rows := r.db.SortedRows(pred)
+	for i := 0; i < rows.Len(); i++ {
+		if !matchRow(&st, rows.Row(i).ids, env) {
+			continue
+		}
+		b := Binding{Vars: varOrder, Vals: make([]Val, len(env))}
+		for j, id := range env {
+			b.Vals[j] = rows.iv.val(id)
 		}
 		out = append(out, b)
-		undoBind(env, undo)
 	}
 	return out
 }

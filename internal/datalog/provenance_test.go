@@ -1,6 +1,9 @@
 package datalog
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -111,5 +114,70 @@ func TestQueryPatterns(t *testing.T) {
 	}
 	if _, ok := (Binding{}).Get("nope"); ok {
 		t.Fatal("empty binding resolved a variable")
+	}
+}
+
+// queryReference is Query as it was before it matched on ids: the oracle's
+// match over the decoded, sorted facts.
+func queryReference(r *Result, pred string, pattern ...Term) []Binding {
+	var varOrder []string
+	seen := map[string]bool{}
+	for _, t := range pattern {
+		if t.Kind == TVar && !seen[t.Name] {
+			seen[t.Name] = true
+			varOrder = append(varOrder, t.Name)
+		}
+	}
+	var out []Binding
+	atom := &Atom{Pred: pred, Args: pattern}
+	env := make(map[string]Val)
+	for _, f := range r.db.Facts(pred) {
+		undo, ok := match(atom, f, env)
+		if !ok {
+			continue
+		}
+		b := Binding{Vars: varOrder, Vals: make([]Val, len(varOrder))}
+		for i, name := range varOrder {
+			b.Vals[i] = env[name]
+		}
+		out = append(out, b)
+		undoBind(env, undo)
+	}
+	return out
+}
+
+// TestQueryMatchesReference drives Query and its reference over random
+// patterns — repeated variables, constants no fact contains, a predicate of
+// mixed arities, one with no facts — and wants the same bindings in the same
+// order.
+func TestQueryMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	edb := NewDatabase()
+	vals := []Val{Num(0), Num(1), Num(2.5), Str("a"), Str("b"), NullVal(3), List(Num(1), Str("a"))}
+	for i := 0; i < 120; i++ {
+		f := make([]Val, 1+rng.Intn(3))
+		for j := range f {
+			f[j] = vals[rng.Intn(len(vals))]
+		}
+		edb.Add("r", f...)
+	}
+	res, err := Run(MustParse(`s(X,Y) :- r(X,Y).`), edb, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	terms := []Term{V("X"), V("Y"), V("X"), C(Str("never")), C(Num(-7)), C(List(Num(9)))}
+	for _, v := range vals {
+		terms = append(terms, C(v))
+	}
+	for i := 0; i < 2000; i++ {
+		pattern := make([]Term, rng.Intn(4))
+		for j := range pattern {
+			pattern[j] = terms[rng.Intn(len(terms))]
+		}
+		pred := []string{"r", "s", "none"}[rng.Intn(3)]
+		got, want := res.Query(pred, pattern...), queryReference(res, pred, pattern...)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Query(%s, %s):\n got %v\nwant %v", pred, fmt.Sprint(pattern), got, want)
+		}
 	}
 }

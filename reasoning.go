@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"vadasa/internal/datalog"
+	"vadasa/internal/datalog/lint"
 )
 
 // Reasoning surface: the warded-Datalog±-style engine Vada-SA builds on.
@@ -74,12 +75,12 @@ func ReasonContext(ctx context.Context, p *Program, edb *FactDB, opts *Reasoning
 // PTIME-decidable reasoning; the framework's built-in programs pass it.
 func CheckWarded(p *Program) error { return datalog.CheckWarded(p) }
 
-// ValidateProgram is the engine's structural pre-flight: per-predicate arity
-// consistency, stratifiability, and wardedness — the checks whose failure
-// makes evaluation wrong or divergent, not merely suspicious. It is opt-in:
-// Reason does not call it. For full position-tagged diagnostics (including
-// warnings), use the internal/datalog/lint analyzer or the vadalint CLI.
-func ValidateProgram(p *Program) error { return datalog.Validate(p) }
+// ValidateProgram is the pre-flight the service runs before /reason: it
+// lints the program and, when any finding has error severity — an arity
+// clash, a wardedness violation, no stratification: what makes evaluation
+// wrong or divergent, not merely suspicious — returns a *lint.Error carrying
+// every position-tagged diagnostic. It is opt-in: Reason does not call it.
+func ValidateProgram(p *Program) error { return lint.Preflight(p) }
 
 // StrVal returns a string value.
 func StrVal(s string) Val { return datalog.Str(s) }
