@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -174,8 +175,8 @@ func addLoadFlags(fs *flag.FlagSet) loadFlags {
 	}
 }
 
-// load reads a CSV, infers attribute categories through the framework, and
-// applies manual overrides.
+// load reads the -in CSV the way the flags say: -kb loaded first, -id/-qi/
+// -weight as category overrides.
 func (lf loadFlags) load(f *vadasa.Framework) (*vadasa.Dataset, *vadasa.CategorizationResult, error) {
 	if *lf.in == "" {
 		return nil, nil, fmt.Errorf("-in is required")
@@ -191,101 +192,52 @@ func (lf loadFlags) load(f *vadasa.Framework) (*vadasa.Dataset, *vadasa.Categori
 			return nil, nil, err
 		}
 	}
-	file, err := os.Open(*lf.in)
+	return loadCSV(f, *lf.in, overrideMap(splitList(*lf.ids), splitList(*lf.qi), *lf.weight), *lf.scale)
+}
+
+// overrideMap collects the attribute categories fixed by hand.
+func overrideMap(ids, qis []string, weight string) map[string]vadasa.Category {
+	overrides := map[string]vadasa.Category{}
+	for _, n := range ids {
+		overrides[n] = vadasa.Identifier
+	}
+	for _, n := range qis {
+		overrides[n] = vadasa.QuasiIdentifier
+	}
+	if weight != "" {
+		overrides[weight] = vadasa.Weight
+	}
+	return overrides
+}
+
+// loadCSV reads a CSV file: the header names (as vadasa.CSVHeader reads them)
+// take the overrides' categories, the rest are inferred through the
+// framework, and the file is read against that schema. A positive scale
+// estimates sampling weights afterwards.
+func loadCSV(f *vadasa.Framework, path string, overrides map[string]vadasa.Category, scale float64) (*vadasa.Dataset, *vadasa.CategorizationResult, error) {
+	file, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer file.Close()
-
-	// First pass: read the header to build a neutral schema.
-	header, err := readHeader(*lf.in)
+	names, err := vadasa.CSVHeader(file)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if _, err := file.Seek(0, io.SeekStart); err != nil {
+		return nil, nil, err
+	}
+	attrs, report := f.Schema(names, overrides)
+	d, err := vadasa.ReadCSV(file, strings.TrimSuffix(path, ".csv"), attrs)
 	if err != nil {
 		return nil, nil, err
 	}
-	attrs := make([]vadasa.Attribute, len(header))
-	for i, h := range header {
-		attrs[i] = vadasa.Attribute{Name: h, Category: vadasa.NonIdentifying}
-	}
-	overrides := map[string]vadasa.Category{}
-	for _, n := range splitList(*lf.ids) {
-		overrides[n] = vadasa.Identifier
-	}
-	for _, n := range splitList(*lf.qi) {
-		overrides[n] = vadasa.QuasiIdentifier
-	}
-	if *lf.weight != "" {
-		overrides[*lf.weight] = vadasa.Weight
-	}
-	for i := range attrs {
-		if c, ok := overrides[attrs[i].Name]; ok {
-			attrs[i].Category = c
-		}
-	}
-
-	// Categorize the remaining attributes by name.
-	names := make([]string, 0, len(attrs))
-	for _, a := range attrs {
-		if _, ok := overrides[a.Name]; !ok {
-			names = append(names, a.Name)
-		}
-	}
-	report := categorizeNames(f, names)
-	for i := range attrs {
-		if c, ok := report.Categories[attrs[i].Name]; ok {
-			attrs[i].Category = c
-		}
-	}
-
-	d, err := vadasa.ReadCSV(file, strings.TrimSuffix(*lf.in, ".csv"), attrs)
-	if err != nil {
-		return nil, nil, err
-	}
-	if *lf.scale > 0 {
-		if err := vadasa.EstimateWeights(d, *lf.scale); err != nil {
+	if scale > 0 {
+		if err := vadasa.EstimateWeights(d, scale); err != nil {
 			return nil, nil, err
 		}
 	}
 	return d, report, nil
-}
-
-func categorizeNames(f *vadasa.Framework, names []string) *vadasa.CategorizationResult {
-	// Register a throwaway dataset to reuse the framework's categorizer
-	// configuration without mutating its dictionary: categorize directly.
-	tmp := vadasa.NewDataset(fmt.Sprintf("tmp-%d", len(names)), toAttrs(names))
-	report, err := f.Register(tmp)
-	if err != nil {
-		return &vadasa.CategorizationResult{}
-	}
-	return report
-}
-
-func toAttrs(names []string) []vadasa.Attribute {
-	attrs := make([]vadasa.Attribute, len(names))
-	for i, n := range names {
-		attrs[i] = vadasa.Attribute{Name: n}
-	}
-	return attrs
-}
-
-func readHeader(path string) ([]string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var line strings.Builder
-	buf := make([]byte, 1)
-	for {
-		if _, err := f.Read(buf); err != nil {
-			return nil, fmt.Errorf("reading header of %s: %w", path, err)
-		}
-		if buf[0] == '\n' {
-			break
-		}
-		line.WriteByte(buf[0])
-	}
-	fields := strings.Split(strings.TrimRight(line.String(), "\r"), ",")
-	return fields, nil
 }
 
 func splitList(s string) []string {

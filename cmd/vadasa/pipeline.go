@@ -93,11 +93,7 @@ func runPipeline(cfg PipelineConfig, logw io.Writer) error {
 		fmt.Fprintf(logw, "pipeline: loaded knowledge base %s\n", cfg.KB)
 	}
 
-	// Reuse the CLI loader with the config's overrides.
-	in, ids, qi, weight, kb, scale :=
-		cfg.Input, joinList(cfg.Identifiers), joinList(cfg.Quasi), cfg.WeightAttr, "", cfg.EstimateWeights
-	lf := loadFlags{in: &in, ids: &ids, qi: &qi, weight: &weight, kb: &kb, scale: &scale}
-	d, report, err := lf.load(f)
+	d, report, err := loadCSV(f, cfg.Input, overrideMap(cfg.Identifiers, cfg.Quasi, cfg.WeightAttr), cfg.EstimateWeights)
 	if err != nil {
 		return err
 	}
@@ -194,17 +190,6 @@ func runPipeline(cfg PipelineConfig, logw io.Writer) error {
 	}
 	fmt.Fprintf(logw, "pipeline: wrote %s\n", cfg.Output)
 	return nil
-}
-
-func joinList(xs []string) string {
-	out := ""
-	for i, x := range xs {
-		if i > 0 {
-			out += ","
-		}
-		out += x
-	}
-	return out
 }
 
 // measureParam reads the config's measure parameters the way a flag lookup

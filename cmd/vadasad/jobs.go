@@ -35,14 +35,11 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return badRequest(err)
 	}
-	// Validate cheaply before persisting anything: a bad measure name or an
-	// unparsable CSV must fail the request, not a job three seconds later.
-	if _, err := s.measureFromValues(r.URL.Query()); err != nil {
-		return badRequest(err)
-	}
-	f, err := s.newFramework()
+	// Everything the runner will parse is parsed here first: a malformed
+	// request must fail now, with a 400, not as a job three seconds later.
+	f, _, err := s.cycleFromValues(r.URL.Query())
 	if err != nil {
-		return err
+		return badRequest(err)
 	}
 	if _, _, err := buildDataset(f, body, r.URL.Query(), s.cfg.maxCells); err != nil {
 		return badRequest(err)
@@ -134,11 +131,8 @@ type jobRunner struct {
 func (jr *jobRunner) Run(ctx context.Context, id string, spec jobs.Spec, resume []anon.Checkpoint, checkpoint anon.CheckpointFunc) (*jobs.Outcome, error) {
 	s := jr.srv
 	q := url.Values(spec.Params)
-	f, err := s.newFramework()
+	f, opts, err := s.cycleFromValues(q)
 	if err != nil {
-		return nil, err
-	}
-	if err := s.applyBudget(f, q); err != nil {
 		return nil, err
 	}
 	body, err := s.cfg.fs.ReadFile(spec.Dataset)
@@ -149,20 +143,8 @@ func (jr *jobRunner) Run(ctx context.Context, id string, spec jobs.Spec, resume 
 	if err != nil {
 		return nil, err
 	}
-	m, err := s.measureFromValues(q)
-	if err != nil {
-		return nil, err
-	}
-	threshold, err := floatValue(q, "threshold", 0.5)
-	if err != nil {
-		return nil, err
-	}
-	res, err := f.ResumeAnonymizeContext(ctx, d, vadasa.CycleOptions{
-		Measure:     s.distMeasure(m),
-		Threshold:   threshold,
-		UseRecoding: q.Get("recode") == "true",
-		Checkpoint:  checkpoint,
-	}, resume)
+	opts.Checkpoint = checkpoint
+	res, err := f.ResumeAnonymizeContext(ctx, d, opts, resume)
 	if err != nil {
 		return nil, err
 	}

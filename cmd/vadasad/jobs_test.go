@@ -346,7 +346,8 @@ func TestJobPermanentFailureNoRetry(t *testing.T) {
 // validation, unknown ids, result-while-running, cancellation.
 func TestJobEndpointsValidation(t *testing.T) {
 	gate := newGateMeasure(1)
-	_, h := jobsServer(t, t.TempDir(), map[string]func() vadasa.RiskMeasure{
+	dir := t.TempDir()
+	_, h := jobsServer(t, dir, map[string]func() vadasa.RiskMeasure{
 		"gate": func() vadasa.RiskMeasure { return gate },
 	}, oneWorker)
 
@@ -355,6 +356,21 @@ func TestJobEndpointsValidation(t *testing.T) {
 	}
 	if rec := do(t, h, "POST", "/jobs/anonymize", ""); rec.Code != http.StatusBadRequest {
 		t.Fatalf("empty body = %d: %s", rec.Code, rec.Body)
+	}
+	// What /anonymize refuses, submission refuses — the same way, and before
+	// anything is spooled or journaled: no dead job is left behind.
+	for _, params := range []string{"threshold=abc", "budget=abc", "budget=-1"} {
+		sync := do(t, h, "POST", "/anonymize?measure=k-anonymity&k=3&"+params, figure1CSV(t))
+		rec := do(t, h, "POST", "/jobs/anonymize?measure=k-anonymity&k=3&"+params, figure1CSV(t))
+		if rec.Code != http.StatusBadRequest || rec.Body.String() != sync.Body.String() {
+			t.Fatalf("submit with %s = %d %s, /anonymize answers %d %s", params, rec.Code, rec.Body, sync.Code, sync.Body)
+		}
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) > 0 {
+		t.Fatalf("refused submissions left %v under -job-dir", left)
+	}
+	if rec := do(t, h, "GET", "/jobs", ""); strings.TrimSpace(rec.Body.String()) != `{"jobs":[]}` {
+		t.Fatalf("refused submissions left jobs behind: %s", rec.Body)
 	}
 	if rec := do(t, h, "GET", "/jobs/deadbeef", ""); rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown id = %d", rec.Code)

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"net/url"
@@ -409,25 +408,67 @@ func (s *server) readCharged(w http.ResponseWriter, r *http.Request) ([]byte, er
 	return body, nil
 }
 
+// frameworkFor builds the per-request framework with the ?budget= engine
+// work cap applied.
+func (s *server) frameworkFor(q url.Values) (*vadasa.Framework, error) {
+	f, err := s.newFramework()
+	if err != nil {
+		return nil, err
+	}
+	budget, err := s.parseBudget(q)
+	if err != nil {
+		return nil, err
+	}
+	if budget > 0 {
+		f.SetReasonerBudget(budget)
+	}
+	return f, nil
+}
+
+// cycleFromValues parses everything an anonymization cycle takes besides its
+// dataset — ?budget=, the measure parameters, ?threshold=, ?recode= — from
+// query-style parameters. /anonymize, /jobs/anonymize (before it persists
+// anything) and the job runner (parameters replayed from the journal) all go
+// through it, so what one refuses with a 400 the others refuse the same way.
+// The threshold's range is the cycle's own check.
+func (s *server) cycleFromValues(q url.Values) (*vadasa.Framework, vadasa.CycleOptions, error) {
+	f, err := s.frameworkFor(q)
+	if err != nil {
+		return nil, vadasa.CycleOptions{}, err
+	}
+	m, err := s.measureFromValues(q)
+	if err != nil {
+		return nil, vadasa.CycleOptions{}, err
+	}
+	threshold, err := floatValue(q, "threshold", 0.5)
+	if err != nil {
+		return nil, vadasa.CycleOptions{}, err
+	}
+	return f, vadasa.CycleOptions{
+		Measure:     s.distMeasure(m),
+		Threshold:   threshold,
+		UseRecoding: q.Get("recode") == "true",
+	}, nil
+}
+
 // loadDataset reads the request body as CSV and categorizes attributes,
 // honouring the id/qi/weight query overrides and the ?budget= engine cap.
 func (s *server) loadDataset(w http.ResponseWriter, r *http.Request) (*vadasa.Framework, *vadasa.Dataset, *vadasa.CategorizationResult, error) {
-	f, err := s.newFramework()
+	f, err := s.frameworkFor(r.URL.Query())
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if err := s.applyBudget(f, r.URL.Query()); err != nil {
-		return nil, nil, nil, err
-	}
+	d, report, err := s.readDataset(f, w, r)
+	return f, d, report, err
+}
+
+// readDataset is loadDataset on a framework the caller already has.
+func (s *server) readDataset(f *vadasa.Framework, w http.ResponseWriter, r *http.Request) (*vadasa.Dataset, *vadasa.CategorizationResult, error) {
 	body, err := s.readCharged(w, r)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	d, report, err := buildDataset(f, body, r.URL.Query(), s.cfg.maxCells)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return f, d, report, nil
+	return buildDataset(f, body, r.URL.Query(), s.cfg.maxCells)
 }
 
 // cellLimitError reports a CSV whose rows×columns product exceeds the
@@ -458,101 +499,62 @@ func (s *server) parseBudget(q url.Values) (int64, error) {
 	return budget, nil
 }
 
-// applyBudget applies the ?budget= engine work cap to the framework.
-func (s *server) applyBudget(f *vadasa.Framework, q url.Values) error {
-	budget, err := s.parseBudget(q)
-	if err != nil {
-		return err
-	}
-	if budget > 0 {
-		f.SetReasonerBudget(budget)
-	}
-	return nil
-}
-
-// buildDataset categorizes and parses a CSV body under query-style options \u2014
+// buildDataset categorizes and parses a CSV body under query-style options —
 // shared between the synchronous handlers (live request) and the job runner
-// (parameters replayed from the journal). Header names are cleaned of a
-// UTF-8 BOM and surrounding whitespace before categorization, so exports
-// from spreadsheet tools categorize the same as clean CSVs. maxCells, when
-// positive, bounds the decoded table's rows\u00d7columns \u2014 checked by counting
-// newlines before any parsing work is spent on an oversized body.
+// (parameters replayed from the journal). The header is read the way every
+// intake path reads it (vadasa.CSVHeader), so exports from spreadsheet tools
+// categorize the same as clean CSVs. maxCells, when positive, bounds the
+// decoded table's rows×columns — checked by counting newlines before any
+// parsing work is spent on an oversized body.
 func buildDataset(f *vadasa.Framework, body []byte, q url.Values, maxCells int64) (*vadasa.Dataset, *vadasa.CategorizationResult, error) {
 	if len(body) == 0 {
 		return nil, nil, fmt.Errorf("empty body; POST a CSV with a header row")
 	}
-	head, rest, ok := bytes.Cut(body, []byte("\n"))
+	_, rest, ok := bytes.Cut(body, []byte("\n"))
 	if !ok {
 		return nil, nil, fmt.Errorf("body has no data rows")
 	}
-	header := strings.TrimPrefix(string(head), "\ufeff")
-	names := strings.Split(strings.TrimRight(header, "\r"), ",")
-	for i := range names {
-		names[i] = strings.TrimSpace(names[i])
-	}
-	if maxCells > 0 {
-		rows := int64(bytes.Count(rest, []byte("\n")))
-		if !bytes.HasSuffix(rest, []byte("\n")) {
-			rows++ // final row without a trailing newline
-		}
-		if cells := rows * int64(len(names)); cells > maxCells {
-			return nil, nil, &cellLimitError{rows: rows, cols: int64(len(names)), limit: maxCells}
-		}
-	}
-
-	overrides := map[string]vadasa.Category{}
-	for _, n := range splitValues(q, "id") {
-		overrides[n] = vadasa.Identifier
-	}
-	for _, n := range splitValues(q, "qi") {
-		overrides[n] = vadasa.QuasiIdentifier
-	}
-	for _, n := range splitValues(q, "weight") {
-		overrides[n] = vadasa.Weight
-	}
-	for _, n := range splitValues(q, "plain") {
-		overrides[n] = vadasa.NonIdentifying
-	}
-
-	attrs := make([]vadasa.Attribute, len(names))
-	var toInfer []string
-	for i, n := range names {
-		attrs[i] = vadasa.Attribute{Name: n, Category: vadasa.NonIdentifying}
-		if c, ok := overrides[n]; ok {
-			attrs[i].Category = c
-		} else {
-			toInfer = append(toInfer, n)
-		}
-	}
-	tmp := vadasa.NewDataset("request", toAttrs(toInfer))
-	report, err := f.Register(tmp)
+	names, err := vadasa.CSVHeader(bytes.NewReader(body))
 	if err != nil {
 		return nil, nil, err
 	}
-	for i := range attrs {
-		if c, ok := report.Categories[attrs[i].Name]; ok {
-			if _, manual := overrides[attrs[i].Name]; !manual {
-				attrs[i].Category = c
-			}
-		}
+	rows := int64(bytes.Count(rest, []byte("\n")))
+	if !bytes.HasSuffix(rest, []byte("\n")) {
+		rows++ // final row without a trailing newline
 	}
-	// ReadCSV gets the cleaned header line, so its schema check sees the same
-	// names categorization did, followed by the data rows straight from the
-	// request body.
-	cleaned := io.MultiReader(strings.NewReader(strings.Join(names, ",")+"\n"), bytes.NewReader(rest))
-	d, err := vadasa.ReadCSV(cleaned, "request", attrs)
+	if err := checkCells(rows, int64(len(names)), maxCells); err != nil {
+		return nil, nil, err
+	}
+	attrs, report := f.Schema(names, overridesFromValues(q))
+	d, err := vadasa.ReadCSV(bytes.NewReader(body), "request", attrs)
 	if err != nil {
 		return nil, nil, err
 	}
 	return d, report, nil
 }
 
-func toAttrs(names []string) []vadasa.Attribute {
-	attrs := make([]vadasa.Attribute, len(names))
-	for i, n := range names {
-		attrs[i] = vadasa.Attribute{Name: n}
+// checkCells enforces -max-cells (0 disables it) on a rows×cols table.
+func checkCells(rows, cols, maxCells int64) error {
+	if maxCells > 0 && rows*cols > maxCells {
+		return &cellLimitError{rows: rows, cols: cols, limit: maxCells}
 	}
-	return attrs
+	return nil
+}
+
+// overridesFromValues reads the id/qi/weight/plain query overrides: the
+// categories a client fixes by hand instead of leaving them to inference.
+func overridesFromValues(q url.Values) map[string]vadasa.Category {
+	overrides := map[string]vadasa.Category{}
+	// In this order: a name listed twice takes the later category.
+	for _, o := range []struct {
+		key string
+		cat vadasa.Category
+	}{{"id", vadasa.Identifier}, {"qi", vadasa.QuasiIdentifier}, {"weight", vadasa.Weight}, {"plain", vadasa.NonIdentifying}} {
+		for _, n := range splitValues(q, o.key) {
+			overrides[n] = o.cat
+		}
+	}
+	return overrides
 }
 
 func splitValues(q url.Values, key string) []string {
@@ -680,23 +682,15 @@ func (s *server) handleAssess(w http.ResponseWriter, r *http.Request) error {
 }
 
 func (s *server) handleAnonymize(w http.ResponseWriter, r *http.Request) error {
-	f, d, _, err := s.loadDataset(w, r)
+	f, opts, err := s.cycleFromValues(r.URL.Query())
 	if err != nil {
 		return badRequest(err)
 	}
-	m, err := s.measureFromValues(r.URL.Query())
+	d, _, err := s.readDataset(f, w, r)
 	if err != nil {
 		return badRequest(err)
 	}
-	threshold, err := floatValue(r.URL.Query(), "threshold", 0.5)
-	if err != nil {
-		return badRequest(err)
-	}
-	res, err := f.AnonymizeContext(r.Context(), d, vadasa.CycleOptions{
-		Measure:     s.distMeasure(m),
-		Threshold:   threshold,
-		UseRecoding: r.URL.Query().Get("recode") == "true",
-	})
+	res, err := f.AnonymizeContext(r.Context(), d, opts)
 	if err != nil {
 		return unprocessable(err)
 	}

@@ -139,19 +139,16 @@ func (r *streamRegistry) get(id string) *stream.Stream {
 	return r.streams[id]
 }
 
-// create opens a fresh stream under the registry, categorizing the CSV header
-// to a schema exactly like the synchronous endpoints do. A concurrent create
-// of the same id loses the race idempotently: the winner's stream is
-// returned.
-func (r *streamRegistry) create(ctx context.Context, id string, body []byte, q url.Values) (*stream.Stream, error) {
+// create opens a fresh stream under the registry, categorizing the header
+// names of its first batch to a schema exactly like the synchronous endpoints
+// do. A concurrent create of the same id loses the race idempotently: the
+// winner's stream is returned.
+func (r *streamRegistry) create(ctx context.Context, id string, names []string, q url.Values) (*stream.Stream, error) {
 	f, err := r.srv.newFramework()
 	if err != nil {
 		return nil, err
 	}
-	d, _, err := buildDataset(f, body, q, r.srv.cfg.maxCells)
-	if err != nil {
-		return nil, err
-	}
+	attrs, _ := f.Schema(names, overridesFromValues(q))
 	m, err := r.srv.measureFromValues(q)
 	if err != nil {
 		return nil, err
@@ -188,7 +185,7 @@ func (r *streamRegistry) create(ctx context.Context, id string, body []byte, q u
 	}
 	path := filepath.Join(r.srv.cfg.streamDir, id+".wal")
 	opts := r.srv.newStreamOptions(m)
-	opts.Threshold, opts.Semantics, opts.Attrs, opts.Meta = threshold, sem, d.Attrs, metaJSON
+	opts.Threshold, opts.Semantics, opts.Attrs, opts.Meta = threshold, sem, attrs, metaJSON
 	r.srv.applyReplStream(id, path, &opts)
 	s, err := stream.Open(ctx, id, path, opts)
 	if err != nil {
@@ -243,9 +240,10 @@ func semanticsFromValues(q url.Values) (mdb.Semantics, error) {
 	}
 }
 
-// parseBatchCSV splits the request body into a cleaned header and the raw
-// row cells. The cells stay strings: the stream journals them verbatim, and
-// replay re-parses them exactly as the live path did.
+// parseBatchCSV splits the request body into the header names (read as every
+// intake path reads them, vadasa.CSVHeader) and the raw row cells. The cells stay
+// strings: the stream journals them verbatim, and replay re-parses them
+// exactly as the live path did.
 func parseBatchCSV(body []byte) (names []string, rows [][]string, err error) {
 	if len(body) == 0 {
 		return nil, nil, fmt.Errorf("empty body; POST a CSV with a header row")
@@ -257,10 +255,8 @@ func parseBatchCSV(body []byte) (names []string, rows [][]string, err error) {
 	if len(recs) < 2 {
 		return nil, nil, fmt.Errorf("body has no data rows")
 	}
-	names = recs[0]
-	names[0] = strings.TrimPrefix(names[0], "\ufeff")
-	for i := range names {
-		names[i] = strings.TrimSpace(names[i])
+	if names, err = vadasa.CSVHeader(bytes.NewReader(body)); err != nil {
+		return nil, nil, err
 	}
 	return names, recs[1:], nil
 }
@@ -292,7 +288,10 @@ func (s *server) handleStreamAppend(w http.ResponseWriter, r *http.Request) erro
 	st := s.streams().get(id)
 	created := st == nil
 	if created {
-		if st, err = s.streams().create(r.Context(), id, body, r.URL.Query()); err != nil {
+		if err := checkCells(int64(len(rows)), int64(len(names)), s.cfg.maxCells); err != nil {
+			return badRequest(err)
+		}
+		if st, err = s.streams().create(r.Context(), id, names, r.URL.Query()); err != nil {
 			return badRequest(err)
 		}
 	}

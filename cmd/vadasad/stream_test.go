@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -345,5 +346,59 @@ func TestStreamValidationHTTP(t *testing.T) {
 	decodeBody(t, do(t, h, "GET", "/stream/s1/status", "").Body.Bytes(), &st)
 	if st.Rows != 2 || st.Batches != 1 {
 		t.Fatalf("rejected appends mutated the window: %+v", st)
+	}
+}
+
+// Every header spelling in internal/mdb's shared table gives the schema
+// recorded there on the synchronous endpoints and as the schema of a stream
+// its first append creates — the one the CLI loader is held to as well
+// (cmd/vadasa TestLoadCSVHeaderTable).
+func TestHeaderTable(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "internal", "mdb", "testdata", "headers.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []struct {
+		Name   string      `json:"name"`
+		CSV    string      `json:"csv"`
+		Schema [][2]string `json:"schema"`
+	}
+	decodeBody(t, raw, &cases)
+	srv := streamTestServer(t, t.TempDir(), 0)
+	h := srv.handler
+	for _, c := range cases {
+		rec := do(t, h, "POST", "/categorize", c.CSV)
+		var out struct {
+			Attributes []struct{ Name, Category string } `json:"attributes"`
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: /categorize = %d: %s", c.Name, rec.Code, rec.Body)
+		}
+		decodeBody(t, rec.Body.Bytes(), &out)
+		var got [][2]string
+		for _, a := range out.Attributes {
+			got = append(got, [2]string{a.Name, a.Category})
+		}
+		if !reflect.DeepEqual(got, c.Schema) {
+			t.Fatalf("%s: /categorize makes %v of the header, want %v", c.Name, got, c.Schema)
+		}
+		if rec := do(t, h, "POST", "/assess?measure=k-anonymity&k=2", c.CSV); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"tuples":4`) {
+			t.Fatalf("%s: /assess = %d: %s", c.Name, rec.Code, rec.Body)
+		}
+
+		rec = do(t, h, "POST", "/stream/"+c.Name+"/append?batch=b1&measure=k-anonymity&k=2", c.CSV)
+		if rec.Code != http.StatusCreated {
+			t.Fatalf("%s: first append = %d: %s", c.Name, rec.Code, rec.Body)
+		}
+		got = nil
+		for _, a := range srv.streams().get(c.Name).Attrs() {
+			got = append(got, [2]string{a.Name, a.Category.String()})
+		}
+		if !reflect.DeepEqual(got, c.Schema) {
+			t.Fatalf("%s: stream created with schema %v, want %v", c.Name, got, c.Schema)
+		}
+		if rec := do(t, h, "POST", "/stream/"+c.Name+"/append?batch=b2", c.CSV); rec.Code != http.StatusOK {
+			t.Fatalf("%s: second append = %d: %s", c.Name, rec.Code, rec.Body)
+		}
 	}
 }

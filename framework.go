@@ -131,12 +131,7 @@ func (f *Framework) Register(d *Dataset) (*CategorizationResult, error) {
 	for i, a := range d.Attrs {
 		names[i] = a.Name
 	}
-	c := &categorize.Categorizer{
-		Experience:  f.experience,
-		Sims:        f.sims,
-		Consolidate: true,
-	}
-	res := c.Categorize(names)
+	res := f.categorizer().Categorize(names)
 	for attr, cat := range res.Categories {
 		if err := f.dict.SetCategory(d.Name, attr, cat); err != nil {
 			return nil, err
@@ -146,6 +141,41 @@ func (f *Framework) Register(d *Dataset) (*CategorizationResult, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+func (f *Framework) categorizer() *categorize.Categorizer {
+	return &categorize.Categorizer{
+		Experience:  f.experience,
+		Sims:        f.sims,
+		Consolidate: true,
+	}
+}
+
+// Schema turns the column names of an incoming file into a categorized
+// schema, the one inference every intake path (CLI, daemon, stream creation)
+// shares. A name in overrides takes the category given there; every other
+// name goes through attribute categorization (Algorithm 1) and stays
+// non-identifying where that leaves it unknown or in conflict. The report
+// covers the inferred names only. Unlike Register, nothing is recorded in the
+// dictionary.
+func (f *Framework) Schema(names []string, overrides map[string]Category) ([]Attribute, *CategorizationResult) {
+	attrs := make([]Attribute, len(names))
+	var infer []string
+	for i, n := range names {
+		attrs[i] = Attribute{Name: n, Category: NonIdentifying}
+		if c, ok := overrides[n]; ok {
+			attrs[i].Category = c
+		} else {
+			infer = append(infer, n)
+		}
+	}
+	report := f.categorizer().Categorize(infer) // never holds an overridden name
+	for i := range attrs {
+		if c, ok := report.Categories[attrs[i].Name]; ok {
+			attrs[i].Category = c
+		}
+	}
+	return attrs, report
 }
 
 // SetReasonerBudget caps the reasoning engine's work budget (fact-match

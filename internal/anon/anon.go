@@ -41,19 +41,29 @@ func (d Decision) String() string {
 // snapshot taken at the first step of an iteration that reads it and frozen
 // for the rest of that iteration, so it is at most one iteration stale —
 // greedy tie-breaking quality, at a fraction of the cost of per-step scans.
-// A cycle keeps one Context chain alive: it reports every step's decisions
-// through Applied and moves to the following iteration with Next, which
-// carries the index over instead of recounting the dataset.
+// The loop keeps one Context chain alive: it reports the cells every step
+// replaced through applied and moves to the following iteration with next,
+// which carries the index over instead of recounting the dataset.
 type Context struct {
 	Dataset *mdb.Dataset
 	QI      []int
 
 	marg *marginalIndex
 	// margRead is set once a step of this iteration has read the selectivity
-	// snapshot; decisions applied after that wait in late until Next.
+	// snapshot; cells replaced after that wait in late until next.
 	margRead    bool
-	late        []Decision
+	late        []cell
 	freqWithout map[int][]int
+}
+
+// cell is one value a step replaced: row position, attribute index and what
+// stood there before. attr is -1 when the decision is not a single-cell
+// suppression (a global recoding rewrites arbitrarily many cells to
+// constants): there is then no delta form for the selectivity index or the
+// risk view, and no undo.
+type cell struct {
+	pos, attr int
+	old       mdb.Value
 }
 
 // NewContext returns a step context for the dataset.
@@ -61,38 +71,36 @@ func NewContext(d *mdb.Dataset, qi []int) *Context {
 	return &Context{Dataset: d, QI: qi}
 }
 
-// Applied tells the context that a step has just applied the decisions to
-// the dataset. Until the iteration's first selectivity read they are folded
-// into the carried index at once — the snapshot is the dataset as it stands
-// at that first read — and after it they are held back for Next.
-func (c *Context) Applied(ds []Decision) {
+// applied tells the context that a step has just replaced the cells in the
+// dataset. Until the iteration's first selectivity read they are folded into
+// the carried index at once — the snapshot is the dataset as it stands at
+// that first read — and after it they are held back for next.
+func (c *Context) applied(cells []cell) {
 	switch {
 	case c.marg == nil: // the first read counts the dataset as it then stands
 	case c.margRead:
-		c.late = append(c.late, ds...)
+		c.late = append(c.late, cells...)
 	default:
-		c.fold(ds)
+		c.fold(cells)
 	}
 }
 
-// Next returns the context of the following iteration: the selectivity index
-// is carried over with this iteration's held-back decisions folded in, the
+// next returns the context of the following iteration: the selectivity index
+// is carried over with this iteration's held-back cells folded in, the
 // FreqWithout cache is dropped.
-func (c *Context) Next() *Context {
+func (c *Context) next() *Context {
 	if c.marg != nil {
 		c.fold(c.late)
 	}
 	return &Context{Dataset: c.Dataset, QI: c.QI, marg: c.marg}
 }
 
-// fold applies decisions to the carried selectivity index. A local
+// fold applies replaced cells to the carried selectivity index. A local
 // suppression moves one row from its value's count to the null count;
-// anything else (global recoding rewrites arbitrarily many cells) drops the
-// index, and the next read recounts the dataset.
-func (c *Context) fold(ds []Decision) {
-	for _, dec := range ds {
-		attr := c.Dataset.AttrIndex(dec.Attr)
-		if dec.Method != "local-suppression" || attr < 0 || !c.marg.suppress(attr, dec.Old) {
+// anything else drops the index, and the next read recounts the dataset.
+func (c *Context) fold(cells []cell) {
+	for _, cl := range cells {
+		if cl.attr < 0 || !c.marg.suppress(cl.attr, cl.old) {
 			c.marg = nil
 			return
 		}

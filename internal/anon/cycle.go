@@ -51,6 +51,10 @@ func (o TupleOrder) String() string {
 	}
 }
 
+// maxIterations caps one run of the loop — the batch cycle's and a stream
+// release gate's alike.
+const maxIterations = 10_000
+
 // Config parameterizes the anonymization cycle.
 type Config struct {
 	// Assessor estimates per-tuple disclosure risk (plug-in #risk).
@@ -64,8 +68,6 @@ type Config struct {
 	Semantics mdb.Semantics
 	// Order is the risky-tuple processing order.
 	Order TupleOrder
-	// MaxIterations caps the cycle (default 10000).
-	MaxIterations int
 	// BatchFraction bounds how many of the currently risky tuples are
 	// anonymized before risk is re-evaluated, as a fraction of the risky
 	// set (default 0.25, minimum batch 32). Smaller batches approximate
@@ -131,6 +133,189 @@ type Result struct {
 	RiskEvalTime, AnonTime time.Duration
 }
 
+// absorb folds one committed iteration, live or replayed, into the result.
+func (res *Result) absorb(cp Checkpoint) {
+	res.Decisions = append(res.Decisions, cp.Decisions...)
+	if cp.Iteration == 0 {
+		res.InitialRisky = len(cp.NewRisky)
+	}
+}
+
+// Loop is the iteration of Algorithm 2 over a dataset it mutates in place:
+// assess, select the tuples over the threshold, route them, bound the batch,
+// apply one minimal step to each, commit, re-assess (DESIGN.md §11.4). It is
+// the only code that steps an Anonymizer. The anonymization cycle runs it
+// over a clone of its input, a stream's release gate over the live window;
+// what differs between them is spelled as values — where the risk vector
+// comes from, how much of the risky set one evaluation may motivate, what
+// makes an iteration durable.
+type Loop struct {
+	// Dataset is anonymized in place.
+	Dataset *mdb.Dataset
+	// Threshold, Anonymizer, Order and BatchFraction are Config's.
+	Threshold     float64
+	Anonymizer    Anonymizer
+	Order         TupleOrder
+	BatchFraction float64
+	// Risks returns the risk vector of Dataset as it stands, one score per
+	// row position, read-only and valid until View's next delta. It is asked
+	// once at the top of every iteration; its error ends the run as it is.
+	Risks func(ctx context.Context) ([]float64, error)
+	// Commit receives every iteration that stepped or exhausted a tuple,
+	// after Dataset has changed and before View hears of it. If it fails the
+	// iteration is undone and its error ends the run as it is.
+	Commit CheckpointFunc
+	// View is the live risk view Risks reads. It is fed an iteration's cells
+	// only once Commit has accepted them, so an iteration that is rolled
+	// back never reached it.
+	View *risk.Live
+
+	// Control state, which a resuming cycle rebuilds from checkpoints: the
+	// next iteration (0-based), the row positions with no step left and ever
+	// seen over the threshold, and the elapsed time as Result splits it.
+	iter                 int
+	exhausted, everRisky map[int]bool
+	riskEval, anon       time.Duration
+}
+
+// NotConvergedError ends a run that used up its iterations with actionable
+// tuples still over the threshold.
+type NotConvergedError struct {
+	Iterations int
+}
+
+func (e *NotConvergedError) Error() string {
+	return fmt.Sprintf("anon: cycle did not converge within %d iterations", e.Iterations)
+}
+
+func cancelled(iter int, err error) error {
+	return fmt.Errorf("anon: cycle cancelled at iteration %d: %w", iter, err)
+}
+
+// Run iterates until no tuple over the threshold has a step left and returns
+// the positions of the rows still over it — none, unless the anonymizer ran
+// out of moves for them. On an error Dataset, its null allocator and View
+// stand as before the iteration that failed, so a caller that keeps the
+// dataset can run a fresh Loop over it and mint the same null ids. That undo
+// covers local suppression, the one method such a caller uses: the cells a
+// global recoding rewrote are not restored (the cycle discards its clone).
+// The context is polled at every iteration boundary and between steps.
+func (l *Loop) Run(ctx context.Context) ([]int, error) {
+	d := l.Dataset
+	if l.exhausted == nil {
+		l.exhausted, l.everRisky = make(map[int]bool), make(map[int]bool)
+	}
+	actx := NewContext(d, d.QuasiIdentifiers())
+	evalStart := time.Now()
+	for ; ; l.iter++ {
+		if l.iter >= maxIterations {
+			return nil, &NotConvergedError{Iterations: maxIterations}
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, cancelled(l.iter, err)
+		}
+		risks, err := l.Risks(ctx)
+		cp := Checkpoint{Iteration: l.iter, RiskEval: time.Since(evalStart)}
+		l.riskEval += cp.RiskEval
+		if err != nil {
+			return nil, err
+		}
+
+		var risky []int
+		for row, r := range risks {
+			if r > l.Threshold {
+				if !l.everRisky[row] {
+					l.everRisky[row] = true
+					cp.NewRisky = append(cp.NewRisky, row)
+				}
+				if !l.exhausted[row] {
+					risky = append(risky, row)
+				}
+			}
+		}
+		if len(risky) == 0 {
+			// Whatever is still over the threshold is exhausted. The vector is
+			// current — nothing mutated the dataset since it was computed.
+			var residual []int
+			for row, r := range risks {
+				if r > l.Threshold {
+					residual = append(residual, row)
+				}
+			}
+			return residual, nil
+		}
+		l.Order.route(d, risks, risky)
+		if frac := l.BatchFraction; frac < 1 {
+			if frac <= 0 {
+				frac = 0.25
+			}
+			if limit := max(32, int(frac*float64(len(risky)))); limit < len(risky) {
+				risky = risky[:limit]
+			}
+		}
+
+		stepStart := time.Now()
+		nulls := d.Nulls
+		var cells []cell
+		undo := func() {
+			for i := len(cells) - 1; i >= 0; i-- {
+				if c := cells[i]; c.attr >= 0 {
+					d.Rows[c.pos].Values[c.attr] = c.old
+				}
+			}
+			d.Nulls = nulls
+		}
+		for _, row := range risky {
+			if err := ctx.Err(); err != nil {
+				undo()
+				return nil, cancelled(l.iter, err)
+			}
+			decisions, ok := l.Anonymizer.Step(actx, row)
+			if !ok {
+				// Nothing more can be done for this tuple; it is excluded
+				// from future batches and ends up in the residual report.
+				// Other risky tuples still get their turn in later iterations.
+				l.exhausted[row] = true
+				cp.Exhausted = append(cp.Exhausted, row)
+				continue
+			}
+			stepped := len(cells)
+			for i := range decisions {
+				dec := &decisions[i]
+				dec.Iteration, dec.Risk = l.iter+1, risks[row]
+				c := cell{pos: row, attr: -1, old: dec.Old}
+				if dec.Method == "local-suppression" {
+					c.attr = d.AttrIndex(dec.Attr)
+				}
+				cells = append(cells, c)
+			}
+			actx.applied(cells[stepped:])
+			cp.Decisions = append(cp.Decisions, decisions...)
+		}
+		actx = actx.next()
+		cp.Anon = time.Since(stepStart)
+		l.anon += cp.Anon
+
+		if err := l.Commit(cp); err != nil {
+			undo()
+			return nil, err
+		}
+		// Keeping the view's index in step is risk-side work: it counts
+		// towards the next evaluation, so RiskEval and Anon still split the
+		// whole elapsed time.
+		evalStart = time.Now()
+		for _, c := range cells {
+			if c.attr < 0 {
+				l.View.Invalidate()
+				break
+			}
+			if err := l.View.Suppressed(c.pos, c.attr); err != nil {
+				return nil, fmt.Errorf("anon: index maintenance: %w", err)
+			}
+		}
+	}
+}
+
 // Run executes the anonymization cycle of Algorithm 2 on a copy of d:
 // iteratively estimate the disclosure risk of every tuple and apply one
 // minimal anonymization step to each tuple over threshold, until every tuple
@@ -170,10 +355,6 @@ func ResumeContext(ctx context.Context, d *mdb.Dataset, cfg Config, checkpoints 
 	if cfg.Threshold < 0 || cfg.Threshold > 1 {
 		return nil, fmt.Errorf("anon: threshold %g outside [0,1]", cfg.Threshold)
 	}
-	maxIter := cfg.MaxIterations
-	if maxIter == 0 {
-		maxIter = 10_000
-	}
 
 	// When ctx carries a resource governor, the working clone and the
 	// accumulated decision/checkpoint buffers are charged against the
@@ -201,30 +382,6 @@ func ResumeContext(ctx context.Context, d *mdb.Dataset, cfg Config, checkpoints 
 	}
 	res := &Result{Dataset: work}
 	nullsBefore := work.NullCount()
-	exhausted := make(map[int]bool)
-	everRisky := make(map[int]bool)
-
-	// One ID → position map serves both checkpoint replay and the
-	// incremental index maintenance; positions are stable because the
-	// cycle never reorders rows.
-	rowPos := make(map[int]int, len(work.Rows))
-	for i, r := range work.Rows {
-		rowPos[r.ID] = i
-	}
-
-	startIter := 0
-	for _, cp := range checkpoints {
-		if cp.Iteration != startIter {
-			return nil, fmt.Errorf("anon: resume checkpoint out of order: got iteration %d, want %d", cp.Iteration, startIter)
-		}
-		if err := replayCheckpoint(work, cp, res, exhausted, everRisky, rowPos); err != nil {
-			return nil, err
-		}
-		startIter++
-	}
-	if startIter >= maxIter {
-		return nil, fmt.Errorf("anon: cycle did not converge within %d iterations", maxIter)
-	}
 
 	// The view keeps the risk vector current across iterations: measures
 	// with an incremental path are re-scored from a maintained group index,
@@ -232,121 +389,62 @@ func ResumeContext(ctx context.Context, d *mdb.Dataset, cfg Config, checkpoints 
 	view := risk.NewLive(cfg.Assessor, work, cfg.Semantics, gov)
 	defer view.Close()
 
-	var risks []float64
-	actx := NewContext(work, qi)
-	for iter := startIter; ; iter++ {
-		if iter >= maxIter {
-			return nil, fmt.Errorf("anon: cycle did not converge within %d iterations", maxIter)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("anon: cycle cancelled at iteration %d: %w", iter, err)
-		}
-		t0 := time.Now()
-		var err error
-		risks, err = view.Risks(ctx)
-		evalTime := time.Since(t0)
-		res.RiskEvalTime += evalTime
+	loop := &Loop{
+		Dataset:       work,
+		Threshold:     cfg.Threshold,
+		Anonymizer:    cfg.Anonymizer,
+		Order:         cfg.Order,
+		BatchFraction: cfg.BatchFraction,
+		View:          view,
+		exhausted:     make(map[int]bool),
+		everRisky:     make(map[int]bool),
+	}
+	loop.Risks = func(ctx context.Context) ([]float64, error) {
+		risks, err := view.Risks(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("anon: risk assessment: %w", err)
 		}
-
-		var risky, newRisky []int
-		for row, r := range risks {
-			if r > cfg.Threshold {
-				if !everRisky[row] {
-					everRisky[row] = true
-					newRisky = append(newRisky, row)
-					if iter == 0 {
-						res.InitialRisky++
-					}
-				}
-				if !exhausted[row] {
-					risky = append(risky, row)
-				}
-			}
+		return risks, nil
+	}
+	loop.Commit = func(cp Checkpoint) error {
+		if err := charge(decisionBytes(cp.Decisions)+int64(len(cp.Exhausted)+len(cp.NewRisky))*8,
+			fmt.Sprintf("iteration %d checkpoint buffers", cp.Iteration)); err != nil {
+			return err
 		}
-		if len(risky) == 0 {
-			res.Iterations = iter
-			break
-		}
-		cfg.Order.Sort(work, risks, risky)
-		frac := cfg.BatchFraction
-		if frac <= 0 {
-			frac = 0.25
-		}
-		if frac < 1 {
-			limit := int(frac * float64(len(risky)))
-			if limit < 32 {
-				limit = 32
-			}
-			if limit < len(risky) {
-				risky = risky[:limit]
-			}
-		}
-
-		t0 = time.Now()
-		var iterDecisions []Decision
-		var iterExhausted []int
-		for _, row := range risky {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("anon: cycle cancelled at iteration %d: %w", iter, err)
-			}
-			decisions, ok := cfg.Anonymizer.Step(actx, row)
-			if !ok {
-				// Nothing more can be done for this tuple; it is
-				// excluded from future batches and ends up in the
-				// residual report. Other risky tuples still get their
-				// turn in later iterations.
-				exhausted[row] = true
-				iterExhausted = append(iterExhausted, row)
-				continue
-			}
-			for i := range decisions {
-				decisions[i].Iteration = iter + 1
-				decisions[i].Risk = risks[row]
-			}
-			actx.Applied(decisions)
-			iterDecisions = append(iterDecisions, decisions...)
-		}
-		actx = actx.Next()
-		if err := charge(decisionBytes(iterDecisions)+int64(len(iterExhausted)+len(newRisky))*8,
-			fmt.Sprintf("iteration %d checkpoint buffers", iter)); err != nil {
-			return nil, err
-		}
-		res.Decisions = append(res.Decisions, iterDecisions...)
-		if err := observe(view, work, rowPos, iterDecisions); err != nil {
-			return nil, err
-		}
-		anonTime := time.Since(t0)
-		res.AnonTime += anonTime
-
+		res.absorb(cp)
 		if cfg.Checkpoint != nil {
-			cp := Checkpoint{
-				Iteration: iter,
-				Decisions: iterDecisions,
-				Exhausted: iterExhausted,
-				NewRisky:  newRisky,
-				RiskEval:  evalTime,
-				Anon:      anonTime,
-			}
 			if err := cfg.Checkpoint(cp); err != nil {
-				return nil, fmt.Errorf("anon: committing iteration %d checkpoint: %w", iter, err)
+				return fmt.Errorf("anon: committing iteration %d checkpoint: %w", cp.Iteration, err)
+			}
+		}
+		return nil
+	}
+
+	if len(checkpoints) > 0 {
+		// Journaled decisions name rows by id; positions are stable because
+		// the cycle never reorders rows.
+		rowPos := make(map[int]int, len(work.Rows))
+		for i, r := range work.Rows {
+			rowPos[r.ID] = i
+		}
+		position := func(id int) (int, bool) { pos, ok := rowPos[id]; return pos, ok }
+		for _, cp := range checkpoints {
+			if err := loop.replay(cp, res, position); err != nil {
+				return nil, err
 			}
 		}
 	}
 
-	// Residual report. The loop only exits right after an assessment that
-	// found no actionable risky tuples, and nothing mutates the dataset
-	// between that assessment and here — so the last risk vector is still
-	// current and a final re-assessment would only repeat it (on a clean
-	// run it would double the total risk-evaluation cost).
-	for row, r := range risks {
-		if r > cfg.Threshold {
-			res.Residual = append(res.Residual, work.Rows[row].ID)
-		}
+	residual, err := loop.Run(ctx)
+	if err != nil {
+		return nil, err
 	}
-
-	res.EverRisky = len(everRisky)
+	res.Iterations = loop.iter
+	res.RiskEvalTime, res.AnonTime = loop.riskEval, loop.anon
+	for _, row := range residual {
+		res.Residual = append(res.Residual, work.Rows[row].ID)
+	}
+	res.EverRisky = len(loop.everRisky)
 	res.NullsInjected = work.NullCount() - nullsBefore
 	if denom := res.EverRisky * len(qi); denom > 0 {
 		res.InfoLoss = float64(res.NullsInjected) / float64(denom)
@@ -354,77 +452,39 @@ func ResumeContext(ctx context.Context, d *mdb.Dataset, cfg Config, checkpoints 
 	return res, nil
 }
 
-// replayCheckpoint applies one journaled iteration to the working dataset:
-// decisions are re-applied verbatim (labelled-null ids included, with the
-// allocator advanced past them so later fresh nulls cannot collide) and the
-// control-state deltas are folded in. rowPos maps row IDs to positions —
-// built once per resume, so a replay costs O(decisions), not
-// O(rows × decisions).
-func replayCheckpoint(work *mdb.Dataset, cp Checkpoint, res *Result, exhausted, everRisky map[int]bool, rowPos map[int]int) error {
-	for _, dec := range cp.Decisions {
-		rowIdx, ok := rowPos[dec.RowID]
-		if !ok {
-			return fmt.Errorf("anon: replay iteration %d: no tuple with id %d", cp.Iteration, dec.RowID)
-		}
-		attr := work.AttrIndex(dec.Attr)
-		if attr < 0 {
-			return fmt.Errorf("anon: replay iteration %d: no attribute %q", cp.Iteration, dec.Attr)
-		}
-		switch dec.Method {
-		case "local-suppression":
-			if !dec.New.IsNull() {
-				return fmt.Errorf("anon: replay iteration %d: suppression of tuple %d recorded a non-null value", cp.Iteration, dec.RowID)
-			}
-			work.Rows[rowIdx].Values[attr] = dec.New
-			work.Nulls.Observe(dec.New.NullID())
-		case "global-recoding":
-			if dec.AffectedRows <= 1 {
-				// Either per-tuple mode or a global roll-up whose value
-				// only the triggering row carried — same single write.
-				work.Rows[rowIdx].Values[attr] = dec.New
-			} else {
-				n := 0
-				for _, r := range work.Rows {
-					if r.Values[attr] == dec.Old {
-						r.Values[attr] = dec.New
-						n++
-					}
-				}
-				if n != dec.AffectedRows {
-					return fmt.Errorf("anon: replay iteration %d: recoding %s %s touched %d rows, journal says %d — journal does not match this dataset",
-						cp.Iteration, dec.Attr, dec.Old.Redacted(), n, dec.AffectedRows)
-				}
-			}
-		default:
-			return fmt.Errorf("anon: replay iteration %d: unknown method %q", cp.Iteration, dec.Method)
-		}
+// replay applies one journaled iteration to a resuming loop: the decisions
+// are re-applied to the dataset verbatim and the control-state deltas folded
+// in, so Run continues with the iteration after it.
+func (l *Loop) replay(cp Checkpoint, res *Result, position func(rowID int) (int, bool)) error {
+	if cp.Iteration != l.iter {
+		return fmt.Errorf("anon: resume checkpoint out of order: got iteration %d, want %d", cp.Iteration, l.iter)
 	}
-	res.Decisions = append(res.Decisions, cp.Decisions...)
+	if err := Replay(l.Dataset, cp.Decisions, position); err != nil {
+		return fmt.Errorf("anon: replay iteration %d: %w", cp.Iteration, err)
+	}
 	for _, row := range cp.Exhausted {
-		if row < 0 || row >= len(work.Rows) {
+		if row < 0 || row >= len(l.Dataset.Rows) {
 			return fmt.Errorf("anon: replay iteration %d: exhausted row %d out of range", cp.Iteration, row)
 		}
-		exhausted[row] = true
+		l.exhausted[row] = true
 	}
 	for _, row := range cp.NewRisky {
-		if row < 0 || row >= len(work.Rows) {
+		if row < 0 || row >= len(l.Dataset.Rows) {
 			return fmt.Errorf("anon: replay iteration %d: risky row %d out of range", cp.Iteration, row)
 		}
-		everRisky[row] = true
+		l.everRisky[row] = true
 	}
-	if cp.Iteration == 0 {
-		res.InitialRisky = len(cp.NewRisky)
-	}
-	res.RiskEvalTime += cp.RiskEval
-	res.AnonTime += cp.Anon
+	res.absorb(cp)
+	l.riskEval += cp.RiskEval
+	l.anon += cp.Anon
+	l.iter++
 	return nil
 }
 
-// Sort routes the risky tuples (row positions into d, scored by risks) into
-// the order they are anonymized in: sampling weight ascending, risk
-// descending, or dataset order, each with the tuple ID as the deterministic
-// tiebreak. The cycle and the stream's release gate route through it.
-func (o TupleOrder) Sort(d *mdb.Dataset, risks []float64, risky []int) {
+// route orders the risky tuples (row positions into d, scored by risks) the
+// way they are anonymized: sampling weight ascending, risk descending, or
+// dataset order, each with the tuple ID as the deterministic tiebreak.
+func (o TupleOrder) route(d *mdb.Dataset, risks []float64, risky []int) {
 	switch o {
 	case OrderLessSignificantFirst:
 		sort.SliceStable(risky, func(i, j int) bool {

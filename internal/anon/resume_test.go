@@ -189,6 +189,25 @@ func TestResumeRejectsForeignJournal(t *testing.T) {
 	if _, err := ResumeContext(nil, d, cfg, []Checkpoint{bad}); err == nil {
 		t.Fatal("resume accepted an unknown anonymization method")
 	}
+	// Every journaled decision carries the value it replaced: one the cell
+	// does not hold means the journal describes another dataset.
+	bad.Decisions[0] = Decision{RowID: 1, Attr: "Area", Old: mdb.Const("Nowhere-on-earth"),
+		Method: "local-suppression", New: mdb.Null(1), AffectedRows: 1}
+	if _, err := ResumeContext(nil, d, cfg, []Checkpoint{bad}); err == nil {
+		t.Fatal("resume accepted a decision whose old value the cell does not hold")
+	}
+	area := d.Rows[0].Values[d.AttrIndex("Area")]
+	once := Decision{RowID: d.Rows[0].ID, Attr: "Area", Old: area, Method: "local-suppression", New: mdb.Null(1), AffectedRows: 1}
+	twice := once
+	twice.New = mdb.Null(2)
+	bad.Decisions = []Decision{once, twice}
+	if _, err := ResumeContext(nil, d, cfg, []Checkpoint{bad}); err == nil {
+		t.Fatal("resume accepted two suppressions of the same cell")
+	}
+	bad.Decisions = []Decision{once}
+	if _, err := ResumeContext(nil, d, cfg, []Checkpoint{bad}); err != nil {
+		t.Fatalf("resume refused a decision that matches the dataset: %v", err)
+	}
 }
 
 // TestCheckpointErrorAbortsCycle: the checkpoint hook is a write-ahead

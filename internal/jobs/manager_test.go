@@ -1,7 +1,9 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -462,6 +464,23 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	bad.Decisions[0].New = "Roma"
 	if _, err := decodeCheckpoint(bad); err == nil {
 		t.Fatal("non-null suppression decoded without error")
+	}
+
+	// An iter payload copied out of a journal written before the decision
+	// record moved to package anon: same bytes in, same bytes out.
+	golden, err := os.ReadFile(filepath.Join("..", "anon", "testdata", "iter_payload.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p iterPayload
+	if err := json.Unmarshal(golden, &p); err != nil {
+		t.Fatal(err)
+	}
+	if back, err = decodeCheckpoint(p); err != nil || len(back.Decisions) == 0 {
+		t.Fatalf("golden iter payload: %d decisions, %v", len(back.Decisions), err)
+	}
+	if again, _ := json.Marshal(encodeCheckpoint(back)); !bytes.Equal(again, golden) {
+		t.Fatalf("golden iter payload re-encodes to\n%s\nwant\n%s", again, golden)
 	}
 }
 

@@ -1,17 +1,14 @@
 package jobs
 
 import (
-	"fmt"
 	"time"
 
 	"vadasa/internal/anon"
-	"vadasa/internal/mdb"
 )
 
 // The journal framing (internal/journal) carries opaque JSON payloads; the
-// schemas below are what jobs writes into them. Values travel in the textual
-// form of mdb.Value.String ("⊥7" for labelled nulls), so the journal stays
-// greppable and the parser on the way back re-observes null ids.
+// schemas below are what jobs writes into them. Decisions travel in the form
+// package anon owns (anon.DecisionRecord).
 
 // startPayload is the first record of every job journal: everything needed
 // to re-create the run after a crash, plus the input digest that guards
@@ -23,26 +20,14 @@ type startPayload struct {
 	Created time.Time `json:"created"`
 }
 
-// decisionRecord is the wire form of anon.Decision.
-type decisionRecord struct {
-	RowID        int     `json:"row"`
-	Attr         string  `json:"attr"`
-	Old          string  `json:"old"`
-	New          string  `json:"new"`
-	Method       string  `json:"method"`
-	Risk         float64 `json:"risk"`
-	Iteration    int     `json:"iter"`
-	AffectedRows int     `json:"affected"`
-}
-
 // iterPayload is one committed cycle iteration — the unit of recovery.
 type iterPayload struct {
-	Iteration  int              `json:"iteration"`
-	Decisions  []decisionRecord `json:"decisions,omitempty"`
-	Exhausted  []int            `json:"exhausted,omitempty"`
-	NewRisky   []int            `json:"new_risky,omitempty"`
-	RiskEvalNS int64            `json:"risk_eval_ns"`
-	AnonNS     int64            `json:"anon_ns"`
+	Iteration  int                   `json:"iteration"`
+	Decisions  []anon.DecisionRecord `json:"decisions,omitempty"`
+	Exhausted  []int                 `json:"exhausted,omitempty"`
+	NewRisky   []int                 `json:"new_risky,omitempty"`
+	RiskEvalNS int64                 `json:"risk_eval_ns"`
+	AnonNS     int64                 `json:"anon_ns"`
 }
 
 // donePayload terminates a journal. Its presence is what recovery keys on: a
@@ -56,55 +41,27 @@ type donePayload struct {
 }
 
 func encodeCheckpoint(cp anon.Checkpoint) iterPayload {
-	p := iterPayload{
+	return iterPayload{
 		Iteration:  cp.Iteration,
+		Decisions:  anon.EncodeDecisions(cp.Decisions),
 		Exhausted:  cp.Exhausted,
 		NewRisky:   cp.NewRisky,
 		RiskEvalNS: int64(cp.RiskEval),
 		AnonNS:     int64(cp.Anon),
 	}
-	for _, d := range cp.Decisions {
-		p.Decisions = append(p.Decisions, decisionRecord{
-			RowID:        d.RowID,
-			Attr:         d.Attr,
-			Old:          d.Old.String(),
-			New:          d.New.String(),
-			Method:       d.Method,
-			Risk:         d.Risk,
-			Iteration:    d.Iteration,
-			AffectedRows: d.AffectedRows,
-		})
-	}
-	return p
 }
 
 func decodeCheckpoint(p iterPayload) (anon.Checkpoint, error) {
-	cp := anon.Checkpoint{
+	decisions, err := anon.DecodeDecisions(p.Decisions)
+	if err != nil {
+		return anon.Checkpoint{}, err
+	}
+	return anon.Checkpoint{
 		Iteration: p.Iteration,
+		Decisions: decisions,
 		Exhausted: p.Exhausted,
 		NewRisky:  p.NewRisky,
 		RiskEval:  time.Duration(p.RiskEvalNS),
 		Anon:      time.Duration(p.AnonNS),
-	}
-	// The scratch allocator only absorbs Observe calls from explicit ⊥i
-	// tokens; the resuming cycle re-observes the ids on its own dataset
-	// clone during replay.
-	var scratch mdb.NullAllocator
-	for _, d := range p.Decisions {
-		newV := mdb.ParseValue(d.New, &scratch)
-		if d.Method == "local-suppression" && !newV.IsNull() {
-			return anon.Checkpoint{}, fmt.Errorf("jobs: journaled suppression of tuple %d has non-null value %q", d.RowID, d.New)
-		}
-		cp.Decisions = append(cp.Decisions, anon.Decision{
-			RowID:        d.RowID,
-			Attr:         d.Attr,
-			Old:          mdb.ParseValue(d.Old, &scratch),
-			New:          newV,
-			Method:       d.Method,
-			Risk:         d.Risk,
-			Iteration:    d.Iteration,
-			AffectedRows: d.AffectedRows,
-		})
-	}
-	return cp, nil
+	}, nil
 }

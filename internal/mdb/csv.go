@@ -6,12 +6,37 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 )
 
+// CSVHeader reads the first record of a CSV as attribute names — the one
+// reading of a header every intake path shares: fields as encoding/csv parses
+// them (so a quoted name may hold a comma), with a leading UTF-8 byte-order
+// mark and the white space around each name dropped.
+func CSVHeader(r io.Reader) ([]string, error) {
+	rec, err := csv.NewReader(r).Read()
+	if err != nil {
+		return nil, fmt.Errorf("mdb: reading CSV header: %w", err)
+	}
+	return headerNames(rec), nil
+}
+
+// headerNames cleans a header record in place.
+func headerNames(rec []string) []string {
+	for i, name := range rec {
+		if i == 0 {
+			name = strings.TrimPrefix(name, "\ufeff")
+		}
+		rec[i] = strings.TrimSpace(name)
+	}
+	return rec
+}
+
 // ReadCSV reads a microdata DB from CSV. The first record must be a header
-// matching the schema's attribute names, in order. If the schema contains a
-// Weight attribute, its column is parsed as a float and mirrored into
-// Row.Weight. Labelled nulls are recognized in the ⊥i and * forms.
+// naming the schema's attributes, in order, as CSVHeader reads it. If the
+// schema contains a Weight attribute, its column is parsed as a float and
+// mirrored into Row.Weight. Labelled nulls are recognized in the ⊥i and *
+// forms.
 func ReadCSV(r io.Reader, name string, attrs []Attribute) (*Dataset, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(attrs)
@@ -20,9 +45,9 @@ func ReadCSV(r io.Reader, name string, attrs []Attribute) (*Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mdb: reading CSV header: %w", err)
 	}
-	for i, a := range attrs {
-		if header[i] != a.Name {
-			return nil, fmt.Errorf("mdb: CSV column %d is %q, schema expects %q", i, header[i], a.Name)
+	for i, h := range headerNames(header) {
+		if h != attrs[i].Name {
+			return nil, fmt.Errorf("mdb: CSV column %d is %q, schema expects %q", i, h, attrs[i].Name)
 		}
 	}
 	d := NewDataset(name, attrs)

@@ -2,7 +2,9 @@ package mdb
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -296,6 +298,61 @@ func TestCSVRoundTripProperty(t *testing.T) {
 						trial, i, j, back.Rows[i].Values[j], d.Rows[i].Values[j])
 				}
 			}
+		}
+	}
+}
+
+// headerCase is one row of testdata/headers.json: a CSV whose header is
+// spelled some way a spreadsheet or encoding/csv itself spells it, and the
+// schema every intake path — this package, the CLI loader, the daemon's
+// synchronous endpoints and stream creation, which read the same file — must
+// make of it.
+type headerCase struct {
+	Name   string      `json:"name"`
+	CSV    string      `json:"csv"`
+	Schema [][2]string `json:"schema"` // name, category
+}
+
+func TestCSVHeaderTable(t *testing.T) {
+	raw, err := os.ReadFile("testdata/headers.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []headerCase
+	if err := json.Unmarshal(raw, &cases); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		names, err := CSVHeader(strings.NewReader(c.CSV))
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		attrs := make([]Attribute, len(c.Schema))
+		for i, s := range c.Schema {
+			cat, err := ParseCategory(s[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			attrs[i] = Attribute{Name: s[0], Category: cat}
+			if i >= len(names) || names[i] != s[0] {
+				t.Fatalf("%s: header reads %q, want %q", c.Name, names, c.Schema)
+			}
+		}
+		d, err := ReadCSV(strings.NewReader(c.CSV), c.Name, attrs)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		if len(d.Rows) != 4 || d.Rows[3].Weight != 9 {
+			t.Fatalf("%s: read %d rows", c.Name, len(d.Rows))
+		}
+		// What WriteCSV makes of the schema — quoting a name that holds a
+		// comma — reads back.
+		var buf bytes.Buffer
+		if err := WriteCSV(&buf, d); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadCSV(&buf, c.Name, attrs); err != nil {
+			t.Fatalf("%s: re-reading own output: %v", c.Name, err)
 		}
 	}
 }

@@ -75,43 +75,14 @@ type withdrawPayload struct {
 	RowIDs []int `json:"rows"`
 }
 
-// decisionRecord is the wire form of anon.Decision: values travel in their
-// textual form (constants verbatim, labelled nulls as ⊥i) because
-// mdb.Value is opaque to JSON. Replaying New through mdb.ParseValue with
-// Observe on the window allocator reproduces the exact null identities, so
-// a recovered window is value-identical to the crashed one.
-type decisionRecord struct {
-	RowID        int     `json:"row"`
-	Attr         string  `json:"attr"`
-	Old          string  `json:"old"`
-	New          string  `json:"new"`
-	Method       string  `json:"method"`
-	Risk         float64 `json:"risk"`
-	Iteration    int     `json:"iter"`
-	AffectedRows int     `json:"affected"`
-}
-
-func encodeDecision(d anon.Decision) decisionRecord {
-	return decisionRecord{
-		RowID:        d.RowID,
-		Attr:         d.Attr,
-		Old:          d.Old.String(),
-		New:          d.New.String(),
-		Method:       d.Method,
-		Risk:         d.Risk,
-		Iteration:    d.Iteration,
-		AffectedRows: d.AffectedRows,
-	}
-}
-
 // anonPayload commits one release-gate suppression iteration: the batch of
 // decisions a single risk evaluation motivated. Journaled before the next
 // evaluation, so a crash mid-gate resumes from a committed prefix of the
 // suppression sequence.
 type anonPayload struct {
-	Release   int              `json:"release"`
-	Iteration int              `json:"iter"`
-	Decisions []decisionRecord `json:"decisions"`
+	Release   int                   `json:"release"`
+	Iteration int                   `json:"iter"`
+	Decisions []anon.DecisionRecord `json:"decisions"`
 }
 
 // intentPayload declares a release before its bytes exist on disk: the

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 
@@ -68,86 +69,45 @@ func (s *Stream) Release(ctx context.Context) (*ReleaseInfo, error) {
 	return s.published, nil
 }
 
-// gate runs the anonymization loop of Algorithm 2 over the window until no
-// tuple's risk exceeds the threshold. Each iteration's decisions are
-// journaled as one anon record before the next risk evaluation — the unit
-// of recovery — and a failed journal append rolls the iteration back
-// completely (values, null allocator, index) before reporting the error.
+// gate runs the iteration of Algorithm 2 (anon.Loop) over the window until no
+// tuple's risk exceeds the threshold, under the gate's policy: every risky
+// tuple is stepped each iteration, by local suppression of its most selective
+// attribute, less significant tuples first. Each iteration's decisions are
+// journaled as one anon record before the next risk evaluation — the unit of
+// recovery — and a failed append makes the loop roll the iteration back
+// completely (values, null allocator; the risk view never saw it) before the
+// error is reported, so the next attempt mints the same null ids.
 func (s *Stream) gate(ctx context.Context) error {
-	qi := s.d.QuasiIdentifiers()
-	suppress := anon.LocalSuppression{Choice: s.opts.Choice}
-	actx := anon.NewContext(s.d, qi)
-	for iter := 1; ; iter++ {
-		if iter > maxIterations {
-			return fmt.Errorf("stream: release gate exceeded %d iterations", maxIterations)
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		risks, err := s.currentRisks(ctx)
-		if err != nil {
-			return err
-		}
-		var risky []int
-		for pos, r := range risks {
-			if r > s.opts.Threshold {
-				risky = append(risky, pos)
+	loop := anon.Loop{
+		Dataset:       s.d,
+		Threshold:     s.opts.Threshold,
+		Anonymizer:    anon.LocalSuppression{},
+		BatchFraction: 1,
+		Risks:         s.currentRisks,
+		View:          s.live,
+		Commit: func(cp anon.Checkpoint) error {
+			if len(cp.Decisions) == 0 {
+				return nil // only found tuples with no step left
 			}
-		}
-		if len(risky) == 0 {
+			p := anonPayload{Release: s.relSeq + 1, Iteration: cp.Iteration + 1, Decisions: anon.EncodeDecisions(cp.Decisions)}
+			if err := s.w.Append(recAnon, p); err != nil {
+				return err
+			}
+			s.pendSupp += len(cp.Decisions)
 			return nil
-		}
-		s.opts.Order.Sort(s.d, risks, risky)
-
-		saved := s.d.Nulls
-		type step struct {
-			pos, attr int
-			old       mdb.Value
-		}
-		var steps []step
-		var decs []anon.Decision
-		for _, pos := range risky {
-			ds, ok := suppress.Step(actx, pos)
-			if !ok {
-				continue
-			}
-			for i := range ds {
-				ds[i].Risk = risks[pos]
-				ds[i].Iteration = iter
-				attr := s.d.AttrIndex(ds[i].Attr)
-				steps = append(steps, step{pos: pos, attr: attr, old: ds[i].Old})
-			}
-			actx.Applied(ds)
-			decs = append(decs, ds...)
-		}
-		if len(decs) == 0 {
-			return &GateClosedError{Residual: len(risky)}
-		}
-
-		p := anonPayload{Release: s.relSeq + 1, Iteration: iter, Decisions: make([]decisionRecord, len(decs))}
-		for i, d := range decs {
-			p.Decisions[i] = encodeDecision(d)
-		}
-		if err := s.w.Append(recAnon, p); err != nil {
-			// Unwind the whole iteration: restore the suppressed values in
-			// reverse and put the null allocator back so the next attempt
-			// mints the same ids (the journal left no trace of the record).
-			// The risk view never saw the mutation, so state is exactly
-			// pre-iteration.
-			for i := len(steps) - 1; i >= 0; i-- {
-				s.d.Rows[steps[i].pos].Values[steps[i].attr] = steps[i].old
-			}
-			s.d.Nulls = saved
-			return err
-		}
-		s.pendSupp += len(decs)
-		for _, st := range steps {
-			if err := s.live.Suppressed(st.pos, st.attr); err != nil {
-				return fmt.Errorf("stream: index maintenance: %w", err)
-			}
-		}
-		actx = actx.Next()
+		},
 	}
+	residual, err := loop.Run(ctx)
+	var limit *anon.NotConvergedError
+	switch {
+	case errors.As(err, &limit):
+		return fmt.Errorf("stream: release gate exceeded %d iterations", limit.Iterations)
+	case err != nil:
+		return err
+	case len(residual) > 0:
+		return &GateClosedError{Residual: len(residual)}
+	}
+	return nil
 }
 
 // appendIntent journals the release declaration. It must precede the

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"vadasa/internal/anon"
 	"vadasa/internal/faultfs"
 	"vadasa/internal/govern"
 	"vadasa/internal/journal"
@@ -237,30 +238,19 @@ func (s *Stream) applyCreate(p createPayload) error {
 	return nil
 }
 
-// applyAnon replays one suppression iteration. New values go through
-// ParseValue against the window's allocator, which observes the journaled
-// null ids — so nulls minted after recovery never collide with replayed
-// ones, exactly as on the live path.
+// applyAnon replays one suppression iteration through anon.Replay, which
+// checks every decision against the window and observes the journaled null
+// ids on its allocator — so nulls minted after recovery never collide with
+// replayed ones, exactly as on the live path.
 func (s *Stream) applyAnon(p anonPayload) error {
-	for _, rec := range p.Decisions {
-		pos, ok := s.position(rec.RowID)
-		if !ok {
-			return fmt.Errorf("stream: journaled suppression of unknown row %d", rec.RowID)
-		}
-		attr := s.d.AttrIndex(rec.Attr)
-		if attr < 0 {
-			return fmt.Errorf("stream: journaled suppression of unknown attribute %q", rec.Attr)
-		}
-		r := s.d.Rows[pos]
-		if got := r.Values[attr].String(); got != rec.Old {
-			// Digests, not raw cells: enough to show the mismatch without
-			// copying microdata into an error that reaches logs.
-			return fmt.Errorf("stream: row %d %s holds %s, journal expected %s",
-				rec.RowID, rec.Attr, r.Values[attr].Redacted(), mdb.RedactString(rec.Old))
-		}
-		r.Values[attr] = mdb.ParseValue(rec.New, &s.d.Nulls)
-		s.pendSupp++
+	decisions, err := anon.DecodeDecisions(p.Decisions)
+	if err == nil {
+		err = anon.Replay(s.d, decisions, s.position)
 	}
+	if err != nil {
+		return fmt.Errorf("stream: replaying iteration %d of release %d's gate: %w", p.Iteration, p.Release, err)
+	}
+	s.pendSupp += len(decisions)
 	return nil
 }
 

@@ -35,7 +35,6 @@ import (
 	"strings"
 	"sync"
 
-	"vadasa/internal/anon"
 	"vadasa/internal/faultfs"
 	"vadasa/internal/govern"
 	"vadasa/internal/journal"
@@ -90,11 +89,6 @@ type Options struct {
 	// MaxRows bounds the in-memory window (0 = 100000). An append that
 	// would exceed it fails with a WindowFullError.
 	MaxRows int
-	// Order routes risky tuples in the release gate (the cycle's default:
-	// less significant first).
-	Order anon.TupleOrder
-	// Choice picks the attribute a suppression nulls.
-	Choice anon.AttrChoice
 	// Governor, when non-nil, is charged for the window and the group
 	// index; a refused index budget degrades the stream to periodic full
 	// reassessment instead of failing ingestion.
@@ -130,13 +124,9 @@ func (o Options) maxRows() int {
 	return 100_000
 }
 
-const (
-	// fullEvery is the reassessment cadence, in window mutations, of a
-	// stream that scores one-shot.
-	fullEvery = 8
-	// maxIterations caps the release gate's suppression loop.
-	maxIterations = 10_000
-)
+// fullEvery is the reassessment cadence, in window mutations, of a stream
+// that scores one-shot.
+const fullEvery = 8
 
 // ReleaseInfo describes one published release.
 type ReleaseInfo struct {
@@ -318,6 +308,11 @@ func (s *Stream) create() error {
 		return fmt.Errorf("stream: Options.Attrs is required to create a stream")
 	}
 	s.d = mdb.NewDataset(s.id, s.opts.Attrs)
+	// Nothing downstream checks the schema again: batches are validated
+	// against it, never it against anything.
+	if err := s.d.Validate(); err != nil {
+		return fmt.Errorf("stream: %w", err)
+	}
 	if len(s.d.QuasiIdentifiers()) == 0 {
 		return fmt.Errorf("stream: schema has no quasi-identifiers to anonymize")
 	}

@@ -89,6 +89,11 @@ func NewDataset(name string, attrs []Attribute) *Dataset {
 	return mdb.NewDataset(name, attrs)
 }
 
+// CSVHeader reads the first record of a CSV as attribute names (quoting as
+// encoding/csv reads it; byte-order mark and surrounding white space dropped)
+// — what Framework.Schema categorizes and ReadCSV then checks the file against.
+func CSVHeader(r io.Reader) ([]string, error) { return mdb.CSVHeader(r) }
+
 // ReadCSV reads a microdata DB from CSV against a schema.
 func ReadCSV(r io.Reader, name string, attrs []Attribute) (*Dataset, error) {
 	return mdb.ReadCSV(r, name, attrs)
