@@ -35,6 +35,11 @@ type server struct {
 	// handler is the route table behind the middleware stack.
 	handler http.Handler
 
+	// framework is the daemon's one framework, -kb loaded into it at
+	// start-up. Nothing a request does changes it: a request that carries a
+	// ?budget= works on a copy (frameworkFor).
+	framework *vadasa.Framework
+
 	// inflight, when non-nil, is the concurrency-limiting semaphore; its
 	// capacity is -max-inflight.
 	inflight chan struct{}
@@ -78,11 +83,11 @@ type writePath struct {
 func (s *server) jobs() *jobs.Manager      { return s.writePath.Load().jobs }
 func (s *server) streams() *streamRegistry { return s.writePath.Load().streams }
 
-// newFramework builds the per-request framework, loading -kb when set.
-func (s *server) newFramework() (*vadasa.Framework, error) {
+// newFramework builds the daemon's framework, loading -kb when set.
+func newFramework(kbPath string) (*vadasa.Framework, error) {
 	f := vadasa.New()
-	if s.cfg.kbPath != "" {
-		file, err := os.Open(s.cfg.kbPath)
+	if kbPath != "" {
+		file, err := os.Open(kbPath)
 		if err != nil {
 			return nil, err
 		}
@@ -95,7 +100,7 @@ func (s *server) newFramework() (*vadasa.Framework, error) {
 }
 
 // newServer builds the daemon from its configuration: everything between
-// flag parsing and the listener. In order — the knowledge base is checked,
+// flag parsing and the listener. In order — the knowledge base is loaded,
 // the governor and the load shedder are set up, replication is wired (it must
 // exist before the write path: journals are shipped through hooks installed
 // at creation time, and a standby must not bring the write path up at all),
@@ -114,8 +119,7 @@ func newServer(cfg config) (_ *server, err error) {
 			s.Close()
 		}
 	}()
-	// Fail fast on a broken KB.
-	if _, err := s.newFramework(); err != nil {
+	if s.framework, err = newFramework(cfg.kbPath); err != nil {
 		return nil, err
 	}
 	if cfg.maxInflight > 0 {
@@ -366,11 +370,7 @@ func (s *server) distMeasure(m vadasa.RiskMeasure) vadasa.RiskMeasure {
 }
 
 func (s *server) handleMeasures(w http.ResponseWriter, r *http.Request) error {
-	f, err := s.newFramework()
-	if err != nil {
-		return err
-	}
-	return s.writeJSON(w, http.StatusOK, map[string][]string{"measures": f.MeasureNames()})
+	return s.writeJSON(w, http.StatusOK, map[string][]string{"measures": s.framework.MeasureNames()})
 }
 
 // readBody reads the request body, at most -max-body bytes of it. A declared
@@ -408,21 +408,20 @@ func (s *server) readCharged(w http.ResponseWriter, r *http.Request) ([]byte, er
 	return body, nil
 }
 
-// frameworkFor builds the per-request framework with the ?budget= engine
-// work cap applied.
+// frameworkFor returns the framework a request works with: the daemon's,
+// or a copy of it carrying the request's ?budget= engine work cap. The copy
+// shares the knowledge base, which requests only read.
 func (s *server) frameworkFor(q url.Values) (*vadasa.Framework, error) {
-	f, err := s.newFramework()
-	if err != nil {
-		return nil, err
-	}
 	budget, err := s.parseBudget(q)
 	if err != nil {
 		return nil, err
 	}
-	if budget > 0 {
-		f.SetReasonerBudget(budget)
+	if budget == 0 {
+		return s.framework, nil
 	}
-	return f, nil
+	f := *s.framework
+	f.SetReasonerBudget(budget)
+	return &f, nil
 }
 
 // cycleFromValues parses everything an anonymization cycle takes besides its

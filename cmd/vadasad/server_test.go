@@ -6,6 +6,8 @@ import (
 	"flag"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -236,5 +238,36 @@ func TestExplainEndpoint(t *testing.T) {
 	rec = do(t, testServer(t), "POST", "/explain?measure=k-anonymity", figure1CSV(t))
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("missing tuple: status = %d", rec.Code)
+	}
+}
+
+// The knowledge base is read once, when the daemon starts: requests
+// categorize from the framework built then, not from the file. Deleting the
+// file after start-up proves it — the KB is the only thing that makes
+// "Zorgle" a quasi-identifier.
+func TestKnowledgeBaseIsReadOnce(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.kbPath = filepath.Join(t.TempDir(), "kb.json")
+	kb := `{"experience":[{"attr":"Zorgle","category":"Quasi-identifier"}],"hierarchy":{}}`
+	if err := os.WriteFile(cfg.kbPath, []byte(kb), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h := startServer(t, cfg).handler
+	if err := os.Remove(cfg.kbPath); err != nil {
+		t.Fatal(err)
+	}
+	csv := "Id,Zorgle,Weight\n1,a,1\n2,a,1\n3,b,1\n"
+	for _, target := range []string{"/assess?measure=k-anonymity&k=2", "/assess?measure=k-anonymity&k=2&budget=1000"} {
+		rec := do(t, h, "POST", target, csv)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s with the KB file gone: %d %s", target, rec.Code, rec.Body)
+		}
+		if !strings.Contains(rec.Body.String(), `"riskyTupleIds":[3]`) {
+			t.Errorf("%s did not group by the KB's quasi-identifier: %s", target, rec.Body)
+		}
+	}
+	// Without the KB the column is non-identifying and there is nothing to group by.
+	if rec := do(t, testServer(t), "POST", "/assess?measure=k-anonymity&k=2", csv); rec.Code == http.StatusOK {
+		t.Fatalf("control without -kb: %d %s; the fixture does not depend on the KB", rec.Code, rec.Body)
 	}
 }

@@ -144,11 +144,7 @@ func (r *streamRegistry) get(id string) *stream.Stream {
 // do. A concurrent create of the same id loses the race idempotently: the
 // winner's stream is returned.
 func (r *streamRegistry) create(ctx context.Context, id string, names []string, q url.Values) (*stream.Stream, error) {
-	f, err := r.srv.newFramework()
-	if err != nil {
-		return nil, err
-	}
-	attrs, _ := f.Schema(names, overridesFromValues(q))
+	attrs, _ := r.srv.framework.Schema(names, overridesFromValues(q))
 	m, err := r.srv.measureFromValues(q)
 	if err != nil {
 		return nil, err

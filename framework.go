@@ -2,6 +2,7 @@ package vadasa
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/bits"
 	"net/url"
@@ -12,7 +13,6 @@ import (
 	"vadasa/internal/categorize"
 	"vadasa/internal/cluster"
 	"vadasa/internal/datalog"
-	"vadasa/internal/govern"
 	"vadasa/internal/hierarchy"
 	"vadasa/internal/mdb"
 	"vadasa/internal/programs"
@@ -189,27 +189,11 @@ func (f *Framework) SetReasonerBudget(maxWork int64) { f.maxWork = maxWork }
 // (0 = engine default).
 func (f *Framework) ReasonerBudget() int64 { return f.maxWork }
 
-// reasonerOptions assembles the engine options for one evaluation made
-// on behalf of this framework: the configured work budget, plus — when
-// ctx carries a resource governor — a per-evaluation child scope whose
-// byte charges roll up to the request or job above it. The returned
-// cleanup must run when the evaluation ends; it releases the whole
-// evaluation footprint.
+// reasonerOptions assembles the engine options for one evaluation made on
+// behalf of this framework: its work budget under programs.EvalOptions'
+// governor scope. The returned cleanup must run when the evaluation ends.
 func (f *Framework) reasonerOptions(ctx context.Context) (*datalog.Options, func()) {
-	var opt datalog.Options
-	if f.maxWork > 0 {
-		opt.MaxWork = f.maxWork
-	}
-	cleanup := func() {}
-	if g := govern.From(ctx); g != nil {
-		eg := g.Child("evaluation", govern.Limits{})
-		opt.Governor = eg
-		cleanup = eg.Close
-	}
-	if opt.MaxWork == 0 && opt.Governor == nil {
-		return nil, cleanup
-	}
-	return &opt, cleanup
+	return programs.EvalOptions(ctx, f.maxWork)
 }
 
 // AssessRisk estimates per-tuple disclosure risk under maybe-match
@@ -268,26 +252,15 @@ func (f *Framework) ExplainRiskContext(ctx context.Context, d *Dataset, measure 
 		return "", fmt.Errorf("vadasa: dataset %q has no tuple with id %d", d.Name, rowID)
 	}
 
-	var prog *Program
-	switch m := measure.(type) {
-	case ReIdentification:
-		if len(m.Attrs) > 0 {
-			return "", fmt.Errorf("vadasa: ExplainRisk does not support attribute-restricted measures")
-		}
-		prog = programs.ReIdentification(len(qi))
-	case KAnonymity:
-		if len(m.Attrs) > 0 {
-			return "", fmt.Errorf("vadasa: ExplainRisk does not support attribute-restricted measures")
-		}
-		prog = programs.KAnonymity(len(qi), m.K)
-	case IndividualRisk:
-		if len(m.Attrs) > 0 {
-			return "", fmt.Errorf("vadasa: ExplainRisk does not support attribute-restricted measures")
-		}
-		prog = programs.IndividualRisk(len(qi))
-	case SUDA:
+	if m, ok := measure.(SUDA); ok {
 		return f.explainSUDA(ctx, d, m, rowID)
-	default:
+	}
+	// Which program explains a measure is a row of the twin table.
+	prog, err := programs.TwinOf(measure, d, true)
+	switch {
+	case errors.Is(err, programs.ErrRestricted):
+		return "", fmt.Errorf("vadasa: ExplainRisk does not support attribute-restricted measures")
+	case err != nil:
 		return "", fmt.Errorf("vadasa: no explanation support for measure %q", measure.Name())
 	}
 

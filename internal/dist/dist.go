@@ -71,7 +71,7 @@ type TaskRow struct {
 }
 
 // Task is one shard of re-scoring work under one lease epoch. Run names
-// the supervisor incarnation (journal/debug identity), Seq the shard, and
+// the supervisor incarnation (debug identity), Seq the shard, and
 // Epoch the lease: the worker echoes both back so the supervisor's fence
 // can match the reply to the exact grant it answers.
 type Task struct {

@@ -10,19 +10,15 @@ import (
 	"time"
 
 	"vadasa/internal/govern"
-	"vadasa/internal/journal"
 	"vadasa/internal/pool"
 )
 
 // Options tunes a Supervisor. Zero values select the documented defaults.
 type Options struct {
-	// Run names this supervisor incarnation in journal records and logs.
+	// Run names this supervisor incarnation in tasks and logs.
 	Run string
 	// ShardSize is the number of rows per task (default 1024).
 	ShardSize int
-	// Parallel caps concurrently outstanding tasks (default 2×workers,
-	// minimum 2).
-	Parallel int
 	// LeaseTTL bounds one dispatch: a worker that has not replied within
 	// it is presumed dead, its epoch revoked, the task retried (default
 	// 10s).
@@ -56,30 +52,16 @@ type Options struct {
 	// worker accumulating hedged work shows up in /readyz before it
 	// becomes a memory problem.
 	Governor *govern.Governor
-	// Journal, when non-nil, receives TypeLease records for every grant,
-	// revoke and accept. Appends are advisory: a failure is logged and the
-	// run continues — correctness is fenced in memory; the records buy
-	// observability and a crash-consistent epoch floor (RecoverFence).
-	Journal *journal.Writer
-	// FirstEpoch seeds the epoch counter (default 0, first grant = 1). A
-	// supervisor restarting over a journal passes the RecoverFence floor + 1.
-	FirstEpoch uint64
 	// Logf receives supervision diagnostics; nil discards them.
 	Logf func(format string, args ...any)
 }
 
-func (o *Options) fill(workers int) {
+func (o *Options) fill() {
 	if o.Run == "" {
 		o.Run = "dist"
 	}
 	if o.ShardSize <= 0 {
 		o.ShardSize = 1024
-	}
-	if o.Parallel <= 0 {
-		o.Parallel = 2 * workers
-		if o.Parallel < 2 {
-			o.Parallel = 2
-		}
 	}
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 10 * time.Second
@@ -169,8 +151,6 @@ type Supervisor struct {
 	rr      atomic.Uint64 // round-robin dispatch cursor
 	epoch   atomic.Uint64 // monotonic lease epoch counter
 
-	jmu sync.Mutex // serializes journal appends (Writer is not concurrency-safe)
-
 	localFallbacks atomic.Uint64
 	hedges         atomic.Uint64
 	staleReplies   atomic.Uint64
@@ -186,12 +166,11 @@ type Supervisor struct {
 // Execute runs in-process (or fails, under RequireWorkers). Workers start
 // out healthy and are re-classified by calls and heartbeats.
 func NewSupervisor(transports []Transport, opts Options) *Supervisor {
-	opts.fill(len(transports))
+	opts.fill()
 	s := &Supervisor{
 		opts:  opts,
 		stopc: make(chan struct{}),
 	}
-	s.epoch.Store(opts.FirstEpoch)
 	for _, t := range transports {
 		w := &worker{t: t, healthy: true, lastSeen: time.Now()}
 		if opts.Governor != nil {
@@ -306,39 +285,21 @@ func (s *Supervisor) logf(format string, args ...any) {
 	}
 }
 
-// journalLease appends one lease record; failures are logged, never fatal
-// (the in-memory fence is authoritative — see Options.Journal).
-func (s *Supervisor) journalLease(action string, seq int, epoch uint64, workerAddr string) {
-	if s.opts.Journal == nil {
-		return
-	}
-	s.jmu.Lock()
-	defer s.jmu.Unlock()
-	err := s.opts.Journal.Append(journal.TypeLease, LeasePayload{
-		Run: s.opts.Run, Task: seq, Epoch: epoch, Worker: workerAddr, Action: action,
-	})
-	if err != nil {
-		s.logf("dist: journaling lease %s task=%d epoch=%d: %v", action, seq, epoch, err)
-	}
-}
-
 // grant issues a fresh epoch for the task and records it as valid.
-func (s *Supervisor) grant(task *taskState, w *worker) uint64 {
+func (s *Supervisor) grant(task *taskState) uint64 {
 	epoch := s.epoch.Add(1)
 	task.mu.Lock()
 	task.valid[epoch] = true
 	task.mu.Unlock()
-	s.journalLease(LeaseGrant, task.seq, epoch, w.t.Addr())
 	return epoch
 }
 
 // revoke invalidates one epoch (timeout, transport failure, corrupt
 // reply); a reply carrying it can never be admitted afterwards.
-func (s *Supervisor) revoke(task *taskState, epoch uint64, workerAddr string) {
+func (s *Supervisor) revoke(task *taskState, epoch uint64) {
 	task.mu.Lock()
 	delete(task.valid, epoch)
 	task.mu.Unlock()
-	s.journalLease(LeaseRevoke, task.seq, epoch, workerAddr)
 }
 
 // admit is the epoch fence — the single point where a worker reply can
@@ -361,7 +322,6 @@ func (s *Supervisor) admit(task *taskState, r Reply, n int, workerAddr string) (
 	if r.Err == "" && len(r.Values) != n {
 		delete(task.valid, r.Epoch)
 		task.mu.Unlock()
-		s.journalLease(LeaseRevoke, task.seq, r.Epoch, workerAddr)
 		s.logf("dist: corrupt reply task=%d epoch=%d from %s: %d values for %d rows",
 			r.Seq, r.Epoch, workerAddr, len(r.Values), n) //distfence:ok fence's own rejection diagnostic
 		return false, true
@@ -369,22 +329,14 @@ func (s *Supervisor) admit(task *taskState, r Reply, n int, workerAddr string) (
 	task.done = true
 	task.valid = map[uint64]bool{}
 	task.mu.Unlock()
-	s.journalLease(LeaseAccept, task.seq, r.Epoch, workerAddr)
 	return true, false
 }
 
 // revokeAll invalidates every outstanding epoch of the task.
-func (s *Supervisor) revokeAll(task *taskState, workerAddr string) {
+func (s *Supervisor) revokeAll(task *taskState) {
 	task.mu.Lock()
-	epochs := make([]uint64, 0, len(task.valid))
-	for e := range task.valid {
-		epochs = append(epochs, e)
-	}
 	task.valid = map[uint64]bool{}
 	task.mu.Unlock()
-	for _, e := range epochs {
-		s.journalLease(LeaseRevoke, task.seq, e, workerAddr)
-	}
 }
 
 // pickWorker round-robins over healthy workers; exclude skips one (hedge
@@ -448,7 +400,8 @@ func (s *Supervisor) Execute(ctx context.Context, spec MeasureSpec, rows []TaskR
 		shards = append(shards, shard{lo, hi})
 	}
 	out := make([]float64, len(rows))
-	err := pool.ForEach(ctx, s.opts.Parallel, len(shards), func(i int) error {
+	// Two tasks outstanding per worker keep each one busy across a reply.
+	err := pool.ForEach(ctx, max(2, 2*len(s.workers)), len(shards), func(i int) error {
 		vals, err := s.runTask(ctx, i, spec, rows[shards[i].lo:shards[i].hi])
 		if err != nil {
 			return err
@@ -480,7 +433,7 @@ func (s *Supervisor) runTask(ctx context.Context, seq int, spec MeasureSpec, row
 	replyc := make(chan dispatchResult, 2*s.opts.MaxAttempts+2)
 
 	dispatch := func(w *worker) uint64 {
-		epoch := s.grant(task, w)
+		epoch := s.grant(task)
 		t := Task{Run: s.opts.Run, Seq: seq, Epoch: epoch, Measure: spec, Rows: rows}
 		w.mu.Lock()
 		w.inflight++
@@ -538,7 +491,7 @@ func (s *Supervisor) runTask(ctx context.Context, seq int, spec MeasureSpec, row
 			select {
 			case <-ctx.Done():
 				stopTimers(hedgeTimer, deadline)
-				s.revokeAll(task, lastAddr)
+				s.revokeAll(task)
 				return nil, ctx.Err()
 
 			case res := <-replyc:
@@ -555,7 +508,7 @@ func (s *Supervisor) runTask(ctx context.Context, seq int, spec MeasureSpec, row
 				if res.err != nil {
 					outstanding--
 					res.w.setHealthy(false)
-					s.revoke(task, res.epoch, res.w.t.Addr())
+					s.revoke(task, res.epoch)
 					s.logf("dist: task %d epoch %d on %s failed: %v", seq, res.epoch, res.w.t.Addr(), res.err)
 					if outstanding > 0 {
 						continue // a hedge is still in flight
@@ -604,7 +557,7 @@ func (s *Supervisor) runTask(ctx context.Context, seq int, spec MeasureSpec, row
 				// surfacing (a stuck transport): revoke everything and
 				// re-dispatch. Late replies die at the fence.
 				stopTimers(hedgeTimer, nil)
-				s.revokeAll(task, lastAddr)
+				s.revokeAll(task)
 				w.setHealthy(false)
 				s.logf("dist: task %d lease expired on %s", seq, w.t.Addr())
 				break wait

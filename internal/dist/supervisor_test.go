@@ -5,12 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"vadasa/internal/govern"
-	"vadasa/internal/journal"
 	"vadasa/internal/risk"
 )
 
@@ -174,11 +172,10 @@ func TestAdmitFence(t *testing.T) {
 	sup := NewSupervisor(nil, quickOpts())
 	defer sup.Close()
 	task := &taskState{seq: 3, valid: map[uint64]bool{}}
-	w := &worker{t: scoringTransport("w", 0)}
 
-	e1 := sup.grant(task, w)
-	e2 := sup.grant(task, w) // hedge: both valid at once
-	sup.revoke(task, e1, "w")
+	e1 := sup.grant(task)
+	e2 := sup.grant(task) // hedge: both valid at once
+	sup.revoke(task, e1)
 
 	// Revoked epoch: fenced out.
 	if ok, corrupt := sup.admit(task, Reply{Seq: 3, Epoch: e1, Values: []float64{1}}, 1, "w"); ok || corrupt {
@@ -189,7 +186,7 @@ func TestAdmitFence(t *testing.T) {
 		t.Fatal("wrong-seq reply admitted")
 	}
 	// Truncated reply on a valid epoch: revokes that lease, not admitted.
-	e3 := sup.grant(task, w)
+	e3 := sup.grant(task)
 	if ok, corrupt := sup.admit(task, Reply{Seq: 3, Epoch: e3, Values: []float64{1}}, 2, "w"); ok || !corrupt {
 		t.Fatalf("truncated reply: ok=%v corrupt=%v, want rejected+corrupt", ok, corrupt)
 	}
@@ -201,7 +198,7 @@ func TestAdmitFence(t *testing.T) {
 		t.Fatal("valid hedge reply rejected")
 	}
 	// ...and settles the task: every later reply dies at the fence.
-	e4 := sup.grant(task, w)
+	e4 := sup.grant(task)
 	if ok, _ := sup.admit(task, Reply{Seq: 3, Epoch: e4, Values: []float64{1, 2}}, 2, "w"); ok {
 		t.Fatal("reply admitted after task settled")
 	}
@@ -234,76 +231,6 @@ func TestHedging(t *testing.T) {
 	st := sup.Snapshot()
 	if st.Hedges == 0 {
 		t.Fatalf("no hedges launched: %+v", st)
-	}
-}
-
-// Lease grants, revocations and accepts land in the journal, and
-// RecoverFence restores the epoch floor while the journal is reopened.
-func TestLeaseJournalAndRecoverFence(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "dist.journal")
-	w, err := journal.CreateWith(path, journal.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := testRows(rand.New(rand.NewSource(47)), 100)
-	opts := quickOpts()
-	opts.Journal = w
-	opts.FirstEpoch = 41
-	sup := NewSupervisor([]Transport{scoringTransport("w1", 0)}, opts)
-	if _, err := sup.Execute(context.Background(), testSpecs()[0], rows); err != nil {
-		t.Fatal(err)
-	}
-	sup.Close()
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	scan, err := journal.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var grants, accepts int
-	for _, rec := range scan.Records {
-		if rec.Type != journal.TypeLease {
-			continue
-		}
-		var p LeasePayload
-		if err := rec.Decode(&p); err != nil {
-			t.Fatal(err)
-		}
-		if p.Run != "test" || p.Epoch <= 41 {
-			t.Fatalf("bad lease record %+v", p)
-		}
-		switch p.Action {
-		case LeaseGrant:
-			grants++
-		case LeaseAccept:
-			accepts++
-		}
-	}
-	wantTasks := (len(rows) + opts.ShardSize - 1) / opts.ShardSize
-	if grants < wantTasks || accepts != wantTasks {
-		t.Fatalf("grants=%d accepts=%d, want >=%d and ==%d", grants, accepts, wantTasks, wantTasks)
-	}
-	// A supervisor restarting over the journal reopens it and recovers the
-	// floor in the same pass.
-	var floor uint64
-	w2, err := journal.Open(context.Background(), path, journal.Config{}, RecoverFence(&floor))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	if floor <= 41 || floor != sup.epoch.Load() {
-		t.Fatalf("RecoverFence = %d, want the final epoch %d", floor, sup.epoch.Load())
-	}
-	// Seeded above the floor it can never re-issue an epoch the dead
-	// incarnation granted.
-	sup2 := NewSupervisor(nil, Options{Journal: w2, FirstEpoch: floor + 1})
-	defer sup2.Close()
-	task := &taskState{seq: 0, valid: map[uint64]bool{}}
-	if e := sup2.grant(task, &worker{t: scoringTransport("w", 0)}); e <= floor {
-		t.Fatalf("restarted epoch %d not above floor %d", e, floor)
 	}
 }
 

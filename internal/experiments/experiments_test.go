@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"vadasa/internal/mdb"
+	"vadasa/internal/programs"
 )
 
 // The harness runs every figure end to end at a tiny scale; assertions pin
@@ -85,6 +89,44 @@ func TestFig7cShapes(t *testing.T) {
 	RenderFig7c(&b, stats)
 	if !strings.Contains(b.String(), "standard") {
 		t.Error("render missing standard rows")
+	}
+}
+
+// Figure 7c's Skolem arm regenerated through the reasoner: the declarative
+// cycle — risk and suppression both chases on the engine, whose labelled
+// nulls are Skolem constants — injects exactly the nulls the native sweep
+// injects under the standard semantics, on every dataset and every k. (Under
+// that semantics a risky tuple ends fully suppressed whatever the routing,
+// so the two sweeps' different heuristics do not matter.) The maybe-match
+// arm has no declarative counterpart until the engine groups by maybe-match
+// (ROADMAP 3(b)).
+func TestFig7cSkolemArmThroughTheReasoner(t *testing.T) {
+	const scale = 0.02 // 500-tuple datasets: every iteration re-reasons over the whole table
+	stats, err := Fig7c(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	native := map[string]CycleStats{}
+	for _, s := range stats {
+		if s.Semantics == mdb.StandardNulls {
+			native[s.Dataset+"|"+string(rune('0'+s.K))] = s
+		}
+	}
+	for _, d := range dataset25k(scale) {
+		for k := 2; k <= 5; k++ {
+			res, err := programs.DeclarativeCycleContext(context.Background(), d, k)
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", d.Name, k, err)
+			}
+			want := native[d.Name+"|"+string(rune('0'+k))]
+			if want.Nulls == 0 {
+				t.Fatalf("%s k=%d: the native Skolem arm injected no nulls", d.Name, k)
+			}
+			if res.NullsInjected != want.Nulls || len(res.Residual) != want.Residual {
+				t.Errorf("%s k=%d: the reasoner injected %d nulls (%d residual), the native Skolem arm %d (%d)",
+					d.Name, k, res.NullsInjected, len(res.Residual), want.Nulls, want.Residual)
+			}
+		}
 	}
 }
 

@@ -19,6 +19,11 @@ import (
 	"vadasa/internal/risk"
 )
 
+// queueDepth bounds jobs waiting for a worker: Submit fails fast when the
+// queue is full rather than blocking the caller. A variable only so that this
+// package's test can fill the queue with two jobs.
+var queueDepth = 256
+
 // Options tunes a Manager. The zero value is usable: sensible defaults are
 // filled in by NewManager.
 type Options struct {
@@ -34,9 +39,6 @@ type Options struct {
 	// jittered to 50–100% of the nominal value.
 	RetryBase time.Duration
 	RetryCap  time.Duration
-	// QueueDepth bounds jobs waiting for a worker (default 256). Submit
-	// fails fast when the queue is full rather than blocking the caller.
-	QueueDepth int
 	// FS is the filesystem journals and inputs are accessed through;
 	// nil means the real one. Tests inject faultfs.Faulty to pin
 	// disk-pressure behaviour deterministically.
@@ -112,9 +114,6 @@ func NewManager(runner Runner, opts Options) (*Manager, error) {
 	if opts.RetryCap <= 0 {
 		opts.RetryCap = 5 * time.Second
 	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 256
-	}
 	if opts.PauseProbe <= 0 {
 		opts.PauseProbe = 500 * time.Millisecond
 	}
@@ -124,7 +123,7 @@ func NewManager(runner Runner, opts Options) (*Manager, error) {
 		opts:    opts,
 		baseCtx: ctx,
 		stop:    stop,
-		queue:   make(chan *Job, opts.QueueDepth),
+		queue:   make(chan *Job, queueDepth),
 		jobs:    make(map[string]*Job),
 		writers: make(map[string]*journal.Writer),
 		cancels: make(map[string]context.CancelFunc),
@@ -225,7 +224,7 @@ func (m *Manager) Submit(spec Spec) (Job, error) {
 		m.mu.Unlock()
 		w.Close()
 		m.opts.FS.Remove(m.journalPath(id))
-		return Job{}, fmt.Errorf("%w (%d pending)", ErrQueueFull, m.opts.QueueDepth)
+		return Job{}, fmt.Errorf("%w (%d pending)", ErrQueueFull, cap(m.queue))
 	}
 	return m.snapshot(j), nil
 }

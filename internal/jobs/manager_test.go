@@ -611,7 +611,9 @@ func TestRecoverAtEveryCutOfLastRecord(t *testing.T) {
 // a full queue (whose journal is removed again) and a closed manager.
 func TestSubmitQueueFullAndClosedAreTyped(t *testing.T) {
 	opts := fastOpts(t)
-	opts.Workers, opts.QueueDepth = 1, 1
+	opts.Workers = 1
+	defer func(n int) { queueDepth = n }(queueDepth)
+	queueDepth = 1
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	m, err := NewManager(RunnerFunc(func(ctx context.Context, id string, spec Spec, resume []anon.Checkpoint, cp anon.CheckpointFunc) (*Outcome, error) {

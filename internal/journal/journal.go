@@ -62,12 +62,6 @@ const (
 	TypeIter Type = "iter"
 	// TypeDone is the terminal record: success, failure or cancellation.
 	TypeDone Type = "done"
-	// TypeLease records a distributed-shard lease grant or revocation
-	// (internal/dist). Lease records are advisory for a live run — the
-	// supervisor fences stale replies in memory — but on restart they
-	// re-establish the epoch floor so a worker surviving from a previous
-	// incarnation can never have a reply admitted.
-	TypeLease Type = "lease"
 )
 
 // Record is one committed journal entry.

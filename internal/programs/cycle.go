@@ -3,22 +3,25 @@ package programs
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
+	"vadasa/internal/anon"
 	"vadasa/internal/datalog"
 	"vadasa/internal/mdb"
+	"vadasa/internal/risk"
 )
 
 // This file closes the loop on the paper's central claim: the anonymization
 // cycle of Algorithm 2 with the local suppression of Algorithm 7 can run
-// entirely as reasoning. Each iteration is one chase: the k-anonymity
-// program derives riskout facts, suppression rules with existential heads
-// replace flagged quasi-identifier values by invented labelled nulls, and
-// the derived tuplenext facts become the next iteration's extensional
-// component. The engine's labelled nulls follow the standard (Skolem)
-// semantics, so the declarative cycle is the paper's Figure 7c baseline; the
-// maybe-match refinement lives in the native engine layer (internal/mdb).
+// entirely as reasoning. The iteration itself is anon.Loop's, the one driver
+// the native cycle and a stream's release gate run; what reasoning supplies
+// are its two plug-ins. Assessor (twins.go) is the risk source: one chase of
+// a measure's declarative twin per evaluation. Suppression is the
+// anonymizer: one chase of Algorithm 7 over the risky tuple, whose
+// existential head invents the labelled null. The engine's labelled nulls
+// follow the standard (Skolem) semantics, so the declarative cycle is the
+// paper's Figure 7c baseline; the maybe-match refinement lives in the native
+// engine layer (internal/mdb) until the engine groups by it (ROADMAP 3(b)).
 
 // SuppressionProgram generates Algorithm 7 for a schema with q
 // quasi-identifiers: for every attribute position j there is a rule that
@@ -50,152 +53,92 @@ func SuppressionProgram(q int) *datalog.Program {
 	return mustParse(b.String())
 }
 
-// CycleResult reports a declarative anonymization run.
-type CycleResult struct {
-	Dataset       *mdb.Dataset
-	Iterations    int
-	NullsInjected int
-	// Residual lists tuples still risky when no further suppression was
-	// possible (all quasi-identifiers already null).
-	Residual []int
+// Suppression is Algorithm 7 as an anon.Anonymizer: a step flags the risky
+// tuple on its leftmost non-null quasi-identifier (the binding order of
+// Algorithm 7 without a routing strategy), chases SuppressionProgram over
+// that one tuple and writes the labelled null the existential rule invented
+// back as a fresh null of the dataset. Engine null ids are fresh per run, so
+// each maps to Dataset.Nulls.Fresh() and symbols stay distinct across steps.
+// The zero value is ready; like the loop that steps it, it is not safe for
+// concurrent use.
+type Suppression struct {
+	prog *datalog.Program // SuppressionProgram(len(QI)), parsed at the first step
+}
+
+// Name implements anon.Anonymizer.
+func (*Suppression) Name() string { return "local-suppression" }
+
+// Step implements anon.Anonymizer. It reports false when every
+// quasi-identifier of the tuple is already null.
+func (s *Suppression) Step(ctx *anon.Context, row int) ([]anon.Decision, bool) {
+	d := ctx.Dataset
+	r := d.Rows[row]
+	pos := -1
+	for j, a := range ctx.QI {
+		if !r.Values[a].IsNull() {
+			pos = j
+			break
+		}
+	}
+	if pos < 0 {
+		return nil, false
+	}
+	if s.prog == nil {
+		s.prog = SuppressionProgram(len(ctx.QI))
+	}
+	suppressionChase(s.prog, r, ctx.QI, pos)
+	attr := ctx.QI[pos]
+	old, null := r.Values[attr], d.Nulls.Fresh()
+	r.Values[attr] = null
+	return []anon.Decision{{
+		RowID:        r.ID,
+		Attr:         d.Attrs[attr].Name,
+		Old:          old,
+		New:          null,
+		Method:       s.Name(),
+		AffectedRows: 1,
+	}}, true
+}
+
+// suppressionChase runs Algorithm 7 over one tuple flagged at quasi-identifier
+// position pos. It takes no context: the chase is bounded by its one tuple,
+// and the loop polls its own between steps. A fixed program over one
+// well-formed fact failing, or deriving anything but that tuple with a
+// labelled null at the flagged position, is a bug in this package, never bad
+// input (see mustParse).
+func suppressionChase(prog *datalog.Program, r *mdb.Row, qi []int, pos int) {
+	edb := datalog.NewDatabase()
+	tupleFact(edb.Loader("tuple"), r, qi)
+	edb.Add(fmt.Sprintf("suppress%d", pos+1), datalog.Num(float64(r.ID)))
+	res, err := datalog.Run(prog, edb, nil)
+	if err != nil {
+		panic(fmt.Errorf("programs: suppression chase: %w", err))
+	}
+	if next := res.Facts("tuplenext"); len(next) != 1 || next[0][1+pos].Kind() != datalog.KNull {
+		panic(fmt.Errorf("programs: suppression chase over tuple %d derived %d tuples and no null at position %d", r.ID, len(next), pos+1))
+	}
 }
 
 // DeclarativeCycle runs the anonymization cycle for k-anonymity with local
-// suppression purely through reasoning passes, on a copy of d. Risky tuples
-// have their leftmost non-null quasi-identifier suppressed each iteration
-// (the binding order of Algorithm 7 without a routing strategy). Intended
-// for small datasets: every iteration re-reasons over the whole microdata
-// DB.
-func DeclarativeCycle(d *mdb.Dataset, k, maxIter int) (*CycleResult, error) {
-	return DeclarativeCycleContext(context.Background(), d, k, maxIter)
+// suppression purely through reasoning passes, on a copy of d: the cycle of
+// anon.Run with both plug-ins declarative, under the configuration that
+// matches the engine — standard null semantics, dataset order, every risky
+// tuple stepped each iteration. Intended for small datasets: every iteration
+// re-reasons over the whole microdata DB.
+func DeclarativeCycle(d *mdb.Dataset, k int) (*anon.Result, error) {
+	return DeclarativeCycleContext(context.Background(), d, k)
 }
 
 // DeclarativeCycleContext is DeclarativeCycle with cancellation: the context
-// is threaded into every chase, so a cancelled request stops between (and
-// inside) reasoning passes instead of running the cycle to convergence.
-func DeclarativeCycleContext(ctx context.Context, d *mdb.Dataset, k, maxIter int) (*CycleResult, error) {
-	work := d.Clone()
-	qi := work.QuasiIdentifiers()
-	if len(qi) == 0 {
-		return nil, fmt.Errorf("programs: dataset %q has no quasi-identifiers", d.Name)
-	}
-	if maxIter <= 0 {
-		maxIter = 100
-	}
-	q := len(qi)
-	riskProg := KAnonymity(q, k)
-	suppProg := SuppressionProgram(q)
-	res := &CycleResult{}
-	nullsBefore := work.NullCount()
-
-	for iter := 0; ; iter++ {
-		if iter >= maxIter {
-			return nil, fmt.Errorf("programs: declarative cycle did not converge in %d iterations", maxIter)
-		}
-		// Risk pass.
-		edb := datalog.NewDatabase()
-		TupleFacts(edb, work)
-		riskRes, err := datalog.RunContext(ctx, riskProg, edb, nil)
-		if err != nil {
-			return nil, fmt.Errorf("programs: risk pass: %w", err)
-		}
-		risks := DecodeRisk(riskRes)
-		var risky []int
-		for id, r := range risks {
-			if r > 0.5 {
-				risky = append(risky, id)
-			}
-		}
-		sort.Ints(risky)
-		if len(risky) == 0 {
-			res.Iterations = iter
-			break
-		}
-
-		// Suppression pass: flag each risky tuple on its leftmost
-		// non-null quasi-identifier; exhausted tuples become residual.
-		byID := make(map[int]*mdb.Row, len(work.Rows))
-		for _, r := range work.Rows {
-			byID[r.ID] = r
-		}
-		flags := datalog.NewDatabase()
-		TupleFacts(flags, work)
-		progress := false
-		var residual []int
-		for _, id := range risky {
-			row := byID[id]
-			pos := -1
-			for j, a := range qi {
-				if !row.Values[a].IsNull() {
-					pos = j
-					break
-				}
-			}
-			if pos < 0 {
-				residual = append(residual, id)
-				continue
-			}
-			flags.Add(fmt.Sprintf("suppress%d", pos+1), datalog.Num(float64(id)))
-			progress = true
-		}
-		if !progress {
-			res.Iterations = iter
-			res.Residual = residual
-			break
-		}
-		suppRes, err := datalog.RunContext(ctx, suppProg, flags, nil)
-		if err != nil {
-			return nil, fmt.Errorf("programs: suppression pass: %w", err)
-		}
-		if err := decodeTuples(suppRes, work, qi); err != nil {
-			return nil, err
-		}
-	}
-	res.Dataset = work
-	res.NullsInjected = work.NullCount() - nullsBefore
-	return res, nil
-}
-
-// decodeTuples replaces the quasi-identifier values of work with the derived
-// tuplenext facts, mapping engine labelled nulls to dataset labelled nulls.
-func decodeTuples(res *datalog.Result, work *mdb.Dataset, qi []int) error {
-	byID := make(map[int]*mdb.Row, len(work.Rows))
-	for _, r := range work.Rows {
-		byID[r.ID] = r
-	}
-	seen := make(map[int]bool, len(work.Rows))
-	// Engine null ids are fresh per run; map each to a fresh dataset null
-	// so symbols stay distinct across iterations.
-	nullMap := make(map[uint64]mdb.Value)
-	for _, f := range res.Facts("tuplenext") {
-		id := int(f[0].NumVal())
-		row, ok := byID[id]
-		if !ok {
-			return fmt.Errorf("programs: derived tuple for unknown id %d", id)
-		}
-		if seen[id] {
-			return fmt.Errorf("programs: tuple %d derived twice", id)
-		}
-		seen[id] = true
-		for j, a := range qi {
-			v := f[1+j]
-			switch v.Kind() {
-			case datalog.KStr:
-				row.Values[a] = mdb.Const(v.StrVal())
-			case datalog.KNull:
-				mapped, ok := nullMap[v.NullID()]
-				if !ok {
-					mapped = work.Nulls.Fresh()
-					nullMap[v.NullID()] = mapped
-				}
-				row.Values[a] = mapped
-			default:
-				return fmt.Errorf("programs: unexpected value %v in derived tuple %d", v, id)
-			}
-		}
-	}
-	if len(seen) != len(work.Rows) {
-		return fmt.Errorf("programs: derived %d tuples, dataset has %d", len(seen), len(work.Rows))
-	}
-	return nil
+// (and the resource governor it carries) is threaded into every risk chase
+// and polled between suppression steps.
+func DeclarativeCycleContext(ctx context.Context, d *mdb.Dataset, k int) (*anon.Result, error) {
+	return anon.RunContext(ctx, d, anon.Config{
+		Assessor:      Assessor{Measure: risk.KAnonymity{K: k}},
+		Threshold:     0.5,
+		Anonymizer:    &Suppression{},
+		Semantics:     mdb.StandardNulls,
+		Order:         anon.OrderByID,
+		BatchFraction: 1,
+	})
 }

@@ -1,6 +1,10 @@
 package programs
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -60,7 +64,7 @@ func TestSuppressionProgramInventsNull(t *testing.T) {
 // choice, full-sweep batches, dataset order.
 func TestDeclarativeCycleMatchesNative(t *testing.T) {
 	d := synth.Generate(synth.Config{Tuples: 120, QIs: 3, Dist: synth.DistV, Seed: 19})
-	decl, err := DeclarativeCycle(d, 2, 50)
+	decl, err := DeclarativeCycle(d, 2)
 	if err != nil {
 		t.Fatalf("DeclarativeCycle: %v", err)
 	}
@@ -97,7 +101,7 @@ func TestDeclarativeCycleConvergesOnSafeData(t *testing.T) {
 	// Figure 5 rows 2-5 are 2-anonymous; 1, 6, 7 are not and have no way
 	// out under standard semantics: they exhaust and become residual.
 	d := synth.Figure5()
-	res, err := DeclarativeCycle(d, 2, 50)
+	res, err := DeclarativeCycle(d, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +119,110 @@ func TestDeclarativeCycleConvergesOnSafeData(t *testing.T) {
 
 func TestDeclarativeCycleValidation(t *testing.T) {
 	noQI := mdb.NewDataset("x", []mdb.Attribute{{Name: "A", Category: mdb.NonIdentifying}})
-	if _, err := DeclarativeCycle(noQI, 2, 10); err == nil {
+	if _, err := DeclarativeCycle(noQI, 2); err == nil {
 		t.Error("dataset without QIs accepted")
+	}
+}
+
+// declarativeConfig is DeclarativeCycle's configuration with the two seams
+// open: the native plug-ins it is differenced against fit the same slots.
+func declarativeConfig(a risk.Assessor, step anon.Anonymizer) anon.Config {
+	return anon.Config{
+		Assessor:      a,
+		Threshold:     0.5,
+		Anonymizer:    step,
+		Semantics:     mdb.StandardNulls,
+		Order:         anon.OrderByID,
+		BatchFraction: 1,
+	}
+}
+
+func csvBytes(t *testing.T, d *mdb.Dataset) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := mdb.WriteCSV(&b, d); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// Swapping either seam of the one driver — the risk source, the anonymizer,
+// or both — for its declarative twin changes nothing a caller can see:
+// dataset bytes, decision log, iteration count, residual.
+func TestSeamSwapDifferential(t *testing.T) {
+	native := risk.KAnonymity{K: 2}
+	for _, dist := range []synth.Dist{synth.DistW, synth.DistU, synth.DistV} {
+		for _, n := range []int{120, 1000} {
+			d := synth.Generate(synth.Config{Tuples: n, QIs: 4, Dist: dist, Seed: 19})
+			want, err := anon.Run(d, declarativeConfig(native, anon.LocalSuppression{Choice: anon.AttrSchemaOrder}))
+			if err != nil {
+				t.Fatalf("%s: native: %v", d.Name, err)
+			}
+			if want.NullsInjected == 0 {
+				t.Fatalf("%s: the native run suppressed nothing; the differential is vacuous", d.Name)
+			}
+			for name, cfg := range map[string]anon.Config{
+				"declarative assessor": declarativeConfig(Assessor{Measure: native}, anon.LocalSuppression{Choice: anon.AttrSchemaOrder}),
+				"declarative step":     declarativeConfig(native, &Suppression{}),
+				"both declarative":     declarativeConfig(Assessor{Measure: native}, &Suppression{}),
+			} {
+				got, err := anon.Run(d, cfg)
+				if err != nil {
+					t.Fatalf("%s, %s: %v", d.Name, name, err)
+				}
+				if csvBytes(t, got.Dataset) != csvBytes(t, want.Dataset) {
+					t.Errorf("%s, %s: released bytes differ from the native run", d.Name, name)
+				}
+				if !reflect.DeepEqual(got.Decisions, want.Decisions) {
+					t.Errorf("%s, %s: decision log differs from the native run (%d vs %d decisions)",
+						d.Name, name, len(got.Decisions), len(want.Decisions))
+				}
+				if got.Iterations != want.Iterations || !reflect.DeepEqual(got.Residual, want.Residual) {
+					t.Errorf("%s, %s: %d iterations, %d residual; native %d, %d",
+						d.Name, name, got.Iterations, len(got.Residual), want.Iterations, len(want.Residual))
+				}
+			}
+		}
+	}
+}
+
+// A declarative run killed after its first committed iteration resumes to the
+// bytes of the uninterrupted run: the reasoner inherits the driver's
+// checkpoints, which the hand-written loop had no hook for.
+func TestDeclarativeCycleResumes(t *testing.T) {
+	d := synth.Generate(synth.Config{Tuples: 300, QIs: 4, Dist: synth.DistV, Seed: 19})
+	cfg := declarativeConfig(Assessor{Measure: risk.KAnonymity{K: 2}}, &Suppression{})
+	want, err := anon.Run(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Iterations < 3 {
+		t.Fatalf("control ran %d iterations; the kill needs work left after the first", want.Iterations)
+	}
+
+	killed := errors.New("killed after the first checkpoint")
+	var journal []anon.Checkpoint
+	cfg.Checkpoint = func(cp anon.Checkpoint) error {
+		journal = append(journal, cp)
+		return killed // the record is durable; the process dies before the next iteration
+	}
+	if _, err := anon.Run(d, cfg); !errors.Is(err, killed) {
+		t.Fatalf("interrupted run: %v", err)
+	}
+	if len(journal) != 1 {
+		t.Fatalf("journaled %d checkpoints, want 1", len(journal))
+	}
+
+	cfg.Anonymizer, cfg.Checkpoint = &Suppression{}, nil
+	got, err := anon.ResumeContext(context.Background(), d, cfg, journal)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if csvBytes(t, got.Dataset) != csvBytes(t, want.Dataset) {
+		t.Error("resumed bytes differ from the uninterrupted run")
+	}
+	if !reflect.DeepEqual(got.Decisions, want.Decisions) || got.Iterations != want.Iterations {
+		t.Errorf("resumed run: %d decisions in %d iterations; uninterrupted %d in %d",
+			len(got.Decisions), got.Iterations, len(want.Decisions), want.Iterations)
 	}
 }

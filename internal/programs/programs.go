@@ -190,17 +190,22 @@ func TupleFacts(db *datalog.Database, d *mdb.Dataset) {
 	qi := d.QuasiIdentifiers()
 	l := db.Loader("tuple")
 	for _, r := range d.Rows {
-		l.Num(float64(r.ID))
-		for _, i := range qi {
-			if v := r.Values[i]; v.IsNull() {
-				l.Null(v.NullID())
-			} else {
-				l.Str(v.Constant())
-			}
-		}
-		l.Num(r.Weight)
-		l.EndRow()
+		tupleFact(l, r, qi)
 	}
+}
+
+// tupleFact loads one row as a tuple fact over the attributes qi.
+func tupleFact(l *datalog.Loader, r *mdb.Row, qi []int) {
+	l.Num(float64(r.ID))
+	for _, i := range qi {
+		if v := r.Values[i]; v.IsNull() {
+			l.Null(v.NullID())
+		} else {
+			l.Str(v.Constant())
+		}
+	}
+	l.Num(r.Weight)
+	l.EndRow()
 }
 
 // DecodeRisk reads riskout(I, R) facts into a per-row-ID risk map. When the

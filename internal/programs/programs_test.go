@@ -26,88 +26,6 @@ func runProgram(t *testing.T, p *datalog.Program, setup func(*datalog.Database))
 	return res
 }
 
-// The declarative re-identification risk must agree with the native
-// assessor on the Figure 1 fixture (no labelled nulls, so both semantics
-// coincide).
-func TestReIdentificationAgreesWithNative(t *testing.T) {
-	d := synth.InflationGrowth()
-	q := len(d.QuasiIdentifiers())
-	res := runProgram(t, ReIdentification(q), func(db *datalog.Database) {
-		TupleFacts(db, d)
-	})
-	declarative := DecodeRisk(res)
-	native, err := risk.ReIdentification{}.Assess(d, mdb.StandardNulls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range native {
-		id := d.Rows[i].ID
-		if got, ok := declarative[id]; !ok || math.Abs(got-r) > 1e-9 {
-			t.Errorf("tuple %d: declarative %g, native %g", id, got, r)
-		}
-	}
-}
-
-func TestKAnonymityAgreesWithNative(t *testing.T) {
-	d := synth.Generate(synth.Config{Tuples: 200, QIs: 3, Dist: synth.DistV, Seed: 77})
-	q := len(d.QuasiIdentifiers())
-	for _, k := range []int{2, 4} {
-		res := runProgram(t, KAnonymity(q, k), func(db *datalog.Database) {
-			TupleFacts(db, d)
-		})
-		declarative := DecodeRisk(res)
-		native, err := risk.KAnonymity{K: k}.Assess(d, mdb.StandardNulls)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, r := range native {
-			id := d.Rows[i].ID
-			if got := declarative[id]; got != r {
-				t.Errorf("k=%d tuple %d: declarative %g, native %g", k, id, got, r)
-			}
-		}
-	}
-}
-
-func TestIndividualRiskAgreesWithNative(t *testing.T) {
-	d := synth.Generate(synth.Config{Tuples: 150, QIs: 3, Dist: synth.DistU, Seed: 5})
-	q := len(d.QuasiIdentifiers())
-	res := runProgram(t, IndividualRisk(q), func(db *datalog.Database) {
-		TupleFacts(db, d)
-	})
-	declarative := DecodeRisk(res)
-	native, err := risk.IndividualRisk{Estimator: risk.Ratio}.Assess(d, mdb.StandardNulls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range native {
-		id := d.Rows[i].ID
-		if got := declarative[id]; math.Abs(got-r) > 1e-9 {
-			t.Errorf("tuple %d: declarative %g, native %g", id, got, r)
-		}
-	}
-}
-
-// Labelled nulls in the data must behave as the standard Skolem semantics in
-// the declarative path: a suppressed value stays unique.
-func TestDeclarativeUsesStandardNullSemantics(t *testing.T) {
-	d := synth.Figure5()
-	d.Rows[0].Values[d.AttrIndex("Sector")] = d.Nulls.Fresh()
-	q := len(d.QuasiIdentifiers())
-	res := runProgram(t, KAnonymity(q, 2), func(db *datalog.Database) {
-		TupleFacts(db, d)
-	})
-	declarative := DecodeRisk(res)
-	native, err := risk.KAnonymity{K: 2}.Assess(d, mdb.StandardNulls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if declarative[1] != 1 || native[0] != 1 {
-		t.Fatalf("suppressed tuple risk: declarative %g, native %g; want 1 under standard semantics",
-			declarative[1], native[0])
-	}
-}
-
 func TestControlAgreesWithNative(t *testing.T) {
 	g := cluster.NewGraph()
 	edges := []struct {
@@ -327,58 +245,6 @@ func TestRiskProvenance(t *testing.T) {
 	}
 	if len(ex) == 0 {
 		t.Fatal("empty explanation")
-	}
-}
-
-// The declarative posterior program must match the native PosteriorSeries
-// estimator on sample-unique combinations (closed form for f=1) and the
-// ratio estimator elsewhere.
-func TestIndividualRiskPosteriorAgreesWithNative(t *testing.T) {
-	d := synth.InflationGrowth() // every combination unique, weights > 1
-	q := len(d.QuasiIdentifiers())
-	res := runProgram(t, IndividualRiskPosterior(q), func(db *datalog.Database) {
-		TupleFacts(db, d)
-	})
-	declarative := DecodeRisk(res)
-	native, err := risk.IndividualRisk{Estimator: risk.PosteriorSeries}.Assess(d, mdb.StandardNulls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range native {
-		id := d.Rows[i].ID
-		got, ok := declarative[id]
-		if !ok || math.Abs(got-r) > 1e-9 {
-			t.Errorf("tuple %d: declarative %g, native %g", id, got, r)
-		}
-	}
-}
-
-func TestIndividualRiskPosteriorMixedFrequencies(t *testing.T) {
-	d := synth.Generate(synth.Config{Tuples: 300, QIs: 3, Dist: synth.DistV, Seed: 23})
-	q := len(d.QuasiIdentifiers())
-	res := runProgram(t, IndividualRiskPosterior(q), func(db *datalog.Database) {
-		TupleFacts(db, d)
-	})
-	declarative := DecodeRisk(res)
-	groups := mdb.ComputeGroups(d, d.QuasiIdentifiers(), mdb.StandardNulls)
-	ratio, err := risk.IndividualRisk{Estimator: risk.Ratio}.Assess(d, mdb.StandardNulls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	posterior, err := risk.IndividualRisk{Estimator: risk.PosteriorSeries}.Assess(d, mdb.StandardNulls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range d.Rows {
-		id := d.Rows[i].ID
-		want := ratio[i]
-		if groups[i].Freq == 1 {
-			want = posterior[i]
-		}
-		if got := declarative[id]; math.Abs(got-want) > 1e-9 {
-			t.Errorf("tuple %d (f=%d): declarative %g, want %g",
-				id, groups[i].Freq, got, want)
-		}
 	}
 }
 

@@ -43,22 +43,12 @@ type PrimaryOptions struct {
 	// Sync mode.
 	Peers []Transport
 	// Sync makes every journal append wait until a follower has
-	// acknowledged the record (or SyncTimeout passes, failing the
+	// acknowledged the record (or syncTimeout passes, failing the
 	// append).
 	Sync bool
-	// SyncTimeout bounds the synchronous-commit wait (default 5s).
-	SyncTimeout time.Duration
 	// LagMax, when positive, is the un-acked record count above which
 	// ReadyErr reports the primary unhealthy (async mode's safety valve).
 	LagMax int
-	// BatchMax bounds frames per shipment (default 256).
-	BatchMax int
-	// RetryBase is the first retry backoff (default 50ms), doubling to
-	// RetryCap (default 2s).
-	RetryBase time.Duration
-	RetryCap  time.Duration
-	// ShipTimeout bounds one shipment round-trip (default 10s).
-	ShipTimeout time.Duration
 	// DigestInterval is the cadence of the digest loop (default 2s;
 	// negative disables the loop — tests drive RefreshDigests directly).
 	DigestInterval time.Duration
@@ -68,40 +58,18 @@ type PrimaryOptions struct {
 	Logf func(format string, args ...any)
 }
 
-func (o PrimaryOptions) syncTimeout() time.Duration {
-	if o.SyncTimeout > 0 {
-		return o.SyncTimeout
-	}
-	return 5 * time.Second
-}
+// The shipper's fixed timing. The three variables are variables only so
+// that this package's tests can shorten the timers; nothing else sets them.
+const (
+	batchMax    = 256              // frames per shipment
+	shipTimeout = 10 * time.Second // one shipment round-trip
+)
 
-func (o PrimaryOptions) batchMax() int {
-	if o.BatchMax > 0 {
-		return o.BatchMax
-	}
-	return 256
-}
-
-func (o PrimaryOptions) retryBase() time.Duration {
-	if o.RetryBase > 0 {
-		return o.RetryBase
-	}
-	return 50 * time.Millisecond
-}
-
-func (o PrimaryOptions) retryCap() time.Duration {
-	if o.RetryCap > 0 {
-		return o.RetryCap
-	}
-	return 2 * time.Second
-}
-
-func (o PrimaryOptions) shipTimeout() time.Duration {
-	if o.ShipTimeout > 0 {
-		return o.ShipTimeout
-	}
-	return 10 * time.Second
-}
+var (
+	syncTimeout = 5 * time.Second       // the synchronous-commit wait
+	retryBase   = 50 * time.Millisecond // first retry backoff, doubling to retryCap
+	retryCap    = 2 * time.Second
+)
 
 // plog is one shipped journal on the primary side.
 type plog struct {
@@ -247,7 +215,7 @@ func (p *Primary) Hook(log, path string) func(seq int, line []byte) error {
 // waitAck blocks until any peer's ack covers (log, seq), the timeout
 // passes, or the shipper closes.
 func (p *Primary) waitAck(log string, seq int) error {
-	wait := p.opts.syncTimeout()
+	wait := syncTimeout
 	deadline := time.NewTimer(wait)
 	defer deadline.Stop()
 	for {
@@ -382,7 +350,7 @@ func (p *Primary) RefreshDigests(ctx context.Context) {
 // exponential backoff. Fencing rejections demote the whole node.
 func (p *Primary) shipLoop(pr *peer) {
 	defer p.wg.Done()
-	backoff := p.opts.retryBase()
+	backoff := retryBase
 	for {
 		req, err := p.buildRequest(pr)
 		if err != nil {
@@ -400,7 +368,7 @@ func (p *Primary) shipLoop(pr *peer) {
 				continue
 			}
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), p.opts.shipTimeout())
+		ctx, cancel := context.WithTimeout(context.Background(), shipTimeout)
 		resp, err := pr.t.Ship(ctx, req)
 		cancel()
 		if err != nil {
@@ -420,12 +388,10 @@ func (p *Primary) shipLoop(pr *peer) {
 				return
 			case <-time.After(backoff):
 			}
-			if backoff *= 2; backoff > p.opts.retryCap() {
-				backoff = p.opts.retryCap()
-			}
+			backoff = min(2*backoff, retryCap)
 			continue
 		}
-		backoff = p.opts.retryBase()
+		backoff = retryBase
 		p.admit(pr, req, resp)
 		select {
 		case <-p.done:
@@ -443,7 +409,7 @@ func (p *Primary) setPeerErr(pr *peer, err error) {
 }
 
 // buildRequest assembles the next shipment for pr: frames every log whose
-// tail is past the peer's ack, in log-name order, bounded by BatchMax,
+// tail is past the peer's ack, in log-name order, bounded by batchMax,
 // plus any digest not yet sent at its sequence. Returns nil when the peer
 // is fully caught up.
 func (p *Primary) buildRequest(pr *peer) (*ShipRequest, error) {
@@ -481,7 +447,7 @@ func (p *Primary) buildRequest(pr *peer) (*ShipRequest, error) {
 	sort.Slice(wants, func(i, j int) bool { return wants[i].log < wants[j].log })
 
 	req := &ShipRequest{Primary: id, Epoch: epoch}
-	budget := p.opts.batchMax()
+	budget := batchMax
 	var firstErr error
 	for _, w := range wants {
 		if w.dig != nil {

@@ -120,9 +120,6 @@ func newCluster(t testing.TB, sync bool, wrap func(Transport) Transport) *cluste
 		Node:           c.node,
 		Peers:          []Transport{c.transport},
 		Sync:           sync,
-		SyncTimeout:    5 * time.Second,
-		RetryBase:      5 * time.Millisecond,
-		RetryCap:       50 * time.Millisecond,
 		DigestInterval: -1, // tests drive RefreshDigests directly
 		Logf:           t.Logf,
 	})
@@ -373,12 +370,12 @@ func TestSyncCommitFailsAndRepairsWithoutFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Close()
+	defer func(d time.Duration) { syncTimeout = d }(syncTimeout) // restored once Close has stopped the shipper
+	syncTimeout = 50 * time.Millisecond
 	p, err := NewPrimary(PrimaryOptions{
 		Node:           node,
 		Peers:          []Transport{deadTransport{}},
 		Sync:           true,
-		SyncTimeout:    50 * time.Millisecond,
-		RetryBase:      5 * time.Millisecond,
 		DigestInterval: -1,
 		Logf:           t.Logf,
 	})

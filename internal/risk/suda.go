@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sync"
 
 	"vadasa/internal/govern"
 	"vadasa/internal/mdb"
+	"vadasa/internal/pool"
 )
 
 // SUDA is the Special Unique Detection Algorithm of Algorithm 6: a tuple is
@@ -105,10 +105,10 @@ func MSUs(d *mdb.Dataset, idx []int, maxK int, sem mdb.Semantics) [][]uint32 {
 	return out
 }
 
-// MSUsContext is MSUs honouring ctx: the mask dispatch loop polls the
-// context before handing each combination to the worker pool, and on
-// cancellation it drains the pool (no goroutine leaks) before returning an
-// error wrapping ctx.Err(). With a background context it never fails.
+// MSUsContext is MSUs honouring ctx: the worker pool polls the context
+// before counting each combination, and on cancellation the search returns
+// an error wrapping ctx.Err() once the combinations in flight are done. With
+// a background context it never fails.
 func MSUsContext(ctx context.Context, d *mdb.Dataset, idx []int, maxK int, sem mdb.Semantics) ([][]uint32, error) {
 	if len(idx) > MaxMSUAttributes {
 		return nil, &ErrTooManyAttributes{Count: len(idx), Max: MaxMSUAttributes}
@@ -118,11 +118,11 @@ func MSUsContext(ctx context.Context, d *mdb.Dataset, idx []int, maxK int, sem m
 	}
 	// When ctx carries a resource governor, the subset pool, the
 	// per-worker buffers and the recorded MSUs are charged against the
-	// memory budget and the worker pool against the goroutine budget,
-	// so a combinatorial blowup trips a typed budget error instead of
-	// exhausting the process. Everything is refunded when the search
-	// returns; govern methods are nil-safe, so the ungoverned path pays
-	// only nil checks.
+	// memory budget, so a combinatorial blowup trips a typed budget error
+	// instead of exhausting the process (the worker pool charges its own
+	// goroutines and runs sequentially when they are refused). Everything
+	// is refunded when the search returns; govern methods are nil-safe, so
+	// the ungoverned path pays only nil checks.
 	gov := govern.From(ctx)
 	var charged int64
 	defer func() { gov.Release(govern.Memory, charged) }()
@@ -160,50 +160,28 @@ func MSUsContext(ctx context.Context, d *mdb.Dataset, idx []int, maxK int, sem m
 		genMasks(0, 0, s)
 		// Subset pool (masks + per-mask unique-row slice headers) and
 		// per-worker scratch for this size class.
-		pool := int64(len(masks))*(4+24) + int64(workers)*int64(8*maxK+48)
-		if err := reserve(pool, "subset pool", s); err != nil {
+		subsets := int64(len(masks))*(4+24) + int64(workers)*int64(8*maxK+48)
+		if err := reserve(subsets, "subset pool", s); err != nil {
 			return nil, err
 		}
-		if err := gov.Reserve(govern.Goroutines, int64(workers)); err != nil {
-			return nil, fmt.Errorf("risk: MSU search worker pool at combination size %d: %w", s, err)
-		}
 		unique := make([][]int, len(masks)) // rows that are sample-unique per mask
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sub := make([]int, 0, maxK)
-				for mi := range next {
-					mask := masks[mi]
-					sub = sub[:0]
-					for i := 0; i < len(idx); i++ {
-						if mask&(1<<uint(i)) != 0 {
-							sub = append(sub, idx[i])
-						}
-					}
-					for row, f := range mdb.Frequencies(d, sub, sem) {
-						if f == 1 {
-							unique[mi] = append(unique[mi], row)
-						}
-					}
+		err := pool.ForEach(ctx, workers, len(masks), func(mi int) error {
+			mask := masks[mi]
+			sub := make([]int, 0, maxK)
+			for i := 0; i < len(idx); i++ {
+				if mask&(1<<uint(i)) != 0 {
+					sub = append(sub, idx[i])
 				}
-			}()
-		}
-		var cancelled error
-		for mi := range masks {
-			if err := ctx.Err(); err != nil {
-				cancelled = fmt.Errorf("risk: MSU search cancelled at combination size %d: %w", s, err)
-				break
 			}
-			next <- mi
-		}
-		close(next)
-		wg.Wait()
-		gov.Release(govern.Goroutines, int64(workers))
-		if cancelled != nil {
-			return nil, cancelled
+			for row, f := range mdb.Frequencies(d, sub, sem) {
+				if f == 1 {
+					unique[mi] = append(unique[mi], row)
+				}
+			}
+			return nil
+		})
+		if err != nil { // the context's: counting a combination cannot fail
+			return nil, fmt.Errorf("risk: MSU search cancelled at combination size %d: %w", s, err)
 		}
 
 		var uniqueRows, recorded int64

@@ -72,7 +72,7 @@ func (a TCloseness) AssessContext(ctx context.Context, d *mdb.Dataset, sem mdb.S
 	}
 
 	// Global distribution of the sensitive attribute (nulls excluded).
-	global := make(map[string]float64)
+	global := make(map[string]int)
 	globalN := 0
 	for _, r := range d.Rows {
 		if v := r.Values[sens]; !v.IsNull() {
@@ -87,25 +87,22 @@ func (a TCloseness) AssessContext(ctx context.Context, d *mdb.Dataset, sem mdb.S
 	out := make([]float64, len(d.Rows))
 	// Per tuple, gather the sensitive distribution of its maybe-match
 	// group. Group membership under maybe-match is per tuple; the common
-	// null-free case shares the computation per exact group.
-	type cacheEntry struct {
-		dist float64
-	}
-	cache := make(map[string]cacheEntry)
+	// null-free case shares the verdict per exact group.
+	cache := make(map[string]bool)
 	for row, r := range d.Rows {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("risk: %s cancelled at row %d: %w", a.Name(), row, err)
 		}
 		key, exact := exactKey(r, idx)
 		if exact {
-			if e, ok := cache[key]; ok {
-				if e.dist > a.T {
+			if over, ok := cache[key]; ok {
+				if over {
 					out[row] = 1
 				}
 				continue
 			}
 		}
-		groupCounts := make(map[string]float64)
+		groupCounts := make(map[string]int)
 		groupN := 0
 		for _, r2 := range d.Rows {
 			if !mdb.CompatibleTuple(r.Values, r2.Values, idx, sem) {
@@ -116,33 +113,38 @@ func (a TCloseness) AssessContext(ctx context.Context, d *mdb.Dataset, sem mdb.S
 				groupN++
 			}
 		}
-		dist := 1.0
+		// The distance ½·Σ|c/n − C/N| is compared to T scaled by 2·n·N, so
+		// the sum is over integers: exact, and the same in whatever order
+		// the maps are walked. A group with no sensitive value is at
+		// distance 1.
+		over := 1 > a.T
 		if groupN > 0 {
-			dist = 0
-			seen := make(map[string]bool, len(global)+len(groupCounts))
-			for k := range global {
-				seen[k] = true
+			sum := 0
+			for k, c := range groupCounts {
+				sum += abs(c*globalN - global[k]*groupN)
 			}
-			for k := range groupCounts {
-				seen[k] = true
-			}
-			for k := range seen {
-				diff := groupCounts[k]/float64(groupN) - global[k]/float64(globalN)
-				if diff < 0 {
-					diff = -diff
+			for k, c := range global {
+				if _, ok := groupCounts[k]; !ok {
+					sum += c * groupN
 				}
-				dist += diff
 			}
-			dist /= 2
+			over = float64(sum) > 2*a.T*float64(groupN)*float64(globalN)
 		}
 		if exact {
-			cache[key] = cacheEntry{dist: dist}
+			cache[key] = over
 		}
-		if dist > a.T {
+		if over {
 			out[row] = 1
 		}
 	}
 	return out, nil
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // exactKey returns a grouping key when the row has no nulls on idx.

@@ -1,6 +1,8 @@
 package risk
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"vadasa/internal/mdb"
@@ -99,4 +101,86 @@ func TestTClosenessNoSensitiveValues(t *testing.T) {
 	if _, err := (TCloseness{T: 0.4, Sensitive: "Default"}).Assess(d, mdb.MaybeMatch); err == nil {
 		t.Error("all-null sensitive column accepted")
 	}
+}
+
+// t-closeness is a function of its input: a group sitting exactly at its
+// bound scores the same on every call and under any row order. Q=x holds the
+// sensitive counts [2 3 1 0 3 1] over a…f and Q=y [2 0 1 2 3 1]; x's distance
+// from the global distribution is 27/190, which is T to the last bit, so a
+// float sum walked in map order lands on either side of it from run to run.
+func TestTClosenessIsDeterministicAtItsBound(t *testing.T) {
+	build := func(order []int) (*mdb.Dataset, []int) {
+		var cells [][2]string
+		for q, counts := range map[string][]int{"x": {2, 3, 1, 0, 3, 1}, "y": {2, 0, 1, 2, 3, 1}} {
+			for k, c := range counts {
+				for ; c > 0; c-- {
+					cells = append(cells, [2]string{q, string(rune('a' + k))})
+				}
+			}
+		}
+		sort.Slice(cells, func(i, j int) bool { return cells[i][0]+cells[i][1] < cells[j][0]+cells[j][1] })
+		d := mdb.NewDataset("bound", []mdb.Attribute{
+			{Name: "Q", Category: mdb.QuasiIdentifier},
+			{Name: "S", Category: mdb.NonIdentifying},
+		})
+		if order == nil {
+			for i := range cells {
+				order = append(order, i)
+			}
+		}
+		for _, i := range order {
+			d.Append(&mdb.Row{Values: []mdb.Value{mdb.Const(cells[i][0]), mdb.Const(cells[i][1])}, Weight: 1})
+		}
+		return d, order
+	}
+	a := TCloseness{T: 0.14210526315789468, Sensitive: "S"}
+	d, order := build(nil)
+	if len(d.Rows) != 19 {
+		t.Fatalf("fixture has %d rows, want 19", len(d.Rows))
+	}
+	first, err := a.Assess(d, mdb.MaybeMatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run < 200; run++ {
+		rs, err := a.Assess(d, mdb.MaybeMatch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rs, first) {
+			t.Fatalf("call %d scored %v, the first call %v", run, rs, first)
+		}
+	}
+	// Reversed and interleaved: every row keeps its score.
+	for _, perm := range [][]int{reversed(order), interleaved(order)} {
+		p, _ := build(perm)
+		rs, err := a.Assess(p, mdb.MaybeMatch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, src := range perm {
+			if rs[i] != first[src] {
+				t.Fatalf("row %d scores %g in the original order and %g permuted", src, first[src], rs[i])
+			}
+		}
+	}
+}
+
+func reversed(xs []int) []int {
+	out := make([]int, len(xs))
+	for i, x := range xs {
+		out[len(xs)-1-i] = x
+	}
+	return out
+}
+
+func interleaved(xs []int) []int {
+	var out []int
+	for i := 0; i < len(xs); i += 2 {
+		out = append(out, xs[i])
+	}
+	for i := 1; i < len(xs); i += 2 {
+		out = append(out, xs[i])
+	}
+	return out
 }

@@ -9,8 +9,8 @@
 //
 //   - datalog.Run / datalog.RunContext / vadasa.Reason / vadasa.ReasonContext
 //     (package-qualified, so unrelated Run methods don't match), or
-//   - a method call named AssessRisk, Anonymize, ExplainRisk,
-//     DeclarativeCycle or their *Context variants, on any receiver.
+//   - a method call named AssessRisk, Anonymize, ExplainRisk or their
+//     *Context variants, on any receiver.
 //
 // Exported functions containing such calls must take a context.Context (an
 // *http.Request also counts — r.Context() is the handler idiom) and the
@@ -43,10 +43,9 @@ var Analyzer = &analysis.Analyzer{
 // bareSpawners are method names that start an evaluation; their "Context"
 // variants are the threaded forms.
 var bareSpawners = map[string]bool{
-	"AssessRisk":       true,
-	"Anonymize":        true,
-	"ExplainRisk":      true,
-	"DeclarativeCycle": true,
+	"AssessRisk":  true,
+	"Anonymize":   true,
+	"ExplainRisk": true,
 }
 
 // pkgSpawners are package-qualified functions: only `pkg.Name` matches, so

@@ -14,7 +14,6 @@ type model struct{}
 func (*model) Anonymize(d *db) error                              { return nil }
 func (*model) AnonymizeContext(ctx context.Context, d *db) error  { return nil }
 func (*model) AssessRiskContext(ctx context.Context, d *db) error { return nil }
-func (*model) DeclarativeCycleContext(ctx context.Context, k int) {}
 
 // BareNoContext spawns evaluation with no way to cancel it.
 func BareNoContext(m *model, d *db) error {

@@ -302,18 +302,16 @@ func VerifyKAnonymity(d *Dataset, k int, sem Semantics) []int {
 	return anon.VerifyKAnonymity(d, k, sem)
 }
 
-// DeclarativeCycleResult reports a reasoning-only anonymization run.
-type DeclarativeCycleResult = programs.CycleResult
-
 // DeclarativeAnonymize runs the anonymization cycle for k-anonymity with
-// local suppression entirely through reasoning passes on the engine
-// (Algorithms 2 and 7 as chase steps, with suppression implemented by
-// existential rules inventing labelled nulls). The engine's labelled nulls
-// follow the standard Skolem semantics — the Figure 7c baseline — so this is
-// the didactic, fully declarative twin of Framework.Anonymize, intended for
-// small datasets.
-func DeclarativeAnonymize(d *Dataset, k, maxIter int) (*DeclarativeCycleResult, error) {
-	return programs.DeclarativeCycle(d, k, maxIter)
+// local suppression entirely through reasoning passes on the engine: the
+// cycle of Framework.Anonymize with both plug-ins declarative — the risk of
+// every iteration is one chase of the k-anonymity program, every suppression
+// one chase of Algorithm 7 whose existential rule invents the labelled null.
+// The engine's labelled nulls follow the standard Skolem semantics — the
+// Figure 7c baseline — so this is the didactic twin of Framework.Anonymize,
+// intended for small datasets.
+func DeclarativeAnonymize(d *Dataset, k int) (*CycleResult, error) {
+	return programs.DeclarativeCycle(d, k)
 }
 
 // EstimateWeights fills in sampling weights for a dataset that arrived
