@@ -21,6 +21,41 @@ type cArg struct {
 	name string // variable name, for seed-identical error messages
 }
 
+// cOperand is an expression compiled for the walk. A plain variable is its
+// env slot and a constant its interned id, so the walk compares, copies and
+// keys them as ids and reads a number straight off the interner columns —
+// no Val is decoded and nothing is interned back. Any other expression is
+// computed: evalExprS evaluates it and whoever needs its id interns it.
+type cOperand struct {
+	e        Expr
+	computed bool
+	arith    bool // computed from + - * / and negation alone: evalNumS applies
+	arg      cArg // the slot or the constant when !computed
+}
+
+func pureArith(e Expr) bool {
+	switch x := e.(type) {
+	case ExprTerm:
+		return true
+	case ExprNeg:
+		return pureArith(x.E)
+	case ExprBin:
+		return pureArith(x.L) && pureArith(x.R)
+	}
+	return false
+}
+
+func (ev *evaluator) compileOperand(c *cRule, e Expr) cOperand {
+	t, ok := e.(ExprTerm)
+	switch {
+	case !ok:
+		return cOperand{e: e, computed: true, arith: pureArith(e)}
+	case t.T.Kind == TConst:
+		return cOperand{e: e, arg: cArg{slot: -1, vid: ev.db.in.intern(t.T.Val)}}
+	}
+	return cOperand{e: e, arg: cArg{slot: c.slotOf[t.T.Name], name: t.T.Name}}
+}
+
 // cStep is one body literal in evaluation order. Atom steps carry the
 // statically selected join index; rel/idx are resolved by resolvePlan before
 // the rule runs (applySubst replaces the database between chase passes).
@@ -41,7 +76,8 @@ type cStep struct {
 	mask   uint64
 	nBound int
 
-	// LAssign:
+	// LCmp: l Op r. LAssign: assignSlot = l.
+	l, r       cOperand
 	assignSlot int
 	preBound   bool // slot statically bound before this step: compare, don't bind
 
@@ -82,7 +118,13 @@ type cRule struct {
 	// aggregation metadata
 	groupVars  []string
 	groupSlots []int
-	aggVarSlot int // slot of the LAggAssign result variable, -1 otherwise
+	aggVarSlot int      // slot of the LAggAssign result variable, -1 otherwise
+	aggArg     cOperand // the aggregated argument; unused by mcount
+	aggContrib cOperand // the contributor
+
+	// nUsed is the number of positive body atoms: the body fact ids every
+	// complete match carries, the fixed width of a provenance entry.
+	nUsed int
 
 	// optimization eligibility
 	ground     bool // all-constant heads, pure-atom body: first-witness early stop
@@ -215,6 +257,7 @@ func (ev *evaluator) compileRule(ri int) *cRule {
 				st.args[i] = a
 			}
 			if l.Kind == LAtom {
+				c.nUsed++
 				for _, t := range l.Atom.Args {
 					if t.Kind == TVar {
 						bound[t.Name] = true
@@ -227,7 +270,10 @@ func (ev *evaluator) compileRule(ri int) *cRule {
 					st.args[i].bind = false
 				}
 			}
+		case LCmp:
+			st.l, st.r = ev.compileOperand(c, l.L), ev.compileOperand(c, l.R)
 		case LAssign:
+			st.l = ev.compileOperand(c, l.AssignE)
 			st.assignSlot = c.slotOf[l.Var]
 			st.preBound = bound[l.Var]
 			bound[l.Var] = true
@@ -288,6 +334,10 @@ func (ev *evaluator) compileRule(ri int) *cRule {
 		for i, n := range c.groupVars {
 			c.groupSlots[i] = c.slotOf[n]
 		}
+		if agg := r.Body[c.aggLit].Agg; agg.Fn != AggCount {
+			c.aggArg = ev.compileOperand(c, agg.Arg)
+		}
+		c.aggContrib = ev.compileOperand(c, r.Body[c.aggLit].Agg.Contrib)
 	}
 
 	c.pureAtoms = c.aggLit == -1

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -53,20 +54,13 @@ type evaluator struct {
 	parStrata int
 	egdPasses int
 
-	aggState []map[string]*aggGroup
-}
+	// aggState holds the group-by operator's table of every aggregate rule
+	// (nil for the others); aggBytes is their summed footprint, which
+	// chargeMemory adds to the database estimate.
+	aggState []*aggTable
+	aggBytes atomic.Int64
 
-// aggGroup accumulates one aggregation group. The contributor map is keyed
-// by the interned id of the contributor expression — the same identity the
-// old engine spelled as cv.Key() — and sortKey reproduces the old engine's
-// group-key string so dirty groups flush in the identical order.
-type aggGroup struct {
-	groupVids []uint32
-	sortKey   string
-	used      []uint64
-	contrib   map[uint32]Val
-	emitted   bool
-	dirty     bool
+	memos sync.Pool // of *numMemo, see internComputed
 }
 
 // stratumCtx is the per-stratum evaluation state: a private interner view
@@ -117,18 +111,63 @@ type walkCtx struct {
 	buffer     *emitBuf
 	derived    int
 	rowBuf     []uint32
-	gkeyBuf    []byte
+	memo       *numMemo
+
+	// Match attempts counted since the last settle, and since the context
+	// was last polled.
+	pending, unpolled uint32
 }
 
+// workBatch is how many match attempts a walk counts privately before it
+// settles them into the run-wide total: small enough that a blown budget is
+// noticed within workBatch attempts per worker, large enough that the workers
+// of a partitioned rule stop trading one cache line per candidate.
+const workBatch = 256
+
+// spend counts one match attempt. It touches only the walk: the shared
+// counter, the work budget and the context are settle's business.
 func (w *walkCtx) spend() error {
-	n := w.ev.work.Add(1)
-	if n > w.ev.opt.MaxWork {
-		return fmt.Errorf("datalog: exceeded the work budget of %d match attempts (join explosion?)", w.ev.opt.MaxWork)
+	w.pending++
+	if w.pending < workBatch {
+		return nil
 	}
-	if n&ctxPollMask == 0 {
-		return w.ev.ctxErr()
+	return w.settle()
+}
+
+// settle adds the walk's pending attempts to the run-wide total — the only
+// place that total is written, so it is exact once every walk has settled,
+// and every walk settles when it ends (evalRule, the partition loop). The
+// total is checked against MaxWork here: a run fails iff its attempts exceed
+// the budget, noticed at most workBatch attempts per worker late. The
+// context is polled once a walk has spent more than ctxPollMask attempts
+// unpolled.
+func (w *walkCtx) settle() error {
+	ev := w.ev
+	n := ev.work.Add(int64(w.pending))
+	w.unpolled += w.pending
+	w.pending = 0
+	if n > ev.opt.MaxWork {
+		return fmt.Errorf("datalog: exceeded the work budget of %d match attempts (join explosion?)", ev.opt.MaxWork)
+	}
+	if w.unpolled > ctxPollMask {
+		w.unpolled = 0
+		return ev.ctxErr()
 	}
 	return nil
+}
+
+// finish settles a walk that has ended, however it ended. A budget found
+// blown here was blown at or before the walk's own error, if it has one, so
+// the budget error is the one the unbatched count would have reported.
+func (w *walkCtx) finish() error {
+	if w.memo != nil {
+		w.ev.memos.Put(w.memo)
+		w.memo = nil
+	}
+	if err := w.settle(); err != nil {
+		return err
+	}
+	return w.err
 }
 
 func (ev *evaluator) ctxErr() error {
@@ -228,6 +267,44 @@ func evalExprS(e Expr, c *cRule, env []uint32, iv *iview) (Val, error) {
 	return Val{}, fmt.Errorf("datalog: bad expression %v", e)
 }
 
+// evalNumS is evalExprS for the case the risk programs' assignments are made
+// of — pure arithmetic (cOperand.arith) over numeric variables and constants,
+// R = F / S — computed on float64s read off the interner columns, with no Val
+// built per node. ok is false for anything else (a non-number, a division by
+// zero, an unbound variable): the caller then asks evalExprS, which owns
+// every error text, so the two agree by construction.
+func evalNumS(e Expr, c *cRule, env []uint32, iv *iview) (n float64, ok bool) {
+	switch x := e.(type) {
+	case ExprTerm:
+		if x.T.Kind == TConst {
+			return x.T.Val.n, x.T.Val.k == KNum
+		}
+		if s, bound := c.slotOf[x.T.Name]; bound && env[s] != unboundVid {
+			return iv.num(env[s])
+		}
+	case ExprNeg:
+		n, ok = evalNumS(x.E, c, env, iv)
+		return -n, ok
+	case ExprBin:
+		l, lok := evalNumS(x.L, c, env, iv)
+		r, rok := evalNumS(x.R, c, env, iv)
+		if !lok || !rok {
+			return 0, false
+		}
+		switch x.Op {
+		case "+":
+			return l + r, true
+		case "-":
+			return l - r, true
+		case "*":
+			return l * r, true
+		case "/":
+			return l / r, r != 0
+		}
+	}
+	return 0, false
+}
+
 // windowStart returns where the delta window starting at row position lo
 // begins in an index bucket: bucket positions ascend with insertion, so the
 // window is a contiguous run of the bucket.
@@ -314,44 +391,169 @@ func (w *walkCtx) walk(step int) {
 			w.walk(step + 1)
 		}
 	case LCmp:
-		lv, err := evalExprS(st.lit.L, w.c, w.env, w.iv)
+		ok, err := w.holds(st)
 		if err != nil {
 			w.err = err
-			return
-		}
-		rv, err := evalExprS(st.lit.R, w.c, w.env, w.iv)
-		if err != nil {
-			w.err = err
-			return
-		}
-		ok, err := compare(st.lit.Op, lv, rv)
-		if err != nil {
-			w.err = fmt.Errorf("line %d: %w", w.c.r.Line, err)
 			return
 		}
 		if ok {
 			w.walk(step + 1)
 		}
 	case LAssign:
-		v, err := evalExprS(st.lit.AssignE, w.c, w.env, w.iv)
-		if err != nil {
-			w.err = err
-			return
-		}
-		if st.preBound {
+		if st.preBound && st.l.computed {
+			// A filter: the computed value is compared, not interned.
+			v, err := evalExprS(st.l.e, w.c, w.env, w.iv)
+			if err != nil {
+				w.err = err
+				return
+			}
 			if Equal(w.iv.val(w.env[st.assignSlot]), v) {
 				w.walk(step + 1)
 			}
 			return
 		}
-		w.env[st.assignSlot] = w.ev.db.in.intern(v)
+		id, err := w.operandID(&st.l)
+		if err != nil {
+			w.err = err
+			return
+		}
+		if !st.preBound {
+			w.env[st.assignSlot] = id
+		} else if !w.iv.equalIDs(w.env[st.assignSlot], id) {
+			return
+		}
 		w.walk(step + 1)
 	}
 }
 
+// operandVal returns the operand's value.
+func (w *walkCtx) operandVal(o *cOperand) (Val, error) {
+	if o.computed {
+		return evalExprS(o.e, w.c, w.env, w.iv)
+	}
+	id, ok := o.arg.vidIn(w.env)
+	if !ok {
+		return Val{}, o.arg.unbound()
+	}
+	return w.iv.val(id), nil
+}
+
+// operandID returns the operand as an interned id: what the slot holds, the
+// constant's id, or — only for a computed operand — the id its value interns
+// to.
+func (w *walkCtx) operandID(o *cOperand) (uint32, error) {
+	if o.computed {
+		if n, ok := w.operandArith(o); ok {
+			return w.internComputed(Num(n)), nil
+		}
+		v, err := evalExprS(o.e, w.c, w.env, w.iv)
+		if err != nil {
+			return 0, err
+		}
+		return w.internComputed(v), nil
+	}
+	id, ok := o.arg.vidIn(w.env)
+	if !ok {
+		return 0, o.arg.unbound()
+	}
+	return id, nil
+}
+
+// operandArith computes a pure-arithmetic operand on float64s; ok is false
+// when the operand is not one or evalNumS leaves it to evalExprS.
+func (w *walkCtx) operandArith(o *cOperand) (float64, bool) {
+	if !o.arith {
+		return 0, false
+	}
+	return evalNumS(o.e, w.c, w.env, w.iv)
+}
+
+// numMemo is a direct-mapped memory of numbers a walk interned. An
+// assignment such as R = 1 / S computes one value per group of tuples, not
+// per tuple: the walk that interned it a moment ago finds the id here and
+// leaves the interner's mutex — shared with every other partition — alone.
+// Ids never change for the life of a run's interner, so an entry is never
+// stale and a finished walk hands its memo on through evaluator.memos.
+type numMemo struct {
+	bits [numMemoSize]uint64
+	id1  [numMemoSize]uint32 // id + 1; 0 marks an empty entry
+}
+
+const numMemoSize = 2048
+
+func (w *walkCtx) internComputed(v Val) uint32 {
+	if v.k != KNum {
+		return w.ev.db.in.intern(v)
+	}
+	if w.memo == nil {
+		w.memo = w.ev.memos.Get().(*numMemo)
+	}
+	bits := numBits(v.n)
+	i := scalarHash(KNum, bits) & (numMemoSize - 1)
+	if w.memo.id1[i] != 0 && w.memo.bits[i] == bits {
+		return w.memo.id1[i] - 1
+	}
+	id := w.ev.db.in.intern(v)
+	w.memo.bits[i], w.memo.id1[i] = bits, id+1
+	return id
+}
+
+// holds decides a comparison step. Operands that are slots or constants are
+// compared as ids (iview.equalIDs) or as numbers read off the columns;
+// everything else goes through compare on values, which the fast paths
+// reproduce case for case.
+func (w *walkCtx) holds(st *cStep) (bool, error) {
+	op := st.lit.Op
+	if !st.l.computed && !st.r.computed && op != OpIn {
+		l, ok := st.l.arg.vidIn(w.env)
+		if !ok {
+			return false, st.l.arg.unbound()
+		}
+		r, ok := st.r.arg.vidIn(w.env)
+		if !ok {
+			return false, st.r.arg.unbound()
+		}
+		switch op {
+		case OpEq:
+			return w.iv.equalIDs(l, r), nil
+		case OpNe:
+			return !w.iv.equalIDs(l, r), nil
+		}
+		if ln, ok := w.iv.num(l); ok {
+			if rn, ok := w.iv.num(r); ok {
+				// Compare's three-way result on numbers: a NaN is neither
+				// below nor above anything, so it compares as equal.
+				switch op {
+				case OpLt:
+					return ln < rn, nil
+				case OpLe:
+					return !(ln > rn), nil
+				case OpGt:
+					return ln > rn, nil
+				case OpGe:
+					return !(ln < rn), nil
+				}
+			}
+		}
+	}
+	lv, err := w.operandVal(&st.l)
+	if err != nil {
+		return false, err
+	}
+	rv, err := w.operandVal(&st.r)
+	if err != nil {
+		return false, err
+	}
+	ok, err := compare(op, lv, rv)
+	if err != nil {
+		return false, fmt.Errorf("line %d: %w", w.c.r.Line, err)
+	}
+	return ok, nil
+}
+
 // emit is where a complete body match ends, in one of three terminals: an
-// EGD equates its two sides, an aggregate rule records a contribution, and
-// every other rule inserts its heads.
+// EGD equates its two sides, an aggregate rule feeds the group-by operator,
+// and every other rule inserts its heads.
 func (w *walkCtx) emit() {
 	c := w.c
 	if c.r.IsEGD {
@@ -501,104 +703,291 @@ func (sc *stratumCtx) emitHeads(c *cRule, env []uint32, used []uint64) (int, err
 	return added, nil
 }
 
+// aggTable is the group-by operator's state for one aggregate rule: two flat
+// tables over interned ids, dense in creation order and found through
+// open-addressed slot arrays. A group is keyed by the vids of the head's
+// group variables; a contribution by (group, contributor vid), and only the
+// monotonically best one per key is kept (Section 4.3). The table lives for
+// one saturation of the strata, so a recursive aggregate accumulates across
+// delta rounds.
+type aggTable struct {
+	fn    AggFn
+	nKey  int // vids per group key
+	nUsed int // body fact ids per group
+
+	gkey   []uint32 // nKey vids per group
+	gused  []uint64 // nUsed fact ids per group: its first match, the provenance of what it emits
+	gflag  []uint8  // aggDirty, aggEmitted
+	gn     []uint32 // contributors per group: what mcount folds to
+	ghead  []uint32 // the group's newest contribution + 1, chained through cnext; 0 ends the chain
+	gslots []uint32 // hash of the key → group + 1
+
+	cgroup []uint32
+	cvid   []uint32
+	cnext  []uint32  // msum, mprod, munion: the group's chain
+	cnum   []float64 // msum, mprod: the contribution
+	cset   []Val     // munion: the contribution, a set
+	cslots []uint32  // hash of (group, contributor) → contribution + 1
+
+	dirty []uint32 // groups changed since the last flush, in no particular order
+
+	probe []uint32 // the key being looked up
+
+	// Flush scratch, kept between rounds.
+	vids  []uint32
+	keys  []string
+	order []uint32
+	offs  []uint32
+	items []aggItem
+
+	charged int64 // bytes of this table counted in evaluator.aggBytes
+}
+
+const (
+	aggDirty   = 1 << iota // changed since the last flush
+	aggEmitted             // an LAggCond group that already emitted its heads
+)
+
+// aggItem is one contribution of the group being folded.
+type aggItem struct {
+	key string // the contributor's Key(): the fold order
+	ci  uint32
+}
+
+// group finds or creates the group of the current match; used is copied
+// into a new group as its provenance.
+func (t *aggTable) group(env []uint32, slots []int, used []uint64) uint32 {
+	t.probe = t.probe[:0]
+	for _, s := range slots {
+		t.probe = append(t.probe, env[s])
+	}
+	if (len(t.gflag)+1)*4 >= len(t.gslots)*3 {
+		t.gslots = growSlots(t.gslots, len(t.gflag), func(g int) uint64 {
+			return mix64(hashRow(t.gkey[g*t.nKey : (g+1)*t.nKey]))
+		})
+	}
+	mask := uint64(len(t.gslots) - 1)
+	for i := mix64(hashRow(t.probe)) & mask; ; i = (i + 1) & mask {
+		if t.gslots[i] == 0 {
+			g := uint32(len(t.gflag))
+			t.gslots[i] = g + 1
+			t.gkey = append(t.gkey, t.probe...)
+			t.gused = append(t.gused, used...)
+			t.gflag = append(t.gflag, 0)
+			t.gn = append(t.gn, 0)
+			if t.fn != AggCount {
+				t.ghead = append(t.ghead, 0)
+			}
+			return g
+		}
+		if g := t.gslots[i] - 1; slices.Equal(t.gkey[int(g)*t.nKey:(int(g)+1)*t.nKey], t.probe) {
+			return g
+		}
+	}
+}
+
+// contribution finds the (group, contributor) entry or creates it, linked
+// into the group's chain with its argument column left for the caller.
+func (t *aggTable) contribution(g, cv uint32) (ci uint32, isNew bool) {
+	if (len(t.cvid)+1)*4 >= len(t.cslots)*3 {
+		t.cslots = growSlots(t.cslots, len(t.cvid), func(c int) uint64 {
+			return mix64(uint64(t.cgroup[c])<<32 | uint64(t.cvid[c]))
+		})
+	}
+	mask := uint64(len(t.cslots) - 1)
+	for i := mix64(uint64(g)<<32|uint64(cv)) & mask; ; i = (i + 1) & mask {
+		if t.cslots[i] == 0 {
+			ci = uint32(len(t.cvid))
+			t.cslots[i] = ci + 1
+			t.cgroup = append(t.cgroup, g)
+			t.cvid = append(t.cvid, cv)
+			t.gn[g]++
+			if t.fn != AggCount {
+				t.cnext = append(t.cnext, t.ghead[g])
+				t.ghead[g] = ci + 1
+			}
+			return ci, true
+		}
+		if ci = t.cslots[i] - 1; t.cgroup[ci] == g && t.cvid[ci] == cv {
+			return ci, false
+		}
+	}
+}
+
+// growSlots doubles an open-addressed slot array (64 slots to begin with)
+// and re-inserts entries 0..n-1 by their hash.
+func growSlots(old []uint32, n int, hash func(i int) uint64) []uint32 {
+	size := 2 * len(old)
+	if size == 0 {
+		size = 64
+	}
+	slots := make([]uint32, size)
+	mask := uint64(size - 1)
+	for e := 0; e < n; e++ {
+		i := hash(e) & mask
+		for slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		slots[i] = uint32(e) + 1
+	}
+	return slots
+}
+
+func (t *aggTable) touch(g uint32) {
+	if t.gflag[g]&aggDirty == 0 {
+		t.gflag[g] |= aggDirty
+		t.dirty = append(t.dirty, g)
+	}
+}
+
+// bytes is the table's footprint: every column and scratch slice at its
+// capacity times its element width.
+func (t *aggTable) bytes() int64 {
+	return int64(4*(cap(t.gkey)+cap(t.gn)+cap(t.ghead)+cap(t.gslots)+
+		cap(t.cgroup)+cap(t.cvid)+cap(t.cnext)+cap(t.cslots)+
+		cap(t.dirty)+cap(t.vids)+cap(t.order)+cap(t.offs)) +
+		8*(cap(t.gused)+cap(t.cnum)) + cap(t.gflag) +
+		16*cap(t.keys) + 24*cap(t.items) + 64*cap(t.cset))
+}
+
+// recordAgg is the aggregate terminal: the operator's build side, run once
+// per complete body match. A contributor or argument that is a variable is
+// read as the id in its slot (operandID, operandNum); only a computed one is
+// evaluated and interned. A group is marked dirty only when a contribution is
+// new or monotonically better — Compare's order, under which a NaN never
+// replaces and is never replaced — so an unchanged group is not folded again.
 func (w *walkCtx) recordAgg() error {
 	c := w.c
-	ev := w.ev
-	l := &c.r.Body[c.aggLit]
-
-	w.gkeyBuf = w.gkeyBuf[:0]
+	t := w.ev.aggState[c.ri]
 	for i, s := range c.groupSlots {
-		v := w.env[s]
-		if v == unboundVid {
+		if w.env[s] == unboundVid {
 			return fmt.Errorf("datalog: line %d: head variable %s unbound at aggregate", c.r.Line, c.groupVars[i])
 		}
-		w.gkeyBuf = append(w.gkeyBuf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 	}
-	st := ev.aggState[c.ri]
-	g, ok := st[string(w.gkeyBuf)]
-	if !ok {
-		g = &aggGroup{contrib: make(map[uint32]Val), groupVids: make([]uint32, len(c.groupSlots))}
-		var b strings.Builder
-		for i, s := range c.groupSlots {
-			g.groupVids[i] = w.env[s]
-			b.WriteString(ev.db.in.key(w.env[s]))
-			b.WriteByte('|')
-		}
-		g.sortKey = b.String()
-		g.used = append([]uint64(nil), w.used...)
-		st[string(w.gkeyBuf)] = g
-	}
-
-	cv, err := evalExprS(l.Agg.Contrib, w.c, w.env, w.iv)
+	g := t.group(w.env, c.groupSlots, w.used)
+	cv, err := w.operandID(&c.aggContrib)
 	if err != nil {
 		return err
 	}
-	var contribution Val
-	switch l.Agg.Fn {
+	switch t.fn {
 	case AggCount:
-		contribution = Num(1)
+		if _, isNew := t.contribution(g, cv); isNew {
+			t.touch(g)
+		}
 	case AggUnion:
-		v, err := evalExprS(l.Agg.Arg, w.c, w.env, w.iv)
+		v, err := w.operandVal(&c.aggArg)
 		if err != nil {
 			return err
 		}
-		contribution = v
+		if ci, isNew := t.contribution(g, cv); isNew {
+			t.cset = append(t.cset, List(v))
+			t.touch(g)
+		} else if merged := List(append(t.cset[ci].Elems(), v)...); !Equal(merged, t.cset[ci]) {
+			t.cset[ci] = merged
+			t.touch(g)
+		}
 	default:
-		v, err := evalExprS(l.Agg.Arg, w.c, w.env, w.iv)
+		n, err := w.operandNum(&c.aggArg)
 		if err != nil {
 			return err
 		}
-		if v.k != KNum {
-			return fmt.Errorf("datalog: line %d: %s over non-number %s", c.r.Line, l.Agg.Fn, v)
+		if ci, isNew := t.contribution(g, cv); isNew {
+			t.cnum = append(t.cnum, n)
+			t.touch(g)
+		} else if n > t.cnum[ci] {
+			t.cnum[ci] = n
+			t.touch(g)
 		}
-		contribution = v
-	}
-
-	ck := ev.db.in.intern(cv)
-	if old, ok := g.contrib[ck]; ok {
-		if l.Agg.Fn == AggUnion {
-			merged := List(append(old.Elems(), contribution)...)
-			if !Equal(merged, old) {
-				g.contrib[ck] = merged
-				g.dirty = true
-			}
-		} else if Compare(contribution, old) > 0 {
-			g.contrib[ck] = contribution
-			g.dirty = true
-		}
-	} else {
-		if l.Agg.Fn == AggUnion {
-			contribution = List(contribution)
-		}
-		g.contrib[ck] = contribution
-		g.dirty = true
 	}
 	return nil
 }
 
-func (sc *stratumCtx) flushAgg(c *cRule) (int, error) {
-	ev := sc.ev
-	l := &c.r.Body[c.aggLit]
-	st := ev.aggState[c.ri]
-
-	var dirty []*aggGroup
-	for _, g := range st {
-		if g.dirty {
-			dirty = append(dirty, g)
+// operandNum returns the aggregated argument as a number — a variable's
+// straight off the interner columns — or the engine's non-number error.
+func (w *walkCtx) operandNum(o *cOperand) (float64, error) {
+	if o.computed {
+		if n, ok := w.operandArith(o); ok {
+			return n, nil
+		}
+	} else if id, ok := o.arg.vidIn(w.env); ok {
+		if n, ok := w.iv.num(id); ok {
+			return n, nil
 		}
 	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i].sortKey < dirty[j].sortKey })
+	v, err := w.operandVal(o)
+	if err != nil {
+		return 0, err
+	}
+	if v.k != KNum {
+		return 0, fmt.Errorf("datalog: line %d: %s over non-number %s", w.c.r.Line, w.ev.aggState[w.c.ri].fn, v)
+	}
+	return v.n, nil
+}
 
+// flushAgg is the operator's probe side, run after each walk of an aggregate
+// rule: every dirty group is folded and its heads emitted. Two orders here
+// are load-bearing. Groups flush in ascending order of their key vids' Key()
+// strings — the order facts are inserted in, hence row positions, hence
+// provenance ids and what a later rule's scan meets first. A group's
+// contributions fold in ascending order of the contributors' Key() — the
+// order that fixes every float sum and product bit for bit. (Key() is a
+// prefix-free code, so comparing keys component by component is comparing
+// their concatenation.) All keys a flush needs are read in one hold of the
+// interner lock; mcount needs none for its fold.
+func (sc *stratumCtx) flushAgg(c *cRule) (int, error) {
+	ev := sc.ev
+	t := ev.aggState[c.ri]
+	if len(t.dirty) == 0 {
+		return 0, nil
+	}
+	l := &c.r.Body[c.aggLit]
+
+	// vids: the dirty groups' keys, then — for a keyed fold — their
+	// contributors, group after group in t.dirty order.
+	t.vids = t.vids[:0]
+	for _, g := range t.dirty {
+		t.vids = append(t.vids, t.gkey[int(g)*t.nKey:(int(g)+1)*t.nKey]...)
+	}
+	if t.fn != AggCount {
+		for _, g := range t.dirty {
+			for ci1 := t.ghead[g]; ci1 != 0; ci1 = t.cnext[ci1-1] {
+				t.vids = append(t.vids, t.cvid[ci1-1])
+			}
+		}
+	}
+	t.keys = ev.db.in.keysOf(t.keys[:0], t.vids)
+
+	// order: positions in t.dirty, sorted by group key. offs: where each
+	// dirty group's contributor keys begin in t.keys.
+	nKey := t.nKey
+	t.order, t.offs = t.order[:0], t.offs[:0]
+	off := len(t.dirty) * nKey
+	for d, g := range t.dirty {
+		t.order = append(t.order, uint32(d))
+		t.offs = append(t.offs, uint32(off))
+		off += int(t.gn[g])
+	}
+	slices.SortFunc(t.order, func(a, b uint32) int {
+		ka, kb := t.keys[int(a)*nKey:int(a+1)*nKey], t.keys[int(b)*nKey:int(b+1)*nKey]
+		for j := range ka {
+			if c := strings.Compare(ka[j], kb[j]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
+
+	env := newEnv(c)
 	added := 0
-	for _, g := range dirty {
-		g.dirty = false
-		agg, err := foldAgg(l.Agg.Fn, g.contrib, ev.db.in.key)
+	for _, d := range t.order {
+		g := t.dirty[d]
+		t.gflag[g] &^= aggDirty
+		agg, err := t.fold(g, t.offs[d])
 		if err != nil {
 			return added, fmt.Errorf("line %d: %w", c.r.Line, err)
 		}
-		env := newEnv(c)
 		for i, s := range c.groupSlots {
-			env[s] = g.groupVids[i]
+			env[s] = t.gkey[int(g)*nKey+i]
 		}
 		switch l.Kind {
 		case LAggAssign:
@@ -612,18 +1001,56 @@ func (sc *stratumCtx) flushAgg(c *cRule) (int, error) {
 			if err != nil {
 				return added, fmt.Errorf("line %d: %w", c.r.Line, err)
 			}
-			if !ok || g.emitted {
+			if !ok || t.gflag[g]&aggEmitted != 0 {
 				continue
 			}
-			g.emitted = true
+			t.gflag[g] |= aggEmitted
 		}
-		n, err := sc.emitHeads(c, env, g.used)
+		n, err := sc.emitHeads(c, env, t.gused[int(g)*t.nUsed:(int(g)+1)*t.nUsed])
 		added += n
 		if err != nil {
 			return added, err
 		}
 	}
+	t.dirty = t.dirty[:0]
+	b := t.bytes()
+	ev.aggBytes.Add(b - t.charged)
+	t.charged = b
 	return added, nil
+}
+
+// fold folds group g, whose contributors' Key() strings sit in t.keys from
+// off on, in chain order. mcount has no order to keep and reads no key.
+func (t *aggTable) fold(g, off uint32) (Val, error) {
+	if t.fn == AggCount {
+		return Num(float64(t.gn[g])), nil
+	}
+	t.items = t.items[:0]
+	for ci1 := t.ghead[g]; ci1 != 0; ci1 = t.cnext[ci1-1] {
+		t.items = append(t.items, aggItem{key: t.keys[int(off)+len(t.items)], ci: ci1 - 1})
+	}
+	slices.SortFunc(t.items, func(a, b aggItem) int { return strings.Compare(a.key, b.key) })
+	switch t.fn {
+	case AggSum:
+		s := 0.0
+		for _, it := range t.items {
+			s += t.cnum[it.ci]
+		}
+		return Num(s), nil
+	case AggProd:
+		p := 1.0
+		for _, it := range t.items {
+			p *= t.cnum[it.ci]
+		}
+		return Num(p), nil
+	case AggUnion:
+		var all []Val
+		for _, it := range t.items {
+			all = append(all, t.cset[it.ci].Elems()...)
+		}
+		return List(all...), nil
+	}
+	return Val{}, fmt.Errorf("unknown aggregate %s", t.fn)
 }
 
 // newEnv returns the rule's slot environment with every slot unbound.
@@ -649,8 +1076,8 @@ func (sc *stratumCtx) newWalk(c *cRule, restrictLi int, lo, hi uint32, iv *iview
 func (sc *stratumCtx) evalRule(c *cRule, restrictLi int, lo, hi uint32) (int, error) {
 	w := sc.newWalk(c, restrictLi, lo, hi, &sc.iv, nil)
 	w.walk(0)
-	if w.err != nil {
-		return w.derived, w.err
+	if err := w.finish(); err != nil {
+		return w.derived, err
 	}
 	if c.aggLit >= 0 {
 		n, err := sc.flushAgg(c)
@@ -726,9 +1153,8 @@ func (sc *stratumCtx) evalRuleParallel(c *cRule, restrictLi int, lo, hi, clo, ch
 		co := &outs[ci]
 		w := sc.newWalk(c, restrictLi, lo, hi, &iview{in: ev.db.in}, &co.emits)
 		b := bounds[ci]
-		for pos := clo + uint32(b[0]); pos < clo+uint32(b[1]); pos++ {
-			if err := w.spend(); err != nil {
-				co.err = err
+		for pos := clo + uint32(b[0]); pos < clo+uint32(b[1]) && w.err == nil; pos++ {
+			if w.err = w.spend(); w.err != nil {
 				break
 			}
 			if !matchRow(st0, st0.rel.row(int(pos)), w.env) {
@@ -736,21 +1162,13 @@ func (sc *stratumCtx) evalRuleParallel(c *cRule, restrictLi int, lo, hi, clo, ch
 			}
 			w.used = append(w.used[:0], fid(st0.pid, pos))
 			w.walk(1)
-			if w.err != nil {
-				co.err = w.err
-				break
-			}
 		}
+		co.err = w.finish()
 		co.done = true
 		return nil
 	})
 
-	nUsed := 0 // body fact ids per emission: one per positive atom (see emitBuf)
-	for i := range c.steps {
-		if c.steps[i].kind == LAtom {
-			nUsed++
-		}
-	}
+	nUsed := c.nUsed // body fact ids per emission (see emitBuf)
 	derived := 0
 	for ci := range outs {
 		co := &outs[ci]
@@ -871,7 +1289,8 @@ func (sc *stratumCtx) fixpoint(stratum int, rules []*cRule) error {
 // themselves so labelled-null ids mint in the sequential order.
 func (ev *evaluator) runStrata() error {
 	ruleStratum := make([]int, len(ev.prog.Rules))
-	ev.aggState = make([]map[string]*aggGroup, len(ev.prog.Rules))
+	ev.aggState = make([]*aggTable, len(ev.prog.Rules))
+	ev.aggBytes.Store(0)
 	for i := range ev.prog.Rules {
 		r := &ev.prog.Rules[i]
 		if r.IsEGD || len(r.Body) == 0 {
@@ -879,7 +1298,9 @@ func (ev *evaluator) runStrata() error {
 			continue
 		}
 		ruleStratum[i] = ev.strata[r.Heads[0].Pred]
-		ev.aggState[i] = make(map[string]*aggGroup)
+		if c := ev.crules[i]; c.aggLit >= 0 {
+			ev.aggState[i] = &aggTable{fn: r.Body[c.aggLit].Agg.Fn, nKey: len(c.groupSlots), nUsed: c.nUsed}
+		}
 	}
 	ev.resolvePlan(false)
 	byStratum := make([][]*cRule, ev.nStrata)
@@ -1021,7 +1442,7 @@ func (ev *evaluator) runStrata() error {
 }
 
 func (ev *evaluator) chargeMemory() error {
-	b := ev.db.EstimatedBytes()
+	b := ev.db.EstimatedBytes() + ev.aggBytes.Load()
 	ev.chargeMu.Lock()
 	defer ev.chargeMu.Unlock()
 	if b > ev.peak {
@@ -1153,9 +1574,9 @@ func Run(p *Program, edb *Database, opt *Options) (*Result, error) {
 }
 
 // RunContext is Run with cancellation: the context is polled at round
-// boundaries and every ctxPollMask match attempts, so a cancelled or
-// deadline-expired context aborts the evaluation within a bounded amount of
-// join work.
+// boundaries and by every walk once per 8192 of its match attempts, so a
+// cancelled or deadline-expired context aborts the evaluation within a
+// bounded amount of join work.
 func RunContext(ctx context.Context, p *Program, edb *Database, opt *Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -1175,6 +1596,7 @@ func RunContext(ctx context.Context, p *Program, edb *Database, opt *Options) (*
 		skolem:  make(map[string]Val),
 		subst:   make(map[uint64]Val),
 		predIDs: make(map[string]uint32),
+		memos:   sync.Pool{New: func() any { return new(numMemo) }},
 	}
 	ev.workers = ev.opt.Workers
 	if ev.workers <= 0 {

@@ -422,10 +422,11 @@ func (o *Options) withDefaults() Options {
 }
 
 // EvalStats describes what one reasoning run actually did — the
-// observability block behind the paper's interactive-latency claim. All
-// figures are exact except MatchAttempts under parallel evaluation, where
-// partitions that lose the insertion race may retry, and PeakBytes, which
-// is sampled after every fixpoint round and EGD pass.
+// observability block behind the paper's interactive-latency claim. Every
+// count is exact and the same at every worker count: partitions buffer their
+// emissions and merge in chunk order, so nothing is ever retried, and each
+// walk settles its private attempt count before it returns. PeakBytes is
+// sampled after every fixpoint round and EGD pass.
 type EvalStats struct {
 	// Rounds counts fixpoint rounds across all strata and EGD passes,
 	// the seed passes included.
@@ -443,8 +444,9 @@ type EvalStats struct {
 	MatchAttempts int64 `json:"match_attempts"`
 	// MaxWork echoes the effective work budget the run was held to.
 	MaxWork int64 `json:"max_work"`
-	// PeakBytes is the highest database size estimate observed at a
-	// round boundary — the figure charged to the memory governor.
+	// PeakBytes is the highest size estimate — the database plus the
+	// aggregate operators' tables — observed at a round boundary: the
+	// figure charged to the memory governor.
 	PeakBytes int64 `json:"peak_bytes"`
 	// EGDPasses counts outer chase passes (strata saturation + EGD
 	// application); 1 for programs without EGDs.
@@ -563,9 +565,10 @@ func btoi(b bool) int {
 }
 
 // ctxPollMask throttles cancellation polling inside the innermost join
-// loops: the context is checked every 8192 fact-match attempts, cheap enough
-// to be invisible next to the matching work while still bounding the latency
-// between cancellation and the evaluator unwinding.
+// loops: no walk spends more than 8192 fact-match attempts without checking
+// the context (walkCtx.settle), cheap enough to be invisible next to the
+// matching work while still bounding the latency between cancellation and
+// the evaluator unwinding.
 const ctxPollMask = 8192 - 1
 
 func compare(op string, l, r Val) (bool, error) {
@@ -592,43 +595,4 @@ func compare(op string, l, r Val) (bool, error) {
 		return c >= 0, nil
 	}
 	return false, fmt.Errorf("unknown comparison %q", op)
-}
-
-// foldAgg folds one group's contributions. Sums, products and unions fold
-// in ascending order of the contributors' Key() strings — the order that
-// fixes every float sum bit for bit; a count needs no order, so no keys.
-func foldAgg(fn AggFn, contrib map[uint32]Val, key func(uint32) string) (Val, error) {
-	if fn == AggCount {
-		return Num(float64(len(contrib))), nil
-	}
-	type keyed struct {
-		key string
-		v   Val
-	}
-	ord := make([]keyed, 0, len(contrib))
-	for vid, v := range contrib {
-		ord = append(ord, keyed{key(vid), v})
-	}
-	sort.Slice(ord, func(i, j int) bool { return ord[i].key < ord[j].key })
-	switch fn {
-	case AggSum:
-		s := 0.0
-		for _, c := range ord {
-			s += c.v.NumVal()
-		}
-		return Num(s), nil
-	case AggProd:
-		p := 1.0
-		for _, c := range ord {
-			p *= c.v.NumVal()
-		}
-		return Num(p), nil
-	case AggUnion:
-		var all []Val
-		for _, c := range ord {
-			all = append(all, c.v.Elems()...)
-		}
-		return List(all...), nil
-	}
-	return Val{}, fmt.Errorf("unknown aggregate %s", fn)
 }

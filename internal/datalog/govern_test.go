@@ -83,3 +83,33 @@ func TestEstimatedBytesTracksInserts(t *testing.T) {
 		t.Fatalf("clone estimate %d != original %d", c.EstimatedBytes(), db.EstimatedBytes())
 	}
 }
+
+// The aggregate operator's tables count towards the estimate: the peak is
+// above what the database alone ends at, and a budget that covers the
+// database but not the group and contribution tables is refused.
+func TestGovernorSeesAggregateState(t *testing.T) {
+	p := MustParse(`total(G,S) :- m(G,I,W), S = msum(W,[I]).`)
+	db := NewDatabase()
+	for i := 0; i < 20000; i++ {
+		db.Add("m", Num(float64(i%500)), Num(float64(i)), Num(0.5))
+	}
+	res, err := Run(p, db, nil)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	dbOnly := res.DB().EstimatedBytes()
+	// 20 000 contributions cost at least their group, contributor, chain and
+	// argument columns: 20 bytes each.
+	if res.Stats.PeakBytes < dbOnly+20*20000 {
+		t.Fatalf("PeakBytes = %d, database alone %d: the aggregate tables are not counted", res.Stats.PeakBytes, dbOnly)
+	}
+	g := govern.New("evaluation", govern.Limits{MaxBytes: dbOnly + 1000})
+	_, err = Run(p, db, &Options{Governor: g})
+	var ebe *govern.ErrBudgetExceeded
+	if !errors.As(err, &ebe) {
+		t.Fatalf("err = %v, want *govern.ErrBudgetExceeded", err)
+	}
+	if got := g.Used(govern.Memory); got != 0 {
+		t.Fatalf("governor still holds %d bytes after abort", got)
+	}
+}

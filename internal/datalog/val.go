@@ -252,7 +252,10 @@ func (t Tuple) String() string {
 // Identity follows Compare/Equal: +0 and -0 intern to one vid, every NaN
 // payload interns to one vid, labelled nulls intern by id, and lists intern
 // by their element vids (List() already canonicalizes order and duplicates).
-// Two values are Equal iff they intern to the same vid.
+// Values with one vid are Equal. The converse fails in one corner: Compare
+// calls a NaN equal to every number, and sets compare element-wise, so Equal
+// is asked through iview.equalIDs where a comparison, not an identity, is
+// meant.
 //
 // The interner is shared by a database and all its clones: evaluation runs
 // against a cloned EDB reuse the interned constants instead of re-encoding
@@ -373,8 +376,12 @@ func (in *interner) strBytesLocked(b []byte) uint32 {
 	return in.strLocked(string(b))
 }
 
-func scalarHash(k Kind, bits uint64) uint64 {
-	h := bits ^ uint64(k)<<62
+func scalarHash(k Kind, bits uint64) uint64 { return mix64(bits ^ uint64(k)<<62) }
+
+// mix64 spreads every input bit over the whole word (the 64-bit murmur
+// finalizer), so the low bits that an open-addressed table masks out are
+// usable whatever produced h.
+func mix64(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
@@ -501,12 +508,27 @@ func (in *interner) lookupLocked(v Val) (uint32, bool) {
 }
 
 // key returns the seed-format Key() of a vid, computing and caching it on
-// first use. Its readers are the aggregation folds and the Skolem keys —
-// per group, per contributor, per existential emission, never per match
-// attempt — so it simply runs under the interner lock.
+// first use. Its readers are the aggregate flush and the Skolem keys — per
+// flush, per existential emission, never per match attempt — so it simply
+// runs under the interner lock.
 func (in *interner) key(id uint32) string {
 	in.mu.Lock()
 	defer in.mu.Unlock()
+	return in.keyLocked(id)
+}
+
+// keysOf appends the Key() of every id to dst under one hold of the lock: an
+// aggregate flush orders whole batches of groups and contributors by them.
+func (in *interner) keysOf(dst []string, ids []uint32) []string {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	for _, id := range ids {
+		dst = append(dst, in.keyLocked(id))
+	}
+	return dst
+}
+
+func (in *interner) keyLocked(id uint32) string {
 	if int(id) >= len(in.keys) {
 		old := cap(in.keys)
 		in.keys = append(in.keys, make([]string, len(in.kinds)-len(in.keys))...)
@@ -556,4 +578,40 @@ func (v *iview) val(id uint32) Val {
 		v.refresh()
 	}
 	return materialize(v.kinds[id], v.payload[id], v.strs, v.lists)
+}
+
+// num reads a number straight off the columns, with no Val in between; ok is
+// false for an id of any other kind.
+func (v *iview) num(id uint32) (n float64, ok bool) {
+	if int(id) >= len(v.kinds) {
+		v.refresh()
+	}
+	if v.kinds[id] != KNum {
+		return 0, false
+	}
+	return math.Float64frombits(v.payload[id]), true
+}
+
+// equalIDs is Equal on the values of two ids, decided on the ids wherever
+// they settle it: one id is one value, and two ids are two values that
+// Compare tells apart — unless a NaN is involved, which Compare ranks equal
+// to every number, directly or as an element of two sets.
+func (v *iview) equalIDs(a, b uint32) bool {
+	if a == b {
+		return true
+	}
+	if int(a) >= len(v.kinds) || int(b) >= len(v.kinds) {
+		v.refresh()
+	}
+	if v.kinds[a] != v.kinds[b] {
+		return false
+	}
+	switch v.kinds[a] {
+	case KNum:
+		x, y := math.Float64frombits(v.payload[a]), math.Float64frombits(v.payload[b])
+		return !(x < y) && !(x > y)
+	case KList:
+		return Equal(v.val(a), v.val(b))
+	}
+	return false
 }
