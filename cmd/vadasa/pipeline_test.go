@@ -107,6 +107,20 @@ func TestRunPipelineValidation(t *testing.T) {
 	}
 }
 
+// A threshold that is no number is an error, not a cycle that finds nothing
+// over it and writes the input out as its anonymization.
+func TestAnonymizeRefusesNaNThreshold(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "o.csv")
+	err := cmdAnonymize([]string{"-in", writeInput(t, dir), "-out", out, "-k", "3", "-threshold", "NaN"})
+	if err == nil || !strings.Contains(err.Error(), "threshold NaN outside [0,1]") {
+		t.Fatalf("anonymize -threshold NaN: %v", err)
+	}
+	if _, err := os.Stat(out); err == nil {
+		t.Fatal("the refused run wrote an output file")
+	}
+}
+
 func TestRunPipelineWithEstimatedWeights(t *testing.T) {
 	dir := t.TempDir()
 	// A dataset without a weight column.

@@ -77,7 +77,13 @@ type anonResp struct {
 
 func syncAnonymize(t *testing.T, h http.Handler, csv string) anonResp {
 	t.Helper()
-	rec := do(t, h, "POST", "/anonymize?measure=k-anonymity&k=3&threshold=0.5", csv)
+	return syncAnonymizeBy(t, h, "measure=k-anonymity&k=3", csv)
+}
+
+// syncAnonymizeBy is syncAnonymize under the measure the parameters select.
+func syncAnonymizeBy(t *testing.T, h http.Handler, measure, csv string) anonResp {
+	t.Helper()
+	rec := do(t, h, "POST", "/anonymize?"+measure+"&threshold=0.5", csv)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("anonymize = %d: %s", rec.Code, rec.Body)
 	}
@@ -163,14 +169,28 @@ func TestReadyzRequireWorkers503(t *testing.T) {
 // behind. Phase 2 recovers on a server whose risk scoring is sharded
 // across two worker processes — one SIGKILLed while it holds a lease, the
 // other duplicating a delivery — and the released output must be
-// bit-identical to the uninterrupted, worker-less control.
+// bit-identical to the uninterrupted, worker-less control — under a measure
+// that ships two aggregates per row and under one that ships the sensitive
+// column's as well.
 func TestChaosTornJournalKilledWorkerBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real worker processes")
 	}
+	for _, m := range []struct {
+		name, params string
+		measure      vadasa.RiskMeasure
+	}{
+		{"k-anonymity", "measure=k-anonymity&k=3", vadasa.KAnonymity{K: 3}},
+		{"l-diversity", "measure=l-diversity&k=3&sensitive=ResidentialRevenue", vadasa.LDiversity{L: 3, Sensitive: "ResidentialRevenue"}},
+	} {
+		t.Run(m.name, func(t *testing.T) { chaosTornJournalKilledWorker(t, m.params, m.measure) })
+	}
+}
+
+func chaosTornJournalKilledWorker(t *testing.T, params string, measure vadasa.RiskMeasure) {
 	dir := t.TempDir()
 	csv := generatedCSV(t)
-	control := syncAnonymize(t, testServer(t), csv)
+	control := syncAnonymizeBy(t, testServer(t), params, csv)
 	if control.Iterations < 2 {
 		t.Fatalf("control took %d iterations; dataset too easy for a chaos test", control.Iterations)
 	}
@@ -179,6 +199,7 @@ func TestChaosTornJournalKilledWorkerBitIdentical(t *testing.T) {
 	// iteration-0 checkpoint is committed), crash without a terminal record.
 	faulty := faultfs.NewFaulty(faultfs.OS)
 	gate := newGateMeasure(2)
+	gate.inner = measure
 	s1, h1 := jobsServer(t, dir, map[string]func() vadasa.RiskMeasure{
 		"gate": func() vadasa.RiskMeasure { return gate },
 	}, func(c *config) { c.jobWorkers, c.fs = 1, faulty })
@@ -223,7 +244,7 @@ func TestChaosTornJournalKilledWorkerBitIdentical(t *testing.T) {
 	sup := quickSup(t, []dist.Transport{victim.Transport(), ft}, nil)
 
 	_, h2 := jobsServer(t, dir, map[string]func() vadasa.RiskMeasure{
-		"gate": func() vadasa.RiskMeasure { return vadasa.KAnonymity{K: 3} },
+		"gate": func() vadasa.RiskMeasure { return measure },
 	}, func(c *config) { c.jobWorkers, c.fs, c.supervisor = 1, faulty, sup })
 	time.Sleep(250 * time.Millisecond)
 	victim.Kill() // SIGKILL mid-task: the 500ms hold keeps its lease in flight

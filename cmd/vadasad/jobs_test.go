@@ -359,7 +359,7 @@ func TestJobEndpointsValidation(t *testing.T) {
 	}
 	// What /anonymize refuses, submission refuses — the same way, and before
 	// anything is spooled or journaled: no dead job is left behind.
-	for _, params := range []string{"threshold=abc", "budget=abc", "budget=-1"} {
+	for _, params := range []string{"threshold=abc", "threshold=NaN", "budget=abc", "budget=-1"} {
 		sync := do(t, h, "POST", "/anonymize?measure=k-anonymity&k=3&"+params, figure1CSV(t))
 		rec := do(t, h, "POST", "/jobs/anonymize?measure=k-anonymity&k=3&"+params, figure1CSV(t))
 		if rec.Code != http.StatusBadRequest || rec.Body.String() != sync.Body.String() {

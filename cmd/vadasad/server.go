@@ -641,7 +641,7 @@ func floatValue(q url.Values, key string, def float64) (float64, error) {
 	if v == "" {
 		return def, nil
 	}
-	f, err := strconv.ParseFloat(v, 64)
+	f, err := risk.ParseFinite(v)
 	if err != nil {
 		return 0, fmt.Errorf("bad %s parameter %q", key, v)
 	}

@@ -316,6 +316,18 @@ func TestStreamValidationHTTP(t *testing.T) {
 		}
 	}
 
+	// A threshold that is no number, or one no risk can exceed, creates
+	// nothing: the gate of such a stream would never close.
+	for params, want := range map[string]string{"threshold=NaN": `bad threshold parameter \"NaN\"`, "threshold=7": "outside (0,1]"} {
+		rec := do(t, h, "POST", appendURL("s1", "b1")+"&"+params, streamCSV(0, 2))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("create with %s = %d %s, want 400 saying %s", params, rec.Code, rec.Body, want)
+		}
+	}
+	if ids := listStreams(t, h); len(ids) > 0 {
+		t.Fatalf("refused creates left streams %v", ids)
+	}
+
 	// Against a live stream: schema drift, null tokens and bad acks.
 	if rec := do(t, h, "POST", appendURL("s1", "b1"), streamCSV(0, 2)); rec.Code != http.StatusCreated {
 		t.Fatalf("append status = %d: %s", rec.Code, rec.Body)

@@ -1,6 +1,7 @@
 package anon
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -303,6 +304,10 @@ func TestCycleValidatesConfig(t *testing.T) {
 	}
 	if _, err := Run(d, Config{Assessor: risk.KAnonymity{K: 2}, Threshold: 1.5, Anonymizer: LocalSuppression{}}); err == nil {
 		t.Error("threshold > 1 accepted")
+	}
+	// No risk exceeds NaN: accepted, it releases the input as it came.
+	if _, err := Run(d, Config{Assessor: risk.KAnonymity{K: 2}, Threshold: math.NaN(), Anonymizer: LocalSuppression{}}); err == nil {
+		t.Error("threshold NaN accepted")
 	}
 	noQI := mdb.NewDataset("noqi", []mdb.Attribute{{Name: "A", Category: mdb.NonIdentifying}})
 	if _, err := Run(noQI, Config{Assessor: risk.KAnonymity{K: 2}, Threshold: 0.5, Anonymizer: LocalSuppression{}}); err == nil {

@@ -352,7 +352,7 @@ func ResumeContext(ctx context.Context, d *mdb.Dataset, cfg Config, checkpoints 
 	if cfg.Anonymizer == nil {
 		return nil, fmt.Errorf("anon: Config.Anonymizer is required")
 	}
-	if cfg.Threshold < 0 || cfg.Threshold > 1 {
+	if !risk.Probability(cfg.Threshold) {
 		return nil, fmt.Errorf("anon: threshold %g outside [0,1]", cfg.Threshold)
 	}
 

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"vadasa/internal/mdb"
 	"vadasa/internal/risk"
@@ -43,39 +44,21 @@ func NewAssessor(inner risk.IncrementalAssessor, sup *Supervisor) (*Assessor, er
 // carry exactly the values the local Rescore would have computed — worker and
 // fallback both evaluate the shared risk.GroupScorer code.
 func (a *Assessor) Rescore(ctx context.Context, idx *mdb.GroupIndex, dirty []int, prev []float64) ([]float64, error) {
-	infos := idx.Infos()
-	rows := idx.Dataset().Rows
-	n := len(infos)
-
-	var positions []int
+	n := len(idx.Infos())
 	if prev == nil {
-		positions = make([]int, n)
-		for i := range positions {
-			positions[i] = i
-		}
-	} else {
-		if len(prev) != n {
-			// The exact error the local rescore paths produce.
-			return nil, fmt.Errorf("risk: rescore: previous vector has %d rows, index has %d", len(prev), n)
-		}
-		positions = dirty
+		// Every row, in position order: the values are the vector.
+		return a.sup.Execute(ctx, a.spec, TaskRows(idx, nil))
 	}
-
-	taskRows := make([]TaskRow, len(positions))
-	for i, pos := range positions {
-		g := infos[pos]
-		taskRows[i] = TaskRow{Pos: pos, ID: rows[pos].ID, Freq: g.Freq, WeightSum: g.WeightSum}
+	if len(prev) != n {
+		// The exact error the local rescore paths produce.
+		return nil, fmt.Errorf("risk: rescore: previous vector has %d rows, index has %d", len(prev), n)
 	}
-	values, err := a.sup.Execute(ctx, a.spec, taskRows)
+	values, err := a.sup.Execute(ctx, a.spec, TaskRows(idx, dirty))
 	if err != nil {
 		return nil, err
 	}
-
-	out := make([]float64, n)
-	if prev != nil {
-		copy(out, prev)
-	}
-	for i, pos := range positions {
+	out := slices.Clone(prev)
+	for i, pos := range dirty {
 		out[pos] = values[i]
 	}
 	return out, nil

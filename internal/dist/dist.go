@@ -62,12 +62,44 @@ var ErrDegraded = errors.New("dist: no healthy workers (degraded)")
 // TaskRow is one row's scoring input: its position in the dataset (where
 // the result lands), its row ID (error identity only — local and remote
 // scoring errors must carry the same message), and the maintained group
-// aggregates risk.GroupScorer consumes.
+// aggregates risk.GroupScorer consumes — every field of mdb.GroupInfo, by
+// its name, the ones only an index with a sensitive column fills omitted
+// from the wire when zero.
 type TaskRow struct {
 	Pos       int     `json:"pos"`
 	ID        int     `json:"id"`
 	Freq      int     `json:"f"`
 	WeightSum float64 `json:"w"`
+	Distinct  int32   `json:"sd,omitempty"`
+	SensCount int32   `json:"sn,omitempty"`
+	SensTotal int32   `json:"st,omitempty"`
+	SensDist  int64   `json:"sx,omitempty"`
+}
+
+// TaskRows puts the index's current infos at the given row positions (nil:
+// every row) on the wire.
+func TaskRows(idx *mdb.GroupIndex, positions []int) []TaskRow {
+	infos, rows := idx.Infos(), idx.Dataset().Rows
+	out := make([]TaskRow, len(infos))
+	if positions != nil {
+		out = out[:len(positions)]
+	}
+	for i := range out {
+		pos := i
+		if positions != nil {
+			pos = positions[i]
+		}
+		g := infos[pos]
+		out[i] = TaskRow{Pos: pos, ID: rows[pos].ID, Freq: g.Freq, WeightSum: g.WeightSum,
+			Distinct: g.Distinct, SensCount: g.SensCount, SensTotal: g.SensTotal, SensDist: g.SensDist}
+	}
+	return out
+}
+
+// info is the inverse of TaskRows, on the other side of the wire.
+func (r TaskRow) info() mdb.GroupInfo {
+	return mdb.GroupInfo{Freq: r.Freq, WeightSum: r.WeightSum,
+		Distinct: r.Distinct, SensCount: r.SensCount, SensTotal: r.SensTotal, SensDist: r.SensDist}
 }
 
 // Task is one shard of re-scoring work under one lease epoch. Run names
@@ -121,7 +153,7 @@ func (sp MeasureSpec) Score(rows []TaskRow) ([]float64, error) {
 	infos := make([]mdb.GroupInfo, len(rows))
 	ids := make([]int, len(rows))
 	for i, row := range rows {
-		infos[i] = mdb.GroupInfo{Freq: row.Freq, WeightSum: row.WeightSum}
+		infos[i] = row.info()
 		ids[i] = row.ID
 	}
 	return risk.Spec(sp).ScoreGroups(context.TODO(), infos, ids)

@@ -2,9 +2,11 @@ package dist
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -16,16 +18,22 @@ import (
 
 // testRows builds a deterministic synthetic shard workload: group
 // aggregates with fractional weights, so any float mishandling on the wire
-// or in the merge shows up as a bitwise mismatch.
+// or in the merge shows up as a bitwise mismatch, and the sensitive counts
+// of a 1 000-row table, a few groups without a sensitive constant.
 func testRows(rng *rand.Rand, n int) []TaskRow {
 	rows := make([]TaskRow, n)
 	for i := range rows {
 		f := 1 + rng.Intn(6)
+		count := int32(rng.Intn(f + 1))
 		rows[i] = TaskRow{
 			Pos:       i,
 			ID:        i + 1,
 			Freq:      f,
 			WeightSum: float64(f) * (1 + rng.Float64()*4),
+			Distinct:  int32(1 + rng.Intn(f)),
+			SensCount: count,
+			SensTotal: 1000,
+			SensDist:  rng.Int63n(2*int64(count)*1000 + 1),
 		}
 	}
 	return rows
@@ -36,6 +44,52 @@ func testSpecs() []MeasureSpec {
 		{Kind: "k-anonymity", K: 3},
 		{Kind: "re-identification"},
 		{Kind: "individual-risk", Estimator: risk.MonteCarlo, Samples: 40, Seed: 7},
+		{Kind: "l-diversity", K: 2, Sensitive: "S"},
+		{Kind: "t-closeness", T: 0.3, Sensitive: "S"},
+	}
+}
+
+// Whatever the kernel puts into a GroupInfo reaches the worker: TaskRow has
+// a field of the same name and type for each of mdb.GroupInfo's, and the
+// infos of an index that fills them all come back equal from TaskRows, JSON
+// and info.
+func TestTaskRowCarriesEveryGroupInfoField(t *testing.T) {
+	wire := reflect.TypeOf(TaskRow{})
+	info := reflect.TypeOf(mdb.GroupInfo{})
+	for i := 0; i < info.NumField(); i++ {
+		f := info.Field(i)
+		if w, ok := wire.FieldByName(f.Name); !ok || w.Type != f.Type {
+			t.Errorf("mdb.GroupInfo.%s (%s) has no counterpart in dist.TaskRow", f.Name, f.Type)
+		}
+	}
+
+	d := incrTestDataset(rand.New(rand.NewSource(3)), 60, 3, 3)
+	qi := d.QuasiIdentifiers()
+	idx, err := mdb.BuildIndex(context.Background(), d, mdb.Grouping{Attrs: qi[1:], Sensitive: qi[0]}, mdb.MaybeMatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(TaskRows(idx, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back []TaskRow
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	filled := make([]bool, info.NumField())
+	for pos, g := range idx.Infos() {
+		if back[pos].Pos != pos || back[pos].ID != d.Rows[pos].ID || back[pos].info() != g {
+			t.Fatalf("row %d: %+v crossed the wire as %+v", pos, g, back[pos])
+		}
+		for i := range filled {
+			filled[i] = filled[i] || !reflect.ValueOf(g).Field(i).IsZero()
+		}
+	}
+	for i, ok := range filled {
+		if !ok {
+			t.Errorf("no info of the test index sets %s: the round trip proves nothing about it", info.Field(i).Name)
+		}
 	}
 }
 
@@ -69,10 +123,6 @@ func incrTestDataset(rng *rand.Rand, rows, qis, domain int) *mdb.Dataset {
 	return d
 }
 
-func buildGroupIndex(ctx context.Context, d *mdb.Dataset, attrs []int) (*mdb.GroupIndex, error) {
-	return mdb.BuildGroupIndex(ctx, d, attrs, mdb.MaybeMatch)
-}
-
 func assertSameBits(t *testing.T, name string, got, want []float64) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -96,6 +146,8 @@ func TestSpecForRoundTrip(t *testing.T) {
 		risk.ReIdentification{},
 		risk.IndividualRisk{Estimator: risk.MonteCarlo, Samples: 40, Seed: 7},
 		risk.IndividualRisk{Estimator: risk.PosteriorSeries},
+		risk.LDiversity{L: 3, Sensitive: "S"},
+		risk.TCloseness{T: 0.2, Sensitive: "S"},
 	} {
 		spec, ok := SpecFor(m)
 		if !ok {
@@ -108,7 +160,7 @@ func TestSpecForRoundTrip(t *testing.T) {
 		want := make([]float64, len(rows))
 		scorer := m.(risk.GroupScorer)
 		for i, r := range rows {
-			want[i], err = scorer.ScoreGroup(mdb.GroupInfo{Freq: r.Freq, WeightSum: r.WeightSum}, r.ID)
+			want[i], err = scorer.ScoreGroup(r.info(), r.ID)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"vadasa/internal/govern"
+	"vadasa/internal/mdb"
 	"vadasa/internal/risk"
 )
 
@@ -268,6 +269,8 @@ func TestAssessorRescoreBitwise(t *testing.T) {
 		risk.KAnonymity{K: 3},
 		risk.ReIdentification{},
 		risk.IndividualRisk{Estimator: risk.MonteCarlo, Samples: 30, Seed: 5},
+		risk.LDiversity{L: 3, Sensitive: "A"},
+		risk.TCloseness{T: 0.1, Sensitive: "A"},
 	} {
 		da, err := NewAssessor(inner, sup)
 		if err != nil {
@@ -276,11 +279,11 @@ func TestAssessorRescoreBitwise(t *testing.T) {
 		if da.Name() != inner.Name() {
 			t.Fatalf("name %q, want %q", da.Name(), inner.Name())
 		}
-		attrs, err := da.IndexAttrs(d)
+		by, err := da.Grouping(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx, err := buildGroupIndex(ctx, d, attrs)
+		idx, err := mdb.BuildIndex(ctx, d, by, mdb.MaybeMatch)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,19 +1,54 @@
 package mdb
 
-import "context"
+import (
+	"context"
+	"fmt"
+)
 
 // GroupInfo describes the aggregation group a row belongs to when rows are
 // grouped by a set of quasi-identifiers: the group cardinality (the sample
 // frequency f of the row's combination) and the sum of sampling weights over
-// the group (the estimator of the population frequency).
+// the group (the estimator of the population frequency). When the grouping
+// names a sensitive attribute it also carries what the attribute-disclosure
+// measures read off the group's sensitive values; those fields are zero
+// otherwise. It is a comparable value of scalars: Commit's dirty set is
+// "the info changed", and the shard wire ships it field by field.
 type GroupInfo struct {
 	Freq      int
 	WeightSum float64
+	// Distinct counts the distinct sensitive values among the rows of the
+	// group, all suppressed ones together counting as one more.
+	Distinct int32
+	// SensCount is n, the group's rows holding a constant sensitive value,
+	// and SensTotal N, the whole table's.
+	SensCount, SensTotal int32
+	// SensDist is D = Σ_k |c_k·N − C_k·n| over the sensitive values k, c_k
+	// and C_k being the group's and the table's count of k: the
+	// total-variation distance between the two distributions, times 2·n·N.
+	SensDist int64
 }
 
-// ComputeGroups returns, for every row of d (by slice position), the
-// frequency and weight sum of its aggregation group over the attribute
-// indexes idx, under the given null semantics.
+// differs is *g != *o, spelled field by field: Commit asks it of every row,
+// and the comparison the compiler generates for a struct this size is a call.
+func (g *GroupInfo) differs(o *GroupInfo) bool {
+	return g.Freq != o.Freq || g.WeightSum != o.WeightSum || g.SensDist != o.SensDist ||
+		g.Distinct != o.Distinct || g.SensCount != o.SensCount || g.SensTotal != o.SensTotal
+}
+
+// NoSensitive is Grouping.Sensitive of a grouping without sensitive column.
+const NoSensitive = -1
+
+// Grouping names what a group index is built over: the attribute indexes
+// rows are grouped by and, optionally, one sensitive attribute whose values
+// are histogrammed per group (NoSensitive: none).
+type Grouping struct {
+	Attrs     []int
+	Sensitive int
+}
+
+// ComputeInfos returns, for every row of d (by slice position), the
+// GroupInfo of its aggregation group over by, under the given null
+// semantics.
 //
 // Under MaybeMatch a row containing labelled nulls belongs to every group it
 // is compatible with; its own frequency is the number of rows compatible
@@ -21,22 +56,42 @@ type GroupInfo struct {
 // cardinality increased — the groups no longer partition the dataset
 // (Section 4.3). Under StandardNulls each labelled null is only equal to
 // itself, so grouping degenerates to exact matching with null symbols as
-// unique constants.
+// unique constants. A null sensitive value is "suppressed" under both.
 //
 // It is one pass of the GroupIndex kernel over a throwaway index, run on the
 // calling goroutine only: callers such as the MSU search already fan
 // ComputeGroups calls out across cores themselves.
-func ComputeGroups(d *Dataset, idx []int, sem Semantics) []GroupInfo {
-	x := &GroupIndex{d: d, idx: idx, sem: sem, workers: 1}
-	x.restructure()
-	x.aggregate()
-	out := make([]GroupInfo, len(d.Rows))
-	if err := x.derive(context.Background(), out); err != nil {
+func ComputeInfos(d *Dataset, by Grouping, sem Semantics) []GroupInfo {
+	x, err := newGroupIndex(context.Background(), d, by, sem, 1)
+	if err != nil {
 		// Unreachable: the background context is never cancelled and the
 		// kernel's chunk functions cannot fail.
-		panic("mdb: ComputeGroups: " + err.Error())
+		panic("mdb: ComputeInfos: " + err.Error())
 	}
-	return out
+	return x.infos
+}
+
+// BuildIndex constructs the index over by under the given semantics, to be
+// kept alive and maintained under mutations.
+func BuildIndex(ctx context.Context, d *Dataset, by Grouping, sem Semantics) (*GroupIndex, error) {
+	if len(by.Attrs) == 0 {
+		return nil, fmt.Errorf("mdb: group index needs at least one attribute")
+	}
+	x, err := newGroupIndex(ctx, d, by, sem, 0)
+	if err != nil {
+		return nil, fmt.Errorf("mdb: building group index: %w", err)
+	}
+	return x, nil
+}
+
+// ComputeGroups is ComputeInfos over the attribute indexes idx alone.
+func ComputeGroups(d *Dataset, idx []int, sem Semantics) []GroupInfo {
+	return ComputeInfos(d, Grouping{Attrs: idx, Sensitive: NoSensitive}, sem)
+}
+
+// BuildGroupIndex is BuildIndex over the attribute indexes idx alone.
+func BuildGroupIndex(ctx context.Context, d *Dataset, idx []int, sem Semantics) (*GroupIndex, error) {
+	return BuildIndex(ctx, d, Grouping{Attrs: idx, Sensitive: NoSensitive}, sem)
 }
 
 // Frequencies is shorthand for ComputeGroups when only the sample

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"vadasa/internal/pool"
 )
@@ -33,19 +34,23 @@ import (
 // A GroupIndex is not safe for concurrent mutation; Build and Commit
 // parallelize internally through the governor-charged pool.
 type GroupIndex struct {
-	d   *Dataset
-	idx []int
-	sem Semantics
+	d *Dataset
+	// cols lists the coded attributes: the grouping attributes idx = cols[:w]
+	// and, when the grouping names one, the sensitive attribute after them.
+	cols, idx []int
+	sem       Semantics
 	// workers caps the pool width of derive: 0 means GOMAXPROCS; 1 keeps
-	// ComputeGroups on the calling goroutine.
+	// ComputeInfos on the calling goroutine.
 	workers int
 
-	// Code matrix: cells holds one uint32 per (row, index attribute),
+	// Code matrix: cells holds one uint32 per (row, coded attribute),
 	// row-major. Per attribute a dictionary maps constants to codes ≥ 1;
 	// under maybe-match a labelled null is code 0, under standard nulls
-	// every null symbol gets a code of its own. refs counts the live cells
-	// per code (refs[j][0] is unused) and deadCodes the codes no cell holds,
-	// which is what triggers a compaction.
+	// every null symbol gets a code of its own — except in the sensitive
+	// column, where a null is a suppressed value, code 0, under both. refs
+	// counts the live cells per code (refs[j][0] is unused) and deadCodes
+	// the codes no cell holds, which is what triggers a compaction. The
+	// sensitive column's refs are thereby the table's histogram C.
 	consts    []map[string]uint32
 	nullCodes []map[uint64]uint32
 	refs      [][]int32
@@ -76,28 +81,43 @@ type GroupIndex struct {
 	liveGroups int
 	nullRows   []int32
 
+	// With a sensitive column the same passes derive, laid out by group g,
+	// the members (members[memberOffs[g]:memberOffs[g+1]]), the histogram of
+	// their sensitive codes (histCodes and histCounts, by histOffs) and the
+	// codes of the compatible null rows (extraSens, by extraOffs; those of
+	// the all-null rows, which every group shares, once in allNullSens);
+	// stats holds per group the sensitive fields of its rows' infos.
+	memberOffs, members    []int32
+	histOffs, histCounts   []int32
+	histCodes              []uint32
+	extraOffs              []int32
+	extraSens, allNullSens []uint32
+	sensTotal              int64 // N: cells of the sensitive column holding a constant
+	stats                  []GroupInfo
+
 	infos []GroupInfo
-	// spare is the infos vector the last Commit retired, kept as the next
-	// Commit's output buffer: derive overwrites every position, and Infos
-	// is documented valid only until the next Commit.
-	spare []GroupInfo
+	// changed flags, per row, what a Commit's derive pass found different
+	// from the info it overwrote — a byte a row, so that pool workers
+	// filling disjoint rows share no word.
+	changed []bool
 
 	pending int // mutations observed since the last Commit
 	invalid bool
 }
 
-// BuildGroupIndex constructs the index over the attribute indexes idx under
-// the given semantics.
-func BuildGroupIndex(ctx context.Context, d *Dataset, idx []int, sem Semantics) (*GroupIndex, error) {
-	if len(idx) == 0 {
-		return nil, fmt.Errorf("mdb: group index needs at least one attribute")
+// newGroupIndex is the one constructor: it codes d's projection onto by and
+// derives every row's info, on at most workers goroutines.
+func newGroupIndex(ctx context.Context, d *Dataset, by Grouping, sem Semantics, workers int) (*GroupIndex, error) {
+	cols := append(make([]int, 0, len(by.Attrs)+1), by.Attrs...)
+	if by.Sensitive != NoSensitive {
+		cols = append(cols, by.Sensitive)
 	}
-	x := &GroupIndex{d: d, idx: append([]int(nil), idx...), sem: sem}
+	x := &GroupIndex{d: d, cols: cols, idx: cols[:len(by.Attrs)], sem: sem, workers: workers}
 	x.restructure()
 	x.aggregate()
 	x.infos = make([]GroupInfo, len(d.Rows))
-	if err := x.derive(ctx, x.infos); err != nil {
-		return nil, fmt.Errorf("mdb: building group index: %w", err)
+	if err := x.derive(ctx, nil); err != nil {
+		return nil, err
 	}
 	return x, nil
 }
@@ -121,8 +141,8 @@ func (x *GroupIndex) Valid() bool { return !x.invalid }
 func (x *GroupIndex) Invalidate() { x.invalid = true }
 
 // Infos returns the per-row GroupInfo vector as of the last Build or
-// Commit. The slice is owned by the index: read-only, valid until the next
-// Commit.
+// Commit. The slice is owned by the index, which re-derives it in place:
+// read-only, valid until the next row operation or Commit.
 func (x *GroupIndex) Infos() []GroupInfo { return x.infos }
 
 // Len returns the number of rows the index currently tracks. Between row
@@ -132,31 +152,50 @@ func (x *GroupIndex) Infos() []GroupInfo { return x.infos }
 func (x *GroupIndex) Len() int { return len(x.rowGroup) }
 
 // EstimatedBytes estimates the index's heap footprint for resource
-// governors: per-row state (code matrix, rowGroup, infos and the retired
-// infos buffer), the dictionaries, and per-group keys, aggregates and
-// inverted-index postings.
+// governors: per-row state (code matrix, rowGroup, infos and their change
+// flags), the dictionaries, and per-group keys, aggregates and
+// inverted-index postings; with a sensitive column also the member layout
+// and the histograms, which hold at most one entry per row.
 func (x *GroupIndex) EstimatedBytes() int64 {
-	w := int64(len(x.idx))
-	n := int64(len(x.rowGroup)) * (4*w + 4 + 2*24)
+	w, rows, groups := int64(len(x.idx)), int64(len(x.rowGroup)), int64(x.keys.n)
+	n := rows * (4*int64(len(x.cols)) + 4 + int64(unsafe.Sizeof(GroupInfo{})) + 1)
 	for _, r := range x.refs {
 		n += int64(len(r)) * (48 + 4 + 24) // dictionary entry + ref count + posting header
 	}
-	n += int64(x.keys.n) * (4*w + 8 + 28 + 4*w) // key + slots + aggregates + postings
+	n += groups * (4*w + 8 + 28 + 4*w) // key + slots + aggregates + postings
+	if x.sensitive() {
+		n += rows*(4+8) + groups*(3*4+int64(unsafe.Sizeof(GroupInfo{})))
+	}
 	return n
 }
 
-func (x *GroupIndex) row(pos int) []uint32 {
-	w := len(x.idx)
-	return x.cells[pos*w : (pos+1)*w]
+// sensitive reports whether the index carries a sensitive column.
+func (x *GroupIndex) sensitive() bool { return len(x.cols) > len(x.idx) }
+
+// coded returns every code of row pos: row(pos), then the sensitive code if
+// the index has the column.
+func (x *GroupIndex) coded(pos int) []uint32 {
+	stride := len(x.cols)
+	return x.cells[pos*stride : (pos+1)*stride]
 }
 
-// code interns the value at index position j and takes a reference on its
+// row returns the grouping codes of row pos.
+func (x *GroupIndex) row(pos int) []uint32 {
+	return x.coded(pos)[:len(x.idx)]
+}
+
+// sensCode returns the sensitive code of row pos, 0 for a suppressed value.
+func (x *GroupIndex) sensCode(pos int) uint32 {
+	return x.coded(pos)[len(x.idx)]
+}
+
+// code interns the value at coded position j and takes a reference on its
 // code.
 func (x *GroupIndex) code(j int, v Value) uint32 {
 	var c uint32
 	var ok bool
 	if v.null != 0 {
-		if x.sem == MaybeMatch {
+		if x.sem == MaybeMatch || j == len(x.idx) {
 			return 0
 		}
 		if c, ok = x.nullCodes[j][v.null]; !ok {
@@ -217,11 +256,11 @@ func (x *GroupIndex) post(g int) {
 // which is what keeps a long-lived stream window's index proportional to
 // the window. Codes and group ids are internal: infos do not depend on them.
 func (x *GroupIndex) restructure() {
-	w, n := len(x.idx), len(x.d.Rows)
-	x.consts = make([]map[string]uint32, w)
-	x.nullCodes = make([]map[uint64]uint32, w)
-	x.refs = make([][]int32, w)
-	for j := range x.idx {
+	stride, n := len(x.cols), len(x.d.Rows)
+	x.consts = make([]map[string]uint32, stride)
+	x.nullCodes = make([]map[uint64]uint32, stride)
+	x.refs = make([][]int32, stride)
+	for j := range x.cols {
 		x.consts[j] = make(map[string]uint32)
 		if x.sem == StandardNulls {
 			x.nullCodes[j] = make(map[uint64]uint32)
@@ -229,13 +268,13 @@ func (x *GroupIndex) restructure() {
 		x.refs[j] = []int32{0}
 	}
 	x.deadCodes = 0
-	x.cells = slices.Grow(x.cells[:0], n*w)
+	x.cells = slices.Grow(x.cells[:0], n*stride)
 	for _, r := range x.d.Rows {
-		for j, i := range x.idx {
+		for j, i := range x.cols {
 			x.cells = append(x.cells, x.code(j, r.Values[i]))
 		}
 	}
-	x.keys.reset(w)
+	x.keys.reset(len(x.idx))
 	x.inv = nil
 	x.rowGroup = slices.Grow(x.rowGroup[:0], n)
 	for pos := 0; pos < n; pos++ {
@@ -265,6 +304,93 @@ func (x *GroupIndex) aggregate() {
 		x.count[g]++
 		x.wsum[g] += x.d.Rows[pos].Weight
 	}
+	if x.sensitive() {
+		x.histograms()
+	}
+}
+
+// histograms re-derives what the sensitive column adds to the aggregates: N
+// and, per exact group, the histogram of its members' sensitive codes. The
+// rows are laid out by group, then each group's codes tallied, so the cost
+// is the rows whatever the size of the sensitive domain.
+func (x *GroupIndex) histograms() {
+	x.sensTotal = 0
+	for _, c := range x.refs[len(x.idx)][1:] {
+		x.sensTotal += int64(c)
+	}
+	x.memberOffs, x.members = bucketLists(x.rowGroup, x.keys.n, x.memberOffs, x.members)
+	x.histOffs = zeroed(x.histOffs, x.keys.n+1)
+	x.histCodes, x.histCounts = x.histCodes[:0], x.histCounts[:0]
+	acc := x.newSensAcc()
+	for g := 0; g < x.keys.n; g++ {
+		for _, pos := range x.members[x.memberOffs[g]:x.memberOffs[g+1]] {
+			acc.add(x.sensCode(int(pos)), 1)
+		}
+		for _, c := range acc.touched {
+			x.histCodes = append(x.histCodes, c)
+			x.histCounts = append(x.histCounts, acc.cnt[c])
+			acc.cnt[c] = 0
+		}
+		acc.touched = acc.touched[:0]
+		x.histOffs[g+1] = int32(len(x.histCodes))
+	}
+}
+
+// sensAcc tallies the sensitive codes of the rows compatible with a tuple.
+// Exact groups are row-disjoint and a null-bearing row is in none, so that
+// histogram is the sum of its parts' — whole groups and single rows, added
+// in any order: everything here is integer arithmetic.
+type sensAcc struct {
+	cnt     []int32 // by code
+	touched []uint32
+	// The table's histogram C and its sum N, which drain reads against.
+	table []int32
+	total int64
+}
+
+func (x *GroupIndex) newSensAcc() *sensAcc {
+	table := x.refs[len(x.idx)]
+	return &sensAcc{cnt: make([]int32, len(table)), table: table, total: x.sensTotal}
+}
+
+func (a *sensAcc) add(code uint32, k int32) {
+	if a.cnt[code] == 0 {
+		a.touched = append(a.touched, code)
+	}
+	a.cnt[code] += k
+}
+
+// addGroup adds the histogram of exact group g's members.
+func (a *sensAcc) addGroup(x *GroupIndex, g int32) {
+	for i := x.histOffs[g]; i < x.histOffs[g+1]; i++ {
+		a.add(x.histCodes[i], x.histCounts[i])
+	}
+}
+
+// drain empties the tally into the four fields GroupInfo carries of it, read
+// against the table's histogram. D = Σ_k |c_k·N − C_k·n| is summed as N·n +
+// Σ_{k tallied} (|c_k·N − C_k·n| − C_k·n): a value the tally does not hold
+// contributes C_k·n, and those sum to N·n less the tallied ones' share — so
+// the cost is the tally, not the domain.
+func (a *sensAcc) drain() GroupInfo {
+	N := a.total
+	var n int64
+	for _, c := range a.touched {
+		if c != 0 {
+			n += int64(a.cnt[c])
+		}
+	}
+	dist := N * n
+	for _, c := range a.touched {
+		if c != 0 {
+			own, all := int64(a.cnt[c])*N, int64(a.table[c])*n
+			dist += max(own-all, all-own) - all
+		}
+		a.cnt[c] = 0
+	}
+	info := GroupInfo{Distinct: int32(len(a.touched)), SensCount: int32(n), SensTotal: int32(N), SensDist: dist}
+	a.touched = a.touched[:0]
+	return info
 }
 
 // compactFloor keeps tiny indexes from restructuring over a handful of dead
@@ -296,8 +422,8 @@ func (x *GroupIndex) SuppressCell(pos, attr int) error {
 	if pos < 0 || pos >= len(x.rowGroup) || pos >= len(x.d.Rows) {
 		return fmt.Errorf("mdb: SuppressCell row %d out of range", pos)
 	}
-	if !slices.Contains(x.idx, attr) {
-		return nil // suppression outside the indexed attributes: groups unchanged
+	if !slices.Contains(x.cols, attr) {
+		return nil // suppression outside the coded attributes: infos unchanged
 	}
 	v := x.d.Rows[pos].Values[attr]
 	if !v.IsNull() {
@@ -308,9 +434,9 @@ func (x *GroupIndex) SuppressCell(pos, attr int) error {
 	// null-row set; under standard nulls the labelled null is a globally
 	// unique constant, so the row lands in the group of its new key (in
 	// practice a fresh singleton, since null ids are never shared across
-	// cells).
-	cells := x.row(pos)
-	for j, i := range x.idx {
+	// cells). A suppressed sensitive value leaves the row where it is.
+	cells := x.coded(pos)
+	for j, i := range x.cols {
 		if i == attr {
 			x.unref(j, cells[j])
 			cells[j] = x.code(j, v)
@@ -340,7 +466,7 @@ func (x *GroupIndex) AppendRow(pos int) error {
 	}
 	x.pending++
 	r := x.d.Rows[pos]
-	for j, i := range x.idx {
+	for j, i := range x.cols {
 		x.cells = append(x.cells, x.code(j, r.Values[i]))
 	}
 	x.rowGroup = append(x.rowGroup, x.place(pos))
@@ -384,11 +510,11 @@ func (x *GroupIndex) DeleteRows(positions []int) error {
 	}
 	x.pending += k
 	for _, pos := range positions {
-		for j, c := range x.row(pos) {
+		for j, c := range x.coded(pos) {
 			x.unref(j, c)
 		}
 	}
-	x.cells = removeRows(x.cells, len(x.idx), positions)
+	x.cells = removeRows(x.cells, len(x.cols), positions)
 	x.rowGroup = RemovePositions(x.rowGroup, positions)
 	x.infos = RemovePositions(x.infos, positions)
 	return nil
@@ -441,57 +567,93 @@ func (x *GroupIndex) Commit(ctx context.Context) ([]int, error) {
 		x.aggregate()
 	}
 
-	next := x.spare
-	if cap(next) < len(x.d.Rows) {
-		next = make([]GroupInfo, len(x.d.Rows))
-	}
-	next = next[:len(x.d.Rows)]
-	if err := x.derive(ctx, next); err != nil {
+	// The infos are re-derived in place, each row flagged if its info moved
+	// (a commit cut short leaves them between two states: callers rebuild);
+	// the flags are counted, then read into one exactly-sized ascending list.
+	x.changed = zeroed(x.changed, len(x.infos))
+	if err := x.derive(ctx, x.changed); err != nil {
 		return nil, fmt.Errorf("mdb: committing group index: %w", err)
 	}
-
-	// Diff against the previous infos: count, then fill one exactly-sized
-	// ascending list (two cheap passes instead of a list grown by doubling).
-	changed := 0
-	for pos := range next {
-		if next[pos] != x.infos[pos] {
-			changed++
+	n := 0
+	for _, c := range x.changed {
+		if c {
+			n++
 		}
 	}
 	var dirty []int
-	if changed > 0 {
-		dirty = make([]int, 0, changed)
-		for pos := range next {
-			if next[pos] != x.infos[pos] {
+	if n > 0 {
+		dirty = make([]int, 0, n)
+		for pos, c := range x.changed {
+			if c {
 				dirty = append(dirty, pos)
 			}
 		}
 	}
-	x.infos, x.spare = next, x.infos
 	return dirty, nil
 }
 
-// derive fills out with every row's GroupInfo from the aggregates of the
-// last aggregate pass: the maybe-match null phase first (group extras and
-// the null-bearing rows' own infos), then the rows of exact groups.
-func (x *GroupIndex) derive(ctx context.Context, out []GroupInfo) error {
+// set stores row pos's freshly derived info, flagging the row in changed
+// (nil: no diff is being taken) if that is not the info it held.
+func (x *GroupIndex) set(changed []bool, pos int32, info *GroupInfo) {
+	if changed != nil && info.differs(&x.infos[pos]) {
+		changed[pos] = true
+	}
+	x.infos[pos] = *info
+}
+
+// derive overwrites every row's GroupInfo from the aggregates of the last
+// aggregate pass — the maybe-match null phase first (group extras and the
+// null-bearing rows' own infos), then the rows of exact groups — flagging
+// in changed, unless it is nil, the rows whose info moved.
+func (x *GroupIndex) derive(ctx context.Context, changed []bool) error {
 	x.extraCount = zeroed(x.extraCount, x.keys.n)
 	x.extraWsum = zeroed(x.extraWsum, x.keys.n)
 	if len(x.nullRows) > 0 {
-		if err := x.nullPhase(ctx, out); err != nil {
+		if err := x.nullPhase(ctx, changed); err != nil {
 			return fmt.Errorf("null phase: %w", err)
 		}
 	}
-	return pool.RunWorkers(ctx, x.workers, len(out), func(lo, hi int) error {
+	sens := x.sensitive()
+	if sens {
+		// A group's histogram is its members' plus its compatible null rows'.
+		x.stats = zeroed(x.stats, x.keys.n)
+		acc := x.newSensAcc()
+		for g, c := range x.count {
+			if c == 0 {
+				continue
+			}
+			acc.addGroup(x, int32(g))
+			if x.extraCount[g] > 0 {
+				for _, code := range x.extraSens[x.extraOffs[g]:x.extraOffs[g+1]] {
+					acc.add(code, 1)
+				}
+				for _, code := range x.allNullSens {
+					acc.add(code, 1)
+				}
+			}
+			x.stats[g] = acc.drain()
+		}
+	}
+	return pool.RunWorkers(ctx, x.workers, len(x.infos), func(lo, hi int) error {
 		for pos := lo; pos < hi; pos++ {
 			g := x.rowGroup[pos]
 			if g < 0 {
 				continue // null-bearing row, filled by the null phase
 			}
-			out[pos] = GroupInfo{
-				Freq:      int(x.count[g] + x.extraCount[g]),
-				WeightSum: x.wsum[g] + x.extraWsum[g],
+			freq, wsum := int(x.count[g]+x.extraCount[g]), x.wsum[g]+x.extraWsum[g]
+			if sens {
+				info := x.stats[g]
+				info.Freq, info.WeightSum = freq, wsum
+				x.set(changed, int32(pos), &info)
+				continue
 			}
+			// Without the column the other fields are zero and stay zero:
+			// the row costs what it did when an info was these two.
+			info := &x.infos[pos]
+			if changed != nil && (info.Freq != freq || info.WeightSum != wsum) {
+				changed[pos] = true
+			}
+			info.Freq, info.WeightSum = freq, wsum
 		}
 		return nil
 	})
@@ -515,7 +677,7 @@ func (x *GroupIndex) derive(ctx context.Context, out []GroupInfo) error {
 // and b hold — and the ascending merge of those buckets is its compatible
 // null rows in row order. The work is one bucketing of the null rows per
 // mask present plus the matches themselves, not null rows squared.
-func (x *GroupIndex) nullPhase(ctx context.Context, out []GroupInfo) error {
+func (x *GroupIndex) nullPhase(ctx context.Context, changed []bool) error {
 	w, nulls := len(x.idx), x.nullRows
 	if x.inv == nil {
 		x.inv = make([][][]int32, w)
@@ -582,6 +744,38 @@ func (x *GroupIndex) nullPhase(ctx context.Context, out []GroupInfo) error {
 			x.extraWsum[g] += weights[ni]
 		}
 	}
+	sens := x.sensitive()
+	if sens {
+		// The same extras' sensitive codes, laid out by group — but for the
+		// all-null rows', which every live group has and which are therefore
+		// kept once, as their list of groups is.
+		x.allNullSens = x.allNullSens[:0]
+		x.extraOffs = zeroed(x.extraOffs, x.keys.n+1)
+		for ni, gs := range compat {
+			if maskOf[ni] == allNull {
+				x.allNullSens = append(x.allNullSens, x.sensCode(int(nulls[ni])))
+				continue
+			}
+			for _, g := range gs {
+				x.extraOffs[g+1]++
+			}
+		}
+		for g := 0; g < x.keys.n; g++ {
+			x.extraOffs[g+1] += x.extraOffs[g]
+		}
+		x.extraSens = zeroed(x.extraSens, int(x.extraOffs[x.keys.n]))
+		next := slices.Clone(x.extraOffs)
+		for ni, gs := range compat {
+			if maskOf[ni] == allNull {
+				continue
+			}
+			c := x.sensCode(int(nulls[ni]))
+			for _, g := range gs {
+				x.extraSens[next[g]] = c
+				next[g]++
+			}
+		}
+	}
 
 	// Targets are independent per mask; each worker buckets into its own
 	// scratch and writes only the infos of its masks' rows.
@@ -593,7 +787,12 @@ func (x *GroupIndex) nullPhase(ctx context.Context, out []GroupInfo) error {
 			members  []int32
 			merge    = listMerger{bits: make([]uint64, (len(nulls)+63)/64)}
 			key      = make([]uint32, w+1)
+			acc      *sensAcc
+			info     GroupInfo
 		)
+		if sens {
+			acc = x.newSensAcc()
+		}
 		for a := lo; a < hi; a++ {
 			keepA := masks.key(a)
 			buckets.reset(w + 1)
@@ -629,6 +828,18 @@ func (x *GroupIndex) nullPhase(ctx context.Context, out []GroupInfo) error {
 					}
 				}
 				matches := merge.merged()
+				if sens {
+					// Rows of one pattern are compatible with the same rows:
+					// the matches, the row itself among them, and the
+					// members of its compatible groups.
+					for _, g := range compat[first] {
+						acc.addGroup(x, g)
+					}
+					for _, nj := range matches {
+						acc.add(x.sensCode(int(nulls[nj])), 1)
+					}
+					info = acc.drain()
+				}
 				for _, ni := range same {
 					freq := 1
 					wsum := weights[ni]
@@ -642,7 +853,8 @@ func (x *GroupIndex) nullPhase(ctx context.Context, out []GroupInfo) error {
 							wsum += weights[nj]
 						}
 					}
-					out[nulls[ni]] = GroupInfo{Freq: freq, WeightSum: wsum}
+					info.Freq, info.WeightSum = freq, wsum
+					x.set(changed, nulls[ni], &info)
 				}
 			}
 		}
@@ -681,20 +893,25 @@ func (m *listMerger) merged() []int32 {
 }
 
 // bucketLists groups the indexes 0..len(bucketOf)-1 by bucket: the members
-// of bucket b are members[offs[b]:offs[b+1]], ascending. offs and members
-// are reused when large enough.
+// of bucket b are members[offs[b]:offs[b+1]], ascending; an index whose
+// bucket is negative is in none. offs and members are reused when large
+// enough.
 func bucketLists(bucketOf []int32, buckets int, offs, members []int32) ([]int32, []int32) {
 	offs = zeroed(offs, buckets+1)
 	for _, b := range bucketOf {
-		offs[b+1]++
+		if b >= 0 {
+			offs[b+1]++
+		}
 	}
 	for b := 0; b < buckets; b++ {
 		offs[b+1] += offs[b]
 	}
-	members = zeroed(members, len(bucketOf))
+	members = zeroed(members, int(offs[buckets]))
 	for i, b := range bucketOf {
-		members[offs[b]] = int32(i)
-		offs[b]++
+		if b >= 0 {
+			members[offs[b]] = int32(i)
+			offs[b]++
+		}
 	}
 	// The fill advanced every offs[b] to the end of bucket b; shift back.
 	copy(offs[1:], offs[:buckets])

@@ -3,6 +3,7 @@ package mdb
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -37,6 +38,29 @@ func sameInfos(t *testing.T, label string, got, want []GroupInfo) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("%s: row %d: got %+v, want %+v (bitwise mismatch)", label, i, got[i], want[i])
+		}
+	}
+}
+
+// differs, which Commit diffs infos with, is != : it sees a change in any one
+// field, whatever fields GroupInfo has.
+func TestDiffersIsNotEqual(t *testing.T) {
+	var zero GroupInfo
+	if zero.differs(&zero) {
+		t.Fatal("an info differs from itself")
+	}
+	typ := reflect.TypeOf(zero)
+	for i := 0; i < typ.NumField(); i++ {
+		var g GroupInfo
+		f := reflect.ValueOf(&g).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Float64:
+			f.SetFloat(0.5)
+		default:
+			f.SetInt(1)
+		}
+		if !g.differs(&zero) || !zero.differs(&g) || g == zero {
+			t.Errorf("differs misses a change of GroupInfo.%s", typ.Field(i).Name)
 		}
 	}
 }

@@ -197,13 +197,65 @@ func pairwiseGroups(d *Dataset, idx []int, sem Semantics) []GroupInfo {
 	return out
 }
 
+// scanInfos is the oracle for a grouping with a sensitive column: Freq and
+// WeightSum are pairwiseGroups', and what GroupInfo carries of the sensitive
+// values is counted the naive way — per row, one CompatibleTuple scan of the
+// whole table tallying constants by string, and the distance summed over the
+// whole sensitive domain.
+func scanInfos(d *Dataset, by Grouping, sem Semantics) []GroupInfo {
+	out := pairwiseGroups(d, by.Attrs, sem)
+	if by.Sensitive == NoSensitive {
+		return out
+	}
+	table, total := make(map[string]int), 0
+	for _, r := range d.Rows {
+		if v := r.Values[by.Sensitive]; !v.IsNull() {
+			table[v.Constant()]++
+			total++
+		}
+	}
+	for pos, r := range d.Rows {
+		group, n, suppressed := make(map[string]int), 0, 0
+		for _, r2 := range d.Rows {
+			if !CompatibleTuple(r.Values, r2.Values, by.Attrs, sem) {
+				continue
+			}
+			if v := r2.Values[by.Sensitive]; v.IsNull() {
+				suppressed = 1
+			} else {
+				group[v.Constant()]++
+				n++
+			}
+		}
+		dist := 0
+		for k, all := range table {
+			dist += max(group[k]*total-all*n, all*n-group[k]*total)
+		}
+		out[pos].Distinct = int32(len(group) + suppressed)
+		out[pos].SensCount, out[pos].SensTotal, out[pos].SensDist = int32(n), int32(total), int64(dist)
+	}
+	return out
+}
+
+// groupings lists what the oracle tests index a table by: its
+// quasi-identifiers and, when there are two at least, all but the first with
+// the first as the sensitive column — an attribute the tapes suppress.
+func groupings(qi []int) []Grouping {
+	out := []Grouping{{Attrs: qi, Sensitive: NoSensitive}}
+	if len(qi) > 1 {
+		out = append(out, Grouping{Attrs: qi[1:], Sensitive: qi[0]})
+	}
+	return out
+}
+
 func sameInfoBits(t *testing.T, label string, got, want []GroupInfo) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d infos, want %d", label, len(got), len(want))
 	}
 	for i := range want {
-		if got[i].Freq != want[i].Freq || math.Float64bits(got[i].WeightSum) != math.Float64bits(want[i].WeightSum) {
+		// == on the whole info, and the sum once more by its bits (0 == -0).
+		if got[i] != want[i] || math.Float64bits(got[i].WeightSum) != math.Float64bits(want[i].WeightSum) {
 			t.Fatalf("%s: row %d: got %+v, want %+v (bitwise mismatch)", label, i, got[i], want[i])
 		}
 	}
@@ -230,10 +282,11 @@ func maskedDataset(rng *rand.Rand, rows, qis, domain int, nullShare float64) *Da
 	return d
 }
 
-// The kernel must equal the pairwise oracle bit for bit — Freq and the bits
-// of WeightSum — through ComputeGroups and through a built index, on random
-// null masks, single-attribute indexes and attribute subsets, under both
-// semantics and at pool widths 1 and 4.
+// The kernel must equal the pairwise oracle bit for bit — Freq, the bits of
+// WeightSum and, with a sensitive column, what the infos carry of it —
+// through ComputeInfos and through a built index, on random null masks,
+// single-attribute indexes and attribute subsets, under both semantics and
+// at pool widths 1 and 4.
 func TestKernelMatchesPairwiseOracle(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
@@ -242,16 +295,20 @@ func TestKernelMatchesPairwiseOracle(t *testing.T) {
 			qis := 1 + rng.Intn(5)
 			d := maskedDataset(rng, 20+rng.Intn(300), qis, 2+rng.Intn(4), []float64{0, 0.05, 0.3, 1}[trial%4])
 			qi := d.QuasiIdentifiers()
-			for _, idx := range [][]int{qi, qi[:1], qi[len(qi)/2:]} {
+			bys := append(groupings(qi), Grouping{qi[:1], NoSensitive}, Grouping{qi[len(qi)/2:], NoSensitive})
+			if len(qi) > 2 { // a subset index whose sensitive column holds nulls
+				bys = append(bys, Grouping{qi[1:2], qi[2]})
+			}
+			for _, by := range bys {
 				for _, sem := range []Semantics{MaybeMatch, StandardNulls} {
-					label := fmt.Sprintf("procs %d trial %d idx %v %s", procs, trial, idx, sem)
-					want := pairwiseGroups(d, idx, sem)
-					sameInfoBits(t, label+" ComputeGroups", ComputeGroups(d, idx, sem), want)
-					x, err := BuildGroupIndex(context.Background(), d, idx, sem)
+					label := fmt.Sprintf("procs %d trial %d by %v %s", procs, trial, by, sem)
+					want := scanInfos(d, by, sem)
+					sameInfoBits(t, label+" ComputeInfos", ComputeInfos(d, by, sem), want)
+					x, err := BuildIndex(context.Background(), d, by, sem)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sameInfoBits(t, label+" BuildGroupIndex", x.Infos(), want)
+					sameInfoBits(t, label+" BuildIndex", x.Infos(), want)
 				}
 			}
 		}
@@ -267,22 +324,24 @@ func TestComputeGroupsNoAttributes(t *testing.T) {
 }
 
 // A maintained index must stay on the oracle, bit for bit, through
-// interleaved suppressions (down to all-null rows), appends of rows that
-// already carry nulls, and batch deletes, with the dirty set exactly the
-// rows whose info changed.
+// interleaved suppressions (down to all-null rows, the sensitive cell
+// included), appends of rows that already carry nulls, and batch deletes,
+// with the dirty set exactly the rows whose info changed.
 func TestKernelRowOpsMatchPairwiseOracle(t *testing.T) {
 	ctx := context.Background()
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
 		rng := rand.New(rand.NewSource(139))
-		for trial := 0; trial < 16; trial++ {
+		for trial := 0; trial < 32; trial++ {
 			sem := Semantics(trial % 2)
 			qis := 1 + rng.Intn(4)
 			domain := 2 + rng.Intn(3)
 			d := maskedDataset(rng, 30+rng.Intn(150), qis, domain, 0.1)
 			qi := d.QuasiIdentifiers()
+			bys := groupings(qi)
+			by := bys[trial/2%len(bys)]
 			nextID := len(d.Rows)
-			x, err := BuildGroupIndex(ctx, d, qi, sem)
+			x, err := BuildIndex(ctx, d, by, sem)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -323,8 +382,8 @@ func TestKernelRowOpsMatchPairwiseOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				label := fmt.Sprintf("procs %d trial %d batch %d %s", procs, trial, batch, sem)
-				sameInfoBits(t, label, x.Infos(), pairwiseGroups(d, qi, sem))
+				label := fmt.Sprintf("procs %d trial %d batch %d by %v %s", procs, trial, batch, by, sem)
+				sameInfoBits(t, label, x.Infos(), scanInfos(d, by, sem))
 				var want []int
 				for pos, info := range x.Infos() {
 					if info != prevInfos[pos] {

@@ -90,7 +90,7 @@ func TwinOf(m risk.Assessor, d *mdb.Dataset, explain bool) (*datalog.Program, er
 		}
 		qi := d.QuasiIdentifiers()
 		if ia, ok := m.(risk.IncrementalAssessor); ok {
-			if attrs, err := ia.IndexAttrs(d); err != nil || !slices.Equal(attrs, qi) {
+			if by, err := ia.Grouping(d); err != nil || !slices.Equal(by.Attrs, qi) {
 				return nil, ErrRestricted
 			}
 		}

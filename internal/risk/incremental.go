@@ -14,16 +14,17 @@ import (
 // set to Rescore, so the cost of staying current scales with how many
 // tuples a batch actually disturbed rather than with the dataset.
 //
-// Implemented by KAnonymity, IndividualRisk and ReIdentification — the
-// measures whose score is a pure function of a tuple's GroupInfo. SUDA's
-// risk depends on subset-projection uniqueness (no single grouping captures
-// it) and cluster.Assessor folds in graph propagation; neither implements
-// the interface, and Live scores them one-shot.
+// Implemented by KAnonymity, IndividualRisk, ReIdentification, LDiversity and
+// TCloseness — the measures whose score is a pure function of a tuple's
+// GroupInfo. SUDA's risk depends on subset-projection uniqueness (no single
+// grouping captures it) and cluster.Assessor folds in graph propagation;
+// neither implements the interface, and Live scores them one-shot.
 type IncrementalAssessor interface {
 	ContextAssessor
-	// IndexAttrs resolves the attribute indexes the assessor groups rows
-	// by — the index Live must build and maintain for Rescore.
-	IndexAttrs(d *mdb.Dataset) ([]int, error)
+	// Grouping resolves the index the assessor scores from — the attributes
+	// it groups rows by and, for the attribute-disclosure measures, the
+	// sensitive attribute — which Live must build and maintain for Rescore.
+	Grouping(d *mdb.Dataset) (mdb.Grouping, error)
 	// Rescore evaluates risk from the index. With prev == nil every row is
 	// scored (a full assessment off the maintained groups). Otherwise it
 	// returns a fresh slice equal to prev except at the dirty row
@@ -47,9 +48,9 @@ type GroupScorer interface {
 }
 
 // groupMeasure is everything that defines a group measure: a name, one
-// parameter check, the attributes it groups by and the score of a group.
-// Assess, AssessContext and Rescore of the three implementations are calls
-// into assessGroups and rescoreGroups.
+// parameter check, the grouping it needs and the score of a group. Assess,
+// AssessContext and Rescore of the five implementations are calls into
+// assessGroups and rescoreGroups.
 type groupMeasure interface {
 	IncrementalAssessor
 	GroupScorer
@@ -121,11 +122,11 @@ func scoreGroups(ctx context.Context, workers int, m groupMeasure, infos []mdb.G
 // server runs one full assessment per request, and concurrent requests are
 // its parallelism.
 func assessGroups(ctx context.Context, m groupMeasure, d *mdb.Dataset, sem mdb.Semantics) ([]float64, error) {
-	attrs, err := m.IndexAttrs(d)
+	by, err := m.Grouping(d)
 	if err != nil {
 		return nil, err
 	}
-	return rescoreRows(ctx, 1, m, mdb.ComputeGroups(d, attrs, sem), d.Rows, nil, nil)
+	return rescoreRows(ctx, 1, m, mdb.ComputeInfos(d, by, sem), d.Rows, nil, nil)
 }
 
 // rescoreGroups is a group measure's Rescore, off the maintained index and

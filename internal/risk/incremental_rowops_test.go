@@ -30,11 +30,11 @@ func TestRescoreAfterRowOpsMatchesAssessBitwise(t *testing.T) {
 			d := incrDataset(rng, 50+rng.Intn(150), qis, domain)
 			qi := d.QuasiIdentifiers()
 			nextID := len(d.Rows)
-			attrs, err := a.IndexAttrs(d)
+			by, err := a.Grouping(d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			idx, err := mdb.BuildGroupIndex(ctx, d, attrs, sem)
+			idx, err := mdb.BuildIndex(ctx, d, by, sem)
 			if err != nil {
 				t.Fatal(err)
 			}

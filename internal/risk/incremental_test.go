@@ -54,11 +54,11 @@ func TestRescoreMatchesAssessBitwise(t *testing.T) {
 		sem := mdb.Semantics(trial % 2)
 		d := incrDataset(rng, 60+rng.Intn(200), 3, 2+rng.Intn(4))
 		for _, a := range incrementalAssessors() {
-			attrs, err := a.IndexAttrs(d)
+			by, err := a.Grouping(d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			idx, err := mdb.BuildGroupIndex(ctx, d, attrs, sem)
+			idx, err := mdb.BuildIndex(ctx, d, by, sem)
 			if err != nil {
 				t.Fatal(err)
 			}

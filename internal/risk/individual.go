@@ -64,9 +64,9 @@ func (a IndividualRisk) Name() string {
 
 func (IndividualRisk) check() error { return nil }
 
-// IndexAttrs implements IncrementalAssessor.
-func (a IndividualRisk) IndexAttrs(d *mdb.Dataset) ([]int, error) {
-	return attrsOrQIs(d, a.Attrs)
+// Grouping implements IncrementalAssessor.
+func (a IndividualRisk) Grouping(d *mdb.Dataset) (mdb.Grouping, error) {
+	return groupBy(d, a.Attrs)
 }
 
 // ScoreGroup implements GroupScorer. The posterior estimate is a pure

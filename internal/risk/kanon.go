@@ -27,12 +27,12 @@ func (a KAnonymity) check() error {
 	return nil
 }
 
-// IndexAttrs implements IncrementalAssessor.
-func (a KAnonymity) IndexAttrs(d *mdb.Dataset) ([]int, error) {
+// Grouping implements IncrementalAssessor.
+func (a KAnonymity) Grouping(d *mdb.Dataset) (mdb.Grouping, error) {
 	if err := a.check(); err != nil {
-		return nil, err
+		return mdb.Grouping{}, err
 	}
-	return attrsOrQIs(d, a.Attrs)
+	return groupBy(d, a.Attrs)
 }
 
 // ScoreGroup implements GroupScorer: a tuple is dangerous exactly when its

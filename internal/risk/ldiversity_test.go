@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"vadasa/internal/mdb"
-	"vadasa/internal/synth"
 )
 
 // homogeneous builds a dataset where one 2-anonymous group shares a single
@@ -113,29 +112,6 @@ func TestLDiversityNullSensitive(t *testing.T) {
 	}
 	if rs[0] != 0 {
 		t.Fatalf("group with suppressed sensitive value risk = %g, want 0", rs[0])
-	}
-}
-
-// The slow (null-aware) and fast (exact-group) paths agree on null-free data.
-func TestLDiversityPathsAgree(t *testing.T) {
-	d := synth.Generate(synth.Config{Tuples: 400, QIs: 4, Dist: synth.DistU, Seed: 5})
-	// Use Employees as the sensitive attribute and the remaining QIs for
-	// grouping.
-	attrs := []string{"Area", "Sector", "ResidentialRevenue"}
-	a := LDiversity{L: 2, Sensitive: "Employees", Attrs: attrs}
-	fast, err := a.Assess(d, mdb.MaybeMatch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// StandardNulls forces the per-tuple scan on the same (null-free) data.
-	slow, err := a.Assess(d, mdb.StandardNulls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fast {
-		if fast[i] != slow[i] {
-			t.Fatalf("row %d: fast %g, slow %g", i, fast[i], slow[i])
-		}
 	}
 }
 

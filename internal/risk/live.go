@@ -152,11 +152,11 @@ func (v *Live) assess(ctx context.Context) ([]float64, error) {
 		}
 		return v.ia.Rescore(ctx, v.idx, dirty, v.risks)
 	}
-	attrs, err := v.ia.IndexAttrs(v.d)
+	by, err := v.ia.Grouping(v.d)
 	if err != nil {
 		return nil, err
 	}
-	idx, err := mdb.BuildGroupIndex(ctx, v.d, attrs, v.sem)
+	idx, err := mdb.BuildIndex(ctx, v.d, by, v.sem)
 	if err != nil {
 		return nil, err
 	}

@@ -22,9 +22,9 @@ func (ReIdentification) Name() string { return "re-identification" }
 
 func (ReIdentification) check() error { return nil }
 
-// IndexAttrs implements IncrementalAssessor.
-func (a ReIdentification) IndexAttrs(d *mdb.Dataset) ([]int, error) {
-	return attrsOrQIs(d, a.Attrs)
+// Grouping implements IncrementalAssessor.
+func (a ReIdentification) Grouping(d *mdb.Dataset) (mdb.Grouping, error) {
+	return groupBy(d, a.Attrs)
 }
 
 // ScoreGroup implements GroupScorer: risk is 1/ΣW over the group weight sum.

@@ -13,6 +13,7 @@ package risk
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"vadasa/internal/mdb"
 )
@@ -97,6 +98,42 @@ func attrsOrQIs(d *mdb.Dataset, names []string) ([]int, error) {
 	}
 	return idx, nil
 }
+
+// groupBy is the grouping of a measure that reads no sensitive attribute:
+// the named attributes, or all quasi-identifiers.
+func groupBy(d *mdb.Dataset, names []string) (mdb.Grouping, error) {
+	idx, err := attrsOrQIs(d, names)
+	return mdb.Grouping{Attrs: idx, Sensitive: mdb.NoSensitive}, err
+}
+
+// groupBySensitive is the grouping of an attribute-disclosure measure: the
+// named attributes, none of which may be the sensitive one, or by default
+// all quasi-identifiers except the sensitive attribute itself, which
+// commonly is one of them.
+func groupBySensitive(d *mdb.Dataset, names []string, sensitive string) (mdb.Grouping, error) {
+	sens := d.AttrIndex(sensitive)
+	if sens < 0 {
+		return mdb.Grouping{}, fmt.Errorf("risk: dataset %q has no sensitive attribute %q", d.Name, sensitive)
+	}
+	idx, err := attrsOrQIs(d, names)
+	if err != nil {
+		return mdb.Grouping{}, err
+	}
+	if len(names) > 0 {
+		if slices.Contains(idx, sens) {
+			return mdb.Grouping{}, fmt.Errorf("risk: sensitive attribute %q cannot be a grouping attribute", sensitive)
+		}
+	} else if idx = slices.DeleteFunc(idx, func(i int) bool { return i == sens }); len(idx) == 0 {
+		return mdb.Grouping{}, fmt.Errorf("risk: no grouping attributes remain besides the sensitive %q", sensitive)
+	}
+	return mdb.Grouping{Attrs: idx, Sensitive: sens}, nil
+}
+
+// Probability reports whether x is one: a number — not NaN, which fails
+// every comparison and so slips through a check written as "x < 0 || x > 1"
+// — within [0,1]. It is the range of a risk threshold and of t-closeness's
+// distance bound.
+func Probability(x float64) bool { return x >= 0 && x <= 1 }
 
 func clamp01(x float64) float64 {
 	switch {

@@ -3,6 +3,7 @@ package risk
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -155,7 +156,18 @@ var Params = []Param{
 	{"sensitive", "", "sensitive attribute for l-diversity / t-closeness",
 		func(sp *Spec, v string) error { sp.Sensitive = v; return nil }},
 	{"t", "0.3", "t-closeness distribution-distance bound",
-		func(sp *Spec, v string) (err error) { sp.T, err = strconv.ParseFloat(v, 64); return }},
+		func(sp *Spec, v string) (err error) { sp.T, err = ParseFinite(v); return }},
+}
+
+// ParseFinite parses a number a client sent. "NaN" and "Inf" parse as floats
+// and are no numbers: a NaN compares false with everything, so it would pass
+// every range check written as a refusal and never exceed a threshold.
+func ParseFinite(v string) (float64, error) {
+	f, err := strconv.ParseFloat(v, 64)
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		err = strconv.ErrRange
+	}
+	return f, err
 }
 
 // ParseSpec reads the parameters through get (a url.Values.Get, a flag

@@ -46,20 +46,31 @@ func tableMeasure(t *testing.T, kind string, override map[string]string) risk.As
 // quasi-identifiers and a sensitive attribute, about one QI cell in eight a
 // labelled null. Weights are fractional, so a float summation-order mistake
 // anywhere surfaces as a bitwise mismatch instead of hiding behind integers.
+// In the sensQI variant the sensitive attribute is itself a quasi-identifier
+// — the CLI's `-sensitive ResidentialRevenue` — so its cells too are null
+// one time in eight and the tapes suppress them.
 type tableDataset struct {
 	*mdb.Dataset
-	rng    *rand.Rand
-	nextID int
+	rng       *rand.Rand
+	nextID    int
+	qis       int // the leading attributes that are quasi-identifiers
+	nullOneIn int // 0: rows are appended null-free
 }
 
-func newTableDataset(rng *rand.Rand, rows int) *tableDataset {
-	d := &tableDataset{rng: rng, Dataset: mdb.NewDataset("rand", []mdb.Attribute{
+// tableVariants are the two schemas every table test runs.
+var tableVariants = []bool{false, true}
+
+func newTableDataset(rng *rand.Rand, rows int, sensQI bool) *tableDataset {
+	d := &tableDataset{rng: rng, qis: 3, nullOneIn: 8, Dataset: mdb.NewDataset("rand", []mdb.Attribute{
 		{Name: "A", Category: mdb.QuasiIdentifier},
 		{Name: "B", Category: mdb.QuasiIdentifier},
 		{Name: "C", Category: mdb.QuasiIdentifier},
 		{Name: "S", Category: mdb.NonIdentifying},
 		{Name: "W", Category: mdb.Weight},
 	})}
+	if sensQI {
+		d.qis, d.Attrs[3].Category = 4, mdb.QuasiIdentifier
+	}
 	for r := 0; r < rows; r++ {
 		d.appendRow()
 	}
@@ -68,14 +79,17 @@ func newTableDataset(rng *rand.Rand, rows int) *tableDataset {
 
 func (d *tableDataset) appendRow() {
 	vals := make([]mdb.Value, 5)
-	for i := 0; i < 3; i++ {
-		if d.rng.Intn(8) == 0 {
+	for i := 0; i < 4; i++ {
+		first := 'a'
+		if i == 3 {
+			first = 'p'
+		}
+		if i < d.qis && d.nullOneIn > 0 && d.rng.Intn(d.nullOneIn) == 0 {
 			vals[i] = d.Nulls.Fresh()
 		} else {
-			vals[i] = mdb.Const(string(rune('a' + d.rng.Intn(3))))
+			vals[i] = mdb.Const(string(first + rune(d.rng.Intn(3))))
 		}
 	}
-	vals[3] = mdb.Const(string(rune('p' + d.rng.Intn(3))))
 	vals[4] = mdb.Const("w")
 	d.nextID++
 	d.Append(&mdb.Row{ID: d.nextID, Values: vals, Weight: 1 + d.rng.Float64()*4})
@@ -84,7 +98,7 @@ func (d *tableDataset) appendRow() {
 // suppress nulls one random constant QI cell and returns where, ok false if
 // the cell it drew was null already.
 func (d *tableDataset) suppress() (pos, attr int, ok bool) {
-	pos, attr = d.rng.Intn(len(d.Rows)), d.rng.Intn(3)
+	pos, attr = d.rng.Intn(len(d.Rows)), d.rng.Intn(d.qis)
 	if d.Rows[pos].Values[attr].IsNull() {
 		return 0, 0, false
 	}
@@ -131,7 +145,8 @@ func assess(t *testing.T, m risk.Assessor, d *mdb.Dataset, sem mdb.Semantics) []
 }
 
 // remoteScore runs the shard worker's half over the index's current infos:
-// the measure's wire spec through JSON, then dist.MeasureSpec.Score.
+// the measure's wire spec and the rows dist.Assessor.Rescore would send,
+// both through JSON, then dist.MeasureSpec.Score.
 func remoteScore(t *testing.T, m risk.Assessor, idx *mdb.GroupIndex) ([]float64, error) {
 	t.Helper()
 	spec, ok := dist.SpecFor(m)
@@ -146,9 +161,12 @@ func remoteScore(t *testing.T, m risk.Assessor, idx *mdb.GroupIndex) ([]float64,
 	if err := json.Unmarshal(wire, &back); err != nil {
 		t.Fatal(err)
 	}
-	rows := make([]dist.TaskRow, len(idx.Infos()))
-	for pos, g := range idx.Infos() {
-		rows[pos] = dist.TaskRow{Pos: pos, ID: idx.Dataset().Rows[pos].ID, Freq: g.Freq, WeightSum: g.WeightSum}
+	if wire, err = json.Marshal(dist.TaskRows(idx, nil)); err != nil {
+		t.Fatal(err)
+	}
+	var rows []dist.TaskRow
+	if err := json.Unmarshal(wire, &rows); err != nil {
+		t.Fatal(err)
 	}
 	return back.Score(rows)
 }
@@ -161,106 +179,113 @@ func remoteScore(t *testing.T, m risk.Assessor, idx *mdb.GroupIndex) ([]float64,
 // dirty-only Rescore and the remote scoring of the same infos.
 func TestEveryPathSameBits(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	ctx := context.Background()
 	for _, kind := range risk.Kinds() {
 		for _, sem := range []mdb.Semantics{mdb.MaybeMatch, mdb.StandardNulls} {
 			t.Run(fmt.Sprintf("%s/%s", kind, sem), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(len(kind)) + int64(sem)))
-				m := tableMeasure(t, kind, nil)
-				d := newTableDataset(rng, 80+rng.Intn(120))
-
-				sp, ok := risk.SpecOf(m)
-				if !ok || sp.Kind != kind {
-					t.Fatalf("SpecOf(%s) = %+v, %v", m.Name(), sp, ok)
-				}
-				wire, err := json.Marshal(sp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var back risk.Spec
-				if err := json.Unmarshal(wire, &back); err != nil {
-					t.Fatal(err)
-				}
-				rebuilt, err := back.Measure()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rebuilt.Name() != m.Name() {
-					t.Fatalf("spec round trip built %s from %s", rebuilt.Name(), m.Name())
-				}
-				sameBits(t, "spec round trip", assess(t, rebuilt, d.Dataset, sem), assess(t, m, d.Dataset, sem))
-
-				ia, ok := m.(risk.IncrementalAssessor)
-				if !ok {
-					if _, ok := dist.SpecFor(m); ok {
-						t.Fatalf("%s ships over the wire but has no incremental path", kind)
-					}
-					return
-				}
-				attrs, err := ia.IndexAttrs(d.Dataset)
-				if err != nil {
-					t.Fatal(err)
-				}
-				idx, err := mdb.BuildGroupIndex(ctx, d.Dataset, attrs, sem)
-				if err != nil {
-					t.Fatal(err)
-				}
-				prev, err := ia.Rescore(ctx, idx, nil, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameBits(t, "Rescore(nil prev)", prev, assess(t, m, d.Dataset, sem))
-				for batch := 0; batch < 6; batch++ {
-					for op := 0; op < 1+rng.Intn(6); op++ {
-						switch rng.Intn(4) {
-						case 0:
-							positions := d.remove(1 + rng.Intn(4))
-							if err := idx.DeleteRows(positions); err != nil {
-								t.Fatal(err)
-							}
-							prev = mdb.RemovePositions(prev, positions)
-						case 1:
-							d.appendRow()
-							if err := idx.AppendRow(len(d.Rows) - 1); err != nil {
-								t.Fatal(err)
-							}
-							prev = append(prev, 0)
-						default:
-							if pos, attr, ok := d.suppress(); ok {
-								if err := idx.SuppressCell(pos, attr); err != nil {
-									t.Fatal(err)
-								}
-							}
-						}
-					}
-					dirty, err := idx.Commit(ctx)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if prev, err = ia.Rescore(ctx, idx, dirty, prev); err != nil {
-						t.Fatal(err)
-					}
-					want := assess(t, m, d.Dataset, sem)
-					sameBits(t, "dirty-only Rescore", prev, want)
-					remote, err := remoteScore(t, m, idx)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameBits(t, "dist.MeasureSpec.Score", remote, want)
+				for _, sensQI := range tableVariants {
+					rng := rand.New(rand.NewSource(int64(len(kind)) + int64(sem)))
+					everyPathSameBits(t, rng, kind, sem, newTableDataset(rng, 80+rng.Intn(120), sensQI))
 				}
 			})
 		}
 	}
 }
 
+func everyPathSameBits(t *testing.T, rng *rand.Rand, kind string, sem mdb.Semantics, d *tableDataset) {
+	ctx := context.Background()
+	m := tableMeasure(t, kind, nil)
+
+	sp, ok := risk.SpecOf(m)
+	if !ok || sp.Kind != kind {
+		t.Fatalf("SpecOf(%s) = %+v, %v", m.Name(), sp, ok)
+	}
+	wire, err := json.Marshal(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back risk.Spec
+	if err := json.Unmarshal(wire, &back); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := back.Measure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rebuilt.Name() != m.Name() {
+		t.Fatalf("spec round trip built %s from %s", rebuilt.Name(), m.Name())
+	}
+	sameBits(t, "spec round trip", assess(t, rebuilt, d.Dataset, sem), assess(t, m, d.Dataset, sem))
+
+	ia, ok := m.(risk.IncrementalAssessor)
+	if !ok {
+		// SUDA's score is no function of one grouping; every other row is.
+		if _, ships := dist.SpecFor(m); ships || kind != "suda" {
+			t.Fatalf("%s has no incremental path (ships over the wire: %v)", kind, ships)
+		}
+		return
+	}
+	by, err := ia.Grouping(d.Dataset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := mdb.BuildIndex(ctx, d.Dataset, by, sem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := ia.Rescore(ctx, idx, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, "Rescore(nil prev)", prev, assess(t, m, d.Dataset, sem))
+	for batch := 0; batch < 6; batch++ {
+		for op := 0; op < 1+rng.Intn(6); op++ {
+			switch rng.Intn(4) {
+			case 0:
+				positions := d.remove(1 + rng.Intn(4))
+				if err := idx.DeleteRows(positions); err != nil {
+					t.Fatal(err)
+				}
+				prev = mdb.RemovePositions(prev, positions)
+			case 1:
+				d.appendRow()
+				if err := idx.AppendRow(len(d.Rows) - 1); err != nil {
+					t.Fatal(err)
+				}
+				prev = append(prev, 0)
+			default:
+				if pos, attr, ok := d.suppress(); ok {
+					if err := idx.SuppressCell(pos, attr); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		dirty, err := idx.Commit(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev, err = ia.Rescore(ctx, idx, dirty, prev); err != nil {
+			t.Fatal(err)
+		}
+		want := assess(t, m, d.Dataset, sem)
+		sameBits(t, "dirty-only Rescore", prev, want)
+		remote, err := remoteScore(t, m, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, "dist.MeasureSpec.Score", remote, want)
+	}
+}
+
 // An error is the same text whichever path raises it: a parameter error
-// (K < 2) and a data error (a group whose weights sum to nothing, reported
-// for the lowest failing row).
+// (K < 2) and two data errors (a group whose weights sum to nothing,
+// reported for the lowest failing row; a sensitive column holding no
+// constant).
 func TestEveryPathSameError(t *testing.T) {
 	ctx := context.Background()
 	raised := make(map[string]int) // case → measures that raise it on several paths
 	defer func() {
-		for _, name := range []string{"weightless group", "K < 2"} {
+		for _, name := range []string{"weightless group", "K < 2", "no sensitive constant"} {
 			if raised[name] == 0 {
 				t.Errorf("%s: no measure of the table raises it on more than one path", name)
 			}
@@ -268,42 +293,57 @@ func TestEveryPathSameError(t *testing.T) {
 	}()
 	for _, kind := range risk.Kinds() {
 		t.Run(kind, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(131))
-			d := newTableDataset(rng, 60)
-			// Two singleton groups without weight: no sibling rescues their
-			// sums, and the lower row must be the one every path names.
-			for _, pos := range []int{17, 41} {
-				for attr := 0; attr < 3; attr++ {
-					d.Rows[pos].Values[attr] = mdb.Const(fmt.Sprintf("z%d", pos))
+			for _, sensQI := range tableVariants {
+				d := newTableDataset(rand.New(rand.NewSource(131)), 60, sensQI)
+				// Two singleton groups without weight: no sibling rescues their
+				// sums, and the lower row must be the one every path names.
+				for _, pos := range []int{17, 41} {
+					for attr := 0; attr < 3; attr++ {
+						d.Rows[pos].Values[attr] = mdb.Const(fmt.Sprintf("z%d", pos))
+					}
+					d.Rows[pos].Weight = 0
 				}
-				d.Rows[pos].Weight = 0
-			}
-			for name, m := range map[string]risk.Assessor{
-				"weightless group": tableMeasure(t, kind, nil),
-				"K < 2":            tableMeasure(t, kind, map[string]string{"k": "1"}),
-			} {
-				_, wantErr := risk.AssessContext(ctx, m, d.Dataset, mdb.MaybeMatch)
-				ia, ok := m.(risk.IncrementalAssessor)
-				if !ok || wantErr == nil {
-					continue // one path only, or a measure that reads no weight, no K
+				suppressed := newTableDataset(rand.New(rand.NewSource(131)), 60, sensQI)
+				for _, r := range suppressed.Rows {
+					r.Values[3] = suppressed.Nulls.Fresh()
 				}
-				raised[name]++
-				idx, err := mdb.BuildGroupIndex(ctx, d.Dataset, d.QuasiIdentifiers(), mdb.MaybeMatch)
-				if err != nil {
-					t.Fatal(err)
-				}
-				all := make([]int, len(d.Rows))
-				for i := range all {
-					all[i] = i
-				}
-				_, full := ia.Rescore(ctx, idx, nil, nil)
-				_, dirty := ia.Rescore(ctx, idx, all, make([]float64, len(d.Rows)))
-				_, remote := remoteScore(t, m, idx)
-				view := risk.NewLive(m, d.Dataset, mdb.MaybeMatch, nil)
-				_, live := view.Risks(ctx)
-				for path, err := range map[string]error{"Rescore(nil prev)": full, "dirty Rescore": dirty, "dist Score": remote, "Live": live} {
-					if err == nil || err.Error() != wantErr.Error() {
-						t.Errorf("%s: %s failed with %v, AssessContext with %v", name, path, err, wantErr)
+				for _, c := range []struct {
+					name string
+					m    risk.Assessor
+					d    *mdb.Dataset
+				}{
+					{"weightless group", tableMeasure(t, kind, nil), d.Dataset},
+					{"K < 2", tableMeasure(t, kind, map[string]string{"k": "1"}), d.Dataset},
+					{"no sensitive constant", tableMeasure(t, kind, nil), suppressed.Dataset},
+				} {
+					_, wantErr := risk.AssessContext(ctx, c.m, c.d, mdb.MaybeMatch)
+					ia, ok := c.m.(risk.IncrementalAssessor)
+					if !ok || wantErr == nil {
+						continue // one path only, or a measure that reads none of the three
+					}
+					raised[c.name]++
+					// The index the kind asks for at parameters it accepts.
+					by, err := tableMeasure(t, kind, nil).(risk.IncrementalAssessor).Grouping(c.d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					idx, err := mdb.BuildIndex(ctx, c.d, by, mdb.MaybeMatch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					all := make([]int, len(c.d.Rows))
+					for i := range all {
+						all[i] = i
+					}
+					_, full := ia.Rescore(ctx, idx, nil, nil)
+					_, dirty := ia.Rescore(ctx, idx, all, make([]float64, len(c.d.Rows)))
+					_, remote := remoteScore(t, c.m, idx)
+					view := risk.NewLive(c.m, c.d, mdb.MaybeMatch, nil)
+					_, live := view.Risks(ctx)
+					for path, err := range map[string]error{"Rescore(nil prev)": full, "dirty Rescore": dirty, "dist Score": remote, "Live": live} {
+						if err == nil || err.Error() != wantErr.Error() {
+							t.Errorf("%s: %s failed with %v, AssessContext with %v", c.name, path, err, wantErr)
+						}
 					}
 				}
 			}
@@ -337,89 +377,96 @@ func TestLiveTapesMatchFreshAssessment(t *testing.T) {
 	for _, kind := range risk.Kinds() {
 		for _, sem := range []mdb.Semantics{mdb.MaybeMatch, mdb.StandardNulls} {
 			t.Run(fmt.Sprintf("%s/%s", kind, sem), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(len(kind))*7 + int64(sem)))
-				m := tableMeasure(t, kind, nil)
-				gov := govern.New("tape", govern.Limits{})
-				gov.Reserve(govern.Memory, 1000) // someone else's charge
-				defer gov.Release(govern.Memory, 1000)
+				for _, sensQI := range tableVariants {
+					liveTapes(t, kind, sem, sensQI)
+				}
+			})
+		}
+	}
+}
 
-				d := newTableDataset(rng, 120)
-				view := risk.NewLive(m, d.Dataset, sem, gov)
-				stepLive(t, "cycle/first", view, m, d.Dataset, sem)
-				for iter := 0; iter < 4; iter++ {
-					for i := 0; i < 5; i++ {
-						if pos, attr, ok := d.suppress(); ok {
-							if err := view.Suppressed(pos, attr); err != nil {
-								t.Fatal(err)
-							}
-						}
-					}
-					stepLive(t, "cycle/suppress", view, m, d.Dataset, sem)
+func liveTapes(t *testing.T, kind string, sem mdb.Semantics, sensQI bool) {
+	rng := rand.New(rand.NewSource(int64(len(kind))*7 + int64(sem)))
+	m := tableMeasure(t, kind, nil)
+	gov := govern.New("tape", govern.Limits{})
+	gov.Reserve(govern.Memory, 1000) // someone else's charge
+	defer gov.Release(govern.Memory, 1000)
+
+	d := newTableDataset(rng, 120, sensQI)
+	view := risk.NewLive(m, d.Dataset, sem, gov)
+	stepLive(t, "cycle/first", view, m, d.Dataset, sem)
+	for iter := 0; iter < 4; iter++ {
+		for i := 0; i < 5; i++ {
+			if pos, attr, ok := d.suppress(); ok {
+				if err := view.Suppressed(pos, attr); err != nil {
+					t.Fatal(err)
 				}
-				for _, r := range d.Rows { // global recoding: a → a*, no delta form
-					if r.Values[0] == mdb.Const("a") {
-						r.Values[0] = mdb.Const("a*")
-					}
-				}
-				view.Invalidate()
-				stepLive(t, "cycle/recode", view, m, d.Dataset, sem)
+			}
+		}
+		stepLive(t, "cycle/suppress", view, m, d.Dataset, sem)
+	}
+	for _, r := range d.Rows { // global recoding: a → a*, no delta form
+		if r.Values[0] == mdb.Const("a") {
+			r.Values[0] = mdb.Const("a*")
+		}
+	}
+	view.Invalidate()
+	stepLive(t, "cycle/recode", view, m, d.Dataset, sem)
+	if pos, attr, ok := d.suppress(); ok {
+		if err := view.Suppressed(pos, attr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stepLive(t, "cycle/suppress after rebuild", view, m, d.Dataset, sem)
+	if m, _ := m.(risk.IncrementalAssessor); (m != nil) != view.Incremental() {
+		t.Fatalf("Incremental() = %v for %s", view.Incremental(), kind)
+	}
+	if used := gov.Stats().Memory; view.Incremental() == (used == 1000) {
+		t.Fatalf("governor holds %d bytes with an incremental=%v view built", used, view.Incremental())
+	}
+	view.Close()
+	if used := gov.Stats().Memory; used != 1000 {
+		t.Fatalf("governor holds %d bytes after Close, want the 1000 it started with", used)
+	}
+
+	d = newTableDataset(rng, 40, sensQI)
+	view = risk.NewLive(m, d.Dataset, sem, gov)
+	for step := 0; step < 12; step++ {
+		switch step % 4 {
+		case 0, 1:
+			for i := 0; i < 1+rng.Intn(20); i++ {
+				d.appendRow()
+			}
+			if err := view.Appended(); err != nil {
+				t.Fatal(err)
+			}
+		case 2:
+			if err := view.Deleted(d.remove(1 + rng.Intn(12))); err != nil {
+				t.Fatal(err)
+			}
+		case 3:
+			for i := 0; i < 6; i++ {
 				if pos, attr, ok := d.suppress(); ok {
 					if err := view.Suppressed(pos, attr); err != nil {
 						t.Fatal(err)
 					}
 				}
-				stepLive(t, "cycle/suppress after rebuild", view, m, d.Dataset, sem)
-				if m, _ := m.(risk.IncrementalAssessor); (m != nil) != view.Incremental() {
-					t.Fatalf("Incremental() = %v for %s", view.Incremental(), kind)
-				}
-				if used := gov.Stats().Memory; view.Incremental() == (used == 1000) {
-					t.Fatalf("governor holds %d bytes with an incremental=%v view built", used, view.Incremental())
-				}
-				view.Close()
-				if used := gov.Stats().Memory; used != 1000 {
-					t.Fatalf("governor holds %d bytes after Close, want the 1000 it started with", used)
-				}
-
-				d = newTableDataset(rng, 40)
-				view = risk.NewLive(m, d.Dataset, sem, gov)
-				for step := 0; step < 12; step++ {
-					switch step % 4 {
-					case 0, 1:
-						for i := 0; i < 1+rng.Intn(20); i++ {
-							d.appendRow()
-						}
-						if err := view.Appended(); err != nil {
-							t.Fatal(err)
-						}
-					case 2:
-						if err := view.Deleted(d.remove(1 + rng.Intn(12))); err != nil {
-							t.Fatal(err)
-						}
-					case 3:
-						for i := 0; i < 6; i++ {
-							if pos, attr, ok := d.suppress(); ok {
-								if err := view.Suppressed(pos, attr); err != nil {
-									t.Fatal(err)
-								}
-							}
-						}
-					}
-					if step == 1 {
-						continue // two batches between looks: deltas pile up
-					}
-					stepLive(t, fmt.Sprintf("stream/step %d", step), view, m, d.Dataset, sem)
-					if step == 7 { // reopen: a new view over the window as it stands
-						view.Close()
-						view = risk.NewLive(m, d.Dataset, sem, gov)
-					}
-				}
-				view.Close()
-				if used := gov.Stats().Memory; used != 1000 {
-					t.Fatalf("governor holds %d bytes after the stream tape, want 1000", used)
-				}
-			})
+			}
+		}
+		if step == 1 {
+			continue // two batches between looks: deltas pile up
+		}
+		stepLive(t, fmt.Sprintf("stream/step %d", step), view, m, d.Dataset, sem)
+		if step == 7 { // reopen: a new view over the window as it stands
+			view.Close()
+			view = risk.NewLive(m, d.Dataset, sem, gov)
 		}
 	}
+	view.Close()
+	if used := gov.Stats().Memory; used != 1000 {
+		t.Fatalf("governor holds %d bytes after the stream tape, want 1000", used)
+	}
+
 }
 
 // A refused reservation is the governor's typed error, leaves the view
@@ -431,7 +478,7 @@ func TestLiveRefusedReservation(t *testing.T) {
 	for _, kind := range risk.Kinds() {
 		t.Run(kind, func(t *testing.T) {
 			m := tableMeasure(t, kind, nil)
-			d := newTableDataset(rand.New(rand.NewSource(17)), 90)
+			d := newTableDataset(rand.New(rand.NewSource(17)), 90, true)
 			gov := govern.New("tight", govern.Limits{MaxBytes: 1 << 20})
 			if err := gov.Reserve(govern.Memory, 1<<20-1); err != nil {
 				t.Fatal(err)
@@ -474,6 +521,56 @@ func TestLiveRefusedReservation(t *testing.T) {
 				t.Fatal("the built view holds no reservation")
 			}
 		})
+	}
+}
+
+// Two metamorphic properties of a risk measure (ROADMAP item 4b), for every
+// row of the table under both semantics: the scores follow their rows through
+// a permutation of the table, and do not move when the attribute columns are
+// reordered and renamed. Weights are whole numbers here, so that a weight sum
+// is the same bits in any order — what is under test is the measure, not
+// float addition.
+func TestScoresFollowRowsAndIgnoreColumnOrder(t *testing.T) {
+	for _, kind := range risk.Kinds() {
+		for _, sem := range []mdb.Semantics{mdb.MaybeMatch, mdb.StandardNulls} {
+			t.Run(fmt.Sprintf("%s/%s", kind, sem), func(t *testing.T) {
+				for _, sensQI := range tableVariants {
+					rng := rand.New(rand.NewSource(int64(len(kind))*11 + int64(sem)))
+					d := newTableDataset(rng, 150, sensQI)
+					for _, r := range d.Rows {
+						r.Weight = float64(1 + rng.Intn(5))
+					}
+					m := tableMeasure(t, kind, nil)
+					base := assess(t, m, d.Dataset, sem)
+
+					rows := rng.Perm(len(d.Rows))
+					shuffled := mdb.NewDataset("rand", d.Attrs)
+					followed := make([]float64, len(rows))
+					for to, from := range rows {
+						shuffled.Append(d.Rows[from])
+						followed[to] = base[from]
+					}
+					sameBits(t, "rows permuted", assess(t, m, shuffled, sem), followed)
+
+					cols := rng.Perm(len(d.Attrs))
+					attrs := make([]mdb.Attribute, len(cols))
+					for to, from := range cols {
+						attrs[to] = d.Attrs[from]
+						attrs[to].Name = "renamed " + attrs[to].Name
+					}
+					moved := mdb.NewDataset("rand", attrs)
+					for _, r := range d.Rows {
+						vals := make([]mdb.Value, len(cols))
+						for to, from := range cols {
+							vals[to] = r.Values[from]
+						}
+						moved.Append(&mdb.Row{ID: r.ID, Values: vals, Weight: r.Weight})
+					}
+					renamed := tableMeasure(t, kind, map[string]string{"sensitive": "renamed S"})
+					sameBits(t, "columns reordered and renamed", assess(t, renamed, moved, sem), base)
+				}
+			})
+		}
 	}
 }
 

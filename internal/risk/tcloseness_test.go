@@ -1,6 +1,7 @@
 package risk
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -65,6 +66,9 @@ func TestTClosenessValidation(t *testing.T) {
 	}
 	if _, err := (TCloseness{T: 1, Sensitive: "Default"}).Assess(d, mdb.MaybeMatch); err == nil {
 		t.Error("T=1 accepted")
+	}
+	if _, err := (TCloseness{T: math.NaN(), Sensitive: "Default"}).Assess(d, mdb.MaybeMatch); err == nil {
+		t.Error("T=NaN accepted: no distance exceeds it, every tuple would score 0")
 	}
 	if _, err := (TCloseness{T: 0.3, Sensitive: "Nope"}).Assess(d, mdb.MaybeMatch); err == nil {
 		t.Error("unknown sensitive attribute accepted")

@@ -65,11 +65,11 @@ func journaledDecisions(t *testing.T, path string) []anon.Decision {
 }
 
 // The release gate is the batch cycle at full sweep: for every measure with a
-// live view and every distribution family, a stream's first release is byte
-// for byte the CSV of anon.RunContext over the same rows and ids with
-// BatchFraction 1 and the gate's suppressor, and the journaled anon records
-// are that run's decision log. (The first row of the cross-mode table,
-// ROADMAP item 3a.)
+// live view — which the window maintains online — and every distribution
+// family, a stream's first release is byte for byte the CSV of
+// anon.RunContext over the same rows and ids with BatchFraction 1 and the
+// gate's suppressor, and the journaled anon records are that run's decision
+// log. (The first row of the cross-mode table, ROADMAP item 4a.)
 func TestGateIsTheCycleAtFullSweep(t *testing.T) {
 	ctx := context.Background()
 	measures := []struct {
@@ -80,6 +80,8 @@ func TestGateIsTheCycleAtFullSweep(t *testing.T) {
 		{"k-anonymity", risk.KAnonymity{K: 3}, 0.5},
 		{"re-identification", risk.ReIdentification{}, 0.05},
 		{"individual-risk", risk.IndividualRisk{}, 0.05},
+		{"l-diversity", risk.LDiversity{L: 2, Sensitive: "ResidentialRevenue"}, 0.5},
+		{"t-closeness", risk.TCloseness{T: 0.3, Sensitive: "ResidentialRevenue"}, 0.5},
 	}
 	for _, m := range measures {
 		for _, dist := range []synth.Dist{synth.DistW, synth.DistU, synth.DistV} {
@@ -108,6 +110,9 @@ func TestGateIsTheCycleAtFullSweep(t *testing.T) {
 				defer s.Close(ctx)
 				if _, err := s.Append(ctx, "b1", rows); err != nil {
 					t.Fatal(err)
+				}
+				if mode := s.Status(ctx).Mode; mode != "incremental" {
+					t.Fatalf("the window is scored in mode %q, want incremental", mode)
 				}
 				info, err := s.Release(ctx)
 				if err != nil {

@@ -307,6 +307,12 @@ func (s *Stream) create() error {
 	if len(s.opts.Attrs) == 0 {
 		return fmt.Errorf("stream: Options.Attrs is required to create a stream")
 	}
+	// Checked here, not in newStream: a stream journaled before the check
+	// existed still reopens. No risk exceeds a threshold above 1 and none
+	// compares with NaN, so the gate of such a stream never closes.
+	if !risk.Probability(s.opts.Threshold) {
+		return fmt.Errorf("stream: Options.Threshold %g outside (0,1]", s.opts.Threshold)
+	}
 	s.d = mdb.NewDataset(s.id, s.opts.Attrs)
 	// Nothing downstream checks the schema again: batches are validated
 	// against it, never it against anything.

@@ -5,11 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"testing"
 
 	"vadasa/internal/faultfs"
 	"vadasa/internal/govern"
+	"vadasa/internal/journal"
 	"vadasa/internal/mdb"
 	"vadasa/internal/risk"
 )
@@ -421,11 +423,11 @@ func TestBudgetRefusalDegrades(t *testing.T) {
 		probe.Append(&mdb.Row{Values: vals})
 	}
 	ia := risk.KAnonymity{K: 2}
-	attrs, err := ia.IndexAttrs(probe)
+	by, err := ia.Grouping(probe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := mdb.BuildGroupIndex(ctx, probe, attrs, mdb.MaybeMatch)
+	idx, err := mdb.BuildIndex(ctx, probe, by, mdb.MaybeMatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,6 +563,46 @@ func TestOpenRejectsContradictoryOptions(t *testing.T) {
 	}
 	if _, err := Open(ctx, "other", filepath.Join(dir, "tst.wal"), testOptions()); err == nil {
 		t.Fatal("reopen under a different stream id succeeded")
+	}
+}
+
+// A threshold no risk can exceed — above 1, or NaN, which compares with
+// nothing — is refused when a stream is created, before a journal exists; a
+// stream journaled with one before that check existed still reopens.
+func TestCreateRefusesThresholdNoRiskExceeds(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "tst.wal")
+	for _, threshold := range []float64{7, math.NaN(), math.Inf(1)} {
+		opts := testOptions()
+		opts.Threshold = threshold
+		if _, err := Open(ctx, "tst", path, opts); err == nil {
+			t.Fatalf("created a stream with threshold %g", threshold)
+		}
+		if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) > 0 {
+			t.Fatalf("the refused create with threshold %g left %v", threshold, left)
+		}
+	}
+
+	opts := testOptions()
+	opts.Threshold = 7
+	w, err := journal.Open(ctx, path, journal.Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(recCreate, makeCreatePayload("tst", opts)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(ctx, "tst", path, opts)
+	if err != nil {
+		t.Fatalf("reopening a stream journaled with threshold 7: %v", err)
+	}
+	defer s.Close(ctx)
+	if _, err := s.Append(ctx, "b1", testRows(0, 2)); err != nil {
+		t.Fatal(err)
 	}
 }
 

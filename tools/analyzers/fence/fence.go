@@ -1,4 +1,4 @@
-// Package fence holds the repo's four protocol-ordering vet passes as one
+// Package fence holds the repo's five protocol-ordering vet passes as one
 // table-driven pass. They share a shape: in a set of packages, a trigger — a
 // call to a named function, or any touch of a named field — is a finding
 // unless a guard function is called somewhere in the same top-level
@@ -27,7 +27,7 @@ type rule struct {
 	message  string   // diagnostic; %[1]s is the trigger name, %[2]s the enclosing function
 }
 
-// The four passes.
+// The five passes.
 var (
 	// Distfence guards the distributed-scoring fence: code in package dist
 	// that consumes a worker Reply's Values must do so behind the
@@ -60,9 +60,26 @@ var (
 		name:     "hotgroup",
 		doc:      "packages anon and stream must get grouping from risk.Live, not regroup or index on their own",
 		packages: []string{"anon", "stream"},
-		triggers: []string{"ComputeGroups", "Frequencies", "BuildGroupIndex"},
+		triggers: []string{"ComputeGroups", "ComputeInfos", "Frequencies", "BuildGroupIndex", "BuildIndex"},
 		from:     "mdb",
 		message:  "mdb.%[1]s in %[2]s: internal/risk owns grouping for the cycle and the stream window (risk.Live) — use it, or annotate //hotgroup:ok with why this call is off the hot path",
+	}.analyzer()
+
+	// Pairscan keeps the quadratic scan out of the risk path: a measure
+	// that tests every tuple against every other (mdb.CompatibleTuple per
+	// pair) is what made l-diversity and t-closeness take minutes where
+	// k-anonymity took a tenth of a second, from the first null on. A group
+	// measure reads what it needs off mdb.GroupInfo, which the grouping
+	// kernel derives for all tuples at once; the scan survives as the test
+	// oracles' definition of compatibility. Waive a test whose pairs are
+	// bounded by something other than the table.
+	Pairscan = rule{
+		name:     "pairscan",
+		doc:      "packages risk, anon and stream must not test tuples for compatibility pair by pair",
+		packages: []string{"risk", "anon", "stream"},
+		triggers: []string{"CompatibleTuple", "Compatible"},
+		from:     "mdb",
+		message:  "mdb.%[1]s in %[2]s: a compatibility test per pair of tuples is quadratic in the table — read the group off mdb.GroupInfo (the grouping kernel), or annotate //pairscan:ok with what bounds the pairs",
 	}.analyzer()
 
 	// Replfence guards replication fencing: in the packages that take part
