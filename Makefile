@@ -90,8 +90,9 @@ loc:
 # chaos runs the process-level fault suite under the race detector: worker
 # SIGKILL mid-lease, dropped/duplicated/truncated RPCs, torn journal tails
 # and degraded-mode serving, asserting every recovery is bit-identical to
-# the undisturbed control. Non-gating (a separate opt-in CI job); the raw
-# stream lands in chaos.out for the CI artifact.
+# the undisturbed control. The same tests gate inside `make check` (race;
+# they skip only under -short); this target reruns them verbosely, the raw
+# stream landing in chaos.out for the CI artifact.
 chaos:
 	$(GO) test -race -count=1 -v \
 		-run 'Chaos|Fault|Degrad|Hedg|SpawnAndKill|TornJournal' \
@@ -101,8 +102,9 @@ chaos:
 # soak runs the long randomized schedules under the race detector: the
 # stream's crash/fault schedule plus the replication primary-kill/promote-
 # under-load schedule. Fresh seeds every run, SOAK_SECONDS of wall clock per
-# test (default 60). Non-gating like chaos — a separate opt-in CI job with
-# soak.out as the artifact.
+# test (default 60). Non-gating — a separate opt-in CI job with soak.out as
+# the artifact; fixed seeds of both schedules gate in `make check`
+# (TestChaosRandomized, TestReplChaosRandomized).
 SOAK_SECONDS ?= 60
 soak:
 	VADASA_SOAK=1 VADASA_SOAK_SECONDS=$(SOAK_SECONDS) \
@@ -113,8 +115,9 @@ soak:
 # replchaos runs the replication fault suite under the race detector:
 # primary SIGKILL between intent and publish followed by a fenced promotion,
 # torn/duplicated ship frames, divergence detection, demoted-primary
-# rejection, and the HTTP failover path. Non-gating (a separate opt-in CI
-# job); the raw stream lands in replchaos.out for the CI artifact.
+# rejection, and the HTTP failover path. The same tests gate inside `make
+# check`; this target reruns them verbosely, the raw stream landing in
+# replchaos.out for the CI artifact.
 replchaos:
 	$(GO) test -race -count=1 -v \
 		-run 'Repl|Failover|Promote|Fenc|Ship|Standby|Sync|Diverg|Epoch' \

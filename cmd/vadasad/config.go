@@ -98,9 +98,9 @@ func bindFlags(fs *flag.FlagSet) *config {
 	fs.StringVar(&c.workerBin, "worker-bin", "",
 		"path to the vadasaw binary for -spawn-workers (default: next to this executable, then $PATH)")
 	fs.DurationVar(&c.leaseTTL, "lease-ttl", 10*time.Second,
-		"per-dispatch lease: a worker silent past this is presumed dead and the shard is retried elsewhere")
+		"per-dispatch timeout: a worker silent past this is presumed dead and the shard is retried elsewhere")
 	fs.DurationVar(&c.hedgeAfter, "hedge-after", 0,
-		"re-dispatch a shard to a second worker after this long without a reply; first admitted reply wins (0 disables)")
+		"re-dispatch a shard to a second worker after this long without a reply; the first valid reply wins and the other call is cancelled (0 disables)")
 	fs.DurationVar(&c.workerHeartbeat, "worker-heartbeat", 2*time.Second,
 		"interval between worker liveness probes")
 	fs.BoolVar(&c.requireWorkers, "require-workers", false,

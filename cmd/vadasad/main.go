@@ -92,9 +92,10 @@
 //
 // Distributed execution. With -shard-workers (addresses of running vadasaw
 // processes) and/or -spawn-workers (locally spawned, supervised children),
-// incremental risk re-scoring fans out to worker processes in row shards
-// under epoch-fenced leases with heartbeat liveness, bounded retries and
-// optional hedged re-dispatch (-hedge-after). Results are bit-identical to
+// incremental risk re-scoring fans out to worker processes in row shards,
+// one timed call per dispatch (-lease-ttl), with heartbeat liveness, bounded
+// retries and optional hedged re-dispatch (-hedge-after; the first valid
+// reply wins, the other call is cancelled). Results are bit-identical to
 // in-process scoring. When every worker is down the server degrades to
 // in-process execution and /readyz reports "degraded" (still 200) — unless
 // -require-workers is set, in which case affected requests fail 503 with

@@ -12,7 +12,9 @@
 // Scoring is a pure function of the shard (risk.GroupScorer), so the
 // worker needs no journal, no recovery and no coordination: a crashed or
 // killed worker is simply replaced, and a re-delivered task recomputes
-// bit-identical values. -hold injects an artificial per-task delay for
+// bit-identical values. A reply echoes its task's seq and epoch; the
+// supervisor takes it only as the answer of the call that sent that task,
+// and abandons a call past its -lease-ttl. -hold injects an artificial per-task delay for
 // chaos testing (widening the window for mid-task kills); -quiet drops
 // the per-task stderr diagnostics.
 package main

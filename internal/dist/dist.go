@@ -5,11 +5,12 @@
 //
 //   - heartbeat-based liveness with deadline detection, so a hung worker is
 //     detected and routed around rather than stalling the run;
-//   - per-task idempotent leases with monotonic epochs, so the reply of a
-//     worker presumed dead (and whose task was re-dispatched) is discarded
-//     at the fence instead of racing the retry;
+//   - one dispatch, one reply: a reply reaches the supervisor only as the
+//     return value of the call that sent its task, bounded by a timeout and
+//     checked to echo that dispatch's shard and epoch and to carry one value
+//     per row, so a worker presumed dead has no way to race its retry;
 //   - bounded retry with exponential backoff and jitter, plus optional
-//     hedged re-dispatch for stragglers;
+//     hedged re-dispatch for stragglers, the losing call cancelled;
 //   - graceful degradation to in-process execution when no worker is
 //     healthy — the run completes, the service reports degraded, not down.
 //
@@ -24,9 +25,9 @@
 //  2. The wire format is JSON, and Go's float64 JSON encoding is the
 //     shortest representation that round-trips exactly — a risk value or
 //     weight sum survives the trip bit-for-bit.
-//  3. Each task owns a disjoint slice of row positions and exactly one
-//     reply per task is ever admitted past the epoch fence, so merge order
-//     cannot influence the output.
+//  3. Each task owns a disjoint slice of row positions and its values are
+//     the return value of exactly one validated call, so merge order cannot
+//     influence the output.
 //
 // Failures therefore cost latency, never bits.
 package dist
@@ -40,19 +41,11 @@ import (
 )
 
 // ErrWorkerLost reports that a worker became unreachable, crashed, timed
-// out, or returned a structurally corrupt reply while holding a task lease.
+// out, or returned a reply that does not answer its dispatch.
 // It is transient by construction — the supervisor retries on another
 // worker or degrades to local execution — and is exported so callers can
 // classify transport failures distinctly from scoring errors.
 var ErrWorkerLost = errors.New("dist: worker lost")
-
-// ErrLeaseExpired reports a reply that arrived after its lease epoch was
-// revoked (the worker was presumed dead and the task re-dispatched) or
-// after another lease's reply was already admitted. Such replies are
-// discarded at the fence; the error surfaces only in logs and stats —
-// never as a task outcome, because by definition another attempt owns the
-// task by then.
-var ErrLeaseExpired = errors.New("dist: lease expired")
 
 // ErrDegraded reports that the supervisor has no healthy workers and was
 // configured (RequireWorkers) to refuse in-process fallback. Servers map it
@@ -102,10 +95,10 @@ func (r TaskRow) info() mdb.GroupInfo {
 		Distinct: r.Distinct, SensCount: r.SensCount, SensTotal: r.SensTotal, SensDist: r.SensDist}
 }
 
-// Task is one shard of re-scoring work under one lease epoch. Run names
-// the supervisor incarnation (debug identity), Seq the shard, and
-// Epoch the lease: the worker echoes both back so the supervisor's fence
-// can match the reply to the exact grant it answers.
+// Task is one dispatch of a shard of re-scoring work. Run names the
+// supervisor incarnation (debug identity), Seq the shard, and Epoch the
+// dispatch: the worker echoes both back so the supervisor can check that
+// the reply answers the call that sent it.
 type Task struct {
 	Run     string      `json:"run"`
 	Seq     int         `json:"seq"`

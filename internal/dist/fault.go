@@ -20,8 +20,7 @@ import (
 //   - Delay: the request is held before delivery (a slow link; composes
 //     with lease TTLs and hedging).
 //   - Dup: the task is delivered to the worker twice and the SECOND reply
-//     is returned — exercising worker idempotency (pure re-computation)
-//     and, with a revoked first epoch, the supervisor's reply fence.
+//     is returned — exercising worker idempotency (pure re-computation).
 //   - Truncate: the task is delivered, but the reply loses the second half
 //     of its values — a torn response. The supervisor must detect the
 //     length mismatch and treat the worker as lost rather than merging a
@@ -117,7 +116,6 @@ func (f *FaultTransport) Call(ctx context.Context, t Task) (Reply, error) {
 		r, err = f.inner.Call(ctx, t)
 	}
 	if trunc && err == nil {
-		//distfence:ok fault injector: corrupts values upstream of the fence on purpose
 		r.Values = r.Values[:len(r.Values)/2]
 	}
 	return r, err

@@ -20,7 +20,7 @@ type Options struct {
 	// ShardSize is the number of rows per task (default 1024).
 	ShardSize int
 	// LeaseTTL bounds one dispatch: a worker that has not replied within
-	// it is presumed dead, its epoch revoked, the task retried (default
+	// it is presumed dead and the task goes to the next round (default
 	// 10s).
 	LeaseTTL time.Duration
 	// HeartbeatInterval spaces liveness probes (default 2s); a worker
@@ -34,12 +34,13 @@ type Options struct {
 	MaxAttempts int
 	// RetryBase and RetryCap shape the exponential backoff between rounds
 	// (defaults 50ms and 2s); each delay is jittered ±50%. Jitter touches
-	// timing only — results are fenced, never raced.
+	// timing only — every dispatch of a task computes the same bits.
 	RetryBase time.Duration
 	RetryCap  time.Duration
-	// HedgeAfter, when positive, re-dispatches a task to a second worker
-	// if the first has not replied within it — both epochs stay valid and
-	// the first admitted reply wins. Zero disables hedging.
+	// HedgeAfter, when positive, dispatches a task a second time, to
+	// another worker, if the first has not replied within it: the first
+	// valid reply wins and the other call is cancelled. Zero disables
+	// hedging.
 	HedgeAfter time.Duration
 	// RequireWorkers forbids the in-process fallback: with no healthy
 	// workers, Execute fails with ErrDegraded instead of degrading
@@ -94,7 +95,6 @@ type worker struct {
 
 	mu       sync.Mutex
 	healthy  bool
-	lastSeen time.Time
 	inflight int
 }
 
@@ -102,15 +102,18 @@ func (w *worker) setHealthy(ok bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.healthy = ok
-	if ok {
-		w.lastSeen = time.Now()
-	}
 }
 
 func (w *worker) isHealthy() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.healthy
+}
+
+func (w *worker) addInflight(n int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.inflight += n
 }
 
 // WorkerStats is one worker's observable state.
@@ -127,19 +130,7 @@ type Stats struct {
 	Epoch          uint64        `json:"epoch"`
 	LocalFallbacks uint64        `json:"localFallbacks"`
 	Hedges         uint64        `json:"hedges"`
-	StaleReplies   uint64        `json:"staleReplies"`
 	Retries        uint64        `json:"retries"`
-}
-
-// taskState is the lease fence of one task: the set of currently valid
-// epochs and whether a reply has been admitted. All access goes through
-// the supervisor's grant/revoke/admit methods.
-type taskState struct {
-	seq int
-
-	mu    sync.Mutex
-	valid map[uint64]bool
-	done  bool
 }
 
 // Supervisor owns a set of workers and executes sharded scoring work over
@@ -149,11 +140,10 @@ type Supervisor struct {
 	opts    Options
 	workers []*worker
 	rr      atomic.Uint64 // round-robin dispatch cursor
-	epoch   atomic.Uint64 // monotonic lease epoch counter
+	epoch   atomic.Uint64 // dispatch counter: each Task's Epoch, which the worker echoes
 
 	localFallbacks atomic.Uint64
 	hedges         atomic.Uint64
-	staleReplies   atomic.Uint64
 	retries        atomic.Uint64
 
 	stopOnce sync.Once
@@ -172,7 +162,7 @@ func NewSupervisor(transports []Transport, opts Options) *Supervisor {
 		stopc: make(chan struct{}),
 	}
 	for _, t := range transports {
-		w := &worker{t: t, healthy: true, lastSeen: time.Now()}
+		w := &worker{t: t, healthy: true}
 		if opts.Governor != nil {
 			w.gov = opts.Governor.Child("worker:"+t.Addr(), govern.Limits{})
 		}
@@ -264,7 +254,6 @@ func (s *Supervisor) Snapshot() Stats {
 		Epoch:          s.epoch.Load(),
 		LocalFallbacks: s.localFallbacks.Load(),
 		Hedges:         s.hedges.Load(),
-		StaleReplies:   s.staleReplies.Load(),
 		Retries:        s.retries.Load(),
 	}
 	for _, w := range s.workers {
@@ -285,89 +274,26 @@ func (s *Supervisor) logf(format string, args ...any) {
 	}
 }
 
-// grant issues a fresh epoch for the task and records it as valid.
-func (s *Supervisor) grant(task *taskState) uint64 {
-	epoch := s.epoch.Add(1)
-	task.mu.Lock()
-	task.valid[epoch] = true
-	task.mu.Unlock()
-	return epoch
-}
-
-// revoke invalidates one epoch (timeout, transport failure, corrupt
-// reply); a reply carrying it can never be admitted afterwards.
-func (s *Supervisor) revoke(task *taskState, epoch uint64) {
-	task.mu.Lock()
-	delete(task.valid, epoch)
-	task.mu.Unlock()
-}
-
-// admit is the epoch fence — the single point where a worker reply can
-// become a task result. It accepts a reply iff it names this task, its
-// epoch is still valid, no reply was admitted before, and (for successful
-// replies) the value vector has exactly one entry per row. On acceptance
-// every lease of the task dies, so a hedged sibling or duplicate delivery
-// arriving later is rejected here, not merged. corrupt reports a reply
-// that passed the fence but failed structural validation — the caller
-// treats the worker as lost and retries.
-func (s *Supervisor) admit(task *taskState, r Reply, n int, workerAddr string) (accepted, corrupt bool) {
-	task.mu.Lock()
-	if task.done || r.Seq != task.seq || !task.valid[r.Epoch] {
-		task.mu.Unlock()
-		s.staleReplies.Add(1)
-		s.logf("dist: rejecting reply task=%d epoch=%d from %s: %v", r.Seq, r.Epoch, workerAddr, ErrLeaseExpired)
-		return false, false
-	}
-	//distfence:ok admit IS the fence; this is the truncation check behind it
-	if r.Err == "" && len(r.Values) != n {
-		delete(task.valid, r.Epoch)
-		task.mu.Unlock()
-		s.logf("dist: corrupt reply task=%d epoch=%d from %s: %d values for %d rows",
-			r.Seq, r.Epoch, workerAddr, len(r.Values), n) //distfence:ok fence's own rejection diagnostic
-		return false, true
-	}
-	task.done = true
-	task.valid = map[uint64]bool{}
-	task.mu.Unlock()
-	return true, false
-}
-
-// revokeAll invalidates every outstanding epoch of the task.
-func (s *Supervisor) revokeAll(task *taskState) {
-	task.mu.Lock()
-	task.valid = map[uint64]bool{}
-	task.mu.Unlock()
-}
-
-// pickWorker round-robins over healthy workers; exclude skips one (hedge
-// dispatch prefers a different worker). When no worker passes liveness the
-// round-robin continues over unhealthy ones: health is advisory routing,
-// not a correctness gate — a mis-classified worker costs one bounded
-// attempt, while refusing to try would turn one dropped packet on a
-// single-worker fleet into a permanent local fallback. Returns nil only
-// for an empty fleet.
+// pickWorker round-robins over healthy workers other than exclude (a hedge
+// never goes back to the straggler it hedges). When no such worker passes
+// liveness the round-robin continues over unhealthy ones: health is
+// advisory routing, not a correctness gate — a mis-classified worker costs
+// one bounded attempt, while refusing to try would turn one dropped packet
+// on a single-worker fleet into a permanent local fallback. Returns nil
+// only when there is no worker but exclude.
 func (s *Supervisor) pickWorker(exclude *worker) *worker {
 	n := len(s.workers)
-	if n == 0 {
-		return nil
-	}
 	start := int(s.rr.Add(1))
-	var excludedHealthy, unhealthy *worker
+	var unhealthy *worker
 	for i := 0; i < n; i++ {
 		w := s.workers[(start+i)%n]
 		switch {
-		case !w.isHealthy():
-			if unhealthy == nil {
-				unhealthy = w
-			}
 		case w == exclude:
-			excludedHealthy = w
-		default:
+		case w.isHealthy():
 			return w
+		case unhealthy == nil:
+			unhealthy = w
 		}
-	}
-	if excludedHealthy != nil {
-		return excludedHealthy
 	}
 	return unhealthy
 }
@@ -415,59 +341,14 @@ func (s *Supervisor) Execute(ctx context.Context, spec MeasureSpec, rows []TaskR
 	return out, nil
 }
 
-// dispatchResult carries one dispatch outcome back to runTask's loop.
-type dispatchResult struct {
-	reply Reply
-	err   error
-	epoch uint64
-	w     *worker
-}
-
-// runTask drives one shard to completion: dispatch under a fresh lease,
-// wait fenced, hedge stragglers, retry failures with backoff, and fall
-// back to in-process scoring when workers are exhausted.
+// runTask drives one shard to completion: up to MaxAttempts rounds with
+// backoff between them, then in-process scoring (or ErrWorkerLost, under
+// RequireWorkers). A round that ends in anything but ErrWorkerLost — the
+// values, a scoring error, the run's cancellation — ends the task.
 func (s *Supervisor) runTask(ctx context.Context, seq int, spec MeasureSpec, rows []TaskRow) ([]float64, error) {
-	task := &taskState{seq: seq, valid: map[uint64]bool{}}
-	// Buffered past the worst case (one dispatch + one hedge per attempt)
-	// so late repliers never block on a loop that has moved on.
-	replyc := make(chan dispatchResult, 2*s.opts.MaxAttempts+2)
-
-	dispatch := func(w *worker) uint64 {
-		epoch := s.grant(task)
-		t := Task{Run: s.opts.Run, Seq: seq, Epoch: epoch, Measure: spec, Rows: rows}
-		w.mu.Lock()
-		w.inflight++
-		w.mu.Unlock()
-		go func() {
-			charge := int64(len(rows)) * taskRowBytes
-			//governcharge:ok released on every path below once the call settles
-			if err := w.gov.Reserve(govern.Memory, charge); err != nil {
-				// The worker's scope is saturated: treat like a refused
-				// connection so the retry path picks someone else.
-				w.mu.Lock()
-				w.inflight--
-				w.mu.Unlock()
-				replyc <- dispatchResult{err: fmt.Errorf("%w: %s: %v", ErrWorkerLost, w.t.Addr(), err), epoch: epoch, w: w}
-				return
-			}
-			callCtx, cancel := context.WithTimeout(ctx, s.opts.LeaseTTL)
-			r, err := w.t.Call(callCtx, t)
-			cancel()
-			w.gov.Release(govern.Memory, charge)
-			w.mu.Lock()
-			w.inflight--
-			w.mu.Unlock()
-			replyc <- dispatchResult{reply: r, err: err, epoch: epoch, w: w}
-		}()
-		return epoch
-	}
-
 	var lastAddr string
 	for attempt := 0; attempt < s.opts.MaxAttempts; attempt++ {
-		w := s.pickWorker(nil)
-		if w == nil {
-			break // degraded mid-run: fall through to local
-		}
+		w := s.pickWorker(nil) // never nil: Execute ran an empty fleet in-process
 		lastAddr = w.t.Addr()
 		if attempt > 0 {
 			s.retries.Add(1)
@@ -475,93 +356,9 @@ func (s *Supervisor) runTask(ctx context.Context, seq int, spec MeasureSpec, row
 				return nil, err
 			}
 		}
-		roundEpochs := map[uint64]bool{dispatch(w): true}
-		outstanding := 1
-
-		var hedgec <-chan time.Time
-		var hedgeTimer *time.Timer
-		if s.opts.HedgeAfter > 0 {
-			hedgeTimer = time.NewTimer(s.opts.HedgeAfter)
-			hedgec = hedgeTimer.C
-		}
-		deadline := time.NewTimer(s.opts.LeaseTTL + s.opts.LeaseTTL/4)
-
-	wait:
-		for {
-			select {
-			case <-ctx.Done():
-				stopTimers(hedgeTimer, deadline)
-				s.revokeAll(task)
-				return nil, ctx.Err()
-
-			case res := <-replyc:
-				if !roundEpochs[res.epoch] {
-					// Late reply from an earlier round. Its epoch was
-					// revoked when that round ended, so the fence rejects
-					// it — run it through admit anyway for uniform
-					// accounting, and keep waiting on this round's leases.
-					if res.err == nil {
-						s.admit(task, res.reply, len(rows), res.w.t.Addr())
-					}
-					continue
-				}
-				if res.err != nil {
-					outstanding--
-					res.w.setHealthy(false)
-					s.revoke(task, res.epoch)
-					s.logf("dist: task %d epoch %d on %s failed: %v", seq, res.epoch, res.w.t.Addr(), res.err)
-					if outstanding > 0 {
-						continue // a hedge is still in flight
-					}
-					stopTimers(hedgeTimer, deadline)
-					break wait // next attempt
-				}
-				res.w.setHealthy(true)
-				accepted, corrupt := s.admit(task, res.reply, len(rows), res.w.t.Addr())
-				if accepted {
-					stopTimers(hedgeTimer, deadline)
-					if res.reply.Err != "" {
-						// Deterministic scoring failure: same outcome the
-						// local path would produce — fail, don't retry.
-						return nil, errors.New(res.reply.Err)
-					}
-					return res.reply.Values, nil
-				}
-				outstanding--
-				if corrupt {
-					res.w.setHealthy(false)
-					if outstanding > 0 {
-						continue
-					}
-					stopTimers(hedgeTimer, deadline)
-					break wait
-				}
-				// Stale (fence-rejected): only relevant if nothing else is
-				// in flight anymore — then this round is over.
-				if outstanding <= 0 {
-					stopTimers(hedgeTimer, deadline)
-					break wait
-				}
-
-			case <-hedgec:
-				hedgec = nil
-				if w2 := s.pickWorker(w); w2 != nil {
-					s.hedges.Add(1)
-					s.logf("dist: hedging task %d on %s", seq, w2.t.Addr())
-					roundEpochs[dispatch(w2)] = true
-					outstanding++
-				}
-
-			case <-deadline.C:
-				// Lease TTL blown with the call's own timeout somehow not
-				// surfacing (a stuck transport): revoke everything and
-				// re-dispatch. Late replies die at the fence.
-				stopTimers(hedgeTimer, nil)
-				s.revokeAll(task)
-				w.setHealthy(false)
-				s.logf("dist: task %d lease expired on %s", seq, w.t.Addr())
-				break wait
-			}
+		values, err := s.round(ctx, w, seq, spec, rows)
+		if !errors.Is(err, ErrWorkerLost) {
+			return values, err
 		}
 	}
 
@@ -574,6 +371,107 @@ func (s *Supervisor) runTask(ctx context.Context, seq int, spec MeasureSpec, row
 	return spec.Score(rows)
 }
 
+// round dispatches the shard to w and, if HedgeAfter elapses first, to a
+// second worker. The first call that does not end in ErrWorkerLost settles
+// the round; ErrWorkerLost is returned only when every call it started
+// did. The round owns its calls: settling cancels the one still running
+// and waits for it to return, so the loser of a hedge gives back its
+// charge and in-flight slot before the round does.
+func (s *Supervisor) round(ctx context.Context, w *worker, seq int, spec MeasureSpec, rows []TaskRow) ([]float64, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	type result struct {
+		values []float64
+		err    error
+	}
+	results := make(chan result, 2) // one per call: the dispatch and its hedge
+	running := 0
+	start := func(w *worker) {
+		running++
+		go func() {
+			values, err := s.call(ctx, w, seq, spec, rows)
+			results <- result{values, err}
+		}()
+	}
+	defer func() {
+		cancel()
+		for ; running > 0; running-- {
+			<-results
+		}
+	}()
+
+	start(w)
+	var hedge <-chan time.Time
+	if s.opts.HedgeAfter > 0 {
+		t := time.NewTimer(s.opts.HedgeAfter)
+		defer t.Stop()
+		hedge = t.C
+	}
+	var lost error
+	for running > 0 {
+		select {
+		case <-hedge:
+			hedge = nil
+			if w2 := s.pickWorker(w); w2 != nil {
+				s.hedges.Add(1)
+				s.logf("dist: hedging task %d on %s", seq, w2.t.Addr())
+				start(w2)
+			}
+		case r := <-results:
+			running--
+			if !errors.Is(r.err, ErrWorkerLost) {
+				return r.values, r.err
+			}
+			lost = r.err
+		}
+	}
+	return nil, lost
+}
+
+// call is one dispatch of the shard to w: the next epoch, the worker's
+// governor charge, one Transport.Call bounded by LeaseTTL. The reply must
+// answer this dispatch — echo its Seq and Epoch and, unless scoring failed,
+// carry one value per row; a reply that does not, a transport failure or a
+// refused charge is ErrWorkerLost and marks w unhealthy. A scoring error
+// comes back with the worker's text: it belongs to the data, so it is
+// final. A call that ends because ctx was cancelled — its round settled or
+// the run ended — returns ctx's error and says nothing about w.
+func (s *Supervisor) call(ctx context.Context, w *worker, seq int, spec MeasureSpec, rows []TaskRow) ([]float64, error) {
+	epoch := s.epoch.Add(1)
+	lost := func(cause error) error {
+		w.setHealthy(false)
+		s.logf("dist: task %d epoch %d on %s failed: %v", seq, epoch, w.t.Addr(), cause)
+		return fmt.Errorf("%w: %s: %v", ErrWorkerLost, w.t.Addr(), cause)
+	}
+	charge := int64(len(rows)) * taskRowBytes
+	if err := w.gov.Reserve(govern.Memory, charge); err != nil {
+		// A saturated scope is a refused connection: the next round picks
+		// someone else.
+		return nil, lost(err)
+	}
+	defer w.gov.Release(govern.Memory, charge)
+	w.addInflight(1)
+	defer w.addInflight(-1)
+
+	callCtx, cancel := context.WithTimeout(ctx, s.opts.LeaseTTL)
+	r, err := w.t.Call(callCtx, Task{Run: s.opts.Run, Seq: seq, Epoch: epoch, Measure: spec, Rows: rows})
+	cancel()
+	switch {
+	case err != nil && ctx.Err() != nil:
+		return nil, ctx.Err()
+	case err != nil:
+		return nil, lost(err)
+	case r.Seq != seq || r.Epoch != epoch:
+		return nil, lost(fmt.Errorf("reply answers task %d epoch %d", r.Seq, r.Epoch))
+	case r.Err != "":
+		w.setHealthy(true)
+		return nil, errors.New(r.Err)
+	case len(r.Values) != len(rows):
+		return nil, lost(fmt.Errorf("%d values for %d rows", len(r.Values), len(rows)))
+	}
+	w.setHealthy(true)
+	return r.Values, nil
+}
+
 // backoff sleeps the exponential, jittered retry delay for the given
 // attempt (1-based round that failed), honouring cancellation.
 func (s *Supervisor) backoff(ctx context.Context, attempt int) error {
@@ -581,8 +479,8 @@ func (s *Supervisor) backoff(ctx context.Context, attempt int) error {
 	if d > s.opts.RetryCap || d <= 0 {
 		d = s.opts.RetryCap
 	}
-	// ±50% jitter de-synchronizes retry storms. Timing only: results are
-	// fenced, so scheduling noise cannot reach the output bits.
+	// ±50% jitter de-synchronizes retry storms. Timing only: a retried
+	// shard computes the same bits wherever it lands.
 	d = d/2 + time.Duration(rand.Int63n(int64(d)))
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -591,13 +489,5 @@ func (s *Supervisor) backoff(ctx context.Context, attempt int) error {
 		return ctx.Err()
 	case <-t.C:
 		return nil
-	}
-}
-
-func stopTimers(timers ...*time.Timer) {
-	for _, t := range timers {
-		if t != nil {
-			t.Stop()
-		}
 	}
 }

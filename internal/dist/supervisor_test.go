@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -166,56 +167,72 @@ func TestExecuteScoringErrorNoRetry(t *testing.T) {
 	}
 }
 
-// The epoch fence: a late reply whose lease was revoked is discarded even
-// though it is structurally valid, and a second reply for a settled task
-// is discarded too.
-func TestAdmitFence(t *testing.T) {
-	sup := NewSupervisor(nil, quickOpts())
-	defer sup.Close()
-	task := &taskState{seq: 3, valid: map[uint64]bool{}}
+// A reply that does not answer its dispatch — another shard's, another
+// dispatch's, a short value vector — or a call held past LeaseTTL is the
+// worker's loss: nothing of it is merged, the worker is marked unhealthy and
+// the shard is retried on the other worker.
+func TestRejectedReplyIsRetriedElsewhere(t *testing.T) {
+	rows := testRows(rand.New(rand.NewSource(47)), 200) // four shards: round-robin sends the bad worker at least one
+	spec := testSpecs()[0]
+	want, _ := spec.Score(rows)
+	bad := func(mangle func(*Reply)) Transport {
+		return &funcTransport{addr: "bad", call: func(ctx context.Context, tk Task) (Reply, error) {
+			r, err := scoringTransport("bad", 0).call(ctx, tk)
+			mangle(&r)
+			return r, err
+		}}
+	}
+	garbage := func(r *Reply) {
+		for i := range r.Values {
+			r.Values[i] = 42
+		}
+	}
+	const leaseTTL = 100 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		bad  func(t *testing.T) Transport
+	}{
+		{"wrong seq", func(*testing.T) Transport { return bad(func(r *Reply) { garbage(r); r.Seq++ }) }},
+		{"wrong epoch", func(*testing.T) Transport { return bad(func(r *Reply) { garbage(r); r.Epoch++ }) }},
+		{"truncated values", func(*testing.T) Transport { return bad(func(r *Reply) { r.Values = r.Values[:len(r.Values)/2] }) }},
+		{"held past the lease", func(t *testing.T) Transport { return httpWorker(t, WorkerOptions{Hold: 5 * leaseTTL}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := quickOpts()
+			opts.LeaseTTL = leaseTTL
+			sup := NewSupervisor([]Transport{tc.bad(t), scoringTransport("good", 0)}, opts)
+			defer sup.Close()
+			got, err := sup.Execute(context.Background(), spec, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameBits(t, tc.name, got, want)
+			st := sup.Snapshot()
+			if st.Workers[0].Healthy || !st.Workers[1].Healthy || st.Retries == 0 {
+				t.Fatalf("want the bad worker unhealthy, the good one healthy and retries: %+v", st)
+			}
 
-	e1 := sup.grant(task)
-	e2 := sup.grant(task) // hedge: both valid at once
-	sup.revoke(task, e1)
-
-	// Revoked epoch: fenced out.
-	if ok, corrupt := sup.admit(task, Reply{Seq: 3, Epoch: e1, Values: []float64{1}}, 1, "w"); ok || corrupt {
-		t.Fatalf("revoked epoch admitted (ok=%v corrupt=%v)", ok, corrupt)
-	}
-	// Wrong task: fenced out.
-	if ok, _ := sup.admit(task, Reply{Seq: 4, Epoch: e2, Values: []float64{1}}, 1, "w"); ok {
-		t.Fatal("wrong-seq reply admitted")
-	}
-	// Truncated reply on a valid epoch: revokes that lease, not admitted.
-	e3 := sup.grant(task)
-	if ok, corrupt := sup.admit(task, Reply{Seq: 3, Epoch: e3, Values: []float64{1}}, 2, "w"); ok || !corrupt {
-		t.Fatalf("truncated reply: ok=%v corrupt=%v, want rejected+corrupt", ok, corrupt)
-	}
-	if ok, _ := sup.admit(task, Reply{Seq: 3, Epoch: e3, Values: []float64{1, 2}}, 2, "w"); ok {
-		t.Fatal("reply admitted on lease revoked for truncation")
-	}
-	// The surviving hedge epoch wins...
-	if ok, _ := sup.admit(task, Reply{Seq: 3, Epoch: e2, Values: []float64{1, 2}}, 2, "w"); !ok {
-		t.Fatal("valid hedge reply rejected")
-	}
-	// ...and settles the task: every later reply dies at the fence.
-	e4 := sup.grant(task)
-	if ok, _ := sup.admit(task, Reply{Seq: 3, Epoch: e4, Values: []float64{1, 2}}, 2, "w"); ok {
-		t.Fatal("reply admitted after task settled")
-	}
-	if sup.Snapshot().StaleReplies == 0 {
-		t.Fatal("fence rejections not counted")
+			// One dispatch on its own: lost, and no later than its lease.
+			began := time.Now()
+			if _, err := sup.call(context.Background(), sup.workers[0], 0, spec, rows[:64]); !errors.Is(err, ErrWorkerLost) {
+				t.Fatalf("call = %v, want ErrWorkerLost", err)
+			}
+			if took := time.Since(began); took > 2*leaseTTL {
+				t.Fatalf("call took %v against a %v lease", took, leaseTTL)
+			}
+		})
 	}
 }
 
-// Hedged dispatch: a straggling worker's task is re-dispatched and the
-// hedge's reply wins; the straggler's late reply is fenced, not merged.
+// Hedged dispatch: a straggling worker's task is dispatched again and the
+// first reply wins.
 func TestHedging(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	rows := testRows(rng, 64) // one shard
 	spec := testSpecs()[0]
 	// Both workers are slow, so whichever gets the dispatch, the hedge
-	// timer fires first; the first reply wins and the sibling is fenced.
+	// timer fires first; the first reply wins and the other call is
+	// cancelled.
 	slow := scoringTransport("slow", 150*time.Millisecond)
 	slow2 := scoringTransport("slow2", 150*time.Millisecond)
 	opts := quickOpts()
@@ -232,6 +249,95 @@ func TestHedging(t *testing.T) {
 	st := sup.Snapshot()
 	if st.Hedges == 0 {
 		t.Fatalf("no hedges launched: %+v", st)
+	}
+}
+
+// A hedge goes to another worker or nowhere: a one-worker fleet launches
+// none, a two-worker fleet hedges onto the other worker.
+func TestHedgeNeverTargetsItsStraggler(t *testing.T) {
+	rows := testRows(rand.New(rand.NewSource(46)), 64) // one shard
+	spec := testSpecs()[0]
+	opts := quickOpts()
+	opts.HedgeAfter = 30 * time.Millisecond
+	for _, n := range []int{1, 2} {
+		var fleet []Transport
+		var workers []*funcTransport
+		for i := 0; i < n; i++ {
+			w := scoringTransport(fmt.Sprintf("w%d", i), 150*time.Millisecond)
+			fleet, workers = append(fleet, w), append(workers, w)
+		}
+		sup := NewSupervisor(fleet, opts)
+		if _, err := sup.Execute(context.Background(), spec, rows); err != nil {
+			t.Fatal(err)
+		}
+		if hedges := sup.Snapshot().Hedges; hedges != uint64(n-1) {
+			t.Errorf("%d workers: %d hedges, want %d", n, hedges, n-1)
+		}
+		for _, w := range workers {
+			if w.Calls() != 1 {
+				t.Errorf("%d workers: %s got %d calls, want 1", n, w.addr, w.Calls())
+			}
+		}
+		sup.Close()
+	}
+}
+
+// The losing call of a hedge is cancelled when the round settles: it sees
+// its context end as Execute returns, gives back its in-flight slot and its
+// governor charge without waiting out its own delay, and its worker stays
+// healthy — being outrun is not a failure.
+func TestHedgeLoserIsCancelled(t *testing.T) {
+	rows := testRows(rand.New(rand.NewSource(46)), 64) // one shard
+	spec := testSpecs()[0]
+	const straggle = 400 * time.Millisecond
+	var calls atomic.Int32
+	loser := make(chan time.Time, 1)
+	answer := scoringTransport("", 0).call
+	call := func(ctx context.Context, tk Task) (Reply, error) {
+		if calls.Add(1) == 1 { // the first dispatch straggles, its hedge answers at once
+			select {
+			case <-ctx.Done():
+				loser <- time.Now()
+				return Reply{}, ctx.Err()
+			case <-time.After(straggle):
+			}
+		}
+		return answer(ctx, tk)
+	}
+	root := govern.New("server", govern.Limits{})
+	opts := quickOpts()
+	opts.HedgeAfter = 30 * time.Millisecond
+	opts.Governor = root
+	sup := NewSupervisor([]Transport{&funcTransport{addr: "a", call: call}, &funcTransport{addr: "b", call: call}}, opts)
+	defer sup.Close()
+
+	began := time.Now()
+	got, err := sup.Execute(context.Background(), spec, rows)
+	returned := time.Now()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := spec.Score(rows)
+	assertSameBits(t, "hedged", got, want)
+	if took := returned.Sub(began); took >= straggle/2 {
+		t.Fatalf("Execute took %v: the hedge did not win", took)
+	}
+	select {
+	case done := <-loser:
+		if gap := returned.Sub(done); gap.Abs() > 50*time.Millisecond {
+			t.Fatalf("loser saw its context end %v away from Execute returning", gap)
+		}
+	case <-time.After(straggle / 4):
+		t.Fatal("the losing call was never cancelled")
+	}
+	st := sup.Snapshot()
+	for i, ws := range st.Workers {
+		if ws.Inflight != 0 || sup.workers[i].gov.Used(govern.Memory) != 0 || !ws.Healthy {
+			t.Errorf("worker %s after the round: %+v, %d bytes charged", ws.Addr, ws, sup.workers[i].gov.Used(govern.Memory))
+		}
+	}
+	if used := root.Used(govern.Memory); used != 0 {
+		t.Fatalf("root still charged %d bytes", used)
 	}
 }
 

@@ -14,11 +14,14 @@ import (
 // concurrent use: the supervisor dispatches, hedges and heartbeats over the
 // same transport from different goroutines.
 //
-// A non-nil error from Call means the reply was not obtained — network
-// failure, timeout, process death, corrupt framing — and the supervisor
-// treats the worker as lost for that lease. A nil error with Reply.Err set
-// means the worker ran the task and scoring failed deterministically; that
-// is a task outcome, not a transport failure.
+// Call returns once its context is done: the supervisor bounds a dispatch
+// by LeaseTTL and cancels the losing call of a hedge through the context
+// alone, and waits for the call to return. A non-nil error from Call means
+// the reply was not obtained — network failure, timeout, process death,
+// corrupt framing — and the supervisor treats the worker as lost for that
+// dispatch. A nil error with Reply.Err set means the worker ran the task and
+// scoring failed deterministically; that is a task outcome, not a transport
+// failure.
 type Transport interface {
 	Call(ctx context.Context, t Task) (Reply, error)
 	Ping(ctx context.Context) error

@@ -59,7 +59,6 @@ func WorkerHandler(opts WorkerOptions) http.Handler {
 			// the supervisor fails the task instead of retrying it.
 			reply.Err = err.Error()
 		} else {
-			//distfence:ok worker endpoint: produces values, never admits them
 			reply.Values = values
 		}
 		opts.logf("vadasaw: task run=%s seq=%d epoch=%d rows=%d err=%q",

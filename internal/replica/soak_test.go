@@ -156,6 +156,15 @@ func replSoakRun(t *testing.T, seed int64) {
 	}
 }
 
+// TestReplChaosRandomized is the gating slice of the replication soak: the
+// same randomized failover round over a fixed list of seeds, so a failure
+// names the seed that reproduces it.
+func TestReplChaosRandomized(t *testing.T) {
+	for seed := int64(1); seed <= 25; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { replSoakRun(t, seed) })
+	}
+}
+
 // TestReplSoak is the replication half of `make soak`: randomized
 // primary-kill/promote-under-load rounds with fresh logged seeds, bounded
 // by VADASA_SOAK_SECONDS of wall clock. Only runs when VADASA_SOAK is set

@@ -15,5 +15,5 @@ import (
 )
 
 func main() {
-	unitchecker.Main(conftaint.Analyzer, ctxpass.Analyzer, fence.Distfence, governcharge.Analyzer, fence.Hotgroup, fence.Pairscan, fence.Replfence, fence.Streamfence)
+	unitchecker.Main(conftaint.Analyzer, ctxpass.Analyzer, governcharge.Analyzer, fence.Hotgroup, fence.Pairscan, fence.Replfence, fence.Streamfence)
 }

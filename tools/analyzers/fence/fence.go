@@ -1,8 +1,7 @@
-// Package fence holds the repo's five protocol-ordering vet passes as one
+// Package fence holds the repo's four protocol-ordering vet passes as one
 // table-driven pass. They share a shape: in a set of packages, a trigger — a
-// call to a named function, or any touch of a named field — is a finding
-// unless a guard function is called somewhere in the same top-level
-// declaration. A finding that is legitimate is waived with
+// call to a named function — is a finding unless a guard function is called
+// somewhere in the same top-level declaration. A finding that is legitimate is waived with
 // `//<rule>:ok <reason>` on its own or the preceding line; a waiver that
 // covers nothing is itself a finding. _test.go files are skipped.
 package fence
@@ -20,32 +19,14 @@ type rule struct {
 	name     string   // analyzer name and waiver tag
 	doc      string   // analyzer help text
 	packages []string // package names the invariant is scoped to
-	triggers []string // function (or, with touch, field) names that need the guard
-	touch    bool     // a trigger is any selector x.<name>, not only a call
+	triggers []string // function names that need the guard
 	from     string   // when set, only calls qualified <from>.<name>(…) trigger
 	guards   []string // a call to any of these in the same declaration satisfies the rule; none = always a finding
 	message  string   // diagnostic; %[1]s is the trigger name, %[2]s the enclosing function
 }
 
-// The five passes.
+// The four passes.
 var (
-	// Distfence guards the distributed-scoring fence: code in package dist
-	// that consumes a worker Reply's Values must do so behind the
-	// supervisor's admit fence. admit is the single point that rejects stale
-	// epochs, settled tasks and truncated payloads; a function that reads or
-	// writes reply values without calling it is either a worker/transport
-	// endpoint (waive it) or a fence bypass waiting to double-count a hedged
-	// or retried shard.
-	Distfence = rule{
-		name:     "distfence",
-		doc:      "package dist must consume Reply values behind the admit epoch fence",
-		packages: []string{"dist"},
-		triggers: []string{"Values"},
-		touch:    true,
-		guards:   []string{"admit"},
-		message:  "reply Values consumed outside the admit fence in %[2]s: route the reply through admit, or annotate //distfence:ok with why this function is upstream of the fence",
-	}.analyzer()
-
 	// Hotgroup guards the ownership of grouping on the hot paths: the
 	// anonymization cycle (package anon) and the stream window (package
 	// stream) get their risk from a risk.Live view, which maintains one
@@ -135,22 +116,19 @@ func (r rule) run(pass *analysis.Pass) error {
 			var found []*ast.Ident
 			guarded := false
 			ast.Inspect(decl, func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.SelectorExpr:
-					if r.touch && slices.Contains(r.triggers, x.Sel.Name) {
-						found = append(found, x.Sel)
-					}
-				case *ast.CallExpr:
-					name, from := callee(x)
-					if name == nil {
-						break
-					}
-					if slices.Contains(r.guards, name.Name) {
-						guarded = true
-					}
-					if !r.touch && slices.Contains(r.triggers, name.Name) && (r.from == "" || r.from == from) {
-						found = append(found, name)
-					}
+				call, isCall := n.(*ast.CallExpr)
+				if !isCall {
+					return true
+				}
+				name, from := callee(call)
+				if name == nil {
+					return true
+				}
+				if slices.Contains(r.guards, name.Name) {
+					guarded = true
+				}
+				if slices.Contains(r.triggers, name.Name) && (r.from == "" || r.from == from) {
+					found = append(found, name)
 				}
 				return true
 			})
