@@ -308,18 +308,25 @@ func BenchmarkSUDAMSUs(b *testing.B) {
 	}
 }
 
-// BenchmarkIndividualRisk compares the three posterior estimators.
+// BenchmarkIndividualRisk compares the three posterior estimators on one
+// table with its sampling weights scaled ×1, ×10² and ×10⁴: the same groups
+// with a smaller p = f/ΣW, where an estimate whose cost follows ΣW shows.
 func BenchmarkIndividualRisk(b *testing.B) {
-	d := benchDataset(synth.DistU, 4)
-	for _, est := range []risk.Estimator{risk.Ratio, risk.PosteriorSeries, risk.MonteCarlo} {
-		b.Run(est.String(), func(b *testing.B) {
-			a := risk.IndividualRisk{Estimator: est, Samples: 200, Seed: 1}
-			for i := 0; i < b.N; i++ {
-				if _, err := a.Assess(d, mdb.MaybeMatch); err != nil {
-					b.Fatal(err)
+	for _, scale := range []float64{1, 1e2, 1e4} {
+		d := benchDataset(synth.DistU, 4)
+		for _, r := range d.Rows {
+			r.Weight *= scale
+		}
+		for _, est := range []risk.Estimator{risk.Ratio, risk.PosteriorSeries, risk.MonteCarlo} {
+			b.Run(fmt.Sprintf("%s/w=x%g", est, scale), func(b *testing.B) {
+				a := risk.IndividualRisk{Estimator: est, Samples: 200, Seed: 1}
+				for i := 0; i < b.N; i++ {
+					if _, err := a.Assess(d, mdb.MaybeMatch); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -211,6 +211,50 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// A weight that is not a finite number > 0 is a 400 at every intake, naming
+// the cell by digest and leaving nothing behind: no job under -job-dir, no
+// record in a stream's journal. Scored, a NaN weight made its group's risk
+// NaN, which no threshold catches.
+func TestNonFiniteWeight400(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.jobDir, cfg.streamDir = t.TempDir(), t.TempDir()
+	s := startServer(t, cfg)
+	<-s.writePath.Load().jobsRecovered
+	h := s.handler
+
+	if rec := do(t, h, "POST", appendURL("s1", "b1"), streamCSV(0, 2)); rec.Code != http.StatusCreated {
+		t.Fatalf("append = %d: %s", rec.Code, rec.Body)
+	}
+	wal := filepath.Join(cfg.streamDir, "s1.wal")
+	before, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []string{"NaN", "Inf", "-Inf", "0", "-3"} {
+		body := "Id,Area,Sector,Weight\nc1,a,b," + w + "\nc2,a,b,10\nc3,x,y,10\n"
+		for _, target := range []string{
+			"/assess?measure=individual-risk",
+			"/anonymize?measure=re-identification&threshold=0.05",
+			"/jobs/anonymize?measure=re-identification&threshold=0.05",
+		} {
+			rec := do(t, h, "POST", target, body)
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "bad weight sha256:") {
+				t.Errorf("weight %s: POST %s = %d %s, want 400 bad weight", w, target, rec.Code, rec.Body)
+			}
+		}
+		batch := "Id,Sector,Region,Weight\nc8,s0,r0," + w + "\nc9,s0,r0,10\n"
+		if rec := do(t, h, "POST", appendURL("s1", "b-"+w), batch); rec.Code != http.StatusBadRequest {
+			t.Errorf("weight %s: append = %d %s, want 400", w, rec.Code, rec.Body)
+		}
+	}
+	if left, _ := filepath.Glob(filepath.Join(cfg.jobDir, "*")); len(left) > 0 {
+		t.Errorf("refused submissions left %v under -job-dir", left)
+	}
+	if after, err := os.ReadFile(wal); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("refused appends changed the stream journal (%v)", err)
+	}
+}
+
 func TestLDiversityEndpoint(t *testing.T) {
 	rec := do(t, testServer(t),
 		"POST", "/assess?measure=l-diversity&k=2&sensitive=Growth6mos", figure1CSV(t))

@@ -2,10 +2,8 @@ package mdb
 
 import (
 	"encoding/csv"
-	"errors"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 )
 
@@ -34,7 +32,7 @@ func headerNames(rec []string) []string {
 
 // ReadCSV reads a microdata DB from CSV. The first record must be a header
 // naming the schema's attributes, in order, as CSVHeader reads it. If the
-// schema contains a Weight attribute, its column is parsed as a float and
+// schema contains a Weight attribute, its column is read by ParseWeight and
 // mirrored into Row.Weight. Labelled nulls are recognized in the ⊥i and *
 // forms.
 func ReadCSV(r io.Reader, name string, attrs []Attribute) (*Dataset, error) {
@@ -69,11 +67,9 @@ func ReadCSV(r io.Reader, name string, attrs []Attribute) (*Dataset, error) {
 			if v.IsNull() {
 				return nil, fmt.Errorf("mdb: CSV line %d: weight column is a labelled null", line)
 			}
-			wt, err := strconv.ParseFloat(v.Constant(), 64)
+			wt, err := ParseWeight(v.Constant())
 			if err != nil {
-				// Redacted value, unwrapped error: the raw cell must not appear
-				// in the error, and strconv.NumError embeds its input string.
-				return nil, fmt.Errorf("mdb: CSV line %d: bad weight %s: %v", line, v.Redacted(), errors.Unwrap(err))
+				return nil, fmt.Errorf("mdb: CSV line %d: %w", line, err)
 			}
 			row.Weight = wt
 		}

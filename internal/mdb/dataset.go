@@ -1,8 +1,11 @@
 package mdb
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 )
 
 // Category classifies a microdata attribute for disclosure purposes
@@ -178,7 +181,7 @@ func (d *Dataset) NullCount() int {
 
 // Validate checks structural invariants: attribute names unique and
 // non-empty, at most one weight attribute, row arity matching the schema,
-// and positive weights where a weight attribute exists.
+// and weights that are finite numbers > 0 where a weight attribute exists.
 func (d *Dataset) Validate() error {
 	seen := make(map[string]bool, len(d.Attrs))
 	weights := 0
@@ -202,12 +205,40 @@ func (d *Dataset) Validate() error {
 			return fmt.Errorf("mdb: dataset %q row %d has %d values, want %d",
 				d.Name, r.ID, len(r.Values), len(d.Attrs))
 		}
-		if weights == 1 && r.Weight <= 0 {
-			return fmt.Errorf("mdb: dataset %q row %d has non-positive weight %g",
-				d.Name, r.ID, r.Weight)
+		if weights == 1 {
+			if err := checkWeight(r.Weight); err != nil {
+				return fmt.Errorf("mdb: dataset %q row %d: bad weight %s: %v",
+					d.Name, r.ID, RedactString(strconv.FormatFloat(r.Weight, 'g', -1, 64)), err)
+			}
 		}
 	}
 	return nil
+}
+
+// checkWeight is the rule every intake holds a sampling weight to: a finite
+// number greater than zero. "NaN" and "Inf" parse as floats, and a NaN weight
+// makes its group's risk NaN, which exceeds no threshold.
+func checkWeight(w float64) error {
+	if w > 0 && !math.IsInf(w, 1) {
+		return nil
+	}
+	return errors.New("a weight is a finite number > 0")
+}
+
+// ParseWeight reads a sampling weight from its cell under checkWeight's rule.
+// The error names the cell by its digest only: strconv.NumError embeds its
+// input, so only the unwrapped kind is kept.
+func ParseWeight(cell string) (float64, error) {
+	w, err := strconv.ParseFloat(cell, 64)
+	if err != nil {
+		err = errors.Unwrap(err)
+	} else {
+		err = checkWeight(w)
+	}
+	if err != nil {
+		return 0, fmt.Errorf("bad weight %s: %v", RedactString(cell), err)
+	}
+	return w, nil
 }
 
 // DistinctValues returns the sorted distinct constant values of an attribute.

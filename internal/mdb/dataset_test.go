@@ -3,6 +3,7 @@ package mdb
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
@@ -166,6 +167,35 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 	if _, err := ReadCSV(strings.NewReader("Id,Area\n"), "x", attrs); err == nil {
 		t.Error("wrong column count not detected")
+	}
+}
+
+// A sampling weight is a finite number > 0 at every intake, and the error
+// names the cell by its digest only.
+func TestWeightIsFinitePositive(t *testing.T) {
+	attrs := igAttrs()
+	for _, cell := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity", "0", "-0", "-3", "1e999", "notanumber"} {
+		_, err := ReadCSV(strings.NewReader("Id,Area,Sector,Weight\n1,N,T,10\n2,N,T,"+cell+"\n"), "x", attrs)
+		if err == nil {
+			t.Errorf("weight %q accepted", cell)
+			continue
+		}
+		// (A cell of one or two characters can recur in the digest's hex.)
+		if msg := err.Error(); !strings.Contains(msg, "CSV line 3: bad weight "+RedactString(cell)) || len(cell) > 2 && strings.Contains(msg, cell) {
+			t.Errorf("weight %q: %v", cell, err)
+		}
+	}
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -3} {
+		d := NewDataset("x", []Attribute{{Name: "W", Category: Weight}})
+		d.Append(&Row{Values: []Value{Const("w")}, Weight: w})
+		if err := d.Validate(); err == nil || !strings.Contains(err.Error(), "bad weight sha256:") {
+			t.Errorf("Validate with weight %g: %v", w, err)
+		}
+	}
+	for cell, want := range map[string]float64{"10": 10, "0.5": 0.5, "1e-300": 1e-300} {
+		if got, err := ParseWeight(cell); err != nil || got != want {
+			t.Errorf("ParseWeight(%q) = %g, %v", cell, got, err)
+		}
 	}
 }
 

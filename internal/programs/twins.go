@@ -55,7 +55,8 @@ var twins = []Twin{
 		Program:  func(_ risk.Spec, q int) *datalog.Program { return IndividualRiskPosterior(q) },
 		Diverges: func(g mdb.GroupInfo) bool { return g.Freq > 1 },
 		Note: "the program is the closed form for sample uniques (F = 1) and keeps F/ΣW above; " +
-			"the native measure sums the posterior series for every F. Native is the specification: the engine has no series summation"},
+			"the native measure computes the posterior mean for every F (an F-step recurrence; the series where F/ΣW ≥ 1/2). " +
+			"Native is the specification: the program has no iteration over F"},
 	{Kind: "individual-risk", Estimator: risk.MonteCarlo},
 	{Kind: "suda"},
 	{Kind: "l-diversity"},

@@ -58,8 +58,8 @@ type groupMeasure interface {
 	check() error
 }
 
-// gkey identifies a posterior estimate: groups sharing a (sample frequency,
-// weight sum) pair share their risk.
+// gkey identifies a Monte-Carlo estimate: groups sharing a (sample
+// frequency, weight sum) pair share their risk.
 type gkey struct {
 	f int
 	w float64
@@ -80,9 +80,11 @@ func scoreGroups(ctx context.Context, workers int, m groupMeasure, infos []mdb.G
 	if positions != nil {
 		n = len(positions)
 	}
-	// Only the posterior estimate costs more than a map lookup: it alone is
-	// memoized, per chunk, by the (f, ΣW) pair it is a pure function of.
-	_, memoize := m.(IndividualRisk)
+	// Only the Monte-Carlo estimate — Samples × f draws — costs more than a
+	// map lookup: it alone is memoized, per chunk, by the (f, ΣW) pair it is
+	// a pure function of.
+	ir, ok := m.(IndividualRisk)
+	memoize := ok && ir.Estimator == MonteCarlo
 	return pool.RunWorkers(ctx, workers, n, func(lo, hi int) error {
 		var memo map[gkey]float64
 		if memoize {

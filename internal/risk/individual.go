@@ -19,8 +19,9 @@ const (
 	// λ = ΣW/f in Equation 1.
 	Ratio Estimator = iota
 	// PosteriorSeries computes the exact posterior mean E[1/F | f] under
-	// the negative-binomial model of Benedetti and Franconi, by closed
-	// form for f=1 and by series summation otherwise.
+	// the negative-binomial model of Benedetti and Franconi: by an
+	// f-step recurrence where p = f/ΣW < 1/2 (the closed form for f=1 at
+	// any p), by series summation above.
 	PosteriorSeries
 	// MonteCarlo estimates E[1/F | f] by sampling from the actual
 	// negative-binomial distribution — the “off-the-shelf statistical
@@ -72,12 +73,13 @@ func (a IndividualRisk) Grouping(d *mdb.Dataset) (mdb.Grouping, error) {
 // ScoreGroup implements GroupScorer. The posterior estimate is a pure
 // function of the (f, ΣW) pair — the Monte-Carlo estimator derives its
 // generator seed from the pair itself — so the result is independent of
-// where and in what order the call runs; the scoring loop memoizes it per
-// pair, ScoreGroup itself never caches. Each estimate is bounded (series
+// where and in what order the call runs; the scoring loop memoizes the
+// Monte-Carlo estimate per pair, ScoreGroup itself never caches. Each
+// estimate is bounded (at most largeFrequency recurrence steps, series
 // cutoffs, fixed sample counts) and cannot stall cancellation for long.
 func (a IndividualRisk) ScoreGroup(g mdb.GroupInfo, rowID int) (float64, error) {
-	if g.WeightSum <= 0 {
-		return 0, fmt.Errorf("risk: row %d has non-positive group weight %g", rowID, g.WeightSum)
+	if err := checkGroupWeight(g, rowID); err != nil {
+		return 0, err
 	}
 	samples := a.Samples
 	if samples <= 0 {
@@ -153,13 +155,21 @@ const largeFrequency = 50
 // posteriorMean computes E[1/F | f] where F follows the shifted negative
 // binomial P(F=j) = C(j-1, f-1) p^f (1-p)^(j-f) for j >= f.
 func posteriorMean(f int, p float64) float64 {
-	q := 1 - p
-	if f == 1 {
-		// Closed form: (p/q)·ln(1/p).
-		return p / q * math.Log(1/p)
-	}
 	if f > largeFrequency {
 		return taylorMean(f, p)
+	}
+	q := 1 - p
+	if a := p / q; f == 1 || a < 1 {
+		// E[1/F] = ∫₀¹ E[t^(F-1)] dt, and u = pt/(1-qt) turns it into
+		// a·I_f with I_k = ∫₀¹ u^(k-1)/(u+a) du: I_1 = ln(1/p) and
+		// I_(k+1) = 1/k − a·I_k. Each step multiplies the error carried in
+		// I_k by a, so the recurrence runs forward only while a < 1
+		// (p < 1/2); f = 1 takes no step and is the closed form at any p.
+		in := math.Log(1 / p)
+		for k := 1; k < f; k++ {
+			in = 1/float64(k) - a*in
+		}
+		return a * in
 	}
 	// Series: term(j) = C(j-1,f-1) p^f q^(j-f); term(j+1)/term(j) =
 	// q·j/(j-f+1). Start at j=f with term p^f.

@@ -3,9 +3,87 @@ package risk
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/big"
 
 	"vadasa/internal/mdb"
 )
+
+// The reference for the individual-risk posterior E[1/F | f], F the shifted
+// negative binomial of Benedetti and Franconi: the integral a·I_f, a = p/q,
+// I_1 = ln(1/p), I_(k+1) = 1/k − a·I_k, carried in math/big at refPrec bits
+// plus what the f−1 steps can lose to a ≥ 1, with a logarithm of its own —
+// nothing it computes is rounded to float64 before the end.
+// ReferencePosteriorSeries is the same mean by another road, for the two to be
+// checked against each other. TestPosteriorMatchesReference holds
+// posteriorMean to them.
+
+// refPrec is the working precision of the posterior references, in bits.
+const refPrec = 512
+
+// ReferencePosterior is E[1/F | f] by the recurrence, at refPrec bits after
+// the error growth of its f−1 steps.
+func ReferencePosterior(f int, p float64) *big.Float {
+	prec := uint(refPrec)
+	if a := p / (1 - p); a > 1 {
+		prec += uint(f) * uint(math.Ceil(math.Log2(a)))
+	}
+	bp := newRef(prec).SetFloat64(p)
+	a := newRef(prec).Quo(bp, newRef(prec).Sub(newRef(prec).SetInt64(1), bp))
+	in := refLog(newRef(prec).Quo(newRef(prec).SetInt64(1), bp), prec)
+	for k := 1; k < f; k++ {
+		step := newRef(prec).Quo(newRef(prec).SetInt64(1), newRef(prec).SetInt64(int64(k)))
+		in = step.Sub(step, in.Mul(a, in))
+	}
+	return in.Mul(a, in)
+}
+
+// ReferencePosteriorSeries is E[1/F | f] = (p/f)·₂F₁(1, 1; f+1; q), the
+// Euler transform of the posterior's series, at refPrec bits: term n+1 is term
+// n times q·(n+1)/(n+f+1), summed until a term falls below 2^-(refPrec+16) of
+// the first. Its cost grows like 1/p; use it where q is well below 1.
+func ReferencePosteriorSeries(f int, p float64) *big.Float {
+	bp := newRef(refPrec).SetFloat64(p)
+	q := newRef(refPrec).Sub(newRef(refPrec).SetInt64(1), bp)
+	term := newRef(refPrec).SetInt64(1)
+	sum := newRef(refPrec).SetInt64(1)
+	for n := int64(0); term.Sign() != 0 && term.MantExp(nil) > -(refPrec+16); n++ {
+		term.Mul(term, q)
+		term.Mul(term, newRef(refPrec).SetInt64(n+1))
+		term.Quo(term, newRef(refPrec).SetInt64(n+int64(f)+1))
+		sum.Add(sum, term)
+	}
+	sum.Mul(sum, bp)
+	return sum.Quo(sum, newRef(refPrec).SetInt64(int64(f)))
+}
+
+func newRef(prec uint) *big.Float { return new(big.Float).SetPrec(prec) }
+
+// refLog is ln x for x > 0 at prec bits: x = m·2^e with m in [1/2, 1), so
+// ln x = 2·atanh((m−1)/(m+1)) + e·2·atanh(1/3), both arguments at most 1/3
+// in magnitude.
+func refLog(x *big.Float, prec uint) *big.Float {
+	one := newRef(prec).SetInt64(1)
+	m := newRef(prec)
+	e := x.MantExp(m)
+	z := newRef(prec).Quo(newRef(prec).Sub(m, one), newRef(prec).Add(m, one))
+	ln2 := refAtanh2(newRef(prec).Quo(one, newRef(prec).SetInt64(3)), prec)
+	ln := refAtanh2(z, prec)
+	return ln.Add(ln, ln2.Mul(ln2, newRef(prec).SetInt64(int64(e))))
+}
+
+// refAtanh2 is 2·atanh(z) = 2·Σ z^(2n+1)/(2n+1) for |z| ≤ 1/3, summed until a
+// term falls below 2^-(prec+16).
+func refAtanh2(z *big.Float, prec uint) *big.Float {
+	sum := newRef(prec).Set(z)
+	z2 := newRef(prec).Mul(z, z)
+	pow := newRef(prec).Set(z)
+	for n := int64(1); pow.Sign() != 0 && pow.MantExp(nil) > -int(prec+16); n++ {
+		pow.Mul(pow, z2)
+		sum.Add(sum, newRef(prec).Quo(pow, newRef(prec).SetInt64(2*n+1)))
+	}
+	return sum.Mul(sum, newRef(prec).SetInt64(2))
+}
 
 // The naive reference for the two attribute-disclosure measures: the
 // quadratic bodies the product ran until they became rows on the grouping

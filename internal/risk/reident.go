@@ -2,7 +2,6 @@ package risk
 
 import (
 	"context"
-	"fmt"
 
 	"vadasa/internal/mdb"
 )
@@ -29,8 +28,8 @@ func (a ReIdentification) Grouping(d *mdb.Dataset) (mdb.Grouping, error) {
 
 // ScoreGroup implements GroupScorer: risk is 1/ΣW over the group weight sum.
 func (a ReIdentification) ScoreGroup(g mdb.GroupInfo, rowID int) (float64, error) {
-	if g.WeightSum <= 0 {
-		return 0, fmt.Errorf("risk: row %d has non-positive group weight %g", rowID, g.WeightSum)
+	if err := checkGroupWeight(g, rowID); err != nil {
+		return 0, err
 	}
 	return clamp01(1 / g.WeightSum), nil
 }

@@ -13,6 +13,7 @@ package risk
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"vadasa/internal/mdb"
@@ -127,6 +128,19 @@ func groupBySensitive(d *mdb.Dataset, names []string, sensitive string) (mdb.Gro
 		return mdb.Grouping{}, fmt.Errorf("risk: no grouping attributes remain besides the sensitive %q", sensitive)
 	}
 	return mdb.Grouping{Attrs: idx, Sensitive: sens}, nil
+}
+
+// checkGroupWeight refuses a weight sum no estimate can be drawn from: zero or
+// negative; NaN, which fails every comparison, so a tuple scored from it would
+// never exceed a threshold; or infinite, which makes f/ΣW zero.
+func checkGroupWeight(g mdb.GroupInfo, rowID int) error {
+	switch {
+	case g.WeightSum <= 0:
+		return fmt.Errorf("risk: row %d has non-positive group weight %g", rowID, g.WeightSum)
+	case math.IsNaN(g.WeightSum) || math.IsInf(g.WeightSum, 1):
+		return fmt.Errorf("risk: row %d has non-finite group weight %g", rowID, g.WeightSum)
+	}
+	return nil
 }
 
 // Probability reports whether x is one: a number — not NaN, which fails

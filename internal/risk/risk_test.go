@@ -2,6 +2,7 @@ package risk
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"strings"
 	"testing"
@@ -139,40 +140,91 @@ func TestIndividualRiskRatio(t *testing.T) {
 }
 
 func TestPosteriorClosedFormF1(t *testing.T) {
-	// f=1: E[1/F] = (p/q)·ln(1/p).
-	for _, p := range []float64{0.5, 0.1, 1.0 / 300} {
+	// f=1: E[1/F] = (p/q)·ln(1/p), bit for bit, on either side of p = 1/2.
+	for _, p := range []float64{1e-8, 1.0 / 300, 0.1, 0.4999, 0.5, 0.9, 0.999999} {
 		want := p / (1 - p) * math.Log(1/p)
-		if got := posteriorMean(1, p); math.Abs(got-want) > 1e-12 {
-			t.Errorf("posteriorMean(1, %g) = %g, want %g", p, got, want)
+		if got := posteriorMean(1, p); got != want {
+			t.Errorf("posteriorMean(1, %g) = %v, want %v", p, got, want)
 		}
 	}
 }
 
-// The series must match a direct high-precision summation of the
-// negative-binomial posterior for small f.
-func TestPosteriorSeriesMatchesDirectSum(t *testing.T) {
-	direct := func(f int, p float64) float64 {
-		q := 1 - p
-		// term(j) = C(j-1, f-1) p^f q^(j-f)
-		term := math.Pow(p, float64(f))
-		sum := 0.0
-		for j := f; j < 20_000_000; j++ {
-			sum += term / float64(j)
-			term *= q * float64(j) / float64(j-f+1)
-			if term < 1e-18 && j > int(10/p) {
-				break
+// posteriorGrid is p log-spaced over [1e-8, 1/2), the recurrence's region,
+// in 64 steps.
+func posteriorGrid() []float64 {
+	ps := make([]float64, 64)
+	for i := range ps {
+		ps[i] = 1e-8 * math.Pow(0.5/1e-8, float64(i)/64)
+	}
+	return ps
+}
+
+// seriesGrid is p over [1/2, 1), where the series runs.
+var seriesGrid = []float64{0.5, 0.55, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999, 0.999999}
+
+// ulps is the distance between two positive floats in units in the last place.
+func ulps(a, b float64) uint64 {
+	x, y := math.Float64bits(a), math.Float64bits(b)
+	if x < y {
+		return y - x
+	}
+	return x - y
+}
+
+// posteriorMean against the math/big references of reference_test.go, which
+// first agree with each other to far beyond float64.
+func TestPosteriorMatchesReference(t *testing.T) {
+	for _, f := range []int{1, 2, 7, 30, 50} {
+		for _, p := range []float64{0.1, 0.3, 0.49, 0.5, 0.7, 0.95} {
+			rec, ser := ReferencePosterior(f, p), ReferencePosteriorSeries(f, p)
+			diff := new(big.Float).Sub(rec, ser)
+			if diff.Sign() != 0 && diff.Quo(diff, ser).MantExp(nil) > -400 {
+				t.Fatalf("f=%d p=%g: the references disagree: recurrence %s, series %s", f, p, rec.Text('g', 40), ser.Text('g', 40))
 			}
 		}
-		return sum
 	}
-	for _, c := range []struct {
-		f int
-		p float64
-	}{{2, 0.4}, {2, 0.05}, {3, 0.2}, {5, 0.5}, {10, 0.3}} {
-		want := direct(c.f, c.p)
-		got := posteriorMean(c.f, c.p)
-		if math.Abs(got-want) > 1e-9 {
-			t.Errorf("posteriorMean(%d, %g) = %.12f, want %.12f", c.f, c.p, got, want)
+	rel := func(f int, p float64) (got, want, err float64) {
+		got = posteriorMean(f, p)
+		want, _ = ReferencePosterior(f, p).Float64()
+		return got, want, math.Abs(got-want) / want
+	}
+	for f := 1; f <= largeFrequency; f++ {
+		for _, p := range posteriorGrid() {
+			if got, want, _ := rel(f, p); ulps(got, want) > 4 {
+				t.Errorf("posteriorMean(%d, %g) = %v, reference %v: %d ulp apart", f, p, got, want, ulps(got, want))
+			}
+		}
+		// Approaching 1/2 the error a step carries shrinks by a factor a → 1
+		// only: up to ~10² ulp at f = 50, still under the series' error above.
+		for _, p := range []float64{0.45, 0.48, 0.495, 0.499, 0.4999, 0.49999999} {
+			if got, want, err := rel(f, p); err > 1e-13 {
+				t.Errorf("posteriorMean(%d, %g) = %v, reference %v: relative error %g", f, p, got, want, err)
+			}
+		}
+		if f == 1 {
+			continue // the closed form; TestPosteriorClosedFormF1
+		}
+		for _, p := range seriesGrid {
+			if got, want, err := rel(f, p); err > 1e-12 {
+				t.Errorf("posteriorMean(%d, %g) = %v, reference %v: relative error %g", f, p, got, want, err)
+			}
+		}
+	}
+}
+
+// More population per sampled tuple (smaller p) or more sampled tuples like
+// it (larger f) never raise the risk.
+func TestPosteriorMonotone(t *testing.T) {
+	ps := append(posteriorGrid(), seriesGrid...)
+	for f := 1; f <= largeFrequency; f++ {
+		for i, p := range ps {
+			got := posteriorMean(f, p)
+			if i > 0 && got < posteriorMean(f, ps[i-1]) {
+				t.Errorf("f=%d: posteriorMean falls from %v at p=%g to %v at p=%g", f, posteriorMean(f, ps[i-1]), ps[i-1], got, p)
+			}
+			if f > 1 && got > posteriorMean(f-1, p) {
+				t.Errorf("p=%g: posteriorMean rises from %v at f=%d to %v at f=%d", p, posteriorMean(f-1, p), f-1, got, f)
+			}
 		}
 	}
 }
@@ -200,6 +252,29 @@ func TestMonteCarloApproximatesSeries(t *testing.T) {
 		got := monteCarloMean(c.f, c.p, rng, 20000)
 		if math.Abs(got-want) > 0.02 {
 			t.Errorf("monteCarloMean(%d, %g) = %g, series %g", c.f, c.p, got, want)
+		}
+	}
+}
+
+// A group weight sum no estimate can be drawn from is refused, not scored —
+// a NaN risk exceeds no threshold, and an infinite sum makes f/ΣW zero —
+// also on a dataset a library caller built without mdb.ReadCSV.
+func TestGroupWeightMustBeFinitePositive(t *testing.T) {
+	measures := []groupMeasure{ReIdentification{}, IndividualRisk{Estimator: Ratio},
+		IndividualRisk{Estimator: PosteriorSeries}, IndividualRisk{Estimator: MonteCarlo}}
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0} {
+		for _, m := range measures {
+			if r, err := m.ScoreGroup(mdb.GroupInfo{Freq: 2, WeightSum: w}, 4); err == nil ||
+				!strings.Contains(err.Error(), "risk: row 4 has non-") {
+				t.Errorf("%s: ΣW=%g scored %g (%v)", m.Name(), w, r, err)
+			}
+		}
+	}
+	d := synth.InflationGrowth()
+	d.Rows[3].Weight = math.NaN()
+	for _, m := range measures {
+		if _, err := m.Assess(d, mdb.MaybeMatch); err == nil {
+			t.Errorf("%s: assessed a NaN weight", m.Name())
 		}
 	}
 }
@@ -240,7 +315,7 @@ func TestIndividualRiskDeterministicSeed(t *testing.T) {
 func TestTaylorCloseToSeriesAtBoundary(t *testing.T) {
 	f := largeFrequency
 	for _, p := range []float64{0.1, 0.5, 0.9} {
-		series := posteriorMean(f, p) // series path (f == largeFrequency)
+		series := posteriorMean(f, p) // exact path (f == largeFrequency)
 		taylor := taylorMean(f, p)
 		if rel := math.Abs(series-taylor) / series; rel > 0.01 {
 			t.Errorf("f=%d p=%g: series %g vs taylor %g (rel %g)", f, p, series, taylor, rel)

@@ -400,7 +400,8 @@ func (s *Stream) Append(ctx context.Context, batchID string, rows [][]string) (*
 }
 
 // validateBatch rejects rows the journaled replay could not reproduce
-// exactly: wrong arity, labelled-null tokens, unparsable weights.
+// exactly — wrong arity, labelled-null tokens — and weights mdb.ParseWeight
+// refuses.
 func (s *Stream) validateBatch(rows [][]string) error {
 	w := s.d.WeightIndex()
 	var scratch mdb.NullAllocator
@@ -416,9 +417,8 @@ func (s *Stream) validateBatch(rows [][]string) error {
 			}
 		}
 		if w >= 0 {
-			if _, err := strconv.ParseFloat(r[w], 64); err != nil {
-				// Unwrapped: strconv.NumError embeds the raw input string.
-				return fmt.Errorf("stream: batch row %d: bad weight %s: %v", i, mdb.RedactString(r[w]), errors.Unwrap(err))
+			if _, err := mdb.ParseWeight(r[w]); err != nil {
+				return fmt.Errorf("stream: batch row %d: %w", i, err)
 			}
 		}
 	}
@@ -438,6 +438,8 @@ func (s *Stream) applyBatch(batchID string, rows [][]string) []int {
 		}
 		row := &mdb.Row{Values: vals}
 		if w >= 0 {
+			// Not mdb.ParseWeight: a batch journaled before validateBatch
+			// applied the weight rule replays as it was acknowledged.
 			row.Weight, _ = strconv.ParseFloat(r[w], 64)
 		}
 		s.nextID++

@@ -152,14 +152,42 @@ func TestAppendValidation(t *testing.T) {
 		{"null token", "b", [][]string{{"c1", "⊥3", "r", "z", "10"}}},
 		{"anonymous null", "b", [][]string{{"c1", "*", "r", "z", "10"}}},
 		{"bad weight", "b", [][]string{{"c1", "s", "r", "z", "heavy"}}},
+		{"NaN weight", "b", [][]string{{"c1", "s", "r", "z", "NaN"}}},
+		{"infinite weight", "b", [][]string{{"c1", "s", "r", "z", "Inf"}}},
+		{"zero weight", "b", [][]string{{"c1", "s", "r", "z", "0"}}},
+		{"negative weight", "b", [][]string{{"c1", "s", "r", "z", "-3"}}},
 	}
 	for _, c := range cases {
 		if _, err := s.Append(ctx, c.id, c.rows); err == nil {
 			t.Errorf("%s: append accepted", c.name)
 		}
 	}
-	if st := s.Status(ctx); st.Rows != 0 || st.Batches != 0 {
-		t.Fatalf("rejected appends mutated the window: %+v", st)
+	if st := s.Status(ctx); st.Rows != 0 || st.Batches != 0 || s.w.Seq() != 1 {
+		t.Fatalf("rejected appends mutated the window or the journal (seq %d): %+v", s.w.Seq(), st)
+	}
+}
+
+// A batch journaled before appends were held to the weight rule replays as
+// it was acknowledged: the journal reopens and the window holds the row.
+func TestJournaledNonFiniteWeightReplays(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	s := openTest(t, dir, testOptions())
+	rows := append(testRows(0, 2), []string{"c9", "s", "r", "z", "NaN"})
+	if err := s.w.Append(recBatch, batchPayload{BatchID: "b1", Rows: rows}); err != nil {
+		t.Fatal(err)
+	}
+	s.applyBatch("b1", rows)
+	if err := s.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	s = openTest(t, dir, testOptions())
+	defer s.Close(ctx)
+	if st := s.Status(ctx); st.Rows != 3 || st.Batches != 1 {
+		t.Fatalf("status after replay: %+v", st)
+	}
+	if w := s.d.Rows[2].Weight; !math.IsNaN(w) {
+		t.Fatalf("replayed weight %g, want the journaled NaN", w)
 	}
 }
 
