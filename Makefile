@@ -124,15 +124,17 @@ replchaos:
 		./internal/replica/ ./cmd/vadasad/ > replchaos.out 2>&1 || { cat replchaos.out; exit 1; }
 	cat replchaos.out
 
-# bench runs the tier-1 benchmark suite and records it as BENCH_18.json (see
+# bench runs the tier-1 benchmark suite and records it as bench.json (see
 # DESIGN.md "Benchmark record format"): standard columns plus the custom
 # figure metrics (riskeval-ms/op, nulls/op, loss%/op), machine-readable for
-# regression tracking. The raw stream lands in bench.out for inspection.
+# regression tracking. The raw stream lands in bench.out for inspection. Both
+# are gitignored: a record to commit is named on the command line
+# (`make bench BENCH_JSON=BENCH_<PR>.json`), so a plain run never rewrites one.
 # GOMAXPROCS is pinned — allocation counts of the parallel engine paths
 # depend on it, so a record must not inherit the shell's core count — and
 # the stream opens with the commit it measured, which benchjson reads into
 # the header.
-BENCH_JSON ?= BENCH_18.json
+BENCH_JSON ?= bench.json
 bench:
 	echo "commit: $$(git rev-parse --short HEAD)" > bench.out
 	GOMAXPROCS=2 $(GO) test -bench=. -benchmem -run=^$$ ./... >> bench.out || { cat bench.out; exit 1; }

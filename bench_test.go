@@ -6,6 +6,7 @@
 package vadasa
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -170,6 +171,39 @@ func BenchmarkGrouping(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mdb.ComputeGroups(d, qi, mdb.MaybeMatch)
+	}
+}
+
+// BenchmarkReadCSV measures intake of the 25 000-row R25A4U table, the size
+// every request of the anonymize_native workload posts.
+func BenchmarkReadCSV(b *testing.B) {
+	d, err := synth.ByName("R25A4U")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := mdb.WriteCSV(&buf, d); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mdb.ReadCSV(bytes.NewReader(buf.Bytes()), d.Name, d.Attrs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDatasetClone measures the copy every anonymization cycle starts
+// from, on the same table.
+func BenchmarkDatasetClone(b *testing.B) {
+	d, err := synth.ByName("R25A4U")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Clone()
 	}
 }
 

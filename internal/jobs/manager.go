@@ -589,6 +589,7 @@ func (m *Manager) finishLocked(j *Job, state State, out *Outcome, errMsg string)
 	j.Outcome = out
 	j.Error = errMsg
 	j.Finished = time.Now()
+	j.resume = nil // never resumed again; its cells would pin the input
 }
 
 // snapshot copies a job under the lock.

@@ -195,6 +195,55 @@ func TestPermanentFailureFailsFast(t *testing.T) {
 	}
 }
 
+// A settled job keeps none of its checkpoints: done, failed or cancelled, it
+// never resumes, and their decisions would pin the input's cells for the
+// manager's lifetime.
+func TestSettledJobDropsCheckpoints(t *testing.T) {
+	for _, c := range []struct {
+		state  State
+		runner *scriptRunner
+	}{
+		{StateDone, &scriptRunner{iterations: 3}},
+		{StateFailed, &scriptRunner{iterations: 4, failUntil: 99, failAfter: 2}},
+		{StateCancelled, &scriptRunner{iterations: 4, failAfter: 2, block: make(chan struct{})}},
+	} {
+		t.Run(string(c.state), func(t *testing.T) {
+			opts := fastOpts(t)
+			m, err := NewManager(c.runner, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			j, err := m.Submit(Spec{Dataset: testInput(t)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.state == StateCancelled {
+				deadline := time.Now().Add(5 * time.Second)
+				for {
+					if jj, _ := m.Get(j.ID); len(jj.resume) >= 2 || time.Now().After(deadline) {
+						break
+					}
+					time.Sleep(time.Millisecond)
+				}
+				if err := m.Cancel(j.ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := waitState(t, m, j.ID, c.state); len(got.resume) != 0 {
+				t.Fatalf("%s job holds %d checkpoints", c.state, len(got.resume))
+			}
+			scan, err := journal.ReadFile(filepath.Join(opts.Dir, j.ID+".journal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if iters := len(scan.Records) - 2; iters < 2 {
+				t.Fatalf("journal holds %d iterations, want a job that checkpointed", iters)
+			}
+		})
+	}
+}
+
 func TestTransientFailureExhaustsAttempts(t *testing.T) {
 	r := &scriptRunner{iterations: 4, failUntil: 99, transient: true}
 	m, err := NewManager(r, fastOpts(t))

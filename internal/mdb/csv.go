@@ -35,11 +35,28 @@ func headerNames(rec []string) []string {
 // schema contains a Weight attribute, its column is read by ParseWeight and
 // mirrored into Row.Weight. Labelled nulls are recognized in the ⊥i and *
 // forms.
+//
+// The input is read whole and scanned once in encoding/csv's dialect —
+// comma-separated, no comment character, strict quotes, no trimming, empty
+// lines skipped, "\r\n" read as "\n" — and a malformed record fails with the
+// *csv.ParseError encoding/csv would return for it. Errors name physical
+// lines: a record's own line is the one it starts on.
+//
+// Retention: the rows share one allocation, their values another, and an
+// unquoted cell is a substring of the input, so a cell kept after its
+// dataset is dropped keeps the whole input alive. Copy what must outlive
+// the dataset.
 func ReadCSV(r io.Reader, name string, attrs []Attribute) (*Dataset, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(attrs)
-	cr.ReuseRecord = true // fields are copied into Values before the next Read
-	header, err := cr.Read()
+	var in strings.Builder
+	if l, ok := r.(interface{ Len() int }); ok {
+		in.Grow(l.Len())
+	}
+	if _, err := io.Copy(&in, r); err != nil {
+		return nil, fmt.Errorf("mdb: reading CSV: %w", err)
+	}
+	sc := csvScanner{s: in.String()}
+	k := len(attrs)
+	header, _, err := sc.record(make([]string, 0, k), k)
 	if err != nil {
 		return nil, fmt.Errorf("mdb: reading CSV header: %w", err)
 	}
@@ -50,17 +67,30 @@ func ReadCSV(r io.Reader, name string, attrs []Attribute) (*Dataset, error) {
 	}
 	d := NewDataset(name, attrs)
 	w := d.WeightIndex()
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
+	// A record takes at least one line and k−1 commas plus a line end but for
+	// the last, so both the lines left and the bytes left over k bound the
+	// rows; the second keeps the values array linear in the input's size.
+	rest := sc.s[sc.off:]
+	n := strings.Count(rest, "\n")
+	if rest != "" && !strings.HasSuffix(rest, "\n") {
+		n++
+	}
+	n = min(n, (len(rest)+1)/k)
+	rows, vals := make([]Row, n), make([]Value, n*k)
+	d.Rows = make([]*Row, 0, n)
+	for i := 0; ; i++ {
+		rec, line, err := sc.record(header[:0], k)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, fmt.Errorf("mdb: reading CSV: %w", err)
 		}
-		row := &Row{Values: make([]Value, len(attrs))}
-		for i, field := range rec {
-			row.Values[i] = ParseValue(field, &d.Nulls)
+		row := &rows[i]
+		row.ID = i + 1
+		row.Values = vals[i*k : (i+1)*k : (i+1)*k]
+		for j, field := range rec {
+			row.Values[j] = ParseValue(field, &d.Nulls)
 		}
 		if w >= 0 {
 			v := row.Values[w]
@@ -73,12 +103,145 @@ func ReadCSV(r io.Reader, name string, attrs []Attribute) (*Dataset, error) {
 			}
 			row.Weight = wt
 		}
-		d.Append(row)
+		d.Rows = append(d.Rows, row)
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	return d, nil
+}
+
+// csvScanner yields the records of an in-memory CSV exactly as encoding/csv's
+// Reader does with its defaults and FieldsPerRecord set, errors included; the
+// test oracle holds it to that. Fields are substrings of the input but for a quoted field holding a
+// doubled quote or a line break, which is unescaped into buf and copied.
+type csvScanner struct {
+	s    string
+	off  int // first byte not yet read
+	line int // physical lines read
+
+	field  string // quoted field read so far, while it is one piece
+	buf    []byte // quoted field read so far, once it is several
+	copied bool   // whether buf holds it
+}
+
+// readLine consumes one physical line and returns it as encoding/csv sees it:
+// without its "\n" (nl reports one), and without one "\r" before that or
+// before the end of input.
+func (sc *csvScanner) readLine() (text string, nl bool) {
+	text = sc.s[sc.off:]
+	if i := strings.IndexByte(text, '\n'); i >= 0 {
+		text, nl = text[:i], true
+	}
+	sc.off += len(text)
+	if nl {
+		sc.off++
+	}
+	sc.line++
+	return strings.TrimSuffix(text, "\r"), nl
+}
+
+// record reads the next record into fields[:0] and returns it with the line
+// it starts on, or io.EOF after the last one. A record of other than want
+// fields is an ErrFieldCount error.
+func (sc *csvScanner) record(fields []string, want int) ([]string, int, error) {
+	var text string
+	var nl bool
+	for text == "" { // empty lines are skipped
+		if sc.off == len(sc.s) {
+			return nil, 0, io.EOF
+		}
+		text, nl = sc.readLine()
+	}
+	start, line, col := sc.line, sc.line, 1
+	fail := func(line, col int, err error) ([]string, int, error) {
+		return nil, start, &csv.ParseError{StartLine: start, Line: line, Column: col, Err: err}
+	}
+	for {
+		if text == "" || text[0] != '"' {
+			j := 0
+			for j < len(text) && text[j] != ',' && text[j] != '"' {
+				j++
+			}
+			if j < len(text) && text[j] == '"' {
+				return fail(line, col+j, csv.ErrBareQuote)
+			}
+			fields = append(fields, text[:j])
+			if j == len(text) {
+				break
+			}
+			text, col = text[j+1:], col+j+1
+			continue
+		}
+		text, col = text[1:], col+1
+		sc.field, sc.copied = "", false
+		for {
+			i := strings.IndexByte(text, '"')
+			if i < 0 {
+				if text == "" && !nl {
+					return fail(line, col, csv.ErrQuote) // input ends inside the quotes
+				}
+				// The field runs on over the line break, read as "\n".
+				sc.add(text)
+				col += len(text)
+				if nl {
+					sc.add("\n")
+					col++
+				}
+				text, nl = "", false
+				if sc.off < len(sc.s) {
+					text, nl = sc.readLine()
+				}
+				if text != "" || nl {
+					line, col = sc.line, 1
+				}
+				continue
+			}
+			sc.add(text[:i])
+			text, col = text[i+1:], col+i+1
+			if text != "" && text[0] == '"' { // a doubled quote
+				sc.add(`"`)
+				text, col = text[1:], col+1
+				continue
+			}
+			if text != "" && text[0] != ',' {
+				return fail(line, col-1, csv.ErrQuote)
+			}
+			fields = append(fields, sc.take())
+			break
+		}
+		if text == "" {
+			break
+		}
+		text, col = text[1:], col+1
+	}
+	if len(fields) != want {
+		return fail(start, 1, csv.ErrFieldCount)
+	}
+	return fields, start, nil
+}
+
+// add appends p to the quoted field being read: the field stays a substring
+// of the input until a second non-empty piece makes it a copy.
+func (sc *csvScanner) add(p string) {
+	switch {
+	case p == "":
+	case sc.copied:
+		sc.buf = append(sc.buf, p...)
+	case sc.field == "":
+		sc.field = p
+	default:
+		sc.buf = append(append(sc.buf[:0], sc.field...), p...)
+		sc.copied = true
+	}
+}
+
+// take returns the quoted field read so far.
+func (sc *csvScanner) take() string {
+	if sc.copied {
+		return string(sc.buf)
+	}
+	return sc.field
 }
 
 // WriteCSV writes the dataset as CSV with a header row. Labelled nulls are

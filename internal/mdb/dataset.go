@@ -149,7 +149,8 @@ func (d *Dataset) EstimatedBytes() int64 {
 }
 
 // Clone deep-copies the dataset, including the null-allocator state, so
-// anonymization runs never disturb the original data.
+// anonymization runs never disturb the original data. Like ReadCSV, it
+// allocates the rows as one array and their values as another.
 func (d *Dataset) Clone() *Dataset {
 	c := &Dataset{
 		Name:  d.Name,
@@ -157,8 +158,16 @@ func (d *Dataset) Clone() *Dataset {
 		Rows:  make([]*Row, len(d.Rows)),
 		Nulls: d.Nulls,
 	}
+	n := 0
+	for _, r := range d.Rows {
+		n += len(r.Values)
+	}
+	rows, vals := make([]Row, len(d.Rows)), make([]Value, 0, n)
 	for i, r := range d.Rows {
-		c.Rows[i] = r.Clone()
+		j := len(vals)
+		vals = append(vals, r.Values...)
+		rows[i] = Row{ID: r.ID, Values: vals[j:len(vals):len(vals)], Weight: r.Weight}
+		c.Rows[i] = &rows[i]
 	}
 	return c
 }
