@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint-programs vet-analyzers taint-report staticcheck govulncheck benchmark-test check loc bench chaos soak replchaos
+.PHONY: build test vet race lint-programs vet-analyzers taint-report staticcheck govulncheck benchmark-test check loc bench chaos soak replchaos fuzz
 
 build:
 	$(GO) build ./...
@@ -86,6 +86,16 @@ loc:
 		b == "non-test" { for (i = 1; i <= np; i++) if (index($$3, pkg[i] "/") == 1) { add[pkg[i]] += $$1; del[pkg[i]] += $$2 } } \
 		END { n = split("non-test " pkgs " test tools/", order, " "); \
 		  for (i = 1; i <= n; i++) { b = order[i]; printf "%-15s +%-5d -%-5d net %+d\n", b, add[b], del[b], add[b] - del[b] } }'
+
+# fuzz runs the fuzzer itself, FUZZTIME per target (default 10s), one target
+# after another, on the two byte-level parsers a request body reaches: the
+# /reason decoder and fact loader (FuzzReasonFacts) and the CSV intake
+# (FuzzReadCSV). Their seed corpora already run as ordinary tests; a failing
+# input found here is written under the package's testdata/fuzz.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test ./cmd/vadasad -run '^$$' -fuzz '^FuzzReasonFacts$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mdb -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME)
 
 # chaos runs the process-level fault suite under the race detector: worker
 # SIGKILL mid-lease, dropped/duplicated/truncated RPCs, torn journal tails

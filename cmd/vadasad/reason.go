@@ -56,10 +56,11 @@ func countErrors(diags []lint.Diagnostic) int {
 // reasonRequest is the POST /reason body: a program, its extensional facts
 // (rows of JSON strings and numbers per predicate), and the predicates to
 // return. Inputs/Outputs/Allow supplement the program's own directives for
-// the pre-flight. The envelope goes through encoding/json — syntax errors,
-// duplicate, unknown and case-folded keys are its business — but each
-// predicate's rows stay raw bytes, which loadRows walks straight into the
-// engine's row loader once the program has passed the pre-flight.
+// the pre-flight. decodeReasonRequest fills it: the envelope goes through
+// encoding/json — duplicate, unknown and case-folded keys are its business —
+// but each predicate's rows stay raw bytes of the body, which loadRows walks
+// straight into the engine's row loader once the program has passed the
+// pre-flight.
 type reasonRequest struct {
 	Program string                     `json:"program"`
 	Facts   map[string]json.RawMessage `json:"facts,omitempty"` //conftaint:source raw fact rows: request microdata
@@ -96,9 +97,9 @@ func (s *server) handleReason(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return badRequest(err)
 	}
-	var req reasonRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return badRequest(fmt.Errorf("decoding request: %w", err))
+	req, err := decodeReasonRequest(body)
+	if err != nil {
+		return badRequest(err)
 	}
 	if req.Program == "" {
 		return badRequest(fmt.Errorf("the program field is required"))

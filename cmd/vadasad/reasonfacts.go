@@ -1,9 +1,10 @@
 package main
 
 // The JSON edges of POST /reason. Facts cross them without becoming boxed Go
-// values: loadRows walks a predicate's rows array from the request bytes
-// into the engine's row loader, writeReasonResponse appends the derived rows
-// from the engine's sorted row view to the response bytes. Both are held to
+// values: decodeReasonRequest validates the body in one scan and leaves each
+// predicate's rows as a slice of it, loadRows walks those rows into the
+// engine's row loader, writeReasonResponse appends the derived rows from the
+// engine's sorted row view to the response bytes. All three are held to
 // what encoding/json did when the handler decoded into and encoded from
 // slices of any — same accepted inputs, same values, same error texts, same
 // output bytes — by the differential tests beside them.
@@ -17,14 +18,253 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"unicode/utf8"
 
 	"vadasa"
 	"vadasa/internal/datalog"
 )
 
+// maxJSONDepth is encoding/json's nesting limit: a document that opens more
+// arrays and objects than this at once is refused.
+const maxJSONDepth = 10000
+
+// decodeReasonRequest decodes a POST /reason body. One scan checks it
+// against the grammar encoding/json accepts and finds the top-level members
+// encoding/json would bind to facts (keys equal to "facts" under case
+// folding). Those holding an object or null merge in body order as into a
+// map field — an object adds its predicates, a later predicate wins, null
+// clears them all — and each predicate's rows stay a slice of body. The rest
+// of the document, a few KB, is the envelope json.Unmarshal decodes, so
+// folded, duplicate, unknown and mistyped keys, a facts member of another
+// type included, stay encoding/json's business. A body the scan refuses is
+// refused in encoding/json's words.
+func decodeReasonRequest(body []byte) (*reasonRequest, error) {
+	s := factScan{b: body}
+	if !s.document() {
+		err := json.Unmarshal(body, new(reasonRequest))
+		if err == nil {
+			err = errors.New("json: the request scan and encoding/json disagree")
+		}
+		return nil, fmt.Errorf("decoding request: %w", err)
+	}
+	envelope := body // not an object: encoding/json refuses it or finds no program
+	if s.object {
+		envelope = append(append([]byte{'{'}, bytes.Join(s.kept, []byte{','})...), '}')
+	}
+	req := new(reasonRequest)
+	if err := json.Unmarshal(envelope, req); err != nil {
+		return nil, fmt.Errorf("decoding request: %w", err)
+	}
+	req.Facts = s.facts
+	return req, nil
+}
+
+// factScan is decodeReasonRequest's scan, a recursive descent over RFC 8259
+// as encoding/json reads it: invalid UTF-8 in a string is accepted, a
+// control byte is not, at most maxJSONDepth containers are open at once and
+// nothing but whitespace follows the value. Each method scans from b[i] and
+// reports whether what it found is well formed.
+type factScan struct {
+	b     []byte
+	i     int
+	depth int
+
+	object bool                       // the document is an object
+	kept   [][]byte                   // its members bound for the envelope, key through value
+	facts  map[string]json.RawMessage //conftaint:source raw fact rows: request microdata
+}
+
+func (s *factScan) document() bool {
+	s.i = skipSpace(s.b, 0)
+	if s.object = s.at('{'); s.object {
+		if !s.members(s.topMember) {
+			return false
+		}
+	} else if !s.value() {
+		return false
+	}
+	return skipSpace(s.b, s.i) == len(s.b)
+}
+
+func (s *factScan) at(c byte) bool { return s.i < len(s.b) && s.b[s.i] == c }
+
+// topMember scans the value of the top-level member whose key (quoted)
+// starts at b[from].
+func (s *factScan) topMember(key []byte, from int) bool {
+	if strings.EqualFold(jsonKey(key), "facts") {
+		switch {
+		case s.at('{'):
+			if s.facts == nil {
+				s.facts = make(map[string]json.RawMessage)
+			}
+			return s.members(s.predicate)
+		case s.at('n'):
+			s.facts = nil
+			return s.literal("null")
+		}
+	}
+	if !s.value() {
+		return false
+	}
+	s.kept = append(s.kept, s.b[from:s.i])
+	return true
+}
+
+// predicate scans one member of a facts object: a predicate and its rows.
+func (s *factScan) predicate(key []byte, _ int) bool {
+	from := s.i
+	if !s.value() {
+		return false
+	}
+	s.facts[jsonKey(key)] = s.b[from:s.i]
+	return true
+}
+
+func (s *factScan) anyMember([]byte, int) bool { return s.value() }
+
+func (s *factScan) value() bool {
+	if s.i == len(s.b) {
+		return false
+	}
+	switch s.b[s.i] {
+	case '"':
+		return s.str()
+	case '{':
+		return s.members(s.anyMember)
+	case '[':
+		return s.container(']', s.value)
+	case 't':
+		return s.literal("true")
+	case 'f':
+		return s.literal("false")
+	case 'n':
+		return s.literal("null")
+	}
+	return s.number()
+}
+
+// members scans an object, handing each member to member with the scan at
+// its value: the quoted key and the offset it starts at.
+func (s *factScan) members(member func(key []byte, from int) bool) bool {
+	return s.container('}', func() bool {
+		from := s.i
+		if !s.at('"') || !s.str() {
+			return false
+		}
+		key := s.b[from:s.i]
+		if s.i = skipSpace(s.b, s.i); !s.at(':') {
+			return false
+		}
+		s.i = skipSpace(s.b, s.i+1)
+		return member(key, from)
+	})
+}
+
+// container scans the array or object opening at b[i], each of its
+// comma-separated elements with elem.
+func (s *factScan) container(closing byte, elem func() bool) bool {
+	if s.i, s.depth = skipSpace(s.b, s.i+1), s.depth+1; s.depth > maxJSONDepth {
+		return false
+	}
+	for more := !s.at(closing); more; {
+		if !elem() {
+			return false
+		}
+		if s.i = skipSpace(s.b, s.i); s.at(',') {
+			s.i = skipSpace(s.b, s.i+1)
+		} else {
+			more = false
+		}
+	}
+	if !s.at(closing) {
+		return false
+	}
+	s.i, s.depth = s.i+1, s.depth-1
+	return true
+}
+
+func (s *factScan) str() bool {
+	b := s.b
+	for i := s.i + 1; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			s.i = i + 1
+			return true
+		case c < ' ':
+			return false
+		case c == '\\':
+			if i++; i < len(b) && strings.IndexByte(`"\/bfnrt`, b[i]) >= 0 {
+				continue
+			}
+			if len(b)-i < 5 || b[i] != 'u' || !isHex(b[i+1]) || !isHex(b[i+2]) || !isHex(b[i+3]) || !isHex(b[i+4]) {
+				return false
+			}
+			i += 4
+		}
+	}
+	return false
+}
+
+func (s *factScan) number() bool {
+	b, i, ok := s.b, s.i, true
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else if i, ok = digits(b, i); !ok {
+		return false
+	}
+	if i < len(b) && b[i] == '.' {
+		if i, ok = digits(b, i+1); !ok {
+			return false
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if i, ok = digits(b, i); !ok {
+			return false
+		}
+	}
+	s.i = i
+	return true
+}
+
+func (s *factScan) literal(lit string) bool {
+	if len(s.b)-s.i < len(lit) || string(s.b[s.i:s.i+len(lit)]) != lit {
+		return false
+	}
+	s.i += len(lit)
+	return true
+}
+
+// digits returns the end of the run of digits starting at b[i], and whether
+// the run is not empty.
+func digits(b []byte, i int) (int, bool) {
+	j := i
+	for j < len(b) && '0' <= b[j] && b[j] <= '9' {
+		j++
+	}
+	return j, j > i
+}
+
+func isHex(c byte) bool { return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F' }
+
+// jsonKey is a well-formed quoted key as encoding/json unquotes it.
+func jsonKey(quoted []byte) string {
+	if _, plain := scanString(quoted, 0); plain {
+		return string(quoted[1 : len(quoted)-1])
+	}
+	var k string
+	_ = json.Unmarshal(quoted, &k) // cannot fail: the scan checked the string
+	return k
+}
+
 // loadRows walks raw — one predicate's value in the request's facts object,
-// already validated as JSON by the envelope decode — and appends each row to
+// already validated by decodeReasonRequest's scan — and appends each row to
 // the loader. null stands for no rows, and a null row for an empty one, as
 // they did when the rows were decoded into slices. The errors name the
 // predicate and the argument position, never a cell's content: the request

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -60,11 +61,38 @@ func referenceLoad(body []byte) (*datalog.Database, error) {
 
 // rawLoad is the handler's load path without the HTTP around it.
 func rawLoad(body []byte) (*datalog.Database, error) {
-	var req reasonRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, fmt.Errorf("decoding request: %w", err)
+	req, err := decodeReasonRequest(body)
+	if err != nil {
+		return nil, err
 	}
 	return req.loadFacts(req.factPredicates())
+}
+
+// checkDecode holds decodeReasonRequest to json.Unmarshal of the whole body
+// into the same struct: the scan accepts exactly what json.Valid does, a
+// refusal is encoding/json's error in encoding/json's words, and an accepted
+// body decodes to the same envelope and the same raw rows per predicate.
+func checkDecode(t *testing.T, body []byte) {
+	t.Helper()
+	got, gotErr := decodeReasonRequest(body)
+	want := new(reasonRequest)
+	wantErr := json.Unmarshal(body, want)
+	s := factScan{b: body}
+	if accepted, valid := s.document(), json.Valid(body); accepted != valid {
+		t.Fatalf("the scan accepts: %v, json.Valid: %v", accepted, valid)
+	}
+	if wantErr != nil {
+		if gotErr == nil || gotErr.Error() != "decoding request: "+wantErr.Error() {
+			t.Fatalf("encoding/json refuses with %q, the decoder says %v", wantErr, gotErr)
+		}
+		return
+	}
+	if gotErr != nil {
+		t.Fatalf("encoding/json accepts, the decoder says %v", gotErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded\n  %+v\nencoding/json\n  %+v", got, want)
+	}
 }
 
 // reasonFactsCorpus is the seed corpus of FuzzReasonFacts: every way a fact
@@ -101,19 +129,62 @@ var reasonFactsCorpus = []string{
 	`{"program":"p(X) :- q(X).","facts":{"q":[[1]]}} x`,
 	`{"program":"p(X) :- q(X).","facts":{"q":[[1]}`,
 	`{"program":"p(X) :- q(X).","facts":{"":[[""]],"é":[["é"]]}}`,
+	nested(maxJSONDepth),
+	nested(maxJSONDepth + 1),
+	`{"program":"p(X) :- q(X).","FACTS":{"q":[[1]]}}`,
+	`{"program":"p(X) :- q(X).","facts":{"q":[[1]]},"Facts":{"q":[[2]],"r":[[3]]}}`,
+	"{\"program\":\"p(X) :- q(X).\",\"faCT\u017f\":{\"q\":[[1]]},\"fact\\u017F\":{\"r\":[[2]]},\"facts\\u0000\":{\"s\":[[3]]}}",
+	"{\"program\":\"p(X) :- q(X).\",\"\u212aey\":{\"q\":[[1]]},\"facts\":{\"\u212a\":[[1]],\"\\u212A\":[[2]],\"K\":[[3]],\"k\":[[4]]}}",
+	`{"program":"p(X) :- q(X).","facts":{"q":[[1]]},"facts":null,"facts":{"r":[[2]]}}`,
+	`{"program":"p(X) :- q(X).","facts":{"q":[[1]]},"facts":{"q":[[2]]},"facts":null}`,
+	`{"program":"p(X) :- q(X).","facts":{"q":[[1]]},"facts":5}`,
+	`{"program":"p(X) :- q(X).","facts":["q"],"facts":{"q":[[1]]},"query":"p"}`,
+	`{"program":7,"facts":{"q":[[1]]},"facts":"x"}`,
+	`[]`, `null`, `"x"`, `5`, ``, ` `,
+	"\xef\xbb\xbf" + `{"program":"p(X) :- q(X).","facts":{"q":[[1]]}}`,
+	`{"program":"p(X) :- q(X).","facts":{"q":[[1]]}}x`,
+	"{\"pro\x01gram\":\"p(X) :- q(X).\",\"facts\":{\"q\":[[1]]}}",
+	"{\"program\":\"p(X) :- q(X).\",\"facts\":{\"q\":[[\"a\x1fb\"]]}}",
+	"{\"program\":\"p(X) :- q(X).\",\"facts\":{\"q\":[[\" \x7f\"]]}}",
+	`{"program":"p(X) :- q(X).","facts":{"\ud800":[[1]],"\udc00x":[[2]]}}`,
+	`{"program":"p(X) :- q(X).","facts":{"q":[[01]]}}`,
+	`{"program":"p(X) :- q(X).","facts":{"q":[[1.]]}}`,
+	`{"program":"p(X) :- q(X).","facts":{"q":[[.5]]}}`,
+	`{"program":"p(X) :- q(X).","facts":{"q":[[1e]]}}`,
+	`{"program":"p(X) :- q(X).","facts":{"q":[[1E+]]}}`,
+	`{"program":"p(X) :- q(X).","facts":{"q":[[-]]}}`,
+	`{"program":"p(X) :- q(X).","facts":{"q":[[-0.5e-3,1.25E+2]]}}`,
+	`{"program":"p(X) :- q(X).","facts":{"q":[[1,]]}}`,
+	`{"program":"p(X) :- q(X).","facts":{"q":[[1 2]]}}`,
+	`{"program":"p(X) :- q(X).","facts":{"q":[[1}]]}`,
+	`{"program":"p(X) :- q(X).","facts":{"q":[["\x"]]},}`,
+	`{"program":"p(X) :- q(X).","facts":{"q":[["\u12g4"]]}}`,
+	`{"program":"p(X) :- q(X).","facts":{"q":[["\u123g"]]}}`,
+	`{"program":"p(X) :- q(X).","facts":{"q":[[nul]]}}`,
+	`{"program":"p(X) :- q(X).","facts" {"q":[[1]]}}`,
 }
 
-// FuzzReasonFacts holds the raw-bytes fact loader to the boxed decode it
-// replaced: for any body, both accept or both refuse; a bad cell is refused
-// in the same words; and what they load is the same relation, row for row.
-// Through the handler, a body the reference refuses is never answered 200
-// and every answer is a JSON document.
+// nested is a body whose facts hold a value depth containers deep, the
+// envelope's object and the facts object counted.
+func nested(depth int) string {
+	return `{"program":"p(X) :- q(X).","facts":{"q":` +
+		strings.Repeat("[", depth-2) + strings.Repeat("]", depth-2) + `}}`
+}
+
+// FuzzReasonFacts holds the request decoder to encoding/json (checkDecode)
+// and the raw-bytes fact loader to the boxed decode it replaced: for any
+// body, both accept or both refuse; a bad cell is refused in the same words;
+// and what they load is the same relation, row for row. Through the handler,
+// a body encoding/json refuses is answered 400 in its words, one the
+// reference refuses is never answered 200, and every answer is a JSON
+// document.
 func FuzzReasonFacts(f *testing.F) {
 	for _, body := range reasonFactsCorpus {
 		f.Add([]byte(body))
 	}
 	h := testServer(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
+		checkDecode(t, body)
 		want, wantErr := referenceLoad(body)
 		got, gotErr := rawLoad(body)
 		if (wantErr == nil) != (gotErr == nil) {
@@ -138,6 +209,15 @@ func FuzzReasonFacts(f *testing.F) {
 			}
 		}
 		rec := do(t, h, "POST", "/reason", string(body))
+		if err := json.Unmarshal(body, new(reasonRequest)); err != nil {
+			var out struct {
+				Error string `json:"error"`
+			}
+			_ = json.Unmarshal(rec.Body.Bytes(), &out) // a body that is not JSON leaves Error empty: caught below
+			if rec.Code != http.StatusBadRequest || out.Error != "decoding request: "+err.Error() {
+				t.Fatalf("encoding/json refuses with %q, the handler answered %d %s", err, rec.Code, rec.Body)
+			}
+		}
 		if wantErr != nil && rec.Code == http.StatusOK {
 			t.Fatalf("reference refuses the body (%v), the handler answered 200", wantErr)
 		}

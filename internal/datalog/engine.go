@@ -1216,15 +1216,24 @@ func (sc *stratumCtx) fixpoint(stratum int, rules []*cRule) error {
 	// relation, the next round's delta. The seed pass (delta nil) evaluates
 	// every rule over the whole database; a delta round re-evaluates a rule
 	// once per body atom of this stratum that has new rows, restricted to
-	// them.
+	// them. marks[i] holds the head relations' row counts when the seed pass
+	// began rules[i]: that evaluation joined every row below them, so in the
+	// first delta round rules[i]'s windows start at its marks — a skipped
+	// combination could only re-derive a fact the seed already has, and one
+	// holding a newer row is met through that row's own window.
 	before := make(map[string]uint32, len(headRels))
+	marks := make([]map[string]uint32, len(rules))
 	pass := func(round int, delta map[string][2]uint32) (map[string][2]uint32, error) {
 		for p, r := range headRels {
 			before[p] = uint32(r.nrows())
 		}
 		derived := 0
-		for _, c := range rules {
+		for ci, c := range rules {
 			if delta == nil {
+				marks[ci] = make(map[string]uint32, len(headRels))
+				for p, r := range headRels {
+					marks[ci][p] = uint32(r.nrows())
+				}
 				n, err := sc.evalRuleAuto(c, -1, 0, 0)
 				derived += n
 				if err != nil {
@@ -1238,7 +1247,10 @@ func (sc *stratumCtx) fixpoint(stratum int, rules []*cRule) error {
 					continue
 				}
 				rng, ok := delta[l.Atom.Pred]
-				if !ok {
+				if round == 0 {
+					rng[0] = max(rng[0], marks[ci][l.Atom.Pred])
+				}
+				if !ok || rng[0] >= rng[1] {
 					continue
 				}
 				n, err := sc.evalRuleAuto(c, li, rng[0], rng[1])
