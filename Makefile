@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint-programs vet-analyzers taint-report staticcheck govulncheck benchmark-test check loc bench chaos soak replchaos fuzz
+.PHONY: build test vet race lint-programs vet-analyzers taint-report staticcheck govulncheck benchmark-test design-cap check loc bench chaos soak replchaos fuzz
 
 build:
 	$(GO) build ./...
@@ -68,7 +68,13 @@ govulncheck:
 benchmark-test:
 	$(GO) test -C benchmark ./...
 
-check: vet lint-programs vet-analyzers race staticcheck govulncheck benchmark-test
+# design-cap fails when DESIGN.md grows past DESIGN_MAX_LINES: the document
+# is rewritten in place, layer by layer, and CHANGES.md holds the history.
+DESIGN_MAX_LINES = 1519
+design-cap:
+	@n=$$(wc -l < DESIGN.md); test $$n -le $(DESIGN_MAX_LINES) || { echo "DESIGN.md has $$n lines, over its $(DESIGN_MAX_LINES)-line cap"; exit 1; }
+
+check: design-cap vet lint-programs vet-analyzers race staticcheck govulncheck benchmark-test
 
 # loc reports the net Go line delta of the working tree against BASE (a
 # commit; default the parent), split the way ROADMAP aim 2 asks for it: code

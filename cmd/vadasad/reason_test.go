@@ -3,6 +3,9 @@ package main
 import (
 	"encoding/json"
 	"net/http"
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -91,6 +94,55 @@ func TestReasonEndpoint(t *testing.T) {
 		if !got[want] {
 			t.Errorf("missing ctr(%s,%s) in %s", want[0], want[1], rec.Body)
 		}
+	}
+}
+
+// TestReasonStatsKeysMatchREADME: the keys of a /reason reply's stats object
+// are the backticked names in the first column of README's stats table, so
+// a field added to or dropped from EvalStats fails here until README says so.
+func TestReasonStatsKeysMatchREADME(t *testing.T) {
+	body, _ := json.Marshal(map[string]any{
+		"program": "ctr(X,X) :- own(X,_Y,_W).",
+		"facts":   map[string][][]any{"own": {{"a", "b", 0.6}}},
+	})
+	rec := do(t, testServer(t), "POST", "/reason", string(body))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d: %s", rec.Code, rec.Body)
+	}
+	var out struct {
+		Stats map[string]json.RawMessage `json:"stats"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	var wire []string
+	for k := range out.Stats {
+		wire = append(wire, k)
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "carry a `stats` object")
+	if _, table, ok = strings.Cut(table, "| field | meaning |\n|---|---|\n"); !ok {
+		t.Fatal("README.md has no /reason stats table")
+	}
+	var documented []string
+	name := regexp.MustCompile("`([^`]+)`")
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		first := strings.Split(line, "|")[1]
+		for _, m := range name.FindAllStringSubmatch(first, -1) {
+			documented = append(documented, m[1])
+		}
+	}
+	slices.Sort(wire)
+	slices.Sort(documented)
+	if !slices.Equal(wire, documented) {
+		t.Fatalf("stats keys on the wire %v, in README's table %v", wire, documented)
 	}
 }
 

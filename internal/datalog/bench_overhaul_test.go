@@ -1,7 +1,7 @@
 package datalog_test
 
 // Regression benchmarks for the evaluator overhaul (interned columnar
-// store, per-rule join indexes, parallel strata). The Seed/Overhauled pair
+// store, per-rule join indexes, partitioned deltas). The Seed/Overhauled pair
 // at n=50k is the headline datapoint: the overhauled engine must stay at
 // least 5× faster on the declarative k-anonymity workload than the frozen
 // pre-overhaul evaluator it replaced. BenchmarkViolationDedup guards the

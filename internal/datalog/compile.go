@@ -415,14 +415,14 @@ func probeHash(st *cStep, env []uint32) uint64 {
 
 // resolvePlan points the compiled steps and heads of the TGDs, or of the
 // EGDs, at the current database's relations and builds the join indexes
-// their plans selected. TGDs resolve at the start of every strata pass —
-// sequentially, before any parallel phase, so index construction never races
-// with index probing. EGDs resolve when their pass starts, over the
-// saturated database: an index only they probe is built by one back-fill
-// instead of being maintained through every insert of the fixpoint.
+// their plans selected. TGDs resolve at the start of every strata pass,
+// before any rule runs, so no delta partition races index construction.
+// EGDs resolve when their pass starts, over the saturated database: an
+// index only they probe is built by one back-fill instead of being
+// maintained through every insert of the fixpoint.
 func (ev *evaluator) resolvePlan(egds bool) {
-	// Freeze the relation map: every predicate the program can touch gets
-	// its relation up front, so parallel strata never mutate ev.db.rels.
+	// Every predicate the program can touch gets its relation up front, so
+	// every step and head has one to point at.
 	for _, r := range ev.prog.Rules {
 		for _, h := range r.Heads {
 			ev.db.rel(h.Pred)

@@ -109,6 +109,32 @@ func TestEGDBodyErrorsCarryTheLine(t *testing.T) {
 	}
 }
 
+// TestDerivedFactsCountsWhatIsNotInput: an EGD that merges input facts
+// shrinks the input part of the result, not the derived count. Here the
+// three p facts unify into one, and q(⊥3) is the one fact derived. The count
+// used to be the result's size minus the input's, -1 here.
+func TestDerivedFactsCountsWhatIsNotInput(t *testing.T) {
+	edb := NewDatabase()
+	for id := uint64(1); id <= 3; id++ {
+		edb.Add("p", NullVal(id), Str("a"))
+	}
+	p := MustParse(`
+		q(X) :- p(X,A).
+		X = Y :- p(X,A), p(Y,A).`)
+	for _, workers := range EquivWorkers {
+		res, err := Run(p, edb, &Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.DB().Len(); n != 2 || len(res.Facts("q")) != 1 {
+			t.Fatalf("workers %d: %d facts, q = %v; want p and q unified to one fact each", workers, n, res.Facts("q"))
+		}
+		if got := res.Stats.DerivedFacts; got != 1 {
+			t.Fatalf("workers %d: DerivedFacts = %d, want 1", workers, got)
+		}
+	}
+}
+
 // TestOneBodyEvaluator reads the package's non-test sources and pins the
 // shape the engine was reduced to: rule bodies are evaluated by the compiled
 // walk alone.

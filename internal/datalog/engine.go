@@ -3,12 +3,11 @@ package datalog
 // This file is the execution layer of the rebuilt evaluator. The compiled
 // plan (compile.go) reduces rule bodies to sequences of cSteps over interned
 // ids; the walk here is a backtracking join over those steps with no map
-// environments, no key strings and no per-candidate allocation. Parallelism
-// comes in two independent shapes — whole strata whose read/write sets are
-// disjoint, and partitions of a large delta within one rule — and both are
-// constructed so the derived database, provenance, labelled-null identities
-// and diagnostics are bit-identical to the sequential evaluator (see
-// DESIGN.md §16 for the argument).
+// environments, no key strings and no per-candidate allocation. Strata run
+// one after another; the one parallelism is partitions of a large delta
+// within one rule, constructed so the derived database, provenance,
+// labelled-null identities and diagnostics are bit-identical to the
+// sequential evaluator (see DESIGN.md §16.3 for the argument).
 
 import (
 	"context"
@@ -44,31 +43,8 @@ type evaluator struct {
 	predIDs   map[string]uint32
 	predNames []string
 
-	workers  int
-	work     atomic.Int64
-	rounds   atomic.Int64
-	chargeMu sync.Mutex
-	charged  int64
-	peak     int64
-
-	parStrata int
-	egdPasses int
-
-	// aggState holds the group-by operator's table of every aggregate rule
-	// (nil for the others); aggBytes is their summed footprint, which
-	// chargeMemory adds to the database estimate.
-	aggState []*aggTable
-	aggBytes atomic.Int64
-
-	memos sync.Pool // of *numMemo, see internComputed
-}
-
-// stratumCtx is the per-stratum evaluation state: a private interner view
-// and a private head-row buffer, so strata running in parallel share no
-// scratch. Provenance needs nothing here: it is written into the head
-// relation's own columns, and a relation is written by one stratum only.
-type stratumCtx struct {
-	ev     *evaluator
+	// The interner view and head-row buffer of everything but a delta
+	// partition, which brings its own view and buffers its rows.
 	iv     iview
 	rowBuf []uint32
 
@@ -76,6 +52,26 @@ type stratumCtx struct {
 	// unified, and the equalities demanded between distinct constants.
 	unified bool
 	viols   []Violation
+
+	// inputRows counts, per predicate, the leading rows that are images of
+	// input facts: the EDB rows at first, what they merge into after each
+	// applySubst. DerivedFacts is every other row.
+	inputRows map[string]int
+
+	workers   int
+	work      atomic.Int64 // the one counter partitions write, see settle
+	rounds    int
+	charged   int64
+	peak      int64
+	egdPasses int
+
+	// aggState holds the group-by operator's table of every aggregate rule
+	// (nil for the others); aggBytes is their summed footprint, which
+	// chargeMemory adds to the database estimate.
+	aggState []*aggTable
+	aggBytes int64
+
+	memos sync.Pool // of *numMemo, see internComputed
 }
 
 // emitBuf buffers the head emissions of one parallel delta partition as two
@@ -99,7 +95,6 @@ const parallelCandidateMin = 4096
 // means they are never read before the step that binds them.
 type walkCtx struct {
 	ev         *evaluator
-	sc         *stratumCtx
 	c          *cRule
 	restrictLi int
 	lo, hi     uint32
@@ -568,7 +563,7 @@ func (w *walkCtx) emit() {
 		w.bufferEmit()
 		return
 	}
-	n, err := w.sc.emitHeads(c, w.env, w.used)
+	n, err := w.ev.emitHeads(c, w.env, w.used)
 	w.derived += n
 	if err != nil {
 		w.err = err
@@ -623,12 +618,12 @@ func (w *walkCtx) equate() error {
 	case Equal(l, r):
 	case l.k == KNull:
 		ev.subst[l.id] = r
-		w.sc.unified = true
+		ev.unified = true
 	case r.k == KNull:
 		ev.subst[r.id] = l
-		w.sc.unified = true
+		ev.unified = true
 	default:
-		w.sc.viols = append(w.sc.viols, Violation{Rule: c.r.String(), A: l, B: r})
+		ev.viols = append(ev.viols, Violation{Rule: c.r.String(), A: l, B: r})
 	}
 	return nil
 }
@@ -661,8 +656,7 @@ func (h *cHead) appendRow(dst []uint32, c *cRule, env []uint32) ([]uint32, error
 // labelled nulls for existential variables through the run-wide skolem
 // table. Only sequential paths reach the existential branch, which keeps
 // null-id minting deterministic.
-func (sc *stratumCtx) emitHeads(c *cRule, env []uint32, used []uint64) (int, error) {
-	ev := sc.ev
+func (ev *evaluator) emitHeads(c *cRule, env []uint32, used []uint64) (int, error) {
 	if len(c.r.Existential) > 0 {
 		var b strings.Builder
 		b.WriteString(c.skolemPrefix)
@@ -692,10 +686,10 @@ func (sc *stratumCtx) emitHeads(c *cRule, env []uint32, used []uint64) (int, err
 	for hi := range c.heads {
 		h := &c.heads[hi]
 		var err error
-		if sc.rowBuf, err = h.appendRow(sc.rowBuf[:0], c, env); err != nil {
+		if ev.rowBuf, err = h.appendRow(ev.rowBuf[:0], c, env); err != nil {
 			return added, err
 		}
-		if pos, isNew := h.rel.addRow(ev.db, sc.rowBuf); isNew {
+		if pos, isNew := h.rel.addRow(ev.db, ev.rowBuf); isNew {
 			h.rel.setProv(pos, c.ri, used)
 			added++
 		}
@@ -934,8 +928,7 @@ func (w *walkCtx) operandNum(o *cOperand) (float64, error) {
 // prefix-free code, so comparing keys component by component is comparing
 // their concatenation.) All keys a flush needs are read in one hold of the
 // interner lock; mcount needs none for its fold.
-func (sc *stratumCtx) flushAgg(c *cRule) (int, error) {
-	ev := sc.ev
+func (ev *evaluator) flushAgg(c *cRule) (int, error) {
 	t := ev.aggState[c.ri]
 	if len(t.dirty) == 0 {
 		return 0, nil
@@ -993,7 +986,7 @@ func (sc *stratumCtx) flushAgg(c *cRule) (int, error) {
 		case LAggAssign:
 			env[c.aggVarSlot] = ev.db.in.intern(agg)
 		case LAggCond:
-			rhs, err := evalExprS(l.R, c, env, &sc.iv)
+			rhs, err := evalExprS(l.R, c, env, &ev.iv)
 			if err != nil {
 				return added, err
 			}
@@ -1006,7 +999,7 @@ func (sc *stratumCtx) flushAgg(c *cRule) (int, error) {
 			}
 			t.gflag[g] |= aggEmitted
 		}
-		n, err := sc.emitHeads(c, env, t.gused[int(g)*t.nUsed:(int(g)+1)*t.nUsed])
+		n, err := ev.emitHeads(c, env, t.gused[int(g)*t.nUsed:(int(g)+1)*t.nUsed])
 		added += n
 		if err != nil {
 			return added, err
@@ -1014,7 +1007,7 @@ func (sc *stratumCtx) flushAgg(c *cRule) (int, error) {
 	}
 	t.dirty = t.dirty[:0]
 	b := t.bytes()
-	ev.aggBytes.Add(b - t.charged)
+	ev.aggBytes += b - t.charged
 	t.charged = b
 	return added, nil
 }
@@ -1065,22 +1058,22 @@ func newEnv(c *cRule) []uint32 {
 // newWalk starts a walk of rule c whose literal restrictLi (-1: none) sees
 // only rows [lo, hi). A walk that runs beside others brings its own
 // interner view and buffers its emissions.
-func (sc *stratumCtx) newWalk(c *cRule, restrictLi int, lo, hi uint32, iv *iview, buffer *emitBuf) *walkCtx {
+func (ev *evaluator) newWalk(c *cRule, restrictLi int, lo, hi uint32, iv *iview, buffer *emitBuf) *walkCtx {
 	return &walkCtx{
-		ev: sc.ev, sc: sc, c: c,
+		ev: ev, c: c,
 		restrictLi: restrictLi, lo: lo, hi: hi,
 		env: newEnv(c), iv: iv, buffer: buffer,
 	}
 }
 
-func (sc *stratumCtx) evalRule(c *cRule, restrictLi int, lo, hi uint32) (int, error) {
-	w := sc.newWalk(c, restrictLi, lo, hi, &sc.iv, nil)
+func (ev *evaluator) evalRule(c *cRule, restrictLi int, lo, hi uint32) (int, error) {
+	w := ev.newWalk(c, restrictLi, lo, hi, &ev.iv, nil)
 	w.walk(0)
 	if err := w.finish(); err != nil {
 		return w.derived, err
 	}
 	if c.aggLit >= 0 {
-		n, err := sc.flushAgg(c)
+		n, err := ev.flushAgg(c)
 		w.derived += n
 		if err != nil {
 			return w.derived, err
@@ -1092,7 +1085,7 @@ func (sc *stratumCtx) evalRule(c *cRule, restrictLi int, lo, hi uint32) (int, er
 // evalRuleAuto runs one rule pass, applying the cheap static short-circuits
 // (empty required relation, ground heads already present) and escalating to
 // partitioned parallel evaluation when the candidate set is large enough.
-func (sc *stratumCtx) evalRuleAuto(c *cRule, restrictLi int, lo, hi uint32) (int, error) {
+func (ev *evaluator) evalRuleAuto(c *cRule, restrictLi int, lo, hi uint32) (int, error) {
 	if c.pureAtoms {
 		for i := range c.steps {
 			st := &c.steps[i]
@@ -1113,7 +1106,6 @@ func (sc *stratumCtx) evalRuleAuto(c *cRule, restrictLi int, lo, hi uint32) (int
 			return 0, nil // every (constant) head already derived
 		}
 	}
-	ev := sc.ev
 	if ev.workers > 1 && c.parallelOK && len(c.steps) > 0 {
 		st0 := &c.steps[0]
 		if st0.kind == LAtom && st0.mask == 0 {
@@ -1124,11 +1116,11 @@ func (sc *stratumCtx) evalRuleAuto(c *cRule, restrictLi int, lo, hi uint32) (int
 				clo, chi = 0, uint32(st0.rel.nrows())
 			}
 			if int(chi)-int(clo) >= parallelCandidateMin {
-				return sc.evalRuleParallel(c, restrictLi, lo, hi, clo, chi)
+				return ev.evalRuleParallel(c, restrictLi, lo, hi, clo, chi)
 			}
 		}
 	}
-	return sc.evalRule(c, restrictLi, lo, hi)
+	return ev.evalRule(c, restrictLi, lo, hi)
 }
 
 // chunkOut is one partition's buffered output.
@@ -1144,14 +1136,13 @@ type chunkOut struct {
 // engine's insertion order exactly: the rule's heads are disjoint from its
 // body (parallelOK), so deferring the inserts cannot change any partition's
 // matches.
-func (sc *stratumCtx) evalRuleParallel(c *cRule, restrictLi int, lo, hi, clo, chi uint32) (int, error) {
-	ev := sc.ev
+func (ev *evaluator) evalRuleParallel(c *cRule, restrictLi int, lo, hi, clo, chi uint32) (int, error) {
 	st0 := &c.steps[0]
 	bounds := pool.ChunkBounds(int(chi - clo))
 	outs := make([]chunkOut, len(bounds))
 	pool.ForEach(ev.ctx, ev.workers, len(bounds), func(ci int) error {
 		co := &outs[ci]
-		w := sc.newWalk(c, restrictLi, lo, hi, &iview{in: ev.db.in}, &co.emits)
+		w := ev.newWalk(c, restrictLi, lo, hi, &iview{in: ev.db.in}, &co.emits)
 		b := bounds[ci]
 		for pos := clo + uint32(b[0]); pos < clo+uint32(b[1]) && w.err == nil; pos++ {
 			if w.err = w.spend(); w.err != nil {
@@ -1201,11 +1192,10 @@ func (sc *stratumCtx) evalRuleParallel(c *cRule, restrictLi int, lo, hi, clo, ch
 }
 
 // fixpoint saturates one stratum by semi-naive iteration. The delta for a
-// predicate is a contiguous row range — every insert during a round appends
-// in derivation order, and while this stratum runs no other stratum may
-// write its head relations (the level scheduler keeps write sets disjoint).
-func (sc *stratumCtx) fixpoint(stratum int, rules []*cRule) error {
-	ev := sc.ev
+// predicate is a contiguous row range: every insert during a round appends
+// in derivation order, and only this stratum's rules write its head
+// relations.
+func (ev *evaluator) fixpoint(stratum int, rules []*cRule) error {
 	headRels := make(map[string]*relation)
 	for _, c := range rules {
 		for i := range c.heads {
@@ -1234,7 +1224,7 @@ func (sc *stratumCtx) fixpoint(stratum int, rules []*cRule) error {
 				for p, r := range headRels {
 					marks[ci][p] = uint32(r.nrows())
 				}
-				n, err := sc.evalRuleAuto(c, -1, 0, 0)
+				n, err := ev.evalRuleAuto(c, -1, 0, 0)
 				derived += n
 				if err != nil {
 					return nil, err
@@ -1253,7 +1243,7 @@ func (sc *stratumCtx) fixpoint(stratum int, rules []*cRule) error {
 				if !ok || rng[0] >= rng[1] {
 					continue
 				}
-				n, err := sc.evalRuleAuto(c, li, rng[0], rng[1])
+				n, err := ev.evalRuleAuto(c, li, rng[0], rng[1])
 				derived += n
 				if err != nil {
 					return nil, err
@@ -1266,7 +1256,7 @@ func (sc *stratumCtx) fixpoint(stratum int, rules []*cRule) error {
 				next[p] = [2]uint32{before[p], n}
 			}
 		}
-		ev.rounds.Add(1)
+		ev.rounds++
 		if tr := ev.opt.Trace; tr != nil && delta == nil {
 			fmt.Fprintf(tr, "stratum %d seed: %d rules, %d facts derived, db %d\n", stratum, len(rules), derived, ev.db.Len())
 		} else if tr != nil {
@@ -1291,172 +1281,38 @@ func (sc *stratumCtx) fixpoint(stratum int, rules []*cRule) error {
 	return err
 }
 
-// runStrata evaluates every stratum. Sequential mode (one worker, or
-// tracing) runs them in ascending order exactly like the old engine.
-// Parallel mode schedules them by dependency level: two strata share a
-// level only when their read and write predicate sets are fully disjoint —
-// flow, anti and output dependences all force an ordering edge — so strata
-// within a level commute and the merged result is bit-identical to the
-// ascending sequential run. Existential strata additionally order among
-// themselves so labelled-null ids mint in the sequential order.
+// runStrata saturates the strata one after another in ascending order, so
+// each one reads the finished relations of those below it.
 func (ev *evaluator) runStrata() error {
-	ruleStratum := make([]int, len(ev.prog.Rules))
 	ev.aggState = make([]*aggTable, len(ev.prog.Rules))
-	ev.aggBytes.Store(0)
+	ev.aggBytes = 0
+	byStratum := make([][]*cRule, ev.nStrata)
 	for i := range ev.prog.Rules {
 		r := &ev.prog.Rules[i]
 		if r.IsEGD || len(r.Body) == 0 {
-			ruleStratum[i] = -1
 			continue
 		}
-		ruleStratum[i] = ev.strata[r.Heads[0].Pred]
-		if c := ev.crules[i]; c.aggLit >= 0 {
+		c := ev.crules[i]
+		if c.aggLit >= 0 {
 			ev.aggState[i] = &aggTable{fn: r.Body[c.aggLit].Agg.Fn, nKey: len(c.groupSlots), nUsed: c.nUsed}
 		}
+		s := ev.strata[r.Heads[0].Pred]
+		byStratum[s] = append(byStratum[s], c)
 	}
 	ev.resolvePlan(false)
-	byStratum := make([][]*cRule, ev.nStrata)
-	for i, s := range ruleStratum {
-		if s >= 0 {
-			byStratum[s] = append(byStratum[s], ev.crules[i])
-		}
-	}
-	var active []int
-	for s := 0; s < ev.nStrata; s++ {
-		if len(byStratum[s]) > 0 {
-			active = append(active, s)
-		}
-	}
-
-	if ev.workers <= 1 || ev.opt.Trace != nil {
-		for _, s := range active {
-			sc := &stratumCtx{ev: ev, iv: iview{in: ev.db.in}}
-			if err := sc.fixpoint(s, byStratum[s]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	reads := make(map[int]map[string]bool, len(active))
-	writes := make(map[int]map[string]bool, len(active))
-	exist := make(map[int]bool, len(active))
-	for _, s := range active {
-		rs, ws := map[string]bool{}, map[string]bool{}
-		for _, c := range byStratum[s] {
-			for _, l := range c.r.Body {
-				if l.Kind == LAtom || l.Kind == LNegAtom {
-					rs[l.Atom.Pred] = true
-				}
-			}
-			for _, h := range c.r.Heads {
-				ws[h.Pred] = true
-			}
-			if len(c.r.Existential) > 0 {
-				exist[s] = true
-			}
-		}
-		reads[s], writes[s] = rs, ws
-	}
-	overlap := func(a, b map[string]bool) bool {
-		if len(b) < len(a) {
-			a, b = b, a
-		}
-		for p := range a {
-			if b[p] {
-				return true
-			}
-		}
-		return false
-	}
-	level := make(map[int]int, len(active))
-	maxLevel := 0
-	for i, t := range active {
-		lv := 0
-		for _, s := range active[:i] {
-			dep := overlap(writes[s], reads[t]) ||
-				overlap(writes[s], writes[t]) ||
-				overlap(reads[s], writes[t]) ||
-				(exist[s] && exist[t]) // null minting must stay in stratum order
-			if dep && level[s]+1 > lv {
-				lv = level[s] + 1
-			}
-		}
-		level[t] = lv
-		if lv > maxLevel {
-			maxLevel = lv
-		}
-	}
-
-	for lv := 0; lv <= maxLevel; lv++ {
-		var group []int
-		for _, s := range active {
-			if level[s] == lv {
-				group = append(group, s)
-			}
-		}
-		if len(group) == 0 {
+	for s, rules := range byStratum {
+		if len(rules) == 0 {
 			continue
 		}
-		var seqS, parS []int
-		for _, s := range group {
-			if exist[s] {
-				seqS = append(seqS, s)
-			} else {
-				parS = append(parS, s)
-			}
-		}
-		if len(parS) < 2 {
-			seqS = append(seqS, parS...)
-			sort.Ints(seqS)
-			parS = nil
-		}
-
-		ctxs := make(map[int]*stratumCtx, len(group))
-		for _, s := range group {
-			ctxs[s] = &stratumCtx{ev: ev, iv: iview{in: ev.db.in}}
-		}
-		lvlErr := error(nil)
-		lvlErrStratum := int(^uint(0) >> 1)
-		record := func(s int, err error) {
-			if err != nil && s < lvlErrStratum {
-				lvlErr, lvlErrStratum = err, s
-			}
-		}
-		if len(parS) > 0 {
-			ranP := make([]bool, len(parS))
-			errsP := make([]error, len(parS))
-			pool.ForEach(ev.ctx, ev.workers, len(parS), func(i int) error {
-				ranP[i] = true
-				errsP[i] = ctxs[parS[i]].fixpoint(parS[i], byStratum[parS[i]])
-				return nil
-			})
-			for i, s := range parS {
-				if !ranP[i] {
-					record(s, ev.ctxErr())
-					continue
-				}
-				record(s, errsP[i])
-			}
-			ev.parStrata += len(parS)
-		}
-		for _, s := range seqS {
-			if err := ctxs[s].fixpoint(s, byStratum[s]); err != nil {
-				record(s, err)
-				break
-			}
-		}
-		if lvlErr != nil {
-			return lvlErr
+		if err := ev.fixpoint(s, rules); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 func (ev *evaluator) chargeMemory() error {
-	b := ev.db.EstimatedBytes() + ev.aggBytes.Load()
-	ev.chargeMu.Lock()
-	defer ev.chargeMu.Unlock()
+	b := ev.db.EstimatedBytes() + ev.aggBytes
 	if b > ev.peak {
 		ev.peak = b
 	}
@@ -1478,26 +1334,24 @@ func (ev *evaluator) chargeMemory() error {
 // nulls and collecting violations between distinct constants. An EGD body is
 // a compiled plan like any other, walked by the same join with the equality
 // as its terminal (equate); the rules run one after another because each
-// unification is read by the next match.
-func (ev *evaluator) runEGDs() (unified bool, viols []Violation, err error) {
+// unification is read by the next match. What the pass found is left in
+// ev.unified and ev.viols.
+func (ev *evaluator) runEGDs() error {
 	ev.resolvePlan(true)
-	sc := &stratumCtx{ev: ev, iv: iview{in: ev.db.in}}
+	ev.unified, ev.viols = false, nil
 	for _, c := range ev.crules {
 		if c == nil || !c.r.IsEGD {
 			continue
 		}
 		if err := ev.ctxErr(); err != nil {
-			return false, nil, err
+			return err
 		}
-		if _, err := sc.evalRule(c, -1, 0, 0); err != nil {
-			return false, nil, err
+		if _, err := ev.evalRule(c, -1, 0, 0); err != nil {
+			return err
 		}
 	}
 	// The pass added no facts, but it may have built join indexes.
-	if err := ev.chargeMemory(); err != nil {
-		return false, nil, err
-	}
-	return sc.unified, sc.viols, nil
+	return ev.chargeMemory()
 }
 
 // resolve chases the null-substitution map, guarding against cycles, and
@@ -1527,7 +1381,9 @@ func (ev *evaluator) resolve(v Val) Val {
 // The rewrite walks predicates in sorted order and rows in insertion order,
 // remapping row positions as rows merge, and then carries the provenance
 // columns over: a merged row keeps the derivation of the lowest-positioned
-// derived row that collapsed into it, its body fact ids remapped.
+// derived row that collapsed into it, its body fact ids remapped. A
+// relation's input rows lead it and are rewritten first, so their images
+// lead the rewritten relation: inputRows moves to where they end.
 func (ev *evaluator) applySubst() {
 	old := ev.db
 	nd := &Database{in: old.in, rels: make(map[string]*relation, len(old.rels))}
@@ -1548,12 +1404,16 @@ func (ev *evaluator) applySubst() {
 		r := old.rels[pred]
 		nr := nd.rel(pred)
 		to := make([]uint32, r.nrows())
+		nIn := ev.inputRows[pred]
 		for pos := range to {
 			nrow = nrow[:0]
 			for _, v := range r.row(pos) {
 				nrow = append(nrow, resolveVid(v))
 			}
 			to[pos], _ = nr.addRow(nd, nrow)
+			if pos+1 == nIn {
+				ev.inputRows[pred] = nr.nrows()
+			}
 		}
 		remap[ev.pid(pred)] = to
 	}
@@ -1610,6 +1470,7 @@ func RunContext(ctx context.Context, p *Program, edb *Database, opt *Options) (*
 		predIDs: make(map[string]uint32),
 		memos:   sync.Pool{New: func() any { return new(numMemo) }},
 	}
+	ev.iv = iview{in: ev.db.in}
 	ev.workers = ev.opt.Workers
 	if ev.workers <= 0 {
 		ev.workers = runtime.GOMAXPROCS(0)
@@ -1635,7 +1496,10 @@ func RunContext(ctx context.Context, p *Program, edb *Database, opt *Options) (*
 		}
 	}
 
-	baseLen := ev.db.Len()
+	ev.inputRows = make(map[string]int, len(ev.db.rels))
+	for pred, r := range ev.db.rels {
+		ev.inputRows[pred] = r.nrows()
+	}
 	for i := range p.Rules {
 		r := &p.Rules[i]
 		if r.IsEGD || len(r.Body) > 0 {
@@ -1668,11 +1532,10 @@ func RunContext(ctx context.Context, p *Program, edb *Database, opt *Options) (*
 			return nil, err
 		}
 		ev.egdPasses++
-		unified, viols, err := ev.runEGDs()
-		if err != nil {
+		if err := ev.runEGDs(); err != nil {
 			return nil, err
 		}
-		for _, v := range viols {
+		for _, v := range ev.viols {
 			sid, ok := ruleSID[v.Rule]
 			if !ok {
 				sid = len(ruleSID)
@@ -1684,10 +1547,14 @@ func RunContext(ctx context.Context, p *Program, edb *Database, opt *Options) (*
 				violations = append(violations, v)
 			}
 		}
-		if !unified {
+		if !ev.unified {
 			break
 		}
 		ev.applySubst()
+	}
+	derived := 0
+	for pred, r := range ev.db.rels {
+		derived += r.nrows() - ev.inputRows[pred]
 	}
 	return &Result{
 		db:         ev.db,
@@ -1696,15 +1563,14 @@ func RunContext(ctx context.Context, p *Program, edb *Database, opt *Options) (*
 		pids:       ev.predIDs,
 		preds:      ev.predNames,
 		Stats: EvalStats{
-			Rounds:         int(ev.rounds.Load()),
-			Strata:         ev.nStrata,
-			ParallelStrata: ev.parStrata,
-			DerivedFacts:   ev.db.Len() - baseLen,
-			MatchAttempts:  ev.work.Load(),
-			MaxWork:        ev.opt.MaxWork,
-			PeakBytes:      ev.peak,
-			EGDPasses:      ev.egdPasses,
-			Workers:        ev.workers,
+			Rounds:        ev.rounds,
+			Strata:        ev.nStrata,
+			DerivedFacts:  derived,
+			MatchAttempts: ev.work.Load(),
+			MaxWork:       ev.opt.MaxWork,
+			PeakBytes:     ev.peak,
+			EGDPasses:     ev.egdPasses,
+			Workers:       ev.workers,
 		},
 	}, nil
 }

@@ -1,7 +1,7 @@
 package datalog
 
 // Equivalence battery: the rebuilt engine (interned columnar store, join
-// indexes, parallel strata) against the frozen seed engine, across the
+// indexes, partitioned deltas) against the frozen seed engine, across the
 // corpus programs, the fuzz seeds, and handwritten programs covering every
 // literal kind, existential chase, EGDs and aggregation. EquivCheck runs
 // each case sequentially and with 4 workers; `make race` runs this file

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync/atomic"
 )
 
 // Database is a set of ground facts grouped by predicate.
@@ -18,8 +17,8 @@ import (
 type Database struct {
 	in     *interner
 	rels   map[string]*relation
-	bytes  atomic.Int64 // structural bytes (rows + dedup set + indexes)
-	nfacts atomic.Int64
+	bytes  int64 // structural bytes (rows + dedup set + indexes)
+	nfacts int
 	adder  Loader // Add's loader, kept so a single insert allocates nothing
 }
 
@@ -37,9 +36,10 @@ type relation struct {
 	// prov records, by row position, how each fact was first derived: the
 	// producing rule and the body facts it matched, as a window of
 	// provBody. Rows at or past len(prov) — every row of a relation no
-	// rule writes — are extensional, like rows whose rule is -1. Only the
-	// one stratum that owns the relation's predicate appends here, so
-	// parallel strata need no shared provenance structure and no merge.
+	// rule writes — are extensional, like rows whose rule is -1. An entry
+	// is appended with its row, by one goroutine at a time (a partitioned
+	// rule's rows arrive through its in-order merge), so the columns need
+	// no lock and no merge.
 	prov     []provEntry
 	provBody []uint64
 }
@@ -180,8 +180,8 @@ func (r *relation) addRow(db *Database, row []uint32) (uint32, bool) {
 			grow += indexEntryOverhead
 		}
 	}
-	db.bytes.Add(grow)
-	db.nfacts.Add(1)
+	db.bytes += grow
+	db.nfacts++
 	return pos, true
 }
 
@@ -214,8 +214,8 @@ func (ix *joinIndex) add(row []uint32, pos uint32) {
 
 // getIndex returns the relation's index over the given column mask for
 // rows of the given arity, building and back-filling it on first use. Only
-// the evaluator's sequential plan-resolution phase calls this; parallel
-// phases see a frozen index list.
+// the evaluator's plan resolution calls this, before any rule runs, so a
+// delta partition always sees a frozen index list.
 func (r *relation) getIndex(db *Database, arity int, mask uint64) *joinIndex {
 	for _, ix := range r.indexes {
 		if ix.arity == arity && ix.mask == mask {
@@ -232,7 +232,7 @@ func (r *relation) getIndex(db *Database, arity int, mask uint64) *joinIndex {
 		}
 	}
 	r.indexes = append(r.indexes, ix)
-	db.bytes.Add(int64(n) * indexEntryOverhead)
+	db.bytes += int64(n) * indexEntryOverhead
 	return ix
 }
 
@@ -270,7 +270,7 @@ func (db *Database) rel(pred string) *relation {
 // figure against their memory budget every fixpoint round. Clones share
 // their parent's interner, so the arena component is counted in full on
 // both — a deliberate overestimate that keeps the budget conservative.
-func (db *Database) EstimatedBytes() int64 { return db.bytes.Load() + db.in.bytes.Load() }
+func (db *Database) EstimatedBytes() int64 { return db.bytes + db.in.bytes.Load() }
 
 // Facts returns the facts of a predicate, sorted.
 func (db *Database) Facts(pred string) []Tuple {
@@ -284,7 +284,7 @@ func (db *Database) Has(pred string, args ...Val) bool {
 }
 
 // Len returns the total number of facts.
-func (db *Database) Len() int { return int(db.nfacts.Load()) }
+func (db *Database) Len() int { return db.nfacts }
 
 // Predicates returns the sorted predicate names with at least one fact.
 func (db *Database) Predicates() []string {
@@ -301,20 +301,16 @@ func (db *Database) Predicates() []string {
 // clone copies the rows (sharing the interner) and drops the join indexes:
 // an evaluation run rebuilds exactly the indexes its plan needs.
 func (db *Database) clone() *Database {
-	c := &Database{in: db.in, rels: make(map[string]*relation, len(db.rels))}
-	var bytes int64
+	c := &Database{in: db.in, rels: make(map[string]*relation, len(db.rels)), nfacts: db.nfacts}
 	for p, r := range db.rels {
-		nr := &relation{
+		c.rels[p] = &relation{
 			data:        append([]uint32(nil), r.data...),
 			offs:        append([]uint32(nil), r.offs...),
 			set:         rowSet{slots: append([]uint32(nil), r.set.slots...), used: r.set.used},
 			structBytes: r.structBytes,
 		}
-		c.rels[p] = nr
-		bytes += r.structBytes
+		c.bytes += r.structBytes
 	}
-	c.bytes.Store(bytes)
-	c.nfacts.Store(db.nfacts.Load())
 	return c
 }
 
@@ -374,16 +370,15 @@ type Options struct {
 	// program consumes less of this budget than it did on the pre-index
 	// engine.
 	MaxWork int64
-	// Workers caps the goroutines used for parallel evaluation of
-	// independent strata and of large delta partitions within a stratum:
-	// 0 means GOMAXPROCS, 1 forces fully sequential evaluation. Results
-	// are bit-identical across worker counts — parallelism changes wall
-	// clock, never derived facts, provenance or null identities.
+	// Workers caps the goroutines that evaluate the partitions of a rule
+	// with a large delta (strata always run one after another): 0 means
+	// GOMAXPROCS, 1 forces fully sequential evaluation. Results are
+	// bit-identical across worker counts — parallelism changes wall clock,
+	// never derived facts, provenance or null identities.
 	Workers int
 	// Trace, when set, receives one line per stratum fixpoint round with
 	// the number of facts derived — the operational visibility a
-	// production reasoner needs. Tracing forces strata to run
-	// sequentially so the line order matches the stratum order.
+	// production reasoner needs — in stratum order.
 	Trace io.Writer
 	// Governor, when set, is charged the growth of the database's
 	// estimated byte size after every fixpoint round and EGD pass and
@@ -423,21 +418,19 @@ func (o *Options) withDefaults() Options {
 
 // EvalStats describes what one reasoning run actually did — the
 // observability block behind the paper's interactive-latency claim. Every
-// count is exact and the same at every worker count: partitions buffer their
-// emissions and merge in chunk order, so nothing is ever retried, and each
-// walk settles its private attempt count before it returns. PeakBytes is
-// sampled after every fixpoint round and EGD pass.
+// count is exact and the same at every worker count: delta partitions buffer
+// their emissions and merge in chunk order, so nothing is ever retried, and
+// each walk settles its private attempt count before it returns. PeakBytes
+// is sampled after every fixpoint round and EGD pass.
 type EvalStats struct {
 	// Rounds counts fixpoint rounds across all strata and EGD passes,
 	// the seed passes included.
 	Rounds int `json:"rounds"`
 	// Strata is the number of strata the program stratified into.
 	Strata int `json:"strata"`
-	// ParallelStrata counts strata that ran concurrently with at least
-	// one other stratum.
-	ParallelStrata int `json:"parallel_strata"`
-	// DerivedFacts is the number of facts the run added beyond the
-	// extensional database.
+	// DerivedFacts counts the result's facts that are not images of the
+	// input database's facts under the EGD substitution: without EGDs,
+	// the facts added beyond the input.
 	DerivedFacts int `json:"derived_facts"`
 	// MatchAttempts is the total fact-match work performed, the figure
 	// MaxWork bounds.
@@ -451,7 +444,7 @@ type EvalStats struct {
 	// EGDPasses counts outer chase passes (strata saturation + EGD
 	// application); 1 for programs without EGDs.
 	EGDPasses int `json:"egd_passes"`
-	// Workers is the effective worker cap the run used.
+	// Workers is the effective cap on delta-partition workers.
 	Workers int `json:"workers"`
 }
 

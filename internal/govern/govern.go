@@ -1,6 +1,6 @@
 // Package govern implements a hierarchical resource governor for the
 // Vada-SA pipeline. A Governor tracks estimated resource consumption
-// (bytes, facts, goroutines, journal-directory disk headroom) against
+// (bytes, goroutines, journal-directory disk headroom) against
 // configurable budgets, arranged as a tree: the server holds the root,
 // each job or HTTP request runs under a child, and each reasoning or
 // anonymization evaluation under a grandchild. A Reserve on a child is
@@ -31,8 +31,6 @@ const (
 	// Memory is estimated heap bytes (datasets, fact databases,
 	// subset pools, checkpoint buffers).
 	Memory Resource = "memory"
-	// Facts is derived-fact count in a reasoning evaluation.
-	Facts Resource = "facts"
 	// Goroutines is worker goroutines spawned by parallel stages.
 	Goroutines Resource = "goroutines"
 	// Disk is free-space headroom in the journal directory. Disk is
@@ -67,7 +65,6 @@ func (e *ErrBudgetExceeded) Error() string {
 // unlimited (or, for disk, "not checked").
 type Limits struct {
 	MaxBytes      int64 // estimated heap bytes
-	MaxFacts      int64 // derived facts per evaluation
 	MaxGoroutines int64 // concurrently reserved worker goroutines
 
 	// DiskDir, when non-empty, enables CheckDisk: the directory whose
@@ -83,8 +80,6 @@ func (l Limits) budget(r Resource) int64 {
 	switch r {
 	case Memory:
 		return l.MaxBytes
-	case Facts:
-		return l.MaxFacts
 	case Goroutines:
 		return l.MaxGoroutines
 	}
@@ -233,7 +228,7 @@ func (g *Governor) freeBytes() (int64, error) {
 func (g *Governor) Err() error {
 	for s := g; s != nil; s = s.parent {
 		s.mu.Lock()
-		for _, r := range [...]Resource{Memory, Facts, Goroutines} {
+		for _, r := range [...]Resource{Memory, Goroutines} {
 			b := s.limits.budget(r)
 			if b > 0 && s.used[r] >= b {
 				err := &ErrBudgetExceeded{Resource: r, Scope: s.name, Used: s.used[r], Budget: b}
@@ -251,7 +246,6 @@ func (g *Governor) Err() error {
 type Usage struct {
 	Scope      string `json:"scope"`
 	Memory     int64  `json:"memory,omitempty"`
-	Facts      int64  `json:"facts,omitempty"`
 	Goroutines int64  `json:"goroutines,omitempty"`
 }
 
@@ -267,7 +261,6 @@ func (g *Governor) Stats() Usage {
 	return Usage{
 		Scope:      g.name,
 		Memory:     g.used[Memory],
-		Facts:      g.used[Facts],
 		Goroutines: g.used[Goroutines],
 	}
 }

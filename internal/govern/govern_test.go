@@ -26,14 +26,14 @@ func TestReserveRelease(t *testing.T) {
 }
 
 func TestErrBudgetExceededFields(t *testing.T) {
-	g := New("server", Limits{MaxFacts: 10})
-	g.Reserve(Facts, 8)
-	err := g.Reserve(Facts, 5)
+	g := New("server", Limits{MaxBytes: 10})
+	g.Reserve(Memory, 8)
+	err := g.Reserve(Memory, 5)
 	var ebe *ErrBudgetExceeded
 	if !errors.As(err, &ebe) {
 		t.Fatalf("error %v is not *ErrBudgetExceeded", err)
 	}
-	if ebe.Resource != Facts || ebe.Scope != "server" || ebe.Requested != 5 || ebe.Used != 8 || ebe.Budget != 10 {
+	if ebe.Resource != Memory || ebe.Scope != "server" || ebe.Requested != 5 || ebe.Used != 8 || ebe.Budget != 10 {
 		t.Fatalf("unexpected fields: %+v", ebe)
 	}
 }
@@ -188,7 +188,7 @@ func TestStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := root.Stats()
-	if got.Scope != "server" || got.Memory != 4096 || got.Goroutines != 3 || got.Facts != 0 {
+	if got.Scope != "server" || got.Memory != 4096 || got.Goroutines != 3 {
 		t.Fatalf("root stats = %+v", got)
 	}
 	child.Close()

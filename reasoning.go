@@ -29,8 +29,8 @@ type (
 	ReasoningOptions = datalog.Options
 	// ReasoningStats describes the work one evaluation performed: fixpoint
 	// rounds, derived facts, match attempts against the work budget, peak
-	// governed bytes, and the parallelism the run used. Every
-	// ReasoningResult carries one as its Stats field.
+	// governed bytes, and the worker cap its delta partitions ran under.
+	// Every ReasoningResult carries one as its Stats field.
 	ReasoningStats = datalog.EvalStats
 )
 
