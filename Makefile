@@ -94,14 +94,16 @@ loc:
 		  for (i = 1; i <= n; i++) { b = order[i]; printf "%-15s +%-5d -%-5d net %+d\n", b, add[b], del[b], add[b] - del[b] } }'
 
 # fuzz runs the fuzzer itself, FUZZTIME per target (default 10s), one target
-# after another, on the two byte-level parsers a request body reaches: the
+# after another, on the two byte-level parsers a request body reaches — the
 # /reason decoder and fact loader (FuzzReasonFacts) and the CSV intake
-# (FuzzReadCSV). Their seed corpora already run as ordinary tests; a failing
-# input found here is written under the package's testdata/fuzz.
+# (FuzzReadCSV) — and on the release writer every anonymized CSV leaves
+# through (FuzzWriteCSV). Their seed corpora already run as ordinary tests; a
+# failing input found here is written under the package's testdata/fuzz.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./cmd/vadasad -run '^$$' -fuzz '^FuzzReasonFacts$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mdb -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mdb -run '^$$' -fuzz '^FuzzWriteCSV$$' -fuzztime $(FUZZTIME)
 
 # chaos runs the process-level fault suite under the race detector: worker
 # SIGKILL mid-lease, dropped/duplicated/truncated RPCs, torn journal tails

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 	"time"
@@ -189,6 +190,27 @@ func BenchmarkReadCSV(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mdb.ReadCSV(bytes.NewReader(buf.Bytes()), d.Name, d.Attrs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWriteCSV measures the release write — what /anonymize, a job's
+// output file and a stream release spend on it — on the same table.
+func BenchmarkWriteCSV(b *testing.B) {
+	d, err := synth.ByName("R25A4U")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := mdb.WriteCSV(&buf, d); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := mdb.WriteCSV(io.Discard, d); err != nil {
 			b.Fatal(err)
 		}
 	}

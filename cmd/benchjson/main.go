@@ -9,7 +9,7 @@
 // Usage:
 //
 //	go test -bench=. -benchmem -run='^$' ./... > bench.out
-//	go run ./cmd/benchjson -o BENCH_10.json bench.out
+//	go run ./cmd/benchjson -o bench.json bench.out
 //
 // With no file argument the benchmark output is read from stdin. Lines that
 // are not benchmark results (headers, PASS/ok, build noise) are ignored, so

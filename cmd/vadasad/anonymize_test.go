@@ -1,0 +1,265 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"os"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+
+	"vadasa"
+	"vadasa/internal/mdb"
+	"vadasa/internal/synth"
+)
+
+// referenceAnonymizeBody is the /anonymize reply as the handler once wrote
+// it — the release buffered, the struct through encoding/json, the two
+// utility figures from utility.Compare — for the cycle the request asks for
+// (the cycle is deterministic, so running it again gives the reply's). It
+// also returns the input dataset and the release.
+func referenceAnonymizeBody(t *testing.T, s *server, target, body string) ([]byte, *vadasa.Dataset, *vadasa.Dataset) {
+	t.Helper()
+	u, err := url.Parse(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, opts, err := s.cycleFromValues(u.Query())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := buildDataset(f, []byte(body), u.Query(), s.cfg.maxCells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.AnonymizeContext(context.Background(), d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csvBuf bytes.Buffer
+	if err := vadasa.WriteCSV(&csvBuf, res.Dataset); err != nil {
+		t.Fatal(err)
+	}
+	var decisions []string
+	for _, dec := range res.Decisions {
+		decisions = append(decisions, dec.String())
+	}
+	rep, err := vadasa.CompareUtility(d, res.Dataset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	enc := json.NewEncoder(&out)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(struct {
+		CSV             string   `json:"csv"`
+		Iterations      int      `json:"iterations"`
+		NullsInjected   int      `json:"nullsInjected"`
+		InfoLoss        float64  `json:"infoLoss"`
+		Residual        []int    `json:"residualTupleIds"`
+		Decisions       []string `json:"decisions"`
+		SuppressionRate float64  `json:"suppressionRate"`
+		MinGroupSize    int      `json:"minGroupSizeAfter"`
+	}{
+		csvBuf.String(), res.Iterations, res.NullsInjected, res.InfoLoss,
+		res.Residual, decisions, rep.SuppressionRate, rep.MinGroupSizeAfter,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes(), d, res.Dataset
+}
+
+// anonymizeCases are /anonymize requests over every measure, with and
+// without recoding, on tables with labelled nulls in the input and cells
+// that need CSV quoting and JSON escaping.
+func anonymizeCases(t *testing.T) []struct{ target, body string } {
+	table := func(dist vadasa.Distribution, seed int64, nullEvery int) string {
+		d := vadasa.Generate(vadasa.GeneratorConfig{Tuples: 1200, QIs: 4, Dist: dist, Seed: seed})
+		if nullEvery > 0 {
+			qi := d.QuasiIdentifiers()
+			for i, r := range d.Rows {
+				if i%nullEvery == 0 {
+					r.Values[qi[i%len(qi)]] = d.Nulls.Fresh()
+				}
+			}
+		}
+		var b strings.Builder
+		if err := vadasa.WriteCSV(&b, d); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	odd := []string{`"a ""q"" b"`, `"x,y"`, "\"two\nlines\"", "\"cr\rhere\"", "\u2028sep", "bad\xffutf8",
+		`"\."`, `" lead"`, "tab\\t<&>", "⊥0", "é"}
+	var b strings.Builder
+	b.WriteString("Id,Area,Sector,Weight\n")
+	for i := 0; i < 120; i++ {
+		fmt.Fprintf(&b, "c%d,%s,%s,%d\n", i, odd[i%len(odd)], odd[(i/3)%len(odd)], 1+i%7)
+	}
+	oddCSV := b.String()
+	w, u, v := table(vadasa.DistW, 3, 0), table(vadasa.DistU, 4, 0), table(vadasa.DistV, 5, 0)
+	nulls := table(vadasa.DistU, 6, 9)
+	fig1 := figure1CSV(t)
+	return []struct{ target, body string }{
+		{"/anonymize?measure=k-anonymity&k=3&threshold=0.5", w},
+		{"/anonymize?measure=k-anonymity&k=3&threshold=0.5", u},
+		{"/anonymize?measure=k-anonymity&k=3&threshold=0.5", v},
+		{"/anonymize?measure=k-anonymity&k=3&threshold=0.5", nulls},
+		{"/anonymize?measure=re-identification&threshold=0.05", u},
+		{"/anonymize?measure=re-identification&threshold=0.05", nulls},
+		{"/anonymize?measure=individual-risk&threshold=0.05", v},
+		{"/anonymize?measure=individual-risk&estimator=ratio&threshold=0.05", nulls},
+		{"/anonymize?measure=suda&msu=3", u},
+		{"/anonymize?measure=l-diversity&k=2&sensitive=ResidentialRevenue", w},
+		{"/anonymize?measure=t-closeness&sensitive=ResidentialRevenue&t=0.37", u},
+		{"/anonymize?measure=k-anonymity&k=2&recode=true", fig1},
+		{"/anonymize?measure=k-anonymity&k=3", fig1},
+		{"/anonymize?measure=re-identification&threshold=0.5&recode=true", fig1},
+		{"/anonymize?measure=k-anonymity&k=2&id=Id&qi=Area,Sector&weight=Weight", oddCSV},
+		{"/anonymize?measure=k-anonymity&k=4&threshold=0.2&id=Id&qi=Area,Sector&weight=Weight", oddCSV},
+		{"/anonymize?measure=k-anonymity&k=2&threshold=1", u}, // nothing to do: no decisions
+		{"/anonymize?measure=k-anonymity", "Id,Area,Sector,Weight\n"}, // no rows
+	}
+}
+
+// The streamed reply is byte for byte the one encoding/json wrote, its two
+// utility figures equal to utility.Compare's; and no cycle turns a labelled
+// null back into a constant, which is what lets suppressionRate be counted
+// from NullsInjected.
+func TestAnonymizeReplyMatchesEncodingJSON(t *testing.T) {
+	s := startServer(t, testConfig(t))
+	for _, c := range anonymizeCases(t) {
+		rec := do(t, s.handler, "POST", c.target, c.body)
+		want, before, after := referenceAnonymizeBody(t, s, c.target, c.body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.target, rec.Code, rec.Body)
+		}
+		if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
+			i := 0
+			for i < min(len(got), len(want)) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("%s: reply differs from encoding/json's at byte %d of %d/%d: %q vs %q",
+				c.target, i, len(got), len(want), got[i:min(i+60, len(got))], want[i:min(i+60, len(want))])
+		}
+		qi := before.QuasiIdentifiers()
+		for i, r := range before.Rows {
+			for _, a := range qi {
+				if r.Values[a].IsNull() && !after.Rows[i].Values[a].IsNull() {
+					t.Fatalf("%s: row %d attribute %d: a labelled null became a constant", c.target, r.ID, a)
+				}
+			}
+		}
+	}
+}
+
+// TestAnonymizeKeysMatchREADME: the keys of an /anonymize reply are the
+// backticked names in the first column of README's /anonymize table.
+func TestAnonymizeKeysMatchREADME(t *testing.T) {
+	rec := do(t, testServer(t), "POST", "/anonymize?measure=k-anonymity&k=2", figure1CSV(t))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d: %s", rec.Code, rec.Body)
+	}
+	var out map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	var wire []string
+	for k := range out {
+		wire = append(wire, k)
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "`/anonymize` answers with one JSON object")
+	if _, table, ok = strings.Cut(table, "| key | meaning |\n|---|---|\n"); !ok {
+		t.Fatal("README.md has no /anonymize table")
+	}
+	var documented []string
+	name := regexp.MustCompile("`([^`]+)`")
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		for _, m := range name.FindAllStringSubmatch(strings.Split(line, "|")[1], -1) {
+			documented = append(documented, m[1])
+		}
+	}
+	slices.Sort(wire)
+	slices.Sort(documented)
+	if !slices.Equal(wire, documented) {
+		t.Fatalf("/anonymize keys on the wire %v, in README's table %v", wire, documented)
+	}
+}
+
+// However a text is split into writes, jsonStringWriter passes on what
+// appendJSONString puts between the quotes for the whole of it — runes cut
+// between writes, invalid UTF-8 and empty writes included.
+func TestJSONStringWriterAnySplit(t *testing.T) {
+	tokens := []string{"a", "é", "€", "😀", "\u2028", "\u2029", "\xff", "\xe2\x82", "\xf0\x9f", "\xed\xa0\x80",
+		"\x00", "\x1f", "\n", "\r", "\t", `"`, `\`, "<&>", "\u0085", "\ufffd"}
+	rng := rand.New(rand.NewSource(31))
+	var text []byte
+	for n := 0; n < 50_000; n++ {
+		text = text[:0]
+		for k := rng.Intn(8); k > 0; k-- {
+			text = append(text, tokens[rng.Intn(len(tokens))]...)
+		}
+		want := appendJSONString(nil, string(text))
+		want = want[1 : len(want)-1]
+		var got bytes.Buffer
+		x := &jsonStringWriter{w: &got}
+		for rest := text; ; {
+			k := rng.Intn(len(rest) + 1)
+			if n, err := x.Write(rest[:k]); n != k || err != nil {
+				t.Fatalf("Write = %d, %v", n, err)
+			}
+			if rest = rest[k:]; len(rest) == 0 {
+				break
+			}
+		}
+		if err := x.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%q: wrote %q, want %q", text, got.Bytes(), want)
+		}
+	}
+}
+
+// BenchmarkAnonymizeRequest is one whole POST /anonymize through serve —
+// body read, categorization, the cycle, the release written into the reply —
+// for each measure of the anonymize_native workload on an R25A4U table.
+func BenchmarkAnonymizeRequest(b *testing.B) {
+	var body bytes.Buffer
+	if err := mdb.WriteCSV(&body, synth.Generate(synth.Config{Tuples: 25000, QIs: 4, Dist: synth.DistU, Seed: 459})); err != nil {
+		b.Fatal(err)
+	}
+	for _, q := range []string{
+		"measure=k-anonymity&k=3&threshold=0.5",
+		"measure=re-identification&threshold=0.05",
+		"measure=individual-risk&threshold=0.05",
+	} {
+		b.Run(strings.SplitN(strings.TrimPrefix(q, "measure="), "&", 2)[0], func(b *testing.B) {
+			h := testServer(b)
+			b.SetBytes(int64(body.Len()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/anonymize?"+q, bytes.NewReader(body.Bytes())))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status = %d: %.200s", rec.Code, rec.Body)
+				}
+			}
+		})
+	}
+}

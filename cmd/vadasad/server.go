@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/url"
@@ -21,6 +22,7 @@ import (
 	"vadasa/internal/faultfs"
 	"vadasa/internal/govern"
 	"vadasa/internal/jobs"
+	"vadasa/internal/mdb"
 	"vadasa/internal/risk"
 )
 
@@ -693,31 +695,55 @@ func (s *server) handleAnonymize(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return unprocessable(err)
 	}
-	var csvBuf bytes.Buffer
-	if err := vadasa.WriteCSV(&csvBuf, res.Dataset); err != nil {
-		return err
+	// The reply's two utility figures are utility.Compare's, from the counts
+	// the cycle already has: it never turns a null back into a constant, so
+	// the nulls it injected are the quasi-identifier cells it suppressed.
+	qi := d.QuasiIdentifiers()
+	rate, minGroup := 0.0, 0
+	if cells := len(d.Rows) * len(qi); cells > 0 {
+		rate = float64(res.NullsInjected) / float64(cells)
 	}
-	var decisions []string
-	for _, dec := range res.Decisions {
-		decisions = append(decisions, dec.String())
+	for i, f := range mdb.Frequencies(res.Dataset, qi, mdb.MaybeMatch) {
+		if i == 0 || f < minGroup {
+			minGroup = f
+		}
 	}
-	rep, err := vadasa.CompareUtility(d, res.Dataset)
-	if err != nil {
-		return err
+	return writeAnonymizeResponse(w, res, rate, minGroup)
+}
+
+// writeAnonymizeResponse writes the /anonymize reply, byte for byte the
+// document writeJSON made of it as a struct, without holding the release:
+// WriteCSV escapes it into the response a chunk at a time, and the fields
+// after it are appended as /reason appends its facts.
+func writeAnonymizeResponse(w http.ResponseWriter, res *vadasa.CycleResult, rate float64, minGroup int) error {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	release := &jsonStringWriter{w: w}
+	_, err := io.WriteString(w, `{"csv":"`)
+	if err == nil {
+		err = vadasa.WriteCSV(release, res.Dataset)
 	}
-	return s.writeJSON(w, http.StatusOK, struct {
-		CSV             string   `json:"csv"`
-		Iterations      int      `json:"iterations"`
-		NullsInjected   int      `json:"nullsInjected"`
-		InfoLoss        float64  `json:"infoLoss"`
-		Residual        []int    `json:"residualTupleIds"`
-		Decisions       []string `json:"decisions"`
-		SuppressionRate float64  `json:"suppressionRate"`
-		MinGroupSize    int      `json:"minGroupSizeAfter"`
-	}{
-		csvBuf.String(), res.Iterations, res.NullsInjected, res.InfoLoss,
-		res.Residual, decisions, rep.SuppressionRate, rep.MinGroupSizeAfter,
+	if err == nil {
+		err = release.Close()
+	}
+	buf := strconv.AppendInt([]byte(`","iterations":`), int64(res.Iterations), 10)
+	buf = strconv.AppendInt(append(buf, `,"nullsInjected":`...), int64(res.NullsInjected), 10)
+	buf = appendJSONFloat(append(buf, `,"infoLoss":`...), res.InfoLoss)
+	buf = appendJSONList(append(buf, `,"residualTupleIds":`...), len(res.Residual), func(b []byte, i int) []byte {
+		return strconv.AppendInt(b, int64(res.Residual[i]), 10)
 	})
+	buf = appendJSONList(append(buf, `,"decisions":`...), len(res.Decisions), func(b []byte, i int) []byte {
+		return appendJSONString(b, res.Decisions[i].String())
+	})
+	buf = appendJSONFloat(append(buf, `,"suppressionRate":`...), rate)
+	buf = strconv.AppendInt(append(buf, `,"minGroupSizeAfter":`...), int64(minGroup), 10)
+	if err == nil {
+		_, err = w.Write(append(buf, "}\n"...))
+	}
+	if err != nil {
+		return fmt.Errorf("encoding 200 response: %w", err)
+	}
+	return nil
 }
 
 func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) error {

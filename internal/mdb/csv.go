@@ -4,7 +4,10 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // CSVHeader reads the first record of a CSV as attribute names — the one
@@ -244,26 +247,88 @@ func (sc *csvScanner) take() string {
 	return sc.field
 }
 
+// csvChunk is how many bytes WriteCSV gathers before handing them to its
+// writer.
+const csvChunk = 32 << 10
+
 // WriteCSV writes the dataset as CSV with a header row. Labelled nulls are
 // written in their ⊥i form, so a round trip through ReadCSV preserves them.
+//
+// The bytes are those of encoding/csv's Writer with its defaults, which the
+// test oracle holds it to. Records are appended to one buffer that goes to w
+// whenever it holds csvChunk bytes, and at the end, so w sees whole records
+// and never more than a chunk and a record at once.
 func WriteCSV(w io.Writer, d *Dataset) error {
-	cw := csv.NewWriter(w)
-	header := make([]string, len(d.Attrs))
+	buf := make([]byte, 0, 2*csvChunk)
 	for i, a := range d.Attrs {
-		header[i] = a.Name
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendCSVField(buf, a.Name)
 	}
-	if err := cw.Write(header); err != nil {
-		return fmt.Errorf("mdb: writing CSV header: %w", err)
-	}
-	rec := make([]string, len(d.Attrs))
+	buf = append(buf, '\n')
 	for _, r := range d.Rows {
-		for i, v := range r.Values {
-			rec[i] = v.String()
+		if len(buf) >= csvChunk {
+			if _, err := w.Write(buf); err != nil {
+				return fmt.Errorf("mdb: writing CSV: %w", err)
+			}
+			buf = buf[:0]
 		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("mdb: writing CSV row %d: %w", r.ID, err)
+		for i, v := range r.Values {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			if v.null != 0 {
+				buf = strconv.AppendUint(append(buf, "⊥"...), v.null, 10)
+			} else {
+				buf = appendCSVField(buf, v.s)
+			}
+		}
+		buf = append(buf, '\n')
+	}
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("mdb: writing CSV: %w", err)
+	}
+	return nil
+}
+
+// appendCSVField appends one field as encoding/csv writes it: quoted when it
+// holds a comma, a quote, "\r" or "\n", starts with a white-space rune or is
+// `\.`, and then with every quote doubled and line ends kept as they are.
+func appendCSVField(dst []byte, s string) []byte {
+	if !csvNeedsQuotes(s) {
+		return append(dst, s...)
+	}
+	dst = append(dst, '"')
+	for {
+		i := strings.IndexByte(s, '"')
+		if i < 0 {
+			break
+		}
+		dst = append(dst, s[:i+1]...)
+		dst = append(dst, '"')
+		s = s[i+1:]
+	}
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+func csvNeedsQuotes(s string) bool {
+	if s == "" {
+		return false
+	}
+	if s == `\.` {
+		return true
+	}
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case ',', '"', '\r', '\n':
+			return true
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	if c := s[0]; c < utf8.RuneSelf {
+		return c == ' ' || '\t' <= c && c <= '\r' // unicode.IsSpace below RuneSelf
+	}
+	r, _ := utf8.DecodeRuneInString(s)
+	return unicode.IsSpace(r)
 }

@@ -1,6 +1,7 @@
 package mdb
 
 import (
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -208,6 +209,216 @@ func FuzzReadCSV(f *testing.F) {
 		}
 		checkReadCSV(t, in, attrs, weight%2 == 0)
 		checkScanner(t, in, len(attrs))
+	})
+}
+
+// referenceWriteCSV is WriteCSV written over encoding/csv's Writer — the
+// writer's specification.
+func referenceWriteCSV(w io.Writer, d *Dataset) error {
+	cw := csv.NewWriter(w)
+	rec := make([]string, len(d.Attrs))
+	for i, a := range d.Attrs {
+		rec[i] = a.Name
+	}
+	if err := cw.Write(rec); err != nil {
+		return err
+	}
+	for _, r := range d.Rows {
+		for i, v := range r.Values {
+			rec[i] = v.String()
+		}
+		if err := cw.Write(rec); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+// csvCellTokens are the pieces test cells are made of: every byte and rune
+// encoding/csv's Writer treats specially, the two labelled-null spellings as
+// constants, and invalid UTF-8.
+var csvCellTokens = []string{
+	"a", "", `""`, `\.`, `"`, ",", "\r", "\n", "\r\n", " ", "\t", "\u0085", "\u00a0",
+	"\u2028", "\xff", "\xe2\x82", "⊥3", "⊥0", "*", "é",
+}
+
+// checkWriteCSV requires WriteCSV to write d as the reference does, and,
+// where every name and cell can be read back as itself, ReadCSV of its
+// output to give back d's values.
+func checkWriteCSV(t testing.TB, d *Dataset) {
+	var got, want bytes.Buffer
+	if err := WriteCSV(&got, d); err != nil {
+		t.Fatal(err)
+	}
+	if err := referenceWriteCSV(&want, d); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("WriteCSV wrote %q, encoding/csv %q", got.Bytes(), want.Bytes())
+	}
+	if !csvRoundTrips(d) {
+		return
+	}
+	back, err := ReadCSV(&got, d.Name, d.Attrs)
+	if err != nil {
+		t.Fatalf("ReadCSV(%q): %v", want.Bytes(), err)
+	}
+	if len(back.Rows) != len(d.Rows) {
+		t.Fatalf("ReadCSV(%q): %d rows, wrote %d", want.Bytes(), len(back.Rows), len(d.Rows))
+	}
+	for i, r := range d.Rows {
+		if !slices.Equal(back.Rows[i].Values, r.Values) {
+			t.Fatalf("ReadCSV(%q) row %d: %q, wrote %q", want.Bytes(), i, back.Rows[i].Values, r.Values)
+		}
+	}
+}
+
+// csvRoundTrips reports whether ReadCSV can read d back from WriteCSV's
+// output: names ReadCSV's header cleaning and Validate leave as they are, no
+// "\r\n" (read as "\n"), no constant spelled as a labelled null, and no record
+// that is one empty field (written as an empty line, which readers skip).
+func csvRoundTrips(d *Dataset) bool {
+	k := len(d.Attrs)
+	seen := map[string]bool{}
+	for _, a := range d.Attrs {
+		if a.Name == "" || seen[a.Name] || a.Name != strings.TrimSpace(a.Name) ||
+			strings.HasPrefix(a.Name, "\ufeff") || strings.Contains(a.Name, "\r\n") {
+			return false
+		}
+		seen[a.Name] = true
+	}
+	var nulls NullAllocator
+	for _, r := range d.Rows {
+		for _, v := range r.Values {
+			if v.IsNull() {
+				continue
+			}
+			s := v.Constant()
+			if (k == 1 && s == "") || strings.Contains(s, "\r\n") || ParseValue(s, &nulls) != v {
+				return false
+			}
+		}
+	}
+	return k > 0
+}
+
+// Random tables over csvCellTokens: WriteCSV equals encoding/csv, and reads
+// back wherever the table can be.
+func TestWriteCSVMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	cell := func() string {
+		var b strings.Builder
+		for k := rng.Intn(3); k > 0; k-- {
+			b.WriteString(csvCellTokens[rng.Intn(len(csvCellTokens))])
+		}
+		return b.String()
+	}
+	roundTrips := 0
+	for n := 0; n < 20_000; n++ {
+		k := rng.Intn(4)
+		attrs := make([]Attribute, k)
+		for j := range attrs {
+			attrs[j] = Attribute{Name: fmt.Sprintf("A%d", j), Category: QuasiIdentifier}
+			if rng.Intn(8) == 0 {
+				attrs[j].Name = cell()
+			}
+		}
+		d := NewDataset("w", attrs)
+		for r := rng.Intn(4); r > 0; r-- {
+			row := &Row{Values: make([]Value, k)}
+			for j := range row.Values {
+				if rng.Intn(5) == 0 {
+					row.Values[j] = d.Nulls.Fresh()
+				} else {
+					row.Values[j] = Const(cell())
+				}
+			}
+			d.Append(row)
+		}
+		checkWriteCSV(t, d)
+		if csvRoundTrips(d) {
+			roundTrips++
+		}
+	}
+	if roundTrips < 2_000 {
+		t.Fatalf("only %d of 20000 tables could be read back", roundTrips)
+	}
+}
+
+// recordWrites keeps every slice its writer is handed, copied.
+type recordWrites [][]byte
+
+func (r *recordWrites) Write(p []byte) (int, error) {
+	*r = append(*r, bytes.Clone(p))
+	return len(p), nil
+}
+
+// A large table reaches the writer in chunks of whole records, and WriteCSV
+// allocates its one buffer whatever the table's size.
+func TestWriteCSVChunksAtRecords(t *testing.T) {
+	d := NewDataset("big", igAttrs())
+	for i := 0; i < 5000; i++ {
+		d.Append(&Row{Values: []Value{Const(fmt.Sprint(i)), Const(strings.Repeat("a,", i%40)), d.Nulls.Fresh(), Const("1")}, Weight: 1})
+	}
+	var writes recordWrites
+	if err := WriteCSV(&writes, d); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := referenceWriteCSV(&want, d); err != nil {
+		t.Fatal(err)
+	}
+	if got := bytes.Join(writes, nil); !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("chunks do not join into encoding/csv's output")
+	}
+	if len(writes) < 3 {
+		t.Fatalf("%d writes of a %d-byte table", len(writes), want.Len())
+	}
+	for i, w := range writes {
+		if len(w) == 0 || w[len(w)-1] != '\n' || len(w) > 2*csvChunk {
+			t.Fatalf("write %d of %d bytes does not end a record within two chunks", i, len(w))
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, func() { _ = WriteCSV(io.Discard, d) }); allocs != 1 {
+		t.Fatalf("WriteCSV allocates %v times per table, want 1", allocs)
+	}
+}
+
+func FuzzWriteCSV(f *testing.F) {
+	f.Add("A\x1fB\x1fx\x1f\x00", uint8(2))
+	f.Add(strings.Join(csvCellTokens, "\x1f"), uint8(3))
+	for _, tok := range csvCellTokens {
+		f.Add("A\x1f"+tok+"\x1f"+tok+"x\x1fx"+tok+"\x1f\x00", uint8(1))
+		f.Add(tok+"\x1f"+tok, uint8(0))
+	}
+	// in is the table's cells, split at U+001F, filled into 1 + cols%4 columns
+	// row by row after a header; a cell starting with NUL is a labelled null.
+	f.Fuzz(func(t *testing.T, in string, cols uint8) {
+		k := 1 + int(cols%4)
+		cells := strings.Split(in, "\x1f")
+		attrs := make([]Attribute, k)
+		for j := range attrs {
+			if j < len(cells) {
+				attrs[j].Name = cells[j]
+			}
+			attrs[j].Category = QuasiIdentifier
+		}
+		d := NewDataset("fuzz", attrs)
+		for rest := cells[min(k, len(cells)):]; len(rest) > 0; rest = rest[min(k, len(rest)):] {
+			row := &Row{Values: make([]Value, k)}
+			for j := range row.Values {
+				switch {
+				case j >= len(rest):
+				case strings.HasPrefix(rest[j], "\x00"):
+					row.Values[j] = Null(uint64(len(rest[j])))
+				default:
+					row.Values[j] = Const(rest[j])
+				}
+			}
+			d.Append(row)
+		}
+		checkWriteCSV(t, d)
 	})
 }
 

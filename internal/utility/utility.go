@@ -120,15 +120,20 @@ func totalVariation(p map[string]float64, pn int, q map[string]float64, qn int) 
 		}
 		return 1
 	}
-	keys := make(map[string]bool, len(p)+len(q))
+	// Summed in key order: in map order the rounding, and so the bits of the
+	// result, would change from call to call.
+	keys := make([]string, 0, len(p)+len(q))
 	for k := range p {
-		keys[k] = true
+		keys = append(keys, k)
 	}
 	for k := range q {
-		keys[k] = true
+		if _, ok := p[k]; !ok {
+			keys = append(keys, k)
+		}
 	}
+	sort.Strings(keys)
 	tv := 0.0
-	for k := range keys {
+	for _, k := range keys {
 		diff := p[k]/float64(pn) - q[k]/float64(qn)
 		if diff < 0 {
 			diff = -diff
