@@ -79,31 +79,34 @@ check: design-cap vet lint-programs vet-analyzers race staticcheck govulncheck b
 # loc reports the net Go line delta of the working tree against BASE (a
 # commit; default the parent), split the way ROADMAP aim 2 asks for it: code
 # of this module and benchmark/, its tests and fixtures, and everything under
-# tools/ — plus the share of the first bucket that falls in each directory
-# named in PKGS, the packages a round's shrink work is about. Renames count
+# tools/ — plus the non-test lines, tools/ ones included, that fall in each
+# directory named in PKGS, the packages a round's shrink work is about. Renames count
 # as a delete plus an add, so they net to zero.
 BASE ?= HEAD~1
 PKGS ?= cmd/vadasad
 loc:
 	@git diff --numstat --no-renames $(BASE) -- '*.go' | awk -v pkgs='$(PKGS)' ' \
 		BEGIN { np = split(pkgs, pkg, " ") } \
-		{ b = $$3 ~ /^tools\// ? "tools/" : $$3 ~ /(_test\.go|\/testdata\/.*)$$/ ? "test" : "non-test"; \
+		{ t = $$3 ~ /(_test\.go|\/testdata\/.*)$$/; b = $$3 ~ /^tools\// ? "tools/" : t ? "test" : "non-test"; \
 		  add[b] += $$1; del[b] += $$2 } \
-		b == "non-test" { for (i = 1; i <= np; i++) if (index($$3, pkg[i] "/") == 1) { add[pkg[i]] += $$1; del[pkg[i]] += $$2 } } \
+		!t { for (i = 1; i <= np; i++) if (index($$3, pkg[i] "/") == 1) { add[pkg[i]] += $$1; del[pkg[i]] += $$2 } } \
 		END { n = split("non-test " pkgs " test tools/", order, " "); \
 		  for (i = 1; i <= n; i++) { b = order[i]; printf "%-15s +%-5d -%-5d net %+d\n", b, add[b], del[b], add[b] - del[b] } }'
 
 # fuzz runs the fuzzer itself, FUZZTIME per target (default 10s), one target
 # after another, on the two byte-level parsers a request body reaches — the
 # /reason decoder and fact loader (FuzzReasonFacts) and the CSV intake
-# (FuzzReadCSV) — and on the release writer every anonymized CSV leaves
-# through (FuzzWriteCSV). Their seed corpora already run as ordinary tests; a
-# failing input found here is written under the package's testdata/fuzz.
+# (FuzzReadCSV) — on the release writer every anonymized CSV leaves through
+# (FuzzWriteCSV), and on the group index's row-operation tape, the one that
+# drives its compaction (FuzzGroupIndexRowOps). Their seed corpora already run
+# as ordinary tests; a failing input found here is written under the
+# package's testdata/fuzz.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./cmd/vadasad -run '^$$' -fuzz '^FuzzReasonFacts$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mdb -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mdb -run '^$$' -fuzz '^FuzzWriteCSV$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mdb -run '^$$' -fuzz '^FuzzGroupIndexRowOps$$' -fuzztime $(FUZZTIME)
 
 # chaos runs the process-level fault suite under the race detector: worker
 # SIGKILL mid-lease, dropped/duplicated/truncated RPCs, torn journal tails

@@ -76,9 +76,26 @@ func referenceAnonymizeBody(t *testing.T, s *server, target, body string) ([]byt
 	return out.Bytes(), d, res.Dataset
 }
 
+// subsetMeasure names a k-anonymity over Area and Sector alone, the attrs=
+// restriction no query parameter spells: anonymizeServer registers it.
+const subsetMeasure = "k-anonymity-area-sector"
+
+// anonymizeServer is the daemon anonymizeCases are posted to.
+func anonymizeServer(t *testing.T) *server {
+	cfg := testConfig(t)
+	cfg.extraMeasures = map[string]func() vadasa.RiskMeasure{
+		subsetMeasure: func() vadasa.RiskMeasure { return vadasa.KAnonymity{K: 3, Attrs: []string{"Area", "Sector"}} },
+	}
+	return startServer(t, cfg)
+}
+
 // anonymizeCases are /anonymize requests over every measure, with and
 // without recoding, on tables with labelled nulls in the input and cells
-// that need CSV quoting and JSON escaping.
+// that need CSV quoting and JSON escaping. minGroupSizeAfter is read off the
+// cycle's index where that groups by exactly the quasi-identifiers under
+// maybe-match — rebuilt after every iteration that recodes — and the cases
+// include the cycles that regroup the release instead: SUDA, a sensitive
+// column among the quasi-identifiers, an attribute subset.
 func anonymizeCases(t *testing.T) []struct{ target, body string } {
 	table := func(dist vadasa.Distribution, seed int64, nullEvery int) string {
 		d := vadasa.Generate(vadasa.GeneratorConfig{Tuples: 1200, QIs: 4, Dist: dist, Seed: seed})
@@ -118,13 +135,16 @@ func anonymizeCases(t *testing.T) []struct{ target, body string } {
 		{"/anonymize?measure=individual-risk&estimator=ratio&threshold=0.05", nulls},
 		{"/anonymize?measure=suda&msu=3", u},
 		{"/anonymize?measure=l-diversity&k=2&sensitive=ResidentialRevenue", w},
+		{"/anonymize?measure=l-diversity&k=2&sensitive=ResidentialRevenue&plain=ResidentialRevenue", w},
+		{"/anonymize?measure=" + subsetMeasure + "&threshold=0.5", v},
+		{"/anonymize?measure=k-anonymity&k=3&recode=true", u},
 		{"/anonymize?measure=t-closeness&sensitive=ResidentialRevenue&t=0.37", u},
 		{"/anonymize?measure=k-anonymity&k=2&recode=true", fig1},
 		{"/anonymize?measure=k-anonymity&k=3", fig1},
 		{"/anonymize?measure=re-identification&threshold=0.5&recode=true", fig1},
 		{"/anonymize?measure=k-anonymity&k=2&id=Id&qi=Area,Sector&weight=Weight", oddCSV},
 		{"/anonymize?measure=k-anonymity&k=4&threshold=0.2&id=Id&qi=Area,Sector&weight=Weight", oddCSV},
-		{"/anonymize?measure=k-anonymity&k=2&threshold=1", u}, // nothing to do: no decisions
+		{"/anonymize?measure=k-anonymity&k=2&threshold=1", u},         // nothing to do: no decisions
 		{"/anonymize?measure=k-anonymity", "Id,Area,Sector,Weight\n"}, // no rows
 	}
 }
@@ -134,7 +154,7 @@ func anonymizeCases(t *testing.T) []struct{ target, body string } {
 // null back into a constant, which is what lets suppressionRate be counted
 // from NullsInjected.
 func TestAnonymizeReplyMatchesEncodingJSON(t *testing.T) {
-	s := startServer(t, testConfig(t))
+	s := anonymizeServer(t)
 	for _, c := range anonymizeCases(t) {
 		rec := do(t, s.handler, "POST", c.target, c.body)
 		want, before, after := referenceAnonymizeBody(t, s, c.target, c.body)

@@ -22,7 +22,6 @@ import (
 	"vadasa/internal/faultfs"
 	"vadasa/internal/govern"
 	"vadasa/internal/jobs"
-	"vadasa/internal/mdb"
 	"vadasa/internal/risk"
 )
 
@@ -695,27 +694,22 @@ func (s *server) handleAnonymize(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return unprocessable(err)
 	}
-	// The reply's two utility figures are utility.Compare's, from the counts
-	// the cycle already has: it never turns a null back into a constant, so
-	// the nulls it injected are the quasi-identifier cells it suppressed.
-	qi := d.QuasiIdentifiers()
-	rate, minGroup := 0.0, 0
-	if cells := len(d.Rows) * len(qi); cells > 0 {
+	// The reply's two utility figures are utility.Compare's, from what the
+	// cycle already has: it never turns a null back into a constant, so the
+	// nulls it injected are the quasi-identifier cells it suppressed, and the
+	// smallest group of the release is in its result.
+	rate := 0.0
+	if cells := len(d.Rows) * len(d.QuasiIdentifiers()); cells > 0 {
 		rate = float64(res.NullsInjected) / float64(cells)
 	}
-	for i, f := range mdb.Frequencies(res.Dataset, qi, mdb.MaybeMatch) {
-		if i == 0 || f < minGroup {
-			minGroup = f
-		}
-	}
-	return writeAnonymizeResponse(w, res, rate, minGroup)
+	return writeAnonymizeResponse(w, res, rate)
 }
 
 // writeAnonymizeResponse writes the /anonymize reply, byte for byte the
 // document writeJSON made of it as a struct, without holding the release:
 // WriteCSV escapes it into the response a chunk at a time, and the fields
 // after it are appended as /reason appends its facts.
-func writeAnonymizeResponse(w http.ResponseWriter, res *vadasa.CycleResult, rate float64, minGroup int) error {
+func writeAnonymizeResponse(w http.ResponseWriter, res *vadasa.CycleResult, rate float64) error {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	release := &jsonStringWriter{w: w}
@@ -736,7 +730,7 @@ func writeAnonymizeResponse(w http.ResponseWriter, res *vadasa.CycleResult, rate
 		return appendJSONString(b, res.Decisions[i].String())
 	})
 	buf = appendJSONFloat(append(buf, `,"suppressionRate":`...), rate)
-	buf = strconv.AppendInt(append(buf, `,"minGroupSizeAfter":`...), int64(minGroup), 10)
+	buf = strconv.AppendInt(append(buf, `,"minGroupSizeAfter":`...), int64(res.MinGroupSize), 10)
 	if err == nil {
 		_, err = w.Write(append(buf, "}\n"...))
 	}

@@ -3,6 +3,7 @@ package anon
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -127,6 +128,9 @@ type Result struct {
 	// nulls over the maximum number of quasi-identifier values of risky
 	// tuples that could theoretically be removed.
 	InfoLoss float64
+	// MinGroupSize is the smallest maybe-match group of the release over the
+	// quasi-identifiers (0 without rows): the anonymity level achieved.
+	MinGroupSize int
 	// RiskEvalTime and AnonTime split the elapsed time between the risk
 	// estimation component and the anonymization steps (Figure 7e's
 	// dotted vs solid lines).
@@ -449,7 +453,29 @@ func ResumeContext(ctx context.Context, d *mdb.Dataset, cfg Config, checkpoints 
 	if denom := res.EverRisky * len(qi); denom > 0 {
 		res.InfoLoss = float64(res.NullsInjected) / float64(denom)
 	}
+	res.MinGroupSize = minGroupSize(view, work, qi)
 	return res, nil
+}
+
+// minGroupSize is the smallest maybe-match group of d over qi. The view's
+// index holds exactly that grouping when it is current, maybe-match and over
+// the quasi-identifiers — every k-anonymity, re-identification and
+// individual-risk cycle; any other view costs one regroup of the release.
+func minGroupSize(view *risk.Live, d *mdb.Dataset, qi []int) int {
+	var infos []mdb.GroupInfo
+	if idx := view.Index(); idx != nil && idx.Semantics() == mdb.MaybeMatch && slices.Equal(idx.Attrs(), qi) {
+		infos = idx.Infos()
+	} else {
+		//hotgroup:ok once per cycle, after it: a view without this index reassessed in full every iteration
+		infos = mdb.ComputeGroups(d, qi, mdb.MaybeMatch)
+	}
+	m := 0
+	for i, g := range infos {
+		if i == 0 || g.Freq < m {
+			m = g.Freq
+		}
+	}
+	return m
 }
 
 // replay applies one journaled iteration to a resuming loop: the decisions

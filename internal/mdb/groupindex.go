@@ -250,11 +250,8 @@ func (x *GroupIndex) post(g int) {
 	}
 }
 
-// restructure rebuilds everything structural — dictionaries, code matrix,
-// exact groups — from the dataset as it stands. Build is one restructure;
-// Commit runs another when dead groups or dead codes outnumber live ones,
-// which is what keeps a long-lived stream window's index proportional to
-// the window. Codes and group ids are internal: infos do not depend on them.
+// restructure builds everything structural — dictionaries, code matrix,
+// exact groups — from the dataset: the one pass that reads its strings.
 func (x *GroupIndex) restructure() {
 	stride, n := len(x.cols), len(x.d.Rows)
 	x.consts = make([]map[string]uint32, stride)
@@ -267,13 +264,64 @@ func (x *GroupIndex) restructure() {
 		}
 		x.refs[j] = []int32{0}
 	}
-	x.deadCodes = 0
-	x.cells = slices.Grow(x.cells[:0], n*stride)
+	x.cells = make([]uint32, 0, n*stride)
 	for _, r := range x.d.Rows {
 		for j, i := range x.cols {
 			x.cells = append(x.cells, x.code(j, r.Values[i]))
 		}
 	}
+	x.regroup(n)
+}
+
+// compact renumbers every coded attribute's live codes densely, keeping their
+// order, into fresh dictionaries that hold only them, remaps the matrix and
+// re-interns the exact groups from it. Commit runs it when dead groups or
+// dead codes outnumber live ones, which is what keeps a long-lived stream
+// window's index proportional to the window. Codes and group ids are
+// internal: infos do not depend on them.
+func (x *GroupIndex) compact() {
+	stride := len(x.cols)
+	remap := make([][]uint32, stride)
+	for j, refs := range x.refs {
+		remap[j] = make([]uint32, len(refs))
+		live := []int32{0}
+		for c, n := range refs[1:] {
+			if n > 0 {
+				remap[j][c+1] = uint32(len(live))
+				live = append(live, n)
+			}
+		}
+		x.refs[j] = live
+		x.consts[j] = remapDict(x.consts[j], remap[j], len(live)-1)
+		x.nullCodes[j] = remapDict(x.nullCodes[j], remap[j], len(live)-1)
+	}
+	for row := x.cells; len(row) > 0; row = row[stride:] {
+		for j, c := range row[:stride] {
+			row[j] = remap[j][c]
+		}
+	}
+	x.deadCodes = 0
+	x.regroup(len(x.rowGroup))
+}
+
+// remapDict returns dict's entries under their new codes, those of dead codes
+// dropped; nil stays nil.
+func remapDict[K comparable](dict map[K]uint32, remap []uint32, live int) map[K]uint32 {
+	if dict == nil {
+		return nil
+	}
+	out := make(map[K]uint32, live)
+	for k, c := range dict {
+		if remap[c] != 0 {
+			out[k] = remap[c]
+		}
+	}
+	return out
+}
+
+// regroup re-interns the exact groups of the matrix's n rows from their
+// codes, in row order.
+func (x *GroupIndex) regroup(n int) {
 	x.keys.reset(len(x.idx))
 	x.inv = nil
 	x.rowGroup = slices.Grow(x.rowGroup[:0], n)
@@ -563,7 +611,7 @@ func (x *GroupIndex) Commit(ctx context.Context) ([]int, error) {
 	x.pending = 0
 	x.aggregate()
 	if x.wasteful() {
-		x.restructure()
+		x.compact()
 		x.aggregate()
 	}
 

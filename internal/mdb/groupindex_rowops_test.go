@@ -340,11 +340,144 @@ func checkReclaimed(t *testing.T, x *GroupIndex) {
 	}
 }
 
+// checkDictionaries holds the code matrix to the dataset and the
+// dictionaries to the matrix: each cell's code is the one its value interns
+// to, refs counts the cells of every code exactly, every code has one
+// dictionary entry and deadCodes counts those no cell holds — none right after
+// a compaction, which leaves no dead group either.
+func checkDictionaries(t *testing.T, x *GroupIndex, compacted bool) {
+	t.Helper()
+	stride, dead := len(x.cols), 0
+	for j, attr := range x.cols {
+		refs := make([]int32, len(x.refs[j]))
+		for pos, r := range x.d.Rows {
+			v, c := r.Values[attr], x.cells[pos*stride+j]
+			want, ok := uint32(0), true
+			if v.null == 0 {
+				want, ok = x.consts[j][v.s]
+			} else if x.sem == StandardNulls && j < len(x.idx) {
+				want, ok = x.nullCodes[j][v.null]
+			}
+			if !ok || c != want {
+				t.Fatalf("row %d column %d: %v holds code %d, its dictionary's is %d (%v)", pos, j, v, c, want, ok)
+			}
+			refs[c]++
+		}
+		if !slices.Equal(refs[1:], x.refs[j][1:]) {
+			t.Fatalf("column %d: refs %v, the cells hold %v", j, x.refs[j][1:], refs[1:])
+		}
+		entries := make([]int, len(refs))
+		for _, c := range x.consts[j] {
+			entries[c]++
+		}
+		for _, c := range x.nullCodes[j] {
+			entries[c]++
+		}
+		for c, n := range entries {
+			if want := min(c, 1); n != want {
+				t.Fatalf("column %d: code %d has %d dictionary entries, want %d", j, c, n, want)
+			}
+			if c > 0 && refs[c] == 0 {
+				dead++
+			}
+		}
+	}
+	if dead != x.deadCodes {
+		t.Fatalf("deadCodes = %d, %d codes are held by no cell", x.deadCodes, dead)
+	}
+	if compacted && (dead > 0 || x.keys.n != x.liveGroups) {
+		t.Fatalf("after compaction: %d dead codes, %d groups of which %d live", dead, x.keys.n, x.liveGroups)
+	}
+}
+
+// structure counts the groups and codes the index holds: only a compaction
+// makes it smaller.
+func structure(x *GroupIndex) int {
+	n := x.keys.n
+	for _, r := range x.refs {
+		n += len(r)
+	}
+	return n
+}
+
+// Compaction works from the code matrix, never from the dataset's strings:
+// with every constant of an index's dataset overwritten by one sentinel after
+// the build, suppressions and deletions that make Commit compact leave infos
+// and dirty sets equal to those over an unpoisoned twin — under both
+// semantics, with and without a sensitive column the tape suppresses too.
+func TestGroupIndexCompactsFromCodes(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(113))
+	for _, sem := range []Semantics{MaybeMatch, StandardNulls} {
+		for _, by := range groupings([]int{0, 1, 2, 3}) {
+			label := fmt.Sprintf("%s sensitive=%d", sem, by.Sensitive)
+			d := randomDataset(rng, 400, 4, 8)
+			twin := d.Clone()
+			x, err := BuildIndex(ctx, d, by, sem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev := append([]GroupInfo(nil), x.Infos()...)
+			for _, r := range d.Rows {
+				for i, v := range r.Values {
+					if !v.IsNull() {
+						r.Values[i] = Const("poison")
+					}
+				}
+			}
+			compactions := 0
+			for round := 0; compactions < 2; round++ {
+				if len(d.Rows) < 40 {
+					t.Fatalf("%s: %d compactions before the rows ran out", label, compactions)
+				}
+				for i := 0; i < 10; i++ {
+					pos, attr := rng.Intn(len(d.Rows)), rng.Intn(4)
+					if d.Rows[pos].Values[attr].IsNull() {
+						continue
+					}
+					v := d.Nulls.Fresh()
+					d.Rows[pos].Values[attr], twin.Rows[pos].Values[attr] = v, v
+					if err := x.SuppressCell(pos, attr); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ps := randomPositions(rng, len(d.Rows), 12)
+				d.Rows, twin.Rows = RemovePositions(d.Rows, ps), RemovePositions(twin.Rows, ps)
+				if err := x.DeleteRows(ps); err != nil {
+					t.Fatal(err)
+				}
+				prev = RemovePositions(prev, ps)
+				before := structure(x)
+				dirty, err := x.Commit(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if structure(x) < before {
+					compactions++
+				}
+				want := ComputeInfos(twin, by, sem)
+				sameInfoBits(t, fmt.Sprintf("%s round %d", label, round), x.Infos(), want)
+				var changed []int
+				for pos := range want {
+					if want[pos] != prev[pos] {
+						changed = append(changed, pos)
+					}
+				}
+				if !slices.Equal(dirty, changed) {
+					t.Fatalf("%s round %d: dirty set %v, want %v", label, round, dirty, changed)
+				}
+				prev = want
+			}
+		}
+	}
+}
+
 // FuzzGroupIndexRowOps drives the index — over both quasi-identifiers, and
 // over one with the other as its sensitive column — with an adversarial op
 // tape: it must never panic, every Commit must agree bitwise with
-// ComputeInfos over the mutated dataset, and the groups and codes it holds
-// must stay bounded by the live window.
+// ComputeInfos over the mutated dataset and leave the dictionaries true to
+// the matrix (checkDictionaries), and the groups and codes it holds must stay
+// bounded by the live window.
 func FuzzGroupIndexRowOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0xff, 0x80, 7}, int64(1))
 	f.Add([]byte{1, 1, 1, 0, 0, 0, 2, 2}, int64(7))
@@ -397,17 +530,21 @@ func FuzzGroupIndexRowOps(f *testing.F) {
 						t.Fatal(err)
 					}
 				case 3:
+					before := structure(x)
 					if _, err := x.Commit(context.Background()); err != nil {
 						t.Fatal(err)
 					}
 					sameInfos(t, sem.String(), x.Infos(), ComputeInfos(d, by, sem))
+					checkDictionaries(t, x, structure(x) < before)
 					checkReclaimed(t, x)
 				}
 			}
+			before := structure(x)
 			if _, err := x.Commit(context.Background()); err != nil {
 				t.Fatal(err)
 			}
 			sameInfos(t, sem.String(), x.Infos(), ComputeInfos(d, by, sem))
+			checkDictionaries(t, x, structure(x) < before)
 		}
 	})
 }

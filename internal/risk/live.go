@@ -62,6 +62,16 @@ func (v *Live) Incremental() bool { return v.ia != nil }
 // Behind counts the deltas absorbed since Risks last succeeded.
 func (v *Live) Behind() int { return v.behind }
 
+// Index returns the view's group index if it mirrors the dataset as it
+// stands — built, valid, no delta since the last Risks — else nil. It is the
+// view's own: read-only, valid until the next delta or Risks.
+func (v *Live) Index() *mdb.GroupIndex {
+	if v.behind > 0 || v.idx == nil || !v.idx.Valid() {
+		return nil
+	}
+	return v.idx
+}
+
 // Current returns the vector if it reflects the dataset as it stands, else nil.
 func (v *Live) Current() []float64 {
 	if v.behind > 0 {
