@@ -14,6 +14,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"vadasa"
 	"vadasa/internal/mdb"
@@ -278,6 +279,50 @@ func BenchmarkAnonymizeRequest(b *testing.B) {
 				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/anonymize?"+q, bytes.NewReader(body.Bytes())))
 				if rec.Code != http.StatusOK {
 					b.Fatalf("status = %d: %.200s", rec.Code, rec.Body)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkJobRequest is one durable job as its client sees it — submit,
+// poll until done, fetch the result — through serve, for each measure of the
+// jobs_durable workload on an R25A4U table, with a one-worker manager.
+func BenchmarkJobRequest(b *testing.B) {
+	var body bytes.Buffer
+	if err := mdb.WriteCSV(&body, synth.Generate(synth.Config{Tuples: 25000, QIs: 4, Dist: synth.DistU, Seed: 459})); err != nil {
+		b.Fatal(err)
+	}
+	serve := func(h http.Handler, method, target string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, target, bytes.NewReader(body)))
+		return rec
+	}
+	for _, q := range []string{
+		"measure=k-anonymity&k=3&threshold=0.5",
+		"measure=re-identification&threshold=0.05",
+		"measure=individual-risk&threshold=0.05",
+	} {
+		b.Run(strings.SplitN(strings.TrimPrefix(q, "measure="), "&", 2)[0], func(b *testing.B) {
+			_, h := jobsServer(b, b.TempDir(), nil, func(c *config) { c.jobWorkers = 1 })
+			b.SetBytes(int64(body.Len()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec := serve(h, http.MethodPost, "/jobs/anonymize?"+q, body.Bytes())
+				var j struct{ ID, State string }
+				if err := json.Unmarshal(rec.Body.Bytes(), &j); rec.Code != http.StatusAccepted || err != nil {
+					b.Fatalf("submit = %d (%v): %.200s", rec.Code, err, rec.Body)
+				}
+				for j.State != "done" {
+					time.Sleep(time.Millisecond)
+					rec = serve(h, http.MethodGet, "/jobs/"+j.ID, nil)
+					if err := json.Unmarshal(rec.Body.Bytes(), &j); err != nil || j.State == "failed" {
+						b.Fatalf("status = %d (%v): %.200s", rec.Code, err, rec.Body)
+					}
+				}
+				if rec = serve(h, http.MethodGet, "/jobs/"+j.ID+"/result", nil); rec.Code != http.StatusOK {
+					b.Fatalf("result = %d: %.200s", rec.Code, rec.Body)
 				}
 			}
 		})

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -37,11 +36,13 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) error {
 	}
 	// Everything the runner will parse is parsed here first: a malformed
 	// request must fail now, with a 400, not as a job three seconds later.
+	// The parse is the job's input when a worker is idle to take it.
 	f, _, err := s.cycleFromValues(r.URL.Query())
 	if err != nil {
 		return badRequest(err)
 	}
-	if _, _, err := buildDataset(f, body, r.URL.Query(), s.cfg.maxCells); err != nil {
+	d, _, err := buildDataset(f, body, r.URL.Query(), s.cfg.maxCells)
+	if err != nil {
 		return badRequest(err)
 	}
 
@@ -49,7 +50,8 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	j, err := s.jobs().Submit(jobs.Spec{Dataset: input, Params: r.URL.Query()})
+	//conftaint:ok Submit journals the spool's path, never Input (json:"-", cleared before the start record)
+	j, err := s.jobs().Submit(jobs.Spec{Dataset: input, Params: r.URL.Query(), Input: d})
 	if err != nil {
 		s.cfg.fs.Remove(input)
 		return err
@@ -119,9 +121,10 @@ func (s *server) handleJobCancel(w http.ResponseWriter, r *http.Request) error {
 }
 
 // jobRunner adapts the server's framework plumbing to jobs.Runner: it
-// rebuilds the dataset and measure from the journaled spec, wires the
-// journal checkpoint into the cycle, and writes the anonymized CSV next to
-// the journal. Errors it cannot classify stay permanent; the risk package's
+// rebuilds the measure from the journaled spec — and the dataset from the
+// spool, unless the submission's parse came with it — wires the journal
+// checkpoint into the cycle, and streams the anonymized CSV into a file next
+// to the journal. Errors it cannot classify stay permanent; the risk package's
 // transient marks pass through untouched for the manager's retry policy.
 type jobRunner struct {
 	srv *server
@@ -135,13 +138,15 @@ func (jr *jobRunner) Run(ctx context.Context, id string, spec jobs.Spec, resume 
 	if err != nil {
 		return nil, err
 	}
-	body, err := s.cfg.fs.ReadFile(spec.Dataset)
-	if err != nil {
-		return nil, fmt.Errorf("reading spooled input: %w", err)
-	}
-	d, _, err := buildDataset(f, body, q, s.cfg.maxCells)
-	if err != nil {
-		return nil, err
+	d := spec.Input
+	if d == nil {
+		body, err := s.cfg.fs.ReadFile(spec.Dataset)
+		if err != nil {
+			return nil, fmt.Errorf("reading spooled input: %w", err)
+		}
+		if d, _, err = buildDataset(f, body, q, s.cfg.maxCells); err != nil {
+			return nil, err
+		}
 	}
 	opts.Checkpoint = checkpoint
 	res, err := f.ResumeAnonymizeContext(ctx, d, opts, resume)
@@ -152,11 +157,7 @@ func (jr *jobRunner) Run(ctx context.Context, id string, spec jobs.Spec, resume 
 	// The output must be durable before the manager journals the done
 	// record that points at it.
 	outPath := filepath.Join(s.cfg.jobDir, id+".out.csv")
-	var out bytes.Buffer
-	if err := vadasa.WriteCSV(&out, res.Dataset); err != nil {
-		return nil, err
-	}
-	if err := faultfs.WriteFileDurable(s.cfg.fs, outPath, out.Bytes()); err != nil {
+	if err := faultfs.WriteDurable(s.cfg.fs, outPath, func(w io.Writer) error { return vadasa.WriteCSV(w, res.Dataset) }); err != nil {
 		return nil, fmt.Errorf("writing job output: %w", err)
 	}
 	return &jobs.Outcome{

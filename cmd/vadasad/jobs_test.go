@@ -12,12 +12,14 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"vadasa"
+	"vadasa/internal/faultfs"
 	"vadasa/internal/jobs"
 	"vadasa/internal/journal"
 	"vadasa/internal/risk"
@@ -26,7 +28,7 @@ import (
 // jobsServer builds a server with the asynchronous job API enabled over dir
 // and test-speed retry delays. Like a daemon starting over dir, it recovers
 // the jobs journaled there in the background.
-func jobsServer(t *testing.T, dir string, measures map[string]func() vadasa.RiskMeasure, mutate func(*config)) (*server, http.Handler) {
+func jobsServer(t testing.TB, dir string, measures map[string]func() vadasa.RiskMeasure, mutate func(*config)) (*server, http.Handler) {
 	t.Helper()
 	cfg := testConfig(t)
 	cfg.extraMeasures = measures
@@ -242,12 +244,18 @@ func TestJobCrashRecoveryIdenticalToUninterruptedRun(t *testing.T) {
 
 	// Phase 2: fresh server over the same directory; the gate no longer
 	// blocks. Recovery must resume from the journal, not restart.
+	reads := &countingFS{FS: faultfs.OS}
 	_, h2 := jobsServer(t, dir, map[string]func() vadasa.RiskMeasure{
 		"gate": func() vadasa.RiskMeasure { return newGateMeasure(0) },
-	}, oneWorker)
+	}, func(c *config) { c.jobWorkers, c.fs = 1, reads })
 	j := waitJob(t, h2, id, jobs.StateDone)
 	if !j.Recovered {
 		t.Fatal("job not marked recovered")
+	}
+	// A resumed job has no submitter's parse: recovery digests the spool
+	// and the runner parses it.
+	if n := reads.spoolReads(); n != 2 {
+		t.Fatalf("the resumed job read its spool %d times, want 2: the digest and the parse", n)
 	}
 	if j.Outcome == nil {
 		t.Fatal("done job has no outcome")
@@ -288,6 +296,90 @@ func TestJobCrashRecoveryIdenticalToUninterruptedRun(t *testing.T) {
 	}
 	if scan.Last().Type != journal.TypeDone || iters != control.Iterations {
 		t.Fatalf("final journal: last=%q, %d iter records, want done/%d", scan.Last().Type, iters, control.Iterations)
+	}
+}
+
+// countingFS counts the reads of each job's spooled input, Open and ReadFile
+// alike.
+type countingFS struct {
+	faultfs.FS
+	mu    sync.Mutex
+	reads int
+}
+
+func (c *countingFS) count(name string) {
+	if strings.HasPrefix(filepath.Base(name), "input-") {
+		c.mu.Lock()
+		c.reads++
+		c.mu.Unlock()
+	}
+}
+
+func (c *countingFS) Open(name string) (faultfs.File, error) {
+	c.count(name)
+	return c.FS.Open(name)
+}
+
+func (c *countingFS) ReadFile(name string) ([]byte, error) {
+	c.count(name)
+	return c.FS.ReadFile(name)
+}
+
+func (c *countingFS) spoolReads() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.reads
+}
+
+// waitWorkersIdle returns once every worker of m waits for work. It reads the
+// goroutine dump rather than sleeping: a worker parked in its select is
+// already registered to take the next submission.
+func waitWorkersIdle(t *testing.T, m *jobs.Manager, n int) {
+	t.Helper()
+	frame := fmt.Sprintf("(*Manager).worker(%p", m)
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+		idle := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, " [select") && strings.Contains(g, frame) && !strings.Contains(g, "(*Manager).execute") {
+				idle++
+			}
+		}
+		if idle >= n {
+			return
+		}
+	}
+	t.Fatalf("fewer than %d job workers ever waited for work", n)
+}
+
+// A job an idle worker takes runs on the submission's parse: its spool is
+// read once, for the digest, and never by the runner. Its release is the
+// synchronous endpoint's.
+func TestIdleWorkerJobReadsSpoolOnce(t *testing.T) {
+	csv := generatedCSV(t)
+	const q = "measure=k-anonymity&k=3&threshold=0.5"
+	control := do(t, testServer(t), "POST", "/anonymize?"+q, csv)
+	var want struct {
+		CSV string `json:"csv"`
+	}
+	if err := json.Unmarshal(control.Body.Bytes(), &want); control.Code != http.StatusOK || err != nil {
+		t.Fatalf("control run = %d (%v): %s", control.Code, err, control.Body)
+	}
+
+	reads := &countingFS{FS: faultfs.OS}
+	s, h := jobsServer(t, t.TempDir(), nil, func(c *config) { c.jobWorkers, c.fs = 1, reads })
+	waitWorkersIdle(t, s.jobs(), 1)
+	rec := do(t, h, "POST", "/jobs/anonymize?"+q, csv)
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", rec.Code, rec.Body)
+	}
+	id := decodeJob(t, rec.Body.String()).ID
+	waitJob(t, h, id, jobs.StateDone)
+	if n := reads.spoolReads(); n != 1 {
+		t.Fatalf("the job read its spool %d times, want once: the digest", n)
+	}
+	if rec = do(t, h, "GET", "/jobs/"+id+"/result", ""); rec.Code != http.StatusOK || rec.Body.String() != want.CSV {
+		t.Fatalf("result = %d; equal to the synchronous release: %v", rec.Code, rec.Body.String() == want.CSV)
 	}
 }
 

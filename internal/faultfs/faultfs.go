@@ -84,14 +84,20 @@ func (osFS) Free(dir string) (int64, error) {
 	return n, nil
 }
 
-// WriteFileDurable makes path hold exactly b, durably: the bytes are written
-// and fsynced under a temporary name, renamed into place, and the directory
-// is fsynced, so a record journaled afterwards can never refer to bytes the
-// disk lost. A failure at any step leaves path as it was before the call —
-// absent, when it did not exist.
+// WriteFileDurable makes path hold exactly b, durably (see WriteDurable).
 func WriteFileDurable(fsys FS, path string, b []byte) error {
+	return WriteDurable(fsys, path, func(w io.Writer) error { _, err := w.Write(b); return err })
+}
+
+// WriteDurable makes path hold exactly what write writes to it, durably: the
+// bytes go to a temporary name and are fsynced there, the file is renamed into
+// place, and the directory is fsynced, so a record journaled afterwards can
+// never refer to bytes the disk lost. A failure at any step — write's own
+// error included — leaves path as it was before the call (absent, when it did
+// not exist) and no temporary file behind.
+func WriteDurable(fsys FS, path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
-	err := writeSynced(fsys, tmp, b)
+	err := writeSynced(fsys, tmp, write)
 	if err == nil {
 		err = fsys.Rename(tmp, path)
 	}
@@ -106,12 +112,12 @@ func WriteFileDurable(fsys FS, path string, b []byte) error {
 	return nil
 }
 
-func writeSynced(fsys FS, name string, b []byte) error {
+func writeSynced(fsys FS, name string, write func(io.Writer) error) error {
 	f, err := fsys.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(b); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -2,8 +2,10 @@ package faultfs
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 )
@@ -156,5 +158,53 @@ func TestWriteFileDurable(t *testing.T) {
 	}
 	if left, _ := OS.Glob(filepath.Join(dir, "*")); len(left) != 1 {
 		t.Fatalf("failed overwrite left %v behind", left)
+	}
+}
+
+// A streamed durable write that fails — in the writer function, or on a volume
+// that fills mid-stream — leaves neither the file nor its temporary behind.
+func TestWriteDurableFailingWriter(t *testing.T) {
+	dir := t.TempDir()
+	faulty := NewFaulty(OS)
+	path := filepath.Join(dir, "out.csv")
+	chunks := func(w io.Writer) error {
+		for i := 0; i < 4; i++ {
+			if _, err := w.Write([]byte("a,b,c\n")); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	failed := errors.New("release cannot be written")
+	for _, c := range []struct {
+		name  string
+		limit int64
+		write func(io.Writer) error
+		want  error
+	}{
+		{"writer error", -1, func(w io.Writer) error {
+			if err := chunks(w); err != nil {
+				return err
+			}
+			return failed
+		}, failed},
+		{"ENOSPC mid-stream", 15, chunks, syscall.ENOSPC},
+	} {
+		if c.limit >= 0 {
+			faulty.LimitWrites(c.limit)
+		}
+		if err := WriteDurable(faulty, path, c.write); !errors.Is(err, c.want) {
+			t.Fatalf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+		faulty.Unlimit()
+		if left, _ := OS.Glob(filepath.Join(dir, "*")); len(left) != 0 {
+			t.Fatalf("%s: failed write left %v behind", c.name, left)
+		}
+	}
+	if err := WriteDurable(faulty, path, chunks); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := OS.ReadFile(path); err != nil || string(b) != strings.Repeat("a,b,c\n", 4) {
+		t.Fatalf("streamed file holds %q, %v", b, err)
 	}
 }

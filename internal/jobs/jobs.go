@@ -24,6 +24,7 @@ import (
 	"vadasa/internal/anon"
 	"vadasa/internal/faultfs"
 	"vadasa/internal/govern"
+	"vadasa/internal/mdb"
 )
 
 // IsDiskPressure reports whether err stems from a full or
@@ -43,10 +44,10 @@ func pausable(err error) bool {
 	return IsDiskPressure(err) || errors.As(err, &ebe)
 }
 
-// Spec describes one anonymization job. It must round-trip through JSON
-// unchanged: the journal's start record is the only copy that survives a
-// crash, and resuming with a different configuration would replay decisions
-// into a cycle that never made them.
+// Spec describes one anonymization job. Its journaled fields must round-trip
+// through JSON unchanged: the journal's start record is the only copy that
+// survives a crash, and resuming with a different configuration would replay
+// decisions into a cycle that never made them.
 type Spec struct {
 	// Dataset is the path of the input CSV. The file is digested at submit
 	// time; recovery refuses to resume over a file that changed since.
@@ -54,6 +55,10 @@ type Spec struct {
 	// Params carries the cycle configuration (measure, threshold, semantics,
 	// anonymizer choices) in URL-query form, interpreted by the Runner.
 	Params map[string][]string `json:"params,omitempty"`
+	// Input, when non-nil, is the submitter's parse of Dataset. Submit hands
+	// it to the first attempt when a worker is idle and drops it otherwise,
+	// so the Runner sees it at most once; a Runner given none parses Dataset.
+	Input *mdb.Dataset `json:"-"`
 }
 
 // State is a job's lifecycle phase.
@@ -141,7 +146,7 @@ var ErrTerminal = errors.New("jobs: job already finished")
 // room; the job's journal has been removed again.
 var ErrQueueFull = errors.New("jobs: queue full")
 
-// ErrClosed reports a Submit to a manager that is shutting down.
+// ErrClosed reports a Submit to a closing manager; its journal is removed.
 var ErrClosed = errors.New("jobs: manager is closed")
 
 // newID returns a 16-hex-char random job identifier.

@@ -16,6 +16,7 @@ import (
 	"vadasa/internal/faultfs"
 	"vadasa/internal/govern"
 	"vadasa/internal/journal"
+	"vadasa/internal/mdb"
 	"vadasa/internal/risk"
 )
 
@@ -74,6 +75,7 @@ type Manager struct {
 	baseCtx context.Context
 	stop    context.CancelFunc
 	queue   chan *Job
+	idle    chan handoff // unbuffered: a send lands only with a waiting worker
 	wg      sync.WaitGroup
 
 	mu      sync.Mutex
@@ -124,6 +126,7 @@ func NewManager(runner Runner, opts Options) (*Manager, error) {
 		baseCtx: ctx,
 		stop:    stop,
 		queue:   make(chan *Job, queueDepth),
+		idle:    make(chan handoff),
 		jobs:    make(map[string]*Job),
 		writers: make(map[string]*journal.Writer),
 		cancels: make(map[string]context.CancelFunc),
@@ -170,10 +173,20 @@ func (m *Manager) Close() {
 	}
 }
 
+// handoff is a job given straight to an idle worker with the submitter's
+// parse of its input.
+type handoff struct {
+	j     *Job
+	input *mdb.Dataset
+}
+
 // Submit journals and enqueues a new job. The start record — spec plus the
 // input file's SHA-256 — hits disk before Submit returns, so a crash a
-// microsecond later loses nothing.
+// microsecond later loses nothing. spec.Input goes to an idle worker with the
+// job; a job that must wait is queued without it, holding only the path.
 func (m *Manager) Submit(spec Spec) (Job, error) {
+	input := spec.Input
+	spec.Input = nil
 	digest, err := digestFile(m.opts.FS, spec.Dataset)
 	if err != nil {
 		return Job{}, fmt.Errorf("jobs: digesting input: %w", err)
@@ -199,6 +212,7 @@ func (m *Manager) Submit(spec Spec) (Job, error) {
 		return Job{}, fmt.Errorf("jobs: creating journal: %w", err)
 	}
 	now := time.Now()
+	//conftaint:ok spec.Input is nil here and json:"-" anyway: the record holds the input's path and digest, no cell
 	if err := w.Append(journal.TypeStart, startPayload{JobID: id, Spec: spec, Digest: digest, Created: now}); err != nil {
 		w.Close()
 		return Job{}, fmt.Errorf("jobs: journaling start: %w", err)
@@ -209,12 +223,18 @@ func (m *Manager) Submit(spec Spec) (Job, error) {
 	if m.closed {
 		m.mu.Unlock()
 		w.Close()
+		m.opts.FS.Remove(m.journalPath(id)) // a refused job must not recover
 		return Job{}, ErrClosed
 	}
 	m.jobs[id] = j
 	m.writers[id] = w
 	m.mu.Unlock()
 
+	select {
+	case m.idle <- handoff{j, input}:
+		return m.snapshot(j), nil
+	default:
+	}
 	select {
 	case m.queue <- j:
 	default:
@@ -442,15 +462,19 @@ func (m *Manager) worker() {
 		select {
 		case <-m.baseCtx.Done():
 			return
+		case h := <-m.idle:
+			m.execute(h.j, h.input)
 		case j := <-m.queue:
-			m.execute(j)
+			m.execute(j, nil)
 		}
 	}
 }
 
 // execute drives one job to a terminal state — or, when the manager itself
 // shuts down mid-run, abandons it with the journal left open for recovery.
-func (m *Manager) execute(j *Job) {
+// input, when non-nil, is the first attempt's alone: no record keeps it, so
+// the manager never pins a parsed table the cycle has cloned.
+func (m *Manager) execute(j *Job, input *mdb.Dataset) {
 	m.mu.Lock()
 	if j.State != StatePending { // cancelled while queued
 		m.mu.Unlock()
@@ -484,7 +508,8 @@ func (m *Manager) execute(j *Job) {
 		attempt := j.Attempts
 		m.mu.Unlock()
 
-		out, err := m.attempt(ctx, j)
+		out, err := m.attempt(ctx, j, input)
+		input = nil // a retry parses the spool
 		switch {
 		case err == nil:
 			m.mu.Lock()
@@ -545,7 +570,7 @@ func (m *Manager) execute(j *Job) {
 // attempt runs the Runner once with panic isolation: a panicking measure or
 // anonymizer fails this job (permanently — a deterministic cycle panics the
 // same way on every retry) instead of killing the whole worker pool.
-func (m *Manager) attempt(ctx context.Context, j *Job) (out *Outcome, err error) {
+func (m *Manager) attempt(ctx context.Context, j *Job, input *mdb.Dataset) (out *Outcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			out, err = nil, fmt.Errorf("jobs: cycle panicked: %v", r)
@@ -571,7 +596,9 @@ func (m *Manager) attempt(ctx context.Context, j *Job) (out *Outcome, err error)
 		j.resume = append(j.resume, cp)
 		return nil
 	}
-	return m.runner.Run(ctx, j.ID, j.Spec, resume, checkpoint)
+	spec := j.Spec
+	spec.Input = input
+	return m.runner.Run(ctx, j.ID, spec, resume, checkpoint)
 }
 
 // finishLocked writes the terminal journal record and settles the in-memory

@@ -657,7 +657,8 @@ func TestRecoverAtEveryCutOfLastRecord(t *testing.T) {
 
 // Submit's two refusals that are about the manager, not the job, are typed so
 // the server can tell them from a start record that could not be journaled:
-// a full queue (whose journal is removed again) and a closed manager.
+// a full queue and a closed manager. Either way the job's journal is removed
+// again, so the refused job never resurfaces in a later Recover.
 func TestSubmitQueueFullAndClosedAreTyped(t *testing.T) {
 	opts := fastOpts(t)
 	opts.Workers = 1
@@ -680,11 +681,13 @@ func TestSubmitQueueFullAndClosedAreTyped(t *testing.T) {
 	defer close(release)
 
 	in := testInput(t)
-	if _, err := m.Submit(Spec{Dataset: in}); err != nil {
+	running, err := m.Submit(Spec{Dataset: in})
+	if err != nil {
 		t.Fatal(err)
 	}
 	<-started // the worker holds the first job; the queue is empty again
-	if _, err := m.Submit(Spec{Dataset: in}); err != nil {
+	queued, err := m.Submit(Spec{Dataset: in})
+	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = m.Submit(Spec{Dataset: in})
@@ -695,9 +698,27 @@ func TestSubmitQueueFullAndClosedAreTyped(t *testing.T) {
 		t.Fatalf("refused submit left its journal behind: %v", journals)
 	}
 
+	// Settle both jobs, so that nothing in the directory is left to resume.
+	for _, j := range []Job{queued, running} {
+		if err := m.Cancel(j.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitState(t, m, running.ID, StateCancelled)
 	m.Close()
 	if _, err := m.Submit(Spec{Dataset: in}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after Close: %v, want ErrClosed", err)
+	}
+	if journals, _ := filepath.Glob(filepath.Join(opts.Dir, "*.journal")); len(journals) != 2 {
+		t.Fatalf("submit refused after Close left its journal behind: %v", journals)
+	}
+	again, err := NewManager(&scriptRunner{iterations: 1}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if resumed, err := again.Recover(); err != nil || len(resumed) != 0 {
+		t.Fatalf("a fresh manager resumed %v (%v), want nothing", resumed, err)
 	}
 }
 
