@@ -80,8 +80,9 @@ check: design-cap vet lint-programs vet-analyzers race staticcheck govulncheck b
 # commit; default the parent), split the way ROADMAP aim 2 asks for it: code
 # of this module and benchmark/, its tests and fixtures, and everything under
 # tools/ — plus the non-test lines, tools/ ones included, that fall in each
-# directory named in PKGS, the packages a round's shrink work is about. Renames count
-# as a delete plus an add, so they net to zero.
+# directory named in PKGS, the packages a round's shrink work is about; `.`
+# names the root package, the files without a slash. Renames count as a
+# delete plus an add, so they net to zero.
 BASE ?= HEAD~1
 PKGS ?= cmd/vadasad
 loc:
@@ -89,7 +90,7 @@ loc:
 		BEGIN { np = split(pkgs, pkg, " ") } \
 		{ t = $$3 ~ /(_test\.go|\/testdata\/.*)$$/; b = $$3 ~ /^tools\// ? "tools/" : t ? "test" : "non-test"; \
 		  add[b] += $$1; del[b] += $$2 } \
-		!t { for (i = 1; i <= np; i++) if (index($$3, pkg[i] "/") == 1) { add[pkg[i]] += $$1; del[pkg[i]] += $$2 } } \
+		!t { for (i = 1; i <= np; i++) if (pkg[i] == "." ? $$3 !~ /\// : index($$3, pkg[i] "/") == 1) { add[pkg[i]] += $$1; del[pkg[i]] += $$2 } } \
 		END { n = split("non-test " pkgs " test tools/", order, " "); \
 		  for (i = 1; i <= n; i++) { b = order[i]; printf "%-15s +%-5d -%-5d net %+d\n", b, add[b], del[b], add[b] - del[b] } }'
 

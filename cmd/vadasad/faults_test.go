@@ -288,17 +288,25 @@ func TestPanicRecovery(t *testing.T) {
 
 // TestBudgetParam exercises the per-request reasoning budget: a tiny budget
 // must trip the engine's work cap on /explain, and out-of-range values are
-// rejected up front.
+// rejected up front. The budget bounds the chase over the tuple's group:
+// figure-1 tuple 4 is unique, and its explanation takes 3 match attempts
+// however large the table.
 func TestBudgetParam(t *testing.T) {
 	_, h := faultServer(t, nil, func(c *config) { c.maxBudget = 1000 })
 	csv := figure1CSV(t)
 
-	rec := do(t, h, "POST", "/explain?measure=re-identification&tuple=4&budget=10", csv)
+	rec := do(t, h, "POST", "/explain?measure=re-identification&tuple=4&budget=2", csv)
 	if rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("tiny budget: status = %d, want 422: %s", rec.Code, rec.Body)
 	}
 	if !strings.Contains(rec.Body.String(), "work budget") {
 		t.Fatalf("tiny budget: body = %s, want the work-budget error", rec.Body)
+	}
+	unbudgeted := do(t, h, "POST", "/explain?measure=re-identification&tuple=4", csv)
+	rec = do(t, h, "POST", "/explain?measure=re-identification&tuple=4&budget=3", csv)
+	if rec.Code != http.StatusOK || unbudgeted.Code != http.StatusOK || rec.Body.String() != unbudgeted.Body.String() {
+		t.Fatalf("the group's budget: status = %d, body = %s; unbudgeted %d %s",
+			rec.Code, rec.Body, unbudgeted.Code, unbudgeted.Body)
 	}
 
 	rec = do(t, h, "POST", "/assess?budget=2000", csv)

@@ -7,9 +7,11 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"vadasa/internal/datalog"
+	"vadasa/internal/mdb"
 	"vadasa/internal/programs"
 	"vadasa/internal/synth"
 )
@@ -87,6 +89,37 @@ func BenchmarkReasonRequest(b *testing.B) {
 				b.StopTimer()
 				runtime.ReadMemStats(&after)
 				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/float64(n), "allocs/row")
+			})
+		}
+	}
+}
+
+// BenchmarkExplainRequest is one whole POST /explain through serve — body
+// read, categorization, the chase, response encoding — for each shape of the
+// reason_declarative workload: a 25k W/U/V table under k-anonymity and
+// re-identification, the tuple a row from the middle of the table.
+func BenchmarkExplainRequest(b *testing.B) {
+	for _, dist := range []synth.Dist{synth.DistW, synth.DistU, synth.DistV} {
+		d := synth.Generate(synth.Config{Tuples: 25000, QIs: 4, Dist: dist, Seed: 459})
+		var body bytes.Buffer
+		if err := mdb.WriteCSV(&body, d); err != nil {
+			b.Fatal(err)
+		}
+		tuple := d.Rows[len(d.Rows)/2].ID
+		for _, m := range []string{"k-anonymity&k=3", "re-identification"} {
+			target := fmt.Sprintf("/explain?measure=%s&tuple=%d", m, tuple)
+			b.Run(dist.String()+"/"+strings.SplitN(m, "&", 2)[0], func(b *testing.B) {
+				h := testServer(b)
+				b.SetBytes(int64(body.Len()))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, target, bytes.NewReader(body.Bytes())))
+					if rec.Code != http.StatusOK {
+						b.Fatalf("status = %d: %.200s", rec.Code, rec.Body)
+					}
+				}
 			})
 		}
 	}

@@ -750,7 +750,10 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) error {
 		return badRequest(err)
 	}
 	tuple, err := intValue(r.URL.Query(), "tuple", 0)
-	if err != nil || tuple == 0 {
+	if err != nil {
+		return badRequest(err)
+	}
+	if tuple == 0 {
 		return badRequest(fmt.Errorf("the tuple query parameter is required"))
 	}
 	ex, err := f.ExplainRiskContext(r.Context(), d, m, tuple)

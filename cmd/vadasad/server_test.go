@@ -283,6 +283,11 @@ func TestExplainEndpoint(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("missing tuple: status = %d", rec.Code)
 	}
+	// A malformed one is named as malformed, not as missing.
+	rec = do(t, testServer(t), "POST", "/explain?measure=k-anonymity&tuple=abc", figure1CSV(t))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `bad tuple parameter \"abc\"`) {
+		t.Fatalf("malformed tuple: status = %d, body = %s", rec.Code, rec.Body)
+	}
 }
 
 // The knowledge base is read once, when the daemon starts: requests

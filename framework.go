@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 
@@ -223,8 +224,10 @@ func (f *Framework) assessor(measure RiskMeasure) RiskMeasure {
 // the explanation is the derivation tree of the corresponding declarative
 // program evaluated by the reasoning engine — the standard-entailment
 // explainability the paper guarantees; for SUDA it lists the tuple's minimal
-// sample uniques. The whole dataset is re-reasoned over, so this is an
-// interactive-inspection tool, not a bulk API.
+// sample uniques. The program is chased over the tuple's exact group alone —
+// the rows whose quasi-identifier cells equal the tuple's, labelled nulls by
+// id — which is all its riskout fact depends on (programs.Twin); the SUDA
+// explanation still searches the whole dataset.
 //
 // Attribute-restricted measures (Attrs set) are not supported: the
 // explanation always covers all quasi-identifiers.
@@ -241,14 +244,13 @@ func (f *Framework) ExplainRiskContext(ctx context.Context, d *Dataset, measure 
 	if len(qi) == 0 {
 		return "", fmt.Errorf("vadasa: dataset %q has no quasi-identifiers", d.Name)
 	}
-	found := false
+	var keys []*mdb.Row // every row carrying rowID: ids need not be unique
 	for _, r := range d.Rows {
 		if r.ID == rowID {
-			found = true
-			break
+			keys = append(keys, r)
 		}
 	}
-	if !found {
+	if len(keys) == 0 {
 		return "", fmt.Errorf("vadasa: dataset %q has no tuple with id %d", d.Name, rowID)
 	}
 
@@ -264,8 +266,21 @@ func (f *Framework) ExplainRiskContext(ctx context.Context, d *Dataset, measure 
 		return "", fmt.Errorf("vadasa: no explanation support for measure %q", measure.Name())
 	}
 
+	// The twin's riskout(I,·) depends on I's exact group alone, so only the
+	// rows sharing a quasi-identifier vector with one carrying rowID are
+	// loaded, in dataset order: the same contributors fold in the same order.
+	group := d.Select(func(r *mdb.Row) bool {
+		return slices.ContainsFunc(keys, func(k *mdb.Row) bool {
+			for _, i := range qi {
+				if r.Values[i] != k.Values[i] {
+					return false
+				}
+			}
+			return true
+		})
+	})
 	edb := datalog.NewDatabase()
-	programs.TupleFacts(edb, d)
+	programs.TupleFacts(edb, group)
 	opt, done := f.reasonerOptions(ctx)
 	defer done()
 	res, err := datalog.RunContext(ctx, prog, edb, opt)

@@ -23,7 +23,14 @@ type Twin struct {
 	// Name is the constructor Program calls, as the docs print it.
 	Name string
 	// Program builds the measure's declarative twin for a spec of the row
-	// over q quasi-identifiers; nil when the measure has none.
+	// over q quasi-identifiers; nil when the measure has none. Every program
+	// aggregates by exactly the quasi-identifier vector, so it derives a
+	// tuple's riskout(I,·) from the tuple facts of I's exact group alone:
+	// equal constants, or the same labelled null, cell for cell.
+	// Framework.ExplainRisk chases the group only; TestTwinRiskIsGroupLocal
+	// holds every program to it. Once the reasoner groups by maybe-match
+	// (ROADMAP item 2) that group widens to the rows compatible with the
+	// tuple, and that test is the first to fail.
 	Program func(sp risk.Spec, q int) *datalog.Program
 	// Diverges reports the aggregation groups on which twin and native
 	// measure differ on purpose; nil when they agree on every group. On the

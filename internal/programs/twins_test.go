@@ -6,9 +6,11 @@ import (
 	"math"
 	"net/url"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
+	"vadasa/internal/datalog"
 	"vadasa/internal/mdb"
 	"vadasa/internal/risk"
 	"vadasa/internal/synth"
@@ -134,6 +136,71 @@ func TestTwinTable(t *testing.T) {
 				t.Errorf("maybe-match: %v, want the Skolem refusal", err)
 			}
 		})
+	}
+}
+
+// riskFacts chases prog over d's tuple facts and returns the bits of every
+// riskout value derived per tuple id, in the order Facts lists them.
+func riskFacts(t *testing.T, prog *datalog.Program, d *mdb.Dataset) map[int][]uint64 {
+	t.Helper()
+	edb := datalog.NewDatabase()
+	TupleFacts(edb, d)
+	res, err := datalog.Run(prog, edb, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", d.Name, err)
+	}
+	out := make(map[int][]uint64)
+	for _, f := range res.Facts("riskout") {
+		id := int(f[0].NumVal())
+		out[id] = append(out[id], math.Float64bits(f[1].NumVal()))
+	}
+	return out
+}
+
+// Every twin program derives a tuple's riskout facts from the tuple facts of
+// its exact group alone (Twin.Program): over the sub-table of the rows whose
+// quasi-identifier cells equal the tuple's — the same constant or the same
+// labelled null — they are the facts of the whole table, bit for bit. Once
+// the reasoner groups by maybe-match this fails, and Framework.ExplainRisk
+// must widen its group to the rows compatible with the tuple.
+func TestTwinRiskIsGroupLocal(t *testing.T) {
+	nb := nullBearing()
+	qi := nb.QuasiIdentifiers()
+	for i := 10; i < 40; i += 10 { // repeated vectors around the shared null
+		for _, j := range qi {
+			nb.Rows[i].Values[j] = nb.Rows[0].Values[j]
+		}
+	}
+	tables := []*mdb.Dataset{nb}
+	for _, dist := range []synth.Dist{synth.DistW, synth.DistU, synth.DistV} {
+		tables = append(tables, synth.Generate(synth.Config{Tuples: 200, QIs: 3, Dist: dist, Seed: 77}))
+	}
+	for _, tw := range Twins() {
+		if tw.Program == nil {
+			continue
+		}
+		for _, k := range []int{2, 4} {
+			prog := tw.Program(risk.Spec{Kind: tw.Kind, Estimator: tw.Estimator, K: k}, len(qi))
+			for _, d := range tables {
+				whole := riskFacts(t, prog, d)
+				for i := 0; i < len(d.Rows); i += 3 {
+					r := d.Rows[i]
+					group := d.Select(func(o *mdb.Row) bool {
+						for _, j := range qi {
+							if o.Values[j] != r.Values[j] {
+								return false
+							}
+						}
+						return true
+					})
+					got := riskFacts(t, prog, group)[r.ID]
+					if len(got) == 0 || !slices.Equal(got, whole[r.ID]) {
+						t.Fatalf("%s (k=%d) on %s, tuple %d: riskout %x over its %d-row group, %x over the table",
+							tw.Name, k, d.Name, r.ID, got, len(group.Rows), whole[r.ID])
+					}
+				}
+			}
+		}
 	}
 }
 
