@@ -410,7 +410,9 @@ func BenchmarkSUDAMSUs(b *testing.B) {
 	qi := d.QuasiIdentifiers()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		risk.MSUs(d, qi, 3, mdb.MaybeMatch)
+		if _, err := risk.MSUsContext(context.Background(), d, qi, 3, mdb.MaybeMatch); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

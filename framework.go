@@ -305,11 +305,11 @@ func (f *Framework) explainSUDA(ctx context.Context, d *Dataset, m SUDA, rowID i
 	if len(m.Attrs) > 0 {
 		return "", fmt.Errorf("vadasa: ExplainRisk does not support attribute-restricted measures")
 	}
-	qi := d.QuasiIdentifiers()
-	maxK := m.MaxK
-	if maxK == 0 {
-		maxK = m.Threshold
+	maxK, err := m.ResolveMaxK()
+	if err != nil {
+		return "", fmt.Errorf("vadasa: explaining risk: %w", err)
 	}
+	qi := d.QuasiIdentifiers()
 	msus, err := risk.MSUsContext(ctx, d, qi, maxK, mdb.MaybeMatch)
 	if err != nil {
 		return "", fmt.Errorf("vadasa: explaining risk: %w", err)

@@ -99,7 +99,7 @@ func TestFig7cShapes(t *testing.T) {
 // that semantics a risky tuple ends fully suppressed whatever the routing,
 // so the two sweeps' different heuristics do not matter.) The maybe-match
 // arm has no declarative counterpart until the engine groups by maybe-match
-// (ROADMAP 3(b)).
+// (PAPER.md §4.3).
 func TestFig7cSkolemArmThroughTheReasoner(t *testing.T) {
 	const scale = 0.02 // 500-tuple datasets: every iteration re-reasons over the whole table
 	stats, err := Fig7c(scale)

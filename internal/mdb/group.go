@@ -59,16 +59,10 @@ type Grouping struct {
 // unique constants. A null sensitive value is "suppressed" under both.
 //
 // It is one pass of the GroupIndex kernel over a throwaway index, run on the
-// calling goroutine only: callers such as the MSU search already fan
-// ComputeGroups calls out across cores themselves.
+// calling goroutine only, as CodeTable.Group is: callers grouping many
+// attribute sets fan those out across cores themselves.
 func ComputeInfos(d *Dataset, by Grouping, sem Semantics) []GroupInfo {
-	x, err := newGroupIndex(context.Background(), d, by, sem, 1)
-	if err != nil {
-		// Unreachable: the background context is never cancelled and the
-		// kernel's chunk functions cannot fail.
-		panic("mdb: ComputeInfos: " + err.Error())
-	}
-	return x.infos
+	return by.table(d, sem).group()
 }
 
 // BuildIndex constructs the index over by under the given semantics, to be
@@ -77,8 +71,8 @@ func BuildIndex(ctx context.Context, d *Dataset, by Grouping, sem Semantics) (*G
 	if len(by.Attrs) == 0 {
 		return nil, fmt.Errorf("mdb: group index needs at least one attribute")
 	}
-	x, err := newGroupIndex(ctx, d, by, sem, 0)
-	if err != nil {
+	x := &GroupIndex{codeTable: by.table(d, sem)}
+	if err := x.build(ctx); err != nil {
 		return nil, fmt.Errorf("mdb: building group index: %w", err)
 	}
 	return x, nil

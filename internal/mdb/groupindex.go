@@ -34,28 +34,13 @@ import (
 // A GroupIndex is not safe for concurrent mutation; Build and Commit
 // parallelize internally through the governor-charged pool.
 type GroupIndex struct {
-	d *Dataset
-	// cols lists the coded attributes: the grouping attributes idx = cols[:w]
-	// and, when the grouping names one, the sensitive attribute after them.
-	cols, idx []int
-	sem       Semantics
+	// The code matrix, over the grouping attributes cols[:w] and, when the
+	// grouping names one, the sensitive attribute after them; that column's
+	// refs are the table's histogram C.
+	codeTable
 	// workers caps the pool width of derive: 0 means GOMAXPROCS; 1 keeps
 	// ComputeInfos on the calling goroutine.
 	workers int
-
-	// Code matrix: cells holds one uint32 per (row, coded attribute),
-	// row-major. Per attribute a dictionary maps constants to codes ≥ 1;
-	// under maybe-match a labelled null is code 0, under standard nulls
-	// every null symbol gets a code of its own — except in the sensitive
-	// column, where a null is a suppressed value, code 0, under both. refs
-	// counts the live cells per code (refs[j][0] is unused) and deadCodes
-	// the codes no cell holds, which is what triggers a compaction. The
-	// sensitive column's refs are thereby the table's histogram C.
-	consts    []map[string]uint32
-	nullCodes []map[uint64]uint32
-	refs      [][]int32
-	deadCodes int
-	cells     []uint32
 
 	// Exact groups: keys interns the code tuples of the rows that form
 	// groups (all rows under standard nulls, null-free rows under
@@ -105,25 +90,26 @@ type GroupIndex struct {
 	invalid bool
 }
 
-// newGroupIndex is the one constructor: it codes d's projection onto by and
-// derives every row's info, on at most workers goroutines.
-func newGroupIndex(ctx context.Context, d *Dataset, by Grouping, sem Semantics, workers int) (*GroupIndex, error) {
+// table codes d's projection onto by: its attributes, then the sensitive
+// one if it names one.
+func (by Grouping) table(d *Dataset, sem Semantics) codeTable {
 	cols := append(make([]int, 0, len(by.Attrs)+1), by.Attrs...)
 	if by.Sensitive != NoSensitive {
 		cols = append(cols, by.Sensitive)
 	}
-	x := &GroupIndex{d: d, cols: cols, idx: cols[:len(by.Attrs)], sem: sem, workers: workers}
-	x.restructure()
+	return newCodeTable(d, cols, len(by.Attrs), sem)
+}
+
+// build derives the exact groups and every row's info from the code matrix.
+func (x *GroupIndex) build(ctx context.Context) error {
+	x.regroup(len(x.d.Rows))
 	x.aggregate()
-	x.infos = make([]GroupInfo, len(d.Rows))
-	if err := x.derive(ctx, nil); err != nil {
-		return nil, err
-	}
-	return x, nil
+	x.infos = make([]GroupInfo, len(x.d.Rows))
+	return x.derive(ctx, nil)
 }
 
 // Attrs returns the attribute indexes the index groups by.
-func (x *GroupIndex) Attrs() []int { return append([]int(nil), x.idx...) }
+func (x *GroupIndex) Attrs() []int { return append([]int(nil), x.cols[:x.w]...) }
 
 // Semantics returns the null semantics the index was built under.
 func (x *GroupIndex) Semantics() Semantics { return x.sem }
@@ -157,10 +143,10 @@ func (x *GroupIndex) Len() int { return len(x.rowGroup) }
 // inverted-index postings; with a sensitive column also the member layout
 // and the histograms, which hold at most one entry per row.
 func (x *GroupIndex) EstimatedBytes() int64 {
-	w, rows, groups := int64(len(x.idx)), int64(len(x.rowGroup)), int64(x.keys.n)
-	n := rows * (4*int64(len(x.cols)) + 4 + int64(unsafe.Sizeof(GroupInfo{})) + 1)
+	w, rows, groups := int64(x.w), int64(len(x.rowGroup)), int64(x.keys.n)
+	n := x.codeTable.EstimatedBytes() + rows*(4+int64(unsafe.Sizeof(GroupInfo{}))+1)
 	for _, r := range x.refs {
-		n += int64(len(r)) * (48 + 4 + 24) // dictionary entry + ref count + posting header
+		n += int64(len(r)) * 24 // posting header
 	}
 	n += groups * (4*w + 8 + 28 + 4*w) // key + slots + aggregates + postings
 	if x.sensitive() {
@@ -170,60 +156,16 @@ func (x *GroupIndex) EstimatedBytes() int64 {
 }
 
 // sensitive reports whether the index carries a sensitive column.
-func (x *GroupIndex) sensitive() bool { return len(x.cols) > len(x.idx) }
-
-// coded returns every code of row pos: row(pos), then the sensitive code if
-// the index has the column.
-func (x *GroupIndex) coded(pos int) []uint32 {
-	stride := len(x.cols)
-	return x.cells[pos*stride : (pos+1)*stride]
-}
+func (x *GroupIndex) sensitive() bool { return len(x.cols) > x.w }
 
 // row returns the grouping codes of row pos.
 func (x *GroupIndex) row(pos int) []uint32 {
-	return x.coded(pos)[:len(x.idx)]
+	return x.coded(pos)[:x.w]
 }
 
 // sensCode returns the sensitive code of row pos, 0 for a suppressed value.
 func (x *GroupIndex) sensCode(pos int) uint32 {
-	return x.coded(pos)[len(x.idx)]
-}
-
-// code interns the value at coded position j and takes a reference on its
-// code.
-func (x *GroupIndex) code(j int, v Value) uint32 {
-	var c uint32
-	var ok bool
-	if v.null != 0 {
-		if x.sem == MaybeMatch || j == len(x.idx) {
-			return 0
-		}
-		if c, ok = x.nullCodes[j][v.null]; !ok {
-			c = uint32(len(x.refs[j]))
-			x.nullCodes[j][v.null] = c
-		}
-	} else if c, ok = x.consts[j][v.s]; !ok {
-		c = uint32(len(x.refs[j]))
-		x.consts[j][v.s] = c
-	}
-	if !ok {
-		x.refs[j] = append(x.refs[j], 0)
-	} else if x.refs[j][c] == 0 {
-		x.deadCodes--
-	}
-	x.refs[j][c]++
-	return c
-}
-
-// unref drops one reference on code c of index position j.
-func (x *GroupIndex) unref(j int, c uint32) {
-	if c == 0 {
-		return
-	}
-	x.refs[j][c]--
-	if x.refs[j][c] == 0 {
-		x.deadCodes++
-	}
+	return x.coded(pos)[x.w]
 }
 
 // place returns the exact group of row pos as its codes stand, founding the
@@ -250,79 +192,10 @@ func (x *GroupIndex) post(g int) {
 	}
 }
 
-// restructure builds everything structural — dictionaries, code matrix,
-// exact groups — from the dataset: the one pass that reads its strings.
-func (x *GroupIndex) restructure() {
-	stride, n := len(x.cols), len(x.d.Rows)
-	x.consts = make([]map[string]uint32, stride)
-	x.nullCodes = make([]map[uint64]uint32, stride)
-	x.refs = make([][]int32, stride)
-	for j := range x.cols {
-		x.consts[j] = make(map[string]uint32)
-		if x.sem == StandardNulls {
-			x.nullCodes[j] = make(map[uint64]uint32)
-		}
-		x.refs[j] = []int32{0}
-	}
-	x.cells = make([]uint32, 0, n*stride)
-	for _, r := range x.d.Rows {
-		for j, i := range x.cols {
-			x.cells = append(x.cells, x.code(j, r.Values[i]))
-		}
-	}
-	x.regroup(n)
-}
-
-// compact renumbers every coded attribute's live codes densely, keeping their
-// order, into fresh dictionaries that hold only them, remaps the matrix and
-// re-interns the exact groups from it. Commit runs it when dead groups or
-// dead codes outnumber live ones, which is what keeps a long-lived stream
-// window's index proportional to the window. Codes and group ids are
-// internal: infos do not depend on them.
-func (x *GroupIndex) compact() {
-	stride := len(x.cols)
-	remap := make([][]uint32, stride)
-	for j, refs := range x.refs {
-		remap[j] = make([]uint32, len(refs))
-		live := []int32{0}
-		for c, n := range refs[1:] {
-			if n > 0 {
-				remap[j][c+1] = uint32(len(live))
-				live = append(live, n)
-			}
-		}
-		x.refs[j] = live
-		x.consts[j] = remapDict(x.consts[j], remap[j], len(live)-1)
-		x.nullCodes[j] = remapDict(x.nullCodes[j], remap[j], len(live)-1)
-	}
-	for row := x.cells; len(row) > 0; row = row[stride:] {
-		for j, c := range row[:stride] {
-			row[j] = remap[j][c]
-		}
-	}
-	x.deadCodes = 0
-	x.regroup(len(x.rowGroup))
-}
-
-// remapDict returns dict's entries under their new codes, those of dead codes
-// dropped; nil stays nil.
-func remapDict[K comparable](dict map[K]uint32, remap []uint32, live int) map[K]uint32 {
-	if dict == nil {
-		return nil
-	}
-	out := make(map[K]uint32, live)
-	for k, c := range dict {
-		if remap[c] != 0 {
-			out[k] = remap[c]
-		}
-	}
-	return out
-}
-
 // regroup re-interns the exact groups of the matrix's n rows from their
 // codes, in row order.
 func (x *GroupIndex) regroup(n int) {
-	x.keys.reset(len(x.idx))
+	x.keys.reset(x.w)
 	x.inv = nil
 	x.rowGroup = slices.Grow(x.rowGroup[:0], n)
 	for pos := 0; pos < n; pos++ {
@@ -363,7 +236,7 @@ func (x *GroupIndex) aggregate() {
 // is the rows whatever the size of the sensitive domain.
 func (x *GroupIndex) histograms() {
 	x.sensTotal = 0
-	for _, c := range x.refs[len(x.idx)][1:] {
+	for _, c := range x.refs[x.w][1:] {
 		x.sensTotal += int64(c)
 	}
 	x.memberOffs, x.members = bucketLists(x.rowGroup, x.keys.n, x.memberOffs, x.members)
@@ -397,7 +270,7 @@ type sensAcc struct {
 }
 
 func (x *GroupIndex) newSensAcc() *sensAcc {
-	table := x.refs[len(x.idx)]
+	table := x.refs[x.w]
 	return &sensAcc{cnt: make([]int32, len(table)), table: table, total: x.sensTotal}
 }
 
@@ -513,10 +386,7 @@ func (x *GroupIndex) AppendRow(pos int) error {
 		return fmt.Errorf("mdb: AppendRow(%d): dataset holds only %d rows", pos, len(x.d.Rows))
 	}
 	x.pending++
-	r := x.d.Rows[pos]
-	for j, i := range x.cols {
-		x.cells = append(x.cells, x.code(j, r.Values[i]))
-	}
+	x.appendRow(x.d.Rows[pos])
 	x.rowGroup = append(x.rowGroup, x.place(pos))
 	x.infos = append(x.infos, GroupInfo{})
 	return nil
@@ -611,7 +481,11 @@ func (x *GroupIndex) Commit(ctx context.Context) ([]int, error) {
 	x.pending = 0
 	x.aggregate()
 	if x.wasteful() {
+		// Compacting the codes and re-interning the groups from them keeps a
+		// long-lived stream window's index proportional to the window; codes
+		// and group ids are internal, infos do not depend on them.
 		x.compact()
+		x.regroup(len(x.rowGroup))
 		x.aggregate()
 	}
 
@@ -726,7 +600,7 @@ func (x *GroupIndex) derive(ctx context.Context, changed []bool) error {
 // null rows in row order. The work is one bucketing of the null rows per
 // mask present plus the matches themselves, not null rows squared.
 func (x *GroupIndex) nullPhase(ctx context.Context, changed []bool) error {
-	w, nulls := len(x.idx), x.nullRows
+	w, nulls := x.w, x.nullRows
 	if x.inv == nil {
 		x.inv = make([][][]int32, w)
 		for g := 0; g < x.keys.n; g++ {

@@ -355,7 +355,7 @@ func checkDictionaries(t *testing.T, x *GroupIndex, compacted bool) {
 			want, ok := uint32(0), true
 			if v.null == 0 {
 				want, ok = x.consts[j][v.s]
-			} else if x.sem == StandardNulls && j < len(x.idx) {
+			} else if x.sem == StandardNulls && j < x.w {
 				want, ok = x.nullCodes[j][v.null]
 			}
 			if !ok || c != want {

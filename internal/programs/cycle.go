@@ -21,7 +21,7 @@ import (
 // existential head invents the labelled null. The engine's labelled nulls
 // follow the standard (Skolem) semantics, so the declarative cycle is the
 // paper's Figure 7c baseline; the maybe-match refinement lives in the native
-// engine layer (internal/mdb) until the engine groups by it (ROADMAP 3(b)).
+// engine layer (internal/mdb) until the engine groups by it (PAPER.md §4.3).
 
 // SuppressionProgram generates Algorithm 7 for a schema with q
 // quasi-identifiers: for every attribute position j there is a rule that

@@ -150,7 +150,7 @@ func (a Assessor) Assess(d *mdb.Dataset, sem mdb.Semantics) ([]float64, error) {
 // and, when ctx carries a resource governor, inside an evaluation scope of it.
 func (a Assessor) AssessContext(ctx context.Context, d *mdb.Dataset, sem mdb.Semantics) ([]float64, error) {
 	if sem != mdb.StandardNulls {
-		return nil, fmt.Errorf("programs: %s: cannot assess under %s semantics: the engine's labelled nulls are Skolem constants until it groups by maybe-match (ROADMAP 3(b))",
+		return nil, fmt.Errorf("programs: %s: cannot assess under %s semantics: the engine's labelled nulls are Skolem constants until it groups by maybe-match (PAPER.md §4.3)",
 			a.Name(), sem)
 	}
 	prog, err := TwinOf(a.Measure, d, false)

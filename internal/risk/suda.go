@@ -1,6 +1,7 @@
 package risk
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
@@ -21,7 +22,7 @@ type SUDA struct {
 	// (Rule 8 of Algorithm 6). The paper's experiments use 3.
 	Threshold int
 	// MaxK bounds the size of the combinations searched; zero defaults to
-	// Threshold, which is sufficient for the risk decision.
+	// Threshold, which is sufficient for the risk decision (ResolveMaxK).
 	MaxK int
 	// UseMeanSize switches to the "more sophisticated check" the paper
 	// sketches at the end of Section 4.2: instead of any single small MSU,
@@ -46,16 +47,13 @@ func (a SUDA) Assess(d *mdb.Dataset, sem mdb.Semantics) ([]float64, error) {
 // context between attribute combinations, so even the exponential part of
 // SUDA stops within one combination's worth of work.
 func (a SUDA) AssessContext(ctx context.Context, d *mdb.Dataset, sem mdb.Semantics) ([]float64, error) {
-	if a.Threshold < 1 {
-		return nil, fmt.Errorf("risk: SUDA needs Threshold >= 1, got %d", a.Threshold)
+	maxK, err := a.ResolveMaxK()
+	if err != nil {
+		return nil, err
 	}
 	idx, err := attrsOrQIs(d, a.Attrs)
 	if err != nil {
 		return nil, err
-	}
-	maxK := a.MaxK
-	if maxK == 0 {
-		maxK = a.Threshold
 	}
 	msus, err := MSUsContext(ctx, d, idx, maxK, sem)
 	if err != nil {
@@ -86,29 +84,37 @@ func (a SUDA) AssessContext(ctx context.Context, d *mdb.Dataset, sem mdb.Semanti
 	return out, nil
 }
 
-// MSUs enumerates, for every row, its minimal sample uniques of size at most
-// maxK over the attribute indexes idx, as bitmasks over positions of idx.
-// A set S is a sample unique for row t when t is the only row matching its
-// own projection on S; it is minimal when no proper subset of S is itself a
-// sample unique for t (the data-level analogue of superkey vs key discussed
+// ResolveMaxK validates the measure and returns the largest combination
+// size its search covers: MaxK, or Threshold when MaxK is zero. A negative
+// MaxK is refused — no size would be searched and every tuple called safe.
+func (a SUDA) ResolveMaxK() (int, error) {
+	if a.Threshold < 1 {
+		return 0, fmt.Errorf("risk: SUDA needs Threshold >= 1, got %d", a.Threshold)
+	}
+	if a.MaxK < 0 {
+		return 0, fmt.Errorf("risk: SUDA needs MaxK >= 0, got %d", a.MaxK)
+	}
+	return cmp.Or(a.MaxK, a.Threshold), nil
+}
+
+// MSUsContext enumerates, for every row, its minimal sample uniques of size
+// at most maxK over the attribute indexes idx, as bitmasks over positions of
+// idx. A set S is a sample unique for row t when t is the only row matching
+// its own projection on S; it is minimal when no proper subset of S is itself
+// a sample unique for t (the data-level analogue of superkey vs key discussed
 // in Section 4.2).
 //
 // The search proceeds by increasing combination size, so a candidate is
 // minimal exactly when no previously recorded MSU is a subset of it — the
 // pruning that keeps the enumeration polynomial per tuple and reproduces the
-// non-blowup behaviour of Figure 7f.
+// non-blowup behaviour of Figure 7f. Every combination is a column selection
+// of one mdb.CodeTable over idx, so the cells' strings are read once per
+// search, not once per combination.
 //
-// MSUs requires len(idx) <= MaxMSUAttributes; beyond that it returns nil.
-// Use MSUsContext to receive the typed ErrTooManyAttributes instead.
-func MSUs(d *mdb.Dataset, idx []int, maxK int, sem mdb.Semantics) [][]uint32 {
-	out, _ := MSUsContext(context.Background(), d, idx, maxK, sem)
-	return out
-}
-
-// MSUsContext is MSUs honouring ctx: the worker pool polls the context
-// before counting each combination, and on cancellation the search returns
-// an error wrapping ctx.Err() once the combinations in flight are done. With
-// a background context it never fails.
+// The worker pool polls ctx before counting each combination, and on
+// cancellation the search returns an error wrapping ctx.Err() once the
+// combinations in flight are done; with a background context it fails only
+// on more than MaxMSUAttributes attributes, with ErrTooManyAttributes.
 func MSUsContext(ctx context.Context, d *mdb.Dataset, idx []int, maxK int, sem mdb.Semantics) ([][]uint32, error) {
 	if len(idx) > MaxMSUAttributes {
 		return nil, &ErrTooManyAttributes{Count: len(idx), Max: MaxMSUAttributes}
@@ -116,8 +122,8 @@ func MSUsContext(ctx context.Context, d *mdb.Dataset, idx []int, maxK int, sem m
 	if maxK > len(idx) {
 		maxK = len(idx)
 	}
-	// When ctx carries a resource governor, the subset pool, the
-	// per-worker buffers and the recorded MSUs are charged against the
+	// When ctx carries a resource governor, the code table, the subset pool,
+	// the per-worker buffers and the recorded MSUs are charged against the
 	// memory budget, so a combinatorial blowup trips a typed budget error
 	// instead of exhausting the process (the worker pool charges its own
 	// goroutines and runs sequentially when they are refused). Everything
@@ -135,6 +141,10 @@ func MSUsContext(ctx context.Context, d *mdb.Dataset, idx []int, maxK int, sem m
 	}
 	out := make([][]uint32, len(d.Rows))
 	if err := reserve(int64(len(d.Rows))*24, "result buffers", 0); err != nil {
+		return nil, err
+	}
+	table := mdb.NewCodeTable(d, idx, sem)
+	if err := reserve(table.EstimatedBytes(), "code table", 0); err != nil {
 		return nil, err
 	}
 
@@ -167,14 +177,14 @@ func MSUsContext(ctx context.Context, d *mdb.Dataset, idx []int, maxK int, sem m
 		unique := make([][]int, len(masks)) // rows that are sample-unique per mask
 		err := pool.ForEach(ctx, workers, len(masks), func(mi int) error {
 			mask := masks[mi]
-			sub := make([]int, 0, maxK)
-			for i := 0; i < len(idx); i++ {
+			sel := make([]int, 0, maxK)
+			for i := range idx {
 				if mask&(1<<uint(i)) != 0 {
-					sub = append(sub, idx[i])
+					sel = append(sel, i)
 				}
 			}
-			for row, f := range mdb.Frequencies(d, sub, sem) {
-				if f == 1 {
+			for row, g := range table.Group(sel) {
+				if g.Freq == 1 {
 					unique[mi] = append(unique[mi], row)
 				}
 			}
@@ -208,19 +218,4 @@ func MSUsContext(ctx context.Context, d *mdb.Dataset, idx []int, maxK int, sem m
 		}
 	}
 	return out, nil
-}
-
-// Scores computes a DIS-SUDA-style score per row: every MSU of size s
-// contributes 2^(maxK−s), so small MSUs — the most disclosive ones — weigh
-// exponentially more, in the spirit of SUDA2's scoring. Rows without MSUs
-// score zero.
-func Scores(d *mdb.Dataset, idx []int, maxK int, sem mdb.Semantics) []float64 {
-	msus := MSUs(d, idx, maxK, sem)
-	out := make([]float64, len(d.Rows))
-	for i, ms := range msus {
-		for _, m := range ms {
-			out[i] += float64(int(1) << uint(maxK-bits.OnesCount32(m)))
-		}
-	}
-	return out
 }

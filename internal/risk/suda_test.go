@@ -24,7 +24,7 @@ func TestMSUsFigure1Tuple20(t *testing.T) {
 	for i, a := range attrs {
 		idx[i] = d.AttrIndex(a)
 	}
-	msus := MSUs(d, idx, 4, mdb.MaybeMatch)
+	msus := searchMSUs(t, d, idx, 4, mdb.MaybeMatch)
 	got := msus[19]
 	if len(got) != 2 {
 		t.Fatalf("tuple 20 has %d MSUs (%v), want 2", len(got), got)
@@ -59,23 +59,35 @@ func TestSUDAAssessorFigure1(t *testing.T) {
 	}
 }
 
+// A threshold below 1 and a negative MaxK are refused: the latter would
+// search no combination size and score every tuple safe.
 func TestSUDAValidatesThreshold(t *testing.T) {
 	d := synth.Figure5()
 	if _, err := (SUDA{Threshold: 0}).Assess(d, mdb.MaybeMatch); err == nil {
 		t.Fatal("Threshold=0 accepted")
 	}
+	if _, err := (SUDA{Threshold: 3, MaxK: -1}).Assess(d, mdb.MaybeMatch); err == nil {
+		t.Fatal("MaxK=-1 accepted")
+	}
 }
 
+// The search agrees with enumerating every subset through one-shot
+// mdb.Frequencies, on tables with and without nulls, under both semantics.
 func TestMSUsMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 10; trial++ {
+	for trial := 0; trial < 20; trial++ {
 		d := randomDataset(rng, 30, 4, 3)
 		idx := d.QuasiIdentifiers()
-		got := MSUs(d, idx, 3, mdb.MaybeMatch)
-		want := bruteForceMSUs(d, idx, 3, mdb.MaybeMatch)
-		for row := range want {
-			if !sameMaskSet(got[row], want[row]) {
-				t.Fatalf("trial %d row %d: MSUs %b, want %b", trial, row, got[row], want[row])
+		for i := 0; i < trial%4*4; i++ {
+			d.Rows[rng.Intn(len(d.Rows))].Values[idx[rng.Intn(len(idx))]] = d.Nulls.Fresh()
+		}
+		for _, sem := range []mdb.Semantics{mdb.MaybeMatch, mdb.StandardNulls} {
+			got := searchMSUs(t, d, idx, 3, sem)
+			want := bruteForceMSUs(d, idx, 3, sem)
+			for row := range want {
+				if !sameMaskSet(got[row], want[row]) {
+					t.Fatalf("trial %d %s row %d: MSUs %b, want %b", trial, sem, row, got[row], want[row])
+				}
 			}
 		}
 	}
@@ -88,7 +100,7 @@ func TestMSUProperties(t *testing.T) {
 	d := randomDataset(rng, 40, 5, 3)
 	idx := d.QuasiIdentifiers()
 	maxK := 3
-	msus := MSUs(d, idx, maxK, mdb.MaybeMatch)
+	msus := searchMSUs(t, d, idx, maxK, mdb.MaybeMatch)
 
 	isUnique := func(row int, mask uint32) bool {
 		var sub []int
@@ -143,36 +155,28 @@ func TestMSUProperties(t *testing.T) {
 func TestMSUsRespectNullSemantics(t *testing.T) {
 	d := synth.Figure5()
 	idx := d.QuasiIdentifiers()
-	before := MSUs(d, idx, 4, mdb.MaybeMatch)
+	before := searchMSUs(t, d, idx, 4, mdb.MaybeMatch)
 	if len(before[0]) == 0 {
 		t.Fatal("tuple 1 should have MSUs before suppression")
 	}
 	// Suppress Sector of tuple 1: under maybe-match it now matches rows
 	// 2-5 on every subset, so it has no sample uniques at all.
 	d.Rows[0].Values[d.AttrIndex("Sector")] = d.Nulls.Fresh()
-	after := MSUs(d, idx, 4, mdb.MaybeMatch)
+	after := searchMSUs(t, d, idx, 4, mdb.MaybeMatch)
 	if len(after[0]) != 0 {
 		t.Fatalf("tuple 1 still has MSUs after suppression: %b", after[0])
 	}
 }
 
-func TestScores(t *testing.T) {
-	d := synth.InflationGrowth()
-	attrs := []string{"Area", "Sector", "Employees", "ResidentialRevenue"}
-	idx := make([]int, len(attrs))
-	for i, a := range attrs {
-		idx[i] = d.AttrIndex(a)
+// searchMSUs is MSUsContext under a background context, which cannot fail
+// on the few attributes of these tables.
+func searchMSUs(t *testing.T, d *mdb.Dataset, idx []int, maxK int, sem mdb.Semantics) [][]uint32 {
+	t.Helper()
+	out, err := MSUsContext(context.Background(), d, idx, maxK, sem)
+	if err != nil {
+		t.Fatal(err)
 	}
-	scores := Scores(d, idx, 3, mdb.MaybeMatch)
-	// Tuple 20: MSU sizes 1 and 2 -> 2^(3-1) + 2^(3-2) = 6.
-	if scores[19] != 6 {
-		t.Errorf("tuple 20 score = %g, want 6", scores[19])
-	}
-	for i, s := range scores {
-		if s < 0 {
-			t.Errorf("tuple %d negative score %g", i+1, s)
-		}
-	}
+	return out
 }
 
 func randomDataset(rng *rand.Rand, n, attrs, domain int) *mdb.Dataset {

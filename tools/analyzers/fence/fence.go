@@ -34,7 +34,8 @@ var (
 	// per-step risk work scales with the delta. A stray full regroup there
 	// silently reverts the dominant cost of Figure 7e, and a private
 	// BuildGroupIndex regrows the bookkeeping (reservation, dirty sets,
-	// rebuild on invalidation) the view exists to own. The commands (package
+	// rebuild on invalidation) the view exists to own, and a private
+	// mdb.NewCodeTable is a regroup waiting to happen. The commands (package
 	// main) are in scope too: a handler that regroups a release pays again
 	// for what the cycle's result already carries. Waive a call that is
 	// genuinely off the hot path — a memoized one-time computation, a
@@ -43,7 +44,7 @@ var (
 		name:     "hotgroup",
 		doc:      "packages anon, stream and main must get grouping from risk.Live, not regroup or index on their own",
 		packages: []string{"anon", "stream", "main"},
-		triggers: []string{"ComputeGroups", "ComputeInfos", "Frequencies", "BuildGroupIndex", "BuildIndex"},
+		triggers: []string{"ComputeGroups", "ComputeInfos", "Frequencies", "BuildGroupIndex", "BuildIndex", "NewCodeTable"},
 		from:     "mdb",
 		message:  "mdb.%[1]s in %[2]s: internal/risk owns grouping for the cycle and the stream window (risk.Live) — use it, or annotate //hotgroup:ok with why this call is off the hot path",
 	}.analyzer()

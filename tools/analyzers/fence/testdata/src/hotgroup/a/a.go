@@ -14,6 +14,8 @@ func (mdbAPI) ComputeGroups(d *dataset, idx []int, sem int) []int { return nil }
 func (mdbAPI) Frequencies(d *dataset, idx []int, sem int) []int   { return nil }
 func (mdbAPI) BuildGroupIndex(d *dataset, idx []int) *dataset     { return nil }
 
+func (mdbAPI) NewCodeTable(d *dataset, idx []int, sem int) *dataset { return nil }
+
 func hotPath(d *dataset, qi []int) []int {
 	return mdb.ComputeGroups(d, qi, 0) // want `mdb\.ComputeGroups in hotPath: internal/risk owns grouping`
 }
@@ -25,6 +27,10 @@ func alsoHot(d *dataset, qi []int) []int {
 
 func privateIndex(d *dataset, qi []int) *dataset {
 	return mdb.BuildGroupIndex(d, qi) // want `mdb\.BuildGroupIndex in privateIndex: internal/risk owns grouping`
+}
+
+func privateTable(d *dataset, qi []int) *dataset {
+	return mdb.NewCodeTable(d, qi, 0) // want `mdb\.NewCodeTable in privateTable: internal/risk owns grouping`
 }
 
 func coldPath(d *dataset, qi []int) []int {
