@@ -470,12 +470,24 @@ func BenchmarkReasoningEngine(b *testing.B) {
 }
 
 // BenchmarkAnonymizationCycle measures the end-to-end cycle at a fixed
-// setting (the headline workload).
+// setting (the headline workload), under the default most-selective-first
+// attribute choice and under max-gain, which groups the step context's code
+// table once per attribute and iteration (FreqWithout).
 func BenchmarkAnonymizationCycle(b *testing.B) {
 	d := benchDataset(synth.DistV, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runCycle(b, d, risk.KAnonymity{K: 3}, mdb.MaybeMatch)
+	for _, choice := range []anon.AttrChoice{anon.AttrMostSelective, anon.AttrMaxGain} {
+		b.Run(choice.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := anon.Run(d, anon.Config{
+					Assessor:   risk.KAnonymity{K: 3},
+					Threshold:  0.5,
+					Anonymizer: anon.LocalSuppression{Choice: choice},
+					Order:      anon.OrderLessSignificantFirst,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ package anon
 
 import (
 	"fmt"
+	"slices"
 
 	"vadasa/internal/mdb"
 )
@@ -36,34 +37,47 @@ func (d Decision) String() string {
 }
 
 // Context carries the state an anonymization step works in: the dataset
-// being anonymized, its quasi-identifier indexes, a lazily built selectivity
-// index and the per-iteration FreqWithout cache. The selectivity index is a
-// snapshot taken at the first step of an iteration that reads it and frozen
-// for the rest of that iteration, so it is at most one iteration stale —
-// greedy tie-breaking quality, at a fraction of the cost of per-step scans.
-// The loop keeps one Context chain alive: it reports the cells every step
-// replaced through applied and moves to the following iteration with next,
-// which carries the index over instead of recounting the dataset.
+// being anonymized, its quasi-identifier indexes, and one mdb.CodeTable of
+// them under maybe-match, built at the first read. The selectivity counts are
+// a snapshot of the table taken at the first step of an iteration that reads
+// them and frozen for the rest of that iteration, so they are at most one
+// iteration stale — greedy tie-breaking quality, at a fraction of the cost of
+// per-step scans; FreqWithout groups the table as it stands at the
+// iteration's first call per attribute. The loop keeps one Context chain
+// alive: it reports the cells every step replaced through applied and moves
+// to the following iteration with next, which carries the table over instead
+// of recoding the dataset.
 type Context struct {
 	Dataset *mdb.Dataset
 	QI      []int
 
-	marg *marginalIndex
-	// margRead is set once a step of this iteration has read the selectivity
-	// snapshot; cells replaced after that wait in late until next.
-	margRead    bool
-	late        []cell
+	// tab is nil until the first read and after a cell it has no suppression
+	// for; the next read codes the dataset as it then stands.
+	tab         *mdb.CodeTable
+	marg        *mdb.Counts
 	freqWithout map[int][]int
 }
 
 // cell is one value a step replaced: row position, attribute index and what
 // stood there before. attr is -1 when the decision is not a single-cell
 // suppression (a global recoding rewrites arbitrarily many cells to
-// constants): there is then no delta form for the selectivity index or the
-// risk view, and no undo.
+// constants): there is then no delta form for the code table or the risk
+// view, and no undo.
 type cell struct {
 	pos, attr int
 	old       mdb.Value
+}
+
+// appendCells appends the cells a step's decisions on row replaced.
+func appendCells(cells []cell, d *mdb.Dataset, row int, decisions []Decision) []cell {
+	for _, dec := range decisions {
+		c := cell{pos: row, attr: -1, old: dec.Old}
+		if dec.Method == "local-suppression" {
+			c.attr = d.AttrIndex(dec.Attr)
+		}
+		cells = append(cells, c)
+	}
+	return cells
 }
 
 // NewContext returns a step context for the dataset.
@@ -72,75 +86,73 @@ func NewContext(d *mdb.Dataset, qi []int) *Context {
 }
 
 // applied tells the context that a step has just replaced the cells in the
-// dataset. Until the iteration's first selectivity read they are folded into
-// the carried index at once — the snapshot is the dataset as it stands at
-// that first read — and after it they are held back for next.
+// dataset: a suppression is re-coded in the table, anything else drops it.
+// A selectivity snapshot already taken does not see them.
 func (c *Context) applied(cells []cell) {
-	switch {
-	case c.marg == nil: // the first read counts the dataset as it then stands
-	case c.margRead:
-		c.late = append(c.late, cells...)
-	default:
-		c.fold(cells)
-	}
-}
-
-// next returns the context of the following iteration: the selectivity index
-// is carried over with this iteration's held-back cells folded in, the
-// FreqWithout cache is dropped.
-func (c *Context) next() *Context {
-	if c.marg != nil {
-		c.fold(c.late)
-	}
-	return &Context{Dataset: c.Dataset, QI: c.QI, marg: c.marg}
-}
-
-// fold applies replaced cells to the carried selectivity index. A local
-// suppression moves one row from its value's count to the null count;
-// anything else drops the index, and the next read recounts the dataset.
-func (c *Context) fold(cells []cell) {
 	for _, cl := range cells {
-		if cl.attr < 0 || !c.marg.suppress(cl.attr, cl.old) {
-			c.marg = nil
+		if c.tab == nil {
 			return
 		}
+		if cl.attr < 0 || c.tab.SuppressCell(cl.pos, cl.attr) != nil {
+			c.tab = nil
+		}
 	}
+}
+
+// next returns the context of the following iteration: the code table is
+// carried over, the selectivity snapshot and the FreqWithout cache dropped.
+func (c *Context) next() *Context {
+	return &Context{Dataset: c.Dataset, QI: c.QI, tab: c.tab}
+}
+
+// table returns the code table, coding the dataset as it stands when there
+// is none.
+func (c *Context) table() *mdb.CodeTable {
+	if c.tab == nil {
+		//hotgroup:ok the step context's one coding of the dataset, carried across iterations; only a global recoding makes the next read code it again
+		c.tab = mdb.NewCodeTable(c.Dataset, c.QI, mdb.MaybeMatch)
+	}
+	return c.tab
 }
 
 // FreqWithout returns, for every row, the maybe-match frequency the row
 // would have if the given quasi-identifier were ignored — the group size the
-// row lands in after suppressing that attribute. One grouping pass per
-// attribute serves every risky tuple of the iteration, which is what makes
-// the exact-gain greedy affordable (the “most risky first” routing strategy
-// of Section 4.4 relies on a program computing the resulting risk).
+// row lands in after suppressing that attribute. One grouping of the table's
+// other columns per attribute serves every risky tuple of the iteration,
+// which is what makes the exact-gain greedy affordable (the “most risky
+// first” routing strategy of Section 4.4 relies on a program computing the
+// resulting risk).
 func (c *Context) FreqWithout(attr int) []int {
-	if c.freqWithout == nil {
-		c.freqWithout = make(map[int][]int, len(c.QI))
-	}
 	if fs, ok := c.freqWithout[attr]; ok {
 		return fs
 	}
 	rest := make([]int, 0, len(c.QI)-1)
-	for _, a := range c.QI {
+	for j, a := range c.QI {
 		if a != attr {
-			rest = append(rest, a)
+			rest = append(rest, j)
 		}
 	}
-	//hotgroup:ok memoized per attribute for one batch; not the per-iteration assessment
-	fs := mdb.Frequencies(c.Dataset, rest, mdb.MaybeMatch)
+	infos := c.table().Group(rest)
+	fs := make([]int, len(infos))
+	for i, g := range infos {
+		fs[i] = g.Freq
+	}
+	if c.freqWithout == nil {
+		c.freqWithout = make(map[int][]int, len(c.QI))
+	}
 	c.freqWithout[attr] = fs
 	return fs
 }
 
 // Marginal returns how many rows carry a value compatible with v at the
 // attribute under maybe-match — the selectivity measure behind
-// AttrMostSelective. The underlying index is built on first use.
+// AttrMostSelective — in the iteration's snapshot.
 func (c *Context) Marginal(attr int, v mdb.Value) int {
 	if c.marg == nil {
-		c.marg = buildMarginalIndex(c.Dataset, c.QI)
+		c.marg = c.table().Counts()
 	}
-	c.margRead = true
-	return c.marg.marginal(attr, v)
+	n, nulls := c.marg.Of(slices.Index(c.QI, attr), v)
+	return n + nulls
 }
 
 // Anonymizer applies one minimal anonymization step to a risky tuple
@@ -194,70 +206,6 @@ func (c AttrChoice) String() string {
 	default:
 		return fmt.Sprintf("AttrChoice(%d)", int(c))
 	}
-}
-
-// marginalIndex caches, per quasi-identifier, how many rows carry each
-// constant value plus how many carry labelled nulls, so the selectivity of a
-// value under maybe-match is a lookup instead of a scan. Values are interned
-// to dense codes per attribute and the counts are code-indexed.
-type marginalIndex struct {
-	codes  []map[string]int // by attribute index: constant → position in counts
-	counts [][]int
-	nulls  []int
-}
-
-func buildMarginalIndex(d *mdb.Dataset, qi []int) *marginalIndex {
-	m := &marginalIndex{
-		codes:  make([]map[string]int, len(d.Attrs)),
-		counts: make([][]int, len(d.Attrs)),
-		nulls:  make([]int, len(d.Attrs)),
-	}
-	for _, a := range qi {
-		m.codes[a] = make(map[string]int)
-	}
-	for _, r := range d.Rows {
-		for _, a := range qi {
-			v := r.Values[a]
-			if v.IsNull() {
-				m.nulls[a]++
-				continue
-			}
-			c, ok := m.codes[a][v.Constant()]
-			if !ok {
-				c = len(m.counts[a])
-				m.codes[a][v.Constant()] = c
-				m.counts[a] = append(m.counts[a], 0)
-			}
-			m.counts[a][c]++
-		}
-	}
-	return m
-}
-
-func (m *marginalIndex) marginal(attr int, v mdb.Value) int {
-	if v.IsNull() {
-		return m.nulls[attr] // callers only rank constants; defensive
-	}
-	if c, ok := m.codes[attr][v.Constant()]; ok {
-		return m.counts[attr][c] + m.nulls[attr]
-	}
-	return m.nulls[attr]
-}
-
-// suppress records that one cell of the attribute went from the constant
-// old to a labelled null. It reports false when the index holds no such
-// cell to move — it no longer mirrors the dataset.
-func (m *marginalIndex) suppress(attr int, old mdb.Value) bool {
-	if old.IsNull() {
-		return false
-	}
-	c, ok := m.codes[attr][old.Constant()]
-	if !ok || m.counts[attr][c] == 0 {
-		return false
-	}
-	m.counts[attr][c]--
-	m.nulls[attr]++
-	return true
 }
 
 // chooseAttr orders the candidate attribute indexes of a row according to

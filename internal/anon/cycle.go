@@ -180,6 +180,9 @@ type Loop struct {
 	iter                 int
 	exhausted, everRisky map[int]bool
 	riskEval, anon       time.Duration
+	// step is the context the anonymizer steps in: the running iteration's,
+	// the last one's once Run has returned.
+	step *Context
 }
 
 // NotConvergedError ends a run that used up its iterations with actionable
@@ -209,7 +212,7 @@ func (l *Loop) Run(ctx context.Context) ([]int, error) {
 	if l.exhausted == nil {
 		l.exhausted, l.everRisky = make(map[int]bool), make(map[int]bool)
 	}
-	actx := NewContext(d, d.QuasiIdentifiers())
+	l.step = NewContext(d, d.QuasiIdentifiers())
 	evalStart := time.Now()
 	for ; ; l.iter++ {
 		if l.iter >= maxIterations {
@@ -274,7 +277,7 @@ func (l *Loop) Run(ctx context.Context) ([]int, error) {
 				undo()
 				return nil, cancelled(l.iter, err)
 			}
-			decisions, ok := l.Anonymizer.Step(actx, row)
+			decisions, ok := l.Anonymizer.Step(l.step, row)
 			if !ok {
 				// Nothing more can be done for this tuple; it is excluded
 				// from future batches and ends up in the residual report.
@@ -283,20 +286,15 @@ func (l *Loop) Run(ctx context.Context) ([]int, error) {
 				cp.Exhausted = append(cp.Exhausted, row)
 				continue
 			}
-			stepped := len(cells)
 			for i := range decisions {
-				dec := &decisions[i]
-				dec.Iteration, dec.Risk = l.iter+1, risks[row]
-				c := cell{pos: row, attr: -1, old: dec.Old}
-				if dec.Method == "local-suppression" {
-					c.attr = d.AttrIndex(dec.Attr)
-				}
-				cells = append(cells, c)
+				decisions[i].Iteration, decisions[i].Risk = l.iter+1, risks[row]
 			}
-			actx.applied(cells[stepped:])
+			stepped := len(cells)
+			cells = appendCells(cells, d, row, decisions)
+			l.step.applied(cells[stepped:])
 			cp.Decisions = append(cp.Decisions, decisions...)
 		}
-		actx = actx.next()
+		l.step = l.step.next()
 		cp.Anon = time.Since(stepStart)
 		l.anon += cp.Anon
 
@@ -453,21 +451,25 @@ func ResumeContext(ctx context.Context, d *mdb.Dataset, cfg Config, checkpoints 
 	if denom := res.EverRisky * len(qi); denom > 0 {
 		res.InfoLoss = float64(res.NullsInjected) / float64(denom)
 	}
-	res.MinGroupSize = minGroupSize(view, work, qi)
+	res.MinGroupSize = minGroupSize(view, loop.step)
 	return res, nil
 }
 
-// minGroupSize is the smallest maybe-match group of d over qi. The view's
-// index holds exactly that grouping when it is current, maybe-match and over
-// the quasi-identifiers — every k-anonymity, re-identification and
-// individual-risk cycle; any other view costs one regroup of the release.
-func minGroupSize(view *risk.Live, d *mdb.Dataset, qi []int) int {
+// minGroupSize is the smallest maybe-match group of the release over its
+// quasi-identifiers. The view's index holds exactly that grouping when it is
+// current, maybe-match and over the quasi-identifiers — every k-anonymity,
+// re-identification and individual-risk cycle; any other view costs one
+// grouping of every column of the step context's table.
+func minGroupSize(view *risk.Live, actx *Context) int {
 	var infos []mdb.GroupInfo
-	if idx := view.Index(); idx != nil && idx.Semantics() == mdb.MaybeMatch && slices.Equal(idx.Attrs(), qi) {
+	if idx := view.Index(); idx != nil && idx.Semantics() == mdb.MaybeMatch && slices.Equal(idx.Attrs(), actx.QI) {
 		infos = idx.Infos()
 	} else {
-		//hotgroup:ok once per cycle, after it: a view without this index reassessed in full every iteration
-		infos = mdb.ComputeGroups(d, qi, mdb.MaybeMatch)
+		all := make([]int, len(actx.QI))
+		for j := range all {
+			all[j] = j
+		}
+		infos = actx.table().Group(all)
 	}
 	m := 0
 	for i, g := range infos {

@@ -2,6 +2,7 @@ package anon
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 
@@ -18,7 +19,8 @@ import (
 // toolboxes (sdcMicro's mdav in one dimension), complementing suppression
 // and recoding as a third anonymization method.
 //
-// Labelled nulls are left untouched and excluded from the grouping.
+// Labelled nulls are left untouched and excluded from the grouping; a value
+// that is not a finite number is refused before any cell is written.
 func Microaggregate(d *mdb.Dataset, attr string, k int) error {
 	if k < 2 {
 		return fmt.Errorf("anon: microaggregation needs k >= 2, got %d", k)
@@ -38,7 +40,7 @@ func Microaggregate(d *mdb.Dataset, attr string, k int) error {
 			continue
 		}
 		f, err := strconv.ParseFloat(v.Constant(), 64)
-		if err != nil {
+		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
 			return fmt.Errorf("anon: row %d: attribute %q value %s is not numeric",
 				r.ID, attr, v.Redacted())
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 
 	"vadasa/internal/mdb"
@@ -95,6 +96,22 @@ func TestMicroaggregateErrors(t *testing.T) {
 	tiny := weightColumnDataset([]float64{1})
 	if err := Microaggregate(tiny, "Income", 2); err == nil {
 		t.Error("fewer values than k accepted")
+	}
+	// "NaN" and "Inf" parse as floats; they are refused like any other
+	// non-number, before a cell of the column is written.
+	for _, bad := range []string{"NaN", "Inf", "+Inf", "-Inf"} {
+		d := weightColumnDataset([]float64{1, 2, 0, 4, 5, 6})
+		idx := d.AttrIndex("Income")
+		d.Rows[2].Values[idx] = mdb.Const(bad)
+		want := d.Clone()
+		if err := Microaggregate(d, "Income", 2); err == nil || !strings.Contains(err.Error(), "is not numeric") {
+			t.Errorf("%s: err = %v, want the non-numeric refusal", bad, err)
+		}
+		for i, r := range d.Rows {
+			if r.Values[idx] != want.Rows[i].Values[idx] {
+				t.Fatalf("%s: row %d rewritten to %s", bad, i, r.Values[idx].Redacted())
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package anon
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vadasa/internal/hierarchy"
@@ -144,10 +145,10 @@ func TestSuppressionNeverRaisesReIdentRisk(t *testing.T) {
 	}
 }
 
-// recounting hides the carried selectivity index from the wrapped
-// anonymizer: every iteration (a new *Context from Next) steps on a fresh
-// context, which counts the dataset at its first read — the behaviour the
-// carried index must reproduce.
+// recounting hides the carried code table from the wrapped anonymizer:
+// every iteration (a new *Context from next) steps on a fresh context, which
+// codes the dataset at its first read and is fed the cells the loop applies,
+// as the loop feeds its own — the behaviour the carried table must reproduce.
 type recounting struct {
 	Anonymizer
 	seen, fresh *Context
@@ -157,7 +158,9 @@ func (r *recounting) Step(ctx *Context, row int) ([]Decision, bool) {
 	if ctx != r.seen {
 		r.seen, r.fresh = ctx, NewContext(ctx.Dataset, ctx.QI)
 	}
-	return r.Anonymizer.Step(r.fresh, row)
+	decisions, ok := r.Anonymizer.Step(r.fresh, row)
+	r.fresh.applied(appendCells(nil, ctx.Dataset, row, decisions))
+	return decisions, ok
 }
 
 // The selectivity index carried across iterations must give every step the
@@ -223,4 +226,72 @@ func TestCarriedSelectivityMatchesRecount(t *testing.T) {
 			BatchFraction: 1,
 		})
 	}
+}
+
+// The selectivity snapshot outlives the table it was counted from: read
+// Marginal, apply a recoding cell (which drops the table), let FreqWithout
+// code the recoded dataset afresh — with codes the old dictionary no longer
+// names — and every Marginal of the iteration must still count the dataset
+// as it stood at the first read. The next iteration counts it as it stands.
+func TestSelectivitySnapshotOutlivesTheTable(t *testing.T) {
+	d := synth.Generate(synth.Config{Tuples: 300, QIs: 4, Dist: synth.DistV, Seed: 7})
+	qi := d.QuasiIdentifiers()
+	ctx := NewContext(d, qi)
+	suppress := func(pos, attr int) {
+		old := d.Rows[pos].Values[attr]
+		d.Rows[pos].Values[attr] = d.Nulls.Fresh()
+		ctx.applied([]cell{{pos: pos, attr: attr, old: old}})
+	}
+	marginals := func(label string, at *mdb.Dataset) {
+		t.Helper()
+		for _, a := range qi {
+			for _, v := range append(at.DistinctValues(a), "absent") {
+				want := 0
+				for _, r := range at.Rows {
+					if c := r.Values[a]; c.IsNull() || c.Constant() == v {
+						want++
+					}
+				}
+				if got := ctx.Marginal(a, mdb.Const(v)); got != want {
+					t.Fatalf("%s: Marginal(%d, %s) = %d, the count is %d", label, a, mdb.RedactString(v), got, want)
+				}
+			}
+		}
+	}
+
+	without := func(a int) []int {
+		return mdb.Frequencies(d, slices.DeleteFunc(slices.Clone(qi), func(b int) bool { return b == a }), mdb.MaybeMatch)
+	}
+	suppress(0, qi[0]) // before the table exists: the first read codes it
+	early := without(qi[2])
+	ctx.FreqWithout(qi[2])
+	suppress(1, qi[1]) // re-coded in the table, counted by the first read
+	ctx.Marginal(qi[0], d.Rows[2].Values[qi[0]])
+	first := d.Clone()
+	suppress(3, qi[2]) // after the first read
+	// A global recoding merges the first row's values into the last row's,
+	// so a code of the old dictionary names another value in the new table.
+	last := d.Rows[len(d.Rows)-1]
+	for _, a := range qi {
+		from, to := d.Rows[2].Values[a], last.Values[a]
+		for _, r := range d.Rows {
+			if r.Values[a] == from {
+				r.Values[a] = to
+			}
+		}
+	}
+	ctx.applied([]cell{{pos: 2, attr: -1}})
+	suppress(4, qi[3])
+	for _, a := range qi {
+		want := without(a)
+		if a == qi[2] {
+			want = early // the iteration's first call for the attribute
+		}
+		if !slices.Equal(ctx.FreqWithout(a), want) {
+			t.Fatalf("FreqWithout(%d) does not group the dataset as it stood at its first call", a)
+		}
+	}
+	marginals("after the table was rebuilt", first)
+	ctx = ctx.next()
+	marginals("next iteration", d)
 }

@@ -215,7 +215,7 @@ func (d *Dataset) Validate() error {
 				d.Name, r.ID, len(r.Values), len(d.Attrs))
 		}
 		if weights == 1 {
-			if err := checkWeight(r.Weight); err != nil {
+			if err := CheckWeight(r.Weight); err != nil {
 				return fmt.Errorf("mdb: dataset %q row %d: bad weight %s: %v",
 					d.Name, r.ID, RedactString(strconv.FormatFloat(r.Weight, 'g', -1, 64)), err)
 			}
@@ -224,17 +224,17 @@ func (d *Dataset) Validate() error {
 	return nil
 }
 
-// checkWeight is the rule every intake holds a sampling weight to: a finite
+// CheckWeight is the rule every intake holds a sampling weight to: a finite
 // number greater than zero. "NaN" and "Inf" parse as floats, and a NaN weight
 // makes its group's risk NaN, which exceeds no threshold.
-func checkWeight(w float64) error {
+func CheckWeight(w float64) error {
 	if w > 0 && !math.IsInf(w, 1) {
 		return nil
 	}
 	return errors.New("a weight is a finite number > 0")
 }
 
-// ParseWeight reads a sampling weight from its cell under checkWeight's rule.
+// ParseWeight reads a sampling weight from its cell under CheckWeight's rule.
 // The error names the cell by its digest only: strconv.NumError embeds its
 // input, so only the unwrapped kind is kept.
 func ParseWeight(cell string) (float64, error) {
@@ -242,7 +242,7 @@ func ParseWeight(cell string) (float64, error) {
 	if err != nil {
 		err = errors.Unwrap(err)
 	} else {
-		err = checkWeight(w)
+		err = CheckWeight(w)
 	}
 	if err != nil {
 		return 0, fmt.Errorf("bad weight %s: %v", RedactString(cell), err)

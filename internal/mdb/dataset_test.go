@@ -265,20 +265,6 @@ func TestDictionaryFacts(t *testing.T) {
 	}
 }
 
-func TestDatasetFactsDropIdentifiers(t *testing.T) {
-	d := NewDataset("I&G", igAttrs())
-	d.Append(&Row{Values: []Value{Const("42"), Const("North"), Const("Textiles"), Const("60")}, Weight: 60})
-	fs := DatasetFacts(d)
-	for _, f := range fs {
-		if f.Args[2] == "Id" {
-			t.Fatalf("identifier attribute leaked into facts: %v", f)
-		}
-	}
-	if len(fs) != 3 { // Area, Sector, Weight
-		t.Fatalf("got %d facts, want 3", len(fs))
-	}
-}
-
 // Property: any dataset of printable values round-trips through CSV
 // unchanged, including labelled nulls and weights.
 func TestCSVRoundTripProperty(t *testing.T) {

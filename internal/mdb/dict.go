@@ -132,23 +132,3 @@ func (dd *Dictionary) Facts() []Fact {
 	}
 	return fs
 }
-
-// DatasetFacts exports a dataset's content as Val(db, id, attr, value)
-// facts, the extensional encoding used by Algorithm 2. Identifier attributes
-// are implicitly dropped, as in the paper's anonymization cycle.
-func DatasetFacts(d *Dataset) []Fact {
-	var fs []Fact
-	for _, r := range d.Rows {
-		id := fmt.Sprintf("%d", r.ID)
-		for i, a := range d.Attrs {
-			if a.Category == Identifier {
-				continue
-			}
-			fs = append(fs, Fact{
-				Pred: "val",
-				Args: []string{d.Name, id, a.Name, r.Values[i].String()},
-			})
-		}
-	}
-	return fs
-}

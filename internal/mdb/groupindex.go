@@ -340,29 +340,15 @@ func (x *GroupIndex) SuppressCell(pos, attr int) error {
 	if x.invalid {
 		return fmt.Errorf("mdb: SuppressCell on invalidated group index")
 	}
-	if pos < 0 || pos >= len(x.rowGroup) || pos >= len(x.d.Rows) {
-		return fmt.Errorf("mdb: SuppressCell row %d out of range", pos)
-	}
-	if !slices.Contains(x.cols, attr) {
-		return nil // suppression outside the coded attributes: infos unchanged
-	}
-	v := x.d.Rows[pos].Values[attr]
-	if !v.IsNull() {
-		return fmt.Errorf("mdb: SuppressCell(%d, %d): cell still holds a constant", pos, attr)
-	}
-	x.pending++
 	// Under maybe-match the cell becomes code 0 and the row joins the
 	// null-row set; under standard nulls the labelled null is a globally
 	// unique constant, so the row lands in the group of its new key (in
 	// practice a fresh singleton, since null ids are never shared across
 	// cells). A suppressed sensitive value leaves the row where it is.
-	cells := x.coded(pos)
-	for j, i := range x.cols {
-		if i == attr {
-			x.unref(j, cells[j])
-			cells[j] = x.code(j, v)
-		}
+	if ok, err := x.suppress(pos, attr); !ok {
+		return err
 	}
+	x.pending++
 	x.rowGroup[pos] = x.place(pos)
 	return nil
 }

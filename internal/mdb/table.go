@@ -1,6 +1,10 @@
 package mdb
 
-import "context"
+import (
+	"context"
+	"fmt"
+	"slices"
+)
 
 // codeTable is the coded projection of a dataset onto some of its
 // attributes, the one structure of the package that reads cell strings. Per
@@ -95,6 +99,29 @@ func (t *codeTable) unref(j int, c uint32) {
 	}
 }
 
+// suppress re-codes the cell (pos, attr), which must already hold its
+// labelled null, in every column over attr, and reports whether one is.
+func (t *codeTable) suppress(pos, attr int) (bool, error) {
+	if pos < 0 || pos >= len(t.d.Rows) || (pos+1)*len(t.cols) > len(t.cells) {
+		return false, fmt.Errorf("mdb: SuppressCell row %d out of range", pos)
+	}
+	if !slices.Contains(t.cols, attr) {
+		return false, nil // suppression outside the coded attributes
+	}
+	v := t.d.Rows[pos].Values[attr]
+	if !v.IsNull() {
+		return false, fmt.Errorf("mdb: SuppressCell(%d, %d): cell still holds a constant", pos, attr)
+	}
+	cells := t.coded(pos)
+	for j, i := range t.cols {
+		if i == attr {
+			t.unref(j, cells[j])
+			cells[j] = t.code(j, v)
+		}
+	}
+	return true, nil
+}
+
 // compact renumbers every column's live codes densely, keeping their order,
 // into fresh dictionaries that hold only them, and remaps the matrix.
 func (t *codeTable) compact() {
@@ -184,4 +211,40 @@ func (t *CodeTable) Group(sel []int) []GroupInfo {
 		}
 	}
 	return s.group()
+}
+
+// SuppressCell is GroupIndex.SuppressCell for the matrix alone.
+func (t *CodeTable) SuppressCell(pos, attr int) error {
+	_, err := t.suppress(pos, attr)
+	return err
+}
+
+// Counts is a copy of a CodeTable's per-column counts with the dictionaries
+// they were taken under, which a CodeTable never writes after its build: it
+// outlives the table and every later change to it.
+type Counts struct {
+	consts []map[string]uint32
+	refs   [][]int32 // refs[j][0] counts column j's nulls
+}
+
+// Counts copies the table's per-column counts.
+func (t *CodeTable) Counts() *Counts {
+	c := &Counts{consts: slices.Clone(t.consts), refs: make([][]int32, len(t.refs))}
+	for j, refs := range t.refs {
+		c.refs[j] = slices.Clone(refs)
+		c.refs[j][0] = int32(len(t.d.Rows))
+		for _, code := range t.consts[j] {
+			c.refs[j][0] -= refs[code]
+		}
+	}
+	return c
+}
+
+// Of returns how many rows held the constant v at column j, and how many a
+// labelled null, when the counts were taken.
+func (c *Counts) Of(j int, v Value) (n, nulls int) {
+	if code, ok := c.consts[j][v.s]; ok && v.null == 0 {
+		n = int(c.refs[j][code])
+	}
+	return n, int(c.refs[j][0])
 }

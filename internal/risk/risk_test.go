@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -403,5 +404,22 @@ func TestEstimateWeightsValidation(t *testing.T) {
 	noQI := mdb.NewDataset("x", []mdb.Attribute{{Name: "A"}})
 	if err := EstimateWeights(noQI, 10); err == nil {
 		t.Error("dataset without QIs accepted")
+	}
+	// A scale whose weights break mdb's intake rule — NaN, +Inf, or one that
+	// overflows at sample frequency 2 — is refused before a weight is written.
+	for _, scale := range []float64{math.NaN(), math.Inf(1), 1e308} {
+		d := synth.Figure5()
+		want := d.Clone()
+		if err := EstimateWeights(d, scale); err == nil {
+			t.Errorf("scale %g accepted", scale)
+		}
+		for i, r := range d.Rows {
+			if r.Weight != want.Rows[i].Weight || !slices.Equal(r.Values, want.Rows[i].Values) {
+				t.Fatalf("scale %g: row %d weight rewritten", scale, i)
+			}
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("scale %g: %v", scale, err)
+		}
 	}
 }

@@ -15,8 +15,9 @@ import (
 // where populationScale is the inverse sampling fraction the data owner
 // knows (e.g. 30 when the survey covers one in thirty companies).
 //
-// Row weights are set in place; when the dataset has a Weight attribute, its
-// column is updated too so the weights survive CSV round trips.
+// Row weights are set in place once every one passes mdb.CheckWeight; when
+// the dataset has a Weight attribute, its column is updated too so the
+// weights survive CSV round trips.
 func EstimateWeights(d *mdb.Dataset, populationScale float64) error {
 	if populationScale <= 0 {
 		return fmt.Errorf("risk: population scale must be positive, got %g", populationScale)
@@ -26,6 +27,11 @@ func EstimateWeights(d *mdb.Dataset, populationScale float64) error {
 		return fmt.Errorf("risk: dataset %q has no quasi-identifiers to estimate weights from", d.Name)
 	}
 	freqs := mdb.Frequencies(d, qi, mdb.MaybeMatch)
+	for _, f := range freqs {
+		if err := mdb.CheckWeight(populationScale * float64(f)); err != nil {
+			return fmt.Errorf("risk: population scale %g times sample frequency %d: %v", populationScale, f, err)
+		}
+	}
 	w := d.WeightIndex()
 	for i, r := range d.Rows {
 		weight := populationScale * float64(freqs[i])

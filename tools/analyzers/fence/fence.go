@@ -34,12 +34,14 @@ var (
 	// per-step risk work scales with the delta. A stray full regroup there
 	// silently reverts the dominant cost of Figure 7e, and a private
 	// BuildGroupIndex regrows the bookkeeping (reservation, dirty sets,
-	// rebuild on invalidation) the view exists to own, and a private
-	// mdb.NewCodeTable is a regroup waiting to happen. The commands (package
-	// main) are in scope too: a handler that regroups a release pays again
-	// for what the cycle's result already carries. Waive a call that is
-	// genuinely off the hot path — a memoized one-time computation, a
-	// release-time verification sweep.
+	// rebuild on invalidation) the view exists to own. The cycle's one
+	// mdb.NewCodeTable is the step context's (anon.Context): coded once per
+	// run, kept current by the loop's suppressions, it serves the attribute
+	// heuristics and the release's smallest group; a second is a regroup
+	// waiting to happen. The commands (package main) are in scope too: a
+	// handler that regroups a release pays again for what the cycle's result
+	// already carries. Waive a call that is genuinely off the hot path — that
+	// one table, a release-time verification sweep.
 	Hotgroup = rule{
 		name:     "hotgroup",
 		doc:      "packages anon, stream and main must get grouping from risk.Live, not regroup or index on their own",
