@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"vadasa"
@@ -48,5 +50,42 @@ func TestLoadCSVHeaderTable(t *testing.T) {
 		if err != nil || d.Attrs[2].Category != vadasa.Identifier {
 			t.Fatalf("%s: -id %s: column is %v, %v", c.Name, sector, d.Attrs[2].Category, err)
 		}
+	}
+}
+
+// An -in that cannot seek loads like a regular file: the CSV is fed through a
+// pipe, as in `vadasa generate | vadasa assess -in /dev/stdin`.
+func TestLoadCSVFromPipe(t *testing.T) {
+	const csv = "Id,Area,Sector,Employees,Weight\n" +
+		"1,North,Retail,10-50,3\n2,North,Retail,10-50,2\n3,South,Energy,50-250,4\n4,South,Energy,250+,1\n"
+	file := filepath.Join(t.TempDir(), "data.csv")
+	if err := os.WriteFile(file, []byte(csv), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := loadCSV(vadasa.New(), file, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	path := fmt.Sprintf("/dev/fd/%d", r.Fd())
+	if _, err := os.Stat(path); err != nil {
+		w.Close()
+		t.Skipf("no /dev/fd on this platform: %v", err)
+	}
+	go func() {
+		w.WriteString(csv)
+		w.Close()
+	}()
+	got, _, err := loadCSV(vadasa.New(), path, nil, 0)
+	if err != nil {
+		t.Fatalf("loading from a pipe: %v", err)
+	}
+	if !reflect.DeepEqual(got.Attrs, want.Attrs) || !reflect.DeepEqual(got.Rows, want.Rows) {
+		t.Fatalf("pipe loaded %v %v, file %v %v", got.Attrs, got.Rows, want.Attrs, want.Rows)
 	}
 }

@@ -18,9 +18,9 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -212,23 +212,20 @@ func overrideMap(ids, qis []string, weight string) map[string]vadasa.Category {
 
 // loadCSV reads a CSV file: the header names (as vadasa.CSVHeader reads them)
 // take the overrides' categories, the rest are inferred through the
-// framework, and the file is read against that schema. A positive scale
+// framework, and the file is read against that schema. The file is read once,
+// so a pipe (-in /dev/stdin) loads like a regular file. A positive scale
 // estimates sampling weights afterwards.
 func loadCSV(f *vadasa.Framework, path string, overrides map[string]vadasa.Category, scale float64) (*vadasa.Dataset, *vadasa.CategorizationResult, error) {
-	file, err := os.Open(path)
+	body, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer file.Close()
-	names, err := vadasa.CSVHeader(file)
+	names, err := vadasa.CSVHeader(bytes.NewReader(body))
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if _, err := file.Seek(0, io.SeekStart); err != nil {
-		return nil, nil, err
-	}
 	attrs, report := f.Schema(names, overrides)
-	d, err := vadasa.ReadCSV(file, strings.TrimSuffix(path, ".csv"), attrs)
+	d, err := vadasa.ReadCSV(bytes.NewReader(body), strings.TrimSuffix(path, ".csv"), attrs)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -39,7 +39,7 @@ func TestReadyzDuringRecovery(t *testing.T) {
 func TestReadyzSaturatedGovernor(t *testing.T) {
 	s, h := faultServer(t, nil, func(c *config) { c.memBudget = 1000 })
 	hog := s.govern.Child("hog", govern.Limits{})
-	if err := hog.Reserve(govern.Memory, 1000); err != nil {
+	if err := hog.ReserveBytes(1000); err != nil {
 		t.Fatal(err)
 	}
 
@@ -61,7 +61,7 @@ func TestJobSubmitRefusedWhileSaturated(t *testing.T) {
 	const budget = 1 << 20
 	s, h := jobsServer(t, t.TempDir(), nil, func(c *config) { c.jobWorkers, c.memBudget = 1, budget })
 	hog := s.govern.Child("hog", govern.Limits{})
-	if err := hog.Reserve(govern.Memory, budget); err != nil {
+	if err := hog.ReserveBytes(budget); err != nil {
 		t.Fatal(err)
 	}
 
@@ -109,7 +109,7 @@ func TestRequestMemoryBudget(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("over-budget request = %d %s, want 503", rec.Code, rec.Body)
 	}
-	if used := root.Used(govern.Memory); used != 0 {
+	if used := root.Used(); used != 0 {
 		t.Fatalf("governor holds %d bytes after the request; scope not closed", used)
 	}
 }

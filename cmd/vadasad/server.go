@@ -403,7 +403,7 @@ func (s *server) readCharged(w http.ResponseWriter, r *http.Request) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
-	if err := govern.From(r.Context()).Reserve(govern.Memory, int64(len(body))); err != nil {
+	if err := govern.From(r.Context()).ReserveBytes(int64(len(body))); err != nil {
 		return nil, err
 	}
 	return body, nil

@@ -224,7 +224,7 @@ func TestProbesBypassSheddingAndGovernor(t *testing.T) {
 	srv.inflight <- struct{}{}
 	hog := srv.govern.Child("hog", govern.Limits{})
 	defer hog.Close()
-	if err := hog.Reserve(govern.Memory, 1000); err != nil {
+	if err := hog.ReserveBytes(1000); err != nil {
 		t.Fatal(err)
 	}
 	for _, rt := range routes {

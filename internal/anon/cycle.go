@@ -365,9 +365,9 @@ func ResumeContext(ctx context.Context, d *mdb.Dataset, cfg Config, checkpoints 
 	// error, which the job layer treats as back-pressure, not failure.
 	gov := govern.From(ctx)
 	var charged int64
-	defer func() { gov.Release(govern.Memory, charged) }()
+	defer func() { gov.ReleaseBytes(charged) }()
 	charge := func(n int64, what string) error {
-		if err := gov.Reserve(govern.Memory, n); err != nil {
+		if err := gov.ReserveBytes(n); err != nil {
 			return fmt.Errorf("anon: %s: %w", what, err)
 		}
 		charged += n

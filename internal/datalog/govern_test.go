@@ -39,7 +39,7 @@ func TestGovernorAbortsOversizedChase(t *testing.T) {
 		t.Fatalf("tripped resource = %s, want memory", ebe.Resource)
 	}
 	// The aborted run must have refunded everything it reserved.
-	if got := g.Used(govern.Memory); got != 0 {
+	if got := g.Used(); got != 0 {
 		t.Fatalf("governor still holds %d bytes after abort", got)
 	}
 }
@@ -56,7 +56,7 @@ func TestGovernorReleasedAfterRun(t *testing.T) {
 	if !res.Has("reach", Num(0), Num(10)) {
 		t.Fatal("chase did not derive reach(0,10)")
 	}
-	if got := g.Used(govern.Memory); got != 0 {
+	if got := g.Used(); got != 0 {
 		t.Fatalf("governor still holds %d bytes after run", got)
 	}
 }
@@ -109,7 +109,7 @@ func TestGovernorSeesAggregateState(t *testing.T) {
 	if !errors.As(err, &ebe) {
 		t.Fatalf("err = %v, want *govern.ErrBudgetExceeded", err)
 	}
-	if got := g.Used(govern.Memory); got != 0 {
+	if got := g.Used(); got != 0 {
 		t.Fatalf("governor still holds %d bytes after abort", got)
 	}
 }

@@ -22,7 +22,6 @@ package lint
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 
@@ -191,15 +190,6 @@ func Source(file, src string, opts *Options) []Diagnostic {
 	diags := filterAllowed(ctx.diags, toSet(o.Allow), dir.allowLines)
 	sortDiagnostics(diags)
 	return diags
-}
-
-// CheckFile lints one .vada file on disk.
-func CheckFile(path string, opts *Options) ([]Diagnostic, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Source(path, string(src), opts), nil
 }
 
 // HasErrors reports whether any diagnostic is error-severity.

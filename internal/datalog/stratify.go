@@ -167,13 +167,6 @@ func stratify(p *Program) (strataOf map[string]int, numStrata int, err error) {
 	return strataOf, maxS + 1, nil
 }
 
-// Stratification exposes the engine's stratification to static-analysis
-// callers: the stratum of every predicate and the number of strata, or the
-// error the evaluator itself would report for a non-stratifiable program.
-func Stratification(p *Program) (strataOf map[string]int, numStrata int, err error) {
-	return stratify(p)
-}
-
 // attrPos identifies an argument position of a predicate.
 type attrPos struct {
 	pred string

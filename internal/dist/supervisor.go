@@ -443,12 +443,12 @@ func (s *Supervisor) call(ctx context.Context, w *worker, seq int, spec MeasureS
 		return fmt.Errorf("%w: %s: %v", ErrWorkerLost, w.t.Addr(), cause)
 	}
 	charge := int64(len(rows)) * taskRowBytes
-	if err := w.gov.Reserve(govern.Memory, charge); err != nil {
+	if err := w.gov.ReserveBytes(charge); err != nil {
 		// A saturated scope is a refused connection: the next round picks
 		// someone else.
 		return nil, lost(err)
 	}
-	defer w.gov.Release(govern.Memory, charge)
+	defer w.gov.ReleaseBytes(charge)
 	w.addInflight(1)
 	defer w.addInflight(-1)
 

@@ -332,11 +332,11 @@ func TestHedgeLoserIsCancelled(t *testing.T) {
 	}
 	st := sup.Snapshot()
 	for i, ws := range st.Workers {
-		if ws.Inflight != 0 || sup.workers[i].gov.Used(govern.Memory) != 0 || !ws.Healthy {
-			t.Errorf("worker %s after the round: %+v, %d bytes charged", ws.Addr, ws, sup.workers[i].gov.Used(govern.Memory))
+		if ws.Inflight != 0 || sup.workers[i].gov.Used() != 0 || !ws.Healthy {
+			t.Errorf("worker %s after the round: %+v, %d bytes charged", ws.Addr, ws, sup.workers[i].gov.Used())
 		}
 	}
-	if used := root.Used(govern.Memory); used != 0 {
+	if used := root.Used(); used != 0 {
 		t.Fatalf("root still charged %d bytes", used)
 	}
 }
@@ -352,7 +352,7 @@ func TestWorkerGovernorScopes(t *testing.T) {
 	if _, err := sup.Execute(context.Background(), testSpecs()[0], rows); err != nil {
 		t.Fatal(err)
 	}
-	if used := root.Used(govern.Memory); used != 0 {
+	if used := root.Used(); used != 0 {
 		t.Fatalf("root still charged %d bytes after run", used)
 	}
 	sup.Close()

@@ -1,11 +1,11 @@
 // Package govern implements a hierarchical resource governor for the
-// Vada-SA pipeline. A Governor tracks estimated resource consumption
-// (bytes, goroutines, journal-directory disk headroom) against
-// configurable budgets, arranged as a tree: the server holds the root,
-// each job or HTTP request runs under a child, and each reasoning or
-// anonymization evaluation under a grandchild. A Reserve on a child is
-// charged against every ancestor, so one runaway evaluation cannot
-// starve the process even when its own scope is unlimited.
+// Vada-SA pipeline. A Governor tracks estimated heap bytes against a
+// configurable budget and checks journal-directory disk headroom,
+// arranged as a tree: the server holds the root, each job or HTTP
+// request runs under a child, and each reasoning or anonymization
+// evaluation under a grandchild. A ReserveBytes on a child is charged
+// against every ancestor, so one runaway evaluation cannot starve the
+// process even when its own scope is unlimited.
 //
 // The zero budget means "unlimited": a Governor with empty Limits is a
 // pure accounting node, useful as an intermediate scope whose Close
@@ -24,15 +24,13 @@ import (
 	"syscall"
 )
 
-// Resource identifies which budget a reservation draws from.
+// Resource labels which limit an ErrBudgetExceeded reports.
 type Resource string
 
 const (
 	// Memory is estimated heap bytes (datasets, fact databases,
-	// subset pools, checkpoint buffers).
+	// subset pools, checkpoint buffers), the one thing reserved.
 	Memory Resource = "memory"
-	// Goroutines is worker goroutines spawned by parallel stages.
-	Goroutines Resource = "goroutines"
 	// Disk is free-space headroom in the journal directory. Disk is
 	// checked, not reserved: see (*Governor).CheckDisk.
 	Disk Resource = "disk"
@@ -64,8 +62,7 @@ func (e *ErrBudgetExceeded) Error() string {
 // Limits configures the budgets a Governor enforces. Zero values mean
 // unlimited (or, for disk, "not checked").
 type Limits struct {
-	MaxBytes      int64 // estimated heap bytes
-	MaxGoroutines int64 // concurrently reserved worker goroutines
+	MaxBytes int64 // estimated heap bytes
 
 	// DiskDir, when non-empty, enables CheckDisk: the directory whose
 	// filesystem must keep at least DiskHeadroom bytes free.
@@ -76,16 +73,6 @@ type Limits struct {
 	DiskFree func(dir string) (int64, error)
 }
 
-func (l Limits) budget(r Resource) int64 {
-	switch r {
-	case Memory:
-		return l.MaxBytes
-	case Goroutines:
-		return l.MaxGoroutines
-	}
-	return 0
-}
-
 // Governor tracks reservations against Limits and forwards every
 // charge to its parent, if any.
 type Governor struct {
@@ -94,13 +81,13 @@ type Governor struct {
 	limits Limits
 
 	mu     sync.Mutex
-	used   map[Resource]int64
+	used   int64 // estimated bytes, descendants' charges included
 	closed bool
 }
 
 // New creates a root governor.
 func New(name string, l Limits) *Governor {
-	return &Governor{name: name, limits: l, used: make(map[Resource]int64)}
+	return &Governor{name: name, limits: l}
 }
 
 // Child creates a sub-governor whose reservations are also charged to
@@ -115,76 +102,65 @@ func (g *Governor) Child(name string, l Limits) *Governor {
 // Name returns the scope name the governor was created with.
 func (g *Governor) Name() string { return g.name }
 
-// Reserve charges n units of r against this governor and all its
-// ancestors. If any scope would overrun its budget the whole
+// ReserveBytes charges n estimated bytes against this governor and all
+// its ancestors. If any scope would overrun its budget the whole
 // reservation is rolled back and a *ErrBudgetExceeded naming that
-// scope is returned. n <= 0 is a no-op.
-func (g *Governor) Reserve(r Resource, n int64) error {
+// scope is returned. n <= 0 is a no-op. It also satisfies the
+// engine-facing governor interfaces declared locally by packages that
+// must not import govern (internal/datalog).
+func (g *Governor) ReserveBytes(n int64) error {
 	if g == nil || n <= 0 {
 		return nil
 	}
-	if err := g.reserveLocal(r, n); err != nil {
+	if err := g.reserveLocal(n); err != nil {
 		return err
 	}
-	if err := g.parent.Reserve(r, n); err != nil {
-		g.releaseLocal(r, n)
+	if err := g.parent.ReserveBytes(n); err != nil {
+		g.releaseLocal(n)
 		return err
 	}
 	return nil
 }
 
-func (g *Governor) reserveLocal(r Resource, n int64) error {
+func (g *Governor) reserveLocal(n int64) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
-		return fmt.Errorf("govern: reserve %s on closed scope %q", r, g.name)
+		return fmt.Errorf("govern: reserve memory on closed scope %q", g.name)
 	}
-	used := g.used[r]
-	if b := g.limits.budget(r); b > 0 && used+n > b {
-		return &ErrBudgetExceeded{Resource: r, Scope: g.name, Requested: n, Used: used, Budget: b}
+	if b := g.limits.MaxBytes; b > 0 && g.used+n > b {
+		return &ErrBudgetExceeded{Resource: Memory, Scope: g.name, Requested: n, Used: g.used, Budget: b}
 	}
-	g.used[r] = used + n
+	g.used += n
 	return nil
 }
 
-func (g *Governor) releaseLocal(r Resource, n int64) {
+func (g *Governor) releaseLocal(n int64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if u := g.used[r] - n; u > 0 {
-		g.used[r] = u
-	} else {
-		delete(g.used, r)
-	}
+	g.used = max(g.used-n, 0)
 }
 
-// Release returns n units of r to this governor and all its
+// ReleaseBytes returns n estimated bytes to this governor and all its
 // ancestors. Releasing more than was reserved clamps to zero.
-func (g *Governor) Release(r Resource, n int64) {
+func (g *Governor) ReleaseBytes(n int64) {
 	if g == nil || n <= 0 {
 		return
 	}
-	g.releaseLocal(r, n)
-	g.parent.Release(r, n)
+	g.releaseLocal(n)
+	g.parent.ReleaseBytes(n)
 }
 
-// Used reports how many units of r are currently reserved in this
+// Used reports how many estimated bytes are currently reserved in this
 // scope (including its descendants' charges).
-func (g *Governor) Used(r Resource) int64 {
+func (g *Governor) Used() int64 {
 	if g == nil {
 		return 0
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.used[r]
+	return g.used
 }
-
-// ReserveBytes and ReleaseBytes are the memory-budget convenience pair.
-// They also satisfy the engine-facing governor interfaces declared
-// locally by packages that must not import govern (internal/datalog).
-func (g *Governor) ReserveBytes(n int64) error { return g.Reserve(Memory, n) }
-
-// ReleaseBytes returns n estimated bytes to the memory budget.
-func (g *Governor) ReleaseBytes(n int64) { g.Release(Memory, n) }
 
 // CheckDisk verifies the disk-headroom constraint of this governor and
 // every ancestor that configures one. A violation is returned as
@@ -228,47 +204,19 @@ func (g *Governor) freeBytes() (int64, error) {
 func (g *Governor) Err() error {
 	for s := g; s != nil; s = s.parent {
 		s.mu.Lock()
-		for _, r := range [...]Resource{Memory, Goroutines} {
-			b := s.limits.budget(r)
-			if b > 0 && s.used[r] >= b {
-				err := &ErrBudgetExceeded{Resource: r, Scope: s.name, Used: s.used[r], Budget: b}
-				s.mu.Unlock()
-				return err
-			}
-		}
+		used, b := s.used, s.limits.MaxBytes
 		s.mu.Unlock()
+		if b > 0 && used >= b {
+			return &ErrBudgetExceeded{Resource: Memory, Scope: s.name, Used: used, Budget: b}
+		}
 	}
 	return g.CheckDisk()
 }
 
-// Usage is a point-in-time snapshot of one scope's reservations,
-// suitable for serving from observability endpoints.
-type Usage struct {
-	Scope      string `json:"scope"`
-	Memory     int64  `json:"memory,omitempty"`
-	Goroutines int64  `json:"goroutines,omitempty"`
-}
-
-// Stats snapshots the governor's current reservations. The numbers are
-// consistent within the scope (taken under one lock) but not across the
-// tree — this is an observability read, not a coordination primitive.
-func (g *Governor) Stats() Usage {
-	if g == nil {
-		return Usage{}
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return Usage{
-		Scope:      g.name,
-		Memory:     g.used[Memory],
-		Goroutines: g.used[Goroutines],
-	}
-}
-
 // Close releases every outstanding reservation of this governor from
-// its ancestors and marks it closed; further Reserves fail. Closing a
+// its ancestors and marks it closed; further reservations fail. Closing a
 // scope is how a finished evaluation, request or job returns its whole
-// footprint in one step regardless of individual Release bookkeeping.
+// footprint in one step regardless of individual ReleaseBytes bookkeeping.
 func (g *Governor) Close() {
 	if g == nil {
 		return
@@ -280,9 +228,7 @@ func (g *Governor) Close() {
 	}
 	g.closed = true
 	held := g.used
-	g.used = make(map[Resource]int64)
+	g.used = 0
 	g.mu.Unlock()
-	for r, n := range held {
-		g.parent.Release(r, n)
-	}
+	g.parent.ReleaseBytes(held)
 }

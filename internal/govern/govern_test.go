@@ -10,25 +10,25 @@ import (
 
 func TestReserveRelease(t *testing.T) {
 	g := New("root", Limits{MaxBytes: 100})
-	if err := g.Reserve(Memory, 60); err != nil {
+	if err := g.ReserveBytes(60); err != nil {
 		t.Fatalf("reserve 60: %v", err)
 	}
-	if err := g.Reserve(Memory, 41); err == nil {
+	if err := g.ReserveBytes(41); err == nil {
 		t.Fatal("reserve over budget succeeded")
 	}
-	g.Release(Memory, 30)
-	if err := g.Reserve(Memory, 41); err != nil {
+	g.ReleaseBytes(30)
+	if err := g.ReserveBytes(41); err != nil {
 		t.Fatalf("reserve after release: %v", err)
 	}
-	if got := g.Used(Memory); got != 71 {
+	if got := g.Used(); got != 71 {
 		t.Fatalf("used = %d, want 71", got)
 	}
 }
 
 func TestErrBudgetExceededFields(t *testing.T) {
 	g := New("server", Limits{MaxBytes: 10})
-	g.Reserve(Memory, 8)
-	err := g.Reserve(Memory, 5)
+	g.ReserveBytes(8)
+	err := g.ReserveBytes(5)
 	var ebe *ErrBudgetExceeded
 	if !errors.As(err, &ebe) {
 		t.Fatalf("error %v is not *ErrBudgetExceeded", err)
@@ -45,46 +45,42 @@ func TestHierarchy(t *testing.T) {
 	job := root.Child("job", Limits{})
 	eval := job.Child("evaluation", Limits{MaxBytes: 200})
 
-	if err := eval.Reserve(Memory, 50); err != nil {
+	if err := eval.ReserveBytes(50); err != nil {
 		t.Fatalf("reserve: %v", err)
 	}
-	if got := root.Used(Memory); got != 50 {
+	if got := root.Used(); got != 50 {
 		t.Fatalf("root used = %d, want 50", got)
 	}
 	// Within eval's own 200 but over root's remaining 50: root trips.
-	err := eval.Reserve(Memory, 60)
+	err := eval.ReserveBytes(60)
 	var ebe *ErrBudgetExceeded
 	if !errors.As(err, &ebe) || ebe.Scope != "server" {
 		t.Fatalf("want server-scope budget error, got %v", err)
 	}
 	// Rollback: eval must not have kept its local charge.
-	if got := eval.Used(Memory); got != 50 {
+	if got := eval.Used(); got != 50 {
 		t.Fatalf("eval used after rollback = %d, want 50", got)
 	}
 	// Over eval's own budget: eval trips locally, root untouched.
-	err = eval.Reserve(Memory, 151)
+	err = eval.ReserveBytes(151)
 	if !errors.As(err, &ebe) || ebe.Scope != "evaluation" {
 		t.Fatalf("want evaluation-scope budget error, got %v", err)
 	}
-	if got := root.Used(Memory); got != 50 {
+	if got := root.Used(); got != 50 {
 		t.Fatalf("root used = %d, want 50", got)
 	}
 }
 
 // Close returns a scope's whole footprint to its ancestors.
 func TestCloseReleasesAll(t *testing.T) {
-	root := New("server", Limits{MaxBytes: 100, MaxGoroutines: 4})
+	root := New("server", Limits{MaxBytes: 100})
 	job := root.Child("job", Limits{})
-	job.Reserve(Memory, 70)
-	job.Reserve(Goroutines, 3)
+	job.ReserveBytes(70)
 	job.Close()
-	if got := root.Used(Memory); got != 0 {
+	if got := root.Used(); got != 0 {
 		t.Fatalf("root memory after close = %d, want 0", got)
 	}
-	if got := root.Used(Goroutines); got != 0 {
-		t.Fatalf("root goroutines after close = %d, want 0", got)
-	}
-	if err := job.Reserve(Memory, 1); err == nil {
+	if err := job.ReserveBytes(1); err == nil {
 		t.Fatal("reserve on closed scope succeeded")
 	}
 }
@@ -95,12 +91,12 @@ func TestErrSaturation(t *testing.T) {
 	if err := child.Err(); err != nil {
 		t.Fatalf("unsaturated Err = %v", err)
 	}
-	child.Reserve(Memory, 10)
+	child.ReserveBytes(10)
 	var ebe *ErrBudgetExceeded
 	if err := child.Err(); !errors.As(err, &ebe) || ebe.Resource != Memory {
 		t.Fatalf("saturated Err = %v, want memory budget error", err)
 	}
-	child.Release(Memory, 1)
+	child.ReleaseBytes(1)
 	if err := child.Err(); err != nil {
 		t.Fatalf("Err after release = %v", err)
 	}
@@ -133,12 +129,12 @@ func TestCheckDisk(t *testing.T) {
 
 func TestNilGovernorIsNoop(t *testing.T) {
 	var g *Governor
-	if err := g.Reserve(Memory, 1<<40); err != nil {
+	if err := g.ReserveBytes(1 << 40); err != nil {
 		t.Fatalf("nil reserve: %v", err)
 	}
-	g.Release(Memory, 1)
+	g.ReleaseBytes(1)
 	g.Close()
-	if got := g.Used(Memory); got != 0 {
+	if got := g.Used(); got != 0 {
 		t.Fatalf("nil used = %d", got)
 	}
 }
@@ -165,38 +161,15 @@ func TestConcurrentReserveRelease(t *testing.T) {
 			defer wg.Done()
 			child := root.Child("worker", Limits{MaxBytes: 1 << 20})
 			for j := 0; j < 500; j++ {
-				if err := child.Reserve(Memory, 128); err == nil {
-					child.Release(Memory, 128)
+				if err := child.ReserveBytes(128); err == nil {
+					child.ReleaseBytes(128)
 				}
 			}
 			child.Close()
 		}()
 	}
 	wg.Wait()
-	if got := root.Used(Memory); got != 0 {
+	if got := root.Used(); got != 0 {
 		t.Fatalf("root used after workers done = %d, want 0", got)
-	}
-}
-
-func TestStats(t *testing.T) {
-	root := New("server", Limits{MaxBytes: 1 << 20, MaxGoroutines: 8})
-	child := root.Child("job", Limits{})
-	if err := child.Reserve(Memory, 4096); err != nil {
-		t.Fatal(err)
-	}
-	if err := child.Reserve(Goroutines, 3); err != nil {
-		t.Fatal(err)
-	}
-	got := root.Stats()
-	if got.Scope != "server" || got.Memory != 4096 || got.Goroutines != 3 {
-		t.Fatalf("root stats = %+v", got)
-	}
-	child.Close()
-	if got := root.Stats(); got.Memory != 0 || got.Goroutines != 0 {
-		t.Fatalf("root stats after child close = %+v", got)
-	}
-	var nilGov *Governor
-	if got := nilGov.Stats(); got != (Usage{}) {
-		t.Fatalf("nil governor stats = %+v", got)
 	}
 }

@@ -97,14 +97,14 @@ func waitCheckpoints(t *testing.T, m *Manager, id string, n int) {
 func TestGovernorSaturationPausesAndResumes(t *testing.T) {
 	gov := govern.New("server", govern.Limits{MaxBytes: 1000})
 	hold := gov.Child("hog", govern.Limits{})
-	if err := hold.Reserve(govern.Memory, 1000); err != nil {
+	if err := hold.ReserveBytes(1000); err != nil {
 		t.Fatal(err)
 	}
 
 	runner := RunnerFunc(func(ctx context.Context, id string, spec Spec, resume []anon.Checkpoint, cp anon.CheckpointFunc) (*Outcome, error) {
 		// Model a cycle whose clone reservation trips the budget while
 		// the hog holds it all, exactly as anon.ResumeContext would.
-		if err := govern.From(ctx).Reserve(govern.Memory, 500); err != nil {
+		if err := govern.From(ctx).ReserveBytes(500); err != nil {
 			return nil, err
 		}
 		return &Outcome{Iterations: 1}, nil
@@ -131,10 +131,10 @@ func TestGovernorSaturationPausesAndResumes(t *testing.T) {
 	}
 	// The job's scope closes just after the state settles; poll briefly.
 	deadline := time.Now().Add(5 * time.Second)
-	for gov.Used(govern.Memory) != 0 && time.Now().Before(deadline) {
+	for gov.Used() != 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if used := gov.Used(govern.Memory); used != 0 {
+	if used := gov.Used(); used != 0 {
 		t.Fatalf("governor holds %d bytes after the job finished", used)
 	}
 }

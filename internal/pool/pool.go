@@ -1,7 +1,8 @@
 // Package pool provides the bounded fork-join worker pool behind the
 // parallel stages of the incremental risk-assessment layer: group-index
-// construction, dirty-group maintenance and per-group risk scoring all fan
-// independent index ranges out across cores through Run.
+// construction, dirty-group maintenance and per-group risk scoring fan
+// independent index ranges out across cores through RunWorkers, and the
+// shard supervisor, SUDA and the reasoner's join queue items through ForEach.
 //
 // Determinism is load-bearing for the anonymization cycle (journal replay
 // reproduces a run bit-for-bit), so the pool's contract is designed for it:
@@ -9,17 +10,11 @@
 // only on the range length and the worker count, every chunk writes to
 // caller-provided disjoint state, and no pool-level state is shared between
 // chunks. A caller whose chunk function is a pure per-index computation gets
-// results independent of the worker count — including the sequential
-// fallback.
+// results independent of the worker count. With one worker the pool spawns
+// no goroutine and does the work in the calling one, in index order.
 //
-// The pool is charged against the goroutine budget of the resource governor
-// carried by the context (PR 3): the extra workers — every goroutine beyond
-// the calling one — are reserved before they are spawned and released when
-// the join completes. When the reservation is refused the pool degrades to
-// sequential execution in the calling goroutine instead of failing: scoring
-// work is always correct single-threaded, so goroutine back-pressure costs
-// latency, never progress. Memory back-pressure keeps its PR 3 semantics —
-// the pool reserves no memory; callers charge their own buffers.
+// The pool knows no governor: it reserves nothing. Callers charge their own
+// buffers against the memory budget of the context's governor.
 package pool
 
 import (
@@ -27,8 +22,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"vadasa/internal/govern"
 )
 
 // chunkTarget is the fixed ChunkBounds chunk size: small enough to balance
@@ -37,8 +30,7 @@ import (
 const chunkTarget = 2048
 
 // ChunkBounds splits [0, n) into contiguous [lo, hi) ranges of a fixed
-// target size. The boundaries depend only on n — not on GOMAXPROCS or the
-// governor — so callers that accumulate per-chunk results and concatenate
+// target size. The boundaries depend only on n — not on GOMAXPROCS — so callers that accumulate per-chunk results and concatenate
 // them in chunk order get output independent of the worker count.
 func ChunkBounds(n int) [][2]int {
 	if n <= 0 {
@@ -55,18 +47,12 @@ func ChunkBounds(n int) [][2]int {
 	return out
 }
 
-// Run partitions [0, n) into contiguous chunks and executes fn on each,
-// using up to GOMAXPROCS goroutines (the caller's included). fn must write
-// only to state disjoint per index range. The first error by chunk order is
-// returned, so error identity does not depend on goroutine scheduling; a
-// pre-cancelled context returns its error before any chunk runs.
-func Run(ctx context.Context, n int, fn func(lo, hi int) error) error {
-	return RunWorkers(ctx, 0, n, fn)
-}
-
-// RunWorkers is Run with an explicit worker-count cap; workers <= 0 means
-// GOMAXPROCS. Tests use it to force multi-goroutine execution on small
-// machines; production callers use Run.
+// RunWorkers partitions [0, n) into contiguous chunks and executes fn on
+// each, using up to workers goroutines (the caller's included; workers <= 0
+// means GOMAXPROCS). fn must write only to state disjoint per index range.
+// The first error by chunk order is returned, so error identity does not
+// depend on goroutine scheduling; a pre-cancelled context returns its error
+// before any chunk runs.
 func RunWorkers(ctx context.Context, workers, n int, fn func(lo, hi int) error) error {
 	if n <= 0 {
 		return nil
@@ -80,19 +66,6 @@ func RunWorkers(ctx context.Context, workers, n int, fn func(lo, hi int) error) 
 	if workers > n {
 		workers = n
 	}
-	gov := govern.From(ctx)
-	if workers > 1 {
-		// The calling goroutine works too, so only workers-1 are new.
-		if err := gov.Reserve(govern.Goroutines, int64(workers-1)); err != nil {
-			workers = 1 // budget saturated: degrade to sequential
-		} else {
-			defer gov.Release(govern.Goroutines, int64(workers-1))
-		}
-	}
-	if workers == 1 {
-		return fn(0, n)
-	}
-
 	chunk := (n + workers - 1) / workers
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -124,21 +97,20 @@ func RunWorkers(ctx context.Context, workers, n int, fn func(lo, hi int) error) 
 // ForEach executes fn(i) for every i in [0, n) on up to workers goroutines
 // (the caller's included; workers <= 0 means GOMAXPROCS), pulling items off
 // a shared queue instead of pre-splitting ranges. It exists for workloads
-// Run's contiguous chunking serves badly: items that block on I/O for
+// RunWorkers' contiguous chunking serves badly: items that block on I/O for
 // wildly different times — the distributed shard supervisor dispatching
 // lease-fenced tasks to remote workers is the motivating caller. fn must
 // write only to per-index state.
 //
-// The determinism contract matches Run's: which goroutine executes an item
-// carries no information (per-index state, pure fn), and the returned error
-// is the lowest-index one, so error identity does not depend on scheduling.
+// The determinism contract matches RunWorkers': which goroutine executes an
+// item carries no information (per-index state, pure fn), and the returned
+// error is the lowest-index one, so error identity does not depend on
+// scheduling.
 // Every item is attempted even after a failure — remote dispatch has no
 // useful way to "half cancel", and callers that want early exit cancel ctx:
 // once ctx is done the remaining queue items are not dispatched, their
 // slots settle to ctx.Err(), and ForEach returns as soon as the in-flight
-// fn calls do. The extra goroutines are charged to the context governor's
-// goroutine budget exactly like Run; a refused reservation degrades to
-// sequential execution in the calling goroutine.
+// fn calls do.
 func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -152,53 +124,34 @@ func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if workers > n {
 		workers = n
 	}
-	gov := govern.From(ctx)
-	if workers > 1 {
-		// The calling goroutine works too, so only workers-1 are new.
-		if err := gov.Reserve(govern.Goroutines, int64(workers-1)); err != nil {
-			workers = 1 // budget saturated: degrade to sequential
-		} else {
-			defer gov.Release(govern.Goroutines, int64(workers-1))
-		}
-	}
 	errs := make([]error, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			// Poll per item, not per loop entry: a long queue behind a
+			// cancelled context settles promptly instead of dispatching
+			// every remaining item into fn.
 			if err := ctx.Err(); err != nil {
 				errs[i] = err
 				continue
 			}
 			errs[i] = fn(i)
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		work := func() {
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				// Poll per item, not per loop entry: a long queue behind a
-				// cancelled context settles promptly instead of dispatching
-				// every remaining item into fn.
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				errs[i] = fn(i)
-			}
-		}
-		for w := 1; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		work()
-		wg.Wait()
 	}
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err

@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"vadasa/internal/govern"
 )
 
 func TestRunCoversRangeDisjointly(t *testing.T) {
@@ -57,47 +55,12 @@ func TestRunPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	called := false
-	err := Run(ctx, 10, func(lo, hi int) error { called = true; return nil })
+	err := RunWorkers(ctx, 0, 10, func(lo, hi int) error { called = true; return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 	if called {
 		t.Fatal("chunk ran despite cancelled context")
-	}
-}
-
-// A saturated goroutine budget degrades to sequential execution instead of
-// failing, and a roomy budget is released when the join completes.
-func TestRunGoroutineBudget(t *testing.T) {
-	tight := govern.New("tight", govern.Limits{MaxGoroutines: 1})
-	ctx := govern.With(context.Background(), tight)
-	visited := 0
-	if err := RunWorkers(ctx, 4, 100, func(lo, hi int) error {
-		visited += hi - lo // sequential: no data race
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if visited != 100 {
-		t.Fatalf("visited %d of 100 under tight budget", visited)
-	}
-	if used := tight.Used(govern.Goroutines); used != 0 {
-		t.Fatalf("tight governor still holds %d goroutines", used)
-	}
-
-	roomy := govern.New("roomy", govern.Limits{MaxGoroutines: 16})
-	ctx = govern.With(context.Background(), roomy)
-	out := make([]int, 1000)
-	if err := RunWorkers(ctx, 4, len(out), func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			out[i] = i
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if used := roomy.Used(govern.Goroutines); used != 0 {
-		t.Fatalf("roomy governor still holds %d goroutines after join", used)
 	}
 }
 
@@ -158,35 +121,6 @@ func TestForEachLowestIndexError(t *testing.T) {
 		if n := attempted.Load(); n != 100 {
 			t.Fatalf("trial %d: attempted %d of 100", trial, n)
 		}
-	}
-}
-
-func TestForEachGovernorDegrade(t *testing.T) {
-	tight := govern.New("tight", govern.Limits{MaxGoroutines: 1})
-	tight.Reserve(govern.Goroutines, 1) // saturate
-	ctx := govern.With(context.Background(), tight)
-	var visited atomic.Int64
-	if err := ForEach(ctx, 4, 50, func(i int) error {
-		visited.Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if visited.Load() != 50 {
-		t.Fatalf("visited %d of 50 under tight budget", visited.Load())
-	}
-	if used := tight.Used(govern.Goroutines); used != 1 {
-		t.Fatalf("tight governor holds %d goroutines, want the pre-reserved 1", used)
-	}
-
-	roomy := govern.New("roomy", govern.Limits{MaxGoroutines: 16})
-	if err := ForEach(govern.With(context.Background(), roomy), 4, 50, func(i int) error {
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if used := roomy.Used(govern.Goroutines); used != 0 {
-		t.Fatalf("roomy governor still holds %d goroutines after join", used)
 	}
 }
 
@@ -256,13 +190,11 @@ func TestForEachCancelMidRunSettlesPromptly(t *testing.T) {
 	}
 }
 
-// The sequential (degraded) path honours the same contract.
+// One worker, which spawns no goroutine, honours the same contract.
 func TestForEachCancelSequentialPath(t *testing.T) {
-	tight := govern.New("tight", govern.Limits{MaxGoroutines: 1})
-	tight.Reserve(govern.Goroutines, 1)
-	ctx, cancel := context.WithCancel(govern.With(context.Background(), tight))
+	ctx, cancel := context.WithCancel(context.Background())
 	var calls int
-	err := ForEach(ctx, 4, 1000, func(i int) error {
+	err := ForEach(ctx, 1, 1000, func(i int) error {
 		calls++
 		if calls == 3 {
 			cancel()

@@ -174,16 +174,16 @@ func (v *Live) assess(ctx context.Context) ([]float64, error) {
 	// index before the old one becomes collectable.
 	bytes := idx.EstimatedBytes() + int64(len(v.d.Rows))*8
 	//governcharge:ok — swapped here on a rebuild, refunded by Close
-	if err := v.gov.Reserve(govern.Memory, bytes); err != nil {
+	if err := v.gov.ReserveBytes(bytes); err != nil {
 		return nil, fmt.Errorf("risk: building group index: %w", err)
 	}
-	v.gov.Release(govern.Memory, v.charged)
+	v.gov.ReleaseBytes(v.charged)
 	v.idx, v.charged = idx, bytes
 	return v.ia.Rescore(ctx, idx, nil, nil)
 }
 
 // Close drops the index and refunds its reservation.
 func (v *Live) Close() {
-	v.gov.Release(govern.Memory, v.charged)
+	v.gov.ReleaseBytes(v.charged)
 	v.idx, v.risks, v.charged = nil, nil, 0
 }

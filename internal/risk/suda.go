@@ -131,9 +131,9 @@ func MSUsContext(ctx context.Context, d *mdb.Dataset, idx []int, maxK int, sem m
 	// the ungoverned path pays only nil checks.
 	gov := govern.From(ctx)
 	var charged int64
-	defer func() { gov.Release(govern.Memory, charged) }()
+	defer func() { gov.ReleaseBytes(charged) }()
 	reserve := func(n int64, what string, s int) error {
-		if err := gov.Reserve(govern.Memory, n); err != nil {
+		if err := gov.ReserveBytes(n); err != nil {
 			return fmt.Errorf("risk: MSU search %s at combination size %d: %w", what, s, err)
 		}
 		charged += n

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"testing"
 
-	"vadasa/internal/govern"
 	"vadasa/internal/mdb"
 	"vadasa/internal/synth"
 )
@@ -284,31 +283,26 @@ func TestSUDAMeanSizeVariant(t *testing.T) {
 	}
 }
 
-// A refused goroutine budget slows the MSU search down, it does not fail it:
-// like every other user of the worker pool the search runs sequentially in
-// the calling goroutine and finds the same sets, in the same order.
-func TestMSUsDegradeToSequentialWhenGoroutinesAreRefused(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("one processor: the pool never asks for a second goroutine")
+// The MSU search finds the same sets, in the same order, whatever the number
+// of workers the pool runs it on: one (the calling goroutine alone) or many.
+func TestMSUsIndependentOfWorkerCount(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	if procs < 2 {
+		t.Skip("one processor: the pool never runs a second goroutine")
 	}
+	defer runtime.GOMAXPROCS(procs)
 	d := synth.Generate(synth.Config{Tuples: 400, QIs: 5, Dist: synth.DistU, Seed: 11})
 	qi := d.QuasiIdentifiers()
 	want, err := MSUsContext(context.Background(), d, qi, 3, mdb.MaybeMatch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gov := govern.New("no-goroutines", govern.Limits{MaxGoroutines: 1})
-	if err := gov.Reserve(govern.Goroutines, 1); err != nil { // someone else holds the budget
-		t.Fatal(err)
-	}
-	got, err := MSUsContext(govern.With(context.Background(), gov), d, qi, 3, mdb.MaybeMatch)
+	runtime.GOMAXPROCS(1)
+	got, err := MSUsContext(context.Background(), d, qi, 3, mdb.MaybeMatch)
 	if err != nil {
-		t.Fatalf("search under a spent goroutine budget: %v", err)
+		t.Fatalf("search on one worker: %v", err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("the sequential search found different minimal sample uniques")
-	}
-	if used := gov.Stats().Goroutines; used != 1 {
-		t.Errorf("%d goroutines reserved after the search, want the 1 held outside it", used)
+		t.Errorf("one worker found different minimal sample uniques than %d", procs)
 	}
 }

@@ -389,8 +389,8 @@ func liveTapes(t *testing.T, kind string, sem mdb.Semantics, sensQI bool) {
 	rng := rand.New(rand.NewSource(int64(len(kind))*7 + int64(sem)))
 	m := tableMeasure(t, kind, nil)
 	gov := govern.New("tape", govern.Limits{})
-	gov.Reserve(govern.Memory, 1000) // someone else's charge
-	defer gov.Release(govern.Memory, 1000)
+	gov.ReserveBytes(1000) // someone else's charge
+	defer gov.ReleaseBytes(1000)
 
 	d := newTableDataset(rng, 120, sensQI)
 	view := risk.NewLive(m, d.Dataset, sem, gov)
@@ -421,11 +421,11 @@ func liveTapes(t *testing.T, kind string, sem mdb.Semantics, sensQI bool) {
 	if m, _ := m.(risk.IncrementalAssessor); (m != nil) != view.Incremental() {
 		t.Fatalf("Incremental() = %v for %s", view.Incremental(), kind)
 	}
-	if used := gov.Stats().Memory; view.Incremental() == (used == 1000) {
+	if used := gov.Used(); view.Incremental() == (used == 1000) {
 		t.Fatalf("governor holds %d bytes with an incremental=%v view built", used, view.Incremental())
 	}
 	view.Close()
-	if used := gov.Stats().Memory; used != 1000 {
+	if used := gov.Used(); used != 1000 {
 		t.Fatalf("governor holds %d bytes after Close, want the 1000 it started with", used)
 	}
 
@@ -463,7 +463,7 @@ func liveTapes(t *testing.T, kind string, sem mdb.Semantics, sensQI bool) {
 		}
 	}
 	view.Close()
-	if used := gov.Stats().Memory; used != 1000 {
+	if used := gov.Used(); used != 1000 {
 		t.Fatalf("governor holds %d bytes after the stream tape, want 1000", used)
 	}
 
@@ -480,7 +480,7 @@ func TestLiveRefusedReservation(t *testing.T) {
 			m := tableMeasure(t, kind, nil)
 			d := newTableDataset(rand.New(rand.NewSource(17)), 90, true)
 			gov := govern.New("tight", govern.Limits{MaxBytes: 1 << 20})
-			if err := gov.Reserve(govern.Memory, 1<<20-1); err != nil {
+			if err := gov.ReserveBytes(1<<20 - 1); err != nil {
 				t.Fatal(err)
 			}
 			view := risk.NewLive(m, d.Dataset, mdb.MaybeMatch, gov)
@@ -509,7 +509,7 @@ func TestLiveRefusedReservation(t *testing.T) {
 				t.Fatal("indexing is off, yet the view reports an index")
 			}
 			stepLive(t, "one-shot under a full budget", view, m, d.Dataset, mdb.MaybeMatch)
-			gov.Release(govern.Memory, 1<<20-1)
+			gov.ReleaseBytes(1<<20 - 1)
 			view.SetIndexing(true)
 			if pos, attr, ok := d.suppress(); ok {
 				if err := view.Suppressed(pos, attr); err != nil {
@@ -517,7 +517,7 @@ func TestLiveRefusedReservation(t *testing.T) {
 				}
 			}
 			stepLive(t, "after the budget cleared", view, m, d.Dataset, mdb.MaybeMatch)
-			if gov.Stats().Memory == 0 {
+			if gov.Used() == 0 {
 				t.Fatal("the built view holds no reservation")
 			}
 		})

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 
 	"vadasa/internal/faultfs"
-	"vadasa/internal/govern"
 	"vadasa/internal/journal"
 	"vadasa/internal/mdb"
 	"vadasa/internal/risk"
@@ -231,6 +230,6 @@ func (f *Follower) Close() error {
 
 func (f *Follower) releaseCharges() {
 	s := f.s
-	s.gov.Release(govern.Memory, s.memCharged)
+	s.gov.ReleaseBytes(s.memCharged)
 	s.memCharged = 0
 }

@@ -7,7 +7,6 @@ import (
 
 	"vadasa/internal/anon"
 	"vadasa/internal/faultfs"
-	"vadasa/internal/govern"
 	"vadasa/internal/journal"
 	"vadasa/internal/mdb"
 )
@@ -113,7 +112,7 @@ func (s *Stream) replay(rec journal.Record) error {
 		}
 		bytes := batchBytes(p.Rows)
 		//governcharge:ok — refunded row by row by applyWithdraw, the rest in bulk by Close
-		if err := s.gov.Reserve(govern.Memory, bytes); err != nil {
+		if err := s.gov.ReserveBytes(bytes); err != nil {
 			return fmt.Errorf("stream: replaying batch %q: %w", p.BatchID, err)
 		}
 		s.memCharged += bytes

@@ -385,12 +385,12 @@ func (s *Stream) Append(ctx context.Context, batchID string, rows [][]string) (*
 	}
 	bytes := batchBytes(rows)
 	//governcharge:ok — refunded row by row by applyWithdraw, the rest in bulk by Close
-	if err := s.gov.Reserve(govern.Memory, bytes); err != nil {
+	if err := s.gov.ReserveBytes(bytes); err != nil {
 		return nil, fmt.Errorf("stream: admitting batch: %w", err)
 	}
 	// Write-ahead ack: the journal append is the commit point.
 	if err := s.w.Append(recBatch, batchPayload{BatchID: batchID, Rows: rows}); err != nil {
-		s.gov.Release(govern.Memory, bytes)
+		s.gov.ReleaseBytes(bytes)
 		return nil, err
 	}
 	s.memCharged += bytes
@@ -523,7 +523,7 @@ func (s *Stream) applyWithdraw(rowIDs []int) ([]int, error) {
 	// Suppressions change cell lengths, so a row can stand larger than it
 	// was charged: never refund more than the window holds.
 	refund = min(refund, s.memCharged)
-	s.gov.Release(govern.Memory, refund)
+	s.gov.ReleaseBytes(refund)
 	s.memCharged -= refund
 	return positions, nil
 }
@@ -640,7 +640,7 @@ func (s *Stream) Close(ctx context.Context) error {
 	}
 	err := s.w.Close()
 	s.live.Close()
-	s.gov.Release(govern.Memory, s.memCharged)
+	s.gov.ReleaseBytes(s.memCharged)
 	s.memCharged = 0
 	return err
 }

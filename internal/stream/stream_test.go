@@ -665,7 +665,7 @@ func TestDegradedStreamRestoresOnRelease(t *testing.T) {
 	opts := testOptions()
 	// Room for the window and the index — unless someone hogs it.
 	opts.Governor = govern.New("crowded", govern.Limits{MaxBytes: hog + batchBytes(testRows(0, 8)) + 64})
-	if err := opts.Governor.Reserve(govern.Memory, hog); err != nil {
+	if err := opts.Governor.ReserveBytes(hog); err != nil {
 		t.Fatal(err)
 	}
 	s := openTest(t, t.TempDir(), opts)
@@ -676,7 +676,7 @@ func TestDegradedStreamRestoresOnRelease(t *testing.T) {
 	if st := s.Status(ctx); st.Mode != "full" {
 		t.Fatalf("mode = %q with no room for the index, want full", st.Mode)
 	}
-	opts.Governor.Release(govern.Memory, hog)
+	opts.Governor.ReleaseBytes(hog)
 	info, err := s.Release(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -276,7 +276,7 @@ func TestWithdrawRefundsGovernor(t *testing.T) {
 	if err := s.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if used := gov.Used(govern.Memory); used != 0 {
+	if used := gov.Used(); used != 0 {
 		t.Fatalf("governor holds %d bytes after Close, want 0", used)
 	}
 
@@ -292,7 +292,7 @@ func TestWithdrawRefundsGovernor(t *testing.T) {
 	if err := r.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if used := replayGov.Used(govern.Memory); used != 0 {
+	if used := replayGov.Used(); used != 0 {
 		t.Fatalf("governor holds %d bytes after Close, want 0", used)
 	}
 }
