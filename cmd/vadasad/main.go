@@ -48,10 +48,11 @@
 // With -stream-dir set, the daemon also serves crash-consistent streaming
 // anonymization (DESIGN.md §13): per-stream ingestion windows whose every
 // accepted batch is journaled and fsync'd to a write-ahead log before the
-// request is acknowledged, with risk maintained online and releases gated on
-// every tuple clearing the threshold, published under an intent→publish→ack
-// protocol that survives crashes at any point (-stream-max-rows bounds each
-// window; the excess is shed with 429 + Retry-After):
+// request is acknowledged, with risk scored when the window is read and
+// releases gated on every tuple clearing the threshold, published under an
+// intent→publish→ack protocol that survives crashes at any point
+// (-stream-max-rows bounds each window; the excess is shed with 429 +
+// Retry-After):
 //
 //	POST /stream/{id}/append?batch=KEY&...
 //	                           ingest one CSV batch; creates the stream on

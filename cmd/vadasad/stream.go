@@ -372,9 +372,15 @@ func (s *server) handleStreamAck(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	seq, err := intValue(r.URL.Query(), "seq", 0)
-	if err != nil || seq <= 0 {
+	q := r.URL.Query()
+	seq, err := intValue(q, "seq", 0)
+	switch {
+	case err != nil:
+		return badRequest(err)
+	case q.Get("seq") == "":
 		return badRequest(fmt.Errorf("the seq query parameter (release sequence) is required"))
+	case seq <= 0:
+		return badRequest(fmt.Errorf("the seq parameter (release sequence) must be positive, got %d", seq))
 	}
 	if err := st.Ack(r.Context(), seq); err != nil {
 		return conflict(err)

@@ -335,19 +335,22 @@ func TestStreamValidationHTTP(t *testing.T) {
 	liveCases := []struct {
 		name, method, target, body string
 		want                       int
+		says                       string
 	}{
-		{"wrong column set", "POST", appendURL("s1", "b2"), "Id,Sector,Weight\nc9,s9,10\n", http.StatusBadRequest},
-		{"renamed column", "POST", appendURL("s1", "b2"), "Id,Branch,Region,Weight\nc9,s9,r9,10\n", http.StatusBadRequest},
-		{"labelled-null cell", "POST", appendURL("s1", "b2"), "Id,Sector,Region,Weight\nc9,*,r9,10\n", http.StatusBadRequest},
-		{"bad weight", "POST", appendURL("s1", "b2"), "Id,Sector,Region,Weight\nc9,s9,r9,heavy\n", http.StatusBadRequest},
-		{"ack without seq", "POST", "/stream/s1/ack", "", http.StatusBadRequest},
-		{"ack unpublished seq", "POST", "/stream/s1/ack?seq=7", "", http.StatusConflict},
-		{"withdraw unknown row", "POST", "/stream/s1/withdraw", `{"rowIds":[999]}`, http.StatusBadRequest},
-		{"withdraw bad body", "POST", "/stream/s1/withdraw", "nope", http.StatusBadRequest},
+		{"wrong column set", "POST", appendURL("s1", "b2"), "Id,Sector,Weight\nc9,s9,10\n", http.StatusBadRequest, ""},
+		{"renamed column", "POST", appendURL("s1", "b2"), "Id,Branch,Region,Weight\nc9,s9,r9,10\n", http.StatusBadRequest, ""},
+		{"labelled-null cell", "POST", appendURL("s1", "b2"), "Id,Sector,Region,Weight\nc9,*,r9,10\n", http.StatusBadRequest, ""},
+		{"bad weight", "POST", appendURL("s1", "b2"), "Id,Sector,Region,Weight\nc9,s9,r9,heavy\n", http.StatusBadRequest, ""},
+		{"ack without seq", "POST", "/stream/s1/ack", "", http.StatusBadRequest, "seq query parameter (release sequence) is required"},
+		{"ack malformed seq", "POST", "/stream/s1/ack?seq=abc", "", http.StatusBadRequest, `bad seq parameter \"abc\"`},
+		{"ack negative seq", "POST", "/stream/s1/ack?seq=-3", "", http.StatusBadRequest, "must be positive, got -3"},
+		{"ack unpublished seq", "POST", "/stream/s1/ack?seq=7", "", http.StatusConflict, ""},
+		{"withdraw unknown row", "POST", "/stream/s1/withdraw", `{"rowIds":[999]}`, http.StatusBadRequest, ""},
+		{"withdraw bad body", "POST", "/stream/s1/withdraw", "nope", http.StatusBadRequest, ""},
 	}
 	for _, c := range liveCases {
-		if rec := do(t, h, c.method, c.target, c.body); rec.Code != c.want {
-			t.Errorf("%s: status = %d, want %d: %s", c.name, rec.Code, c.want, rec.Body)
+		if rec := do(t, h, c.method, c.target, c.body); rec.Code != c.want || !strings.Contains(rec.Body.String(), c.says) {
+			t.Errorf("%s: status = %d, want %d saying %q: %s", c.name, rec.Code, c.want, c.says, rec.Body)
 		}
 	}
 	// None of the rejected appends may have mutated the window.

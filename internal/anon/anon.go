@@ -38,7 +38,8 @@ func (d Decision) String() string {
 
 // Context carries the state an anonymization step works in: the dataset
 // being anonymized, its quasi-identifier indexes, and one mdb.CodeTable of
-// them under maybe-match, built at the first read. The selectivity counts are
+// them under maybe-match — copied by the loop from its risk view's index when
+// that codes the same, else built at the first read. The selectivity counts are
 // a snapshot of the table taken at the first step of an iteration that reads
 // them and frozen for the rest of that iteration, so they are at most one
 // iteration stale — greedy tie-breaking quality, at a fraction of the cost of
@@ -51,8 +52,9 @@ type Context struct {
 	Dataset *mdb.Dataset
 	QI      []int
 
-	// tab is nil until the first read and after a cell it has no suppression
-	// for; the next read codes the dataset as it then stands.
+	// tab is nil until the loop seeds it or the first read, and after a cell
+	// it has no suppression for; the next read codes the dataset as it then
+	// stands.
 	tab         *mdb.CodeTable
 	marg        *mdb.Counts
 	freqWithout map[int][]int

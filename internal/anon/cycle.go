@@ -227,6 +227,13 @@ func (l *Loop) Run(ctx context.Context) ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
+		if l.step.tab == nil {
+			// Only here, at the top of an iteration, do the view's codes match
+			// the dataset: the steps below change cells it has not heard of.
+			if idx := l.View.Index(); idx != nil {
+				l.step.tab = idx.CodeTable(l.step.QI, mdb.MaybeMatch)
+			}
+		}
 
 		var risky []int
 		for row, r := range risks {

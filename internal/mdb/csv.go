@@ -313,6 +313,10 @@ func appendCSVField(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
+// csvSpecial marks the bytes that make encoding/csv quote a field wherever
+// they stand.
+var csvSpecial = [256]bool{',': true, '"': true, '\r': true, '\n': true}
+
 func csvNeedsQuotes(s string) bool {
 	if s == "" {
 		return false
@@ -321,8 +325,7 @@ func csvNeedsQuotes(s string) bool {
 		return true
 	}
 	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case ',', '"', '\r', '\n':
+		if csvSpecial[s[i]] {
 			return true
 		}
 	}

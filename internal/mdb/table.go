@@ -3,6 +3,7 @@ package mdb
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 )
 
@@ -211,6 +212,35 @@ func (t *CodeTable) Group(sel []int) []GroupInfo {
 		}
 	}
 	return s.group()
+}
+
+// CodeTable returns a copy of the index's coding as a CodeTable over attrs
+// under sem — the cells of its grouping columns, their dictionaries and
+// reference counts — or nil unless the index groups by exactly attrs under
+// sem. The copy reads no string. At a Commit it is NewCodeTable(x.Dataset(),
+// attrs, sem) up to the numbering of codes, which no count or grouping
+// depends on (nor does it count dead codes: only a compaction reads them);
+// the index and the copy change independently afterwards.
+func (x *GroupIndex) CodeTable(attrs []int, sem Semantics) *CodeTable {
+	if x.invalid || x.sem != sem || !slices.Equal(x.cols[:x.w], attrs) {
+		return nil
+	}
+	w, stride := x.w, len(x.cols)
+	t := codeTable{d: x.d, cols: slices.Clone(attrs), w: w, sem: sem,
+		consts:    make([]map[string]uint32, w),
+		nullCodes: make([]map[uint64]uint32, w),
+		refs:      make([][]int32, w),
+		cells:     make([]uint32, 0, len(x.cells)/stride*w),
+	}
+	for j := range w {
+		t.consts[j] = maps.Clone(x.consts[j])
+		t.nullCodes[j] = maps.Clone(x.nullCodes[j])
+		t.refs[j] = slices.Clone(x.refs[j])
+	}
+	for row := x.cells; len(row) > 0; row = row[stride:] {
+		t.cells = append(t.cells, row[:w]...)
+	}
+	return &CodeTable{t}
 }
 
 // SuppressCell is GroupIndex.SuppressCell for the matrix alone.

@@ -65,7 +65,7 @@ func journaledDecisions(t *testing.T, path string) []anon.Decision {
 }
 
 // The release gate is the batch cycle at full sweep: for every measure with a
-// live view — which the window maintains online — and every distribution
+// live view — which scores the window from an index — and every distribution
 // family, a stream's first release is byte for byte the CSV of
 // anon.RunContext over the same rows and ids with BatchFraction 1 and the
 // gate's suppressor, and the journaled anon records are that run's decision

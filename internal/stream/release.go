@@ -139,15 +139,17 @@ func (s *Stream) completePending(ctx context.Context) error {
 	}
 	p := s.pending
 	if s.relBytes == nil {
+		// The bytes the intent was digested from are gone with a crash: the
+		// replayed window must regenerate exactly them.
 		var buf bytes.Buffer
 		if err := mdb.WriteCSV(&buf, s.d); err != nil {
 			return fmt.Errorf("stream: re-encoding release %d: %w", p.Release, err)
 		}
+		if got := digestBytes(buf.Bytes()); got != p.Digest {
+			return fmt.Errorf("stream: release %d bytes digest %s contradict the journaled intent %s",
+				p.Release, got, p.Digest)
+		}
 		s.relBytes = buf.Bytes()
-	}
-	if got := digestBytes(s.relBytes); got != p.Digest {
-		return fmt.Errorf("stream: release %d bytes digest %s contradict the journaled intent %s",
-			p.Release, got, p.Digest)
 	}
 	name := s.releaseFileName(p.Release)
 	path := filepath.Join(s.dir, name)

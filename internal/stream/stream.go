@@ -4,11 +4,12 @@
 //
 // Every state transition is journaled before it is acknowledged (write-ahead
 // ack): an accepted batch, a withdrawal, every suppression the release gate
-// applies, and the release protocol itself. Risk is kept current by a
-// risk.Live view of the window: online, from a maintained group index, when
-// the measure implements risk.IncrementalAssessor — bit-identical to a full
-// recompute over the current row set; otherwise (SUDA, cluster) by periodic
-// full reassessment.
+// applies, and the release protocol itself. Risk is read off a risk.Live
+// view of the window: appends and withdrawals only feed it their rows, and
+// the window is scored when it is read — by Status, the release gate and
+// Digest — from a maintained group index when the measure implements
+// risk.IncrementalAssessor, one-shot otherwise (SUDA, cluster); bit-identical
+// to a full recompute over the current row set either way.
 //
 // A release is gated: it is produced only when every tuple in the window
 // clears the threshold T, and published under an intent → publish → ack
@@ -71,8 +72,8 @@ const (
 // Options parameterizes a stream. Zero values select production defaults.
 type Options struct {
 	// Assessor scores tuples; when it implements risk.IncrementalAssessor
-	// the stream maintains risk online, otherwise it reassesses in full
-	// every eighth window mutation. Required.
+	// a read of the window re-scores the groups its mutations disturbed,
+	// otherwise it reassesses the window in full. Required.
 	Assessor risk.Assessor
 	// Threshold is T: the release gate opens only when every tuple's risk
 	// is <= T. Required (> 0).
@@ -90,8 +91,8 @@ type Options struct {
 	// would exceed it fails with a WindowFullError.
 	MaxRows int
 	// Governor, when non-nil, is charged for the window and the group
-	// index; a refused index budget degrades the stream to periodic full
-	// reassessment instead of failing ingestion.
+	// index; a refused index budget degrades the stream to one-shot scoring
+	// instead of failing the read, and every later read retries the index.
 	Governor *govern.Governor
 	// FS is the filesystem (nil = the real one); tests inject
 	// faultfs.Faulty.
@@ -124,10 +125,6 @@ func (o Options) maxRows() int {
 	return 100_000
 }
 
-// fullEvery is the reassessment cadence, in window mutations, of a stream
-// that scores one-shot.
-const fullEvery = 8
-
 // ReleaseInfo describes one published release.
 type ReleaseInfo struct {
 	// Seq is the release sequence number (1-based).
@@ -154,7 +151,7 @@ type Status struct {
 	Acked     int    `json:"acked"`
 	Mode      string `json:"mode"` // "incremental" or "full"
 	// RiskCurrent reports whether OverThreshold reflects the present
-	// window (the degraded path only reassesses periodically).
+	// window: false only when the stream is closed or scoring it failed.
 	RiskCurrent   bool         `json:"riskCurrent"`
 	OverThreshold int          `json:"overThreshold"`
 	PendingIntent int          `json:"pendingIntent,omitempty"`
@@ -228,10 +225,10 @@ type Stream struct {
 	nbatch  int
 	ndrop   int
 
-	// live keeps the window's risk vector current; it watches the window
-	// from the end of replay on. degraded means the measure has an
-	// incremental path but the governor refused its index, so live has
-	// indexing switched off until a release finds the budget again.
+	// live scores the window; it watches the window from the end of replay
+	// on. degraded means the measure has an incremental path but the
+	// governor refused its index, so live has indexing switched off until a
+	// read finds the budget again.
 	live     *risk.Live
 	degraded bool
 
@@ -395,7 +392,7 @@ func (s *Stream) Append(ctx context.Context, batchID string, rows [][]string) (*
 	}
 	s.memCharged += bytes
 	ids := s.applyBatch(batchID, rows)
-	s.maintainRisk(ctx, s.live.Appended())
+	s.fed(s.live.Appended())
 	return &AppendResult{RowIDs: ids, Rows: len(s.d.Rows)}, nil
 }
 
@@ -486,7 +483,7 @@ func (s *Stream) Withdraw(ctx context.Context, rowIDs []int) error {
 	if err != nil {
 		return err
 	}
-	s.maintainRisk(ctx, s.live.Deleted(positions))
+	s.fed(s.live.Deleted(positions))
 	return nil
 }
 
@@ -528,54 +525,43 @@ func (s *Stream) applyWithdraw(rowIDs []int) ([]int, error) {
 	return positions, nil
 }
 
-// maintainRisk keeps the risk vector online after a window mutation, fed
-// being what the view said to its delta. An incremental view re-scores the
-// rows the mutation disturbed; a one-shot view is reassessed every fullEvery
-// mutations. Failures never fail ingestion — risk goes stale until the next
-// release forces it current — and the governor refusing the index degrades
-// the stream to one-shot scoring.
-func (s *Stream) maintainRisk(ctx context.Context, fed error) {
-	if fed != nil {
-		s.logf("stream %s: index maintenance: %v; rebuilding", s.id, fed)
+// fed handles what the risk view said to a window mutation's delta: an index
+// that could not absorb it is invalidated, and the next read rebuilds it.
+// Nothing is scored here.
+func (s *Stream) fed(err error) {
+	if err != nil {
+		s.logf("stream %s: index maintenance: %v; rebuilding", s.id, err)
 		s.live.Invalidate()
-	}
-	if s.live.Incremental() {
-		_, err := s.live.Risks(ctx)
-		var refused *govern.ErrBudgetExceeded
-		if !errors.As(err, &refused) {
-			if err != nil {
-				s.logf("stream %s: online rescore: %v", s.id, err)
-			}
-			return
-		}
-		s.logf("stream %s: incremental path refused: %v; degrading to periodic full reassessment", s.id, err)
-		s.degraded = true
-		s.live.SetIndexing(false)
-	}
-	if s.live.Behind() >= fullEvery {
-		if _, err := s.live.Risks(ctx); err != nil {
-			s.logf("stream %s: periodic full reassessment: %v", s.id, err)
-		}
 	}
 }
 
-// currentRisks returns the risk vector of the present window. The release
-// gate and the digest call it; a degraded stream retries the incremental
-// view here, so a cleared budget restores online maintenance.
+// currentRisks returns the risk vector of the present window: the one place
+// a stream scores. A governor refusing the index degrades the stream to
+// one-shot scoring with indexing off; a degraded stream retries the index at
+// every read, so a cleared budget restores it.
 func (s *Stream) currentRisks(ctx context.Context) ([]float64, error) {
 	if s.degraded {
 		s.live.SetIndexing(true)
-		if _, err := s.live.Risks(ctx); err != nil {
-			s.live.SetIndexing(false)
-		} else {
-			s.degraded = false
-			s.logf("stream %s: incremental path restored", s.id)
-		}
 	}
-	return s.live.Risks(ctx)
+	risks, err := s.live.Risks(ctx)
+	var refused *govern.ErrBudgetExceeded
+	if errors.As(err, &refused) && s.live.Incremental() {
+		if !s.degraded {
+			s.logf("stream %s: incremental path refused: %v; scoring one-shot", s.id, err)
+		}
+		s.degraded = true
+		s.live.SetIndexing(false)
+		return s.live.Risks(ctx)
+	}
+	if s.degraded && err == nil {
+		s.degraded = false
+		s.logf("stream %s: incremental path restored", s.id)
+	}
+	return risks, err
 }
 
-// Status reports the stream's current state without touching the journal.
+// Status reports the stream's current state without touching the journal,
+// scoring the window unless the stream is closed.
 func (s *Stream) Status(ctx context.Context) Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -589,19 +575,23 @@ func (s *Stream) Status(ctx context.Context) Status {
 		Closed:    s.closed,
 		Published: s.published,
 	}
-	if !s.live.Incremental() {
-		st.Mode = "full"
-	}
 	if s.pending != nil {
 		st.PendingIntent = s.pending.Release
 	}
-	if risks := s.live.Current(); risks != nil {
-		st.RiskCurrent = true
+	if !s.closed {
+		risks, err := s.currentRisks(ctx)
+		if err != nil {
+			s.logf("stream %s: scoring the window: %v", s.id, err)
+		}
+		st.RiskCurrent = err == nil
 		for _, r := range risks {
 			if r > s.opts.Threshold {
 				st.OverThreshold++
 			}
 		}
+	}
+	if !s.live.Incremental() {
+		st.Mode = "full"
 	}
 	return st
 }

@@ -232,7 +232,7 @@ func TestWithdraw(t *testing.T) {
 	if err := s.Withdraw(ctx, []int{res.RowIDs[2]}); err == nil {
 		t.Fatal("withdrawing a withdrawn row succeeded")
 	}
-	// The online risk vector after the deletes must equal a scratch
+	// The risk vector read after the deletes must equal a scratch
 	// assessment of the remaining window.
 	s.mu.Lock()
 	got, err := s.currentRisks(ctx)
@@ -301,9 +301,8 @@ func driveOps(t *testing.T, dir string, opts Options, hop bool) [][]byte {
 		ids = append(ids, res.RowIDs...)
 	}
 
-	// Eight batches before the first release: a stream scoring one-shot
-	// reassesses on every fullEvery-th mutation, so the periodic path runs.
-	for b := 0; b < fullEvery; b++ {
+	// Eight batches before the first release, none of them scored.
+	for b := 0; b < 8; b++ {
 		appendBatch(fmt.Sprintf("b%d", b+1), 2*b, 2)
 		reopen()
 	}
@@ -338,8 +337,8 @@ func TestRecoveryMatchesUninterrupted(t *testing.T) {
 	}
 }
 
-// fullOnly hides the incremental interface of an assessor, forcing the
-// degraded periodic-reassessment path.
+// fullOnly hides the incremental interface of an assessor, forcing one-shot
+// scoring.
 type fullOnly struct{ inner risk.Assessor }
 
 func (f fullOnly) Name() string { return f.inner.Name() }
@@ -347,8 +346,8 @@ func (f fullOnly) Assess(d *mdb.Dataset, sem mdb.Semantics) ([]float64, error) {
 	return f.inner.Assess(d, sem)
 }
 
-// The degraded full-reassessment path must release the same bytes as the
-// incremental path: mode is a performance choice, never a semantics one.
+// One-shot scoring must release the same bytes as the incremental path:
+// mode is a performance choice, never a semantics one.
 func TestDegradedModeBitIdentical(t *testing.T) {
 	inc := driveOps(t, t.TempDir(), testOptions(), false)
 	opts := testOptions()
@@ -434,8 +433,8 @@ func TestGovernorAdmission(t *testing.T) {
 }
 
 // A budget big enough for the window but too small for the group index
-// degrades the stream to periodic full reassessment instead of failing
-// ingestion, and the release still goes out.
+// degrades the stream to one-shot scoring instead of failing the read, and
+// the release still goes out.
 func TestBudgetRefusalDegrades(t *testing.T) {
 	ctx := context.Background()
 	rows := testRows(0, 8)
@@ -657,8 +656,9 @@ func TestClosedStreamRejectsEverything(t *testing.T) {
 	}
 }
 
-// A degraded stream goes back to online maintenance at the first release
-// that finds the index budget again, and keeps publishing the same bytes.
+// A degraded stream goes back to its index at the first read — here the
+// release — that finds the index budget again, and keeps publishing the same
+// bytes.
 func TestDegradedStreamRestoresOnRelease(t *testing.T) {
 	ctx := context.Background()
 	const hog = 1 << 20
@@ -691,7 +691,7 @@ func TestDegradedStreamRestoresOnRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := s.Status(ctx); st.Mode != "incremental" || !st.RiskCurrent {
-		t.Fatalf("after the next append: %+v, want online maintenance", st)
+		t.Fatalf("after the next append: %+v, want the index", st)
 	}
 	ctl := openTest(t, t.TempDir(), testOptions())
 	defer ctl.Close(ctx)

@@ -24,9 +24,8 @@ func withdrawFixture(t *testing.T, dir string, opts Options) (*Stream, []int) {
 	s := openTest(t, dir, opts)
 	var ids []int
 	// 23 rows leave the last one without its pair: the gate must suppress.
-	// They arrive in eight batches, so a stream scoring one-shot runs its
-	// periodic reassessment (every fullEvery-th mutation) on the way.
-	for b := 0; b < fullEvery; b++ {
+	// They arrive in eight batches.
+	for b := 0; b < 8; b++ {
 		start := 3 * b
 		res, err := s.Append(ctx, string(rune('a'+b)), testRows(start, min(3, 23-start)))
 		if err != nil {
