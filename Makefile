@@ -98,16 +98,21 @@ loc:
 # after another, on the two byte-level parsers a request body reaches — the
 # /reason decoder and fact loader (FuzzReasonFacts) and the CSV intake
 # (FuzzReadCSV) — on the release writer every anonymized CSV leaves through
-# (FuzzWriteCSV), and on the group index's row-operation tape, the one that
-# drives its compaction (FuzzGroupIndexRowOps). Their seed corpora already run
-# as ordinary tests; a failing input found here is written under the
-# package's testdata/fuzz.
+# (FuzzWriteCSV), on the group index's row-operation tape, the one that
+# drives its compaction (FuzzGroupIndexRowOps), on the journal's line parser
+# against encoding/json (FuzzParseLine) and its reader over arbitrary files
+# (FuzzReadPrefix), and on the JSON grammar both decoders share, against
+# json.Valid (FuzzValid). Their seed corpora already run as ordinary tests; a
+# failing input found here is written under the package's testdata/fuzz.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./cmd/vadasad -run '^$$' -fuzz '^FuzzReasonFacts$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mdb -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mdb -run '^$$' -fuzz '^FuzzWriteCSV$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mdb -run '^$$' -fuzz '^FuzzGroupIndexRowOps$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzParseLine$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzReadPrefix$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/jsonscan -run '^$$' -fuzz '^FuzzValid$$' -fuzztime $(FUZZTIME)
 
 # chaos runs the process-level fault suite under the race detector: worker
 # SIGKILL mid-lease, dropped/duplicated/truncated RPCs, torn journal tails

@@ -38,8 +38,9 @@ func jobsServer(t testing.TB, dir string, measures map[string]func() vadasa.Risk
 		mutate(&cfg)
 	}
 	s := startServer(t, cfg)
-	// A Submit racing start-up recovery is a known hazard of the manager
-	// (ROADMAP item 3d); the tests submit only once recovery is through.
+	// The tests submit once start-up recovery is through, so what they
+	// find in the job dir is theirs alone (a Submit racing it is safe:
+	// TestSubmitDuringRecoveryIsNotAdopted in internal/jobs).
 	<-s.writePath.Load().jobsRecovered
 	return s, s.handler
 }

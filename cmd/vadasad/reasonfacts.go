@@ -23,11 +23,11 @@ import (
 
 	"vadasa"
 	"vadasa/internal/datalog"
+	"vadasa/internal/jsonscan"
 )
 
-// maxJSONDepth is encoding/json's nesting limit: a document that opens more
-// arrays and objects than this at once is refused.
-const maxJSONDepth = 10000
+// maxJSONDepth is encoding/json's nesting limit, which the scan keeps.
+const maxJSONDepth = jsonscan.MaxDepth
 
 // decodeReasonRequest decodes a POST /reason body. One scan checks it
 // against the grammar encoding/json accepts and finds the top-level members
@@ -60,15 +60,12 @@ func decodeReasonRequest(body []byte) (*reasonRequest, error) {
 	return req, nil
 }
 
-// factScan is decodeReasonRequest's scan, a recursive descent over RFC 8259
-// as encoding/json reads it: invalid UTF-8 in a string is accepted, a
-// control byte is not, at most maxJSONDepth containers are open at once and
-// nothing but whitespace follows the value. Each method scans from b[i] and
-// reports whether what it found is well formed.
+// factScan is decodeReasonRequest's scan: jsonscan's grammar with two
+// member hooks, one for the document's top-level members and one for the
+// members of a facts object.
 type factScan struct {
-	b     []byte
-	i     int
-	depth int
+	b []byte // the body document scans
+	jsonscan.Scanner
 
 	object bool                       // the document is an object
 	kept   [][]byte                   // its members bound for the envelope, key through value
@@ -76,182 +73,48 @@ type factScan struct {
 }
 
 func (s *factScan) document() bool {
-	s.i = skipSpace(s.b, 0)
-	if s.object = s.at('{'); s.object {
-		if !s.members(s.topMember) {
+	s.Scanner = jsonscan.Scanner{B: s.b, I: jsonscan.SkipSpace(s.b, 0)}
+	if s.object = s.At('{'); s.object {
+		if !s.Container(s.topMember) {
 			return false
 		}
-	} else if !s.value() {
+	} else if !s.Value() {
 		return false
 	}
-	return skipSpace(s.b, s.i) == len(s.b)
+	return jsonscan.SkipSpace(s.B, s.I) == len(s.B)
 }
 
-func (s *factScan) at(c byte) bool { return s.i < len(s.b) && s.b[s.i] == c }
-
 // topMember scans the value of the top-level member whose key (quoted)
-// starts at b[from].
+// starts at B[from].
 func (s *factScan) topMember(key []byte, from int) bool {
 	if strings.EqualFold(jsonKey(key), "facts") {
 		switch {
-		case s.at('{'):
+		case s.At('{'):
 			if s.facts == nil {
 				s.facts = make(map[string]json.RawMessage)
 			}
-			return s.members(s.predicate)
-		case s.at('n'):
+			return s.Container(s.predicate)
+		case s.At('n'):
 			s.facts = nil
-			return s.literal("null")
+			return s.Literal("null")
 		}
 	}
-	if !s.value() {
+	if !s.Value() {
 		return false
 	}
-	s.kept = append(s.kept, s.b[from:s.i])
+	s.kept = append(s.kept, s.B[from:s.I])
 	return true
 }
 
 // predicate scans one member of a facts object: a predicate and its rows.
 func (s *factScan) predicate(key []byte, _ int) bool {
-	from := s.i
-	if !s.value() {
+	from := s.I
+	if !s.Value() {
 		return false
 	}
-	s.facts[jsonKey(key)] = s.b[from:s.i]
+	s.facts[jsonKey(key)] = s.B[from:s.I]
 	return true
 }
-
-func (s *factScan) anyMember([]byte, int) bool { return s.value() }
-
-func (s *factScan) value() bool {
-	if s.i == len(s.b) {
-		return false
-	}
-	switch s.b[s.i] {
-	case '"':
-		return s.str()
-	case '{':
-		return s.members(s.anyMember)
-	case '[':
-		return s.container(']', s.value)
-	case 't':
-		return s.literal("true")
-	case 'f':
-		return s.literal("false")
-	case 'n':
-		return s.literal("null")
-	}
-	return s.number()
-}
-
-// members scans an object, handing each member to member with the scan at
-// its value: the quoted key and the offset it starts at.
-func (s *factScan) members(member func(key []byte, from int) bool) bool {
-	return s.container('}', func() bool {
-		from := s.i
-		if !s.at('"') || !s.str() {
-			return false
-		}
-		key := s.b[from:s.i]
-		if s.i = skipSpace(s.b, s.i); !s.at(':') {
-			return false
-		}
-		s.i = skipSpace(s.b, s.i+1)
-		return member(key, from)
-	})
-}
-
-// container scans the array or object opening at b[i], each of its
-// comma-separated elements with elem.
-func (s *factScan) container(closing byte, elem func() bool) bool {
-	if s.i, s.depth = skipSpace(s.b, s.i+1), s.depth+1; s.depth > maxJSONDepth {
-		return false
-	}
-	for more := !s.at(closing); more; {
-		if !elem() {
-			return false
-		}
-		if s.i = skipSpace(s.b, s.i); s.at(',') {
-			s.i = skipSpace(s.b, s.i+1)
-		} else {
-			more = false
-		}
-	}
-	if !s.at(closing) {
-		return false
-	}
-	s.i, s.depth = s.i+1, s.depth-1
-	return true
-}
-
-func (s *factScan) str() bool {
-	b := s.b
-	for i := s.i + 1; i < len(b); i++ {
-		switch c := b[i]; {
-		case c == '"':
-			s.i = i + 1
-			return true
-		case c < ' ':
-			return false
-		case c == '\\':
-			if i++; i < len(b) && strings.IndexByte(`"\/bfnrt`, b[i]) >= 0 {
-				continue
-			}
-			if len(b)-i < 5 || b[i] != 'u' || !isHex(b[i+1]) || !isHex(b[i+2]) || !isHex(b[i+3]) || !isHex(b[i+4]) {
-				return false
-			}
-			i += 4
-		}
-	}
-	return false
-}
-
-func (s *factScan) number() bool {
-	b, i, ok := s.b, s.i, true
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	if i < len(b) && b[i] == '0' {
-		i++
-	} else if i, ok = digits(b, i); !ok {
-		return false
-	}
-	if i < len(b) && b[i] == '.' {
-		if i, ok = digits(b, i+1); !ok {
-			return false
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if i, ok = digits(b, i); !ok {
-			return false
-		}
-	}
-	s.i = i
-	return true
-}
-
-func (s *factScan) literal(lit string) bool {
-	if len(s.b)-s.i < len(lit) || string(s.b[s.i:s.i+len(lit)]) != lit {
-		return false
-	}
-	s.i += len(lit)
-	return true
-}
-
-// digits returns the end of the run of digits starting at b[i], and whether
-// the run is not empty.
-func digits(b []byte, i int) (int, bool) {
-	j := i
-	for j < len(b) && '0' <= b[j] && b[j] <= '9' {
-		j++
-	}
-	return j, j > i
-}
-
-func isHex(c byte) bool { return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F' }
 
 // jsonKey is a well-formed quoted key as encoding/json unquotes it.
 func jsonKey(quoted []byte) string {
@@ -270,7 +133,7 @@ func jsonKey(quoted []byte) string {
 // predicate and the argument position, never a cell's content: the request
 // body is microdata.
 func loadRows(l *datalog.Loader, pred string, raw []byte) error {
-	i := skipSpace(raw, 0)
+	i := jsonscan.SkipSpace(raw, 0)
 	switch raw[i] {
 	case 'n':
 		return nil
@@ -278,7 +141,7 @@ func loadRows(l *datalog.Loader, pred string, raw []byte) error {
 	default:
 		return factsShape(raw[i], "[][]interface {}")
 	}
-	i = skipSpace(raw, i+1)
+	i = jsonscan.SkipSpace(raw, i+1)
 	for raw[i] != ']' {
 		switch raw[i] {
 		case 'n':
@@ -293,8 +156,8 @@ func loadRows(l *datalog.Loader, pred string, raw []byte) error {
 			return factsShape(raw[i], "[]interface {}")
 		}
 		l.EndRow()
-		if i = skipSpace(raw, i); raw[i] == ',' {
-			i = skipSpace(raw, i+1)
+		if i = jsonscan.SkipSpace(raw, i); raw[i] == ',' {
+			i = jsonscan.SkipSpace(raw, i+1)
 		}
 	}
 	return nil
@@ -303,7 +166,7 @@ func loadRows(l *datalog.Loader, pred string, raw []byte) error {
 // loadRow stages the cells of the row whose '[' precedes raw[i] and returns
 // the index after its ']'.
 func loadRow(l *datalog.Loader, pred string, raw []byte, i int) (int, error) {
-	i = skipSpace(raw, i)
+	i = jsonscan.SkipSpace(raw, i)
 	for arg := 1; raw[i] != ']'; arg++ {
 		switch c := raw[i]; {
 		case c == '"':
@@ -334,8 +197,8 @@ func loadRow(l *datalog.Loader, pred string, raw []byte, i int) (int, error) {
 		default:
 			return 0, fmt.Errorf("fact %s: argument %d must be a string or number, got %s", pred, arg, goTypeOf(c))
 		}
-		if i = skipSpace(raw, i); raw[i] == ',' {
-			i = skipSpace(raw, i+1)
+		if i = jsonscan.SkipSpace(raw, i); raw[i] == ',' {
+			i = jsonscan.SkipSpace(raw, i+1)
 		}
 	}
 	return i + 1, nil
@@ -367,13 +230,6 @@ func goTypeOf(first byte) string {
 		return "<nil>"
 	}
 	return "bool"
-}
-
-func skipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
-		i++
-	}
-	return i
 }
 
 func isNumberByte(c byte) bool {

@@ -313,8 +313,10 @@ func (m *Manager) Cancel(id string) error {
 // one are jobs the previous process never finished — their committed
 // iterations are decoded and the job re-queued to resume right after the
 // last of them. Torn trailing records were, by the write-ahead contract,
-// never acted upon, so truncating them loses no work. Returns the ids of
-// re-queued jobs.
+// never acted upon, so truncating them loses no work. A journal that cannot
+// be recovered is skipped, its bytes left for an operator, and the rest are
+// recovered all the same. Returns the ids of re-queued jobs, and the errors
+// of the skipped journals joined.
 func (m *Manager) Recover() ([]string, error) {
 	paths, err := m.opts.FS.Glob(filepath.Join(m.opts.Dir, "*.journal"))
 	if err != nil {
@@ -322,6 +324,7 @@ func (m *Manager) Recover() ([]string, error) {
 	}
 	sort.Strings(paths)
 	var resumed []string
+	var errs []error
 	for _, path := range paths {
 		id := strings.TrimSuffix(filepath.Base(path), ".journal")
 		m.mu.Lock()
@@ -332,12 +335,12 @@ func (m *Manager) Recover() ([]string, error) {
 			continue
 		}
 		if rid, err := m.recoverOne(id, path); err != nil {
-			return resumed, fmt.Errorf("jobs: recovering %s: %w", filepath.Base(path), err)
+			errs = append(errs, fmt.Errorf("jobs: recovering %s: %w", filepath.Base(path), err))
 		} else if rid != "" {
 			resumed = append(resumed, rid)
 		}
 	}
-	return resumed, nil
+	return resumed, errors.Join(errs...)
 }
 
 // errNotJob aborts the open of a *.journal file that is not a job journal —

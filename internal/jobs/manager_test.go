@@ -444,6 +444,66 @@ func TestRecoverTerminalJournalMaterializesJob(t *testing.T) {
 	}
 }
 
+// TestRecoverSkipsUnrecoverableJournal: a journal Recover cannot recover —
+// here one sorted first whose start record claims another job's id — is
+// reported and left as it is, and every journal after it is still recovered.
+func TestRecoverSkipsUnrecoverableJournal(t *testing.T) {
+	opts := fastOpts(t)
+	r := &scriptRunner{iterations: 2}
+	m, err := NewManager(r, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < 3; i++ {
+		j, err := m.Submit(Spec{Dataset: testInput(t)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, m, j.ID, StateDone)
+		ids = append(ids, j.ID)
+	}
+	m.Close()
+
+	bad := filepath.Join(opts.Dir, "0000000000000000.journal")
+	w, err := journal.CreateWith(bad, journal.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(journal.TypeStart, startPayload{JobID: "ffffffffffffffff", Spec: Spec{Dataset: testInput(t)}}); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	before, err := os.ReadFile(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m2, err := NewManager(r, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	resumed, err := m2.Recover()
+	if err == nil || !strings.Contains(err.Error(), "0000000000000000.journal") || !strings.Contains(err.Error(), "claims job id") {
+		t.Fatalf("Recover error = %v, want the bad journal named", err)
+	}
+	if len(resumed) != 0 {
+		t.Fatalf("resumed %v, want none", resumed)
+	}
+	for _, id := range ids {
+		if got, err := m2.Get(id); err != nil || got.State != StateDone {
+			t.Fatalf("job %s after Recover: %+v, %v", id, got, err)
+		}
+	}
+	if _, err := m2.Get("0000000000000000"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("the unrecoverable journal's job: err = %v, want ErrNotFound", err)
+	}
+	if after, err := os.ReadFile(bad); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("Recover touched the unrecoverable journal (err %v)", err)
+	}
+}
+
 func TestRecoverRefusesChangedInput(t *testing.T) {
 	opts := fastOpts(t)
 	input := testInput(t)

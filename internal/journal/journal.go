@@ -8,8 +8,10 @@
 //
 //	crc32c-hex8 SPACE json NEWLINE
 //
-// where the checksum covers exactly the JSON bytes. Payload schemas belong to
-// the caller — the journal frames, checks and persists opaque JSON payloads.
+// where the checksum covers exactly the JSON bytes: json.Marshal of a Record,
+// which Append builds around one json.Marshal of the payload. Payload
+// schemas belong to the caller — the journal frames, checks and persists
+// opaque JSON payloads.
 // This package is the only code that turns file bytes into records
 // (Iterator), repairs a tail (Open, and Writer after a failed append) or
 // writes a frame (Append, AppendFrames). Three rules say what survives a
@@ -47,6 +49,7 @@ import (
 	"time"
 
 	"vadasa/internal/faultfs"
+	"vadasa/internal/jsonscan"
 )
 
 // Type tags a journal record. The journal itself accepts any non-empty type;
@@ -73,7 +76,8 @@ type Record struct {
 	// Time is the wall-clock append time — audit metadata only; recovery
 	// never depends on it.
 	Time time.Time `json:"time"`
-	// Payload is the caller's record body.
+	// Payload is the caller's record body. A parsed record's payload is a
+	// slice of its line (Iterator.Line, or the frame given to AppendFrames).
 	Payload json.RawMessage `json:"payload,omitempty"`
 }
 
@@ -310,16 +314,31 @@ func (w *Writer) Append(typ Type, payload any) error {
 	if err != nil {
 		return fmt.Errorf("journal: marshaling %s payload: %w", typ, err)
 	}
-	rec := Record{Seq: w.seq + 1, Type: typ, Time: time.Now().UTC(), Payload: body}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("journal: marshaling %s record: %w", typ, err)
+	return w.commit(frame(w.seq+1, typ, time.Now().UTC(), body), w.seq+1, string(typ), true)
+}
+
+// frame returns the line of record seq, newline included: the CRC, a space
+// and json.Marshal of Record{seq, typ, t, body}, built around body as it is.
+// The bytes are the same because body is json.Marshal output, compact and
+// HTML-escaped already, and a time.Time in [0, 9999] marshals as RFC 3339
+// with nanoseconds.
+func frame(seq int, typ Type, t time.Time, body []byte) []byte {
+	b := make([]byte, len("crc32c-8 "), 128+len(typ)+len(body)) // 128 holds the rest of the envelope
+	b = strconv.AppendInt(append(b, `{"seq":`...), int64(seq), 10)
+	quoted, _ := json.Marshal(string(typ)) // a string always marshals
+	b = append(append(b, `,"type":`...), quoted...)
+	b = append(t.AppendFormat(append(b, `,"time":"`...), time.RFC3339Nano), '"')
+	if len(body) > 0 {
+		b = append(append(b, `,"payload":`...), body...)
 	}
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%08x ", crc32.Checksum(line, castagnoli))
-	buf.Write(line)
-	buf.WriteByte('\n')
-	return w.commit(buf.Bytes(), rec.Seq, string(typ), true)
+	b = append(b, '}', '\n')
+	const hex = "0123456789abcdef"
+	sum := crc32.Checksum(b[9:len(b)-1], castagnoli)
+	for i := 7; i >= 0; i, sum = i-1, sum>>4 {
+		b[i] = hex[sum&0xf]
+	}
+	b[8] = ' '
+	return b
 }
 
 // AppendFrames appends records framed elsewhere — lines exactly as an
@@ -406,9 +425,12 @@ func ReadFileIn(fsys faultfs.FS, path string) (*Scan, error) {
 
 // ParseLine validates one framed record — 8 hex digits, a space, JSON whose
 // CRC-32C matches and whose sequence number is the expected one — and
-// returns the decoded record. It is the single framing rule: the Iterator
-// accepts a line from disk, and AppendFrames a line from the wire, only if
-// ParseLine does, so a corrupt or replayed frame can never enter a journal.
+// returns the decoded record, its Payload a slice of line. It is the single
+// framing rule: the Iterator accepts a line from disk, and AppendFrames a
+// line from the wire, only if ParseLine does, so a corrupt or replayed frame
+// can never enter a journal. A line laid out as Append writes it is read in
+// one pass over its payload; any other layout is decoded by encoding/json,
+// so the lines accepted, and what is read from them, are json.Unmarshal's.
 func ParseLine(line []byte, wantSeq int) (Record, bool) {
 	if len(line) < 10 || line[8] != ' ' {
 		return Record{}, false
@@ -421,6 +443,9 @@ func ParseLine(line []byte, wantSeq int) (Record, bool) {
 	if crc32.Checksum(body, castagnoli) != uint32(sum) {
 		return Record{}, false
 	}
+	if rec, ok := parseFramed(body, wantSeq); ok {
+		return rec, true
+	}
 	var rec Record
 	if err := json.Unmarshal(body, &rec); err != nil {
 		return Record{}, false
@@ -429,6 +454,57 @@ func ParseLine(line []byte, wantSeq int) (Record, bool) {
 		return Record{}, false
 	}
 	return rec, true
+}
+
+// parseFramed reads body when it is laid out as frame writes record wantSeq,
+// type and time in plain ASCII and no space around the payload. The time
+// goes through Time.UnmarshalJSON and the payload through jsonscan one level
+// deep, as json.Unmarshal takes them. false means only that the layout
+// differs.
+func parseFramed(body []byte, wantSeq int) (Record, bool) {
+	var rec Record
+	var buf [48]byte
+	head := append(strconv.AppendInt(append(buf[:0], `{"seq":`...), int64(wantSeq), 10), `,"type":"`...)
+	from, to := plainString(body, 0, head)
+	if to <= from {
+		return Record{}, false
+	}
+	rec.Seq, rec.Type = wantSeq, Type(body[from:to])
+	if from, to = plainString(body, to, []byte(`","time":"`)); to < 0 || rec.Time.UnmarshalJSON(body[from-1:to+1]) != nil {
+		return Record{}, false
+	}
+	switch rest := body[to+1:]; {
+	case string(rest) == "}":
+		return rec, true
+	case !bytes.HasPrefix(rest, []byte(`,"payload":`)) || body[len(body)-1] != '}':
+		return Record{}, false
+	}
+	s := jsonscan.Scanner{B: body[:len(body)-1], I: to + 1 + len(`,"payload":`), Depth: 1} // inside the record
+	from = s.I
+	if !s.Value() || s.I != len(s.B) {
+		return Record{}, false
+	}
+	rec.Payload = s.B[from:len(s.B):len(s.B)]
+	return rec, true
+}
+
+// plainString returns the bounds of the string that follows key at b[i]
+// when its bytes are printable ASCII (DEL too) without a backslash, a
+// string JSON decodes to its bytes; to is -1 when they are not.
+func plainString(b []byte, i int, key []byte) (from, to int) {
+	if !bytes.HasPrefix(b[i:], key) {
+		return 0, -1
+	}
+	from = i + len(key)
+	for to = from; to < len(b); to++ {
+		switch c := b[to]; {
+		case c == '"':
+			return from, to
+		case c < ' ' || c >= 0x80 || c == '\\':
+			return 0, -1
+		}
+	}
+	return 0, -1
 }
 
 // syncDir fsyncs a directory so a freshly created file's directory entry is

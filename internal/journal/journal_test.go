@@ -5,9 +5,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
+
+	"vadasa/internal/jsonscan"
 )
 
 type payload struct {
@@ -361,4 +369,227 @@ func FuzzReadPrefix(f *testing.F) {
 			t.Fatalf("Valid=%d beyond file size %d", scan.Valid, len(data))
 		}
 	})
+}
+
+// parseLineOracle is ParseLine as it was before it read its own layout:
+// the CRC, then json.Unmarshal of the whole record. ParseLine must accept
+// exactly the lines it accepts and read the same record from each.
+func parseLineOracle(line []byte, wantSeq int) (Record, bool) {
+	if len(line) < 10 || line[8] != ' ' {
+		return Record{}, false
+	}
+	sum, err := strconv.ParseUint(string(line[:8]), 16, 32)
+	if err != nil {
+		return Record{}, false
+	}
+	body := line[9:]
+	if crc32.Checksum(body, castagnoli) != uint32(sum) {
+		return Record{}, false
+	}
+	var rec Record
+	if err := json.Unmarshal(body, &rec); err != nil {
+		return Record{}, false
+	}
+	if rec.Seq != wantSeq || rec.Type == "" {
+		return Record{}, false
+	}
+	return rec, true
+}
+
+// framed is body behind its CRC: a line that gets past ParseLine's checksum.
+func framed(body []byte) []byte {
+	return append([]byte(fmt.Sprintf("%08x ", crc32.Checksum(body, castagnoli))), body...)
+}
+
+// checkParseLine holds ParseLine to the oracle on one line: same verdict,
+// and on a record the same sequence, type, time — instant, location and
+// zone — and payload bytes.
+func checkParseLine(t *testing.T, line []byte, wantSeq int) {
+	t.Helper()
+	got, ok := ParseLine(line, wantSeq)
+	want, wantOK := parseLineOracle(line, wantSeq)
+	if ok != wantOK {
+		t.Fatalf("ParseLine(%q, %d) accepts: %v, the oracle: %v", line, wantSeq, ok, wantOK)
+	}
+	if !ok {
+		return
+	}
+	gotZone, gotOff := got.Time.Zone()
+	wantZone, wantOff := want.Time.Zone()
+	if got.Seq != want.Seq || got.Type != want.Type || !got.Time.Equal(want.Time) ||
+		got.Time.Location().String() != want.Time.Location().String() || gotZone != wantZone || gotOff != wantOff {
+		t.Fatalf("ParseLine(%q) = %d %q %v, the oracle %d %q %v", line, got.Seq, got.Type, got.Time, want.Seq, want.Type, want.Time)
+	}
+	if !bytes.Equal(got.Payload, want.Payload) || (got.Payload == nil) != (want.Payload == nil) {
+		t.Fatalf("ParseLine(%q) payload %q, the oracle %q", line, got.Payload, want.Payload)
+	}
+}
+
+// parseLineSeeds are record bodies in Append's layout and in every other
+// layout encoding/json reads as a record, or nearly does.
+var parseLineSeeds = []string{
+	`{"seq":1,"type":"iter","time":"2026-10-17T14:37:24.902098088Z","payload":{"n":1,"note":"x"}}`,
+	`{"seq":1,"type":"start","time":"2026-10-17T14:37:24Z"}`,
+	`{"seq":1,"type":"ack","time":"2026-10-17T14:37:24.5+02:00","payload":{"release":1}}`,
+	`{"seq":1,"type":"iter","time":"2026-10-17T14:37:24.902098088Z","payload":null}`,
+	`{"seq":1,"type":"iter","time":"2026-10-17T14:37:24.902098088Z","payload":"< ` + "\xff" + `"}`,
+	`{"seq":1,"type":"iter","time":"2026-10-17T14:37:24.902098088Z","payload":[1,-0.5e3,true,false,null,{}]}`,
+	`{"seq":1,"type":"iter","time":"2026-10-17T14:37:24Z","payload":1}`,
+	`{"seq":1,"type":"it\"er","time":"2026-10-17T14:37:24Z","payload":1}`,
+	`{"seq":1,"type":"caf` + "\xc3\xa9" + `","time":"2026-10-17T14:37:24Z","payload":1}`,
+	`{"seq":1,"type":"` + "\xff" + `","time":"2026-10-17T14:37:24Z","payload":1}`,
+	`{"seq":1,"type":"","time":"2026-10-17T14:37:24Z","payload":1}`,
+	`{"seq":1,"type":"iter","payload":1}`,
+	`{"seq":1,"type":"iter"}`,
+	`{"seq":1,"type":"iter","time":null,"payload":1}`,
+	`{"seq":1,"type":"iter","time":"2026-10-17T14:37:24Z","payload":1}`,
+	`{"seq":1,"type":"iter","time":"yesterday","payload":1}`,
+	`{"seq":1,"type":"iter","time":"2026-10-17 14:37:24Z","payload":1}`,
+	`{"type":"iter","seq":1,"time":"2026-10-17T14:37:24Z","payload":1}`,
+	`{"seq":1,"time":"2026-10-17T14:37:24Z","type":"iter","payload":1}`,
+	`{"seq":1,"type":"iter","payload":1,"time":"2026-10-17T14:37:24Z"}`,
+	`{"SEQ":1,"Type":"iter","TIME":"2026-10-17T14:37:24Z","Payload":1}`,
+	`{"seq":1,"type":"iter","time":"2026-10-17T14:37:24Z","payload":1,"payload":2}`,
+	`{"seq":1,"type":"iter","time":"2026-10-17T14:37:24Z","payload":1,"seq":2}`,
+	`{"seq":1,"type":"iter","type":"done","time":"2026-10-17T14:37:24Z","payload":1}`,
+	`{"seq":1,"type":"iter","time":"2026-10-17T14:37:24Z","payload":1,"extra":[]}`,
+	`{"seq":1,"type":"iter","time":"2026-10-17T14:37:24Z","payload":1,}`,
+	`{"seq":1,"type":"iter","time":"2026-10-17T14:37:24Z","payload":}`,
+	`{"seq":1,"type":"iter","time":"2026-10-17T14:37:24Z","payload":{"a":1}`,
+	`{"seq":1,"type":"iter","time":"2026-10-17T14:37:24Z","payload":{"a":1}}}`,
+	`{"seq":1,"type":"iter","time":"2026-10-17T14:37:24Z","payload":{"a":1}} `,
+	`{"seq":1,"type":"iter","time":"2026-10-17T14:37:24Z","payload": {"a":1}}`,
+	`{"seq":1,"type":"iter","time":"2026-10-17T14:37:24Z","payload":{"a":1} }`,
+	`{"seq":1,"type":"iter","time":"2026-10-17T14:37:24Z","payload":{ "a" : [ 1 , 2 ] }}`,
+	` {"seq":1,"type":"iter","time":"2026-10-17T14:37:24Z","payload":1}`,
+	`{ "seq" : 1 , "type" : "iter" , "time" : "2026-10-17T14:37:24Z" , "payload" : 1 }`,
+	`{"seq":1.0,"type":"iter","time":"2026-10-17T14:37:24Z","payload":1}`,
+	`{"seq":01,"type":"iter","time":"2026-10-17T14:37:24Z","payload":1}`,
+	`{"seq":2,"type":"iter","time":"2026-10-17T14:37:24Z","payload":1}`,
+	`{"seq":12,"type":"iter","time":"2026-10-17T14:37:24Z","payload":1}`,
+	`{"seq":1,"type":"iter","time":"2026-10-17T14:37:24Z","payload":"` + "\x01" + `"}`,
+	`{"seq":1,"type":"iter","time":"2026-10-17T14:37:24Z","payload":01}`,
+	`{"seq":1,"type":"iter","time":"2026-10-17T14:37:24Z","payload":[1,]}`,
+	`[1]`, `null`, `{}`, ``,
+	`{"seq":1,"type":"iter","time":"2026-10-17T14:37:24Z","payload":` + strings.Repeat("[", jsonscan.MaxDepth-1) + strings.Repeat("]", jsonscan.MaxDepth-1) + `}`,
+	`{"seq":1,"type":"iter","time":"2026-10-17T14:37:24Z","payload":` + strings.Repeat("[", jsonscan.MaxDepth) + strings.Repeat("]", jsonscan.MaxDepth) + `}`,
+}
+
+// FuzzParseLine holds ParseLine to the oracle, both on the fuzzed bytes as
+// a line and on them as a record body behind a matching CRC (the case a
+// mutated line almost never reaches).
+func FuzzParseLine(f *testing.F) {
+	for _, body := range parseLineSeeds {
+		f.Add([]byte(body), 1)
+		f.Add(framed([]byte(body)), 1)
+	}
+	_, data := writeSample(f, 3)
+	for i, line := range bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n")) {
+		f.Add(line, i+1)
+		bad := append([]byte(nil), line...)
+		bad[0] ^= 1 // the CRC no longer matches
+		f.Add(bad, i+1)
+	}
+	f.Fuzz(func(t *testing.T, b []byte, wantSeq int) {
+		checkParseLine(t, b, wantSeq)
+		checkParseLine(t, framed(b), wantSeq)
+	})
+}
+
+// marshalsAs is a payload with its own MarshalJSON, spaced and unescaped,
+// which json.Marshal compacts and escapes.
+type marshalsAs string
+
+func (m marshalsAs) MarshalJSON() ([]byte, error) { return []byte(m), nil }
+
+// TestFrameIsMarshal: frame writes, byte for byte, the line the record's
+// json.Marshal framed, for payloads that json.Marshal escapes, compacts or
+// spells in more than one way, and for types and times of every spelling.
+func TestFrameIsMarshal(t *testing.T) {
+	payloads := []any{
+		nil,
+		payload{N: 7, Note: "<b>&amp;</b>    \x00\x1f \"\\ ⊥3 é"},
+		"\xff\xfe invalid UTF-8 \xc3",
+		json.RawMessage(" { \"a\" : [ 1 , \"<&>\" , \" \" ] ,\n\t\"b\" : null } "),
+		marshalsAs(` {"html":"<&>", "line":"` + " " + `", "n": 1e21 } `),
+		[]any{0, -0.0, 1e21, 1e-7, 123456789012345678, math.MaxInt64, math.SmallestNonzeroFloat64, 0.1, -1.5e300},
+		map[string]any{"z": 1, "a": []string{"x", "y"}, "<": ">"},
+		struct{}{},
+		[]byte("bytes become base64"),
+	}
+	types := []Type{TypeIter, TypeStart, "checkpoint", "with space", "<html>", "a&b", "quo\"te", "back\\slash", "tab\t", "é", "\xff", "del\x7f"}
+	times := []time.Time{
+		time.Now().UTC(),
+		time.Date(2026, 10, 17, 14, 37, 24, 0, time.UTC),
+		time.Date(2026, 10, 17, 14, 37, 24, 500_000_000, time.UTC),
+		time.Date(1, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(9999, 12, 31, 23, 59, 59, 999_999_999, time.FixedZone("", 5*3600+30*60)),
+		time.Date(2026, 3, 1, 0, 0, 0, 1, time.FixedZone("CET", 3600)),
+	}
+	for i, p := range payloads {
+		body, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, typ := range types {
+			for _, tm := range times {
+				seq := 1 + i*1000
+				want, err := json.Marshal(Record{Seq: seq, Type: typ, Time: tm, Payload: body})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantLine := append(framed(want), '\n')
+				if got := frame(seq, typ, tm, body); !bytes.Equal(got, wantLine) {
+					t.Fatalf("frame(%d, %q, %v, %s)\n = %q\nwant %q", seq, typ, tm, body, got, wantLine)
+				}
+				checkParseLine(t, wantLine[:len(wantLine)-1], seq)
+			}
+		}
+	}
+	want, err := json.Marshal(Record{Seq: 3, Type: TypeDone, Time: times[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := frame(3, TypeDone, times[1], nil); !bytes.Equal(got, append(framed(want), '\n')) {
+		t.Fatalf("frame with no payload = %q, want %q", got, framed(want))
+	}
+}
+
+// TestParentBuildJournals reads a job journal and a stream WAL written by
+// the build before Append framed its own records: ParseLine reads every line
+// in Append's layout, the record is the oracle's, and frame writes the line
+// back byte for byte.
+func TestParentBuildJournals(t *testing.T) {
+	for file, types := range map[string]string{
+		"job.journal": "start iter iter iter iter done",
+		"stream.wal":  "create batch batch withdraw anon anon intent publish ack batch withdraw anon anon intent publish ack checkpoint",
+	} {
+		data, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seen []string
+		for i, line := range bytes.SplitAfter(data, []byte("\n")) {
+			if len(line) == 0 {
+				continue
+			}
+			seq, line := i+1, line[:len(line)-1]
+			checkParseLine(t, line, seq)
+			rec, ok := parseFramed(line[9:], seq)
+			if !ok {
+				t.Fatalf("%s: record %d is not in Append's layout: %q", file, seq, line)
+			}
+			if got := frame(rec.Seq, rec.Type, rec.Time, rec.Payload); !bytes.Equal(got, append(line, '\n')) {
+				t.Fatalf("%s: record %d re-framed as\n%q\nthe file holds\n%q", file, seq, got, line)
+			}
+			seen = append(seen, string(rec.Type))
+		}
+		if got := strings.Join(seen, " "); got != types {
+			t.Fatalf("%s holds %s, want %s", file, got, types)
+		}
+		scan, err := ReadFile(filepath.Join("testdata", file))
+		if err != nil || scan.Torn || len(scan.Records) != len(seen) {
+			t.Fatalf("%s: ReadFile read %d records (torn %v, err %v), want %d", file, len(scan.Records), scan.Torn, err, len(seen))
+		}
+	}
 }

@@ -1,0 +1,60 @@
+package jsonscan
+
+import (
+	"encoding/json"
+	"strings"
+	"testing"
+)
+
+// validCorpus seeds FuzzValid with the grammar cases of the /reason decoder's
+// corpus (FuzzReasonFacts in cmd/vadasad), whose scan this package is:
+// escapes, invalid UTF-8, numbers, literals, nesting at and past the cap,
+// whitespace, trailing bytes and every malformed token it names.
+var validCorpus = []string{
+	`{"program":"p(X) :- q(X).","facts":{"q":[["a",1],["b",2.5]]},"query":["p"]}`,
+	`{"q":[["a\"b\\c\n\té😀"],["caf` + "\xc3\xa9" + `"],["<>&  "],["\u0001\u001f\b\f\/"],["\ud800"],["\ud800x\udc00"]]}`,
+	`{"q":[["a` + "\xff" + `b"],["` + "\xc3" + `"],["` + "\xe2\x82" + `"],["ok"]]}`,
+	`[-0,0,0.0,1E+2,100,1e21,1e-7,9007199254740993,0.1,1.5e300,-1e-320,1e-400,123456789012345678901234567890,1e999]`,
+	`{"q":[[1]],"q":[[2]]}`,
+	`{"q":[null,[1],null,[]]}`,
+	" {\n\t\"program\" : \"p\" , \"facts\" : { \"q\" : [ [ 1 , \"a\" ] ,\r\n\t[ 2 , \"b\" ] , [ ] , null ] , \"r\" : null } } ",
+	`{"q":[{"a":1}],"r":{},"s":true,"t":false,"u":"x","v":5}`,
+	`[]`, `null`, `"x"`, `5`, ``, ` `, `{}`, `true`, `false`,
+	"\xef\xbb\xbf{}",
+	`{"q":[[1]]} x`, `{"q":[[1]]}x`, `{"q":[[1]}`, `{"q":[[1]]`, `[1]]`,
+	"{\"pro\x01gram\":1}", "[\"a\x1fb\"]", "[\" \x7f\"]",
+	`[01]`, `[1.]`, `[.5]`, `[1e]`, `[1E+]`, `[-]`, `[-0.5e-3,1.25E+2]`, `[+1]`, `[0x1]`,
+	`[1,]`, `[1 2]`, `[,1]`, `{"a":1,}`, `{"a" 1}`, `{"a":}`, `{a:1}`, `{"a":1 "b":2}`, `{1:1}`,
+	`["\x"]`, `["\u12g4"]`, `["\u123g"]`, `["\u123"]`, `["abc`, `"\`,
+	`[nul]`, `[tru]`, `[fals]`, `[nulll]`, `[True]`, `[NaN]`, `[Infinity]`,
+	strings.Repeat("[", MaxDepth) + strings.Repeat("]", MaxDepth),
+	strings.Repeat("[", MaxDepth+1) + strings.Repeat("]", MaxDepth+1),
+	strings.Repeat(`{"a":`, MaxDepth) + "1" + strings.Repeat("}", MaxDepth),
+	strings.Repeat(`{"a":`, MaxDepth+1) + "1" + strings.Repeat("}", MaxDepth+1),
+	strings.Repeat("[", MaxDepth+1),
+}
+
+// FuzzValid holds Valid to json.Valid.
+func FuzzValid(f *testing.F) {
+	for _, doc := range validCorpus {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if got, want := Valid(b), json.Valid(b); got != want {
+			t.Fatalf("Valid(%q) = %v, json.Valid says %v", b, got, want)
+		}
+	})
+}
+
+// TestScannerDepthCountsEnclosingContainers: a scan that starts inside a
+// document starts at its depth, so the cap is the document's, not the
+// value's.
+func TestScannerDepthCountsEnclosingContainers(t *testing.T) {
+	value := []byte(strings.Repeat("[", MaxDepth-1) + strings.Repeat("]", MaxDepth-1))
+	for depth, want := range map[int]bool{0: true, 1: true, 2: false} {
+		s := Scanner{B: value, Depth: depth}
+		if got := s.Value() && s.I == len(value); got != want {
+			t.Errorf("%d arrays inside %d containers: %v, want %v", MaxDepth-1, depth, got, want)
+		}
+	}
+}

@@ -125,10 +125,9 @@ func MSUsContext(ctx context.Context, d *mdb.Dataset, idx []int, maxK int, sem m
 	// When ctx carries a resource governor, the code table, the subset pool,
 	// the per-worker buffers and the recorded MSUs are charged against the
 	// memory budget, so a combinatorial blowup trips a typed budget error
-	// instead of exhausting the process (the worker pool charges its own
-	// goroutines and runs sequentially when they are refused). Everything
-	// is refunded when the search returns; govern methods are nil-safe, so
-	// the ungoverned path pays only nil checks.
+	// instead of exhausting the process. Everything is refunded when the
+	// search returns; govern methods are nil-safe, so the ungoverned path
+	// pays only nil checks.
 	gov := govern.From(ctx)
 	var charged int64
 	defer func() { gov.ReleaseBytes(charged) }()
