@@ -101,9 +101,11 @@ loc:
 # (FuzzWriteCSV), on the group index's row-operation tape, the one that
 # drives its compaction (FuzzGroupIndexRowOps), on the journal's line parser
 # against encoding/json (FuzzParseLine) and its reader over arbitrary files
-# (FuzzReadPrefix), and on the JSON grammar both decoders share, against
-# json.Valid (FuzzValid). Their seed corpora already run as ordinary tests; a
-# failing input found here is written under the package's testdata/fuzz.
+# (FuzzReadPrefix), on the JSON grammar and string rule the decoders share,
+# against encoding/json (FuzzValid), and on the stream replay's batch and
+# withdraw decoders, against json.Unmarshal (FuzzStreamPayload). Their seed
+# corpora already run as ordinary tests; a failing input found here is
+# written under the package's testdata/fuzz.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./cmd/vadasad -run '^$$' -fuzz '^FuzzReasonFacts$$' -fuzztime $(FUZZTIME)
@@ -113,6 +115,7 @@ fuzz:
 	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzParseLine$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzReadPrefix$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/jsonscan -run '^$$' -fuzz '^FuzzValid$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/stream -run '^$$' -fuzz '^FuzzStreamPayload$$' -fuzztime $(FUZZTIME)
 
 # chaos runs the process-level fault suite under the race detector: worker
 # SIGKILL mid-lease, dropped/duplicated/truncated RPCs, torn journal tails

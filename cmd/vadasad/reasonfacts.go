@@ -19,7 +19,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"unicode/utf8"
 
 	"vadasa"
 	"vadasa/internal/datalog"
@@ -118,11 +117,7 @@ func (s *factScan) predicate(key []byte, _ int) bool {
 
 // jsonKey is a well-formed quoted key as encoding/json unquotes it.
 func jsonKey(quoted []byte) string {
-	if _, plain := scanString(quoted, 0); plain {
-		return string(quoted[1 : len(quoted)-1])
-	}
-	var k string
-	_ = json.Unmarshal(quoted, &k) // cannot fail: the scan checked the string
+	k, _, _ := jsonscan.Unquote(quoted, 0) // cannot fail: the scan checked the string
 	return k
 }
 
@@ -170,14 +165,12 @@ func loadRow(l *datalog.Loader, pred string, raw []byte, i int) (int, error) {
 	for arg := 1; raw[i] != ']'; arg++ {
 		switch c := raw[i]; {
 		case c == '"':
-			end, plain := scanString(raw, i)
+			end, _, plain := jsonscan.String(raw, i)
 			if plain {
 				l.StrBytes(raw[i+1 : end-1])
 			} else {
-				// Escapes and non-ASCII go through encoding/json's own
-				// unquoting, U+FFFD replacement of invalid UTF-8 included.
-				var s string
-				if err := json.Unmarshal(raw[i:end], &s); err != nil {
+				s, _, ok := jsonscan.Unquote(raw, i)
+				if !ok {
 					return 0, fmt.Errorf("fact %s: argument %d is not a JSON string", pred, arg)
 				}
 				l.Str(s)
@@ -234,22 +227,6 @@ func goTypeOf(first byte) string {
 
 func isNumberByte(c byte) bool {
 	return '0' <= c && c <= '9' || c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-'
-}
-
-// scanString returns the index after the closing quote of the string that
-// opens at b[i], and whether its content is the plain bytes in between — no
-// escape and nothing outside ASCII.
-func scanString(b []byte, i int) (end int, plain bool) {
-	plain = true
-	for i++; b[i] != '"'; i++ {
-		if b[i] == '\\' {
-			plain = false
-			i++
-		} else if b[i] >= utf8.RuneSelf {
-			plain = false
-		}
-	}
-	return i + 1, plain
 }
 
 // writeReasonResponse writes {"facts":{pred:[row,…],…}, tail…}: the facts of

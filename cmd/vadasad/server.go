@@ -196,14 +196,16 @@ func (s *server) startSupervisor() error {
 // openWritePath brings the write path up over -stream-dir and -job-dir and
 // publishes it: at start-up, and again — over the directories the mirror has
 // been writing — when a standby is promoted, so failover runs the recovery a
-// restart runs, under no request's context. Streams are recovered before it
-// returns: their WALs are bounded by the window size, and serving an append
-// before its stream's intent→publish protocol has been completed would be
-// exactly the inconsistency the journal exists to prevent. Job recovery
-// replays journals and re-runs interrupted cycles, which with many or large
-// jobs takes real time; it runs in the background behind /readyz's
-// "recovering" answer. A component that fails to come up is reported and left
-// out; the rest is still published (a failed recovery cannot undo a promotion).
+// restart runs, under no request's context. Streams are recovered, all at
+// once, before it returns: a stream's WAL keeps every batch since the stream
+// was created, so its replay is linear in the journal's length, not the
+// window's, and serving an append before its stream's intent→publish protocol
+// has been completed would be exactly the inconsistency the journal exists to
+// prevent. Job recovery replays journals and re-runs interrupted cycles, which
+// with many or large jobs takes real time; it runs in the background behind
+// /readyz's "recovering" answer. A component that fails to come up is
+// reported and left out; the rest is still published (a failed recovery
+// cannot undo a promotion).
 func (s *server) openWritePath() error {
 	cfg := &s.cfg
 	wp := &writePath{}

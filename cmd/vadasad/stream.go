@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/csv"
 	"encoding/json"
@@ -9,12 +10,14 @@ import (
 	"net/http"
 	"net/url"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 
 	"vadasa"
 	"vadasa/internal/faultfs"
 	"vadasa/internal/mdb"
+	"vadasa/internal/pool"
 	"vadasa/internal/risk"
 	"vadasa/internal/stream"
 )
@@ -48,7 +51,10 @@ type streamMeta struct {
 // A stream whose WAL cannot be recovered is logged and skipped — one corrupt
 // journal must not take down the streams that replay cleanly — and its id
 // stays free of the registry so appends to it fail loudly rather than
-// silently starting a fresh window over the broken journal.
+// silently starting a fresh window over the broken journal. Headers are read
+// one after the other, the journals replay at once (replay, linear in a
+// journal's length, is nearly all of a recovery), and streams are registered
+// and failures logged in path order.
 func (r *streamRegistry) recover(ctx context.Context) error {
 	dir := r.srv.cfg.streamDir
 	paths, err := filepath.Glob(filepath.Join(dir, "*.wal"))
@@ -57,26 +63,40 @@ func (r *streamRegistry) recover(ctx context.Context) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, path := range paths {
-		id := strings.TrimSuffix(filepath.Base(path), ".wal")
-		info, err := stream.Peek(ctx, faultfs.OS, path)
-		if err != nil {
-			r.srv.logf("vadasad: stream %s: unreadable journal header, skipping: %v", id, err)
+	type recovery struct {
+		info   *stream.Info
+		opts   stream.Options
+		s      *stream.Stream
+		failed string // what the log says went wrong, when s is nil
+		err    error
+	}
+	recs := make([]recovery, len(paths))
+	for i, path := range paths {
+		rc := &recs[i]
+		if rc.info, rc.err = stream.Peek(ctx, faultfs.OS, path); rc.err != nil {
+			rc.failed = "unreadable journal header, skipping"
+		} else if rc.opts, rc.err = r.srv.streamOptions(rc.info); rc.err != nil {
+			rc.failed = "rebuilding options"
+		} else {
+			rc.failed = "recovery failed, skipping"
+			r.srv.applyReplStream(rc.info.ID, path, &rc.opts)
+		}
+	}
+	// Each open writes only its own slot. A slot ctx kept from opening stays
+	// empty, and ForEach reports ctx's error.
+	notRun := pool.ForEach(ctx, 0, len(recs), func(i int) error {
+		if rc := &recs[i]; rc.err == nil {
+			rc.s, rc.err = stream.Open(ctx, rc.info.ID, paths[i], rc.opts)
+		}
+		return nil
+	})
+	for i, rc := range recs {
+		if rc.s == nil {
+			r.srv.logf("vadasad: stream %s: %s: %v", strings.TrimSuffix(filepath.Base(paths[i]), ".wal"), rc.failed, cmp.Or(rc.err, notRun))
 			continue
 		}
-		opts, err := r.srv.streamOptions(info)
-		if err != nil {
-			r.srv.logf("vadasad: stream %s: rebuilding options: %v", id, err)
-			continue
-		}
-		r.srv.applyReplStream(info.ID, path, &opts)
-		s, err := stream.Open(ctx, info.ID, path, opts)
-		if err != nil {
-			r.srv.logf("vadasad: stream %s: recovery failed, skipping: %v", id, err)
-			continue
-		}
-		r.srv.registerReplStream(s, path)
-		r.streams[info.ID] = s
+		r.srv.registerReplStream(rc.s, paths[i])
+		r.streams[rc.info.ID] = rc.s
 	}
 	if len(r.streams) > 0 {
 		r.srv.logf("vadasad: recovered %d stream(s) from %s", len(r.streams), dir)
@@ -121,7 +141,8 @@ func (s *server) streamOptions(info *stream.Info) (stream.Options, error) {
 	return opts, nil
 }
 
-// ids lists the open streams.
+// ids lists the open streams in sorted order, as a standby lists its
+// followers.
 func (r *streamRegistry) ids() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -129,6 +150,7 @@ func (r *streamRegistry) ids() []string {
 	for id := range r.streams {
 		ids = append(ids, id)
 	}
+	sort.Strings(ids)
 	return ids
 }
 

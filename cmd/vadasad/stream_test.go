@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -8,8 +10,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"vadasa/internal/journal"
 	"vadasa/internal/stream"
 )
 
@@ -415,5 +419,125 @@ func TestHeaderTable(t *testing.T) {
 		if rec := do(t, h, "POST", "/stream/"+c.Name+"/append?batch=b2", c.CSV); rec.Code != http.StatusOK {
 			t.Fatalf("%s: second append = %d: %s", c.Name, rec.Code, rec.Body)
 		}
+	}
+}
+
+// GET /streams lists a primary's streams in sorted order, as a standby lists
+// its followers: whether they were created in this process or recovered.
+func TestStreamListSortedHTTP(t *testing.T) {
+	dir := t.TempDir()
+	srv := streamTestServer(t, dir, 0)
+	var want []string
+	for i := 11; i >= 0; i-- {
+		id := fmt.Sprintf("s%02d", i)
+		want = append([]string{id}, want...)
+		if rec := do(t, srv.handler, "POST", appendURL(id, "b1"), streamCSV(0, 2)); rec.Code != http.StatusCreated {
+			t.Fatalf("append to %s = %d: %s", id, rec.Code, rec.Body)
+		}
+	}
+	if ids := listStreams(t, srv.handler); !reflect.DeepEqual(ids, want) {
+		t.Fatalf("streams %v, want %v", ids, want)
+	}
+	srv.Close()
+	if ids := listStreams(t, streamTestServer(t, dir, 0).handler); !reflect.DeepEqual(ids, want) {
+		t.Fatalf("recovered streams %v, want %v", ids, want)
+	}
+}
+
+// Streams replay concurrently at start-up, yet recovery reads as if they had
+// replayed one after the other: of six journals, one whose replay fails (a
+// second batch record, its CRC valid, repeats a batch id) and one whose
+// header cannot be read (a first append cut short) are logged in path order
+// and kept out of the registry, and the other four are registered whole. The
+// broken journal stays as it was, refusing an append to its id; the cut one
+// is a stream never created, so an append creates it.
+func TestStreamRecoveryConcurrentHTTP(t *testing.T) {
+	dir := t.TempDir()
+	srv1 := streamTestServer(t, dir, 0)
+	ids := []string{"s1", "s2", "s3", "s4", "s5", "s6"}
+	for i, id := range ids {
+		if rec := do(t, srv1.handler, "POST", appendURL(id, "b1"), streamCSV(0, 2*(i+1))); rec.Code != http.StatusCreated {
+			t.Fatalf("append to %s = %d: %s", id, rec.Code, rec.Body)
+		}
+		if rec := do(t, srv1.handler, "GET", "/stream/"+id+"/release", ""); rec.Code != http.StatusOK {
+			t.Fatalf("release of %s = %d: %s", id, rec.Code, rec.Body)
+		}
+	}
+	srv1.Close()
+
+	ctx := context.Background()
+	w, err := journal.Open(ctx, filepath.Join(dir, "s2.wal"), journal.Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append("batch", map[string]any{"batch": "b1", "rows": [][]string{{"c9", "s0", "r0", "10"}}}); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	broken, err := os.ReadFile(filepath.Join(dir, "s2.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := filepath.Join(dir, "s4.wal")
+	header, err := os.ReadFile(cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cut, header[:40], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var lines []string
+	cfg := testConfig(t)
+	cfg.streamDir = dir
+	cfg.logf = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}
+	srv2 := startServer(t, cfg)
+	h := srv2.handler
+	if got := listStreams(t, h); !reflect.DeepEqual(got, []string{"s1", "s3", "s5", "s6"}) {
+		t.Fatalf("recovered streams %v", got)
+	}
+	mu.Lock()
+	var failed []string
+	for _, l := range lines {
+		if strings.HasPrefix(l, "vadasad: stream ") {
+			failed = append(failed, l)
+		}
+	}
+	mu.Unlock()
+	if len(failed) != 2 || !strings.HasPrefix(failed[0], "vadasad: stream s2: recovery failed, skipping: ") ||
+		!strings.Contains(failed[0], `batch "b1" journaled twice`) ||
+		!strings.HasPrefix(failed[1], "vadasad: stream s4: unreadable journal header, skipping: ") {
+		t.Fatalf("recovery log %q", failed)
+	}
+	for i, id := range ids {
+		if id == "s2" || id == "s4" {
+			continue
+		}
+		var st struct {
+			Rows     int `json:"rows"`
+			Releases int `json:"releases"`
+		}
+		decodeBody(t, do(t, h, "GET", "/stream/"+id+"/status", "").Body.Bytes(), &st)
+		if st.Rows != 2*(i+1) || st.Releases != 1 {
+			t.Fatalf("recovered %s: %+v", id, st)
+		}
+	}
+
+	if srv2.streams().get("s2") != nil || srv2.streams().get("s4") != nil {
+		t.Fatal("a stream that failed recovery is registered")
+	}
+	if rec := do(t, h, "POST", appendURL("s2", "b2"), streamCSV(0, 2)); rec.Code < 400 {
+		t.Fatalf("append over the broken journal = %d: %s", rec.Code, rec.Body)
+	}
+	if after, err := os.ReadFile(filepath.Join(dir, "s2.wal")); err != nil || !bytes.Equal(after, broken) {
+		t.Fatalf("the broken journal changed (%v)", err)
+	}
+	if rec := do(t, h, "POST", appendURL("s4", "b1"), streamCSV(0, 2)); rec.Code != http.StatusCreated {
+		t.Fatalf("append to the cut journal's id = %d: %s", rec.Code, rec.Body)
 	}
 }

@@ -457,7 +457,7 @@ func ParseLine(line []byte, wantSeq int) (Record, bool) {
 }
 
 // parseFramed reads body when it is laid out as frame writes record wantSeq,
-// type and time in plain ASCII and no space around the payload. The time
+// type and time plain strings and no space around the payload. The time
 // goes through Time.UnmarshalJSON and the payload through jsonscan one level
 // deep, as json.Unmarshal takes them. false means only that the layout
 // differs.
@@ -488,21 +488,16 @@ func parseFramed(body []byte, wantSeq int) (Record, bool) {
 	return rec, true
 }
 
-// plainString returns the bounds of the string that follows key at b[i]
-// when its bytes are printable ASCII (DEL too) without a backslash, a
-// string JSON decodes to its bytes; to is -1 when they are not.
+// plainString returns the bounds of the string that follows key, which
+// ends in its opening quote, at b[i] when the string is plain (see
+// jsonscan.String); to is -1 when it is not.
 func plainString(b []byte, i int, key []byte) (from, to int) {
 	if !bytes.HasPrefix(b[i:], key) {
 		return 0, -1
 	}
 	from = i + len(key)
-	for to = from; to < len(b); to++ {
-		switch c := b[to]; {
-		case c == '"':
-			return from, to
-		case c < ' ' || c >= 0x80 || c == '\\':
-			return 0, -1
-		}
+	if end, _, plain := jsonscan.String(b, from-1); plain {
+		return from, end - 1
 	}
 	return 0, -1
 }

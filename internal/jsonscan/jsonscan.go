@@ -4,9 +4,20 @@
 // open at once — so Valid accepts exactly what json.Valid does. A Scanner
 // reports where a value ends and can hand each member of an object to a
 // hook, so a decoder finds the parts it wants without unmarshaling the rest.
+//
+// It also owns the tree's one rule for a string's value: a string whose
+// bytes between the quotes hold no backslash and are valid UTF-8 is those
+// bytes (String calls it plain); any other string is what encoding/json
+// unquotes it to (Unquote), escapes resolved and each byte of invalid UTF-8
+// replaced by U+FFFD.
 package jsonscan
 
-import "strings"
+import (
+	"bytes"
+	"encoding/json"
+	"strings"
+	"unicode/utf8"
+)
 
 // MaxDepth is encoding/json's nesting limit: a document that opens more
 // arrays and objects than this at once is refused.
@@ -118,6 +129,47 @@ func (s *Scanner) str() bool {
 		}
 	}
 	return false
+}
+
+// String scans the string that opens at b[i] and returns the index just past
+// its closing quote, whether it is well formed, and whether it is plain: its
+// value is the bytes between its quotes.
+func String(b []byte, i int) (end int, ok, plain bool) {
+	// Printable ASCII with no escape, nearly every string, in one pass.
+	j := i + 1
+	for j < len(b) && b[j] != '"' && ' ' <= b[j] && b[j] < utf8.RuneSelf && b[j] != '\\' {
+		j++
+	}
+	if i < len(b) && b[i] == '"' && j < len(b) && b[j] == '"' {
+		return j + 1, true, true
+	}
+	return stringRest(b, i)
+}
+
+// stringRest is String for what its first pass stops at: an escape, a
+// control byte, a byte outside ASCII, or no string at all.
+func stringRest(b []byte, i int) (end int, ok, plain bool) {
+	s := Scanner{B: b, I: i}
+	if !s.At('"') || !s.str() {
+		return 0, false, false
+	}
+	body := b[i+1 : s.I-1]
+	return s.I, true, bytes.IndexByte(body, '\\') < 0 && utf8.Valid(body)
+}
+
+// Unquote returns the value of the string that opens at b[i] and the index
+// just past it, or false when the string is not well formed.
+func Unquote(b []byte, i int) (v string, end int, ok bool) {
+	end, ok, plain := String(b, i)
+	switch {
+	case plain:
+		v = string(b[i+1 : end-1])
+	case ok:
+		var u string // on the heap (Unmarshal takes its address): only this branch pays
+		ok = json.Unmarshal(b[i:end], &u) == nil
+		v = u
+	}
+	return v, end, ok
 }
 
 func (s *Scanner) number() bool {

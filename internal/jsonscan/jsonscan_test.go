@@ -32,9 +32,12 @@ var validCorpus = []string{
 	strings.Repeat(`{"a":`, MaxDepth) + "1" + strings.Repeat("}", MaxDepth),
 	strings.Repeat(`{"a":`, MaxDepth+1) + "1" + strings.Repeat("}", MaxDepth+1),
 	strings.Repeat("[", MaxDepth+1),
+	`"\u003c\u003e\u0026"`, `"\u2028"`, "\"\u2028\"", `"⊥3"`, `"*"`, "\"\xed\xa0\x80\"", "\"\xef\xbf\xbd\"", "\"\xf4\x90\x80\x80\"",
 }
 
-// FuzzValid holds Valid to json.Valid.
+// FuzzValid holds Valid to json.Valid, and the string rule to what
+// json.Unmarshal decodes a string to: Unquote's value always, and the bytes
+// between the quotes when String calls the string plain.
 func FuzzValid(f *testing.F) {
 	for _, doc := range validCorpus {
 		f.Add([]byte(doc))
@@ -42,6 +45,23 @@ func FuzzValid(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if got, want := Valid(b), json.Valid(b); got != want {
 			t.Fatalf("Valid(%q) = %v, json.Valid says %v", b, got, want)
+		}
+		end, ok, plain := String(b, 0)
+		if !ok {
+			if len(b) > 0 && b[0] == '"' && json.Valid(b) {
+				t.Fatalf("String refuses %q, which encoding/json reads", b)
+			}
+			return
+		}
+		var want string
+		if err := json.Unmarshal(b[:end], &want); err != nil {
+			t.Fatal(err)
+		}
+		if got, gotEnd, ok := Unquote(b, 0); !ok || got != want || gotEnd != end {
+			t.Fatalf("Unquote(%q) = %q, %d, %v; encoding/json says %q, %d", b, got, gotEnd, ok, want, end)
+		}
+		if plain && want != string(b[1:end-1]) {
+			t.Fatalf("String calls %q plain, encoding/json decodes it to %q", b[:end], want)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -202,4 +203,72 @@ func BenchmarkStreamCycle(b *testing.B) {
 	b.ReportMetric(float64(appendT.Microseconds())/n/appends, "append_us")
 	b.ReportMetric(float64(withdrawT.Microseconds())/n, "withdraw_us")
 	b.ReportMetric(float64(releaseT.Microseconds())/n, "release_us")
+}
+
+// BenchmarkStreamOpen measures a restart's reopen of one stream journal
+// shaped like the daemon benchmark's stream_loop after its fill: 10 cycles
+// over a k-anonymity window (k=3, a U table), each acking the last release,
+// withdrawing the oldest 1 000 rows once the window has passed 5 000,
+// appending 20 batches of 50 rows and releasing; the last release stays
+// unacked. An op is one Open, the replay of the whole journal; MB/s is over
+// the journal's bytes and rows/s over the rows its batches carry.
+func BenchmarkStreamOpen(b *testing.B) {
+	const cycles, appends, batch, window, withdraw = 10, 20, 50, 5000, 1000
+	d := synth.Generate(synth.Config{Tuples: cycles * appends * batch, QIs: 4, Dist: synth.DistU, Seed: 17})
+	cells := rowCells(d)
+	ctx := context.Background()
+	path := filepath.Join(b.TempDir(), "loop.wal")
+	opts := Options{Assessor: risk.KAnonymity{K: 3}, Threshold: 0.5, Semantics: mdb.MaybeMatch, Attrs: d.Attrs, MaxRows: 1 << 30}
+	s, err := Open(ctx, "loop", path, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ids []int
+	var last *ReleaseInfo
+	for c := 0; c < cycles; c++ {
+		if last != nil {
+			if err := s.Ack(ctx, last.Seq); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if len(ids) > window {
+			if err := s.Withdraw(ctx, ids[:withdraw]); err != nil {
+				b.Fatal(err)
+			}
+			ids = ids[withdraw:]
+		}
+		for a := 0; a < appends; a++ {
+			lo := (c*appends + a) * batch
+			res, err := s.Append(ctx, fmt.Sprintf("b%d", c*appends+a), cells[lo:lo+batch])
+			if err != nil {
+				b.Fatal(err)
+			}
+			ids = append(ids, res.RowIDs...)
+		}
+		if last, err = s.Release(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s.w.Close() // as a crash leaves it: no drain checkpoint
+	fi, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(fi.Size())
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := Open(ctx, "loop", path, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if st := s.Status(ctx); st.Rows != len(ids) || st.Published == nil || st.Published.Seq != cycles {
+			b.Fatalf("the reopened stream: %+v", st)
+		}
+		s.w.Close()
+		b.StartTimer()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(cycles*appends*batch)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }

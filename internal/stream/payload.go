@@ -3,8 +3,10 @@ package stream
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"vadasa/internal/anon"
+	"vadasa/internal/jsonscan"
 	"vadasa/internal/mdb"
 )
 
@@ -73,6 +75,86 @@ type batchPayload struct {
 // withdrawPayload removes rows by their window-stable IDs.
 type withdrawPayload struct {
 	RowIDs []int `json:"rows"`
+}
+
+// readBatch and readWithdraw read a record payload in one pass when it is
+// in the layout journal.Append writes: json.Marshal's, with no space and
+// every key exact and in field order. decode sends any other payload to
+// json.Unmarshal, so what decodes, to what and with which error stays
+// encoding/json's.
+func readBatch(b []byte) (p batchPayload, ok bool) {
+	r := payloadReader{b: b}
+	ok = r.lit(`{"batch":`) && r.str(&p.BatchID) && r.lit(`,"rows":`) && readList(&r, &p.Rows, r.row) && r.lit("}")
+	return p, ok && r.i == len(b)
+}
+
+func readWithdraw(b []byte) (p withdrawPayload, ok bool) {
+	r := payloadReader{b: b}
+	ok = r.lit(`{"rows":`) && readList(&r, &p.RowIDs, r.int) && r.lit("}")
+	return p, ok && r.i == len(b)
+}
+
+func decode[T any](b []byte, read func([]byte) (T, bool)) (T, error) {
+	if p, ok := read(b); ok {
+		return p, nil
+	}
+	var p T
+	return p, json.Unmarshal(b, &p)
+}
+
+// payloadReader reads b from i on. Each method reports whether what follows
+// is what it reads and, when it is, moves past it.
+type payloadReader struct {
+	b []byte
+	i int
+}
+
+func (r *payloadReader) lit(s string) bool {
+	ok := len(r.b)-r.i >= len(s) && string(r.b[r.i:r.i+len(s)]) == s
+	if ok {
+		r.i += len(s)
+	}
+	return ok
+}
+
+func (r *payloadReader) str(v *string) (ok bool) {
+	*v, r.i, ok = jsonscan.Unquote(r.b, r.i)
+	return ok
+}
+
+// int reads a JSON value strconv.Atoi reads too: a number with no fraction
+// or exponent, in int's range.
+func (r *payloadReader) int(v *int) bool {
+	s := jsonscan.Scanner{B: r.b, I: r.i}
+	if !s.Value() {
+		return false
+	}
+	n, err := strconv.Atoi(string(r.b[r.i:s.I]))
+	if err == nil {
+		*v, r.i = n, s.I
+	}
+	return err == nil
+}
+
+func (r *payloadReader) row(v *[]string) bool { return readList(r, v, r.str) }
+
+// readList reads null, which decodes to a nil slice, or an array of elements
+// elem reads, which decodes to a slice that is not nil.
+func readList[T any](r *payloadReader, v *[]T, elem func(*T) bool) bool {
+	if r.lit("null") {
+		return true
+	}
+	if !r.lit("[") {
+		return false
+	}
+	*v = make([]T, 0, 8) // a row's cells in one allocation
+	for sep := ""; !r.lit("]"); sep = "," {
+		var zero T
+		if *v = append(*v, zero); !r.lit(sep) || !elem(&(*v)[len(*v)-1]) {
+			return false
+		}
+	}
+	return true
 }
 
 // anonPayload commits one release-gate suppression iteration: the batch of

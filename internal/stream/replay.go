@@ -103,8 +103,8 @@ func (s *Stream) replay(rec journal.Record) error {
 		}
 		return s.applyCreate(p)
 	case recBatch:
-		var p batchPayload
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
+		p, err := decode(rec.Payload, readBatch)
+		if err != nil {
 			return fmt.Errorf("stream: decoding batch record %d: %w", rec.Seq, err)
 		}
 		if s.batches[p.BatchID] {
@@ -119,11 +119,11 @@ func (s *Stream) replay(rec journal.Record) error {
 		s.applyBatch(p.BatchID, p.Rows)
 		return nil
 	case recWithdraw:
-		var p withdrawPayload
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
+		p, err := decode(rec.Payload, readWithdraw)
+		if err != nil {
 			return fmt.Errorf("stream: decoding withdraw record %d: %w", rec.Seq, err)
 		}
-		_, err := s.applyWithdraw(p.RowIDs)
+		_, err = s.applyWithdraw(p.RowIDs)
 		return err
 	case recAnon:
 		var p anonPayload
