@@ -74,7 +74,7 @@ type factScan struct {
 func (s *factScan) document() bool {
 	s.Scanner = jsonscan.Scanner{B: s.b, I: jsonscan.SkipSpace(s.b, 0)}
 	if s.object = s.At('{'); s.object {
-		if !s.Container(s.topMember) {
+		if !s.Object(s.topMember) {
 			return false
 		}
 	} else if !s.Value() {
@@ -92,10 +92,10 @@ func (s *factScan) topMember(key []byte, from int) bool {
 			if s.facts == nil {
 				s.facts = make(map[string]json.RawMessage)
 			}
-			return s.Container(s.predicate)
+			return s.Object(s.predicate)
 		case s.At('n'):
 			s.facts = nil
-			return s.Literal("null")
+			return s.Value() // null, or not well formed
 		}
 	}
 	if !s.Value() {

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -17,6 +18,7 @@ import (
 	"vadasa/internal/govern"
 	"vadasa/internal/journal"
 	"vadasa/internal/mdb"
+	"vadasa/internal/pool"
 	"vadasa/internal/risk"
 )
 
@@ -317,27 +319,45 @@ func (m *Manager) Cancel(id string) error {
 // be recovered is skipped, its bytes left for an operator, and the rest are
 // recovered all the same. Returns the ids of re-queued jobs, and the errors
 // of the skipped journals joined.
+//
+// The journals are loaded at once, outside the manager's lock; jobs are then
+// registered, settled and queued, and errors joined, in path order.
 func (m *Manager) Recover() ([]string, error) {
 	paths, err := m.opts.FS.Glob(filepath.Join(m.opts.Dir, "*.journal"))
 	if err != nil {
 		return nil, err
 	}
 	sort.Strings(paths)
-	var resumed []string
-	var errs []error
+	loads := make([]recovery, 0, len(paths))
+	m.mu.Lock()
 	for _, path := range paths {
 		id := strings.TrimSuffix(filepath.Base(path), ".journal")
-		m.mu.Lock()
-		_, known := m.jobs[id]
-		known = known || m.claimed[id]
-		m.mu.Unlock()
-		if known {
-			continue
+		if _, known := m.jobs[id]; !known && !m.claimed[id] {
+			loads = append(loads, recovery{id: id, path: path})
 		}
-		if rid, err := m.recoverOne(id, path); err != nil {
-			errs = append(errs, fmt.Errorf("jobs: recovering %s: %w", filepath.Base(path), err))
-		} else if rid != "" {
-			resumed = append(resumed, rid)
+	}
+	m.mu.Unlock()
+	// Each load writes only its own slot. A slot the ended context kept from
+	// loading stays unloaded, and ForEach reports the context's error.
+	notRun := pool.ForEach(m.baseCtx, 0, len(loads), func(i int) error {
+		loads[i].load(m)
+		return nil
+	})
+	var resumed []string
+	var errs []error
+	for i := range loads {
+		rc := &loads[i]
+		err, queued := rc.err, false
+		if !rc.ran {
+			err = notRun
+		}
+		if err == nil && rc.job != nil {
+			queued, err = m.adopt(rc)
+		}
+		if err != nil {
+			errs = append(errs, fmt.Errorf("jobs: recovering %s: %w", filepath.Base(rc.path), err))
+		} else if queued {
+			resumed = append(resumed, rc.id)
 		}
 	}
 	return resumed, errors.Join(errs...)
@@ -349,109 +369,158 @@ func (m *Manager) Recover() ([]string, error) {
 // journal.ErrCorrupt.)
 var errNotJob = errors.New("jobs: not a job journal")
 
-// recoverOne loads one journal in a single pass; it returns the job id when
-// the job was re-queued, "" when it was terminal or unusable.
-func (m *Manager) recoverOne(id, path string) (string, error) {
-	var recs []journal.Record
-	w, err := journal.Open(m.baseCtx, path, m.journalConfig(id, path), func(rec journal.Record) error {
+// recovery is one journal Recover loads.
+type recovery struct {
+	id, path string
+	ran      bool
+	err      error
+	// job is the recovered job, nil when the journal holds none (a fresh
+	// journal, or one that is not a job's).
+	job *Job
+	// w is the open journal of an unterminated job, and failed why it
+	// cannot resume, if it cannot.
+	w      *journal.Writer
+	failed string
+}
+
+// load reads one journal in one pass, keeping copies of only its first
+// and last records: a terminal job needs nothing else. An unterminated
+// journal's checkpoints are read in a second pass, and its input digested,
+// the journal held open for the job to resume on. It takes no lock.
+func (rc *recovery) load(m *Manager) {
+	rc.ran = true
+	var first, last journal.Record
+	w, err := journal.Open(m.baseCtx, rc.path, m.journalConfig(rc.id, rc.path), func(rec journal.Record) error {
 		if rec.Seq == 1 && rec.Type != journal.TypeStart {
 			return errNotJob
 		}
-		recs = append(recs, rec)
+		if rec.Seq == 1 || rec.Type == journal.TypeDone {
+			rec.Payload = bytes.Clone(rec.Payload)
+		} else {
+			rec.Payload = nil // a checkpoint: read again if the job resumes
+		}
+		if rec.Seq == 1 {
+			first = rec
+		}
+		last = rec
 		return nil
 	})
 	if errors.Is(err, errNotJob) || errors.Is(err, journal.ErrCorrupt) {
-		return "", nil
+		return
 	}
-	if err != nil {
-		return "", err
+	if rc.err = err; err != nil {
+		return
 	}
-	resumable := false
-	defer func() {
-		if !resumable {
-			w.Close()
-		}
-	}()
-	if len(recs) == 0 {
+	if rc.err = rc.decode(m, w, first, last); rc.err != nil || rc.w == nil {
+		w.Close()
+	}
+}
+
+// decode builds the job from a journal's first and last records, and for
+// an unterminated one reads its checkpoints and checks its input; it keeps
+// w only then.
+func (rc *recovery) decode(m *Manager, w *journal.Writer, first, last journal.Record) error {
+	if first.Seq == 0 {
 		// Nothing durable ever committed (the crash landed inside the very
 		// first append): there is no spec to resume, and nothing is lost.
-		return "", nil
+		return nil
 	}
 	var start startPayload
-	if err := recs[0].Decode(&start); err != nil {
-		return "", fmt.Errorf("decoding start record: %w", err)
+	if err := first.Decode(&start); err != nil {
+		return fmt.Errorf("decoding start record: %w", err)
 	}
-	if start.JobID != "" && start.JobID != id {
-		return "", fmt.Errorf("journal %s claims job id %s", id, start.JobID)
+	if start.JobID != "" && start.JobID != rc.id {
+		return fmt.Errorf("journal %s claims job id %s", rc.id, start.JobID)
 	}
-	j := &Job{ID: id, Spec: start.Spec, Created: start.Created, Recovered: true}
-
-	if last := recs[len(recs)-1]; last.Type == journal.TypeDone {
+	j := &Job{ID: rc.id, Spec: start.Spec, Created: start.Created, Recovered: true}
+	if last.Type == journal.TypeDone {
 		var done donePayload
 		if err := last.Decode(&done); err != nil {
-			return "", fmt.Errorf("decoding done record: %w", err)
+			return fmt.Errorf("decoding done record: %w", err)
 		}
 		j.State = done.State
 		j.Error = done.Error
 		j.Attempts = done.Attempts
 		j.Outcome = done.Outcome
-		m.mu.Lock()
-		m.jobs[id] = j
-		m.mu.Unlock()
-		return "", nil
+		rc.job = j
+		return nil
 	}
 
 	// Unterminated: the job was live when the process died. The open already
 	// truncated any torn tail; rebuild the committed progress.
-	for _, rec := range recs[1:] {
+	it, err := journal.RecordsIn(m.baseCtx, m.opts.FS, rc.path, journal.Cursor{})
+	if err != nil {
+		return err
+	}
+	defer it.Close()
+	for it.Next() {
+		rec := it.Record()
+		if rec.Seq == 1 {
+			continue
+		}
 		if rec.Type != journal.TypeIter {
-			return "", fmt.Errorf("unterminated journal holds a %q record", rec.Type)
+			return fmt.Errorf("unterminated journal holds a %q record", rec.Type)
 		}
 		var p iterPayload
 		if err := rec.Decode(&p); err != nil {
-			return "", fmt.Errorf("decoding iteration record: %w", err)
+			return fmt.Errorf("decoding iteration record: %w", err)
 		}
 		cp, err := decodeCheckpoint(p)
 		if err != nil {
-			return "", err
+			return err
 		}
 		j.resume = append(j.resume, cp)
 	}
-
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return "", fmt.Errorf("manager is closed")
+	if err := it.Err(); err != nil {
+		return err
 	}
-	m.jobs[id] = j
-	m.writers[id] = w
-	resumable = true
 
 	// The journal is the truth about the input it was recorded against; a
 	// dataset file that changed since would make every journaled decision
 	// meaningless. Permanent failure, not a retry.
-	digest, err := digestFile(m.opts.FS, start.Spec.Dataset)
-	if err != nil {
-		m.finishLocked(j, StateFailed, nil, fmt.Sprintf("input vanished during recovery: %v", err))
-		m.mu.Unlock()
-		return "", nil
+	if digest, err := digestFile(m.opts.FS, start.Spec.Dataset); err != nil {
+		rc.failed = fmt.Sprintf("input vanished during recovery: %v", err)
+	} else if digest != start.Digest {
+		rc.failed = fmt.Sprintf("input %s changed since submission (digest %.12s != %.12s)", start.Spec.Dataset, digest, start.Digest)
 	}
-	if digest != start.Digest {
-		m.finishLocked(j, StateFailed, nil, fmt.Sprintf("input %s changed since submission (digest %.12s != %.12s)", start.Spec.Dataset, digest, start.Digest))
+	rc.job, rc.w = j, w
+	return nil
+}
+
+// adopt registers a loaded job: a terminal one as it is, an unterminated one
+// with its journal, failed when its input cannot be trusted and otherwise
+// queued to resume, which it reports.
+func (m *Manager) adopt(rc *recovery) (queued bool, err error) {
+	j := rc.job
+	m.mu.Lock()
+	if rc.w == nil {
+		m.jobs[rc.id] = j
 		m.mu.Unlock()
-		return "", nil
+		return false, nil
+	}
+	if m.closed {
+		m.mu.Unlock()
+		rc.w.Close()
+		return false, fmt.Errorf("manager is closed")
+	}
+	m.jobs[rc.id] = j
+	m.writers[rc.id] = rc.w
+	if rc.failed != "" {
+		m.finishLocked(j, StateFailed, nil, rc.failed)
+		m.mu.Unlock()
+		return false, nil
 	}
 	j.State = StatePending
 	m.mu.Unlock()
 
 	select {
 	case m.queue <- j:
-		return id, nil
+		return true, nil
 	default:
 		m.mu.Lock()
 		m.finishLocked(j, StateFailed, nil, "recovery queue full")
 		m.mu.Unlock()
-		return "", nil
+		return false, nil
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
 
 	"vadasa/internal/faultfs"
 )
@@ -26,6 +27,12 @@ type Cursor struct {
 // recovery replaying a multi-gigabyte WAL holds one record in memory at a
 // time instead of the full decoded slice.
 //
+// Like bufio.Scanner, it hands out records that live in its read buffer:
+// a Record's Payload and a Line are valid until the next call to Next or
+// Close, and a caller that keeps one copies it. The 64 KiB buffer is
+// pooled, taken at open and given back by Close; only a line longer than
+// it is assembled in memory of its own.
+//
 // The usual loop:
 //
 //	it, err := journal.Records(ctx, path)
@@ -38,9 +45,10 @@ type Cursor struct {
 type Iterator struct {
 	ctx  context.Context
 	f    io.ReadCloser
-	br   *bufio.Reader
+	br   *bufio.Reader // nil once released
 	rec  Record
 	line []byte
+	long []byte // a line longer than br's buffer, assembled
 	err  error
 	want int   // next expected sequence number
 	off  int64 // byte offset just past the last valid record
@@ -76,8 +84,23 @@ func RecordsIn(ctx context.Context, fsys faultfs.FS, path string, from Cursor) (
 	return newIterator(ctx, f, from), nil
 }
 
+// readers holds the read buffers of released iterators.
+var readers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+
 func newIterator(ctx context.Context, f io.ReadCloser, from Cursor) *Iterator {
-	return &Iterator{ctx: ctx, f: f, br: bufio.NewReaderSize(f, 64<<10), want: max(from.Next, 1), off: from.Off}
+	br := readers.Get().(*bufio.Reader)
+	br.Reset(f)
+	return &Iterator{ctx: ctx, f: f, br: br, want: max(from.Next, 1), off: from.Off}
+}
+
+// release ends iteration and gives the read buffer back.
+func (it *Iterator) release() {
+	it.done = true
+	if it.br != nil {
+		it.br.Reset(nil)
+		readers.Put(it.br)
+		it.br = nil
+	}
 }
 
 // Next advances to the next committed record. It returns false at the end
@@ -92,7 +115,15 @@ func (it *Iterator) Next() bool {
 		it.done = true
 		return false
 	}
-	line, err := it.br.ReadBytes('\n')
+	line, err := it.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		it.long = append(it.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = it.br.ReadSlice('\n')
+			it.long = append(it.long, line...)
+		}
+		line = it.long
+	}
 	if err == io.EOF {
 		// A partial final line is a torn append that never committed — the
 		// standard repair rule discards it. This also covers a file
@@ -119,12 +150,13 @@ func (it *Iterator) Next() bool {
 	return true
 }
 
-// Record returns the record Next advanced to. Valid only after a true Next.
+// Record returns the record Next advanced to. Valid only after a true Next;
+// its Payload is valid until the next Next or Close.
 func (it *Iterator) Record() Record { return it.rec }
 
 // Line returns the framed bytes of the current record — CRC prefix and JSON,
 // newline stripped: what an OnAppend observer saw and what AppendFrames
-// accepts. Each record gets its own slice; the caller may keep it.
+// accepts. Valid until the next Next or Close.
 func (it *Iterator) Line() []byte { return it.line }
 
 // Err returns the first I/O or context error, nil on a clean end of the
@@ -145,5 +177,9 @@ func (it *Iterator) LastSeq() int { return it.want - 1 }
 // iterator opened later resumes.
 func (it *Iterator) Cursor() Cursor { return Cursor{Off: it.off, Next: it.want} }
 
-// Close releases the underlying file. Safe to call at any point.
-func (it *Iterator) Close() error { return it.f.Close() }
+// Close releases the underlying file and the read buffer. Safe to call at
+// any point.
+func (it *Iterator) Close() error {
+	it.release()
+	return it.f.Close()
+}

@@ -3,9 +3,11 @@ package journal
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -196,5 +198,89 @@ func TestOpenApplyErrorLeavesFileUntouched(t *testing.T) {
 	}
 	if string(before) != string(after) {
 		t.Fatal("aborted Open modified the journal")
+	}
+}
+
+// A record the iterator hands out lives in its read buffer until the next
+// one, so an apply that keeps a payload sees it overwritten by later lines,
+// while ReadFile and OpenAppend hand out records of their own. Lines are
+// shorter and longer than the 64 KiB buffer, one of them by far.
+func TestRecordLifetime(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "life.wal")
+	w, err := CreateWith(path, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]byte
+	for i := 0; i < 300; i++ {
+		n := 900
+		switch i {
+		case 40:
+			n = 150 << 10
+		case 41, 200:
+			n = 70 << 10
+		}
+		payload := map[string]any{"i": i, "pad": strings.Repeat(string(rune('a'+i%26)), n)}
+		b, err := json.Marshal(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(TypeIter, payload); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, b)
+	}
+	w.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	it, err := Records(context.Background(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for start := int64(0); it.Next(); start = it.Valid() {
+		if !bytes.Equal(it.Line(), data[start:it.Valid()-1]) || !bytes.Equal(it.Record().Payload, want[it.LastSeq()-1]) {
+			t.Fatalf("record %d: line or payload differs from the file", it.LastSeq())
+		}
+	}
+	if it.Close(); it.Err() != nil || it.LastSeq() != len(want) || it.Torn() {
+		t.Fatalf("scan: %d records, torn %v, %v", it.LastSeq(), it.Torn(), it.Err())
+	}
+
+	var kept []byte
+	w, err = Open(context.Background(), path, Config{}, func(r Record) error {
+		if r.Seq == 1 {
+			kept = r.Payload
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if bytes.Equal(kept, want[0]) {
+		t.Fatal("a payload kept past its record is intact: the iterator did not reuse its buffer")
+	}
+
+	scan, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, recs, err := OpenAppend(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	for name, got := range map[string][]Record{"ReadFile": scan.Records, "OpenAppend": recs} {
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d records, want %d", name, len(got), len(want))
+		}
+		for i, rec := range got {
+			if !bytes.Equal(rec.Payload, want[i]) {
+				t.Fatalf("%s: record %d changed after later lines were read", name, i+1)
+			}
+		}
 	}
 }

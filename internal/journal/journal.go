@@ -77,7 +77,8 @@ type Record struct {
 	// never depends on it.
 	Time time.Time `json:"time"`
 	// Payload is the caller's record body. A parsed record's payload is a
-	// slice of its line (Iterator.Line, or the frame given to AppendFrames).
+	// slice of its line (Iterator.Line, or the frame given to AppendFrames),
+	// so it lives as long as the line does.
 	Payload json.RawMessage `json:"payload,omitempty"`
 }
 
@@ -180,11 +181,12 @@ func CreateWith(path string, cfg Config) (*Writer, error) {
 
 // Open is the one recover-and-reopen: it streams every committed record of
 // the journal at path through apply (nil to skip), truncates a torn tail,
-// and returns a writer positioned after the last committed record. A fresh
-// journal (package doc, rule 3 — created here if the file is missing) comes
-// back at Seq() == 0 without apply having run. An error from apply, or a
-// first line that is complete but invalid, aborts the open with the file's
-// bytes untouched.
+// and returns a writer positioned after the last committed record. A record
+// handed to apply is the Iterator's: its Payload is valid until apply
+// returns. A fresh journal (package doc, rule 3 — created here if the file
+// is missing) comes back at Seq() == 0 without apply having run. An error
+// from apply, or a first line that is complete but invalid, aborts the open
+// with the file's bytes untouched.
 func Open(ctx context.Context, path string, cfg Config, apply func(Record) error) (*Writer, error) {
 	cfg = cfg.withDefaults()
 	f, err := cfg.FS.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
@@ -192,6 +194,7 @@ func Open(ctx context.Context, path string, cfg Config, apply func(Record) error
 		return nil, fmt.Errorf("journal: open: %w", err)
 	}
 	it := newIterator(ctx, f, Cursor{})
+	defer it.release() // f is the writer's
 	for it.Next() {
 		if apply == nil {
 			continue
@@ -233,6 +236,7 @@ func Open(ctx context.Context, path string, cfg Config, apply func(Record) error
 func OpenAppend(path string) (*Writer, []Record, error) {
 	var recs []Record
 	w, err := Open(context.TODO(), path, Config{}, func(r Record) error {
+		r.Payload = bytes.Clone(r.Payload)
 		recs = append(recs, r)
 		return nil
 	})
@@ -417,7 +421,9 @@ func ReadFileIn(fsys faultfs.FS, path string) (*Scan, error) {
 	defer it.Close()
 	scan := &Scan{}
 	for it.Next() {
-		scan.Records = append(scan.Records, it.Record())
+		rec := it.Record()
+		rec.Payload = bytes.Clone(rec.Payload)
+		scan.Records = append(scan.Records, rec)
 	}
 	scan.Valid, scan.Torn = it.Valid(), it.Torn()
 	return scan, it.Err()

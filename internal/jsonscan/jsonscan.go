@@ -1,5 +1,5 @@
-// Package jsonscan is the tree's one JSON grammar check: a recursive descent
-// over RFC 8259 as encoding/json reads it — invalid UTF-8 in a string is
+// Package jsonscan is the tree's one JSON grammar check: a scan over
+// RFC 8259 as encoding/json reads it — invalid UTF-8 in a string is
 // accepted, a control byte is not, at most MaxDepth arrays and objects are
 // open at once — so Valid accepts exactly what json.Valid does. A Scanner
 // reports where a value ends and can hand each member of an object to a
@@ -42,40 +42,91 @@ type Scanner struct {
 // At reports whether B[I] is c.
 func (s *Scanner) At(c byte) bool { return s.I < len(s.B) && s.B[s.I] == c }
 
-// Value scans one JSON value.
+// Value scans one JSON value. Nested arrays and objects are walked in one
+// loop, the closing byte of each container open inside the value on a
+// stack, so a deep value costs no call per level.
 func (s *Scanner) Value() bool {
-	if s.I == len(s.B) {
-		return false
+	var buf [64]byte
+	open := buf[:0]
+	b, i := s.B, s.I
+	for {
+		// b[i] starts a value.
+		if i == len(b) {
+			return false
+		}
+		switch c := b[i]; c {
+		case '{', '[':
+			if s.Depth+len(open) >= MaxDepth {
+				return false
+			}
+			closing := c + 2 // ']' and '}' follow their openers by two in ASCII
+			if i = SkipSpace(b, i+1); i < len(b) && b[i] == closing {
+				i++
+				break
+			}
+			open = append(open, closing)
+			if closing == '}' {
+				if _, i = key(b, i); i < 0 {
+					return false
+				}
+			}
+			continue
+		case '"':
+			i = str(b, i)
+		case 't':
+			i = literal(b, i, "true")
+		case 'f':
+			i = literal(b, i, "false")
+		case 'n':
+			i = literal(b, i, "null")
+		default:
+			i = number(b, i)
+		}
+		if i < 0 {
+			return false
+		}
+		// A value ends at b[i]: close the containers it ends, then go on to
+		// the next element, or end the walk.
+		for {
+			if len(open) == 0 {
+				s.I = i
+				return true
+			}
+			if i = SkipSpace(b, i); i == len(b) {
+				return false
+			}
+			closing := open[len(open)-1]
+			if b[i] == closing {
+				i, open = i+1, open[:len(open)-1]
+				continue
+			}
+			if b[i] != ',' {
+				return false
+			}
+			if i = SkipSpace(b, i+1); closing == '}' {
+				if _, i = key(b, i); i < 0 {
+					return false
+				}
+			}
+			break
+		}
 	}
-	switch s.B[s.I] {
-	case '"':
-		return s.str()
-	case '{', '[':
-		return s.Container(nil)
-	case 't':
-		return s.Literal("true")
-	case 'f':
-		return s.Literal("false")
-	case 'n':
-		return s.Literal("null")
-	}
-	return s.number()
 }
 
-// Container scans the array or object opening at B[I]. Each member of an
-// object goes to member, when not nil, with the quoted key, the offset the
-// key starts at and the scan at the member's value, which member must scan;
-// every other value is scanned with Value.
-func (s *Scanner) Container(member func(key []byte, from int) bool) bool {
-	closing := byte(']')
-	if s.B[s.I] == '{' {
-		closing = '}'
-	}
+// Object scans the object opening at B[I], handing each member to member
+// with the quoted key, the offset the key starts at and the scan at the
+// member's value, which member must scan.
+func (s *Scanner) Object(member func(key []byte, from int) bool) bool {
 	if s.I, s.Depth = SkipSpace(s.B, s.I+1), s.Depth+1; s.Depth > MaxDepth {
 		return false
 	}
-	for more := !s.At(closing); more; {
-		if closing == ']' && !s.Value() || closing == '}' && !s.member(member) {
+	for more := !s.At('}'); more; {
+		from := s.I
+		end, at := key(s.B, from)
+		if at < 0 {
+			return false
+		}
+		if s.I = at; !member(s.B[from:end], from) {
 			return false
 		}
 		if s.I = SkipSpace(s.B, s.I); s.At(',') {
@@ -84,51 +135,49 @@ func (s *Scanner) Container(member func(key []byte, from int) bool) bool {
 			more = false
 		}
 	}
-	if !s.At(closing) {
+	if !s.At('}') {
 		return false
 	}
 	s.I, s.Depth = s.I+1, s.Depth-1
 	return true
 }
 
-// member scans one member of an object: key, colon and value.
-func (s *Scanner) member(hook func(key []byte, from int) bool) bool {
-	from := s.I
-	if !s.At('"') || !s.str() {
-		return false
+// key scans an object member's key and colon from b[i]. It returns the
+// index just past the key and the index of the member's value, at < 0 when
+// they are not well formed.
+func key(b []byte, i int) (end, at int) {
+	if i == len(b) || b[i] != '"' {
+		return 0, -1
 	}
-	key := s.B[from:s.I]
-	if s.I = SkipSpace(s.B, s.I); !s.At(':') {
-		return false
+	if end = str(b, i); end < 0 {
+		return 0, -1
 	}
-	s.I = SkipSpace(s.B, s.I+1)
-	if hook == nil {
-		return s.Value()
+	if i = SkipSpace(b, end); i == len(b) || b[i] != ':' {
+		return 0, -1
 	}
-	return hook(key, from)
+	return end, SkipSpace(b, i+1)
 }
 
-// str scans a string.
-func (s *Scanner) str() bool {
-	b := s.B
-	for i := s.I + 1; i < len(b); i++ {
+// str returns the index just past the string that opens at b[i], or -1 when
+// it is not well formed.
+func str(b []byte, i int) int {
+	for i++; i < len(b); i++ {
 		switch c := b[i]; {
 		case c == '"':
-			s.I = i + 1
-			return true
+			return i + 1
 		case c < ' ':
-			return false
+			return -1
 		case c == '\\':
 			if i++; i < len(b) && strings.IndexByte(`"\/bfnrt`, b[i]) >= 0 {
 				continue
 			}
 			if len(b)-i < 5 || b[i] != 'u' || !isHex(b[i+1]) || !isHex(b[i+2]) || !isHex(b[i+3]) || !isHex(b[i+4]) {
-				return false
+				return -1
 			}
 			i += 4
 		}
 	}
-	return false
+	return -1
 }
 
 // String scans the string that opens at b[i] and returns the index just past
@@ -149,12 +198,14 @@ func String(b []byte, i int) (end int, ok, plain bool) {
 // stringRest is String for what its first pass stops at: an escape, a
 // control byte, a byte outside ASCII, or no string at all.
 func stringRest(b []byte, i int) (end int, ok, plain bool) {
-	s := Scanner{B: b, I: i}
-	if !s.At('"') || !s.str() {
+	if i == len(b) || b[i] != '"' {
 		return 0, false, false
 	}
-	body := b[i+1 : s.I-1]
-	return s.I, true, bytes.IndexByte(body, '\\') < 0 && utf8.Valid(body)
+	if end = str(b, i); end < 0 {
+		return 0, false, false
+	}
+	body := b[i+1 : end-1]
+	return end, true, bytes.IndexByte(body, '\\') < 0 && utf8.Valid(body)
 }
 
 // Unquote returns the value of the string that opens at b[i] and the index
@@ -172,19 +223,21 @@ func Unquote(b []byte, i int) (v string, end int, ok bool) {
 	return v, end, ok
 }
 
-func (s *Scanner) number() bool {
-	b, i, ok := s.B, s.I, true
+// number returns the index just past the number that starts at b[i], or -1
+// when none does.
+func number(b []byte, i int) int {
+	ok := true
 	if i < len(b) && b[i] == '-' {
 		i++
 	}
 	if i < len(b) && b[i] == '0' {
 		i++
 	} else if i, ok = digits(b, i); !ok {
-		return false
+		return -1
 	}
 	if i < len(b) && b[i] == '.' {
 		if i, ok = digits(b, i+1); !ok {
-			return false
+			return -1
 		}
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
@@ -192,26 +245,24 @@ func (s *Scanner) number() bool {
 			i++
 		}
 		if i, ok = digits(b, i); !ok {
-			return false
+			return -1
 		}
 	}
-	s.I = i
-	return true
+	return i
 }
 
-// Literal scans the bytes of lit.
-func (s *Scanner) Literal(lit string) bool {
-	if len(s.B)-s.I < len(lit) || string(s.B[s.I:s.I+len(lit)]) != lit {
-		return false
+// literal returns the index just past lit when b[i:] starts with it, or -1.
+func literal(b []byte, i int, lit string) int {
+	if len(b)-i < len(lit) || string(b[i:i+len(lit)]) != lit {
+		return -1
 	}
-	s.I += len(lit)
-	return true
+	return i + len(lit)
 }
 
 // SkipSpace returns the index of the first byte at or after b[i] that is not
 // JSON whitespace.
 func SkipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
+	for i < len(b) && b[i] <= ' ' && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
 		i++
 	}
 	return i

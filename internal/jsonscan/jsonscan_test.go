@@ -2,6 +2,7 @@ package jsonscan
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -32,6 +33,10 @@ var validCorpus = []string{
 	strings.Repeat(`{"a":`, MaxDepth) + "1" + strings.Repeat("}", MaxDepth),
 	strings.Repeat(`{"a":`, MaxDepth+1) + "1" + strings.Repeat("}", MaxDepth+1),
 	strings.Repeat("[", MaxDepth+1),
+	nested(MaxDepth, false), nested(MaxDepth+1, false), nested(MaxDepth, true), nested(MaxDepth+1, true),
+	"[" + nested(MaxDepth-1, false) + "]", "[" + nested(MaxDepth, false) + "]",
+	`{"b":` + nested(MaxDepth-1, true) + "}", `{"b":` + nested(MaxDepth, true) + "}",
+	strings.Repeat(`[{"a":`, MaxDepth/2) + "[]" + strings.Repeat("}]", MaxDepth/2),
 	`"\u003c\u003e\u0026"`, `"\u2028"`, "\"\u2028\"", `"⊥3"`, `"*"`, "\"\xed\xa0\x80\"", "\"\xef\xbf\xbd\"", "\"\xf4\x90\x80\x80\"",
 }
 
@@ -66,9 +71,19 @@ func FuzzValid(f *testing.F) {
 	})
 }
 
+// nested is n arrays (or n objects, each the value of member "a") around 1.
+func nested(n int, object bool) string {
+	if object {
+		return strings.Repeat(`{"a":`, n) + "1" + strings.Repeat("}", n)
+	}
+	return strings.Repeat("[", n) + "1" + strings.Repeat("]", n)
+}
+
 // TestScannerDepthCountsEnclosingContainers: a scan that starts inside a
 // document starts at its depth, so the cap is the document's, not the
-// value's.
+// value's. A value n deep scanned at depth d is held to json.Valid of the
+// same value inside d arrays, at and around the cap, for arrays, objects and
+// both alternating.
 func TestScannerDepthCountsEnclosingContainers(t *testing.T) {
 	value := []byte(strings.Repeat("[", MaxDepth-1) + strings.Repeat("]", MaxDepth-1))
 	for depth, want := range map[int]bool{0: true, 1: true, 2: false} {
@@ -76,5 +91,38 @@ func TestScannerDepthCountsEnclosingContainers(t *testing.T) {
 		if got := s.Value() && s.I == len(value); got != want {
 			t.Errorf("%d arrays inside %d containers: %v, want %v", MaxDepth-1, depth, got, want)
 		}
+	}
+	mixed := func(n int) string {
+		return strings.Repeat(`[{"a":`, n/2) + strings.Repeat("[", n%2) + "1" + strings.Repeat("]", n%2) + strings.Repeat("}]", n/2)
+	}
+	for _, n := range []int{MaxDepth - 1, MaxDepth, MaxDepth + 1} {
+		for kind, value := range map[string]string{"arrays": nested(n, false), "objects": nested(n, true), "mixed": mixed(n)} {
+			for _, depth := range []int{0, 1} {
+				doc := strings.Repeat("[", depth) + value + strings.Repeat("]", depth)
+				s := Scanner{B: []byte(value), Depth: depth}
+				if got, want := s.Value() && s.I == len(value), json.Valid([]byte(doc)); got != want {
+					t.Errorf("%d %s at depth %d: %v, json.Valid says %v", n, kind, depth, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestObjectHandsMembersToHook: Object hands each member its quoted key, the
+// offset the key starts at and the scan at the value, through any spacing.
+func TestObjectHandsMembersToHook(t *testing.T) {
+	doc := []byte(` { "a" : 1 , "b\"c":[2, {"d":3}] } `)
+	s := Scanner{B: doc, I: 1}
+	var got []string
+	ok := s.Object(func(key []byte, from int) bool {
+		start := s.I
+		if !s.Value() || string(doc[from:from+len(key)]) != string(key) {
+			return false
+		}
+		got = append(got, string(key)+"="+string(doc[start:s.I]))
+		return true
+	})
+	if want := `["a"=1 "b\"c"=[2, {"d":3}]]`; !ok || s.I != len(doc)-1 || s.Depth != 0 || fmt.Sprint(got) != want {
+		t.Fatalf("Object: %v at %d depth %d, members %v; want %s", ok, s.I, s.Depth, got, want)
 	}
 }

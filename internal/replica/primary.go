@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -500,7 +501,7 @@ func readFrames(fs faultfs.FS, path, log string, cur journal.Cursor, from, maxSe
 			return frames, journal.Cursor{}, it.Err()
 		}
 		if seq := it.LastSeq(); seq >= from {
-			frames = append(frames, Frame{Log: log, Seq: seq, Line: it.Line()})
+			frames = append(frames, Frame{Log: log, Seq: seq, Line: bytes.Clone(it.Line())})
 		}
 	}
 	return frames, it.Cursor(), nil
