@@ -145,12 +145,14 @@ soak:
 # replchaos runs the replication fault suite under the race detector:
 # primary SIGKILL between intent and publish followed by a fenced promotion,
 # torn/duplicated ship frames, divergence detection, demoted-primary
-# rejection, and the HTTP failover path. The same tests gate inside `make
-# check`; this target reruns them verbosely, the raw stream landing in
-# replchaos.out for the CI artifact.
+# rejection, the HTTP failover path, and the recoveries whose journals load
+# concurrently (standby mirrors, streams under a memory budget), at one and
+# at four workers. The same tests gate inside `make check`; this target
+# reruns them verbosely, the raw stream landing in replchaos.out for the CI
+# artifact.
 replchaos:
-	$(GO) test -race -count=1 -v \
-		-run 'Repl|Failover|Promote|Fenc|Ship|Standby|Sync|Diverg|Epoch' \
+	$(GO) test -race -count=1 -cpu 1,4 -v \
+		-run 'Repl|Failover|Promote|Fenc|Ship|Standby|Sync|Diverg|Epoch|Recover' \
 		./internal/replica/ ./cmd/vadasad/ > replchaos.out 2>&1 || { cat replchaos.out; exit 1; }
 	cat replchaos.out
 

@@ -227,7 +227,7 @@ func chaosTornJournalKilledWorker(t *testing.T, params string, measure vadasa.Ri
 		t.Fatal(err)
 	}
 	f.Close()
-	scan, err := journal.ReadFileIn(faulty, jpath)
+	scan, err := readJournal(faulty, jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func chaosTornJournalKilledWorker(t *testing.T, params string, measure vadasa.Ri
 	}
 
 	// The torn tail must be repaired and the journal terminal.
-	scan, err = journal.ReadFileIn(faulty, jpath)
+	scan, err = readJournal(faulty, jpath)
 	if err != nil {
 		t.Fatal(err)
 	}

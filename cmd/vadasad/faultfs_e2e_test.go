@@ -75,7 +75,7 @@ func TestJobPausedByDiskPressureResumesBitIdentical(t *testing.T) {
 	// The journal holds the committed prefix only — no torn tail, no
 	// terminal record — exactly what a crash recovery would also accept.
 	jpath := filepath.Join(dir, id+".journal")
-	scan, err := journal.ReadFileIn(faulty, jpath)
+	scan, err := readJournal(faulty, jpath)
 	if err != nil {
 		t.Fatal(err)
 	}

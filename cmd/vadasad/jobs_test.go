@@ -6,6 +6,7 @@ package main
 // the job with the typed error visible in the status endpoint.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -226,7 +227,7 @@ func TestJobCrashRecoveryIdenticalToUninterruptedRun(t *testing.T) {
 	s1.jobs().Close() // simulated crash: no terminal record may be written
 
 	jpath := filepath.Join(dir, id+".journal")
-	scan, err := journal.ReadFile(jpath)
+	scan, err := readJournal(nil, jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +286,7 @@ func TestJobCrashRecoveryIdenticalToUninterruptedRun(t *testing.T) {
 
 	// The journal must now be terminal, with the total iteration count split
 	// across the two processes — no re-journaled duplicates.
-	scan, err = journal.ReadFile(jpath)
+	scan, err = readJournal(nil, jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,4 +520,37 @@ func TestAssessTooManyAttributes422(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), "at most 30 attributes") {
 		t.Fatalf("body = %s, want the attribute-limit error", rec.Body)
 	}
+}
+
+// journalScan is a journal read whole, for assertions: its committed records
+// and whether bytes follow them.
+type journalScan struct {
+	Records []journal.Record
+	Torn    bool
+}
+
+// Last returns the final committed record, or a zero Record if none.
+func (s *journalScan) Last() journal.Record {
+	if len(s.Records) == 0 {
+		return journal.Record{}
+	}
+	return s.Records[len(s.Records)-1]
+}
+
+// readJournal collects the journal's iterator over the file at path, read
+// through fsys (nil: the real filesystem).
+func readJournal(fsys faultfs.FS, path string) (*journalScan, error) {
+	it, err := journal.RecordsIn(context.Background(), fsys, path, journal.Cursor{})
+	if err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	scan := &journalScan{}
+	for it.Next() {
+		rec := it.Record()
+		rec.Payload = bytes.Clone(rec.Payload)
+		scan.Records = append(scan.Records, rec)
+	}
+	scan.Torn = it.Torn()
+	return scan, it.Err()
 }

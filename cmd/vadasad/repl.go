@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"strconv"
 
-	"vadasa/internal/faultfs"
 	"vadasa/internal/replica"
 	"vadasa/internal/stream"
 )
@@ -88,11 +87,11 @@ func (s *server) openReplication() error {
 		roots["jobs"] = replica.Root{Dir: cfg.jobDir, Ext: ".journal"}
 	}
 	s.repl.standby, err = replica.NewStandby(replica.StandbyOptions{
-		Node:         node,
-		Roots:        roots,
-		OpenFollower: s.openFollower,
-		FollowRoot:   "stream",
-		Logf:         s.logf,
+		Node:            node,
+		Roots:           roots,
+		FollowerOptions: s.streamOptions,
+		FollowRoot:      "stream",
+		Logf:            s.logf,
 	})
 	if err != nil {
 		return fmt.Errorf("replication: %w", err)
@@ -151,21 +150,6 @@ func (s *server) replJobHook() func(id, path string) func(seq int, line []byte) 
 	return func(id, path string) func(seq int, line []byte) error {
 		return s.repl.primary.Hook("jobs/"+id, path)
 	}
-}
-
-// openFollower builds one of the standby's replay views: the stream Options
-// are rebuilt from the mirrored WAL's own create record, the same
-// reconstruction startup recovery uses.
-func (s *server) openFollower(ctx context.Context, id, path string) (*stream.Follower, error) {
-	info, err := stream.Peek(ctx, faultfs.OS, path)
-	if err != nil {
-		return nil, err
-	}
-	opts, err := s.streamOptions(info)
-	if err != nil {
-		return nil, err
-	}
-	return stream.OpenFollower(ctx, info.ID, path, opts)
 }
 
 // handleReplShip is the receiver half of the shipping protocol: the

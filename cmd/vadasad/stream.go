@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"encoding/csv"
 	"encoding/json"
@@ -16,8 +15,8 @@ import (
 
 	"vadasa"
 	"vadasa/internal/faultfs"
+	"vadasa/internal/journal"
 	"vadasa/internal/mdb"
-	"vadasa/internal/pool"
 	"vadasa/internal/risk"
 	"vadasa/internal/stream"
 )
@@ -51,52 +50,44 @@ type streamMeta struct {
 // A stream whose WAL cannot be recovered is logged and skipped — one corrupt
 // journal must not take down the streams that replay cleanly — and its id
 // stays free of the registry so appends to it fail loudly rather than
-// silently starting a fresh window over the broken journal. Headers are read
-// one after the other, the journals replay at once (replay, linear in a
-// journal's length, is nearly all of a recovery), and streams are registered
-// and failures logged in path order.
+// silently starting a fresh window over the broken journal. The journals
+// replay at once, and streams are registered and failures logged in path
+// order (journal.RecoverDir).
 func (r *streamRegistry) recover(ctx context.Context) error {
 	dir := r.srv.cfg.streamDir
-	paths, err := filepath.Glob(filepath.Join(dir, "*.wal"))
-	if err != nil {
-		return fmt.Errorf("recovering streams: %w", err)
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	type recovery struct {
-		info   *stream.Info
-		opts   stream.Options
-		s      *stream.Stream
-		failed string // what the log says went wrong, when s is nil
-		err    error
+		path string
+		s    *stream.Stream
 	}
-	recs := make([]recovery, len(paths))
-	for i, path := range paths {
-		rc := &recs[i]
-		if rc.info, rc.err = stream.Peek(ctx, faultfs.OS, path); rc.err != nil {
-			rc.failed = "unreadable journal header, skipping"
-		} else if rc.opts, rc.err = r.srv.streamOptions(rc.info); rc.err != nil {
-			rc.failed = "rebuilding options"
-		} else {
-			rc.failed = "recovery failed, skipping"
-			r.srv.applyReplStream(rc.info.ID, path, &rc.opts)
-		}
-	}
-	// Each open writes only its own slot. A slot ctx kept from opening stays
-	// empty, and ForEach reports ctx's error.
-	notRun := pool.ForEach(ctx, 0, len(recs), func(i int) error {
-		if rc := &recs[i]; rc.err == nil {
-			rc.s, rc.err = stream.Open(ctx, rc.info.ID, paths[i], rc.opts)
-		}
-		return nil
-	})
-	for i, rc := range recs {
-		if rc.s == nil {
-			r.srv.logf("vadasad: stream %s: %s: %v", strings.TrimSuffix(filepath.Base(paths[i]), ".wal"), rc.failed, cmp.Or(rc.err, notRun))
-			continue
-		}
-		r.srv.registerReplStream(rc.s, paths[i])
-		r.streams[rc.info.ID] = rc.s
+	err := journal.RecoverDir(ctx, faultfs.OS, filepath.Join(dir, "*.wal"),
+		func(path string) *recovery { return &recovery{path: path} },
+		func(rc *recovery) error {
+			info, err := stream.Peek(ctx, faultfs.OS, rc.path)
+			if err != nil {
+				return fmt.Errorf("unreadable journal header, skipping: %w", err)
+			}
+			opts, err := r.srv.streamOptions(info)
+			if err != nil {
+				return fmt.Errorf("rebuilding options: %w", err)
+			}
+			r.srv.applyReplStream(info.ID, rc.path, &opts)
+			if rc.s, err = stream.Open(ctx, info.ID, rc.path, opts); err != nil {
+				return fmt.Errorf("recovery failed, skipping: %w", err)
+			}
+			return nil
+		},
+		func(rc *recovery, err error) {
+			if err != nil {
+				r.srv.logf("vadasad: stream %s: %v", strings.TrimSuffix(filepath.Base(rc.path), ".wal"), err)
+				return
+			}
+			r.srv.registerReplStream(rc.s, rc.path)
+			r.streams[rc.s.ID()] = rc.s
+		})
+	if err != nil {
+		return fmt.Errorf("recovering streams: %w", err)
 	}
 	if len(r.streams) > 0 {
 		r.srv.logf("vadasad: recovered %d stream(s) from %s", len(r.streams), dir)

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -539,5 +541,97 @@ func TestStreamRecoveryConcurrentHTTP(t *testing.T) {
 	}
 	if rec := do(t, h, "POST", appendURL("s4", "b1"), streamCSV(0, 2)); rec.Code != http.StatusCreated {
 		t.Fatalf("append to the cut journal's id = %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// Recovery under a -mem-budget that fits some recovered windows but not all
+// is first-come (DESIGN.md §13.4): which streams open depends on timing. Yet
+// every stream refused is logged and left unregistered with its WAL as it
+// was, every stream registered is whole, and a refused stream keeps none
+// of the budget, even the batches it had replayed before the refusal.
+func TestStreamRecoverUnderBudgetIsFirstCome(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			dir := t.TempDir()
+			srv1 := streamTestServer(t, dir, 0)
+			ids := []string{"s1", "s2", "s3", "s4", "s5", "s6"}
+			for _, id := range ids {
+				for b := 0; b < 2; b++ {
+					if rec := do(t, srv1.handler, "POST", appendURL(id, fmt.Sprintf("b%d", b)), streamCSV(4*b, 4)); rec.Code >= 300 {
+						t.Fatalf("append to %s = %d: %s", id, rec.Code, rec.Body)
+					}
+				}
+				if rec := do(t, srv1.handler, "GET", "/stream/"+id+"/release", ""); rec.Code != http.StatusOK {
+					t.Fatalf("release of %s = %d: %s", id, rec.Code, rec.Body)
+				}
+			}
+			srv1.Close()
+
+			// What one window charges, from a recovery the budget does not
+			// bind: the six windows are alike.
+			cfg := testConfig(t)
+			cfg.streamDir, cfg.memBudget = dir, 1<<40
+			unbound := startServer(t, cfg)
+			window := unbound.govern.Used() / int64(len(ids))
+			unbound.Close()
+			wals := map[string][]byte{}
+			for _, id := range ids {
+				b, err := os.ReadFile(filepath.Join(dir, id+".wal"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				wals[id] = b
+			}
+
+			var mu sync.Mutex
+			var lines []string
+			cfg.memBudget = 3*window + window/2
+			cfg.logf = func(format string, args ...any) {
+				mu.Lock()
+				defer mu.Unlock()
+				lines = append(lines, fmt.Sprintf(format, args...))
+			}
+			srv := startServer(t, cfg)
+			registered := listStreams(t, srv.handler)
+			if len(registered) == 0 || len(registered) > 3 {
+				t.Fatalf("registered %v under a budget of three and a half windows", registered)
+			}
+			if used := srv.govern.Used(); used != int64(len(registered))*window {
+				t.Fatalf("%d streams registered hold %d bytes of the budget, want %d", len(registered), used, int64(len(registered))*window)
+			}
+			mu.Lock()
+			logged := slices.Clone(lines)
+			mu.Unlock()
+			refused := 0
+			for _, id := range ids {
+				if slices.Contains(registered, id) {
+					var st struct {
+						Rows     int `json:"rows"`
+						Releases int `json:"releases"`
+					}
+					decodeBody(t, do(t, srv.handler, "GET", "/stream/"+id+"/status", "").Body.Bytes(), &st)
+					if st.Rows != 8 || st.Releases != 1 {
+						t.Fatalf("recovered %s: %+v", id, st)
+					}
+					continue
+				}
+				refused++
+				if !slices.ContainsFunc(logged, func(l string) bool {
+					return strings.HasPrefix(l, "vadasad: stream "+id+": recovery failed, skipping: ")
+				}) {
+					t.Fatalf("refused stream %s not logged: %q", id, logged)
+				}
+				if srv.streams().get(id) != nil {
+					t.Fatalf("refused stream %s is registered", id)
+				}
+				if after, err := os.ReadFile(filepath.Join(dir, id+".wal")); err != nil || !bytes.Equal(after, wals[id]) {
+					t.Fatalf("the WAL of refused stream %s changed (%v)", id, err)
+				}
+			}
+			if n := len(slices.DeleteFunc(logged, func(l string) bool { return !strings.Contains(l, "recovery failed, skipping") })); n != refused {
+				t.Fatalf("%d recovery failures logged for %d refused streams", n, refused)
+			}
+		})
 	}
 }

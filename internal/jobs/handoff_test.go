@@ -21,7 +21,6 @@ import (
 	"weak"
 
 	"vadasa/internal/anon"
-	"vadasa/internal/journal"
 	"vadasa/internal/mdb"
 	"vadasa/internal/risk"
 )
@@ -285,7 +284,7 @@ func TestInputIsNeverJournaled(t *testing.T) {
 	}
 	got := waitState(t, m, j.ID, StateDone)
 
-	scan, err := journal.ReadFile(filepath.Join(opts.Dir, j.ID+".journal"))
+	scan, err := readJournal(nil, filepath.Join(opts.Dir, j.ID+".journal"))
 	if err != nil {
 		t.Fatal(err)
 	}

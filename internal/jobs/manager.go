@@ -18,7 +18,6 @@ import (
 	"vadasa/internal/govern"
 	"vadasa/internal/journal"
 	"vadasa/internal/mdb"
-	"vadasa/internal/pool"
 	"vadasa/internal/risk"
 )
 
@@ -321,44 +320,35 @@ func (m *Manager) Cancel(id string) error {
 // of the skipped journals joined.
 //
 // The journals are loaded at once, outside the manager's lock; jobs are then
-// registered, settled and queued, and errors joined, in path order.
+// registered, settled and queued, and errors joined, in path order
+// (journal.RecoverDir).
 func (m *Manager) Recover() ([]string, error) {
-	paths, err := m.opts.FS.Glob(filepath.Join(m.opts.Dir, "*.journal"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(paths)
-	loads := make([]recovery, 0, len(paths))
-	m.mu.Lock()
-	for _, path := range paths {
-		id := strings.TrimSuffix(filepath.Base(path), ".journal")
-		if _, known := m.jobs[id]; !known && !m.claimed[id] {
-			loads = append(loads, recovery{id: id, path: path})
-		}
-	}
-	m.mu.Unlock()
-	// Each load writes only its own slot. A slot the ended context kept from
-	// loading stays unloaded, and ForEach reports the context's error.
-	notRun := pool.ForEach(m.baseCtx, 0, len(loads), func(i int) error {
-		loads[i].load(m)
-		return nil
-	})
 	var resumed []string
 	var errs []error
-	for i := range loads {
-		rc := &loads[i]
-		err, queued := rc.err, false
-		if !rc.ran {
-			err = notRun
-		}
-		if err == nil && rc.job != nil {
-			queued, err = m.adopt(rc)
-		}
-		if err != nil {
-			errs = append(errs, fmt.Errorf("jobs: recovering %s: %w", filepath.Base(rc.path), err))
-		} else if queued {
-			resumed = append(resumed, rc.id)
-		}
+	err := journal.RecoverDir(m.baseCtx, m.opts.FS, filepath.Join(m.opts.Dir, "*.journal"),
+		func(path string) *recovery {
+			id := strings.TrimSuffix(filepath.Base(path), ".journal")
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			if _, known := m.jobs[id]; known || m.claimed[id] {
+				return nil
+			}
+			return &recovery{id: id, path: path}
+		},
+		func(rc *recovery) error { return rc.load(m) },
+		func(rc *recovery, err error) {
+			queued := false
+			if err == nil && rc.job != nil {
+				queued, err = m.adopt(rc)
+			}
+			if err != nil {
+				errs = append(errs, fmt.Errorf("jobs: recovering %s: %w", filepath.Base(rc.path), err))
+			} else if queued {
+				resumed = append(resumed, rc.id)
+			}
+		})
+	if err != nil {
+		return nil, err
 	}
 	return resumed, errors.Join(errs...)
 }
@@ -372,8 +362,6 @@ var errNotJob = errors.New("jobs: not a job journal")
 // recovery is one journal Recover loads.
 type recovery struct {
 	id, path string
-	ran      bool
-	err      error
 	// job is the recovered job, nil when the journal holds none (a fresh
 	// journal, or one that is not a job's).
 	job *Job
@@ -387,8 +375,7 @@ type recovery struct {
 // and last records: a terminal job needs nothing else. An unterminated
 // journal's checkpoints are read in a second pass, and its input digested,
 // the journal held open for the job to resume on. It takes no lock.
-func (rc *recovery) load(m *Manager) {
-	rc.ran = true
+func (rc *recovery) load(m *Manager) error {
 	var first, last journal.Record
 	w, err := journal.Open(m.baseCtx, rc.path, m.journalConfig(rc.id, rc.path), func(rec journal.Record) error {
 		if rec.Seq == 1 && rec.Type != journal.TypeStart {
@@ -406,14 +393,15 @@ func (rc *recovery) load(m *Manager) {
 		return nil
 	})
 	if errors.Is(err, errNotJob) || errors.Is(err, journal.ErrCorrupt) {
-		return
+		return nil
 	}
-	if rc.err = err; err != nil {
-		return
+	if err != nil {
+		return err
 	}
-	if rc.err = rc.decode(m, w, first, last); rc.err != nil || rc.w == nil {
+	if err = rc.decode(m, w, first, last); err != nil || rc.w == nil {
 		w.Close()
 	}
+	return err
 }
 
 // decode builds the job from a journal's first and last records, and for

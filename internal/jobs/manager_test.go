@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"vadasa/internal/anon"
+	"vadasa/internal/faultfs"
 	"vadasa/internal/journal"
 	"vadasa/internal/mdb"
 	"vadasa/internal/risk"
@@ -27,6 +28,39 @@ func testInput(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// journalScan is a journal read whole, for assertions: its committed records
+// and whether bytes follow them.
+type journalScan struct {
+	Records []journal.Record
+	Torn    bool
+}
+
+// Last returns the final committed record, or a zero Record if none.
+func (s *journalScan) Last() journal.Record {
+	if len(s.Records) == 0 {
+		return journal.Record{}
+	}
+	return s.Records[len(s.Records)-1]
+}
+
+// readJournal collects the journal's iterator over the file at path, read
+// through fsys (nil: the real filesystem).
+func readJournal(fsys faultfs.FS, path string) (*journalScan, error) {
+	it, err := journal.RecordsIn(context.Background(), fsys, path, journal.Cursor{})
+	if err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	scan := &journalScan{}
+	for it.Next() {
+		rec := it.Record()
+		rec.Payload = bytes.Clone(rec.Payload)
+		scan.Records = append(scan.Records, rec)
+	}
+	scan.Torn = it.Torn()
+	return scan, it.Err()
 }
 
 func fastOpts(t *testing.T) Options {
@@ -136,7 +170,7 @@ func TestJobHappyPath(t *testing.T) {
 		t.Fatalf("attempts = %d", got.Attempts)
 	}
 
-	scan, err := journal.ReadFile(filepath.Join(opts.Dir, j.ID+".journal"))
+	scan, err := readJournal(nil, filepath.Join(opts.Dir, j.ID+".journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +267,7 @@ func TestSettledJobDropsCheckpoints(t *testing.T) {
 			if got := waitState(t, m, j.ID, c.state); len(got.resume) != 0 {
 				t.Fatalf("%s job holds %d checkpoints", c.state, len(got.resume))
 			}
-			scan, err := journal.ReadFile(filepath.Join(opts.Dir, j.ID+".journal"))
+			scan, err := readJournal(nil, filepath.Join(opts.Dir, j.ID+".journal"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -326,7 +360,7 @@ func TestCancelRunningJob(t *testing.T) {
 		t.Fatal("cancelled job has an outcome")
 	}
 	// A user cancel is terminal: the journal must carry a done record...
-	scan, err := journal.ReadFile(filepath.Join(opts.Dir, j.ID+".journal"))
+	scan, err := readJournal(nil, filepath.Join(opts.Dir, j.ID+".journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +395,7 @@ func TestCloseLeavesJournalResumableAndRecoverCompletes(t *testing.T) {
 	}
 	m.Close() // simulated crash/shutdown mid-run
 
-	scan, err := journal.ReadFile(filepath.Join(opts.Dir, j.ID+".journal"))
+	scan, err := readJournal(nil, filepath.Join(opts.Dir, j.ID+".journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +428,7 @@ func TestCloseLeavesJournalResumableAndRecoverCompletes(t *testing.T) {
 	}
 	// The journal now ends terminally and has exactly 5 iter records total
 	// across both processes — no duplicates.
-	scan, err = journal.ReadFile(filepath.Join(opts.Dir, j.ID+".journal"))
+	scan, err = readJournal(nil, filepath.Join(opts.Dir, j.ID+".journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -708,7 +742,7 @@ func TestRecoverAtEveryCutOfLastRecord(t *testing.T) {
 		if len(r2.resumeLens) != 1 || r2.resumeLens[0] != 1 {
 			t.Fatalf("cut at %d: resume lengths = %v, want [1]: the clean prefix holds one checkpoint", cut, r2.resumeLens)
 		}
-		scan, err := journal.ReadFile(path)
+		scan, err := readJournal(nil, path)
 		if err != nil || scan.Torn || len(scan.Records) != 5 || scan.Last().Type != journal.TypeDone {
 			t.Fatalf("cut at %d: completed journal: %d records, torn=%v, %v", cut, len(scan.Records), scan.Torn, err)
 		}
@@ -826,7 +860,7 @@ func TestSubmitDuringRecoveryIsNotAdopted(t *testing.T) {
 	m.Close()
 	// The scan stops at the first sequence gap or repeat: two writers
 	// interleaving their own sequence numbers would cut it short.
-	scan, err := journal.ReadFile(filepath.Join(opts.Dir, j.ID+".journal"))
+	scan, err := readJournal(nil, filepath.Join(opts.Dir, j.ID+".journal"))
 	if err != nil {
 		t.Fatal(err)
 	}

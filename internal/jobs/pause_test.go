@@ -48,7 +48,7 @@ func TestDiskPressurePausesAndResumes(t *testing.T) {
 	}
 
 	// The journal holds exactly the committed prefix, no torn tail.
-	scan, err := journal.ReadFileIn(faulty, m.journalPath(j.ID))
+	scan, err := readJournal(faulty, m.journalPath(j.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestCancelPausedJob(t *testing.T) {
 	if got.State != StateCancelled {
 		t.Fatalf("state after cancel = %s, want cancelled", got.State)
 	}
-	scan, err := journal.ReadFileIn(faulty, m.journalPath(j.ID))
+	scan, err := readJournal(faulty, m.journalPath(j.ID))
 	if err != nil {
 		t.Fatal(err)
 	}

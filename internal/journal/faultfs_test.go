@@ -37,7 +37,7 @@ func TestAppendHeadroomCheck(t *testing.T) {
 		t.Fatalf("append after pressure cleared: %v", err)
 	}
 
-	scan, err := ReadFile(path)
+	scan, err := readJournal(path)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -144,7 +144,7 @@ func TestFailedAppendLeavesNoTrace(t *testing.T) {
 				if err := op.do(w); err != nil {
 					t.Fatalf("%s after the fault cleared: %v", op.name, err)
 				}
-				scan, err := ReadFile(path)
+				scan, err := readJournal(path)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -181,7 +181,7 @@ func TestWriterRefusesAppendsBehindUnrepairedTail(t *testing.T) {
 	if err := w.Append(TypeIter, map[string]int{"n": 2}); !errors.As(err, &re) || !errors.Is(err, syscall.EIO) {
 		t.Fatalf("append behind an unrepaired tail: err = %v, want a *RepairError wrapping EIO", err)
 	}
-	if scan, _ := ReadFile(path); len(scan.Records) != 1 || !scan.Torn || w.Seq() != 1 {
+	if scan, _ := readJournal(path); len(scan.Records) != 1 || !scan.Torn || w.Seq() != 1 {
 		t.Fatalf("while unrepaired: %d records, torn=%v, writer at %d; want the 1 committed record before the garbage",
 			len(scan.Records), scan.Torn, w.Seq())
 	}
@@ -190,7 +190,7 @@ func TestWriterRefusesAppendsBehindUnrepairedTail(t *testing.T) {
 	if err := w.Append(TypeIter, map[string]int{"n": 2}); err != nil {
 		t.Fatalf("append once truncation works: %v", err)
 	}
-	scan, err := ReadFile(path)
+	scan, err := readJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}

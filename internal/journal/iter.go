@@ -22,8 +22,8 @@ type Cursor struct {
 // Iterator is the journal's one scanner: it streams committed records one at
 // a time without materializing the whole file, applying the longest-valid-
 // prefix rule — iteration stops cleanly at the first torn, corrupt or
-// out-of-sequence line. ReadFile collects it, Open replays through it, and
-// the replication shipper reads frames from a Cursor with it. A stream
+// out-of-sequence line. Open replays through it, and the replication
+// shipper reads frames from a Cursor with it. A stream
 // recovery replaying a multi-gigabyte WAL holds one record in memory at a
 // time instead of the full decoded slice.
 //

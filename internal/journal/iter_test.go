@@ -108,7 +108,7 @@ func TestIteratorTruncationMidIteration(t *testing.T) {
 	for _, keep := range []int{0, 1, 7} {
 		t.Run(fmt.Sprintf("keep=%d", keep), func(t *testing.T) {
 			path := writeTestJournal(t, t.TempDir(), 40)
-			scan, err := ReadFile(path)
+			scan, err := readJournal(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,7 +264,7 @@ func TestRecordLifetime(t *testing.T) {
 		t.Fatal("a payload kept past its record is intact: the iterator did not reuse its buffer")
 	}
 
-	scan, err := ReadFile(path)
+	scan, err := readJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}

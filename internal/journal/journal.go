@@ -44,12 +44,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"syscall"
 	"time"
 
 	"vadasa/internal/faultfs"
 	"vadasa/internal/jsonscan"
+	"vadasa/internal/pool"
 )
 
 // Type tags a journal record. The journal itself accepts any non-empty type;
@@ -243,6 +245,43 @@ func OpenAppend(path string) (*Writer, []Record, error) {
 	return w, recs, err
 }
 
+// RecoverDir is the one recovery of a directory of journals: the stream
+// registry's, the job manager's and a standby's. It globs pattern through
+// fsys and sorts the paths. admit runs on each path in that order, one at a
+// time, and lays out its slot, or returns nil to skip the path. load runs
+// on the slots concurrently, each call writing only its own slot. adopt
+// then runs on every slot in path order with the error of its load, or
+// ctx's error for a slot the ended context kept from loading. So what a
+// recovery registers, logs and returns follows the paths however the loads
+// interleave. Only a failed glob is returned.
+func RecoverDir[T any](ctx context.Context, fsys faultfs.FS, pattern string,
+	admit func(path string) *T, load func(*T) error, adopt func(*T, error)) error {
+	paths, err := fsys.Glob(pattern)
+	if err != nil {
+		return err
+	}
+	sort.Strings(paths)
+	var slots []*T
+	for _, path := range paths {
+		if slot := admit(path); slot != nil {
+			slots = append(slots, slot)
+		}
+	}
+	errs := make([]error, len(slots))
+	loaded := make([]bool, len(slots))
+	pool.ForEach(ctx, 0, len(slots), func(i int) error {
+		errs[i], loaded[i] = load(slots[i]), true
+		return nil
+	})
+	for i, slot := range slots {
+		if !loaded[i] {
+			errs[i] = ctx.Err()
+		}
+		adopt(slot, errs[i])
+	}
+	return nil
+}
+
 // rollback truncates whatever a failed append (or the crash before Open)
 // left past the commit point and puts the descriptor back there. It is the
 // only place a journal shrinks.
@@ -383,51 +422,6 @@ func (w *Writer) Seq() int { return w.seq }
 
 // Close closes the underlying file.
 func (w *Writer) Close() error { return w.f.Close() }
-
-// Scan is the result of validating a journal file.
-type Scan struct {
-	// Records is the longest valid prefix of the journal.
-	Records []Record
-	// Valid is the byte offset just past the last committed record;
-	// everything beyond it is a torn or corrupt tail.
-	Valid int64
-	// Torn reports whether the file had bytes past the valid prefix.
-	Torn bool
-}
-
-// Last returns the final committed record, or a zero Record if none.
-func (s *Scan) Last() Record {
-	if len(s.Records) == 0 {
-		return Record{}
-	}
-	return s.Records[len(s.Records)-1]
-}
-
-// ReadFile scans a journal, returning the longest valid prefix of records.
-// Corruption — a torn final line, a CRC mismatch, malformed JSON, a sequence
-// gap — is not an error: the scan simply stops there and reports Torn. Only
-// I/O failures are errors.
-func ReadFile(path string) (*Scan, error) {
-	return ReadFileIn(faultfs.OS, path)
-}
-
-// ReadFileIn is ReadFile through an explicit filesystem: the iterator,
-// collected.
-func ReadFileIn(fsys faultfs.FS, path string) (*Scan, error) {
-	it, err := RecordsIn(context.TODO(), fsys, path, Cursor{})
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	scan := &Scan{}
-	for it.Next() {
-		rec := it.Record()
-		rec.Payload = bytes.Clone(rec.Payload)
-		scan.Records = append(scan.Records, rec)
-	}
-	scan.Valid, scan.Torn = it.Valid(), it.Torn()
-	return scan, it.Err()
-}
 
 // ParseLine validates one framed record — 8 hex digits, a space, JSON whose
 // CRC-32C matches and whose sequence number is the expected one — and

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"vadasa/internal/faultfs"
 	"vadasa/internal/jsonscan"
 )
 
@@ -65,10 +66,43 @@ func openCollect(t testing.TB, path string, cfg Config) (*Writer, []Record, erro
 	return w, recs, err
 }
 
+// journalScan is a journal read whole, for assertions: its longest valid
+// prefix of records, where that prefix ends and whether bytes follow it.
+type journalScan struct {
+	Records []Record
+	Valid   int64
+	Torn    bool
+}
+
+// Last returns the final committed record, or a zero Record if none.
+func (s *journalScan) Last() Record {
+	if len(s.Records) == 0 {
+		return Record{}
+	}
+	return s.Records[len(s.Records)-1]
+}
+
+// readJournal collects the Iterator over the journal at path.
+func readJournal(path string) (*journalScan, error) {
+	it, err := Records(context.Background(), path)
+	if err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	scan := &journalScan{}
+	for it.Next() {
+		rec := it.Record()
+		rec.Payload = bytes.Clone(rec.Payload)
+		scan.Records = append(scan.Records, rec)
+	}
+	scan.Valid, scan.Torn = it.Valid(), it.Torn()
+	return scan, it.Err()
+}
+
 // checkOpened asserts what Open owes its caller over a file that held data:
 // apply saw exactly the scanner's prefix, the writer stands right behind it,
 // and the file has shed everything past it.
-func checkOpened(t *testing.T, path string, data []byte, scan *Scan, w *Writer, recs []Record) {
+func checkOpened(t *testing.T, path string, data []byte, scan *journalScan, w *Writer, recs []Record) {
 	t.Helper()
 	defer w.Close()
 	if len(recs) != len(scan.Records) || w.Seq() != len(scan.Records) {
@@ -85,7 +119,7 @@ func checkOpened(t *testing.T, path string, data []byte, scan *Scan, w *Writer, 
 
 func TestRoundTrip(t *testing.T) {
 	path, _ := writeSample(t, 5)
-	scan, err := ReadFile(path)
+	scan, err := readJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +159,7 @@ func TestCreateRefusesExisting(t *testing.T) {
 // Open must hand back a writer standing on exactly that prefix.
 func TestTruncationEveryOffset(t *testing.T) {
 	path, data := writeSample(t, 6)
-	full, err := ReadFile(path)
+	full, err := readJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +176,7 @@ func TestTruncationEveryOffset(t *testing.T) {
 		if err := os.WriteFile(p, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		scan, err := ReadFile(p)
+		scan, err := readJournal(p)
 		if err != nil {
 			t.Fatalf("cut at %d: %v", cut, err)
 		}
@@ -189,7 +223,7 @@ func prefixEnd(lineEnds []int64, n int) int64 {
 // either stand on that prefix or refuse a corrupt head.
 func TestBitFlipEveryByte(t *testing.T) {
 	path, data := writeSample(t, 4)
-	full, err := ReadFile(path)
+	full, err := readJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +236,7 @@ func TestBitFlipEveryByte(t *testing.T) {
 			if err := os.WriteFile(p, mut, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			scan, err := ReadFile(p)
+			scan, err := readJournal(p)
 			if err != nil {
 				t.Fatalf("flip at %d: %v", off, err)
 			}
@@ -257,7 +291,7 @@ func TestOpenAppendRepairsTornTail(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reread, err := ReadFile(path)
+	reread, err := readJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +330,7 @@ func TestOpenFreshJournal(t *testing.T) {
 			t.Fatalf("%s: first append: %v", name, err)
 		}
 		w.Close()
-		if scan, err := ReadFile(path); err != nil || len(scan.Records) != 1 || scan.Torn {
+		if scan, err := readJournal(path); err != nil || len(scan.Records) != 1 || scan.Torn {
 			t.Fatalf("%s: after the first append: %+v, %v", name, scan, err)
 		}
 	}
@@ -323,7 +357,7 @@ func TestSequenceGapStopsScan(t *testing.T) {
 	if err := os.WriteFile(path, spliced, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	scan, err := ReadFile(path)
+	scan, err := readJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +387,7 @@ func FuzzReadPrefix(f *testing.F) {
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Skip()
 		}
-		scan, err := ReadFile(p)
+		scan, err := readJournal(p)
 		if err != nil {
 			t.Fatalf("ReadFile errored on corrupt input: %v", err)
 		}
@@ -587,9 +621,52 @@ func TestParentBuildJournals(t *testing.T) {
 		if got := strings.Join(seen, " "); got != types {
 			t.Fatalf("%s holds %s, want %s", file, got, types)
 		}
-		scan, err := ReadFile(filepath.Join("testdata", file))
+		scan, err := readJournal(filepath.Join("testdata", file))
 		if err != nil || scan.Torn || len(scan.Records) != len(seen) {
 			t.Fatalf("%s: ReadFile read %d records (torn %v, err %v), want %d", file, len(scan.Records), scan.Torn, err, len(seen))
 		}
+	}
+}
+
+// RecoverDir admits and adopts in path order whatever order the loads run
+// in: a skipped path reaches neither load nor adopt, and a slot the ended
+// context kept from loading is adopted with the context's error.
+func TestRecoverDirOrder(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"d.wal", "b.wal", "skip.wal", "c.wal", "a.wal", "e.other"} {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type slot struct{ name, loaded string }
+	run := func(ctx context.Context) string {
+		var got []string
+		err := RecoverDir(ctx, faultfs.OS, filepath.Join(dir, "*.wal"),
+			func(path string) *slot {
+				if name := strings.TrimSuffix(filepath.Base(path), ".wal"); name != "skip" {
+					return &slot{name: name}
+				}
+				return nil
+			},
+			func(s *slot) error {
+				s.loaded = "loaded"
+				if s.name == "c" {
+					return errors.New("load failed")
+				}
+				return nil
+			},
+			func(s *slot, err error) { got = append(got, fmt.Sprintf("%s %s %v", s.name, s.loaded, err)) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(got, "; ")
+	}
+	if got, want := run(context.Background()), "a loaded <nil>; b loaded <nil>; c loaded load failed; d loaded <nil>"; got != want {
+		t.Fatalf("adopted %q, want %q", got, want)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if got, want := run(ctx), "a  context canceled; b  context canceled; c  context canceled; d  context canceled"; got != want {
+		t.Fatalf("adopted under an ended context %q, want %q", got, want)
 	}
 }

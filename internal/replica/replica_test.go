@@ -7,8 +7,10 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	iofs "io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -104,8 +106,8 @@ func newCluster(t testing.TB, sync bool, wrap func(Transport) Transport) *cluste
 		Node:       c.sbNode,
 		Roots:      map[string]Root{"stream": {Dir: c.mirrorDir, Ext: ".wal"}},
 		FollowRoot: "stream",
-		OpenFollower: func(ctx context.Context, id, path string) (*stream.Follower, error) {
-			return stream.OpenFollower(ctx, id, path, testStreamOptions())
+		FollowerOptions: func(*stream.Info) (stream.Options, error) {
+			return testStreamOptions(), nil
 		},
 		Logf: t.Logf,
 	})
@@ -617,8 +619,8 @@ func TestStandbyRecoverResumes(t *testing.T) {
 		Node:       c.sbNode,
 		Roots:      map[string]Root{"stream": {Dir: c.mirrorDir, Ext: ".wal"}},
 		FollowRoot: "stream",
-		OpenFollower: func(ctx context.Context, id, path string) (*stream.Follower, error) {
-			return stream.OpenFollower(ctx, id, path, testStreamOptions())
+		FollowerOptions: func(*stream.Info) (stream.Options, error) {
+			return testStreamOptions(), nil
 		},
 		Logf: t.Logf,
 	})
@@ -802,5 +804,215 @@ func TestStandbyRecoverAtEveryCutOfLastRecord(t *testing.T) {
 		if after, _ := faultfs.OS.ReadFile(mirror); !bytes.Equal(after, whole) {
 			t.Fatalf("cut %d: mirror differs from the primary's bytes after the re-ship", i)
 		}
+	}
+}
+
+// A mirror whose follower cannot replay it still recovers whole: Recover
+// opens it at its durable floor, which it acks, and later shipments append
+// to it, while the follower is dropped, the failure logged and shown in
+// Status. The mirror's journal is sound; only its replay fails, on a
+// second batch record, its CRC valid, that repeats a batch id.
+func TestStandbyRecoverKeepsMirrorWhenFollowerFails(t *testing.T) {
+	ctx := context.Background()
+	c := newCluster(t, false, nil)
+	s := c.openStream(ctx, "trades")
+	defer s.Close(ctx)
+	if _, err := s.Append(ctx, "b1", testRows(0, 4)); err != nil {
+		t.Fatal(err)
+	}
+	c.waitCaughtUp()
+	c.standby.Close()
+	c.primary.Close()
+
+	mirror := filepath.Join(c.mirrorDir, "trades.wal")
+	w, err := journal.Open(ctx, mirror, journal.Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append("batch", map[string]any{"batch": "b1", "rows": testRows(4, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	floor := w.Seq()
+	w.Close()
+	data, err := os.ReadFile(mirror)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The record after the floor, framed as the primary would ship it.
+	spare := filepath.Join(t.TempDir(), "spare.wal")
+	if err := os.WriteFile(spare, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var next []byte
+	w, err = journal.Open(ctx, spare, journal.Config{OnAppend: func(_ int, line []byte) error {
+		next = bytes.Clone(line)
+		return nil
+	}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append("checkpoint", map[string]int{"batches": 2}); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+
+	var mu sync.Mutex
+	var logged []string
+	opts := c.standby.opts
+	opts.Logf = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}
+	sb, err := NewStandby(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.Close()
+	if err := sb.Recover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st := sb.Status()
+	if len(st.Logs) != 1 || st.Logs[0].Seq != floor || st.Logs[0].Follower || !strings.Contains(st.Logs[0].LastError, "journaled twice") {
+		t.Fatalf("recovered standby status %+v, want stream/trades at seq %d with no follower and its replay error", st, floor)
+	}
+	mu.Lock()
+	if len(logged) == 0 || !strings.HasPrefix(logged[0], "replica: follower for stream/trades: ") || !strings.Contains(logged[0], "journaled twice") {
+		t.Fatalf("recovery log %q", logged)
+	}
+	mu.Unlock()
+	resp, err := sb.HandleShip(ctx, &ShipRequest{Primary: "p1", Epoch: 1})
+	if err != nil || resp.Acked["stream/trades"] != floor {
+		t.Fatalf("ack after recovery: %+v, %v; want %d", resp, err, floor)
+	}
+	resp, err = sb.HandleShip(ctx, &ShipRequest{Primary: "p1", Epoch: 1, Frames: []Frame{{Log: "stream/trades", Seq: floor + 1, Line: next}}})
+	if err != nil || resp.Acked["stream/trades"] != floor+1 {
+		t.Fatalf("shipment after recovery: %+v, %v; want acked at %d", resp, err, floor+1)
+	}
+	if after, _ := os.ReadFile(mirror); !bytes.Equal(after, append(data, append(next, '\n')...)) {
+		t.Fatal("the shipped record did not land on the mirror")
+	}
+}
+
+// openCounter counts the opens of each file made through it.
+type openCounter struct {
+	faultfs.FS
+	mu    sync.Mutex
+	opens map[string]int
+}
+
+func (c *openCounter) count(name string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.opens[name]++
+}
+
+func (c *openCounter) Open(name string) (faultfs.File, error) {
+	c.count(name)
+	return c.FS.Open(name)
+}
+
+func (c *openCounter) OpenFile(name string, flag int, perm iofs.FileMode) (faultfs.File, error) {
+	c.count(name)
+	return c.FS.OpenFile(name, flag, perm)
+}
+
+// A restarted standby opens each mirrored stream WAL once: the read that
+// opens the mirror also replays it into the follower.
+func TestStandbyRecoverOpensEachMirrorOnce(t *testing.T) {
+	ctx := context.Background()
+	c := newCluster(t, false, nil)
+	ids := []string{"a", "b", "c"}
+	for i, id := range ids {
+		s := c.openStream(ctx, id)
+		defer s.Close(ctx)
+		if _, err := s.Append(ctx, "b1", testRows(0, 2*(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.waitCaughtUp()
+	c.standby.Close()
+
+	fs := &openCounter{FS: faultfs.OS, opens: map[string]int{}}
+	sb, err := NewStandby(StandbyOptions{
+		Node:       c.sbNode,
+		Roots:      map[string]Root{"stream": {Dir: c.mirrorDir, Ext: ".wal"}},
+		FollowRoot: "stream",
+		FollowerOptions: func(*stream.Info) (stream.Options, error) {
+			opts := testStreamOptions()
+			opts.FS = fs
+			return opts, nil
+		},
+		FS:   fs,
+		Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.Close()
+	if err := sb.Recover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		if fol := sb.Follower("stream/" + id); fol == nil || fol.Status(ctx).Rows != 2*(i+1) {
+			t.Fatalf("recovered follower of %s: %v", id, fol)
+		}
+		if n := fs.opens[filepath.Join(c.mirrorDir, id+".wal")]; n != 1 {
+			t.Fatalf("Recover opened the mirror of %s %d times, want once", id, n)
+		}
+	}
+}
+
+// A standby given OpenFollower in place of FollowerOptions follows all the
+// same: the factory replays the mirror, both when Recover opens it and
+// when a fresh mirror takes its first shipment.
+func TestStandbyFollowsThroughOpenFollower(t *testing.T) {
+	ctx := context.Background()
+	c := newCluster(t, false, nil)
+	s := c.openStream(ctx, "trades")
+	defer s.Close(ctx)
+	if _, err := s.Append(ctx, "b1", testRows(0, 6)); err != nil {
+		t.Fatal(err)
+	}
+	c.waitCaughtUp()
+	c.standby.Close()
+
+	opts := c.standby.opts
+	opts.FollowerOptions = nil
+	opts.OpenFollower = func(ctx context.Context, id, path string) (*stream.Follower, error) {
+		return stream.OpenFollower(ctx, id, path, testStreamOptions())
+	}
+	sb, err := NewStandby(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sb.Recover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if fol := sb.Follower("stream/trades"); fol == nil || fol.Status(ctx).Rows != 6 {
+		t.Fatalf("recovered follower %v, want 6 rows", fol)
+	}
+	sb.Close()
+
+	data, err := os.ReadFile(filepath.Join(c.streamDir, "trades.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames []Frame
+	for i, line := range bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n")) {
+		frames = append(frames, Frame{Log: "stream/trades", Seq: i + 1, Line: line})
+	}
+	opts.Roots = map[string]Root{"stream": {Dir: t.TempDir(), Ext: ".wal"}}
+	sb, err = NewStandby(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sb.Close()
+	resp, err := sb.HandleShip(ctx, &ShipRequest{Primary: "p1", Epoch: 1, Frames: frames})
+	if err != nil || resp.Acked["stream/trades"] != len(frames) {
+		t.Fatalf("first shipment: %+v, %v; want acked at %d", resp, err, len(frames))
+	}
+	if fol := sb.Follower("stream/trades"); fol == nil || fol.Seq() != len(frames) || fol.Status(ctx).Rows != 6 {
+		t.Fatalf("follower after the first shipment %v, want seq %d over 6 rows", fol, len(frames))
 	}
 }

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"path/filepath"
@@ -25,22 +26,22 @@ type Root struct {
 	Ext string
 }
 
-// FollowerFactory builds the read-only replay view over a mirrored stream
-// WAL — on a server, a closure that rebuilds the stream Options from the
-// WAL's create record exactly as startup recovery does, then calls
-// stream.OpenFollower. A nil factory mirrors bytes only (still enough for
-// a byte-identical promotion; divergence detection and read-only serving
-// need the follower).
-type FollowerFactory func(ctx context.Context, id, path string) (*stream.Follower, error)
-
 // StandbyOptions tunes a Standby. Node and Roots are required.
 type StandbyOptions struct {
 	// Node is the fencing authority.
 	Node *Node
 	// Roots maps log namespaces ("stream", "jobs") to local directories.
 	Roots map[string]Root
-	// OpenFollower builds replay views for logs under FollowRoot.
-	OpenFollower FollowerFactory
+	// FollowerOptions rebuilds a mirrored stream's Options from its create
+	// record — on a server, what startup recovery opens streams with — so
+	// the standby builds each replay view of a log under FollowRoot and
+	// feeds it the records it reads or receives.
+	FollowerOptions func(*stream.Info) (stream.Options, error)
+	// OpenFollower, used without FollowerOptions, builds a replay view by
+	// replaying a mirror itself. With neither the standby mirrors bytes only
+	// (still enough for a byte-identical promotion; divergence detection
+	// and read-only serving need the follower).
+	OpenFollower func(ctx context.Context, id, path string) (*stream.Follower, error)
 	// FollowRoot is the namespace whose logs get followers ("stream").
 	FollowRoot string
 	// FS is the filesystem mirrored journals are written through.
@@ -116,43 +117,38 @@ func (sb *Standby) logf(format string, args ...any) {
 
 // Recover reopens every mirrored journal found under the roots — a
 // restarting standby resumes exactly where its files left off, including
-// repairing torn tails from a crash mid-append.
+// repairing torn tails from a crash mid-append. A root's mirrors open at
+// once (journal.RecoverDir) with sb.mu held, so no shipment opens a second
+// writer on a mirror being repaired; recovery runs before the standby serves.
 func (sb *Standby) Recover(ctx context.Context) error {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
 	for rootName, root := range sb.opts.Roots {
-		paths, err := sb.fs.Glob(filepath.Join(root.Dir, "*"+root.Ext))
+		err := journal.RecoverDir(ctx, sb.fs, filepath.Join(root.Dir, "*"+root.Ext),
+			func(path string) *flog {
+				fl, err := sb.mirror(rootName, strings.TrimSuffix(filepath.Base(path), root.Ext))
+				if err != nil || filepath.Base(path) == NodeJournalName || sb.logs[fl.name] != nil {
+					return nil
+				}
+				return fl
+			},
+			func(fl *flog) error { return sb.openLocked(ctx, fl) },
+			func(fl *flog, err error) {
+				if err != nil {
+					sb.logf("replica: recovering mirror %s: %v", fl.name, err)
+					return
+				}
+				sb.logs[fl.name] = fl
+			})
 		if err != nil {
 			return fmt.Errorf("replica: scanning %s root: %w", rootName, err)
-		}
-		sort.Strings(paths)
-		for _, path := range paths {
-			if filepath.Base(path) == NodeJournalName {
-				continue
-			}
-			id := strings.TrimSuffix(filepath.Base(path), root.Ext)
-			if !logName.MatchString(id) {
-				continue
-			}
-			name := rootName + "/" + id
-			if _, ok := sb.logs[name]; ok {
-				continue
-			}
-			fl, err := sb.openLogLocked(ctx, rootName, id)
-			if err != nil {
-				sb.logf("replica: recovering mirror %s: %v", name, err)
-				continue
-			}
-			sb.logs[name] = fl
 		}
 	}
 	return nil
 }
 
-// openLogLocked opens (or creates) the mirrored journal for one log —
-// journal.Open finds the durable sequence floor and drops a torn tail —
-// then attaches a follower when the namespace calls for one.
-func (sb *Standby) openLogLocked(ctx context.Context, rootName, id string) (*flog, error) {
+// mirror lays out the mirrored journal of one log, not yet opened.
+func (sb *Standby) mirror(rootName, id string) (*flog, error) {
 	root, ok := sb.opts.Roots[rootName]
 	if !ok {
 		return nil, fmt.Errorf("replica: unknown log root %q", rootName)
@@ -160,43 +156,101 @@ func (sb *Standby) openLogLocked(ctx context.Context, rootName, id string) (*flo
 	if !logName.MatchString(id) {
 		return nil, fmt.Errorf("replica: invalid log name %q", id)
 	}
-	fl := &flog{name: rootName + "/" + id, id: id, root: rootName, path: filepath.Join(root.Dir, id+root.Ext)}
-	w, err := journal.Open(ctx, fl.path, journal.Config{FS: sb.fs}, nil)
-	if err != nil {
-		return nil, fmt.Errorf("replica: opening mirror: %w", err)
-	}
-	fl.w = w
-	sb.attachFollowerLocked(ctx, fl)
-	return fl, nil
+	return &flog{name: rootName + "/" + id, id: id, root: rootName, path: filepath.Join(root.Dir, id+root.Ext)}, nil
 }
 
-// attachFollowerLocked (re)builds the follower over the mirrored file.
+// openLocked opens (or creates) fl's mirrored journal — journal.Open finds
+// the durable sequence floor and drops a torn tail — and feeds the records
+// it reads to fl's follower. A follower that fails is dropped, never the
+// mirror. It touches nothing of sb but fl, so mirrors open concurrently.
+func (sb *Standby) openLocked(ctx context.Context, fl *flog) error {
+	w, err := journal.Open(ctx, fl.path, journal.Config{FS: sb.fs}, func(rec journal.Record) error {
+		if err := sb.follow(ctx, fl, rec); err != nil {
+			sb.dropFollower(fl, err)
+		}
+		return nil
+	})
+	if err != nil {
+		sb.dropFollower(fl, nil)
+		return fmt.Errorf("replica: opening mirror: %w", err)
+	}
+	fl.w = w
+	sb.materializeLocked(fl)
+	return nil
+}
+
+// follows reports whether fl's log gets a follower.
+func (sb *Standby) follows(fl *flog) bool {
+	return fl.root == sb.opts.FollowRoot && (sb.opts.FollowerOptions != nil || sb.opts.OpenFollower != nil)
+}
+
+// follow hands fl's follower rec, the next record of the mirror, building
+// the follower at the create record: from FollowerOptions, or with
+// OpenFollower, which replays the mirror itself (Apply then skips the
+// records it replayed). It returns the error of a record the follower
+// refused.
+func (sb *Standby) follow(ctx context.Context, fl *flog, rec journal.Record) error {
+	var err error
+	switch {
+	case fl.follower != nil:
+		return fl.follower.Apply(ctx, rec)
+	case rec.Seq != 1 || !sb.follows(fl):
+	case sb.opts.FollowerOptions != nil:
+		fl.follower, err = stream.NewFollower(ctx, fl.path, rec, sb.opts.FollowerOptions)
+	default:
+		fl.follower, err = sb.opts.OpenFollower(ctx, fl.id, fl.path)
+	}
+	if err != nil {
+		sb.dropFollower(fl, err)
+	}
+	return nil
+}
+
+// attachFollowerLocked rebuilds a dropped follower by replaying the mirror.
 // Failure is not fatal — the standby keeps mirroring bytes and retries on
 // the next shipment — but it is loud, because without a follower there is
 // no divergence detection and no read-only serving for that log.
 func (sb *Standby) attachFollowerLocked(ctx context.Context, fl *flog) {
-	if fl.follower != nil || fl.root != sb.opts.FollowRoot || sb.opts.OpenFollower == nil || fl.w.Seq() == 0 {
-		return
+	it, err := journal.RecordsIn(ctx, sb.fs, fl.path, journal.Cursor{})
+	if err == nil {
+		for err == nil && it.Next() {
+			err = sb.follow(ctx, fl, it.Record())
+		}
+		err = cmp.Or(err, it.Err())
+		it.Close()
 	}
-	fol, err := sb.opts.OpenFollower(ctx, fl.id, fl.path)
+	if err != nil {
+		sb.dropFollower(fl, err)
+	} else if fl.follower != nil {
+		fl.lastErr = ""
+		sb.materializeLocked(fl)
+	}
+}
+
+// dropFollower closes fl's follower, if it has one, and logs err, when
+// there is one, as the reason.
+func (sb *Standby) dropFollower(fl *flog, err error) {
+	if fl.follower != nil {
+		fl.follower.Close()
+		fl.follower = nil
+	}
 	if err != nil {
 		fl.lastErr = err.Error()
 		sb.logf("replica: follower for %s: %v", fl.name, err)
-		return
 	}
-	fl.follower = fol
-	fl.lastErr = ""
-	sb.materializeLocked(fl)
 }
 
 // materializeLocked regenerates the published release's file next to the
 // mirrored WAL. Journals ship, release files do not; without the file a
 // promotion's stream recovery (which verifies it against the publish
-// record) would fail. Running right after the publish record is applied —
-// while the replayed window still matches the journaled digest — makes the
-// regeneration exact. A mirror that cannot produce the file is not a
-// faithful standby: that is divergence, not a transient fault.
+// record) would fail. The bytes are the window as the publish record left
+// it (Follower.ReleaseBytes), so the regeneration is exact. A mirror that
+// cannot produce the file is not a faithful standby: that is divergence,
+// not a transient fault.
 func (sb *Standby) materializeLocked(fl *flog) {
+	if fl.follower == nil {
+		return
+	}
 	pub := fl.follower.Published()
 	if pub == nil || pub.Seq == fl.materialized {
 		return
@@ -274,7 +328,10 @@ func (sb *Standby) logLocked(ctx context.Context, name string) (*flog, error) {
 	if !ok {
 		return nil, fmt.Errorf("replica: malformed log name %q", name)
 	}
-	fl, err := sb.openLogLocked(ctx, rootName, id)
+	fl, err := sb.mirror(rootName, id)
+	if err == nil {
+		err = sb.openLocked(ctx, fl)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -306,20 +363,22 @@ func (sb *Standby) applyFramesLocked(ctx context.Context, fl *flog, frames []Fra
 	}
 	sb.frames += int64(len(accepted))
 
-	if fl.follower == nil {
+	if !sb.follows(fl) {
+		return
+	}
+	if fl.follower == nil && accepted[0].Seq > 1 {
 		sb.attachFollowerLocked(ctx, fl) // replays the whole file, new records included
 		return
 	}
 	for _, rec := range accepted {
-		if err := fl.follower.Apply(ctx, rec); err != nil {
+		if err := sb.follow(ctx, fl, rec); err != nil {
 			// The mirrored journal holds a record the replay rejects: the
 			// replica's state machine disagrees with the primary's. That is
 			// divergence, not a transient fault.
 			sb.logf("replica: %s DIVERGED: replaying seq %d: %v", fl.name, rec.Seq, err)
 			fl.diverged = true
 			fl.lastErr = err.Error()
-			fl.follower.Close()
-			fl.follower = nil
+			sb.dropFollower(fl, nil)
 			return
 		}
 		sb.materializeLocked(fl)
@@ -423,10 +482,7 @@ func (sb *Standby) Close() {
 
 func (sb *Standby) closeLogsLocked() {
 	for _, fl := range sb.logs {
-		if fl.follower != nil {
-			fl.follower.Close()
-			fl.follower = nil
-		}
+		sb.dropFollower(fl, nil)
 		fl.w.Close()
 	}
 }

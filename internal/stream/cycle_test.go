@@ -44,12 +44,14 @@ func synthWindow(t *testing.T, cfg synth.Config) (*mdb.Dataset, [][]string) {
 // journaledDecisions reads back every decision the anon records of a WAL hold.
 func journaledDecisions(t *testing.T, path string) []anon.Decision {
 	t.Helper()
-	scan, err := journal.ReadFile(path)
+	it, err := journal.Records(context.Background(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer it.Close()
 	var out []anon.Decision
-	for _, rec := range scan.Records {
+	for it.Next() {
+		rec := it.Record()
 		if rec.Type != recAnon {
 			continue
 		}
@@ -60,6 +62,9 @@ func journaledDecisions(t *testing.T, path string) []anon.Decision {
 			t.Fatal(err)
 		}
 		out = append(out, ds...)
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -29,20 +30,50 @@ import (
 type Follower struct {
 	s   *Stream
 	seq int // journal sequence of the last applied record
-	// relBytes is the published release's content, snapshotted at the
-	// instant the publish record was applied — the one point where the
-	// replayed window provably matches the journaled digest. The window
-	// may keep moving under later appends while the release awaits its
-	// ack; the snapshot is what keeps the mirror able to serve and
-	// materialize the release regardless.
-	relBytes []byte
+	// relBytes is the published release's content, snapshotted while the
+	// replayed window still provably matches the journaled digest: from
+	// the publish record until the first later record that is not its ack
+	// (unsnapped marks that span, in which the window itself holds the
+	// release). The window may keep moving under later appends while the
+	// release awaits its ack; the snapshot is what keeps the mirror able
+	// to serve and materialize the release regardless. A release acked
+	// straight after its publish is never snapshotted.
+	relBytes  []byte
+	unsnapped bool
+}
+
+// NewFollower starts the read-only replay view of the mirrored journal at
+// path from its first record, which must be the create record: options
+// rebuilds the stream's Options from the header the record holds — on a
+// server, the same function startup recovery opens streams with. Every
+// later record reaches the follower through Apply, so a standby feeds it
+// from the same read that opens the mirror.
+func NewFollower(ctx context.Context, path string, create journal.Record, options func(*Info) (Options, error)) (*Follower, error) {
+	info, err := infoOf(create)
+	if err != nil {
+		return nil, err
+	}
+	opts, err := options(info)
+	if err != nil {
+		return nil, err
+	}
+	s, err := newStream(info.ID, path, opts)
+	if err != nil {
+		return nil, err
+	}
+	f := &Follower{s: s}
+	if err := f.Apply(ctx, create); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
 }
 
 // OpenFollower replays the mirrored journal at path into a read-only
-// window. Unlike Open it tolerates a pending intent (the frame stream
-// simply stopped between intent and publish) and never appends; opts needs
-// the same Assessor/Threshold the primary used — on a server, rebuilt from
-// the create record's Meta exactly as startup recovery does.
+// window: a new follower fed every committed record through Apply. Unlike
+// Open it tolerates a pending intent (the frame stream simply stopped
+// between intent and publish) and never appends; opts needs the same
+// Assessor/Threshold the primary used.
 func OpenFollower(ctx context.Context, id, path string, opts Options) (*Follower, error) {
 	s, err := newStream(id, path, opts)
 	if err != nil {
@@ -54,31 +85,23 @@ func OpenFollower(ctx context.Context, id, path string, opts Options) (*Follower
 		return nil, fmt.Errorf("stream %s: opening follower: %w", id, err)
 	}
 	defer it.Close()
-	for it.Next() {
-		if err := s.replay(it.Record()); err != nil {
-			f.releaseCharges()
-			return nil, fmt.Errorf("stream %s: follower replay: %w", id, err)
-		}
-		f.snapshotRelease(it.Record().Type)
+	for err == nil && it.Next() {
+		err = f.Apply(ctx, it.Record())
 	}
-	if err := it.Err(); err != nil {
-		f.releaseCharges()
+	if err = cmp.Or(err, it.Err()); err == nil && s.d == nil {
+		err = fmt.Errorf("mirrored journal holds no create record")
+	}
+	if err != nil {
+		f.Close()
 		return nil, fmt.Errorf("stream %s: follower replay: %w", id, err)
 	}
-	f.seq = it.LastSeq()
-	if s.d == nil {
-		return nil, fmt.Errorf("stream %s: mirrored journal holds no create record", id)
-	}
-	// The follower scores one-shot, whatever the measure: it holds no group
-	// index between shipped records.
-	s.live = risk.NewLive(opts.Assessor, s.d, s.opts.Semantics, s.gov)
-	s.live.SetIndexing(false)
 	return f, nil
 }
 
-// Apply replays one freshly shipped record. The caller (the standby) has
-// already validated the frame and made it durable in the mirrored file;
-// Apply requires records in strict sequence.
+// Apply replays one record in strict sequence, the create record first:
+// a record read from the mirror, or one freshly shipped that the standby
+// has already validated and made durable in the mirrored file. A record
+// at or below the follower's position is applied already: it is skipped.
 func (f *Follower) Apply(ctx context.Context, rec journal.Record) error {
 	s := f.s
 	s.mu.Lock()
@@ -86,14 +109,31 @@ func (f *Follower) Apply(ctx context.Context, rec journal.Record) error {
 	if s.closed {
 		return ErrClosed
 	}
+	if rec.Seq <= f.seq {
+		return nil
+	}
 	if rec.Seq != f.seq+1 {
 		return fmt.Errorf("stream %s: follower at seq %d cannot apply record %d", s.id, f.seq, rec.Seq)
+	}
+	if f.unsnapped && rec.Type != recAck {
+		f.snapshotRelease()
 	}
 	if err := s.replay(rec); err != nil {
 		return err
 	}
-	f.snapshotRelease(rec.Type)
+	switch rec.Type {
+	case recPublish:
+		f.relBytes, f.unsnapped = nil, true
+	case recAck:
+		f.relBytes, f.unsnapped = nil, false
+	}
 	f.seq = rec.Seq
+	if s.live == nil {
+		// The follower scores one-shot, whatever the measure: it holds no
+		// group index between records.
+		s.live = risk.NewLive(s.opts.Assessor, s.d, s.opts.Semantics, s.gov)
+		s.live.SetIndexing(false)
+	}
 	// The risk vector is stale until someone asks: Digest recomputes on
 	// demand.
 	s.live.Invalidate()
@@ -131,36 +171,22 @@ func (f *Follower) Digest(ctx context.Context) (*Digest, error) {
 // Published returns the currently published, unacked release (nil if none).
 func (f *Follower) Published() *ReleaseInfo { return f.s.Published() }
 
-// snapshotRelease keeps f.relBytes in step with the replay: a publish
-// record freezes the window's bytes (verified against the journaled
-// digest), an ack drops them. Called under s.mu with the record already
-// applied. A snapshot that contradicts its digest is discarded —
-// ReleaseBytes will then refuse to serve, which is the divergence signal.
-func (f *Follower) snapshotRelease(typ journal.Type) {
-	s := f.s
-	switch typ {
-	case recPublish:
-		f.relBytes = nil
-		if s.published == nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := mdb.WriteCSV(&buf, s.d); err != nil {
-			return
-		}
-		if digestBytes(buf.Bytes()) == s.published.Digest {
-			f.relBytes = buf.Bytes()
-		}
-	case recAck:
-		f.relBytes = nil
+// snapshotRelease freezes the published release's bytes off the window,
+// which still holds them. Called under s.mu. ReleaseBytes refuses a
+// snapshot that contradicts the journaled digest, the divergence signal.
+func (f *Follower) snapshotRelease() {
+	f.unsnapped = false
+	var buf bytes.Buffer
+	if mdb.WriteCSV(&buf, f.s.d) == nil {
+		f.relBytes = buf.Bytes()
 	}
 }
 
 // ReleaseBytes returns the published release's bytes, verified against the
 // journaled digest: a standby serves read-only release downloads without
 // ever having seen the primary's release file. The bytes come from the
-// snapshot taken when the publish record was applied — the window itself
-// may have moved under later appends while the release awaits its ack.
+// window as the publish record left it — the window itself may have moved
+// under later appends while the release awaits its ack.
 func (f *Follower) ReleaseBytes() ([]byte, error) {
 	s := f.s
 	s.mu.Lock()
@@ -171,29 +197,21 @@ func (f *Follower) ReleaseBytes() ([]byte, error) {
 	if s.published == nil {
 		return nil, fmt.Errorf("stream %s: no published release", s.id)
 	}
-	b := f.relBytes
-	if b == nil {
-		// No snapshot survived (or it contradicted the digest at apply
-		// time): fall back to the window, valid only while nothing has
-		// been appended since the publish.
-		var buf bytes.Buffer
-		if err := mdb.WriteCSV(&buf, s.d); err != nil {
-			return nil, fmt.Errorf("stream %s: re-encoding release %d: %w", s.id, s.published.Seq, err)
-		}
-		b = buf.Bytes()
+	if f.unsnapped {
+		f.snapshotRelease()
 	}
-	if got := digestBytes(b); got != s.published.Digest {
+	if got := digestBytes(f.relBytes); got != s.published.Digest {
 		return nil, fmt.Errorf("stream %s: regenerated release %d digest %s contradicts journaled %s",
 			s.id, s.published.Seq, got, s.published.Digest)
 	}
-	return append([]byte(nil), b...), nil
+	return bytes.Clone(f.relBytes), nil
 }
 
 // MaterializePublished writes the published release's file into dir when it
 // is absent or stale. Journals ship; release files do not — but a promotion
 // recovers the mirror through stream.Open, which requires the file a publish
-// record names to be intact. The bytes come from the publish-time snapshot,
-// so materialization stays exact even after later appends have moved the
+// record names to be intact. The bytes are ReleaseBytes', so
+// materialization stays exact even after later appends have moved the
 // window. Idempotent; no-op without a published release.
 func (f *Follower) MaterializePublished(dir string) error {
 	pub := f.Published()
@@ -224,12 +242,7 @@ func (f *Follower) Close() error {
 		return nil
 	}
 	s.closed = true
-	f.releaseCharges()
-	return nil
-}
-
-func (f *Follower) releaseCharges() {
-	s := f.s
 	s.gov.ReleaseBytes(s.memCharged)
 	s.memCharged = 0
+	return nil
 }

@@ -35,13 +35,21 @@ func Peek(ctx context.Context, fsys faultfs.FS, path string) (*Info, error) {
 		}
 		return nil, fmt.Errorf("stream: %s: journal has no create record", path)
 	}
-	rec := it.Record()
+	info, err := infoOf(it.Record())
+	if err != nil {
+		return nil, fmt.Errorf("stream: %s: %w", path, err)
+	}
+	return info, nil
+}
+
+// infoOf reads the header of a stream journal off its first record.
+func infoOf(rec journal.Record) (*Info, error) {
 	if rec.Type != recCreate {
-		return nil, fmt.Errorf("stream: %s: first record is %q, want %q", path, rec.Type, recCreate)
+		return nil, fmt.Errorf("first record is %q, want %q", rec.Type, recCreate)
 	}
 	var p createPayload
 	if err := json.Unmarshal(rec.Payload, &p); err != nil {
-		return nil, fmt.Errorf("stream: %s: decoding create record: %w", path, err)
+		return nil, fmt.Errorf("decoding create record: %w", err)
 	}
 	attrs, err := p.attrs()
 	if err != nil {

@@ -274,11 +274,22 @@ func newStream(id, path string, opts Options) (*Stream, error) {
 // journal), or replaying it to the pre-crash state otherwise. id names the
 // stream (it must match the journaled name on reopen); a release interrupted
 // between its intent and publish records is completed before Open returns.
-func Open(ctx context.Context, id, path string, opts Options) (*Stream, error) {
+func Open(ctx context.Context, id, path string, opts Options) (_ *Stream, err error) {
 	s, err := newStream(id, path, opts)
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			// A stream that does not open holds nothing: what its replay
+			// reserved goes back, so a recovery the budget refuses leaves
+			// the budget to the streams that do open.
+			s.gov.ReleaseBytes(s.memCharged)
+			if s.live != nil {
+				s.live.Close()
+			}
+		}
+	}()
 	cfg := journal.Config{FS: s.fs, DiskHeadroom: opts.DiskHeadroom, OnAppend: opts.OnAppend}
 	w, err := journal.Open(ctx, path, cfg, s.replay)
 	if err != nil {
