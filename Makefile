@@ -96,9 +96,11 @@ loc:
 
 # fuzz runs the fuzzer itself, FUZZTIME per target (default 10s), one target
 # after another, on the two byte-level parsers a request body reaches — the
-# /reason decoder and fact loader (FuzzReasonFacts) and the CSV intake
-# (FuzzReadCSV) — on the release writer every anonymized CSV leaves through
-# (FuzzWriteCSV), on the group index's row-operation tape, the one that
+# /reason decoder and fact loader (FuzzReasonFacts) and the CSV intake,
+# against encoding/csv, with its group read against ReadCSV followed by the
+# Select /explain makes (FuzzReadCSV) — on the release writer every
+# anonymized CSV leaves through (FuzzWriteCSV), on the group index's
+# row-operation tape, the one that
 # drives its compaction (FuzzGroupIndexRowOps), on the journal's line parser
 # against encoding/json (FuzzParseLine) and its reader over arbitrary files
 # (FuzzReadPrefix), on the JSON grammar and string rule the decoders share,

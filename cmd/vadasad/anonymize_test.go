@@ -36,7 +36,7 @@ func referenceAnonymizeBody(t *testing.T, s *server, target, body string) ([]byt
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _, err := buildDataset(f, []byte(body), u.Query(), s.cfg.maxCells)
+	d, _, err := buildDataset(f, []byte(body), u.Query(), s.cfg.maxCells, vadasa.ReadCSV)
 	if err != nil {
 		t.Fatal(err)
 	}

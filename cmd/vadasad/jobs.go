@@ -41,7 +41,7 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return badRequest(err)
 	}
-	d, _, err := buildDataset(f, body, r.URL.Query(), s.cfg.maxCells)
+	d, _, err := buildDataset(f, body, r.URL.Query(), s.cfg.maxCells, vadasa.ReadCSV)
 	if err != nil {
 		return badRequest(err)
 	}
@@ -144,7 +144,7 @@ func (jr *jobRunner) Run(ctx context.Context, id string, spec jobs.Spec, resume 
 		if err != nil {
 			return nil, fmt.Errorf("reading spooled input: %w", err)
 		}
-		if d, _, err = buildDataset(f, body, q, s.cfg.maxCells); err != nil {
+		if d, _, err = buildDataset(f, body, q, s.cfg.maxCells, vadasa.ReadCSV); err != nil {
 			return nil, err
 		}
 	}

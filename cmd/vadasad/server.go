@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -470,7 +471,7 @@ func (s *server) readDataset(f *vadasa.Framework, w http.ResponseWriter, r *http
 	if err != nil {
 		return nil, nil, err
 	}
-	return buildDataset(f, body, r.URL.Query(), s.cfg.maxCells)
+	return buildDataset(f, body, r.URL.Query(), s.cfg.maxCells, vadasa.ReadCSV)
 }
 
 // cellLimitError reports a CSV whose rows×columns product exceeds the
@@ -507,8 +508,9 @@ func (s *server) parseBudget(q url.Values) (int64, error) {
 // intake path reads it (vadasa.CSVHeader), so exports from spreadsheet tools
 // categorize the same as clean CSVs. maxCells, when positive, bounds the
 // decoded table's rows×columns — checked by counting newlines before any
-// parsing work is spent on an oversized body.
-func buildDataset(f *vadasa.Framework, body []byte, q url.Values, maxCells int64) (*vadasa.Dataset, *vadasa.CategorizationResult, error) {
+// parsing work is spent on an oversized body. read parses the body against
+// the schema: vadasa.ReadCSV, or a read of one tuple's group.
+func buildDataset(f *vadasa.Framework, body []byte, q url.Values, maxCells int64, read csvRead) (*vadasa.Dataset, *vadasa.CategorizationResult, error) {
 	if len(body) == 0 {
 		return nil, nil, fmt.Errorf("empty body; POST a CSV with a header row")
 	}
@@ -528,12 +530,15 @@ func buildDataset(f *vadasa.Framework, body []byte, q url.Values, maxCells int64
 		return nil, nil, err
 	}
 	attrs, report := f.Schema(names, overridesFromValues(q))
-	d, err := vadasa.ReadCSV(bytes.NewReader(body), "request", attrs)
+	d, err := read(bytes.NewReader(body), "request", attrs)
 	if err != nil {
 		return nil, nil, err
 	}
 	return d, report, nil
 }
+
+// csvRead is a CSV read against a schema, as vadasa.ReadCSV.
+type csvRead func(r io.Reader, name string, attrs []vadasa.Attribute) (*vadasa.Dataset, error)
 
 // checkCells enforces -max-cells (0 disables it) on a rows×cols table.
 func checkCells(rows, cols, maxCells int64) error {
@@ -742,17 +747,33 @@ func writeAnonymizeResponse(w http.ResponseWriter, res *vadasa.CycleResult, rate
 	return nil
 }
 
+// handleExplain reads only the tuple's group when the explanation needs no
+// more (vadasa.ExplainReadsGroup), and the whole table otherwise; both reads
+// check the whole body, so a bad body fails before a bad measure or tuple
+// either way, and the reply is the same.
 func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) error {
-	f, d, _, err := s.loadDataset(w, r)
+	q := r.URL.Query()
+	f, err := s.frameworkFor(q)
 	if err != nil {
 		return badRequest(err)
 	}
-	m, err := s.measureFromValues(r.URL.Query())
+	body, err := s.readCharged(w, r)
 	if err != nil {
 		return badRequest(err)
 	}
-	tuple, err := intValue(r.URL.Query(), "tuple", 0)
+	m, merr := s.measureFromValues(q)
+	tuple, terr := intValue(q, "tuple", 0)
+	read := vadasa.ReadCSV
+	if merr == nil && terr == nil && tuple > 0 && vadasa.ExplainReadsGroup(m) {
+		read = func(r io.Reader, name string, attrs []vadasa.Attribute) (*vadasa.Dataset, error) {
+			return vadasa.ReadCSVGroup(r, name, attrs, tuple)
+		}
+	}
+	d, _, err := buildDataset(f, body, q, s.cfg.maxCells, read)
 	if err != nil {
+		return badRequest(err)
+	}
+	if err := cmp.Or(merr, terr); err != nil {
 		return badRequest(err)
 	}
 	if tuple == 0 {

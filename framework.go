@@ -254,8 +254,8 @@ func (f *Framework) ExplainRiskContext(ctx context.Context, d *Dataset, measure 
 		return "", fmt.Errorf("vadasa: dataset %q has no tuple with id %d", d.Name, rowID)
 	}
 
-	if m, ok := measure.(SUDA); ok {
-		return f.explainSUDA(ctx, d, m, rowID)
+	if !ExplainReadsGroup(measure) {
+		return f.explainSUDA(ctx, d, measure.(SUDA), rowID)
 	}
 	// Which program explains a measure is a row of the twin table.
 	prog, err := programs.TwinOf(measure, d, true)
@@ -269,8 +269,9 @@ func (f *Framework) ExplainRiskContext(ctx context.Context, d *Dataset, measure 
 	// The twin's riskout(I,·) depends on I's exact group alone, so only the
 	// rows sharing a quasi-identifier vector with one carrying rowID are
 	// loaded, in dataset order: the same contributors fold in the same order.
-	group := d.Select(func(r *mdb.Row) bool {
-		return slices.ContainsFunc(keys, func(k *mdb.Row) bool {
+	// A dataset that is that group already (ReadCSVGroup's) is loaded as it is.
+	outside := func(r *mdb.Row) bool {
+		return !slices.ContainsFunc(keys, func(k *mdb.Row) bool {
 			for _, i := range qi {
 				if r.Values[i] != k.Values[i] {
 					return false
@@ -278,7 +279,11 @@ func (f *Framework) ExplainRiskContext(ctx context.Context, d *Dataset, measure 
 			}
 			return true
 		})
-	})
+	}
+	group := d
+	if slices.ContainsFunc(d.Rows, outside) {
+		group = d.Select(func(r *mdb.Row) bool { return !outside(r) })
+	}
 	edb := datalog.NewDatabase()
 	programs.TupleFacts(edb, group)
 	opt, done := f.reasonerOptions(ctx)
@@ -299,6 +304,15 @@ func (f *Framework) ExplainRiskContext(ctx context.Context, d *Dataset, measure 
 		return "", fmt.Errorf("vadasa: no risk derived for tuple %d", rowID)
 	}
 	return res.Explain("riskout", rows.Row(best).Tuple()...)
+}
+
+// ExplainReadsGroup reports whether ExplainRisk explains a tuple's risk
+// under measure from the tuple's exact group alone, so a caller may read
+// just that group (ReadCSVGroup): SUDA's explanation searches the whole
+// table, every other measure's twin reads its group.
+func ExplainReadsGroup(measure RiskMeasure) bool {
+	_, suda := measure.(SUDA)
+	return !suda
 }
 
 func (f *Framework) explainSUDA(ctx context.Context, d *Dataset, m SUDA, rowID int) (string, error) {

@@ -69,6 +69,23 @@ const (
 	TypeDone Type = "done"
 )
 
+// knownTypes are the record types the repository's journals hold: a job's
+// above, a stream's eight and a replica node's epoch. ParseLine returns these
+// constants instead of a copy of the type's bytes.
+var knownTypes = [...]Type{TypeStart, TypeIter, TypeDone,
+	"create", "batch", "withdraw", "anon", "intent", "publish", "ack", "checkpoint", "epoch"}
+
+// recordType returns the type b spells, without allocating when it is one
+// of knownTypes.
+func recordType(b []byte) Type {
+	for _, t := range knownTypes {
+		if string(t) == string(b) {
+			return t
+		}
+	}
+	return Type(b)
+}
+
 // Record is one committed journal entry.
 type Record struct {
 	// Seq is the 1-based sequence number; the reader rejects gaps.
@@ -469,7 +486,7 @@ func parseFramed(body []byte, wantSeq int) (Record, bool) {
 	if to <= from {
 		return Record{}, false
 	}
-	rec.Seq, rec.Type = wantSeq, Type(body[from:to])
+	rec.Seq, rec.Type = wantSeq, recordType(body[from:to])
 	if from, to = plainString(body, to, []byte(`","time":"`)); to < 0 || rec.Time.UnmarshalJSON(body[from-1:to+1]) != nil {
 		return Record{}, false
 	}

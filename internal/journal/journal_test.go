@@ -670,3 +670,46 @@ func TestRecoverDirOrder(t *testing.T) {
 		t.Fatalf("adopted under an ended context %q, want %q", got, want)
 	}
 }
+
+// A scan allocates nothing per record of a known type. The journal is laid
+// out as the benchmark's journal probe writes it — a stream batch's worth
+// of payload per record — with every known type in turn; a scan of 1 100
+// records may allocate what one of 100 does, and no more.
+func TestScanAllocatesNothingPerRecord(t *testing.T) {
+	payload := struct {
+		Batch string `json:"batch"`
+	}{strings.Repeat("row,", 50)}
+	scan := func(n int) float64 {
+		path := filepath.Join(t.TempDir(), "probe.journal")
+		w, err := CreateWith(path, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := w.Append(knownTypes[i%len(knownTypes)], payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			it, err := Records(context.Background(), path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer it.Close()
+			seen := 0
+			for it.Next() {
+				seen++
+			}
+			if it.Err() != nil || seen != n {
+				t.Fatalf("scan saw %d of %d records: %v", seen, n, it.Err())
+			}
+		})
+	}
+	few, many := scan(100), scan(1100)
+	if perRecord := (many - few) / 1000; perRecord > 0.01 {
+		t.Fatalf("%.3f allocations per record (%.0f for 100 records, %.0f for 1 100)", perRecord, few, many)
+	}
+}

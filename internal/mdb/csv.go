@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -50,26 +51,12 @@ func headerNames(rec []string) []string {
 // dataset is dropped keeps the whole input alive. Copy what must outlive
 // the dataset.
 func ReadCSV(r io.Reader, name string, attrs []Attribute) (*Dataset, error) {
-	var in strings.Builder
-	if l, ok := r.(interface{ Len() int }); ok {
-		in.Grow(l.Len())
-	}
-	if _, err := io.Copy(&in, r); err != nil {
-		return nil, fmt.Errorf("mdb: reading CSV: %w", err)
-	}
-	sc := csvScanner{s: in.String()}
-	k := len(attrs)
-	header, _, err := sc.record(make([]string, 0, k), k)
+	sc, err := openCSV(r, attrs)
 	if err != nil {
-		return nil, fmt.Errorf("mdb: reading CSV header: %w", err)
-	}
-	for i, h := range headerNames(header) {
-		if h != attrs[i].Name {
-			return nil, fmt.Errorf("mdb: CSV column %d is %q, schema expects %q", i, h, attrs[i].Name)
-		}
+		return nil, err
 	}
 	d := NewDataset(name, attrs)
-	w := d.WeightIndex()
+	k := len(attrs)
 	// A record takes at least one line and k−1 commas plus a line end but for
 	// the last, so both the lines left and the bytes left over k bound the
 	// rows; the second keeps the values array linear in the input's size.
@@ -81,34 +68,161 @@ func ReadCSV(r io.Reader, name string, attrs []Attribute) (*Dataset, error) {
 	n = min(n, (len(rest)+1)/k)
 	rows, vals := make([]Row, n), make([]Value, n*k)
 	d.Rows = make([]*Row, 0, n)
+	err = sc.intake(d, func(i int) []Value {
+		return vals[i*k : (i+1)*k : (i+1)*k]
+	}, func(i int, v []Value, weight float64) {
+		rows[i] = Row{ID: i + 1, Values: v, Weight: weight}
+		d.Rows = append(d.Rows, &rows[i])
+	})
+	return validated(d, err)
+}
+
+// ReadCSVGroup is ReadCSV followed by a Select of the rows whose
+// quasi-identifier cells equal, labelled nulls by id, those of the row with
+// ID id — the tuple's exact group, as Framework.ExplainRisk chases it — with
+// the same errors, the same Nulls and the same row IDs, but a Row and its
+// values are made only for a row of the group. It reads the input at most
+// twice: up to record id to fix the group's key, skimming the lines that
+// hold only constants, then every record, which it checks as ReadCSV does.
+// An id past the last row keeps no rows. Retention is ReadCSV's, but for
+// the rows, which are one allocation each.
+func ReadCSVGroup(r io.Reader, name string, attrs []Attribute, id int) (*Dataset, error) {
+	sc, err := openCSV(r, attrs)
+	if err != nil {
+		return nil, err
+	}
+	d := NewDataset(name, attrs)
+	qi := d.QuasiIdentifiers()
+	buf := make([]Value, len(attrs))
+	var key []Value
+	if id > 0 {
+		first := *sc // the checking scan starts where this one does
+		key = first.key(id, len(attrs))
+	}
+	err = sc.intake(d, func(int) []Value { return buf }, func(i int, v []Value, weight float64) {
+		if key != nil && sameCells(v, key, qi) {
+			d.Rows = append(d.Rows, &Row{ID: i + 1, Values: slices.Clone(v), Weight: weight})
+		}
+	})
+	return validated(d, err)
+}
+
+// key returns the values of record id, counting from the scanner's place,
+// with labelled nulls minted as a read from there mints them, or nil when
+// the input ends or a record before it is malformed: the checking scan
+// reports that. A line before it without a quote, a "*" or a "⊥" is one
+// record of constants, which mints nothing, so it is only counted.
+func (sc *csvScanner) key(id, k int) []Value {
+	var nulls NullAllocator
+	vals := make([]Value, k)
+	for i := 1; ; i++ {
+		if i < id && sc.skipConstants() {
+			continue
+		}
+		rec, _, err := sc.record(sc.fields[:0], k)
+		if err != nil {
+			return nil
+		}
+		for j, field := range rec {
+			vals[j] = ParseValue(field, &nulls)
+		}
+		if i == id {
+			return vals
+		}
+	}
+}
+
+// skipConstants consumes the next line when it is not empty and holds none
+// of the bytes a record needs to be other than constants — a quote, the
+// "*" null, the first byte of "⊥" — and reports whether it did.
+func (sc *csvScanner) skipConstants() bool {
+	text := sc.s[sc.off:]
+	if i := strings.IndexByte(text, '\n'); i >= 0 {
+		text = text[:i]
+	}
+	if strings.TrimSuffix(text, "\r") == "" || strings.IndexByte(text, '"') >= 0 ||
+		strings.IndexByte(text, '*') >= 0 || strings.IndexByte(text, "⊥"[0]) >= 0 {
+		return false
+	}
+	sc.readLine()
+	return true
+}
+
+// sameCells reports whether a and b hold the same value at every index of
+// idx.
+func sameCells(a, b []Value, idx []int) bool {
+	for _, i := range idx {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// openCSV reads r whole and its header, which must name attrs in order, and
+// returns a scanner at the first record.
+func openCSV(r io.Reader, attrs []Attribute) (*csvScanner, error) {
+	var in strings.Builder
+	if l, ok := r.(interface{ Len() int }); ok {
+		in.Grow(l.Len())
+	}
+	if _, err := io.Copy(&in, r); err != nil {
+		return nil, fmt.Errorf("mdb: reading CSV: %w", err)
+	}
+	sc := &csvScanner{s: in.String()}
+	k := len(attrs)
+	header, _, err := sc.record(make([]string, 0, k), k)
+	if err != nil {
+		return nil, fmt.Errorf("mdb: reading CSV header: %w", err)
+	}
+	for i, h := range headerNames(header) {
+		if h != attrs[i].Name {
+			return nil, fmt.Errorf("mdb: CSV column %d is %q, schema expects %q", i, h, attrs[i].Name)
+		}
+	}
+	sc.fields = header
+	return sc, nil
+}
+
+// intake is the one loop that checks a CSV's records, ReadCSV's and
+// ReadCSVGroup's: over the records after the header, in order, it parses
+// record i into at(i), minting labelled nulls from d.Nulls, checks its
+// weight under d's schema and hands both to keep.
+func (sc *csvScanner) intake(d *Dataset, at func(i int) []Value, keep func(i int, vals []Value, weight float64)) error {
+	k, w := len(d.Attrs), d.WeightIndex()
 	for i := 0; ; i++ {
-		rec, line, err := sc.record(header[:0], k)
+		rec, line, err := sc.record(sc.fields[:0], k)
 		if err == io.EOF {
-			break
+			return nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("mdb: reading CSV: %w", err)
+			return fmt.Errorf("mdb: reading CSV: %w", err)
 		}
-		row := &rows[i]
-		row.ID = i + 1
-		row.Values = vals[i*k : (i+1)*k : (i+1)*k]
+		vals := at(i)
 		for j, field := range rec {
-			row.Values[j] = ParseValue(field, &d.Nulls)
+			vals[j] = ParseValue(field, &d.Nulls)
 		}
+		var weight float64
 		if w >= 0 {
-			v := row.Values[w]
+			v := vals[w]
 			if v.IsNull() {
-				return nil, fmt.Errorf("mdb: CSV line %d: weight column is a labelled null", line)
+				return fmt.Errorf("mdb: CSV line %d: weight column is a labelled null", line)
 			}
-			wt, err := ParseWeight(v.Constant())
-			if err != nil {
-				return nil, fmt.Errorf("mdb: CSV line %d: %w", line, err)
+			if weight, err = ParseWeight(v.Constant()); err != nil {
+				return fmt.Errorf("mdb: CSV line %d: %w", line, err)
 			}
-			row.Weight = wt
 		}
-		d.Rows = append(d.Rows, row)
+		keep(i, vals, weight)
 	}
-	if err := d.Validate(); err != nil {
+}
+
+// validated returns d once its read ended without err and it passes
+// Validate.
+func validated(d *Dataset, err error) (*Dataset, error) {
+	if err == nil {
+		err = d.Validate()
+	}
+	if err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -119,9 +233,10 @@ func ReadCSV(r io.Reader, name string, attrs []Attribute) (*Dataset, error) {
 // test oracle holds it to that. Fields are substrings of the input but for a quoted field holding a
 // doubled quote or a line break, which is unescaped into buf and copied.
 type csvScanner struct {
-	s    string
-	off  int // first byte not yet read
-	line int // physical lines read
+	s      string
+	off    int      // first byte not yet read
+	line   int      // physical lines read
+	fields []string // a record's fields, reused from record to record
 
 	field  string // quoted field read so far, while it is one piece
 	buf    []byte // quoted field read so far, once it is several
@@ -160,7 +275,20 @@ func (sc *csvScanner) record(fields []string, want int) ([]string, int, error) {
 	fail := func(line, col int, err error) ([]string, int, error) {
 		return nil, start, &csv.ParseError{StartLine: start, Line: line, Column: col, Err: err}
 	}
-	for {
+	// A line without a quote is one record whose fields lie between its
+	// commas; any other runs the state machine below, which only a break
+	// ends.
+	quoted := strings.IndexByte(text, '"') >= 0
+	for !quoted {
+		i := strings.IndexByte(text, ',')
+		if i < 0 {
+			fields = append(fields, text)
+			break
+		}
+		fields = append(fields, text[:i])
+		text = text[i+1:]
+	}
+	for quoted {
 		if text == "" || text[0] != '"' {
 			j := 0
 			for j < len(text) && text[j] != ',' && text[j] != '"' {

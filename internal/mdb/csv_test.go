@@ -96,6 +96,44 @@ func checkReadCSV(t testing.TB, in string, attrs []Attribute, wrap bool) bool {
 	return true
 }
 
+// checkReadCSVGroup requires ReadCSVGroup, for id 0, every row's and one
+// past the last, to equal ReadCSV followed by the Select ExplainRisk makes:
+// the rows whose quasi-identifier cells equal those of the row with that
+// ID. Rows, IDs, weights and Nulls are the same, or the error text is.
+func checkReadCSVGroup(t testing.TB, in string, attrs []Attribute) {
+	full, ferr := ReadCSV(strings.NewReader(in), "x", attrs)
+	n := 0
+	if ferr == nil {
+		n = len(full.Rows)
+	}
+	for id := 0; id <= n+1; id++ {
+		got, gerr := ReadCSVGroup(strings.NewReader(in), "x", attrs, id)
+		if errText(gerr) != errText(ferr) {
+			t.Fatalf("ReadCSVGroup(%q, %d): error %v, ReadCSV %v", in, id, gerr, ferr)
+		}
+		if ferr != nil {
+			continue
+		}
+		qi := full.QuasiIdentifiers()
+		var key *Row
+		if id >= 1 && id <= n {
+			key = full.Rows[id-1]
+		}
+		want := full.Select(func(r *Row) bool {
+			return key != nil && !slices.ContainsFunc(qi, func(i int) bool { return r.Values[i] != key.Values[i] })
+		})
+		if got.Nulls != want.Nulls || len(got.Rows) != len(want.Rows) {
+			t.Fatalf("ReadCSVGroup(%q, %d): %d rows, %d nulls; ReadCSV and Select %d rows, %d nulls",
+				in, id, len(got.Rows), got.Nulls.Count(), len(want.Rows), want.Nulls.Count())
+		}
+		for i, g := range got.Rows {
+			if w := want.Rows[i]; g.ID != w.ID || g.Weight != w.Weight || !slices.Equal(g.Values, w.Values) {
+				t.Fatalf("ReadCSVGroup(%q, %d) row %d: %+v, ReadCSV and Select %+v", in, id, i, *g, *w)
+			}
+		}
+	}
+}
+
 func errText(err error) string {
 	if err == nil {
 		return ""
@@ -192,6 +230,10 @@ func FuzzReadCSV(f *testing.F) {
 		"A,W\nx,⊥1\ny,*\n",
 		"\"A\",\"W\"\n*,3\n⊥4,2\n*,1\n",
 		"", "\n", "A,W", "A\n",
+		"A,W\n*,1\n⊥1,2\n*,3\n",         // a literal null after a "*" minted its id
+		"A,W\n⊥5,1\n⊥05,2\nx,3\n",       // ⊥05 is ⊥5
+		"A,W,B\n*,1,b\n*,2,b\n⊥2,3,b\n", // "*" in the key row
+		"A,W,B\nx,1,b\nx,2,c\nx,3,b\n",  // rows equal on one quasi-identifier only
 	} {
 		f.Add(in, uint8(1))
 	}
@@ -208,6 +250,7 @@ func FuzzReadCSV(f *testing.F) {
 			}
 		}
 		checkReadCSV(t, in, attrs, weight%2 == 0)
+		checkReadCSVGroup(t, in, attrs)
 		checkScanner(t, in, len(attrs))
 	})
 }

@@ -238,16 +238,37 @@ func CheckWeight(w float64) error {
 // The error names the cell by its digest only: strconv.NumError embeds its
 // input, so only the unwrapped kind is kept.
 func ParseWeight(cell string) (float64, error) {
-	w, err := strconv.ParseFloat(cell, 64)
-	if err != nil {
-		err = errors.Unwrap(err)
-	} else {
+	w, ok := smallInt(cell)
+	var err error
+	if !ok {
+		if w, err = strconv.ParseFloat(cell, 64); err != nil {
+			err = errors.Unwrap(err)
+		}
+	}
+	if err == nil {
 		err = CheckWeight(w)
 	}
 	if err != nil {
 		return 0, fmt.Errorf("bad weight %s: %v", RedactString(cell), err)
 	}
 	return w, nil
+}
+
+// smallInt reads a cell of 1 to 15 ASCII digits, the common weight: its
+// integer is below 2⁵³, so it is exactly the float strconv.ParseFloat reads.
+func smallInt(cell string) (float64, bool) {
+	if len(cell) == 0 || len(cell) > 15 {
+		return 0, false
+	}
+	n := 0
+	for i := 0; i < len(cell); i++ {
+		c := cell[i] - '0'
+		if c > 9 {
+			return 0, false
+		}
+		n = n*10 + int(c)
+	}
+	return float64(n), true
 }
 
 // DistinctValues returns the sorted distinct constant values of an attribute.

@@ -3,6 +3,8 @@ package mdb
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -192,9 +194,21 @@ func TestWeightIsFinitePositive(t *testing.T) {
 			t.Errorf("Validate with weight %g: %v", w, err)
 		}
 	}
-	for cell, want := range map[string]float64{"10": 10, "0.5": 0.5, "1e-300": 1e-300} {
-		if got, err := ParseWeight(cell); err != nil || got != want {
-			t.Errorf("ParseWeight(%q) = %g, %v", cell, got, err)
+	// ParseWeight is strconv.ParseFloat under CheckWeight, value and error
+	// text, on both sides of its path for short digit strings.
+	for _, cell := range []string{"10", "0.5", "1e-300", "007", "0", "00", "999999999999999",
+		"9007199254740993", "+1", "1e3", " 1", "１２", ""} {
+		want, werr := strconv.ParseFloat(cell, 64)
+		if werr != nil {
+			werr = errors.Unwrap(werr)
+		} else {
+			werr = CheckWeight(want)
+		}
+		if werr != nil {
+			want, werr = 0, fmt.Errorf("bad weight %s: %v", RedactString(cell), werr)
+		}
+		if got, err := ParseWeight(cell); got != want || errText(err) != errText(werr) {
+			t.Errorf("ParseWeight(%q) = %g, %v; want %g, %v", cell, got, err, want, werr)
 		}
 	}
 }

@@ -57,6 +57,9 @@ func (v Value) String() string {
 // ParseValue parses the textual form produced by String. The token "*" is
 // accepted as an anonymous labelled null and is assigned a fresh id from a.
 func ParseValue(s string, a *NullAllocator) Value {
+	if s == "" || s[0] != '*' && s[0] != "⊥"[0] {
+		return Const(s)
+	}
 	if s == "*" {
 		return a.Fresh()
 	}

@@ -3,6 +3,7 @@ package replica
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"regexp"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"vadasa/internal/faultfs"
+	"vadasa/internal/govern"
 	"vadasa/internal/journal"
 	"vadasa/internal/stream"
 )
@@ -63,6 +65,10 @@ type flog struct {
 	materialized int
 	diverged     bool
 	lastErr      string
+	// rebuild is set when the governor refused the follower: the refusal
+	// may clear, so the next shipment replays the mirror again. Any other
+	// failure would recur on every replay of the same records.
+	rebuild bool
 }
 
 // logName validates the bare log identifier inside a namespace: the same
@@ -207,9 +213,10 @@ func (sb *Standby) follow(ctx context.Context, fl *flog, rec journal.Record) err
 }
 
 // attachFollowerLocked rebuilds a dropped follower by replaying the mirror.
-// Failure is not fatal — the standby keeps mirroring bytes and retries on
-// the next shipment — but it is loud, because without a follower there is
-// no divergence detection and no read-only serving for that log.
+// Failure is not fatal — the standby keeps mirroring bytes, and retries on
+// the next shipment if the governor refused the follower — but it is loud,
+// because without a follower there is no divergence detection and no
+// read-only serving for that log.
 func (sb *Standby) attachFollowerLocked(ctx context.Context, fl *flog) {
 	it, err := journal.RecordsIn(ctx, sb.fs, fl.path, journal.Cursor{})
 	if err == nil {
@@ -234,6 +241,8 @@ func (sb *Standby) dropFollower(fl *flog, err error) {
 		fl.follower.Close()
 		fl.follower = nil
 	}
+	var refused *govern.ErrBudgetExceeded
+	fl.rebuild = errors.As(err, &refused)
 	if err != nil {
 		fl.lastErr = err.Error()
 		sb.logf("replica: follower for %s: %v", fl.name, err)
@@ -367,7 +376,9 @@ func (sb *Standby) applyFramesLocked(ctx context.Context, fl *flog, frames []Fra
 		return
 	}
 	if fl.follower == nil && accepted[0].Seq > 1 {
-		sb.attachFollowerLocked(ctx, fl) // replays the whole file, new records included
+		if fl.rebuild {
+			sb.attachFollowerLocked(ctx, fl) // replays the whole file, new records included
+		}
 		return
 	}
 	for _, rec := range accepted {

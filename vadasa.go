@@ -99,6 +99,13 @@ func ReadCSV(r io.Reader, name string, attrs []Attribute) (*Dataset, error) {
 	return mdb.ReadCSV(r, name, attrs)
 }
 
+// ReadCSVGroup is ReadCSV keeping only the tuple id's exact group, the rows
+// ExplainRisk chases for a measure ExplainReadsGroup: same errors, nulls and
+// row IDs, but rows built only for the group.
+func ReadCSVGroup(r io.Reader, name string, attrs []Attribute, id int) (*Dataset, error) {
+	return mdb.ReadCSVGroup(r, name, attrs, id)
+}
+
 // WriteCSV writes a dataset (labelled nulls in ⊥i form) as CSV.
 func WriteCSV(w io.Writer, d *Dataset) error { return mdb.WriteCSV(w, d) }
 
