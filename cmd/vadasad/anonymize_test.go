@@ -11,6 +11,8 @@ import (
 	"net/url"
 	"os"
 	"regexp"
+	"runtime"
+	"runtime/metrics"
 	"slices"
 	"strings"
 	"testing"
@@ -36,7 +38,7 @@ func referenceAnonymizeBody(t *testing.T, s *server, target, body string) ([]byt
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _, err := buildDataset(f, []byte(body), u.Query(), s.cfg.maxCells, vadasa.ReadCSV)
+	d, _, err := buildDataset(f, []byte(body), u.Query(), s.cfg.maxCells, vadasa.ParseCSV)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,32 +258,127 @@ func TestJSONStringWriterAnySplit(t *testing.T) {
 	}
 }
 
-// BenchmarkAnonymizeRequest is one whole POST /anonymize through serve —
-// body read, categorization, the cycle, the release written into the reply —
-// for each measure of the anonymize_native workload on an R25A4U table.
-func BenchmarkAnonymizeRequest(b *testing.B) {
+// requestTables holds the request bodies requestTable made, by row count.
+var requestTables = map[int][]byte{}
+
+// requestTable returns the CSV body of an R<n>A4U table, generated once per n.
+func requestTable(b *testing.B, n int) []byte {
+	if body, ok := requestTables[n]; ok {
+		return body
+	}
 	var body bytes.Buffer
-	if err := mdb.WriteCSV(&body, synth.Generate(synth.Config{Tuples: 25000, QIs: 4, Dist: synth.DistU, Seed: 459})); err != nil {
+	if err := mdb.WriteCSV(&body, synth.Generate(synth.Config{Tuples: n, QIs: 4, Dist: synth.DistU, Seed: 459})); err != nil {
 		b.Fatal(err)
 	}
-	for _, q := range []string{
-		"measure=k-anonymity&k=3&threshold=0.5",
-		"measure=re-identification&threshold=0.05",
-		"measure=individual-risk&threshold=0.05",
-	} {
-		b.Run(strings.SplitN(strings.TrimPrefix(q, "measure="), "&", 2)[0], func(b *testing.B) {
-			h := testServer(b)
-			b.SetBytes(int64(body.Len()))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/anonymize?"+q, bytes.NewReader(body.Bytes())))
-				if rec.Code != http.StatusOK {
-					b.Fatalf("status = %d: %.200s", rec.Code, rec.Body)
-				}
+	requestTables[n] = body.Bytes()
+	return body.Bytes()
+}
+
+// benchRequests posts body to target b.N times through s's handler and
+// reports, per row of the n-row table, the most the live heap stood above
+// its level before the loop (sampled every millisecond from runtime/metrics,
+// so as of the collection before each sample) and, with a governor, the most
+// it had charged; and the share of the CPU the process used that went to the
+// collector.
+func benchRequests(b *testing.B, s *server, target string, body []byte, n int) {
+	samples := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/cpu/classes/gc/total:cpu-seconds"},
+		{Name: "/cpu/classes/total:cpu-seconds"}, {Name: "/cpu/classes/idle:cpu-seconds"}}
+	cpu := func() (gc, used float64) {
+		metrics.Read(samples)
+		return samples[1].Value.Float64(), samples[2].Value.Float64() - samples[3].Value.Float64()
+	}
+	runtime.GC()
+	gc0, used0 := cpu()
+	base := samples[0].Value.Uint64()
+	var heap uint64
+	var charged int64
+	done, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
 			}
-		})
+			metrics.Read(live)
+			heap = max(heap, live[0].Value.Uint64())
+			if s.govern != nil {
+				charged = max(charged, s.govern.Used())
+			}
+		}
+	}()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		s.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, target, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status = %d: %.200s", rec.Code, rec.Body)
+		}
+	}
+	b.StopTimer()
+	close(done)
+	<-stopped
+	gc, used := cpu()
+	b.ReportMetric(float64(int64(heap)-int64(base))/float64(n), "held-B/row")
+	if s.govern != nil {
+		b.ReportMetric(float64(charged)/float64(n), "charged-B/row")
+	}
+	b.ReportMetric(100*(gc-gc0)/(used-used0), "gc-cpu-%")
+}
+
+// requestMeasures are the measures of the anonymize_native workload.
+var requestMeasures = []string{
+	"measure=k-anonymity&k=3&threshold=0.5",
+	"measure=re-identification&threshold=0.05",
+	"measure=individual-risk&threshold=0.05",
+}
+
+// anonymizeBytesPerRow bounds what an /anonymize of a six-column table is
+// charged per row beside its body, as README's -mem-budget row states it:
+// 192 for the working table (48 + 24 per column), about 70 for the group
+// index and the risk vector, the rest for the decision log.
+const anonymizeBytesPerRow = 300
+
+// BenchmarkAnonymizeRequest is one whole POST /anonymize through serve —
+// body read, categorization, the cycle, the release written into the reply —
+// for each measure of the anonymize_native workload on an R25A4U table, and
+// on an R1000000A4U table under a -mem-budget of the body and
+// anonymizeBytesPerRow for each row, which it must not refuse.
+func BenchmarkAnonymizeRequest(b *testing.B) {
+	for _, n := range []int{25_000, 1_000_000} {
+		for _, q := range requestMeasures {
+			name := strings.SplitN(strings.TrimPrefix(q, "measure="), "&", 2)[0]
+			if n != 25_000 {
+				name = fmt.Sprintf("n=%d/%s", n, name)
+			}
+			b.Run(name, func(b *testing.B) {
+				body := requestTable(b, n)
+				cfg := testConfig(b)
+				if n != 25_000 {
+					cfg.memBudget = int64(len(body)) + anonymizeBytesPerRow*int64(n)
+				}
+				benchRequests(b, startServer(b, cfg), "/anonymize?"+q, body, n)
+			})
+		}
+	}
+}
+
+// BenchmarkAssessRequest is one whole POST /assess through serve — body
+// read, categorization, the risk vector, the summary — for each measure of
+// the anonymize_native workload on an R25A4U and an R1000000A4U table.
+func BenchmarkAssessRequest(b *testing.B) {
+	for _, n := range []int{25_000, 1_000_000} {
+		for _, q := range requestMeasures {
+			b.Run(fmt.Sprintf("n=%d/%s", n, strings.SplitN(strings.TrimPrefix(q, "measure="), "&", 2)[0]), func(b *testing.B) {
+				benchRequests(b, startServer(b, testConfig(b)), "/assess?"+q, requestTable(b, n), n)
+			})
+		}
 	}
 }
 
@@ -326,5 +423,58 @@ func BenchmarkJobRequest(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// heldMeasure reads the live heap the first time a cycle assesses, with the
+// working table in hand, then scores every tuple 0, so the cycle ends there.
+type heldMeasure struct{ heap int64 }
+
+func (*heldMeasure) Name() string { return "held" }
+
+func (m *heldMeasure) Assess(d *vadasa.Dataset, _ vadasa.Semantics) ([]float64, error) {
+	if m.heap == 0 {
+		m.heap = liveHeap()
+	}
+	return make([]float64, len(d.Rows)), nil
+}
+
+// liveHeap returns the bytes the heap holds once a collection has run.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// In the middle of a 10⁵-row /anonymize the daemon holds its copy of the
+// body and one table parsed from it, which the cycle works on: no second
+// copy of the body as text, no second table.
+func TestAnonymizeHoldsOneTable(t *testing.T) {
+	m := &heldMeasure{}
+	cfg := testConfig(t)
+	cfg.extraMeasures = map[string]func() vadasa.RiskMeasure{"held": func() vadasa.RiskMeasure { return m }}
+	h := startServer(t, cfg).handler
+	src := synth.Generate(synth.Config{Tuples: 100_000, QIs: 4, Dist: synth.DistU, Seed: 459})
+	var body bytes.Buffer
+	if err := mdb.WriteCSV(&body, src); err != nil {
+		t.Fatal(err)
+	}
+	before := liveHeap()
+	table := src.Clone() // what one table holds beside its text
+	tableBytes := liveHeap() - before
+	runtime.KeepAlive(src)
+	runtime.KeepAlive(table)
+
+	before = liveHeap()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/anonymize?measure=held", bytes.NewReader(body.Bytes())))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d: %.200s", rec.Code, rec.Body)
+	}
+	held, limit := m.heap-before, int64(body.Len())+tableBytes*3/2
+	t.Logf("held %d bytes mid-cycle: a %d-byte body and a %d-byte table", held, body.Len(), tableBytes)
+	if held > limit {
+		t.Fatalf("the daemon held %d bytes mid-cycle, over the %d of its body and one table", held, limit)
 	}
 }

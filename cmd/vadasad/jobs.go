@@ -41,7 +41,7 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return badRequest(err)
 	}
-	d, _, err := buildDataset(f, body, r.URL.Query(), s.cfg.maxCells, vadasa.ReadCSV)
+	d, _, err := buildDataset(f, body, r.URL.Query(), s.cfg.maxCells, vadasa.ParseCSV)
 	if err != nil {
 		return badRequest(err)
 	}
@@ -144,12 +144,14 @@ func (jr *jobRunner) Run(ctx context.Context, id string, spec jobs.Spec, resume 
 		if err != nil {
 			return nil, fmt.Errorf("reading spooled input: %w", err)
 		}
-		if d, _, err = buildDataset(f, body, q, s.cfg.maxCells, vadasa.ReadCSV); err != nil {
+		if d, _, err = buildDataset(f, body, q, s.cfg.maxCells, vadasa.ParseCSV); err != nil {
 			return nil, err
 		}
 	}
 	opts.Checkpoint = checkpoint
-	res, err := f.ResumeAnonymizeContext(ctx, d, opts, resume)
+	// The attempt's table is its own — the submission hands its parse to one
+	// attempt only — so the cycle anonymizes it in place.
+	res, err := f.AnonymizeInPlace(ctx, d, opts, resume)
 	if err != nil {
 		return nil, err
 	}

@@ -471,7 +471,7 @@ func (s *server) readDataset(f *vadasa.Framework, w http.ResponseWriter, r *http
 	if err != nil {
 		return nil, nil, err
 	}
-	return buildDataset(f, body, r.URL.Query(), s.cfg.maxCells, vadasa.ReadCSV)
+	return buildDataset(f, body, r.URL.Query(), s.cfg.maxCells, vadasa.ParseCSV)
 }
 
 // cellLimitError reports a CSV whose rows×columns product exceeds the
@@ -509,7 +509,8 @@ func (s *server) parseBudget(q url.Values) (int64, error) {
 // categorize the same as clean CSVs. maxCells, when positive, bounds the
 // decoded table's rows×columns — checked by counting newlines before any
 // parsing work is spent on an oversized body. read parses the body against
-// the schema: vadasa.ReadCSV, or a read of one tuple's group.
+// the schema in place, so the dataset keeps body: vadasa.ParseCSV, or a read
+// of one tuple's group.
 func buildDataset(f *vadasa.Framework, body []byte, q url.Values, maxCells int64, read csvRead) (*vadasa.Dataset, *vadasa.CategorizationResult, error) {
 	if len(body) == 0 {
 		return nil, nil, fmt.Errorf("empty body; POST a CSV with a header row")
@@ -530,15 +531,15 @@ func buildDataset(f *vadasa.Framework, body []byte, q url.Values, maxCells int64
 		return nil, nil, err
 	}
 	attrs, report := f.Schema(names, overridesFromValues(q))
-	d, err := read(bytes.NewReader(body), "request", attrs)
+	d, err := read(body, "request", attrs)
 	if err != nil {
 		return nil, nil, err
 	}
 	return d, report, nil
 }
 
-// csvRead is a CSV read against a schema, as vadasa.ReadCSV.
-type csvRead func(r io.Reader, name string, attrs []vadasa.Attribute) (*vadasa.Dataset, error)
+// csvRead is a CSV parse against a schema, as vadasa.ParseCSV.
+type csvRead func(b []byte, name string, attrs []vadasa.Attribute) (*vadasa.Dataset, error)
 
 // checkCells enforces -max-cells (0 disables it) on a rows×cols table.
 func checkCells(rows, cols, maxCells int64) error {
@@ -697,7 +698,8 @@ func (s *server) handleAnonymize(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return badRequest(err)
 	}
-	res, err := f.AnonymizeContext(r.Context(), d, opts)
+	// The table is this request's alone: the cycle anonymizes it in place.
+	res, err := f.AnonymizeInPlace(r.Context(), d, opts, nil)
 	if err != nil {
 		return unprocessable(err)
 	}
@@ -763,10 +765,10 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) error {
 	}
 	m, merr := s.measureFromValues(q)
 	tuple, terr := intValue(q, "tuple", 0)
-	read := vadasa.ReadCSV
+	read := vadasa.ParseCSV
 	if merr == nil && terr == nil && tuple > 0 && vadasa.ExplainReadsGroup(m) {
-		read = func(r io.Reader, name string, attrs []vadasa.Attribute) (*vadasa.Dataset, error) {
-			return vadasa.ReadCSVGroup(r, name, attrs, tuple)
+		read = func(b []byte, name string, attrs []vadasa.Attribute) (*vadasa.Dataset, error) {
+			return vadasa.ParseCSVGroup(b, name, attrs, tuple)
 		}
 	}
 	d, _, err := buildDataset(f, body, q, s.cfg.maxCells, read)

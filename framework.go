@@ -269,7 +269,7 @@ func (f *Framework) ExplainRiskContext(ctx context.Context, d *Dataset, measure 
 	// The twin's riskout(I,·) depends on I's exact group alone, so only the
 	// rows sharing a quasi-identifier vector with one carrying rowID are
 	// loaded, in dataset order: the same contributors fold in the same order.
-	// A dataset that is that group already (ReadCSVGroup's) is loaded as it is.
+	// A dataset that is that group already (ParseCSVGroup's) is loaded as it is.
 	outside := func(r *mdb.Row) bool {
 		return !slices.ContainsFunc(keys, func(k *mdb.Row) bool {
 			for _, i := range qi {
@@ -308,7 +308,7 @@ func (f *Framework) ExplainRiskContext(ctx context.Context, d *Dataset, measure 
 
 // ExplainReadsGroup reports whether ExplainRisk explains a tuple's risk
 // under measure from the tuple's exact group alone, so a caller may read
-// just that group (ReadCSVGroup): SUDA's explanation searches the whole
+// just that group (ParseCSVGroup): SUDA's explanation searches the whole
 // table, every other measure's twin reads its group.
 func ExplainReadsGroup(measure RiskMeasure) bool {
 	_, suda := measure.(SUDA)
@@ -419,6 +419,18 @@ func (f *Framework) ResumeAnonymizeContext(ctx context.Context, d *Dataset, opts
 		return nil, err
 	}
 	return anon.ResumeContext(ctx, d, cfg, checkpoints)
+}
+
+// AnonymizeInPlace is ResumeAnonymizeContext on d itself, for a caller that
+// gives d up, as the daemon does with the table it parsed from a request: the
+// cycle anonymizes d and returns it as CycleResult.Dataset, and an error
+// leaves d in whatever state the cycle reached.
+func (f *Framework) AnonymizeInPlace(ctx context.Context, d *Dataset, opts CycleOptions, checkpoints []CycleCheckpoint) (*CycleResult, error) {
+	cfg, err := f.cycleConfig(opts)
+	if err != nil {
+		return nil, err
+	}
+	return anon.ResumeInPlace(ctx, d, cfg, checkpoints)
 }
 
 // cycleConfig translates the public options into the cycle's configuration.

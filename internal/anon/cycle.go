@@ -109,7 +109,8 @@ type CheckpointFunc func(cp Checkpoint) error
 
 // Result is the outcome of an anonymization cycle.
 type Result struct {
-	// Dataset is the anonymized copy; the input dataset is not modified.
+	// Dataset is the anonymized dataset: a copy of the input, which is not
+	// modified, or the input itself after ResumeInPlace.
 	Dataset *mdb.Dataset
 	// Decisions is the full, ordered explanation log.
 	Decisions []Decision
@@ -149,7 +150,7 @@ func (res *Result) absorb(cp Checkpoint) {
 // assess, select the tuples over the threshold, route them, bound the batch,
 // apply one minimal step to each, commit, re-assess (DESIGN.md §11.4). It is
 // the only code that steps an Anonymizer. The anonymization cycle runs it
-// over a clone of its input, a stream's release gate over the live window;
+// over its working dataset, a stream's release gate over the live window;
 // what differs between them is spelled as values — where the risk vector
 // comes from, how much of the risky set one evaluation may motivate, what
 // makes an iteration durable.
@@ -205,7 +206,7 @@ func cancelled(iter int, err error) error {
 // stand as before the iteration that failed, so a caller that keeps the
 // dataset can run a fresh Loop over it and mint the same null ids. That undo
 // covers local suppression, the one method such a caller uses: the cells a
-// global recoding rewrote are not restored (the cycle discards its clone).
+// global recoding rewrote are not restored.
 // The context is polled at every iteration boundary and between steps.
 func (l *Loop) Run(ctx context.Context) ([]int, error) {
 	d := l.Dataset
@@ -351,7 +352,16 @@ func RunContext(ctx context.Context, d *mdb.Dataset, cfg Config) (*Result, error
 // a dataset and decision log identical to an uninterrupted run.
 //
 // An empty checkpoint slice makes ResumeContext identical to RunContext.
+// It is the one place a cycle copies its input: Run, RunContext and it
+// leave d as it was.
 func ResumeContext(ctx context.Context, d *mdb.Dataset, cfg Config, checkpoints []Checkpoint) (*Result, error) {
+	return ResumeInPlace(ctx, d.Clone(), cfg, checkpoints)
+}
+
+// ResumeInPlace is ResumeContext on d itself, for a caller that gives d up:
+// the cycle anonymizes d, returns it as Result.Dataset, and on an error
+// leaves it in whatever state the cycle reached.
+func ResumeInPlace(ctx context.Context, d *mdb.Dataset, cfg Config, checkpoints []Checkpoint) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -365,7 +375,7 @@ func ResumeContext(ctx context.Context, d *mdb.Dataset, cfg Config, checkpoints 
 		return nil, fmt.Errorf("anon: threshold %g outside [0,1]", cfg.Threshold)
 	}
 
-	// When ctx carries a resource governor, the working clone and the
+	// When ctx carries a resource governor, the working dataset and the
 	// accumulated decision/checkpoint buffers are charged against the
 	// memory budget; the whole footprint is refunded when the cycle
 	// returns. A failed reservation surfaces as the governor's typed
@@ -381,25 +391,24 @@ func ResumeContext(ctx context.Context, d *mdb.Dataset, cfg Config, checkpoints 
 		return nil
 	}
 
-	work := d.Clone()
-	if err := charge(work.EstimatedBytes(), "cloning working dataset"); err != nil {
+	if err := charge(d.EstimatedBytes(), "working dataset"); err != nil {
 		return nil, err
 	}
-	qi := work.QuasiIdentifiers()
+	qi := d.QuasiIdentifiers()
 	if len(qi) == 0 {
 		return nil, fmt.Errorf("anon: dataset %q has no quasi-identifiers", d.Name)
 	}
-	res := &Result{Dataset: work}
-	nullsBefore := work.NullCount()
+	res := &Result{Dataset: d}
+	nullsBefore := d.NullCount()
 
 	// The view keeps the risk vector current across iterations: measures
 	// with an incremental path are re-scored from a maintained group index,
 	// the rest (SUDA, cluster) reassessed in full — bit-identical either way.
-	view := risk.NewLive(cfg.Assessor, work, cfg.Semantics, gov)
+	view := risk.NewLive(cfg.Assessor, d, cfg.Semantics, gov)
 	defer view.Close()
 
 	loop := &Loop{
-		Dataset:       work,
+		Dataset:       d,
 		Threshold:     cfg.Threshold,
 		Anonymizer:    cfg.Anonymizer,
 		Order:         cfg.Order,
@@ -432,8 +441,8 @@ func ResumeContext(ctx context.Context, d *mdb.Dataset, cfg Config, checkpoints 
 	if len(checkpoints) > 0 {
 		// Journaled decisions name rows by id; positions are stable because
 		// the cycle never reorders rows.
-		rowPos := make(map[int]int, len(work.Rows))
-		for i, r := range work.Rows {
+		rowPos := make(map[int]int, len(d.Rows))
+		for i, r := range d.Rows {
 			rowPos[r.ID] = i
 		}
 		position := func(id int) (int, bool) { pos, ok := rowPos[id]; return pos, ok }
@@ -451,10 +460,10 @@ func ResumeContext(ctx context.Context, d *mdb.Dataset, cfg Config, checkpoints 
 	res.Iterations = loop.iter
 	res.RiskEvalTime, res.AnonTime = loop.riskEval, loop.anon
 	for _, row := range residual {
-		res.Residual = append(res.Residual, work.Rows[row].ID)
+		res.Residual = append(res.Residual, d.Rows[row].ID)
 	}
 	res.EverRisky = len(loop.everRisky)
-	res.NullsInjected = work.NullCount() - nullsBefore
+	res.NullsInjected = d.NullCount() - nullsBefore
 	if denom := res.EverRisky * len(qi); denom > 0 {
 		res.InfoLoss = float64(res.NullsInjected) / float64(denom)
 	}

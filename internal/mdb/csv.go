@@ -9,6 +9,7 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // CSVHeader reads the first record of a CSV as attribute names — the one
@@ -51,7 +52,30 @@ func headerNames(rec []string) []string {
 // dataset is dropped keeps the whole input alive. Copy what must outlive
 // the dataset.
 func ReadCSV(r io.Reader, name string, attrs []Attribute) (*Dataset, error) {
-	sc, err := openCSV(r, attrs)
+	var in strings.Builder
+	if l, ok := r.(interface{ Len() int }); ok {
+		in.Grow(l.Len())
+	}
+	if _, err := io.Copy(&in, r); err != nil {
+		return nil, fmt.Errorf("mdb: reading CSV: %w", err)
+	}
+	return parseCSV(in.String(), name, attrs)
+}
+
+// ParseCSV is ReadCSV over b itself, which it does not copy: the dataset's
+// cells are substrings of b, so the caller gives b up, and b must not change
+// while the dataset or any cell taken from it is in use. The daemon parses
+// each request body this way.
+func ParseCSV(b []byte, name string, attrs []Attribute) (*Dataset, error) {
+	return parseCSV(inPlace(b), name, attrs)
+}
+
+// inPlace returns b as a string without copying it.
+func inPlace(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// parseCSV is ReadCSV on the input as a string.
+func parseCSV(s, name string, attrs []Attribute) (*Dataset, error) {
+	sc, err := openCSV(s, attrs)
 	if err != nil {
 		return nil, err
 	}
@@ -77,17 +101,17 @@ func ReadCSV(r io.Reader, name string, attrs []Attribute) (*Dataset, error) {
 	return validated(d, err)
 }
 
-// ReadCSVGroup is ReadCSV followed by a Select of the rows whose
+// ParseCSVGroup is ParseCSV followed by a Select of the rows whose
 // quasi-identifier cells equal, labelled nulls by id, those of the row with
 // ID id — the tuple's exact group, as Framework.ExplainRisk chases it — with
 // the same errors, the same Nulls and the same row IDs, but a Row and its
-// values are made only for a row of the group. It reads the input at most
-// twice: up to record id to fix the group's key, skimming the lines that
-// hold only constants, then every record, which it checks as ReadCSV does.
-// An id past the last row keeps no rows. Retention is ReadCSV's, but for
-// the rows, which are one allocation each.
-func ReadCSVGroup(r io.Reader, name string, attrs []Attribute, id int) (*Dataset, error) {
-	sc, err := openCSV(r, attrs)
+// values are made only for a row of the group. It reads b at most twice: up
+// to record id to fix the group's key, skimming the lines that hold only
+// constants, then every record, which it checks as ParseCSV does. An id past
+// the last row keeps no rows. The rows are one allocation each, and their
+// cells are substrings of b, as ParseCSV's are.
+func ParseCSVGroup(b []byte, name string, attrs []Attribute, id int) (*Dataset, error) {
+	sc, err := openCSV(inPlace(b), attrs)
 	if err != nil {
 		return nil, err
 	}
@@ -159,17 +183,10 @@ func sameCells(a, b []Value, idx []int) bool {
 	return true
 }
 
-// openCSV reads r whole and its header, which must name attrs in order, and
+// openCSV reads the header of s, which must name attrs in order, and
 // returns a scanner at the first record.
-func openCSV(r io.Reader, attrs []Attribute) (*csvScanner, error) {
-	var in strings.Builder
-	if l, ok := r.(interface{ Len() int }); ok {
-		in.Grow(l.Len())
-	}
-	if _, err := io.Copy(&in, r); err != nil {
-		return nil, fmt.Errorf("mdb: reading CSV: %w", err)
-	}
-	sc := &csvScanner{s: in.String()}
+func openCSV(s string, attrs []Attribute) (*csvScanner, error) {
+	sc := &csvScanner{s: s}
 	k := len(attrs)
 	header, _, err := sc.record(make([]string, 0, k), k)
 	if err != nil {
@@ -184,8 +201,8 @@ func openCSV(r io.Reader, attrs []Attribute) (*csvScanner, error) {
 	return sc, nil
 }
 
-// intake is the one loop that checks a CSV's records, ReadCSV's and
-// ReadCSVGroup's: over the records after the header, in order, it parses
+// intake is the one loop that checks a CSV's records, ParseCSV's and
+// ParseCSVGroup's: over the records after the header, in order, it parses
 // record i into at(i), minting labelled nulls from d.Nulls, checks its
 // weight under d's schema and hands both to keep.
 func (sc *csvScanner) intake(d *Dataset, at func(i int) []Value, keep func(i int, vals []Value, weight float64)) error {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // referenceReadCSV is ReadCSV written over encoding/csv — one Read, one Row
@@ -96,20 +97,60 @@ func checkReadCSV(t testing.TB, in string, attrs []Attribute, wrap bool) bool {
 	return true
 }
 
-// checkReadCSVGroup requires ReadCSVGroup, for id 0, every row's and one
+// checkParseCSV requires ParseCSV to read in as ReadCSV does — the same
+// error text, or the same rows and the same null allocator — from the bytes
+// it is handed, in place: they are left as they were, and every cell of a
+// record without a quote lies inside them.
+func checkParseCSV(t testing.TB, in string, attrs []Attribute) {
+	b := []byte(in)
+	got, gerr := ParseCSV(b, "x", attrs)
+	want, werr := ReadCSV(strings.NewReader(in), "x", attrs)
+	if errText(gerr) != errText(werr) {
+		t.Fatalf("ParseCSV(%q): error %v, ReadCSV %v", in, gerr, werr)
+	}
+	if string(b) != in {
+		t.Fatalf("ParseCSV(%q) changed its input to %q", in, b)
+	}
+	if werr != nil {
+		return
+	}
+	if got.Nulls != want.Nulls || len(got.Rows) != len(want.Rows) {
+		t.Fatalf("ParseCSV(%q): %d rows, %d nulls; ReadCSV %d rows, %d nulls",
+			in, len(got.Rows), got.Nulls.Count(), len(want.Rows), want.Nulls.Count())
+	}
+	quoted := strings.IndexByte(in, '"') >= 0
+	for i, g := range got.Rows {
+		if w := want.Rows[i]; g.ID != w.ID || g.Weight != w.Weight || !slices.Equal(g.Values, w.Values) {
+			t.Fatalf("ParseCSV(%q) row %d: %+v, ReadCSV %+v", in, i, *g, *w)
+		}
+		for _, v := range g.Values {
+			if !quoted && v.s != "" && !within(v.s, b) {
+				t.Fatalf("ParseCSV(%q) row %d: cell %q is a copy, not a part of the input", in, i, v.s)
+			}
+		}
+	}
+}
+
+// within reports whether s lies in b's bytes.
+func within(s string, b []byte) bool {
+	p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return lo <= p && p+uintptr(len(s)) <= lo+uintptr(len(b))
+}
+
+// checkParseCSVGroup requires ParseCSVGroup, for id 0, every row's and one
 // past the last, to equal ReadCSV followed by the Select ExplainRisk makes:
 // the rows whose quasi-identifier cells equal those of the row with that
 // ID. Rows, IDs, weights and Nulls are the same, or the error text is.
-func checkReadCSVGroup(t testing.TB, in string, attrs []Attribute) {
+func checkParseCSVGroup(t testing.TB, in string, attrs []Attribute) {
 	full, ferr := ReadCSV(strings.NewReader(in), "x", attrs)
 	n := 0
 	if ferr == nil {
 		n = len(full.Rows)
 	}
 	for id := 0; id <= n+1; id++ {
-		got, gerr := ReadCSVGroup(strings.NewReader(in), "x", attrs, id)
+		got, gerr := ParseCSVGroup([]byte(in), "x", attrs, id)
 		if errText(gerr) != errText(ferr) {
-			t.Fatalf("ReadCSVGroup(%q, %d): error %v, ReadCSV %v", in, id, gerr, ferr)
+			t.Fatalf("ParseCSVGroup(%q, %d): error %v, ReadCSV %v", in, id, gerr, ferr)
 		}
 		if ferr != nil {
 			continue
@@ -123,12 +164,12 @@ func checkReadCSVGroup(t testing.TB, in string, attrs []Attribute) {
 			return key != nil && !slices.ContainsFunc(qi, func(i int) bool { return r.Values[i] != key.Values[i] })
 		})
 		if got.Nulls != want.Nulls || len(got.Rows) != len(want.Rows) {
-			t.Fatalf("ReadCSVGroup(%q, %d): %d rows, %d nulls; ReadCSV and Select %d rows, %d nulls",
+			t.Fatalf("ParseCSVGroup(%q, %d): %d rows, %d nulls; ReadCSV and Select %d rows, %d nulls",
 				in, id, len(got.Rows), got.Nulls.Count(), len(want.Rows), want.Nulls.Count())
 		}
 		for i, g := range got.Rows {
 			if w := want.Rows[i]; g.ID != w.ID || g.Weight != w.Weight || !slices.Equal(g.Values, w.Values) {
-				t.Fatalf("ReadCSVGroup(%q, %d) row %d: %+v, ReadCSV and Select %+v", in, id, i, *g, *w)
+				t.Fatalf("ParseCSVGroup(%q, %d) row %d: %+v, ReadCSV and Select %+v", in, id, i, *g, *w)
 			}
 		}
 	}
@@ -168,8 +209,8 @@ func checkScanner(t testing.TB, in string, want int) {
 
 // Short inputs over the dialect's every token, under a schema with and
 // without a weight column and a header spelled clean, with "\r\n", quoted,
-// or a field short: the scanner equals encoding/csv and ReadCSV equals the
-// reference, errors included.
+// or a field short: the scanner equals encoding/csv, ReadCSV equals the
+// reference and ParseCSV equals ReadCSV, errors included.
 func TestReadCSVMatchesReference(t *testing.T) {
 	tokens := []string{"a", ",", `"`, `""`, "\n", "\r", "\r\n", " ", "⊥2", "*", "1"}
 	headers := []string{"A,W\n", "A,W\r\n", `"A","W"` + "\n", "A\n"}
@@ -202,6 +243,7 @@ func TestReadCSVMatchesReference(t *testing.T) {
 		if checkReadCSV(t, in, attrs, n%8 == 0) {
 			read++
 		}
+		checkParseCSV(t, in, attrs)
 		checkScanner(t, in, len(attrs))
 	}
 	if read < inputs/5 {
@@ -210,6 +252,8 @@ func TestReadCSVMatchesReference(t *testing.T) {
 	t.Logf("%d inputs (%d read) in %v", inputs, read, time.Since(start))
 }
 
+// FuzzReadCSV holds ReadCSV to the reference, ParseCSV to ReadCSV, the group
+// read to ReadCSV followed by a Select, and the scanner to encoding/csv.
 func FuzzReadCSV(f *testing.F) {
 	for _, in := range []string{
 		"\ufeffA,W\nx,1\n",                   // byte-order mark
@@ -250,7 +294,8 @@ func FuzzReadCSV(f *testing.F) {
 			}
 		}
 		checkReadCSV(t, in, attrs, weight%2 == 0)
-		checkReadCSVGroup(t, in, attrs)
+		checkParseCSV(t, in, attrs)
+		checkParseCSVGroup(t, in, attrs)
 		checkScanner(t, in, len(attrs))
 	})
 }

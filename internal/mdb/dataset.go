@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"unsafe"
 )
 
 // Category classifies a microdata attribute for disclosure purposes
@@ -130,20 +131,16 @@ func (d *Dataset) Append(r *Row) {
 	d.Rows = append(d.Rows, r)
 }
 
-// EstimatedBytes estimates the dataset's heap footprint: per-row
-// pointer, struct and value storage plus string payloads. Resource
-// governors charge dataset clones against their memory budget with
-// this figure; it is a sizing estimate, not an allocator mirror.
+// EstimatedBytes estimates what the dataset holds on the heap beside its
+// cells' text: a pointer, a Row and the Values of every row. The text is
+// left out because the dataset does not own it — a Clone shares it with its
+// source and ParseCSV with the bytes it parsed — so resource governors charge
+// a cycle's working dataset with this figure; it is a sizing estimate, not
+// an allocator mirror.
 func (d *Dataset) EstimatedBytes() int64 {
-	n := int64(len(d.Name)) + int64(len(d.Attrs))*64
-	for _, a := range d.Attrs {
-		n += int64(len(a.Name))
-	}
+	n := int64(len(d.Attrs)) * int64(unsafe.Sizeof(Attribute{}))
 	for _, r := range d.Rows {
-		n += 8 + 48 // row pointer + Row struct (ID, slice header, weight)
-		for _, v := range r.Values {
-			n += 32 + int64(len(v.s))
-		}
+		n += int64(8 + unsafe.Sizeof(Row{}) + uintptr(len(r.Values))*unsafe.Sizeof(Value{}))
 	}
 	return n
 }

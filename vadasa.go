@@ -99,11 +99,18 @@ func ReadCSV(r io.Reader, name string, attrs []Attribute) (*Dataset, error) {
 	return mdb.ReadCSV(r, name, attrs)
 }
 
-// ReadCSVGroup is ReadCSV keeping only the tuple id's exact group, the rows
+// ParseCSV is ReadCSV over b itself: the dataset's cells are substrings of
+// b, which the caller gives up and must not change while the dataset is in
+// use.
+func ParseCSV(b []byte, name string, attrs []Attribute) (*Dataset, error) {
+	return mdb.ParseCSV(b, name, attrs)
+}
+
+// ParseCSVGroup is ParseCSV keeping only the tuple id's exact group, the rows
 // ExplainRisk chases for a measure ExplainReadsGroup: same errors, nulls and
 // row IDs, but rows built only for the group.
-func ReadCSVGroup(r io.Reader, name string, attrs []Attribute, id int) (*Dataset, error) {
-	return mdb.ReadCSVGroup(r, name, attrs, id)
+func ParseCSVGroup(b []byte, name string, attrs []Attribute, id int) (*Dataset, error) {
+	return mdb.ParseCSVGroup(b, name, attrs, id)
 }
 
 // WriteCSV writes a dataset (labelled nulls in ⊥i form) as CSV.
