@@ -104,8 +104,10 @@ loc:
 # drives its compaction (FuzzGroupIndexRowOps), on the journal's line parser
 # against encoding/json (FuzzParseLine) and its reader over arbitrary files
 # (FuzzReadPrefix), on the JSON grammar and string rule the decoders share,
-# against encoding/json (FuzzValid), and on the stream replay's batch and
-# withdraw decoders, against json.Unmarshal (FuzzStreamPayload). Their seed
+# against encoding/json (FuzzValid), on the stream replay's batch and
+# withdraw decoders, against json.Unmarshal (FuzzStreamPayload), and on the
+# order the aggregate operator folds in, against Key() byte order
+# (FuzzFoldRank). Their seed
 # corpora already run as ordinary tests; a failing input found here is
 # written under the package's testdata/fuzz.
 FUZZTIME ?= 10s
@@ -118,6 +120,7 @@ fuzz:
 	$(GO) test ./internal/journal -run '^$$' -fuzz '^FuzzReadPrefix$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/jsonscan -run '^$$' -fuzz '^FuzzValid$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream -run '^$$' -fuzz '^FuzzStreamPayload$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/datalog -run '^$$' -fuzz '^FuzzFoldRank$$' -fuzztime $(FUZZTIME)
 
 # chaos runs the process-level fault suite under the race detector: worker
 # SIGKILL mid-lease, dropped/duplicated/truncated RPCs, torn journal tails

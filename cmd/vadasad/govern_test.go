@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"vadasa/internal/govern"
 	"vadasa/internal/jobs"
@@ -76,6 +77,60 @@ func TestJobSubmitRefusedWhileSaturated(t *testing.T) {
 		t.Fatalf("submit after release = %d %s, want 202", rec.Code, rec.Body)
 	}
 	waitJob(t, h, decodeJob(t, rec.Body.String()).ID, jobs.StateDone)
+}
+
+// A job holds its input's text as /anonymize holds its body — the parse
+// points into it — so it needs the budget /anonymize needs. One byte under
+// that budget, which still holds the working table, /anonymize is refused
+// and the job pauses; with the text charged to no scope it used to complete.
+// Paused jobs are not resumed here: a resumed cycle starts from its last
+// checkpoint, past its first peak.
+func TestJobChargesItsInputText(t *testing.T) {
+	const total = 1 << 30
+	const q = "measure=k-anonymity&k=3&threshold=0.5"
+	body := generatedCSV(t)
+	s, h := jobsServer(t, t.TempDir(), nil, func(c *config) {
+		c.jobWorkers, c.memBudget, c.jobPauseProbe = 1, total, time.Hour
+	})
+	// under runs fn with the server's budget cut to b: a hog holds the rest.
+	under := func(b int64, fn func()) {
+		hog := s.govern.Child("hog", govern.Limits{})
+		defer hog.Close()
+		if err := hog.ReserveBytes(total - b); err != nil {
+			t.Fatal(err)
+		}
+		fn()
+	}
+	// need: the least budget /anonymize answers 200 under.
+	lo, need := int64(len(body)), int64(1<<24)
+	for lo+1 < need {
+		mid := (lo + need) / 2
+		under(mid, func() {
+			if do(t, h, "POST", "/anonymize?"+q, body).Code == http.StatusOK {
+				need = mid
+			} else {
+				lo = mid
+			}
+		})
+	}
+	submit := func() string {
+		rec := do(t, h, "POST", "/jobs/anonymize?"+q, body)
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("submit = %d %s, want 202", rec.Code, rec.Body)
+		}
+		return decodeJob(t, rec.Body.String()).ID
+	}
+	under(need-1, func() {
+		id := submit()
+		waitJob(t, h, id, jobs.StatePaused)
+		if rec := do(t, h, "POST", "/jobs/"+id+"/cancel", ""); rec.Code != http.StatusAccepted {
+			t.Fatalf("cancel = %d %s", rec.Code, rec.Body)
+		}
+		waitJob(t, h, id, jobs.StateCancelled)
+	})
+	// The submission's own scope holds the body until its reply is out,
+	// which the attempt may overlap.
+	under(need+int64(len(body)), func() { waitJob(t, h, submit(), jobs.StateDone) })
 }
 
 // A CSV whose rows×columns product exceeds -max-cells is refused with 413

@@ -30,7 +30,7 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) error {
 	if err := s.govern.Err(); err != nil {
 		return err
 	}
-	body, err := s.readBody(w, r)
+	body, err := s.readCharged(w, r)
 	if err != nil {
 		return badRequest(err)
 	}

@@ -68,6 +68,8 @@ type reasonRequest struct {
 	Inputs  []string                   `json:"inputs,omitempty"`
 	Outputs []string                   `json:"outputs,omitempty"`
 	Allow   []string                   `json:"allow,omitempty"`
+
+	sizes map[string]factSize // each predicate's rows and cells, as the scan counted them
 }
 
 // factPredicates lists the predicates the request carries facts for, in the
@@ -81,11 +83,14 @@ func (req *reasonRequest) factPredicates() []string {
 	return preds
 }
 
-// loadFacts builds the extensional database from the request's raw rows.
+// loadFacts builds the extensional database from the request's raw rows,
+// each relation sized once to what the scan counted.
 func (req *reasonRequest) loadFacts(preds []string) (*vadasa.FactDB, error) {
 	edb := vadasa.NewFactDB()
 	for _, pred := range preds {
-		if err := loadRows(edb.Loader(pred), pred, req.Facts[pred]); err != nil {
+		l, n := edb.Loader(pred), req.sizes[pred]
+		l.Grow(n.rows, n.cells)
+		if err := loadRows(l, pred, req.Facts[pred]); err != nil {
 			return nil, err
 		}
 	}

@@ -23,14 +23,15 @@ var reasonBenchPrograms = []struct {
 	name string
 	prog *datalog.Program
 	// allocsPerRow is the tier-1 ceiling of TestReasonRequestAllocs: what
-	// a 5 000-fact request measured when the ceiling was set (0.29, 1.28,
-	// 1.41 — the msum programs pay one cached Key() string per contributor,
-	// the order their sums fold in), plus 20 %.
+	// a 5 000-fact request measured when the ceiling was set (0.27, 0.25,
+	// 0.38: the msum folds rank contributor ids and build no string, and
+	// the reply renders each distinct value once), plus 20 %. A string per
+	// contributor or per reply cell adds one allocation per row or more.
 	allocsPerRow float64
 }{
-	{"kanonymity", programs.KAnonymity(4, 3), 0.35},
-	{"reidentification", programs.ReIdentification(4), 1.53},
-	{"individualrisk", programs.IndividualRisk(4), 1.70},
+	{"kanonymity", programs.KAnonymity(4, 3), 0.32},
+	{"reidentification", programs.ReIdentification(4), 0.31},
+	{"individualrisk", programs.IndividualRisk(4), 0.46},
 }
 
 // reasonBenchBody renders the /reason request the reason_declarative

@@ -55,7 +55,7 @@ func decodeReasonRequest(body []byte) (*reasonRequest, error) {
 	if err := json.Unmarshal(envelope, req); err != nil {
 		return nil, fmt.Errorf("decoding request: %w", err)
 	}
-	req.Facts = s.facts
+	req.Facts, req.sizes = s.facts, s.sizes
 	return req, nil
 }
 
@@ -69,7 +69,12 @@ type factScan struct {
 	object bool                       // the document is an object
 	kept   [][]byte                   // its members bound for the envelope, key through value
 	facts  map[string]json.RawMessage //conftaint:source raw fact rows: request microdata
+	sizes  map[string]factSize        // what each of facts' values holds
 }
+
+// factSize is what one predicate's value holds: its elements, each a row
+// (or what the loader refuses), and the elements of those that are arrays.
+type factSize struct{ rows, cells int }
 
 func (s *factScan) document() bool {
 	s.Scanner = jsonscan.Scanner{B: s.b, I: jsonscan.SkipSpace(s.b, 0)}
@@ -91,10 +96,11 @@ func (s *factScan) topMember(key []byte, from int) bool {
 		case s.At('{'):
 			if s.facts == nil {
 				s.facts = make(map[string]json.RawMessage)
+				s.sizes = make(map[string]factSize)
 			}
 			return s.Object(s.predicate)
 		case s.At('n'):
-			s.facts = nil
+			s.facts, s.sizes = nil, nil
 			return s.Value() // null, or not well formed
 		}
 	}
@@ -105,13 +111,31 @@ func (s *factScan) topMember(key []byte, from int) bool {
 	return true
 }
 
-// predicate scans one member of a facts object: a predicate and its rows.
+// predicate scans one member of a facts object: a predicate and its rows,
+// counted on the way for the load to size its relation by.
 func (s *factScan) predicate(key []byte, _ int) bool {
 	from := s.I
-	if !s.Value() {
+	var n factSize
+	ok := false
+	if s.At('[') {
+		ok = s.Array(func() bool {
+			n.rows++
+			if !s.At('[') {
+				return s.Value()
+			}
+			return s.Array(func() bool {
+				n.cells++
+				return s.Value()
+			})
+		})
+	} else {
+		ok = s.Value()
+	}
+	if !ok {
 		return false
 	}
-	s.facts[jsonKey(key)] = s.B[from:s.I]
+	pred := jsonKey(key)
+	s.facts[pred], s.sizes[pred] = s.B[from:s.I], n
 	return true
 }
 
@@ -238,6 +262,7 @@ func (s *server) writeReasonResponse(w http.ResponseWriter, res *vadasa.Reasonin
 	preds = append([]string(nil), preds...)
 	sort.Strings(preds)
 	buf := []byte(`{"facts":{`)
+	seen := make(map[uint32][2]int) // id → where buf holds its first rendering
 	for i, pred := range preds {
 		if i > 0 {
 			if pred == preds[i-1] {
@@ -258,7 +283,7 @@ func (s *server) writeReasonResponse(w http.ResponseWriter, res *vadasa.Reasonin
 				if k > 0 {
 					buf = append(buf, ',')
 				}
-				buf = appendValJSON(buf, row.At(k))
+				buf = appendCellJSON(buf, row, k, seen)
 			}
 			buf = append(buf, ']')
 		}
@@ -278,6 +303,27 @@ func (s *server) writeReasonResponse(w http.ResponseWriter, res *vadasa.Reasonin
 		return fmt.Errorf("encoding 200 response: %w", err)
 	}
 	return nil
+}
+
+// appendCellJSON appends the row's k-th value as appendValJSON renders it:
+// an integer below 2^53 in magnitude, which encoding/json spells as its
+// digits, by integer formatting; any other value once per reply, and by
+// copying that first rendering (seen: id → its span of dst) after that.
+func appendCellJSON(dst []byte, row datalog.Row, k int, seen map[uint32][2]int) []byte {
+	v := row.At(k)
+	if v.Kind() == datalog.KNum {
+		if f := v.NumVal(); f == math.Trunc(f) && math.Abs(f) < 1<<53 {
+			return strconv.AppendInt(dst, int64(f), 10)
+		}
+	}
+	id := row.ID(k)
+	if sp, ok := seen[id]; ok {
+		return append(dst, dst[sp[0]:sp[1]]...)
+	}
+	from := len(dst)
+	dst = appendValJSON(dst, v)
+	seen[id] = [2]int{from, len(dst)}
+	return dst
 }
 
 // appendValJSON renders a runtime value for the JSON response: strings and

@@ -90,6 +90,27 @@ func checkDecode(t *testing.T, body []byte) {
 	if gotErr != nil {
 		t.Fatalf("encoding/json accepts, the decoder says %v", gotErr)
 	}
+	for pred, raw := range want.Facts {
+		var v any
+		d := json.NewDecoder(bytes.NewReader(raw))
+		d.UseNumber() // 1e999 is a cell too
+		if err := d.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		var n factSize
+		rows, _ := v.([]any)
+		for _, row := range rows {
+			cells, _ := row.([]any)
+			n.rows, n.cells = n.rows+1, n.cells+len(cells)
+		}
+		if got.sizes[pred] != n {
+			t.Fatalf("%s: the scan counted %+v, the value holds %+v", pred, got.sizes[pred], n)
+		}
+	}
+	if len(got.sizes) != len(want.Facts) {
+		t.Fatalf("sizes of %d predicates for %d", len(got.sizes), len(want.Facts))
+	}
+	got.sizes = nil // what the load sizes its relations by, checked above
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("decoded\n  %+v\nencoding/json\n  %+v", got, want)
 	}
@@ -274,8 +295,10 @@ func TestReasonNonFiniteNumbers(t *testing.T) {
 // TestReasonResponseMatchesEncoder: the appended response is, byte for
 // byte, what json.Encoder (HTML escaping off) writes for the same facts as
 // a map of boxed rows — strings that need every kind of escape, numbers on
-// both sides of every format switch, labelled nulls, sets, mixed arities,
-// empty and absent predicates, duplicate query entries.
+// both sides of every format switch (integers at ±(2^53−1) and ±2^53, the
+// edges of the integer path, included), labelled nulls, sets, mixed
+// arities, empty and absent predicates, duplicate query entries, and values
+// repeated across rows and predicates, which the reply renders once.
 func TestReasonResponseMatchesEncoder(t *testing.T) {
 	edb := vadasa.NewFactDB()
 	strs := []string{"", "plain", `q"uo\te`, "<>&", "\u2028\u2029", "\x00\x01\x1f\x7f\b\f\n\r\t", "é😀", "bad\xffutf\xc3", "\xe2\x82"}
@@ -292,6 +315,16 @@ func TestReasonResponseMatchesEncoder(t *testing.T) {
 	edb.Add("mixed", datalog.NullVal(3), datalog.List(vadasa.StrVal("<b>"), vadasa.NumVal(2), datalog.NullVal(1)))
 	edb.Add("mixed")
 	edb.Add("mixed", vadasa.NumVal(math.Inf(1)), vadasa.NumVal(math.NaN()))
+	for _, n := range []float64{1<<53 - 1, 1 << 53, 123456789012345, 0.25, 1e-7} {
+		edb.Add("edge", vadasa.NumVal(n), vadasa.NumVal(-n))
+	}
+	for i := 0; i < 40; i++ {
+		// Rows that share their values, in other columns and predicates.
+		risk := vadasa.NumVal(1 / float64(3+i%4))
+		edb.Add("risk", vadasa.NumVal(float64(i)), risk, vadasa.StrVal(strs[i%len(strs)]))
+		edb.Add("again", risk, vadasa.NumVal(float64(i%3)), datalog.NullVal(uint64(1+i%2)))
+		edb.Add("again", vadasa.StrVal(strs[i%len(strs)]), datalog.List(vadasa.NumVal(0.5), vadasa.StrVal("<b>")), risk)
+	}
 	prog, err := vadasa.ParseProgram(`out(X) :- n(X).`)
 	if err != nil {
 		t.Fatal(err)

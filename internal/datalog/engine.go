@@ -10,12 +10,12 @@ package datalog
 // sequential evaluator (see DESIGN.md §16.3 for the argument).
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -658,19 +658,18 @@ func (h *cHead) appendRow(dst []uint32, c *cRule, env []uint32) ([]uint32, error
 // null-id minting deterministic.
 func (ev *evaluator) emitHeads(c *cRule, env []uint32, used []uint64) (int, error) {
 	if len(c.r.Existential) > 0 {
-		var b strings.Builder
-		b.WriteString(c.skolemPrefix)
+		// The key spells each bound frontier value by its id: within a
+		// run one id is one value.
+		var buf [64]byte
+		b := append(buf[:0], c.skolemPrefix...)
 		for i, name := range c.frontier {
 			v := env[c.frontierSlots[i]]
 			if v == unboundVid {
 				continue // the old engine skipped unbound head vars here too
 			}
-			b.WriteString(name)
-			b.WriteByte('=')
-			b.WriteString(ev.db.in.key(v))
-			b.WriteByte(';')
+			b = append(append(b, name...), '=', byte(v), byte(v>>8), byte(v>>16), byte(v>>24), ';')
 		}
-		base := b.String()
+		base := string(b)
 		for i, x := range c.r.Existential {
 			key := base + "!" + x
 			null, ok := ev.skolem[key]
@@ -728,10 +727,8 @@ type aggTable struct {
 	probe []uint32 // the key being looked up
 
 	// Flush scratch, kept between rounds.
-	vids  []uint32
-	keys  []string
+	ranks []uint64 // keyRank of the dirty groups' key vids, nKey per group
 	order []uint32
-	offs  []uint32
 	items []aggItem
 
 	charged int64 // bytes of this table counted in evaluator.aggBytes
@@ -744,8 +741,8 @@ const (
 
 // aggItem is one contribution of the group being folded.
 type aggItem struct {
-	key string // the contributor's Key(): the fold order
-	ci  uint32
+	rank   uint64 // the contributor's keyRank: the fold order
+	cv, ci uint32
 }
 
 // group finds or creates the group of the current match; used is copied
@@ -757,11 +754,11 @@ func (t *aggTable) group(env []uint32, slots []int, used []uint64) uint32 {
 	}
 	if (len(t.gflag)+1)*4 >= len(t.gslots)*3 {
 		t.gslots = growSlots(t.gslots, len(t.gflag), func(g int) uint64 {
-			return mix64(hashRow(t.gkey[g*t.nKey : (g+1)*t.nKey]))
+			return hashRow(t.gkey[g*t.nKey : (g+1)*t.nKey])
 		})
 	}
 	mask := uint64(len(t.gslots) - 1)
-	for i := mix64(hashRow(t.probe)) & mask; ; i = (i + 1) & mask {
+	for i := hashRow(t.probe) & mask; ; i = (i + 1) & mask {
 		if t.gslots[i] == 0 {
 			g := uint32(len(t.gflag))
 			t.gslots[i] = g + 1
@@ -839,9 +836,9 @@ func (t *aggTable) touch(g uint32) {
 func (t *aggTable) bytes() int64 {
 	return int64(4*(cap(t.gkey)+cap(t.gn)+cap(t.ghead)+cap(t.gslots)+
 		cap(t.cgroup)+cap(t.cvid)+cap(t.cnext)+cap(t.cslots)+
-		cap(t.dirty)+cap(t.vids)+cap(t.order)+cap(t.offs)) +
-		8*(cap(t.gused)+cap(t.cnum)) + cap(t.gflag) +
-		16*cap(t.keys) + 24*cap(t.items) + 64*cap(t.cset))
+		cap(t.dirty)+cap(t.order)) +
+		8*(cap(t.gused)+cap(t.cnum)+cap(t.ranks)) + cap(t.gflag) +
+		16*cap(t.items) + 64*cap(t.cset))
 }
 
 // recordAgg is the aggregate terminal: the operator's build side, run once
@@ -920,52 +917,41 @@ func (w *walkCtx) operandNum(o *cOperand) (float64, error) {
 
 // flushAgg is the operator's probe side, run after each walk of an aggregate
 // rule: every dirty group is folded and its heads emitted. Two orders here
-// are load-bearing. Groups flush in ascending order of their key vids' Key()
-// strings — the order facts are inserted in, hence row positions, hence
-// provenance ids and what a later rule's scan meets first. A group's
-// contributions fold in ascending order of the contributors' Key() — the
-// order that fixes every float sum and product bit for bit. (Key() is a
-// prefix-free code, so comparing keys component by component is comparing
-// their concatenation.) All keys a flush needs are read in one hold of the
-// interner lock; mcount needs none for its fold.
+// are load-bearing. Groups flush in ascending Key() order of their key vids
+// — the order facts are inserted in, hence row positions, hence provenance
+// ids and what a later rule's scan meets first. A group's contributions
+// fold in ascending Key() order of the contributors — the order that fixes
+// every float sum and product bit for bit. (Key() is a prefix-free code, so
+// comparing keys component by component is comparing their concatenation.)
+// Both sorts read keyRank and fall back to compareKeys on a tie, so no key
+// is built; mcount needs no order for its fold.
 func (ev *evaluator) flushAgg(c *cRule) (int, error) {
 	t := ev.aggState[c.ri]
 	if len(t.dirty) == 0 {
 		return 0, nil
 	}
 	l := &c.r.Body[c.aggLit]
+	iv := &ev.iv
 
-	// vids: the dirty groups' keys, then — for a keyed fold — their
-	// contributors, group after group in t.dirty order.
-	t.vids = t.vids[:0]
-	for _, g := range t.dirty {
-		t.vids = append(t.vids, t.gkey[int(g)*t.nKey:(int(g)+1)*t.nKey]...)
-	}
-	if t.fn != AggCount {
-		for _, g := range t.dirty {
-			for ci1 := t.ghead[g]; ci1 != 0; ci1 = t.cnext[ci1-1] {
-				t.vids = append(t.vids, t.cvid[ci1-1])
-			}
-		}
-	}
-	t.keys = ev.db.in.keysOf(t.keys[:0], t.vids)
-
-	// order: positions in t.dirty, sorted by group key. offs: where each
-	// dirty group's contributor keys begin in t.keys.
+	// order: positions in t.dirty, sorted by group key.
 	nKey := t.nKey
-	t.order, t.offs = t.order[:0], t.offs[:0]
-	off := len(t.dirty) * nKey
+	t.ranks, t.order = t.ranks[:0], t.order[:0]
 	for d, g := range t.dirty {
+		for _, v := range t.gkey[int(g)*nKey : (int(g)+1)*nKey] {
+			t.ranks = append(t.ranks, iv.keyRank(v))
+		}
 		t.order = append(t.order, uint32(d))
-		t.offs = append(t.offs, uint32(off))
-		off += int(t.gn[g])
 	}
 	slices.SortFunc(t.order, func(a, b uint32) int {
-		ka, kb := t.keys[int(a)*nKey:int(a+1)*nKey], t.keys[int(b)*nKey:int(b+1)*nKey]
-		for j := range ka {
-			if c := strings.Compare(ka[j], kb[j]); c != 0 {
-				return c
+		ka, kb := t.gkey[int(t.dirty[a])*nKey:], t.gkey[int(t.dirty[b])*nKey:]
+		for j := 0; j < nKey; j++ {
+			if ka[j] == kb[j] {
+				continue
 			}
+			if ra, rb := t.ranks[int(a)*nKey+j], t.ranks[int(b)*nKey+j]; ra != rb {
+				return cmp.Compare(ra, rb)
+			}
+			return iv.compareKeys(ka[j], kb[j])
 		}
 		return 0
 	})
@@ -975,7 +961,7 @@ func (ev *evaluator) flushAgg(c *cRule) (int, error) {
 	for _, d := range t.order {
 		g := t.dirty[d]
 		t.gflag[g] &^= aggDirty
-		agg, err := t.fold(g, t.offs[d])
+		agg, err := t.fold(g, iv)
 		if err != nil {
 			return added, fmt.Errorf("line %d: %w", c.r.Line, err)
 		}
@@ -1012,17 +998,23 @@ func (ev *evaluator) flushAgg(c *cRule) (int, error) {
 	return added, nil
 }
 
-// fold folds group g, whose contributors' Key() strings sit in t.keys from
-// off on, in chain order. mcount has no order to keep and reads no key.
-func (t *aggTable) fold(g, off uint32) (Val, error) {
+// fold folds group g's contributions in their contributors' Key() order.
+// mcount has no order to keep and ranks nothing.
+func (t *aggTable) fold(g uint32, iv *iview) (Val, error) {
 	if t.fn == AggCount {
 		return Num(float64(t.gn[g])), nil
 	}
 	t.items = t.items[:0]
 	for ci1 := t.ghead[g]; ci1 != 0; ci1 = t.cnext[ci1-1] {
-		t.items = append(t.items, aggItem{key: t.keys[int(off)+len(t.items)], ci: ci1 - 1})
+		cv := t.cvid[ci1-1]
+		t.items = append(t.items, aggItem{rank: iv.keyRank(cv), cv: cv, ci: ci1 - 1})
 	}
-	slices.SortFunc(t.items, func(a, b aggItem) int { return strings.Compare(a.key, b.key) })
+	slices.SortFunc(t.items, func(a, b aggItem) int {
+		if a.rank != b.rank {
+			return cmp.Compare(a.rank, b.rank)
+		}
+		return iv.compareKeys(a.cv, b.cv)
+	})
 	switch t.fn {
 	case AggSum:
 		s := 0.0

@@ -3,6 +3,7 @@ package datalog
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -85,6 +86,9 @@ type rowSet struct {
 	used  int
 }
 
+// hashRow is FNV-1a over the row's ids and length, finalised by mix64: FNV
+// alone leaves the low bits a table masks to depending on the ids' low
+// bits only.
 func hashRow(row []uint32) uint64 {
 	h := uint64(14695981039346656037)
 	for _, v := range row {
@@ -93,7 +97,7 @@ func hashRow(row []uint32) uint64 {
 	}
 	h ^= uint64(len(row))
 	h *= 1099511628211
-	return h
+	return mix64(h)
 }
 
 func rowsEqual(a, b []uint32) bool {
@@ -125,11 +129,8 @@ func (r *relation) findRow(row []uint32) (uint32, bool) {
 	}
 }
 
-func (r *relation) growSet() {
-	n := len(r.set.slots) * 2
-	if n == 0 {
-		n = 16
-	}
+// growSet rehashes the dedup set into n slots, a power of two.
+func (r *relation) growSet(n int) {
 	slots := make([]uint32, n)
 	mask := uint64(n - 1)
 	for pos := 0; pos < r.nrows(); pos++ {
@@ -156,7 +157,7 @@ const indexEntryOverhead = 16
 // same way they are to full scans.
 func (r *relation) addRow(db *Database, row []uint32) (uint32, bool) {
 	if (r.set.used+1)*4 >= len(r.set.slots)*3 {
-		r.growSet()
+		r.growSet(max(2*len(r.set.slots), 16))
 	}
 	// One probe finds the row or the empty slot it belongs in.
 	mask := uint64(len(r.set.slots) - 1)
@@ -183,6 +184,23 @@ func (r *relation) addRow(db *Database, row []uint32) (uint32, bool) {
 	db.bytes += grow
 	db.nfacts++
 	return pos, true
+}
+
+// grow makes room for rows more rows of cells ids in all: the arena, the
+// offsets and the dedup set at the size addRow would grow them to.
+func (r *relation) grow(rows, cells int) {
+	if rows <= 0 {
+		return
+	}
+	r.data = slices.Grow(r.data, cells)
+	r.offs = slices.Grow(r.offs, rows)
+	n := max(len(r.set.slots), 16)
+	for (r.set.used+rows)*4 >= n*3 {
+		n *= 2
+	}
+	if n > len(r.set.slots) {
+		r.growSet(n)
+	}
 }
 
 // joinIndex maps the hash of a column subset to the row positions carrying

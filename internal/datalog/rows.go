@@ -45,6 +45,10 @@ func (db *Database) Loader(pred string) *Loader {
 	return &Loader{db: db, rel: db.rel(pred)}
 }
 
+// Grow makes room for rows more facts of cells arguments in all, so a load
+// whose size is known grows the relation once.
+func (l *Loader) Grow(rows, cells int) { l.rel.grow(rows, cells) }
+
 // Str stages a string cell.
 func (l *Loader) Str(s string) { l.cells = append(l.cells, cell{k: KStr, s: s}) }
 
@@ -196,6 +200,10 @@ func (r Row) Len() int { return len(r.ids) }
 
 // At returns the i-th argument.
 func (r Row) At(i int) Val { return r.iv.val(r.ids[i]) }
+
+// ID returns the interned id of the i-th argument: within one database, one
+// id is one value.
+func (r Row) ID(i int) uint32 { return r.ids[i] }
 
 // Tuple materializes the fact.
 func (r Row) Tuple() Tuple {

@@ -117,8 +117,7 @@ func TestLoaderDiscard(t *testing.T) {
 }
 
 // TestInternerColumns: a value read back from the columns is the value that
-// went in (under Equal), equal values share an id, and the lazily computed
-// key is Val.Key() of the canonical value.
+// went in (under Equal) and equal values share an id.
 func TestInternerColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	in := newInterner()
@@ -135,9 +134,6 @@ func TestInternerColumns(t *testing.T) {
 			t.Fatalf("lookup(%s) = %d,%v, want %d", v, got, ok, id)
 		}
 		want := iv.val(id).Key()
-		if got := in.key(id); got != want || in.key(id) != want {
-			t.Fatalf("key(%d) = %q, want %q", id, got, want)
-		}
 		if prev, seen := byKey[want]; seen && prev != id {
 			t.Fatalf("%s interned twice: %d and %d", v, prev, id)
 		}
@@ -150,15 +146,12 @@ func TestInternerColumns(t *testing.T) {
 		t.Fatal("lookup invented a list")
 	}
 	grown := in.bytes.Load() - before
-	held := int64(len(in.kinds)*9 + len(in.keys)*16)
+	held := int64(len(in.kinds) * 9)
 	for _, s := range in.strs {
 		held += int64(16 + len(s))
 	}
-	for _, k := range in.keys {
-		held += int64(len(k))
-	}
 	if grown < held {
-		t.Fatalf("estimate %d under-counts the %d bytes the columns, strings and keys alone hold", grown, held)
+		t.Fatalf("estimate %d under-counts the %d bytes the columns and strings alone hold", grown, held)
 	}
 }
 

@@ -9,6 +9,7 @@
 package datalog
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
@@ -244,10 +245,9 @@ func (t Tuple) String() string {
 // pointer-bearing — live in side tables the payload indexes. A Val is
 // materialized from the columns only when something asks for one.
 //
-// The canonical Key() encoding is computed on first use and cached: only
-// the aggregation folds (group flush order, contributor fold order) and the
-// Skolem keys of existential heads read it, and they read it through key(),
-// so the orders those strings fix are exactly the seed engine's.
+// The canonical Key() encoding is not kept: the aggregation folds order
+// groups and contributors by keyRank and compareKeys, Key() byte order read
+// off the columns, and Skolem keys spell vids.
 //
 // Identity follows Compare/Equal: +0 and -0 intern to one vid, every NaN
 // payload interns to one vid, labelled nulls intern by id, and lists intern
@@ -290,9 +290,6 @@ type interner struct {
 	payload []uint64
 	strs    []string
 	lists   []Val
-	// keys caches Key() per vid, filled by key(); "" means not computed
-	// yet (no Key() is empty). It is grown to len(kinds) on demand.
-	keys []string
 
 	scalars []uint32 // open-addressed (kind, payload) → vid+1 for numbers and nulls
 	nScalar int
@@ -312,11 +309,10 @@ func newInterner() *interner {
 // Deliberately an estimate — the point is to bound runaway chases in bytes,
 // not to mirror the allocator — but one that never under-counts.
 const (
-	scalarBytes  = 40  // kinds+payload entries (2×9) and a scalars slot at 3/8 load
-	strBytes     = 112 // column entries, the strs header, a strIDs slot; plus len(s)
-	listBytes    = 208 // column entries, the lists Val, a listIDs slot and key header
-	elemBytes    = 68  // per list element: its Val and 4 key bytes; plus nested payload
-	keySlotBytes = 16  // one keys entry, charged for every slot the slice grows by
+	scalarBytes = 40  // kinds+payload entries (2×9) and a scalars slot at 3/8 load
+	strBytes    = 112 // column entries, the strs header, a strIDs slot; plus len(s)
+	listBytes   = 208 // column entries, the lists Val, a listIDs slot and key header
+	elemBytes   = 68  // per list element: its Val and 4 key bytes; plus nested payload
 )
 
 func elemsBytes(l []Val) int64 {
@@ -507,40 +503,6 @@ func (in *interner) lookupLocked(v Val) (uint32, bool) {
 	}
 }
 
-// key returns the seed-format Key() of a vid, computing and caching it on
-// first use. Its readers are the aggregate flush and the Skolem keys — per
-// flush, per existential emission, never per match attempt — so it simply
-// runs under the interner lock.
-func (in *interner) key(id uint32) string {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.keyLocked(id)
-}
-
-// keysOf appends the Key() of every id to dst under one hold of the lock: an
-// aggregate flush orders whole batches of groups and contributors by them.
-func (in *interner) keysOf(dst []string, ids []uint32) []string {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for _, id := range ids {
-		dst = append(dst, in.keyLocked(id))
-	}
-	return dst
-}
-
-func (in *interner) keyLocked(id uint32) string {
-	if int(id) >= len(in.keys) {
-		old := cap(in.keys)
-		in.keys = append(in.keys, make([]string, len(in.kinds)-len(in.keys))...)
-		in.bytes.Add(int64(cap(in.keys)-old) * keySlotBytes)
-	}
-	if in.keys[id] == "" {
-		in.keys[id] = materialize(in.kinds[id], in.payload[id], in.strs, in.lists).Key()
-		in.bytes.Add(int64(len(in.keys[id])))
-	}
-	return in.keys[id]
-}
-
 func materialize(k Kind, payload uint64, strs []string, lists []Val) Val {
 	switch k {
 	case KNum:
@@ -590,6 +552,79 @@ func (v *iview) num(id uint32) (n float64, ok bool) {
 		return 0, false
 	}
 	return math.Float64frombits(v.payload[id]), true
+}
+
+// keyRank is id's rank in Key() byte order, the order the aggregate
+// operator flushes groups and folds contributors in: the first eight bytes
+// of the value's Key(), big-endian and zero-padded (a set ranks by its
+// opening bracket alone). Ranks that differ order their values as their
+// Key()s do; distinct ids of one rank are ordered by compareKeys. No key is
+// built: a string gives its length and first bytes, and an integer below
+// 1e6 in magnitude — a row id, the contributor of every shipped risk
+// program — its integer digits, which is how 'g' formatting spells it.
+func (v *iview) keyRank(id uint32) uint64 {
+	var buf [40]byte
+	b := v.appendKeyHead(buf[:0], id)
+	var r uint64
+	for i := 0; i < 8; i++ {
+		r <<= 8
+		if i < len(b) {
+			r |= uint64(b[i])
+		}
+	}
+	return r
+}
+
+// compareKeys is strings.Compare of the Key()s of a and b. Key() quirks it
+// keeps: a number compares by its 'g' text, so 10 sorts before 9, and a
+// string by its decimal length first, so a 10-byte string sorts before a
+// 9-byte one. Only two sets build their keys.
+func (v *iview) compareKeys(a, b uint32) int {
+	if a == b {
+		return 0
+	}
+	if int(a) >= len(v.kinds) || int(b) >= len(v.kinds) {
+		v.refresh()
+	}
+	ka, kb := v.kinds[a], v.kinds[b]
+	switch {
+	case ka == KStr && kb == KStr:
+		if sa, sb := v.strs[v.payload[a]], v.strs[v.payload[b]]; len(sa) == len(sb) {
+			return strings.Compare(sa, sb) // one length prefix: the text decides
+		}
+	case ka == KList && kb == KList:
+		return strings.Compare(v.val(a).Key(), v.val(b).Key())
+	}
+	// Different kinds differ in the first byte and strings of different
+	// lengths within their length prefix: appendKeyHead reaches both.
+	var ba, bb [40]byte
+	return bytes.Compare(v.appendKeyHead(ba[:0], a), v.appendKeyHead(bb[:0], b))
+}
+
+// appendKeyHead appends id's Key() to dst, except that a string's text is
+// cut at eight bytes and a set is its opening bracket alone.
+func (v *iview) appendKeyHead(dst []byte, id uint32) []byte {
+	if int(id) >= len(v.kinds) {
+		v.refresh()
+	}
+	p := v.payload[id]
+	switch v.kinds[id] {
+	case KNum:
+		dst = append(dst, 'n')
+		if f := math.Float64frombits(p); f == math.Trunc(f) && math.Abs(f) < 1e6 {
+			dst = strconv.AppendInt(dst, int64(f), 10)
+		} else {
+			dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
+		}
+		return append(dst, ';')
+	case KStr:
+		s := v.strs[p]
+		dst = append(strconv.AppendInt(append(dst, 's'), int64(len(s)), 10), ':')
+		return append(dst, s[:min(len(s), 8)]...)
+	case KNull:
+		return append(strconv.AppendUint(append(dst, 'N'), p, 10), ';')
+	}
+	return append(dst, '[')
 }
 
 // equalIDs is Equal on the values of two ids, decided on the ids wherever

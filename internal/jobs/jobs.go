@@ -118,6 +118,10 @@ type Job struct {
 	// double-journal) finished iterations.
 	resume     []anon.Checkpoint
 	userCancel bool
+	// inputBytes is the size of the input's text, which every attempt
+	// holds: the submitter's parse points into it, a runner given none
+	// reads the spool.
+	inputBytes int64
 }
 
 // Runner executes one anonymization cycle. resume carries the committed
@@ -159,16 +163,17 @@ func newID() (string, error) {
 }
 
 // digestFile returns the hex SHA-256 of the file at path — the fingerprint
-// recorded at submit time and re-checked before a recovery resumes over it.
-func digestFile(fsys faultfs.FS, path string) (string, error) {
+// recorded at submit time and re-checked before a recovery resumes over it —
+// and its size.
+func digestFile(fsys faultfs.FS, path string) (digest string, size int64, err error) {
 	f, err := fsys.Open(path)
 	if err != nil {
-		return "", err
+		return "", 0, err
 	}
 	defer f.Close()
 	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "", err
+	if size, err = io.Copy(h, f); err != nil {
+		return "", 0, err
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return hex.EncodeToString(h.Sum(nil)), size, nil
 }

@@ -188,7 +188,7 @@ type handoff struct {
 func (m *Manager) Submit(spec Spec) (Job, error) {
 	input := spec.Input
 	spec.Input = nil
-	digest, err := digestFile(m.opts.FS, spec.Dataset)
+	digest, size, err := digestFile(m.opts.FS, spec.Dataset)
 	if err != nil {
 		return Job{}, fmt.Errorf("jobs: digesting input: %w", err)
 	}
@@ -218,7 +218,7 @@ func (m *Manager) Submit(spec Spec) (Job, error) {
 		w.Close()
 		return Job{}, fmt.Errorf("jobs: journaling start: %w", err)
 	}
-	j := &Job{ID: id, Spec: spec, State: StatePending, Created: now}
+	j := &Job{ID: id, Spec: spec, State: StatePending, Created: now, inputBytes: size}
 
 	m.mu.Lock()
 	if m.closed {
@@ -466,10 +466,12 @@ func (rc *recovery) decode(m *Manager, w *journal.Writer, first, last journal.Re
 	// The journal is the truth about the input it was recorded against; a
 	// dataset file that changed since would make every journaled decision
 	// meaningless. Permanent failure, not a retry.
-	if digest, err := digestFile(m.opts.FS, start.Spec.Dataset); err != nil {
+	if digest, size, err := digestFile(m.opts.FS, start.Spec.Dataset); err != nil {
 		rc.failed = fmt.Sprintf("input vanished during recovery: %v", err)
 	} else if digest != start.Digest {
 		rc.failed = fmt.Sprintf("input %s changed since submission (digest %.12s != %.12s)", start.Spec.Dataset, digest, start.Digest)
+	} else {
+		j.inputBytes = size
 	}
 	rc.job, rc.w = j, w
 	return nil
@@ -636,6 +638,13 @@ func (m *Manager) attempt(ctx context.Context, j *Job, input *mdb.Dataset) (out 
 			out, err = nil, fmt.Errorf("jobs: cycle panicked: %v", r)
 		}
 	}()
+	// The input's text is the attempt's to hold, beside what the cycle
+	// charges: a budget that fits the table but not its text pauses the job.
+	g := govern.From(ctx)
+	if err := g.ReserveBytes(j.inputBytes); err != nil {
+		return nil, fmt.Errorf("jobs: input text: %w", err)
+	}
+	defer g.ReleaseBytes(j.inputBytes)
 	m.mu.Lock()
 	resume := j.resume[:len(j.resume):len(j.resume)]
 	m.mu.Unlock()

@@ -65,7 +65,7 @@ func doneRecord(iterations int) record {
 func inputDigest(t *testing.T) (path, digest string) {
 	t.Helper()
 	path = testInput(t)
-	digest, err := digestFile(faultfs.OS, path)
+	digest, _, err := digestFile(faultfs.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}

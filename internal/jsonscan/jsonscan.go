@@ -2,8 +2,9 @@
 // RFC 8259 as encoding/json reads it — invalid UTF-8 in a string is
 // accepted, a control byte is not, at most MaxDepth arrays and objects are
 // open at once — so Valid accepts exactly what json.Valid does. A Scanner
-// reports where a value ends and can hand each member of an object to a
-// hook, so a decoder finds the parts it wants without unmarshaling the rest.
+// reports where a value ends and can hand each member of an object, or
+// element of an array, to a hook, so a decoder finds the parts it wants
+// without unmarshaling the rest.
 //
 // It also owns the tree's one rule for a string's value: a string whose
 // bytes between the quotes hold no backslash and are valid UTF-8 is those
@@ -136,6 +137,29 @@ func (s *Scanner) Object(member func(key []byte, from int) bool) bool {
 		}
 	}
 	if !s.At('}') {
+		return false
+	}
+	s.I, s.Depth = s.I+1, s.Depth-1
+	return true
+}
+
+// Array scans the array opening at B[I], handing each element to elem with
+// the scan at the element, which elem must scan.
+func (s *Scanner) Array(elem func() bool) bool {
+	if s.I, s.Depth = SkipSpace(s.B, s.I+1), s.Depth+1; s.Depth > MaxDepth {
+		return false
+	}
+	for more := !s.At(']'); more; {
+		if !elem() {
+			return false
+		}
+		if s.I = SkipSpace(s.B, s.I); s.At(',') {
+			s.I = SkipSpace(s.B, s.I+1)
+		} else {
+			more = false
+		}
+	}
+	if !s.At(']') {
 		return false
 	}
 	s.I, s.Depth = s.I+1, s.Depth-1
