@@ -105,9 +105,11 @@ loc:
 # against encoding/json (FuzzParseLine) and its reader over arbitrary files
 # (FuzzReadPrefix), on the JSON grammar and string rule the decoders share,
 # against encoding/json (FuzzValid), on the stream replay's batch and
-# withdraw decoders, against json.Unmarshal (FuzzStreamPayload), and on the
+# withdraw decoders, against json.Unmarshal (FuzzStreamPayload), on the
 # order the aggregate operator folds in, against Key() byte order
-# (FuzzFoldRank). Their seed
+# (FuzzFoldRank), and on the program text a /reason or /lint body carries:
+# the parser, against its own printer (FuzzParse), and the lint, against the
+# engine's stratification (FuzzLintNoPanic). Their seed
 # corpora already run as ordinary tests; a failing input found here is
 # written under the package's testdata/fuzz.
 FUZZTIME ?= 10s
@@ -121,6 +123,8 @@ fuzz:
 	$(GO) test ./internal/jsonscan -run '^$$' -fuzz '^FuzzValid$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stream -run '^$$' -fuzz '^FuzzStreamPayload$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/datalog -run '^$$' -fuzz '^FuzzFoldRank$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/datalog -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/datalog/lint -run '^$$' -fuzz '^FuzzLintNoPanic$$' -fuzztime $(FUZZTIME)
 
 # chaos runs the process-level fault suite under the race detector: worker
 # SIGKILL mid-lease, dropped/duplicated/truncated RPCs, torn journal tails

@@ -449,20 +449,27 @@ func BenchmarkReasoningEngine(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	edb := datalog.NewDatabase()
-	// A chain of holdings with side ownership.
-	for i := 0; i < 100; i++ {
-		edb.Add("own",
-			datalog.Str(fmt.Sprintf("c%d", i)),
-			datalog.Str(fmt.Sprintf("c%d", i+1)),
-			datalog.Num(0.6))
-		edb.Add("own",
-			datalog.Str(fmt.Sprintf("c%d", i)),
-			datalog.Str(fmt.Sprintf("c%d", (i+50)%101)),
-			datalog.Num(0.3))
+	// A chain of holdings with side ownership, loaded afresh for every run
+	// (a run evaluates in its database) outside the timer.
+	load := func() *datalog.Database {
+		edb := datalog.NewDatabase()
+		for i := 0; i < 100; i++ {
+			edb.Add("own",
+				datalog.Str(fmt.Sprintf("c%d", i)),
+				datalog.Str(fmt.Sprintf("c%d", i+1)),
+				datalog.Num(0.6))
+			edb.Add("own",
+				datalog.Str(fmt.Sprintf("c%d", i)),
+				datalog.Str(fmt.Sprintf("c%d", (i+50)%101)),
+				datalog.Num(0.3))
+		}
+		return edb
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		edb := load()
+		b.StartTimer()
 		if _, err := datalog.Run(prog, edb, nil); err != nil {
 			b.Fatal(err)
 		}
@@ -499,16 +506,19 @@ func BenchmarkAnonymizationCycle(b *testing.B) {
 
 var declarativeSizes = []int{50_000, 200_000, 500_000}
 
-func declarativeEDB(n int) *datalog.Database {
-	d := synth.Generate(synth.Config{Tuples: n, QIs: 4, Dist: synth.DistU, Seed: 4})
-	edb := datalog.NewDatabase()
-	programs.TupleFacts(edb, d)
-	return edb
+func declarativeData(n int) *mdb.Dataset {
+	return synth.Generate(synth.Config{Tuples: n, QIs: 4, Dist: synth.DistU, Seed: 4})
 }
 
-func runDeclarativeRisk(b *testing.B, prog *datalog.Program, edb *datalog.Database,
+// runDeclarativeRisk times one run of prog over d's tuple facts, loaded
+// outside the timer: a run evaluates in its database, so each gets its own.
+func runDeclarativeRisk(b *testing.B, prog *datalog.Program, d *mdb.Dataset,
 	root *govern.Governor, wantFacts int) {
 	b.Helper()
+	b.StopTimer()
+	edb := datalog.NewDatabase()
+	programs.TupleFacts(edb, d)
+	b.StartTimer()
 	eg := root.Child("evaluation", govern.Limits{})
 	defer eg.Close()
 	res, err := datalog.Run(prog, edb, &datalog.Options{MaxFacts: 10_000_000, Governor: eg})
@@ -525,11 +535,11 @@ func runDeclarativeRisk(b *testing.B, prog *datalog.Program, edb *datalog.Databa
 func BenchmarkDeclarativeKAnonymity(b *testing.B) {
 	for _, n := range declarativeSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			prog, edb := programs.KAnonymity(4, 2), declarativeEDB(n)
+			prog, d := programs.KAnonymity(4, 2), declarativeData(n)
 			root := govern.New("bench", govern.Limits{MaxBytes: 1 << 30})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				runDeclarativeRisk(b, prog, edb, root, n)
+				runDeclarativeRisk(b, prog, d, root, n)
 			}
 		})
 	}
@@ -540,11 +550,11 @@ func BenchmarkDeclarativeKAnonymity(b *testing.B) {
 func BenchmarkDeclarativeReIdentification(b *testing.B) {
 	for _, n := range declarativeSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			prog, edb := programs.ReIdentification(4), declarativeEDB(n)
+			prog, d := programs.ReIdentification(4), declarativeData(n)
 			root := govern.New("bench", govern.Limits{MaxBytes: 1 << 30})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				runDeclarativeRisk(b, prog, edb, root, n)
+				runDeclarativeRisk(b, prog, d, root, n)
 			}
 		})
 	}
@@ -557,8 +567,6 @@ func BenchmarkDeclarativeReIdentification(b *testing.B) {
 func BenchmarkKAnonymityNativeVsDeclarative(b *testing.B) {
 	const n = 50_000
 	d := synth.Generate(synth.Config{Tuples: n, QIs: 4, Dist: synth.DistU, Seed: 4})
-	edb := datalog.NewDatabase()
-	programs.TupleFacts(edb, d)
 	prog := programs.KAnonymity(4, 2)
 	native := risk.KAnonymity{K: 2}
 	var tNative, tDecl time.Duration
@@ -569,6 +577,8 @@ func BenchmarkKAnonymityNativeVsDeclarative(b *testing.B) {
 			b.Fatal(err)
 		}
 		tNative += time.Since(t0)
+		edb := datalog.NewDatabase()
+		programs.TupleFacts(edb, d)
 		t1 := time.Now()
 		res, err := datalog.Run(prog, edb, &datalog.Options{MaxFacts: 10_000_000})
 		if err != nil {

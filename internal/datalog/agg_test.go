@@ -29,7 +29,7 @@ func InsertionOrderCheck(t testing.TB, name string, p *Program, edb *Database, o
 			o = *opt
 		}
 		o.Workers = workers
-		res, err := Run(p, edb, &o)
+		res, err := Run(p, BulkCopy(edb), &o)
 		if err != nil {
 			t.Fatalf("%s/workers=%d: %v", name, workers, err)
 		}

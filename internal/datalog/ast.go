@@ -56,16 +56,24 @@ func (a Atom) String() string {
 // Expr is an arithmetic/term expression evaluated against an environment.
 type Expr interface {
 	fmt.Stringer
-	vars(set map[string]bool)
+	vars(visit func(name string))
+}
+
+// ExprVars calls visit for every variable occurrence in e, in source order,
+// a variable once per occurrence. A nil e has none.
+func ExprVars(e Expr, visit func(name string)) {
+	if e != nil {
+		e.vars(visit)
+	}
 }
 
 // ExprTerm is a leaf expression: a variable or constant.
 type ExprTerm struct{ T Term }
 
 func (e ExprTerm) String() string { return e.T.String() }
-func (e ExprTerm) vars(set map[string]bool) {
+func (e ExprTerm) vars(visit func(string)) {
 	if e.T.Kind == TVar {
-		set[e.T.Name] = true
+		visit(e.T.Name)
 	}
 }
 
@@ -76,16 +84,16 @@ type ExprBin struct {
 }
 
 func (e ExprBin) String() string { return "(" + e.L.String() + e.Op + e.R.String() + ")" }
-func (e ExprBin) vars(set map[string]bool) {
-	e.L.vars(set)
-	e.R.vars(set)
+func (e ExprBin) vars(visit func(string)) {
+	e.L.vars(visit)
+	e.R.vars(visit)
 }
 
 // ExprNeg is unary numeric negation.
 type ExprNeg struct{ E Expr }
 
-func (e ExprNeg) String() string           { return "-" + e.E.String() }
-func (e ExprNeg) vars(set map[string]bool) { e.E.vars(set) }
+func (e ExprNeg) String() string          { return "-" + e.E.String() }
+func (e ExprNeg) vars(visit func(string)) { e.E.vars(visit) }
 
 // ExprCall is a built-in function call (abs, min, max, sqrt, pow, floor,
 // ceil, log, concat, len) — the engine-side counterpart of Vadalog's
@@ -103,9 +111,9 @@ func (e ExprCall) String() string {
 	return e.Name + "(" + strings.Join(parts, ",") + ")"
 }
 
-func (e ExprCall) vars(set map[string]bool) {
+func (e ExprCall) vars(visit func(string)) {
 	for _, a := range e.Args {
-		a.vars(set)
+		a.vars(visit)
 	}
 }
 
@@ -260,19 +268,19 @@ func (r Rule) bodyVars() map[string]bool {
 
 // finalize computes Existential and sanity-checks the rule shape. It returns
 // an error for unsafe rules: negated atoms, comparisons, and expressions may
-// only use body-bound variables; at most one aggregate per rule.
+// only use body-bound variables; at most one aggregate per rule. The error
+// names the first unsafe variable in source order.
 func (r *Rule) finalize() error {
 	bound := r.bodyVars()
 	check := func(e Expr, ctx string) error {
-		if e == nil {
-			return nil
-		}
-		set := make(map[string]bool)
-		e.vars(set)
-		for v := range set {
-			if !bound[v] {
-				return fmt.Errorf("line %d: unsafe variable %s in %s", r.Line, v, ctx)
+		unsafe := ""
+		ExprVars(e, func(v string) {
+			if unsafe == "" && !bound[v] {
+				unsafe = v
 			}
+		})
+		if unsafe != "" {
+			return fmt.Errorf("line %d: unsafe variable %s in %s", r.Line, unsafe, ctx)
 		}
 		return nil
 	}

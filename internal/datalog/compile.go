@@ -160,17 +160,9 @@ func (ev *evaluator) compileRule(ri int) *cRule {
 	}
 	// Pre-allocate slots for every variable the rule can mention, so that
 	// expression evaluation can distinguish "unbound" from "unknown".
-	var exprSlots func(e Expr)
-	exprSlots = func(e Expr) {
-		if e == nil {
-			return
-		}
-		set := make(map[string]bool)
-		e.vars(set)
-		names := make([]string, 0, len(set))
-		for n := range set {
-			names = append(names, n)
-		}
+	exprSlots := func(e Expr) {
+		var names []string
+		ExprVars(e, func(n string) { names = append(names, n) })
 		sort.Strings(names)
 		for _, n := range names {
 			slot(n)

@@ -122,7 +122,7 @@ func TestDerivedFactsCountsWhatIsNotInput(t *testing.T) {
 		q(X) :- p(X,A).
 		X = Y :- p(X,A), p(Y,A).`)
 	for _, workers := range EquivWorkers {
-		res, err := Run(p, edb, &Options{Workers: workers})
+		res, err := Run(p, BulkCopy(edb), &Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1431,16 +1431,19 @@ func (ev *evaluator) applySubst() {
 	ev.db = nd
 }
 
-// Run evaluates the program over the extensional database and returns the
-// derived result. The input database is not modified.
+// Run evaluates the program in the extensional database it is handed and
+// returns the derived result. The run derives into edb itself, and an EGD
+// that unifies a null moves it to a rebuilt copy, so edb belongs to the run
+// from the call on: a caller reads the result, never edb, and hands each
+// run a database of its own.
 func Run(p *Program, edb *Database, opt *Options) (*Result, error) {
 	return RunContext(context.Background(), p, edb, opt)
 }
 
-// RunContext is Run with cancellation: the context is polled at round
-// boundaries and by every walk once per 8192 of its match attempts, so a
-// cancelled or deadline-expired context aborts the evaluation within a
-// bounded amount of join work.
+// RunContext is Run with cancellation, in edb as Run is: the context is
+// polled at round boundaries and by every walk once per 8192 of its match
+// attempts, so a cancelled or deadline-expired context aborts the
+// evaluation within a bounded amount of join work.
 func RunContext(ctx context.Context, p *Program, edb *Database, opt *Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -1453,7 +1456,7 @@ func RunContext(ctx context.Context, p *Program, edb *Database, opt *Options) (*
 		ctx:     ctx,
 		prog:    p,
 		opt:     opt.withDefaults(),
-		db:      edb.clone(),
+		db:      edb,
 		strata:  strata,
 		nStrata: n,
 		nullCtr: edb.maxNullID(),

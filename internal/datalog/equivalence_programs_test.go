@@ -185,7 +185,7 @@ func TestStatsExactAcrossWorkers(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var stats [2]datalog.EvalStats
 			for i, workers := range []int{1, 2} {
-				res, err := datalog.Run(tc.prog, tc.edb, &datalog.Options{Workers: workers})
+				res, err := datalog.Run(tc.prog, datalog.BulkCopy(tc.edb), &datalog.Options{Workers: workers})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}

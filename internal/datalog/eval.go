@@ -27,13 +27,10 @@ type Database struct {
 // Mixed arities are allowed (the seed engine allowed them too): offs
 // delimits rows, so row i is data[offs[i]:offs[i+1]].
 type relation struct {
-	data []uint32
-	offs []uint32 // len(offs) == nrows+1, offs[0] == 0
-	set  rowSet
-	// structBytes is the row+set footprint, excluding indexes; clones
-	// carry rows but drop indexes, so the two are tracked apart.
-	structBytes int64
-	indexes     []*joinIndex
+	data    []uint32
+	offs    []uint32 // len(offs) == nrows+1, offs[0] == 0
+	set     rowSet
+	indexes []*joinIndex
 	// prov records, by row position, how each fact was first derived: the
 	// producing rule and the body facts it matched, as a window of
 	// provBody. Rows at or past len(prov) — every row of a relation no
@@ -172,9 +169,7 @@ func (r *relation) addRow(db *Database, row []uint32) (uint32, bool) {
 	r.offs = append(r.offs, uint32(len(r.data)))
 	r.set.slots[h] = pos + 1
 	r.set.used++
-	sb := int64(4*len(row) + rowOverhead)
-	r.structBytes += sb
-	grow := sb
+	grow := int64(4*len(row) + rowOverhead)
 	for _, ix := range r.indexes {
 		if ix.arity == len(row) {
 			ix.add(row, pos)
@@ -285,9 +280,7 @@ func (db *Database) rel(pred string) *relation {
 // EstimatedBytes reports the database's running heap-size estimate: the
 // structural footprint of the rows, dedup sets and join indexes plus the
 // interned-value arena. Governed evaluations charge the growth of this
-// figure against their memory budget every fixpoint round. Clones share
-// their parent's interner, so the arena component is counted in full on
-// both — a deliberate overestimate that keeps the budget conservative.
+// figure against their memory budget every fixpoint round.
 func (db *Database) EstimatedBytes() int64 { return db.bytes + db.in.bytes.Load() }
 
 // Facts returns the facts of a predicate, sorted.
@@ -316,26 +309,10 @@ func (db *Database) Predicates() []string {
 	return out
 }
 
-// clone copies the rows (sharing the interner) and drops the join indexes:
-// an evaluation run rebuilds exactly the indexes its plan needs.
-func (db *Database) clone() *Database {
-	c := &Database{in: db.in, rels: make(map[string]*relation, len(db.rels)), nfacts: db.nfacts}
-	for p, r := range db.rels {
-		c.rels[p] = &relation{
-			data:        append([]uint32(nil), r.data...),
-			offs:        append([]uint32(nil), r.offs...),
-			set:         rowSet{slots: append([]uint32(nil), r.set.slots...), used: r.set.used},
-			structBytes: r.structBytes,
-		}
-		c.bytes += r.structBytes
-	}
-	return c
-}
-
 // maxNullID returns the largest labelled-null id appearing in the database.
-// It scans the stored rows rather than the interner: the interner is shared
-// with the parent database and sibling clones, and may hold nulls that do
-// not occur in this database's facts.
+// It scans the stored rows rather than the interner: the interner keeps
+// every value it ever interned, a null an EGD unified away among them, so it
+// may hold nulls that occur in no fact.
 func (db *Database) maxNullID() uint64 {
 	var maxID uint64
 	iv := iview{in: db.in}
@@ -505,17 +482,9 @@ func literalOrder(r *Rule) ([]int, error) {
 		}
 	}
 	exprReady := func(e Expr) bool {
-		if e == nil {
-			return true
-		}
-		set := make(map[string]bool)
-		e.vars(set)
-		for v := range set {
-			if !bound[v] {
-				return false
-			}
-		}
-		return true
+		ready := true
+		ExprVars(e, func(v string) { ready = ready && bound[v] })
+		return ready
 	}
 	for len(order) < len(r.Body)-btoi(aggIdx >= 0) {
 		picked := -1

@@ -93,19 +93,19 @@ func TestWorkBudgetIsExact(t *testing.T) {
 		p := MustParse(tc.src)
 		for _, workers := range []int{1, 2} {
 			name := fmt.Sprintf("%s/workers=%d", tc.name, workers)
-			res, err := Run(p, tc.edb, &Options{Workers: workers})
+			res, err := Run(p, BulkCopy(tc.edb), &Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			w := res.Stats.MatchAttempts
-			exact, err := Run(p, tc.edb, &Options{Workers: workers, MaxWork: w})
+			exact, err := Run(p, BulkCopy(tc.edb), &Options{Workers: workers, MaxWork: w})
 			if err != nil {
 				t.Fatalf("%s: MaxWork %d, exactly what the run needs: %v", name, w, err)
 			}
 			if exact.Stats.MatchAttempts != w || exact.DB().Len() != res.DB().Len() {
 				t.Fatalf("%s: the run at its exact budget differs: %+v vs %+v", name, exact.Stats, res.Stats)
 			}
-			_, err = Run(p, tc.edb, &Options{Workers: workers, MaxWork: w - 1})
+			_, err = Run(p, BulkCopy(tc.edb), &Options{Workers: workers, MaxWork: w - 1})
 			want := fmt.Sprintf("datalog: exceeded the work budget of %d match attempts (join explosion?)", w-1)
 			if err == nil || err.Error() != want {
 				t.Fatalf("%s: MaxWork %d: err = %v, want %q", name, w-1, err, want)

@@ -35,12 +35,14 @@ func TestTransitiveClosure(t *testing.T) {
 	}
 }
 
-func TestInputDatabaseUntouched(t *testing.T) {
+// A run derives into the database it is handed: the result's database is
+// the input itself, not a copy of it.
+func TestRunEvaluatesInItsDatabase(t *testing.T) {
 	edb := NewDatabase()
 	edb.Add("edge", Str("a"), Str("b"))
-	run(t, `path(X,Y) :- edge(X,Y).`, edb)
-	if edb.Len() != 1 {
-		t.Fatalf("input database was modified: %d facts", edb.Len())
+	res := run(t, `path(X,Y) :- edge(X,Y).`, edb)
+	if res.DB() != edb || edb.Len() != 2 {
+		t.Fatalf("the run evaluated in a copy: input holds %d facts, result %d", edb.Len(), res.DB().Len())
 	}
 }
 

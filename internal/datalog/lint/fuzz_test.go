@@ -1,6 +1,8 @@
 package lint_test
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"vadasa/internal/datalog"
@@ -10,7 +12,9 @@ import (
 // FuzzLintNoPanic asserts the analyzer's core robustness contract: the
 // linter never panics on any input — parser-accepted programs are analyzed,
 // parser-rejected ones become a VL000 diagnostic, and neither path is
-// allowed to crash.
+// allowed to crash. On every program the parser accepts, the lint and the
+// engine agree on stratification: VL009 is reported iff the engine refuses
+// the program as not stratified.
 func FuzzLintNoPanic(f *testing.F) {
 	seeds := []string{
 		"",
@@ -27,6 +31,11 @@ func FuzzLintNoPanic(f *testing.F) {
 		"a(1).\na(1,2).\na(1,2,3).",
 		"p(X) :- X = 1 / 0, q(X).",
 		"s(X) :- p(X), not q(X).\np(\"a\").\nq(\"a\").",
+		"a(X), b(X) :- c(X).\nc(X) :- a(X), not b(X).",
+		"a(X), b(X) :- c(X).\nd(X) :- c(X), not b(X).",
+		"t(G,S), u(G) :- m(G,I,W), S = msum(W,[I]).\nm(G,I,W) :- u(G), v(I,W).",
+		"X = Y :- p(X,Y), not q(X).\nq(X) :- p(X,_Y).",
+		"X = Y :- p(X), p(Y).\np(X) :- p(X), not r(X).\nr(X) :- p(X).",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -35,9 +44,24 @@ func FuzzLintNoPanic(f *testing.F) {
 		// Source must absorb both parse errors and parser-accepted
 		// programs without panicking.
 		_ = lint.Source("fuzz.vada", src, nil)
-		if p, err := datalog.Parse(src); err == nil {
-			_ = lint.Check(p, &lint.Options{File: "fuzz.vada"})
-			_ = lint.Preflight(p)
+		p, err := datalog.Parse(src)
+		if err != nil {
+			return
+		}
+		diags := lint.Check(p, &lint.Options{File: "fuzz.vada"})
+		_ = lint.Preflight(p)
+		vl009 := false
+		for _, d := range diags {
+			vl009 = vl009 || d.Code == lint.CodeNotStratified
+		}
+		// The engine stratifies before it evaluates anything; a cancelled
+		// context stops the run right after.
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		_, err = datalog.RunContext(ctx, p, datalog.NewDatabase(), nil)
+		refused := err != nil && strings.Contains(err.Error(), "not stratified")
+		if vl009 != refused {
+			t.Fatalf("lint reports VL009: %v, engine refuses as not stratified: %v (%v)\n%s", vl009, refused, err, src)
 		}
 	})
 }

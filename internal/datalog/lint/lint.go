@@ -145,18 +145,7 @@ func Check(p *datalog.Program, opts *Options) []Diagnostic {
 	if opts != nil {
 		o = *opts
 	}
-	ctx := &pctx{
-		prog:    p,
-		file:    o.File,
-		inputs:  toSet(o.Inputs),
-		outputs: toSet(o.Outputs),
-	}
-	for _, pass := range passes {
-		pass.run(ctx)
-	}
-	diags := filterAllowed(ctx.diags, toSet(o.Allow), nil)
-	sortDiagnostics(diags)
-	return diags
+	return run(p, o, nil)
 }
 
 // Source lints program text: it applies the vadalint directive comments,
@@ -178,16 +167,25 @@ func Source(file, src string, opts *Options) []Diagnostic {
 	if err != nil {
 		return []Diagnostic{parseDiagnostic(file, err)}
 	}
-	ctx := &pctx{
-		prog:    prog,
+	return run(prog, o, dir.allowLines)
+}
+
+// run is one analysis of a parsed program: every pass, then the suppressed
+// codes dropped — everywhere, and on the lines of allowLines — and the rest
+// sorted by position.
+func run(p *datalog.Program, o Options, allowLines map[int]map[string]bool) []Diagnostic {
+	c := &pctx{
+		prog:    p,
 		file:    o.File,
 		inputs:  toSet(o.Inputs),
 		outputs: toSet(o.Outputs),
+		deps:    datalog.AnalyzeDependencies(p),
+		ward:    datalog.WardViolations(p),
 	}
 	for _, pass := range passes {
-		pass.run(ctx)
+		pass.run(c)
 	}
-	diags := filterAllowed(ctx.diags, toSet(o.Allow), dir.allowLines)
+	diags := filterAllowed(c.diags, toSet(o.Allow), allowLines)
 	sortDiagnostics(diags)
 	return diags
 }

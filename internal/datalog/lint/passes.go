@@ -71,12 +71,15 @@ var passes = []Pass{
 		passAggGroup},
 }
 
-// pctx is the shared state of one analysis run.
+// pctx is the shared state of one analysis run. deps and ward are the
+// engine's own analyses, computed once per run.
 type pctx struct {
 	prog    *datalog.Program
 	file    string
 	inputs  map[string]bool
 	outputs map[string]bool
+	deps    *datalog.Dependencies
+	ward    []datalog.WardViolation
 	diags   []Diagnostic
 }
 
@@ -167,11 +170,7 @@ func passSingleton(c *pctx) {
 				bump(t.Name)
 			}
 		}
-		countExpr := func(e datalog.Expr) {
-			for _, v := range exprVars(e) {
-				bump(v)
-			}
-		}
+		countExpr := func(e datalog.Expr) { datalog.ExprVars(e, bump) }
 		for _, h := range r.Heads {
 			for _, t := range h.Args {
 				countTerm(t)
@@ -216,32 +215,6 @@ func passSingleton(c *pctx) {
 				"variable %s occurs only once in this rule: likely a typo; prefix it with _ if intentional", v)
 		}
 	}
-}
-
-func exprVars(e datalog.Expr) []string {
-	if e == nil {
-		return nil
-	}
-	// Expr.vars is unexported; re-walk via the String round trip would be
-	// lossy, so enumerate the concrete types instead.
-	switch x := e.(type) {
-	case datalog.ExprTerm:
-		if x.T.Kind == datalog.TVar {
-			return []string{x.T.Name}
-		}
-		return nil
-	case datalog.ExprBin:
-		return append(exprVars(x.L), exprVars(x.R)...)
-	case datalog.ExprNeg:
-		return exprVars(x.E)
-	case datalog.ExprCall:
-		var out []string
-		for _, a := range x.Args {
-			out = append(out, exprVars(a)...)
-		}
-		return out
-	}
-	return nil
 }
 
 // ---- VL004 / VL005: dead and underivable predicates ------------------------
@@ -478,7 +451,7 @@ func isIdentByte(c byte) bool {
 // ---- VL007: wardedness ------------------------------------------------------
 
 func passWarded(c *pctx) {
-	for _, v := range datalog.WardViolations(c.prog) {
+	for _, v := range c.ward {
 		r := &c.prog.Rules[v.RuleIndex]
 		parts := make([]string, len(v.Dangerous))
 		for i, d := range v.Dangerous {
@@ -497,9 +470,8 @@ func passWarded(c *pctx) {
 // ---- VL008: existential invention inside recursion --------------------------
 
 func passExistCycle(c *pctx) {
-	scc := predSCCs(c.prog)
 	unwarded := make(map[int]bool)
-	for _, v := range datalog.WardViolations(c.prog) {
+	for _, v := range c.ward {
 		unwarded[v.RuleIndex] = true
 	}
 	for i := range c.prog.Rules {
@@ -510,13 +482,13 @@ func passExistCycle(c *pctx) {
 		cycle := ""
 	scan:
 		for _, h := range r.Heads {
-			hc, ok := scc[h.Pred]
+			hc, ok := c.deps.Recursive(h.Pred)
 			if !ok {
 				continue
 			}
 			for _, l := range r.Body {
 				if l.Kind == datalog.LAtom {
-					if bc, ok := scc[l.Atom.Pred]; ok && bc == hc {
+					if bc, ok := c.deps.Recursive(l.Atom.Pred); ok && bc == hc {
 						cycle = fmt.Sprintf("%s depends on %s", h.Pred, l.Atom.Pred)
 						break scan
 					}
@@ -534,50 +506,14 @@ func passExistCycle(c *pctx) {
 // ---- VL009: stratification ---------------------------------------------------
 
 func passStratified(c *pctx) {
-	scc := predSCCs(c.prog)
-	seen := make(map[string]bool)
-	for i := range c.prog.Rules {
-		r := &c.prog.Rules[i]
-		if r.IsEGD {
-			continue
+	for _, v := range c.deps.Violations {
+		cause := "stratified negation"
+		if !v.Negated {
+			cause = "head-binding aggregation"
 		}
-		hasAggAssign := false
-		for _, l := range r.Body {
-			if l.Kind == datalog.LAggAssign {
-				hasAggAssign = true
-			}
-		}
-		for _, l := range r.Body {
-			if l.Kind != datalog.LAtom && l.Kind != datalog.LNegAtom {
-				continue
-			}
-			special := l.Kind == datalog.LNegAtom || hasAggAssign
-			if !special {
-				continue
-			}
-			bc, ok := scc[l.Atom.Pred]
-			if !ok {
-				continue
-			}
-			for _, h := range r.Heads {
-				hc, ok := scc[h.Pred]
-				if !ok || hc != bc {
-					continue
-				}
-				key := fmt.Sprintf("%d/%s/%s", i, h.Pred, l.Atom.Pred)
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				cause := "stratified negation"
-				if l.Kind != datalog.LNegAtom {
-					cause = "head-binding aggregation"
-				}
-				c.report(c.atomPos(l.Atom, r), SeverityError, CodeNotStratified,
-					"program is not stratifiable: %s depends on %s through %s inside a recursive cycle; the engine will refuse to evaluate it",
-					h.Pred, l.Atom.Pred, cause)
-			}
-		}
+		c.report(c.atomPos(v.Atom, &c.prog.Rules[v.Rule]), SeverityError, CodeNotStratified,
+			"program is not stratifiable: %s depends on %s through %s inside a recursive cycle; the engine will refuse to evaluate it",
+			v.Head, v.Atom.Pred, cause)
 	}
 }
 
@@ -614,142 +550,4 @@ func passAggGroup(c *pctx) {
 			}
 		}
 	}
-}
-
-// predSCCs computes the strongly connected components of the predicate
-// dependency graph (body atom → head, positive and negated alike) and
-// returns, for each predicate on a genuine cycle, its component id.
-// Predicates in singleton components without a self-loop are omitted, so a
-// presence check doubles as an "is recursive" check.
-func predSCCs(p *datalog.Program) map[string]int {
-	adj := make(map[string]map[string]bool)
-	node := func(s string) {
-		if adj[s] == nil {
-			adj[s] = make(map[string]bool)
-		}
-	}
-	for i := range p.Rules {
-		r := &p.Rules[i]
-		if r.IsEGD {
-			continue
-		}
-		for _, h := range r.Heads {
-			node(h.Pred)
-		}
-		for _, l := range r.Body {
-			if l.Atom == nil {
-				continue
-			}
-			node(l.Atom.Pred)
-			for _, h := range r.Heads {
-				adj[l.Atom.Pred][h.Pred] = true
-			}
-		}
-		// Multiple heads of one rule derive together; treat them as
-		// mutually dependent, matching the evaluator's stratification.
-		for a := 1; a < len(r.Heads); a++ {
-			adj[r.Heads[0].Pred][r.Heads[a].Pred] = true
-			adj[r.Heads[a].Pred][r.Heads[0].Pred] = true
-		}
-	}
-
-	// Iterative Tarjan so fuzzed programs with long predicate chains
-	// cannot overflow the goroutine stack.
-	names := make([]string, 0, len(adj))
-	for n := range adj {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	id := make(map[string]int, len(names))
-	for i, n := range names {
-		id[n] = i
-	}
-	succ := make([][]int, len(names))
-	selfLoop := make([]bool, len(names))
-	for from, tos := range adj {
-		f := id[from]
-		for to := range tos {
-			t := id[to]
-			if f == t {
-				selfLoop[f] = true
-			}
-			succ[f] = append(succ[f], t)
-		}
-		sort.Ints(succ[f])
-	}
-
-	n := len(names)
-	index := make([]int, n)
-	low := make([]int, n)
-	onstk := make([]bool, n)
-	comp := make([]int, n)
-	compSize := make(map[int]int)
-	for i := range index {
-		index[i] = -1
-		comp[i] = -1
-	}
-	var stack []int
-	counter, ncomp := 0, 0
-
-	type frame struct{ v, next int }
-	for start := 0; start < n; start++ {
-		if index[start] != -1 {
-			continue
-		}
-		work := []frame{{v: start}}
-		for len(work) > 0 {
-			fr := &work[len(work)-1]
-			v := fr.v
-			if fr.next == 0 {
-				index[v] = counter
-				low[v] = counter
-				counter++
-				stack = append(stack, v)
-				onstk[v] = true
-			}
-			advanced := false
-			for fr.next < len(succ[v]) {
-				w := succ[v][fr.next]
-				fr.next++
-				if index[w] == -1 {
-					work = append(work, frame{v: w})
-					advanced = true
-					break
-				} else if onstk[w] && index[w] < low[v] {
-					low[v] = index[w]
-				}
-			}
-			if advanced {
-				continue
-			}
-			if low[v] == index[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onstk[w] = false
-					comp[w] = ncomp
-					compSize[ncomp]++
-					if w == v {
-						break
-					}
-				}
-				ncomp++
-			}
-			work = work[:len(work)-1]
-			if len(work) > 0 {
-				parent := work[len(work)-1].v
-				if low[v] < low[parent] {
-					low[parent] = low[v]
-				}
-			}
-		}
-	}
-
-	out := make(map[string]int)
-	for i, name := range names {
-		if compSize[comp[i]] > 1 || selfLoop[i] {
-			out[name] = comp[i]
-		}
-	}
-	return out
 }

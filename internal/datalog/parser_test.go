@@ -205,3 +205,21 @@ func TestLowercaseIdentifiersAreStringConstants(t *testing.T) {
 		t.Errorf("identifier constants mangled: %v", args)
 	}
 }
+
+// TestUnsafeVariableNamedInSourceOrder: an expression with several unsafe
+// variables is refused with the same text every time, naming the first of
+// them as written. The text reaches /lint, /reason's 422 and ParseProgram.
+func TestUnsafeVariableNamedInSourceOrder(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{`p(X) :- q(X), A + B + C + D < E.`, "datalog: line 1: unsafe variable A in comparison"},
+		{`p(X) :- q(X), X < max(D, C) * -B.`, "datalog: line 1: unsafe variable D in comparison"},
+		{`p(S) :- q(X), S = msum(W + V, [Y]).`, "datalog: line 1: unsafe variable W in aggregate"},
+	}
+	for _, c := range cases {
+		for i := 0; i < 100; i++ {
+			if _, err := Parse(c.src); err == nil || err.Error() != c.want {
+				t.Fatalf("Parse(%q), attempt %d: err = %v, want %q", c.src, i, err, c.want)
+			}
+		}
+	}
+}

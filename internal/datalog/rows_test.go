@@ -245,7 +245,7 @@ func TestProvenanceSurvivesNullUnification(t *testing.T) {
 		big(D,C) :- emp(N,D), C = mcount([N]).
 	`)
 	for _, workers := range EquivWorkers {
-		res, err := Run(p, edb, &Options{Workers: workers})
+		res, err := Run(p, BulkCopy(edb), &Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

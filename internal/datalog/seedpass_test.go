@@ -23,7 +23,7 @@ func matchAttempts(t *testing.T, name string, p *datalog.Program, edb *datalog.D
 	t.Helper()
 	got := int64(-1)
 	for _, workers := range datalog.EquivWorkers {
-		res, err := datalog.Run(p, edb, &datalog.Options{Workers: workers})
+		res, err := datalog.Run(p, datalog.BulkCopy(edb), &datalog.Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("%s/workers=%d: %v", name, workers, err)
 		}

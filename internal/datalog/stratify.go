@@ -5,6 +5,201 @@ import (
 	"sort"
 )
 
+// Dependencies is a program's predicate dependency analysis: the graph whose
+// edges run from every body atom's predicate to the rule's head predicates
+// (and between the heads of one rule, which derive together), its strongly
+// connected components, and the dependencies that break stratification. The
+// engine stratifies from it; vadalint reports VL008 and VL009 from it.
+type Dependencies struct {
+	// Violations lists every special dependency — a negated body atom, or
+	// any body atom of a rule whose aggregate binds a head variable — whose
+	// body and head predicates share a component: negation or head-binding
+	// aggregation through recursion. They come in rule, literal, head
+	// order, one per rule, head predicate and body predicate. A program
+	// with any is not stratified and the engine refuses it.
+	Violations []StratViolation
+
+	id     map[string]int // predicate -> node
+	comp   []int          // node -> component
+	cyclic []bool         // component -> a real cycle
+	edges  []depEdge
+}
+
+// StratViolation is one special dependency inside a recursive component.
+type StratViolation struct {
+	Rule    int    // index into Program.Rules
+	Head    string // the head predicate that depends on Atom
+	Atom    *Atom  // the body atom
+	Negated bool   // through negation; false means head-binding aggregation
+}
+
+// depEdge is one dependency, body node → head node. A special one must
+// cross strata strictly; lit is the body literal it comes from.
+type depEdge struct {
+	from, to  int
+	rule, lit int
+	special   bool
+}
+
+// Recursive returns the component of pred when it lies on a real cycle of
+// the dependency graph — a component of two or more predicates, or one
+// predicate that depends on itself — and false otherwise.
+func (d *Dependencies) Recursive(pred string) (comp int, ok bool) {
+	v, ok := d.id[pred]
+	if !ok || !d.cyclic[d.comp[v]] {
+		return 0, false
+	}
+	return d.comp[v], true
+}
+
+// AnalyzeDependencies builds the program's dependency graph and its
+// components. EGD rules derive no predicate: their body predicates are nodes
+// without edges.
+func AnalyzeDependencies(p *Program) *Dependencies {
+	d := &Dependencies{id: make(map[string]int)}
+	node := func(pred string) int {
+		v, ok := d.id[pred]
+		if !ok {
+			v = len(d.id)
+			d.id[pred] = v
+		}
+		return v
+	}
+	var heads []int
+	for ri, r := range p.Rules {
+		heads = heads[:0]
+		hasAggAssign := false
+		for _, l := range r.Body {
+			if l.Kind == LAggAssign {
+				hasAggAssign = true
+			}
+		}
+		if !r.IsEGD {
+			for _, h := range r.Heads {
+				heads = append(heads, node(h.Pred))
+			}
+		}
+		// Heads of one rule are forced into the same stratum.
+		for i := 1; i < len(heads); i++ {
+			d.edges = append(d.edges, depEdge{from: heads[0], to: heads[i]}, depEdge{from: heads[i], to: heads[0]})
+		}
+		for li, l := range r.Body {
+			if l.Kind != LAtom && l.Kind != LNegAtom {
+				continue
+			}
+			from := node(l.Atom.Pred)
+			for _, h := range heads {
+				d.edges = append(d.edges, depEdge{from: from, to: h, rule: ri, lit: li,
+					special: l.Kind == LNegAtom || hasAggAssign})
+			}
+		}
+	}
+	d.components()
+
+	names := make([]string, len(d.id))
+	for pred, v := range d.id {
+		names[v] = pred
+	}
+	type key struct{ rule, head, body int }
+	seen := make(map[key]bool)
+	for _, e := range d.edges {
+		if !e.special || d.comp[e.from] != d.comp[e.to] || seen[key{e.rule, e.to, e.from}] {
+			continue
+		}
+		seen[key{e.rule, e.to, e.from}] = true
+		l := p.Rules[e.rule].Body[e.lit]
+		d.Violations = append(d.Violations, StratViolation{
+			Rule: e.rule, Head: names[e.to], Atom: l.Atom, Negated: l.Kind == LNegAtom,
+		})
+	}
+	return d
+}
+
+// components runs Tarjan's algorithm over the edges, iteratively so that a
+// long predicate chain cannot overflow the goroutine stack, and marks the
+// components that are real cycles.
+func (d *Dependencies) components() {
+	n := len(d.id)
+	succ := make([][]int, n)
+	for _, e := range d.edges {
+		succ[e.from] = append(succ[e.from], e.to)
+	}
+	index := make([]int, n)
+	low := make([]int, n)
+	onstk := make([]bool, n)
+	d.comp = make([]int, n)
+	for i := range index {
+		index[i] = -1
+	}
+	var size []int
+	var stack []int
+	counter := 0
+	type frame struct{ v, next int }
+	var work []frame
+	for start := 0; start < n; start++ {
+		if index[start] != -1 {
+			continue
+		}
+		work = append(work[:0], frame{v: start})
+		for len(work) > 0 {
+			fr := &work[len(work)-1]
+			v := fr.v
+			if fr.next == 0 {
+				index[v] = counter
+				low[v] = counter
+				counter++
+				stack = append(stack, v)
+				onstk[v] = true
+			}
+			advanced := false
+			for fr.next < len(succ[v]) {
+				w := succ[v][fr.next]
+				fr.next++
+				if index[w] == -1 {
+					work = append(work, frame{v: w})
+					advanced = true
+					break
+				} else if onstk[w] && index[w] < low[v] {
+					low[v] = index[w]
+				}
+			}
+			if advanced {
+				continue
+			}
+			if low[v] == index[v] {
+				c := len(size)
+				size = append(size, 0)
+				for {
+					w := stack[len(stack)-1]
+					stack = stack[:len(stack)-1]
+					onstk[w] = false
+					d.comp[w] = c
+					size[c]++
+					if w == v {
+						break
+					}
+				}
+			}
+			work = work[:len(work)-1]
+			if len(work) > 0 {
+				parent := work[len(work)-1].v
+				if low[v] < low[parent] {
+					low[parent] = low[v]
+				}
+			}
+		}
+	}
+	d.cyclic = make([]bool, len(size))
+	for c, s := range size {
+		d.cyclic[c] = s > 1
+	}
+	for _, e := range d.edges {
+		if e.from == e.to {
+			d.cyclic[d.comp[e.from]] = true
+		}
+	}
+}
+
 // stratify computes a stratification of the program's predicates. Normal
 // dependencies (positive body atom → head) may stay within a stratum;
 // special dependencies — negated body atoms, and every body atom of a rule
@@ -17,124 +212,16 @@ import (
 // as contributions accumulate, so the fixpoint stays monotone — this is the
 // engine-level counterpart of Vadalog's monotonic aggregations.
 func stratify(p *Program) (strataOf map[string]int, numStrata int, err error) {
-	type edge struct {
-		from, to string
-		special  bool
-	}
-	preds := make(map[string]bool)
-	var edges []edge
-	for _, r := range p.Rules {
-		if r.IsEGD {
-			for _, l := range r.Body {
-				if l.Kind == LAtom || l.Kind == LNegAtom {
-					preds[l.Atom.Pred] = true
-				}
-			}
-			continue
-		}
-		hasAggAssign := false
-		for _, l := range r.Body {
-			if l.Kind == LAggAssign {
-				hasAggAssign = true
-			}
-		}
-		heads := r.headPreds()
-		for _, h := range heads {
-			preds[h] = true
-		}
-		// Heads of one rule are forced into the same stratum.
-		for i := 1; i < len(heads); i++ {
-			edges = append(edges, edge{from: heads[0], to: heads[i]})
-			edges = append(edges, edge{from: heads[i], to: heads[0]})
-		}
-		for _, l := range r.Body {
-			if l.Kind != LAtom && l.Kind != LNegAtom {
-				continue
-			}
-			preds[l.Atom.Pred] = true
-			for _, h := range heads {
-				edges = append(edges, edge{
-					from:    l.Atom.Pred,
-					to:      h,
-					special: l.Kind == LNegAtom || hasAggAssign,
-				})
-			}
-		}
-	}
-
-	names := make([]string, 0, len(preds))
-	for p := range preds {
-		names = append(names, p)
-	}
-	sort.Strings(names)
-	id := make(map[string]int, len(names))
-	for i, n := range names {
-		id[n] = i
-	}
-
-	// Tarjan SCC.
-	n := len(names)
-	adj := make([][]edge, n)
-	for _, e := range edges {
-		adj[id[e.from]] = append(adj[id[e.from]], e)
-	}
-	index := make([]int, n)
-	low := make([]int, n)
-	onstk := make([]bool, n)
-	comp := make([]int, n)
-	for i := range index {
-		index[i] = -1
-		comp[i] = -1
-	}
-	var stack []int
-	counter, ncomp := 0, 0
-	var strongconnect func(v int)
-	strongconnect = func(v int) {
-		index[v] = counter
-		low[v] = counter
-		counter++
-		stack = append(stack, v)
-		onstk[v] = true
-		for _, e := range adj[v] {
-			w := id[e.to]
-			if index[w] == -1 {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onstk[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onstk[w] = false
-				comp[w] = ncomp
-				if w == v {
-					break
-				}
-			}
-			ncomp++
-		}
-	}
-	for v := 0; v < n; v++ {
-		if index[v] == -1 {
-			strongconnect(v)
-		}
-	}
-
-	// Special edges inside an SCC are stratification violations.
-	for _, e := range edges {
-		if e.special && comp[id[e.from]] == comp[id[e.to]] {
-			return nil, 0, fmt.Errorf(
-				"datalog: program is not stratified: predicate %s depends on %s through negation or head-binding aggregation inside a recursive cycle",
-				e.to, e.from)
-		}
+	d := AnalyzeDependencies(p)
+	if len(d.Violations) > 0 {
+		v := d.Violations[0]
+		return nil, 0, fmt.Errorf(
+			"datalog: program is not stratified: predicate %s depends on %s through negation or head-binding aggregation inside a recursive cycle",
+			v.Head, v.Atom.Pred)
 	}
 
 	// Longest-path strata over the condensation: special edges add 1.
+	ncomp := len(d.cyclic)
 	stratum := make([]int, ncomp)
 	changed := true
 	for iter := 0; changed; iter++ {
@@ -142,8 +229,8 @@ func stratify(p *Program) (strataOf map[string]int, numStrata int, err error) {
 			return nil, 0, fmt.Errorf("datalog: internal error: stratification did not converge")
 		}
 		changed = false
-		for _, e := range edges {
-			cf, ct := comp[id[e.from]], comp[id[e.to]]
+		for _, e := range d.edges {
+			cf, ct := d.comp[e.from], d.comp[e.to]
 			want := stratum[cf]
 			if e.special {
 				want++
@@ -155,10 +242,10 @@ func stratify(p *Program) (strataOf map[string]int, numStrata int, err error) {
 		}
 	}
 
-	strataOf = make(map[string]int, n)
+	strataOf = make(map[string]int, len(d.id))
 	maxS := 0
-	for i, name := range names {
-		s := stratum[comp[i]]
+	for name, v := range d.id {
+		s := stratum[d.comp[v]]
 		strataOf[name] = s
 		if s > maxS {
 			maxS = s

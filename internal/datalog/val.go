@@ -257,10 +257,9 @@ func (t Tuple) String() string {
 // is asked through iview.equalIDs where a comparison, not an identity, is
 // meant.
 //
-// The interner is shared by a database and all its clones: evaluation runs
-// against a cloned EDB reuse the interned constants instead of re-encoding
-// them, and concurrent runs over clones of one EDB are safe — all mutation
-// happens under mu. Readers use an iview snapshot for lock-free access on
+// The interner is shared by a database, the database an EGD pass rebuilds it
+// into, and every partition of a parallel run: all mutation happens under
+// mu. Readers use an iview snapshot for lock-free access on
 // the hot match path; a snapshot is refreshed (under mu) only when it sees a
 // vid newer than itself, which can only happen after a happens-before edge
 // through the same mutex.

@@ -56,9 +56,10 @@ func MustParseProgram(src string) *Program {
 // NewFactDB returns an empty extensional database.
 func NewFactDB() *FactDB { return datalog.NewDatabase() }
 
-// Reason evaluates a program over the extensional database (which is not
-// modified) and returns the derived database. A nil opts selects the
-// defaults.
+// Reason evaluates a program in the extensional database and returns the
+// derived database. The run derives into edb, which belongs to it from the
+// call on: read the result, not edb, and give each run a database of its
+// own. A nil opts selects the defaults.
 func Reason(p *Program, edb *FactDB, opts *ReasoningOptions) (*ReasoningResult, error) {
 	return datalog.Run(p, edb, opts)
 }
