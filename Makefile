@@ -109,7 +109,9 @@ loc:
 # order the aggregate operator folds in, against Key() byte order
 # (FuzzFoldRank), and on the program text a /reason or /lint body carries:
 # the parser, against its own printer (FuzzParse), and the lint, against the
-# engine's stratification (FuzzLintNoPanic). Their seed
+# engine's stratification (FuzzLintNoPanic), and on the engine's model of
+# random graph programs, against the reference chase
+# (FuzzEngineMatchesReference). Their seed
 # corpora already run as ordinary tests; a failing input found here is
 # written under the package's testdata/fuzz.
 FUZZTIME ?= 10s
@@ -124,6 +126,7 @@ fuzz:
 	$(GO) test ./internal/stream -run '^$$' -fuzz '^FuzzStreamPayload$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/datalog -run '^$$' -fuzz '^FuzzFoldRank$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/datalog -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/datalog -run '^$$' -fuzz '^FuzzEngineMatchesReference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/datalog/lint -run '^$$' -fuzz '^FuzzLintNoPanic$$' -fuzztime $(FUZZTIME)
 
 # chaos runs the process-level fault suite under the race detector: worker

@@ -117,7 +117,7 @@ func (s *server) handleReason(w http.ResponseWriter, r *http.Request) error {
 	// Pre-flight: fact predicates are extensional by definition, queried
 	// predicates are outputs. Any error-severity finding refuses evaluation.
 	factPreds := req.factPredicates()
-	diags := lint.Source("program", req.Program, &lint.Options{
+	prog, diags := lint.Parse("program", req.Program, &lint.Options{
 		Inputs:  append(append([]string(nil), req.Inputs...), factPreds...),
 		Outputs: append(append([]string(nil), req.Outputs...), req.Query...),
 		Allow:   req.Allow,
@@ -130,11 +130,6 @@ func (s *server) handleReason(w http.ResponseWriter, r *http.Request) error {
 		}
 	}
 
-	prog, err := vadasa.ParseProgram(req.Program)
-	if err != nil {
-		// Unreachable in practice: a parse failure is a VL000 error above.
-		return unprocessable(err)
-	}
 	edb, err := req.loadFacts(factPreds)
 	if err != nil {
 		return badRequest(err)

@@ -179,6 +179,34 @@ func TestReasonEndpointRejectsBadProgram(t *testing.T) {
 	}
 }
 
+// TestReasonHonoursAllowDirective: the program /reason evaluates is the one
+// its lint pass parsed, directive comments included. Mixed arities are an
+// error-severity finding the engine itself does not mind; an allow-file
+// directive in the program text lets it through.
+func TestReasonHonoursAllowDirective(t *testing.T) {
+	const rules = "p(X) :- q(X).\np(X,Y) :- q(X), q(Y).\n"
+	for _, tc := range []struct {
+		program string
+		status  int
+	}{
+		{rules, http.StatusUnprocessableEntity},
+		{"% vadalint:allow-file VL002\n" + rules, http.StatusOK},
+	} {
+		body, _ := json.Marshal(map[string]any{
+			"program": tc.program,
+			"facts":   map[string][][]any{"q": {{"a"}}},
+			"query":   []string{"p"},
+		})
+		rec := do(t, testServer(t), "POST", "/reason", string(body))
+		if rec.Code != tc.status {
+			t.Fatalf("%q: status = %d, want %d: %s", tc.program, rec.Code, tc.status, rec.Body)
+		}
+		if tc.status == http.StatusOK && !strings.Contains(rec.Body.String(), `"p":[["a"],["a","a"]]`) {
+			t.Fatalf("%q: want both arities of p, got %s", tc.program, rec.Body)
+		}
+	}
+}
+
 func TestReasonEndpointBadRequests(t *testing.T) {
 	h := testServer(t)
 	if rec := do(t, h, "POST", "/reason", "{"); rec.Code != http.StatusBadRequest {

@@ -1,9 +1,10 @@
 package datalog
 
 // Tests of the group-by operator (aggTable, recordAgg, flushAgg): every case
-// is differential against the frozen seed evaluator — facts, provenance and
-// explanations through EquivCheck — and additionally pins the order in which
-// facts were inserted, which is what the operator's flush order decides.
+// is held to the reference chase through EquivCheck — its model, valid
+// provenance and its recorded digest — and additionally pins the order in
+// which facts were inserted, which is what the operator's flush order
+// decides.
 
 import (
 	"fmt"
@@ -12,41 +13,6 @@ import (
 	"strings"
 	"testing"
 )
-
-// InsertionOrderCheck runs the program under the seed evaluator and under
-// the engine at one and two workers and requires every predicate's facts in
-// the same insertion order: the order provenance ids, labelled-null minting
-// and every later scan are built on.
-func InsertionOrderCheck(t testing.TB, name string, p *Program, edb *Database, opt *Options) {
-	t.Helper()
-	seedRes, err := seedRun(p, edb, opt)
-	if err != nil {
-		t.Fatalf("%s: seed: %v", name, err)
-	}
-	for _, workers := range []int{1, 2} {
-		o := Options{}
-		if opt != nil {
-			o = *opt
-		}
-		o.Workers = workers
-		res, err := Run(p, BulkCopy(edb), &o)
-		if err != nil {
-			t.Fatalf("%s/workers=%d: %v", name, workers, err)
-		}
-		for _, pred := range seedRes.Predicates() {
-			want := seedRes.db.rels[pred].facts
-			got := res.db.Rows(pred)
-			if got.Len() != len(want) {
-				t.Fatalf("%s/workers=%d: %s has %d facts, seed %d", name, workers, pred, got.Len(), len(want))
-			}
-			for i := range want {
-				if g := got.Row(i).Tuple(); g.Key() != want[i].Key() {
-					t.Fatalf("%s/workers=%d: %s row %d is %s, seed inserted %s", name, workers, pred, i, g, want[i])
-				}
-			}
-		}
-	}
-}
 
 func aggCheck(t *testing.T, name, src string, edb *Database) {
 	t.Helper()
@@ -173,15 +139,15 @@ func TestAggOperatorHandwritten(t *testing.T) {
 // single-atom and a joined body, as an assignment and as a condition, over
 // random tables in which contributors repeat with varying arguments.
 func TestAggOperatorGenerated(t *testing.T) {
-	bodies := map[string]string{
-		"single": "m(G,I,W)",
-		"joined": "k(G,F), m(G,I,V), W = V * F",
+	bodies := [][2]string{
+		{"joined", "k(G,F), m(G,I,V), W = V * F"},
+		{"single", "m(G,I,W)"},
 	}
-	aggs := map[string]string{
-		"msum":   "msum(W,[I])",
-		"mcount": "mcount([I])",
-		"mprod":  "mprod(W,[I])",
-		"munion": "munion(W,[I])",
+	aggs := [][2]string{
+		{"mcount", "mcount([I])"},
+		{"mprod", "mprod(W,[I])"},
+		{"msum", "msum(W,[I])"},
+		{"munion", "munion(W,[I])"},
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -197,8 +163,10 @@ func TestAggOperatorGenerated(t *testing.T) {
 			edb.Add("k", Num(float64(g)), Num(float64(1+rng.Intn(3))))
 		}
 		var src strings.Builder
-		for bn, body := range bodies {
-			for an, agg := range aggs {
+		for _, b := range bodies {
+			bn, body := b[0], b[1]
+			for _, a := range aggs {
+				an, agg := a[0], a[1]
 				fmt.Fprintf(&src, "a_%s_%s(G,R) :- %s, R = %s.\n", bn, an, body, agg)
 				if an != "munion" {
 					fmt.Fprintf(&src, "c_%s_%s(G) :- %s, %s > 4.\n", bn, an, body, agg)
@@ -240,8 +208,8 @@ func TestAggOperatorTableGrowth(t *testing.T) {
 }
 
 // TestAggUnboundGroupVariable builds the one rule shape the parser cannot:
-// a head variable that is neither bound by the body nor existential. Both
-// engines refuse it at the aggregate with the same text.
+// a head variable that is neither bound by the body nor existential. The
+// engine and the reference refuse it at the aggregate.
 func TestAggUnboundGroupVariable(t *testing.T) {
 	p := MustParse(`total(G,S) :- m(G,I,W), S = msum(W,[I]).`)
 	h := &p.Rules[0].Heads[0]
@@ -256,11 +224,11 @@ func TestAggUnboundGroupVariable(t *testing.T) {
 }
 
 // TestIDLevelOperandsMatchSeed holds the walk's id-level comparisons, moves
-// and float64 arithmetic to the seed's value-level ones: every operator over
-// numbers (NaN, -0 and infinities included), strings, nulls-by-id and sets;
-// X = Y as a move and as a filter; arithmetic that stays numeric, and the
-// error texts when it does not. (Results are kept off -0, which the
-// interner folds into 0 and the seed does not.)
+// and float64 arithmetic to the reference chase's value-level ones: every
+// operator over numbers (NaN, -0 and infinities included), strings,
+// nulls-by-id and sets; X = Y as a move and as a filter; arithmetic that
+// stays numeric, -0 results among them, and a refusal when it does not
+// (the digest pins the text).
 func TestIDLevelOperandsMatchSeed(t *testing.T) {
 	edb := NewDatabase()
 	vals := []Val{
@@ -291,7 +259,8 @@ func TestIDLevelOperandsMatchSeed(t *testing.T) {
 		konst(I) :- v(I,A), A = 2.5.
 		arith(I,J,R) :- pair(I,J,A,B), I < 8, J < 8, R = (A + B) * -A - B / 4 + 1.
 		ratio(I,J,R) :- pair(I,J,A,B), I < 8, J < 8, J > 1, R = A / B + 1.
-		check(I,J) :- pair(I,J,A,B), I < 8, J < 8, A = B - 1.`)
+		check(I,J) :- pair(I,J,A,B), I < 8, J < 8, A = B - 1.
+		flip(I,R,S) :- v(I,A), I < 8, R = -A, S = A * -1.`)
 	aggCheck(t, "operands", src.String(), edb)
 
 	for _, bad := range []string{

@@ -1,10 +1,8 @@
 package datalog_test
 
-// Regression benchmarks for the evaluator overhaul (interned columnar
-// store, per-rule join indexes, partitioned deltas). The Seed/Overhauled pair
-// at n=50k is the headline datapoint: the overhauled engine must stay at
-// least 5× faster on the declarative k-anonymity workload than the frozen
-// pre-overhaul evaluator it replaced. BenchmarkViolationDedup guards the
+// Regression benchmarks for the evaluator (interned columnar store,
+// per-rule join indexes, partitioned deltas): the declarative k-anonymity
+// workload at n=50k, sequential; BenchmarkViolationDedup guards the
 // interned-id violation key against sliding back to string concatenation.
 
 import (
@@ -22,28 +20,9 @@ func kAnonymityWorkload(n int) (*datalog.Program, *datalog.Database) {
 	return programs.KAnonymity(4, 2), edb
 }
 
-// BenchmarkSeedEvaluatorKAnonymity50k measures the frozen pre-overhaul
-// engine on the paper's k-anonymity program at n=50k. It exists only as the
-// denominator of the overhaul's speedup claim.
-func BenchmarkSeedEvaluatorKAnonymity50k(b *testing.B) {
-	prog, edb := kAnonymityWorkload(50_000)
-	opt := &datalog.Options{MaxFacts: 10_000_000}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got, err := datalog.SeedRunFacts(prog, edb, opt, "riskout")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got != 50_000 {
-			b.Fatalf("riskout = %d facts, want 50000", got)
-		}
-	}
-}
-
-// BenchmarkOverhauledEvaluatorKAnonymity50k is the numerator: the same
-// workload through the rebuilt engine (sequential; the parallel datapoints
-// live in the root bench suite).
+// BenchmarkOverhauledEvaluatorKAnonymity50k runs the workload through the
+// engine, sequentially (the parallel datapoints live in the root bench
+// suite).
 func BenchmarkOverhauledEvaluatorKAnonymity50k(b *testing.B) {
 	prog, edb := kAnonymityWorkload(50_000)
 	opt := &datalog.Options{MaxFacts: 10_000_000}
@@ -89,7 +68,7 @@ func BenchmarkViolationDedup(b *testing.B) {
 			b.Fatal(runErr)
 		}
 		// Ordered pairs of distinct capacities per group: the dedup key
-		// keeps (a,b) and (b,a) separate, exactly as the seed engine did.
+		// keeps (a,b) and (b,a) separate.
 		if got := len(res.Violations); got != 20*12*11 {
 			b.Fatalf("violations = %d, want %d", got, 20*12*11)
 		}

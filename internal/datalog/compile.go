@@ -305,8 +305,7 @@ func (ev *evaluator) compileRule(ri int) *cRule {
 		ex[x] = true
 		c.existSlots = append(c.existSlots, c.slotOf[x])
 	}
-	// Skolem frontier: every bound head-variable occurrence, sorted with
-	// duplicates — byte-compatible with the seed engine's key building.
+	// Skolem frontier: every bound head-variable occurrence, sorted, duplicates kept.
 	for _, h := range r.Heads {
 		for _, t := range h.Args {
 			if t.Kind == TVar && !ex[t.Name] {

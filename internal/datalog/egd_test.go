@@ -66,7 +66,6 @@ func TestEGDJoinHonoursDeadline(t *testing.T) {
 // TestEGDPreBoundAssignmentFilters: `X = e` with X already bound compares, in
 // an EGD body as in every other. The old EGD walk overwrote X, continued and
 // unbound it, which let p(5,"c") through and reported a spurious "c" = "b".
-// The frozen oracle still does, so this shape stays out of EquivCheck.
 func TestEGDPreBoundAssignmentFilters(t *testing.T) {
 	edb := NewDatabase()
 	edb.Add("p", Num(1), Str("a"))
@@ -74,7 +73,9 @@ func TestEGDPreBoundAssignmentFilters(t *testing.T) {
 	edb.Add("q", Num(0), Str("b"))
 	var got [2]string
 	for i, op := range []string{"=", "=="} {
-		res, err := Run(MustParse(`A = B :- p(X,A), q(N,B), X `+op+` N + 1.`), edb, nil)
+		p := MustParse(`A = B :- p(X,A), q(N,B), X ` + op + ` N + 1.`)
+		EquivCheck(t, "egd-prebound"+op, p, edb, nil)
+		res, err := Run(p, BulkCopy(edb), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +86,9 @@ func TestEGDPreBoundAssignmentFilters(t *testing.T) {
 	if want := `"a" = "b"; `; got[0] != want || got[1] != want {
 		t.Fatalf("violations under '=': %q, under '==': %q, want %q for both", got[0], got[1], want)
 	}
-	res, err := Run(MustParse(`out(A,B) :- p(X,A), q(N,B), X = N + 1.`), edb, nil)
+	tgd := MustParse(`out(A,B) :- p(X,A), q(N,B), X = N + 1.`)
+	EquivCheck(t, "tgd-prebound", tgd, edb, nil)
+	res, err := Run(tgd, edb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package datalog_test
 
-// Equivalence of the overhauled evaluator with the frozen seed engine over
-// the declarative program library. This lives in the external test package
+// The engine against the reference chase and its recorded digests over the
+// declarative program library. This lives in the external test package
 // so it can import internal/programs (which imports internal/datalog)
 // without a cycle; EquivCheck itself is exported by export_test.go.
 
@@ -26,8 +26,8 @@ func riskEDB(tuples int) *datalog.Database {
 }
 
 // TestEquivalenceProgramLibrary drives every program constructor over a
-// representative extensional database and requires result identity with the
-// seed evaluator at every worker count.
+// representative extensional database and holds it to the reference chase
+// and the recorded digests at every worker count.
 func TestEquivalenceProgramLibrary(t *testing.T) {
 	cases := []struct {
 		name string
@@ -132,7 +132,8 @@ func controlEDB(seed int64, companies, stakes int) *datalog.Database {
 
 // TestControlInsertionOrder holds the recursive msum of company control —
 // groups that stay dirty across delta rounds, flushed round after round — to
-// the seed engine's insertion order, provenance and explanations.
+// the reference model and to the recorded insertion order, provenance and
+// explanations.
 func TestControlInsertionOrder(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		edb := controlEDB(seed, 30, 140)

@@ -1,11 +1,11 @@
 package datalog
 
-// Equivalence battery: the rebuilt engine (interned columnar store, join
-// indexes, partitioned deltas) against the frozen seed engine, across the
-// corpus programs, the fuzz seeds, and handwritten programs covering every
-// literal kind, existential chase, EGDs and aggregation. EquivCheck runs
-// each case sequentially and with 4 workers; `make race` runs this file
-// under the race detector.
+// Equivalence battery: the engine (interned columnar store, join indexes,
+// partitioned deltas) against the reference chase and its recorded digests,
+// across the corpus programs, the fuzz seeds, and handwritten programs
+// covering every literal kind, existential chase, EGDs and aggregation.
+// EquivCheck runs each case sequentially and with 4 workers; `make race`
+// runs this file under the race detector.
 
 import (
 	"bytes"
@@ -185,11 +185,9 @@ func TestEquivalenceHandwritten(t *testing.T) {
 				edb.Add("cand", Str("zz"))
 				return edb
 			}},
-		// EGD bodies. Since the engine walks them on the compiled plan and the
-		// oracle on its own map environments, these compare two evaluators;
-		// every literal kind an EGD body can hold appears at least once.
-		// Violations are compared in order, so each case also pins the
-		// candidate enumeration order of the indexed join.
+		// EGD bodies: every literal kind an EGD body can hold appears at
+		// least once. The digest holds the violations in order, so each case
+		// also pins the candidate enumeration order of the indexed join.
 		{"egd-negated-atom", `
 			A = B :- cap(X,A), cap(X,B), not exempt(X).`,
 			capEDB},
@@ -253,8 +251,8 @@ func TestEquivalenceHandwritten(t *testing.T) {
 	}
 }
 
-// TestEquivalenceErrors pins diagnostic identity: semantic errors must carry
-// the same message through both engines.
+// TestEquivalenceErrors: semantic errors are refused by the engine and by
+// the reference, and the digest pins the engine's message.
 func TestEquivalenceErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -274,19 +272,26 @@ func TestEquivalenceErrors(t *testing.T) {
 	}
 }
 
-// TestEquivalenceRandomPrograms drives both engines over randomized graph
-// workloads mixing recursion, negation and aggregation.
-func TestEquivalenceRandomPrograms(t *testing.T) {
-	src := `
+// randomProgram is the random%d cases' generator: one program mixing
+// recursion, negation and aggregation over a random graph drawn from seed,
+// its size cycling through eight steps.
+func randomProgram(seed int64) (*Program, *Database) {
+	p := MustParse(`
 		reach(X,Y) :- edge(X,Y).
 		reach(X,Z) :- reach(X,Y), edge(Y,Z).
 		indeg(Y,N) :- edge(X,Y), N = mcount([X]).
 		sink(X) :- node(X), not hasout(X).
 		hasout(X) :- edge(X,_Y).
-		risky(X) :- sink(X), reach(_S, X).`
-	p := MustParse(src)
+		risky(X) :- sink(X), reach(_S, X).`)
+	step := int(uint64(seed) % 8)
+	return p, graphEDB(100+seed, 6+step*3, 10+step*8)
+}
+
+// TestEquivalenceRandomPrograms drives the engine over randomized graph
+// workloads mixing recursion, negation and aggregation.
+func TestEquivalenceRandomPrograms(t *testing.T) {
 	for trial := int64(0); trial < 6; trial++ {
-		edb := graphEDB(100+trial, 6+int(trial)*3, 10+int(trial)*8)
+		p, edb := randomProgram(trial)
 		EquivCheck(t, fmt.Sprintf("random%d", trial), p, edb, nil)
 	}
 }
@@ -329,27 +334,27 @@ func TestEquivalenceGOMAXPROCS4(t *testing.T) {
 		NewDatabase(), nil)
 }
 
-// TestTraceIdentical pins the trace stream: with tracing enabled the new
-// engine must emit byte-identical round lines to the seed engine.
+// TestTraceIdentical pins the trace stream to testdata/trace.golden, the
+// round lines the evaluator the engine replaced wrote for this program;
+// workers > 1 must not change them.
 func TestTraceIdentical(t *testing.T) {
 	p := MustParse(`
 		linked(X) :- edge(X,_Y).
 		isolated(X) :- node(X), not linked(X).
 		reach(X,Y) :- edge(X,Y).
 		reach(X,Z) :- reach(X,Y), edge(Y,Z).`)
-	edb := graphEDB(9, 10, 18)
-	var seedBuf, newBuf bytes.Buffer
-	if _, err := seedRun(p, edb, &Options{Trace: &seedBuf}); err != nil {
+	want, err := os.ReadFile(filepath.Join("testdata", "trace.golden"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Workers > 1 must not change the trace: tracing forces sequential
-	// strata by contract.
-	if _, err := Run(p, edb, &Options{Trace: &newBuf, Workers: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if seedBuf.String() != newBuf.String() {
-		t.Fatalf("trace streams differ:\n--- seed ---\n%s--- new ---\n%s",
-			seedBuf.String(), newBuf.String())
+	for _, workers := range []int{1, 4} {
+		var buf bytes.Buffer
+		if _, err := Run(p, graphEDB(9, 10, 18), &Options{Trace: &buf, Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != string(want) {
+			t.Fatalf("workers=%d: trace differs:\n--- golden ---\n%s--- got ---\n%s", workers, want, buf.String())
+		}
 	}
 }
 

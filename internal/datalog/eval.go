@@ -23,9 +23,8 @@ type Database struct {
 	adder  Loader // Add's loader, kept so a single insert allocates nothing
 }
 
-// relation holds one predicate's facts as flat rows in insertion order.
-// Mixed arities are allowed (the seed engine allowed them too): offs
-// delimits rows, so row i is data[offs[i]:offs[i+1]].
+// relation holds one predicate's facts as flat rows in insertion order, of
+// mixed arities if need be: offs delimits rows, row i is data[offs[i]:offs[i+1]].
 type relation struct {
 	data    []uint32
 	offs    []uint32 // len(offs) == nrows+1, offs[0] == 0
@@ -201,8 +200,7 @@ func (r *relation) grow(rows, cells int) {
 // joinIndex maps the hash of a column subset to the row positions carrying
 // those column values, in ascending (= insertion) order. Buckets may mix
 // rows whose key columns merely hash together — the matcher re-verifies
-// every candidate, exactly as the seed engine's byFirst index did — so the
-// index can never change which rows match, only how many are tried.
+// every candidate — so the index changes how many rows are tried, not which match.
 type joinIndex struct {
 	arity int
 	mask  uint64 // bit i set: column i is a key column

@@ -1,6 +1,8 @@
 package datalog
 
 import (
+	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -78,5 +80,21 @@ func FuzzRunSmall(f *testing.F) {
 		if !res.Has("e", Str("a")) {
 			t.Fatal("extensional fact lost")
 		}
+	})
+}
+
+// FuzzEngineMatchesReference turns fuzz bytes into the seed of the random%d
+// cases' generator (randomProgram) and holds the engine to the reference
+// chase on the program and graph it draws, at workers 1 and 4.
+func FuzzEngineMatchesReference(f *testing.F) {
+	for _, s := range []string{"\x00", "\x05", "\x07", "reference"} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var b [8]byte
+		copy(b[:], data)
+		seed := int64(binary.LittleEndian.Uint64(b[:]))
+		p, edb := randomProgram(seed)
+		equivRuns(t, fmt.Sprintf("random%d", seed), p, edb, nil, false)
 	})
 }

@@ -153,6 +153,12 @@ func Check(p *datalog.Program, opts *Options) []Diagnostic {
 // VL000 diagnostic rather than an error, so broken programs flow through
 // the same reporting pipeline as lint findings.
 func Source(file, src string, opts *Options) []Diagnostic {
+	_, diags := Parse(file, src, opts)
+	return diags
+}
+
+// Parse is Source that also returns the parsed program (nil if it does not parse).
+func Parse(file, src string, opts *Options) (*datalog.Program, []Diagnostic) {
 	var o Options
 	if opts != nil {
 		o = *opts
@@ -165,9 +171,9 @@ func Source(file, src string, opts *Options) []Diagnostic {
 
 	prog, err := datalog.Parse(src)
 	if err != nil {
-		return []Diagnostic{parseDiagnostic(file, err)}
+		return nil, []Diagnostic{parseDiagnostic(file, err)}
 	}
-	return run(prog, o, dir.allowLines)
+	return prog, run(prog, o, dir.allowLines)
 }
 
 // run is one analysis of a parsed program: every pass, then the suppressed

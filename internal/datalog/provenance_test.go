@@ -117,7 +117,7 @@ func TestQueryPatterns(t *testing.T) {
 	}
 }
 
-// queryReference is Query as it was before it matched on ids: the oracle's
+// queryReference is Query as the reference chase reads a pattern: its
 // match over the decoded, sorted facts.
 func queryReference(r *Result, pred string, pattern ...Term) []Binding {
 	var varOrder []string
@@ -130,18 +130,20 @@ func queryReference(r *Result, pred string, pattern ...Term) []Binding {
 	}
 	var out []Binding
 	atom := &Atom{Pred: pred, Args: pattern}
-	env := make(map[string]Val)
+	env := refEnv{}
 	for _, f := range r.db.Facts(pred) {
-		undo, ok := match(atom, f, env)
+		bound, ok := refMatch(atom, refFactOf(f), env)
 		if !ok {
 			continue
 		}
 		b := Binding{Vars: varOrder, Vals: make([]Val, len(varOrder))}
 		for i, name := range varOrder {
-			b.Vals[i] = env[name]
+			b.Vals[i] = env[name].v
 		}
 		out = append(out, b)
-		undoBind(env, undo)
+		for _, v := range bound {
+			delete(env, v)
+		}
 	}
 	return out
 }

@@ -3,8 +3,8 @@ package datalog_test
 // The semi-naive loop's first delta round starts each rule's windows at the
 // row counts its seed evaluation saw (fixpoint's marks). These tests pin
 // what that saves, exactly and at every worker count, and that nothing else
-// moves: facts, insertion order, provenance and explanations against the
-// frozen seed evaluator.
+// moves: the model against the reference chase, and insertion order,
+// provenance and explanations against the recorded digests.
 
 import (
 	"math/rand"

@@ -34,7 +34,7 @@ func TestCodeTableGroupsFromCodes(t *testing.T) {
 					}
 				}
 				label := fmt.Sprintf("%s trial %d columns %v", sem, trial, sel)
-				sameInfoBits(t, label, table.Group(sel), ComputeGroups(twin, attrs, sem))
+				sameInfoBits(t, label, table.Group(sel), ComputeGroups(twin, attrs, sem), nil)
 			}
 		}
 	}
@@ -89,7 +89,7 @@ func TestCodeTableFollowsSuppressions(t *testing.T) {
 							sel, attrs = append(sel, j), append(attrs, a)
 						}
 					}
-					sameInfoBits(t, fmt.Sprintf("%s columns %v", label, sel), table.Group(sel), ComputeGroups(d, attrs, sem))
+					sameInfoBits(t, fmt.Sprintf("%s columns %v", label, sel), table.Group(sel), ComputeGroups(d, attrs, sem), nil)
 				}
 				sameCounts(label, table.Counts(), d)
 			}
