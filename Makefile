@@ -76,23 +76,32 @@ design-cap:
 
 check: design-cap vet lint-programs vet-analyzers race staticcheck govulncheck benchmark-test
 
-# loc reports the net Go line delta of the working tree against BASE (a
-# commit; default the parent), split the way ROADMAP aim 2 asks for it: code
-# of this module and benchmark/, its tests and fixtures, and everything under
-# tools/ — plus the non-test lines, tools/ ones included, that fall in each
-# directory named in PKGS, the packages a round's shrink work is about; `.`
-# names the root package, the files without a slash. Renames count as a
-# delete plus an add, so they net to zero.
+# loc reports the net line delta of the working tree against BASE (a commit;
+# default the parent), untracked files included, split the way ROADMAP aim 2
+# asks for it: Go code of this module and benchmark/, its tests and fixtures
+# (every file under a testdata/ directory), everything under tools/, and the
+# Markdown documents — plus the non-test Go lines, tools/ ones included, of
+# each directory named in PKGS (`.` names the root package, the files without
+# a slash; a directory counts its subdirectories), or of each changed
+# directory when PKGS is empty. Renames count as a delete plus an add, so
+# they net to zero. Nothing is written to the index.
 BASE ?= HEAD~1
-PKGS ?= cmd/vadasad
+PKGS ?=
+LOC_PATHS = '*.go' '*.md' '*/testdata/*'
 loc:
-	@git diff --numstat --no-renames $(BASE) -- '*.go' | awk -v pkgs='$(PKGS)' ' \
+	@{ git diff --numstat --no-renames $(BASE) -- $(LOC_PATHS); \
+	  git ls-files --others --exclude-standard -- $(LOC_PATHS) | while IFS= read -r f; do \
+		printf '%s\t0\t%s\n' "$$(grep -c '' "$$f")" "$$f"; done; } | sort -t "$$(printf '\t')" -k3,3 | \
+	awk -F '\t' -v pkgs='$(PKGS)' ' \
 		BEGIN { np = split(pkgs, pkg, " ") } \
-		{ t = $$3 ~ /(_test\.go|\/testdata\/.*)$$/; b = $$3 ~ /^tools\// ? "tools/" : t ? "test" : "non-test"; \
-		  add[b] += $$1; del[b] += $$2 } \
-		!t { for (i = 1; i <= np; i++) if (pkg[i] == "." ? $$3 !~ /\// : index($$3, pkg[i] "/") == 1) { add[pkg[i]] += $$1; del[pkg[i]] += $$2 } } \
-		END { n = split("non-test " pkgs " test tools/", order, " "); \
-		  for (i = 1; i <= n; i++) { b = order[i]; printf "%-15s +%-5d -%-5d net %+d\n", b, add[b], del[b], add[b] - del[b] } }'
+		{ d = $$3 ~ /\.md$$/; t = $$3 ~ /(_test\.go|\/testdata\/.*)$$/; \
+		  b = d ? "docs" : $$3 ~ /^tools\// ? "tools/" : t ? "test" : "non-test"; add[b] += $$1; del[b] += $$2 } \
+		d || t { next } \
+		np == 0 { dir = $$3; if (!sub(/\/[^\/]*$$/, "", dir)) dir = "."; if (!(dir in add)) dirs = dirs " " dir; \
+		  add[dir] += $$1; del[dir] += $$2 } \
+		{ for (i = 1; i <= np; i++) if (pkg[i] == "." ? $$3 !~ /\// : index($$3, pkg[i] "/") == 1) { add[pkg[i]] += $$1; del[pkg[i]] += $$2 } } \
+		END { n = split("non-test" (np ? " " pkgs : dirs) " test tools/ docs", order, " "); \
+		  for (i = 1; i <= n; i++) { b = order[i]; printf "%-22s +%-5d -%-5d net %+d\n", b, add[b], del[b], add[b] - del[b] } }'
 
 # fuzz runs the fuzzer itself, FUZZTIME per target (default 10s), one target
 # after another, on the two byte-level parsers a request body reaches — the

@@ -210,8 +210,8 @@ func overrideMap(ids, qis []string, weight string) map[string]vadasa.Category {
 	return overrides
 }
 
-// loadCSV reads a CSV file: the header names (as vadasa.CSVHeader reads them)
-// take the overrides' categories, the rest are inferred through the
+// loadCSV reads a CSV file: the header names (as vadasa.ParseCSVHeader reads
+// them) take the overrides' categories, the rest are inferred through the
 // framework, and the file is read against that schema. The file is read once,
 // so a pipe (-in /dev/stdin) loads like a regular file. A positive scale
 // estimates sampling weights afterwards.
@@ -220,7 +220,7 @@ func loadCSV(f *vadasa.Framework, path string, overrides map[string]vadasa.Categ
 	if err != nil {
 		return nil, nil, err
 	}
-	names, err := vadasa.CSVHeader(bytes.NewReader(body))
+	names, err := vadasa.ParseCSVHeader(body)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -46,7 +46,7 @@
 //	POST /jobs/{id}/cancel     cancel; terminal across restarts
 //
 // With -stream-dir set, the daemon also serves crash-consistent streaming
-// anonymization (DESIGN.md §13): per-stream ingestion windows whose every
+// anonymization (DESIGN.md §9): per-stream ingestion windows whose every
 // accepted batch is journaled and fsync'd to a write-ahead log before the
 // request is acknowledged, with risk scored when the window is read and
 // releases gated on every tuple clearing the threshold, published under an
@@ -81,7 +81,7 @@
 // drain for up to -shutdown-grace, then the process exits. Every failure is
 // answered as {"error": ...} with the status and Retry-After of one table,
 // and what a node serves in each replication role is another: fail.go and
-// routes.go, printed in DESIGN.md §18.
+// routes.go, printed in DESIGN.md §12.3.
 //
 // Resource governance. -mem-budget caps the estimated bytes the server will
 // hold across all requests, jobs and engine evaluations at once (0 =
@@ -100,11 +100,11 @@
 // in-process scoring. When every worker is down the server degrades to
 // in-process execution and /readyz reports "degraded" (still 200) — unless
 // -require-workers is set, in which case affected requests fail 503 with
-// Retry-After and /readyz answers 503. See DESIGN.md §12 and README.md,
+// Retry-After and /readyz answers 503. See DESIGN.md §10 and README.md,
 // "Sharded risk scoring with vadasaw".
 //
 // Replication. With -repl-role, a pair of daemons forms a warm-standby
-// cluster (DESIGN.md §14): the primary ships every committed stream-WAL and
+// cluster (DESIGN.md §11): the primary ships every committed stream-WAL and
 // job-journal record to its -repl-peers over POST /repl/ship, and standbys
 // mirror the bytes verbatim, maintain read-only replay views, and verify
 // SHA-256 state digests against the primary's. -repl-sync makes every

@@ -505,8 +505,8 @@ func (s *server) parseBudget(q url.Values) (int64, error) {
 // buildDataset categorizes and parses a CSV body under query-style options —
 // shared between the synchronous handlers (live request) and the job runner
 // (parameters replayed from the journal). The header is read the way every
-// intake path reads it (vadasa.CSVHeader), so exports from spreadsheet tools
-// categorize the same as clean CSVs. maxCells, when positive, bounds the
+// intake path reads it (vadasa.ParseCSVHeader), so exports from spreadsheet
+// tools categorize the same as clean CSVs. maxCells, when positive, bounds the
 // decoded table's rows×columns — checked by counting newlines before any
 // parsing work is spent on an oversized body. read parses the body against
 // the schema in place, so the dataset keeps body: vadasa.ParseCSV, or a read
@@ -519,7 +519,7 @@ func buildDataset(f *vadasa.Framework, body []byte, q url.Values, maxCells int64
 	if !ok {
 		return nil, nil, fmt.Errorf("body has no data rows")
 	}
-	names, err := vadasa.CSVHeader(bytes.NewReader(body))
+	names, err := vadasa.ParseCSVHeader(body)
 	if err != nil {
 		return nil, nil, err
 	}

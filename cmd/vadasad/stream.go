@@ -1,9 +1,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -249,25 +247,23 @@ func semanticsFromValues(q url.Values) (mdb.Semantics, error) {
 	}
 }
 
-// parseBatchCSV splits the request body into the header names (read as every
-// intake path reads them, vadasa.CSVHeader) and the raw row cells. The cells stay
-// strings: the stream journals them verbatim, and replay re-parses them
-// exactly as the live path did.
+// parseBatchCSV splits the request body, in one pass, into the header names
+// (read as every intake path reads them) and the raw row cells, each row as
+// wide as the header. The cells stay strings: the stream journals them
+// verbatim, and replay re-parses them exactly as the live path did. They are
+// substrings of body, which the window's values keep alive as
+// mdb.ParseCSVRecords says.
 func parseBatchCSV(body []byte) (names []string, rows [][]string, err error) {
 	if len(body) == 0 {
 		return nil, nil, fmt.Errorf("empty body; POST a CSV with a header row")
 	}
-	recs, err := csv.NewReader(bytes.NewReader(body)).ReadAll()
-	if err != nil {
+	if names, rows, err = mdb.ParseCSVRecords(body); err != nil {
 		return nil, nil, fmt.Errorf("parsing CSV: %w", err)
 	}
-	if len(recs) < 2 {
+	if len(rows) == 0 {
 		return nil, nil, fmt.Errorf("body has no data rows")
 	}
-	if names, err = vadasa.CSVHeader(bytes.NewReader(body)); err != nil {
-		return nil, nil, err
-	}
-	return names, recs[1:], nil
+	return names, rows, nil
 }
 
 // handleStreamAppend ingests one batch into the stream, creating the stream

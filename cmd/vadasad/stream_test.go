@@ -545,7 +545,7 @@ func TestStreamRecoveryConcurrentHTTP(t *testing.T) {
 }
 
 // Recovery under a -mem-budget that fits some recovered windows but not all
-// is first-come (DESIGN.md §13.4): which streams open depends on timing. Yet
+// is first-come (DESIGN.md §9.6): which streams open depends on timing. Yet
 // every stream refused is logged and left unregistered with its WAL as it
 // was, every stream registered is whole, and a refused stream keeps none
 // of the budget, even the batches it had replayed before the refusal.

@@ -148,7 +148,7 @@ func (res *Result) absorb(cp Checkpoint) {
 
 // Loop is the iteration of Algorithm 2 over a dataset it mutates in place:
 // assess, select the tuples over the threshold, route them, bound the batch,
-// apply one minimal step to each, commit, re-assess (DESIGN.md §11.4). It is
+// apply one minimal step to each, commit, re-assess (DESIGN.md §7.1). It is
 // the only code that steps an Anonymizer. The anonymization cycle runs it
 // over its working dataset, a stream's release gate over the live window;
 // what differs between them is spelled as values — where the risk vector

@@ -7,7 +7,7 @@ package datalog
 // one after another; the one parallelism is partitions of a large delta
 // within one rule, constructed so the derived database, provenance,
 // labelled-null identities and diagnostics are bit-identical to the
-// sequential evaluator (see DESIGN.md §16.3 for the argument).
+// sequential evaluator (see DESIGN.md §8.3 for the argument).
 
 import (
 	"cmp"

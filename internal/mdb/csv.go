@@ -12,16 +12,61 @@ import (
 	"unsafe"
 )
 
-// CSVHeader reads the first record of a CSV as attribute names — the one
+// ParseCSVHeader reads the first record of b as attribute names — the one
 // reading of a header every intake path shares: fields as encoding/csv parses
 // them (so a quoted name may hold a comma), with a leading UTF-8 byte-order
-// mark and the white space around each name dropped.
-func CSVHeader(r io.Reader) ([]string, error) {
-	rec, err := csv.NewReader(r).Read()
+// mark and the white space around each name dropped. The names are copies,
+// so a schema that keeps them does not keep b.
+func ParseCSVHeader(b []byte) ([]string, error) {
+	sc := csvScanner{s: inPlace(b)}
+	rec, _, err := sc.record(nil, -1)
 	if err != nil {
 		return nil, fmt.Errorf("mdb: reading CSV header: %w", err)
 	}
-	return headerNames(rec), nil
+	return cloned(headerNames(rec)), nil
+}
+
+// ParseCSVRecords reads b as encoding/csv's ReadAll does with its defaults —
+// every record as wide as the first, a malformed one failing with the
+// *csv.ParseError ReadAll returns for it — and returns the first record as
+// ParseCSVHeader reads it and the others as they stand. Input without a
+// record returns neither and no error.
+//
+// Retention: the records share one array of fields, and a cell is a
+// substring of b but for a quoted one holding a doubled quote or a line
+// break, so the caller gives b up, b must not change while a cell is in
+// use, and a cell kept keeps the whole of b alive.
+func ParseCSVRecords(b []byte) (names []string, recs [][]string, err error) {
+	sc := csvScanner{s: inPlace(b)}
+	header, _, err := sc.record(nil, -1)
+	if err == io.EOF {
+		return nil, nil, nil
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	k := len(header)
+	n := sc.maxRecords(k)
+	cells := make([]string, n*k)
+	recs = make([][]string, 0, n)
+	for i := 0; ; i++ {
+		rec, _, err := sc.record(cells[i*k:i*k:min((i+1)*k, len(cells))], k)
+		if err == io.EOF {
+			return cloned(headerNames(header)), recs, nil
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		recs = append(recs, rec)
+	}
+}
+
+// cloned replaces each string of s by a copy.
+func cloned(s []string) []string {
+	for i := range s {
+		s[i] = strings.Clone(s[i])
+	}
+	return s
 }
 
 // headerNames cleans a header record in place.
@@ -36,7 +81,7 @@ func headerNames(rec []string) []string {
 }
 
 // ReadCSV reads a microdata DB from CSV. The first record must be a header
-// naming the schema's attributes, in order, as CSVHeader reads it. If the
+// naming the schema's attributes, in order, as ParseCSVHeader reads it. If the
 // schema contains a Weight attribute, its column is read by ParseWeight and
 // mirrored into Row.Weight. Labelled nulls are recognized in the ⊥i and *
 // forms.
@@ -81,15 +126,7 @@ func parseCSV(s, name string, attrs []Attribute) (*Dataset, error) {
 	}
 	d := NewDataset(name, attrs)
 	k := len(attrs)
-	// A record takes at least one line and k−1 commas plus a line end but for
-	// the last, so both the lines left and the bytes left over k bound the
-	// rows; the second keeps the values array linear in the input's size.
-	rest := sc.s[sc.off:]
-	n := strings.Count(rest, "\n")
-	if rest != "" && !strings.HasSuffix(rest, "\n") {
-		n++
-	}
-	n = min(n, (len(rest)+1)/k)
+	n := sc.maxRecords(k)
 	rows, vals := make([]Row, n), make([]Value, n*k)
 	d.Rows = make([]*Row, 0, n)
 	err = sc.intake(d, func(i int) []Value {
@@ -201,6 +238,19 @@ func openCSV(s string, attrs []Attribute) (*csvScanner, error) {
 	return sc, nil
 }
 
+// maxRecords bounds the records of k fields left to read. A record takes at
+// least one line and k−1 commas plus a line end but for the last, so both the
+// lines left and the bytes left over k bound them; the second keeps an array
+// sized by the bound linear in the input's size.
+func (sc *csvScanner) maxRecords(k int) int {
+	rest := sc.s[sc.off:]
+	n := strings.Count(rest, "\n")
+	if rest != "" && !strings.HasSuffix(rest, "\n") {
+		n++
+	}
+	return min(n, (len(rest)+1)/k)
+}
+
 // intake is the one loop that checks a CSV's records, ParseCSV's and
 // ParseCSVGroup's: over the records after the header, in order, it parses
 // record i into at(i), minting labelled nulls from d.Nulls, checks its
@@ -278,7 +328,7 @@ func (sc *csvScanner) readLine() (text string, nl bool) {
 
 // record reads the next record into fields[:0] and returns it with the line
 // it starts on, or io.EOF after the last one. A record of other than want
-// fields is an ErrFieldCount error.
+// fields is an ErrFieldCount error; a negative want takes any number.
 func (sc *csvScanner) record(fields []string, want int) ([]string, int, error) {
 	var text string
 	var nl bool
@@ -363,7 +413,7 @@ func (sc *csvScanner) record(fields []string, want int) ([]string, int, error) {
 		}
 		text, col = text[1:], col+1
 	}
-	if len(fields) != want {
+	if want >= 0 && len(fields) != want {
 		return fail(start, 1, csv.ErrFieldCount)
 	}
 	return fields, start, nil

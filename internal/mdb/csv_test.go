@@ -182,6 +182,55 @@ func errText(err error) string {
 	return err.Error()
 }
 
+// CSVHeader is ParseCSVHeader over the whole of r, the form the header
+// tests read a CSV in.
+func CSVHeader(r io.Reader) ([]string, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return ParseCSVHeader(b)
+}
+
+// checkHeaderAndRecords holds ParseCSVHeader to encoding/csv's first Read
+// and ParseCSVRecords to its ReadAll: names cleaned of a byte-order mark and
+// padding, records and error texts as encoding/csv returns them.
+func checkHeaderAndRecords(t testing.TB, in string) {
+	clean := func(rec []string) []string {
+		names := slices.Clone(rec)
+		for i := range names {
+			if i == 0 {
+				names[i] = strings.TrimPrefix(names[i], "\ufeff")
+			}
+			names[i] = strings.TrimSpace(names[i])
+		}
+		return names
+	}
+	wrec, werr := csv.NewReader(strings.NewReader(in)).Read()
+	if werr != nil {
+		werr = fmt.Errorf("mdb: reading CSV header: %w", werr)
+	}
+	names, err := ParseCSVHeader([]byte(in))
+	if errText(err) != errText(werr) || werr == nil && !slices.Equal(names, clean(wrec)) {
+		t.Fatalf("ParseCSVHeader(%q) = %q, %v; encoding/csv %q, %v", in, names, err, wrec, werr)
+	}
+	all, werr := csv.NewReader(strings.NewReader(in)).ReadAll()
+	var wnames []string
+	var wrecs [][]string
+	if werr == nil && len(all) > 0 {
+		wnames, wrecs = clean(all[0]), all[1:]
+	}
+	names, recs, err := ParseCSVRecords([]byte(in))
+	if errText(err) != errText(werr) || !slices.Equal(names, wnames) || len(recs) != len(wrecs) {
+		t.Fatalf("ParseCSVRecords(%q) = %q, %q, %v; encoding/csv %q, %v", in, names, recs, err, all, werr)
+	}
+	for i := range recs {
+		if !slices.Equal(recs[i], wrecs[i]) {
+			t.Fatalf("ParseCSVRecords(%q) record %d is %q, encoding/csv %q", in, i, recs[i], wrecs[i])
+		}
+	}
+}
+
 // checkScanner holds csvScanner to encoding/csv record by record — fields,
 // start lines and errors — up to the first error that ends a read.
 func checkScanner(t testing.TB, in string, want int) {
@@ -245,6 +294,7 @@ func TestReadCSVMatchesReference(t *testing.T) {
 		}
 		checkParseCSV(t, in, attrs)
 		checkScanner(t, in, len(attrs))
+		checkHeaderAndRecords(t, in)
 	}
 	if read < inputs/5 {
 		t.Fatalf("only %d of %d inputs were read without error", read, inputs)
@@ -253,7 +303,8 @@ func TestReadCSVMatchesReference(t *testing.T) {
 }
 
 // FuzzReadCSV holds ReadCSV to the reference, ParseCSV to ReadCSV, the group
-// read to ReadCSV followed by a Select, and the scanner to encoding/csv.
+// read to ReadCSV followed by a Select, and the scanner, the header read and
+// the records read to encoding/csv.
 func FuzzReadCSV(f *testing.F) {
 	for _, in := range []string{
 		"\ufeffA,W\nx,1\n",                   // byte-order mark
@@ -297,6 +348,7 @@ func FuzzReadCSV(f *testing.F) {
 		checkParseCSV(t, in, attrs)
 		checkParseCSVGroup(t, in, attrs)
 		checkScanner(t, in, len(attrs))
+		checkHeaderAndRecords(t, in)
 	})
 }
 

@@ -42,7 +42,8 @@ type Twin struct {
 }
 
 // twins is the twin table. Framework.ExplainRisk, Assessor and the agreement
-// tests read it; DESIGN.md "Risk layer" and README print it.
+// tests read it; DESIGN.md "Declarative programs and the twin table" and
+// README print it.
 var twins = []Twin{
 	{Kind: "re-identification", Name: "ReIdentification",
 		Program:  func(_ risk.Spec, q int) *datalog.Program { return ReIdentification(q) },

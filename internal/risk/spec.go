@@ -29,7 +29,7 @@ type Spec struct {
 // measures is the measure table: per kind, what a Spec builds and what Spec
 // a live value has (false when it is not that row's measure). The daemon,
 // the CLI, the framework's plug-in registry and the shard wire all read
-// measures from here; DESIGN.md "Risk layer" prints it.
+// measures from here; DESIGN.md "The measure table" prints it.
 var measures = []struct {
 	kind  string
 	build func(Spec) (Assessor, error)

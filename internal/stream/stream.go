@@ -43,7 +43,7 @@ import (
 	"vadasa/internal/risk"
 )
 
-// Journal record types of a stream WAL (see DESIGN.md §13 for the
+// Journal record types of a stream WAL (see DESIGN.md §9.3 for the
 // protocol).
 const (
 	// recCreate is the first record: schema, threshold, semantics and the
